@@ -124,5 +124,9 @@ class ScenarioError(ConfigError):
     """Bad scenario file; maps to process exit code 2."""
 
 
+class KernelHalted(TwinprotoError, RuntimeError):
+    """Lockstep run halted at its safety limit or in a deadlock."""
+
+
 class TaskStopped(TwinprotoError):
     """Internal: raised inside a task when the runtime is shutting down."""

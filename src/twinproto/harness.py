@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 from .bus import EventBus
 from .config import RunConfig, Scenario
 from .control import SensorBacking, assemble_plant
-from .errors import CodecError, ConfigError, ThreadLogError
+from .errors import CodecError, ConfigError, KernelHalted, ThreadLogError
 from .mapek import assemble_shadow, assemble_twin
 from .messages import MessageKind, command, encode_message, decode_message, status
 from .runtime import ClockMode, make_runtime
@@ -250,11 +250,7 @@ def run_scenario(scenario: Scenario, config: RunConfig | None = None) -> Session
         rt.shutdown()
 
     rt.spawn(operator, name="op:script")
-    stragglers = rt.run(timeout=cfg.run_timeout_s)
-    if stragglers:
-        result.fail(f"tasks never finished: {stragglers}")
-    for task_name, err in rt.task_errors():
-        result.fail(f"task {task_name} crashed: {err!r}")
+    _run_to_verdict(rt, cfg.run_timeout_s, result)
     if child is not None:
         try:
             rc = child.wait(timeout=cfg.run_timeout_s)
@@ -294,6 +290,19 @@ def run_scenario(scenario: Scenario, config: RunConfig | None = None) -> Session
     _check_expectations(scenario, result)
     result.elapsed_s = time.monotonic() - started
     return result
+
+
+def _run_to_verdict(rt, timeout_s, result):
+    """Run the runtime to the end; a halted kernel is a failure, not a raise."""
+    try:
+        stragglers = rt.run(timeout=timeout_s)
+    except KernelHalted as exc:
+        stragglers = []
+        result.fail(str(exc))
+    if stragglers:
+        result.fail(f"tasks never finished: {stragglers}")
+    for task_name, err in rt.task_errors():
+        result.fail(f"task {task_name} crashed: {err!r}")
 
 
 def _check_thread_invariants(mode, twin, counts, result):
@@ -518,11 +527,7 @@ def replay_thread(path, clock: ClockMode = ClockMode.LOCKSTEP, seed: int = 0,
         rt.shutdown()
 
     rt.spawn(feeder, name="replay:feeder")
-    stragglers = rt.run(timeout=timeout_s)
-    if stragglers:
-        result.fail(f"tasks never finished: {stragglers}")
-    for task_name, err in rt.task_errors():
-        result.fail(f"task {task_name} crashed: {err!r}")
+    _run_to_verdict(rt, timeout_s, result)
 
     result.frames_fed = len(frames)
     result.statuses_seen = shadow.monitor_stats.statuses

@@ -16,11 +16,12 @@ Two implementations exist:
 
 * LockstepRuntime: cooperative scheduling over real threads with a baton. At
   most one task executes at any instant; everything else is parked. Time is a
-  logical tick counter (1 tick is the lockstep stand-in for 1 ms). Within a
-  tick the scheduler keeps granting slices to runnable tasks until all of them
-  are parked (run to quiescence), then jumps the tick to the next timer. The
-  only nondeterminism is which runnable task goes next, and that choice comes
-  from a seeded RNG, so a whole run is a pure function of (seed, inputs).
+  logical tick counter (1 tick is the lockstep stand-in for 1 ms). There is
+  no scheduler thread: a task that parks or exits grants the next slice
+  itself. Slices go to runnable tasks until all are parked (quiescence), then
+  the tick jumps to the next timer. The only nondeterminism is which runnable
+  task goes next, and that choice comes from a seeded RNG, so a whole run is
+  a pure function of (seed, inputs).
 
 Component code never touches threading primitives directly; that is what keeps
 it bit-reproducible under lockstep while staying an ordinary threaded program
@@ -40,6 +41,7 @@ from .errors import (
     BusClosed,
     ChannelClosed,
     ConnectionClosed,
+    KernelHalted,
     TaskStopped,
 )
 
@@ -202,7 +204,8 @@ class WallRuntime:
 class _LockTask(TaskHandle):
     def __init__(self, name):
         super().__init__(name)
-        self.grant = threading.Event()
+        self.grant = threading.Lock()  # held until the kernel grants a slice
+        self.grant.acquire()
         self.thread = None
         self.wake_tick = None
 
@@ -270,12 +273,14 @@ class _LockChannel:
 
 class LockstepRuntime:
     mode = ClockMode.LOCKSTEP
+    UNWIND_S = 2.0  # most real seconds a halted run waits for tasks to unwind
 
     def __init__(self, seed=0):
         self.seed = seed
         self._rng = random.Random(seed)
         self._lock = threading.Lock()
-        self._sched_evt = threading.Event()
+        self._idle = threading.Condition(self._lock)  # baton came back
+        self._baton_free = True
         self._tasks = []
         self._by_ident = {}
         self._ready = []
@@ -284,8 +289,7 @@ class LockstepRuntime:
         self._tick = 0
         self._stopping = False
         self._channels = []
-        self._running = False
-        self.on_round_end = None  # optional callback(tick) at quiescence
+        self.slices = 0  # grants so far, one per slice
 
     # -- task-side hooks ------------------------------------------------------
 
@@ -298,12 +302,11 @@ class LockstepRuntime:
         return task
 
     def _park(self, task, why):
-        """Give the baton back to the kernel. Kernel lock must be held."""
+        """Grant the next slice from this thread and wait for ours. Lock held."""
         task.state = why
-        task.grant.clear()
-        self._sched_evt.set()
+        self._step()
         self._lock.release()
-        task.grant.wait()
+        task.grant.acquire()
         self._lock.acquire()
         task.state = "running"
 
@@ -314,13 +317,35 @@ class LockstepRuntime:
             if t not in self._ready:
                 self._ready.append(t)
 
+    def _step(self):
+        """Grant the next ready task, jumping the tick at quiescence; with none
+        alive or a deadlock, free the baton and wake `run`. Lock held."""
+        while True:
+            if self._ready:
+                task = self._ready.pop(self._rng.randrange(len(self._ready)))
+                if task.state in ("done", "failed"):
+                    continue
+                self.slices += 1
+                task.grant.release()
+                return
+            if self._sleepers:  # sleepers are parked, so some task is alive
+                self._tick = max(self._tick + 1, self._sleepers[0][0])
+                while self._sleepers and self._sleepers[0][0] <= self._tick:
+                    _, _, task = heapq.heappop(self._sleepers)
+                    if task.state not in ("done", "failed"):
+                        self._ready.append(task)
+                continue
+            self._baton_free = True
+            self._idle.notify()
+            return
+
     # -- public api -----------------------------------------------------------
 
     def spawn(self, fn, name="task"):
         task = _LockTask(name)
 
         def run():
-            task.grant.wait()  # first slice is granted by the kernel
+            task.grant.acquire()  # first slice is granted by the kernel
             task.state = "running"
             try:
                 fn()
@@ -333,7 +358,7 @@ class LockstepRuntime:
             finally:
                 with self._lock:
                     self._by_ident.pop(task.thread.ident, None)
-                    self._sched_evt.set()
+                    self._step()
 
         t = threading.Thread(target=run, name=name, daemon=True)
         task.thread = t
@@ -392,59 +417,33 @@ class LockstepRuntime:
             ch.close()
 
     def run(self, timeout=60.0):
-        """Scheduler loop: run until every task has exited.
+        """Grant the first slice, then wait until every task has exited.
 
         Must be called from the thread that owns the runtime (not a task).
-        `timeout` is a real-time safety net against bugs, not a feature of the
-        logical clock.
+        Each later slice is granted by the task that parks or exits before
+        it. `timeout` is a real-time safety net against bugs, not a feature
+        of the logical clock. At that limit or on a deadlock, the runtime is
+        shut down, its tasks get a grace period to unwind, and KernelHalted
+        carries the task dump taken when the run stopped.
         """
-        deadline = time.monotonic() + timeout
-        self._running = True
-        self._lock.acquire()
-        try:
-            while True:
-                if time.monotonic() > deadline:
-                    raise RuntimeError(
-                        f"lockstep wall-time safety limit hit at tick {self._tick}: "
-                        + self._dump()
-                    )
-                if self._ready:
-                    idx = self._rng.randrange(len(self._ready))
-                    task = self._ready.pop(idx)
-                    if task.state in ("done", "failed"):
-                        continue
-                    self._sched_evt.clear()
-                    task.grant.set()
-                    self._lock.release()
-                    self._sched_evt.wait()
-                    self._lock.acquire()
-                    continue
-                # quiescent: no runnable task
-                alive = [t for t in self._tasks if t.state not in ("done", "failed")]
-                if not alive:
-                    break
-                if self.on_round_end is not None:
-                    cb = self.on_round_end
-                    self._lock.release()
-                    try:
-                        cb(self._tick)
-                    finally:
-                        self._lock.acquire()
-                    if self._ready:
-                        continue
-                if self._sleepers:
-                    wake = self._sleepers[0][0]
-                    self._tick = max(self._tick + 1, wake)
-                    while self._sleepers and self._sleepers[0][0] <= self._tick:
-                        _, _, task = heapq.heappop(self._sleepers)
-                        if task.state not in ("done", "failed"):
-                            self._ready.append(task)
-                    continue
-                raise RuntimeError("lockstep deadlock: " + self._dump())
-        finally:
-            self._running = False
-            self._lock.release()
-        return []
+        with self._lock:
+            self._baton_free = False
+            self._step()
+            if not self._idle.wait_for(lambda: self._baton_free, timeout):
+                why = f"lockstep wall-time safety limit hit at tick {self._tick}: "
+            elif all(t.state in ("done", "failed") for t in self._tasks):
+                return []
+            else:
+                why = "lockstep deadlock: "
+            why += self._dump()
+        self.shutdown()
+        with self._lock:
+            if self._baton_free:  # deadlock: nobody is left to grant a slice
+                self._baton_free = False
+                self._step()
+            self._idle.wait_for(lambda: self._baton_free,
+                                min(timeout, self.UNWIND_S))
+        raise KernelHalted(why)
 
     def task_errors(self):
         return [(t.name, t.error) for t in self._tasks if t.error is not None]

@@ -1,6 +1,8 @@
 """End-to-end scenario runs, record/replay, the suite runner, and the CLI."""
 
 import json
+import threading
+import time
 
 import pytest
 
@@ -120,6 +122,42 @@ def test_gate_rejections_are_counted_and_noted():
     assert result.ok, result.failures
     assert result.model_state == "ACTIVE"
     assert result.gate_committed == 0
+
+
+def threads_settle_to(count, within_s=5.0):
+    """Wait until only `count` threads are alive; True if they got there."""
+    deadline = time.monotonic() + within_s
+    while threading.active_count() > count and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return threading.active_count() == count
+
+
+# a lockstep twin run whose script never settles: it would take 10 000 s of
+# logical time, so the wall-time safety limit ends it
+FOREVER = {"duration_ms": 10_000_000, "expect": {}}
+
+
+def test_safety_limit_is_a_fail_verdict_and_leaks_no_threads():
+    before = threading.active_count()
+    result = run_scenario(scenario(**FOREVER), RunConfig(run_timeout_s=0.2))
+    assert result.ok is False
+    assert "safety limit" in result.failures[0]
+    assert "op:script=" in result.failures[0]  # the task dump
+    assert threads_settle_to(before)
+
+
+def test_replay_safety_limit_is_a_fail_verdict(tmp_path):
+    thread = tmp_path / "long.thread"
+    lines = ["seq=1 ts=0 dir=PT2DT kind=STA hex=2000"]
+    lines += [f"seq={n} ts={n} dir=PT2DT kind=MEA hex=10{n:08x}"
+              for n in range(2, 5002)]
+    thread.write_text("\n".join(lines) + "\n")
+    before = threading.active_count()
+    result = replay_thread(thread, timeout_s=0.001)
+    assert result.ok is False
+    assert "safety limit" in result.failures[0]
+    assert "replay:feeder=" in result.failures[0]
+    assert threads_settle_to(before)
 
 
 def test_expectation_mismatch_fails_the_run():
@@ -298,6 +336,23 @@ def test_cli_ci_test_suite(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL 03-broken" in out
     assert "2/3 scenarios passed" in out
+
+
+def test_cli_ci_test_safety_limit_fails_one_case_and_runs_the_next(
+        tmp_path, capsys):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    write_scenario(suite / "01-forever.json", **FOREVER)
+    write_scenario(suite / "02-mission.json")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"run_timeout_s": 0.2}))
+    assert main(["ci-test", str(suite), "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL 01-forever" in captured.out
+    assert "safety limit" in captured.out
+    assert "PASS 02-mission" in captured.out
+    assert "1/2 scenarios passed" in captured.out
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_cli_template_validate(tmp_path, capsys):

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
-from twinproto.errors import ChannelClosed, TaskStopped
-from twinproto.runtime import ClockMode, LockstepRuntime, WallRuntime, make_runtime
+from twinproto import harness
+from twinproto.errors import ChannelClosed, KernelHalted, TaskStopped
+from twinproto.runtime import (ClockMode, LockstepRuntime, WallRuntime,
+                               make_runtime)
+
+SUITE = Path(harness.__file__).parent / "suite"
 
 
 def test_make_runtime_modes():
@@ -78,8 +84,33 @@ def test_wall_sleep_interrupted_by_shutdown():
 
 # -- lockstep kernel ----------------------------------------------------------
 
+def run_bounded(rt, timeout):
+    """`rt.run(timeout)` in a helper thread, so a hung kernel fails the test.
+
+    Returns what `run` returned, or the exception it raised.
+    """
+    outcome = []
+
+    def call():
+        try:
+            outcome.append(rt.run(timeout=timeout))
+        except Exception as exc:  # handed to the test to assert on
+            outcome.append(exc)
+
+    runner = threading.Thread(target=call, name="run-bounded", daemon=True)
+    runner.start()
+    runner.join(timeout + 5.0)
+    assert not runner.is_alive(), "LockstepRuntime.run did not return"
+    return outcome[0]
+
+
 def pipeline_run(seed, stages=4, items=25):
     """Chain of channel-relay tasks; returns the observed event order."""
+    return pipeline_runtime(seed, stages, items)[1]
+
+
+def pipeline_runtime(seed, stages=4, items=25):
+    """pipeline_run's runtime after the run, and its event order."""
     rt = LockstepRuntime(seed=seed)
     chans = [rt.channel() for _ in range(stages + 1)]
     events = []
@@ -116,11 +147,31 @@ def pipeline_run(seed, stages=4, items=25):
     rt.spawn(sink, name="sink")
     rt.run(timeout=20.0)
     assert rt.task_errors() == []
-    return events
+    return rt, events
 
 
 def test_lockstep_same_seed_identical_schedule():
     assert pipeline_run(seed=11) == pipeline_run(seed=11)
+
+
+def test_lockstep_slices_are_pinned():
+    # one slice per grant: a different count means a different schedule
+    rt, _ = pipeline_runtime(seed=11)
+    assert rt.slices == 10
+
+
+def test_lockstep_bundled_suite_slices_are_pinned(monkeypatch):
+    runtimes = []
+
+    def recording_runtime(mode, seed=0):
+        runtimes.append(make_runtime(mode, seed))
+        return runtimes[-1]
+
+    monkeypatch.setattr(harness, "make_runtime", recording_runtime)
+    results = harness.run_suite(SUITE, force_lockstep=True)
+    assert all(r.ok for r in results), [r.failures for r in results]
+    assert len(runtimes) == len(results)
+    assert sum(rt.slices for rt in runtimes) == 564
 
 
 def test_lockstep_seeds_change_interleaving_not_content():
@@ -175,6 +226,98 @@ def test_lockstep_deadlock_detected():
     rt.spawn(stuck, name="stuck")
     with pytest.raises(RuntimeError, match="deadlock"):
         rt.run(timeout=5.0)
+
+
+def test_lockstep_deadlock_unwinds_parked_tasks():
+    rt = LockstepRuntime(seed=0)
+    ch = rt.channel()
+    saw = []
+
+    def stuck():
+        try:
+            ch.get()
+        except ChannelClosed:
+            saw.append("closed")
+            raise
+
+    handle = rt.spawn(stuck, name="stuck")
+    assert isinstance(run_bounded(rt, 5.0), KernelHalted)
+    handle.thread.join(5.0)
+    assert not handle.thread.is_alive()
+    assert saw == ["closed"]
+
+
+def test_lockstep_safety_limit_fires_while_a_task_blocks_outside_the_kernel():
+    rt = LockstepRuntime(seed=0)
+    release = threading.Event()
+    handle = rt.spawn(release.wait, name="blocked")
+    try:
+        outcome = run_bounded(rt, 0.2)
+    finally:
+        release.set()
+    assert isinstance(outcome, RuntimeError)
+    assert "safety limit" in str(outcome)
+    assert "blocked=running" in str(outcome)
+    handle.thread.join(5.0)
+    assert not handle.thread.is_alive()
+
+
+def ring_run(seed, tasks=32, items=16, hops=64):
+    """Items hop round a ring of tasks over small lockstep channels.
+
+    Every fourth task sleeps before passing an item on, so ticks advance and
+    quiescence is reached many times. Returns the event list and the most
+    tasks ever seen inside a slice at once, counted without a lock.
+    """
+    rt = LockstepRuntime(seed=seed)
+    chans = [rt.channel(capacity=2) for _ in range(tasks)]
+    events, finished = [], []
+    inside = {"now": 0, "max": 0}
+
+    def hop(i):
+        def run():
+            while True:
+                item, left = chans[i].get()
+                inside["now"] += 1
+                inside["max"] = max(inside["max"], inside["now"])
+                events.append((i, item, left, rt.tick))
+                sum(range(200))  # widen the window for a second task
+                inside["now"] -= 1
+                if left == 0:
+                    finished.append(item)
+                    if len(finished) == items:
+                        rt.shutdown()
+                    continue
+                if i % 4 == 0:
+                    rt.sleep_ms(1 + item % 3)
+                chans[(i + 1) % tasks].put((item, left - 1))
+        return run
+
+    def starter():
+        for item in range(items):
+            chans[item * 2 % tasks].put((item, hops))
+
+    for i in range(tasks):
+        rt.spawn(hop(i), name=f"hop{i}")
+    rt.spawn(starter, name="starter")
+    assert run_bounded(rt, 30.0) == []
+    assert rt.task_errors() == []
+    assert sorted(finished) == list(range(items))
+    return events, inside["max"], rt.slices
+
+
+def test_lockstep_kernel_stress_one_task_per_slice_and_reproducible():
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        first = ring_run(seed=7)
+        second = ring_run(seed=7)
+    finally:
+        sys.setswitchinterval(old)
+    events, max_inside, _ = first
+    assert max_inside == 1
+    assert len(events) == 16 * 65
+    assert first == second
 
 
 def test_lockstep_shutdown_unwinds_everything():
