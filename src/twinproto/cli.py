@@ -145,10 +145,7 @@ def _cmd_record(args) -> int:
 def _cmd_replay(args) -> int:
     clock = ClockMode(args.mode) if args.mode else ClockMode.LOCKSTEP
     result = replay_thread(args.thread, clock=clock, seed=args.seed)
-    print(result.summary_line())
-    if args.json or not result.ok:
-        print(json.dumps(asdict(result), default=str, sort_keys=True))
-    return 0 if result.ok else 1
+    return _emit_result(result, args.json)
 
 
 def _cmd_ci_test(args) -> int:

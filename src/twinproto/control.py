@@ -40,7 +40,6 @@ from .devices import (
 )
 from .errors import RecordingMissing
 from .messages import OP_COMMAND, OP_MEASUREMENT, OP_STATUS, MessageKind
-from .thread_log import ThreadDirection, ThreadRecord, KIND_TAG
 from .transport import EmulatedBridge, Protocol, connect_pair, open_virtual_serial_pair
 
 
@@ -104,17 +103,6 @@ class ControlLogic:
         runtime.spawn(owner_loop, name="ctl:owner")
         return self
 
-    def flush_log(self, path):
-        """Optional persistence of the data log in thread-record lines."""
-        direction = {"cmd": ThreadDirection.DT2PT, "rsp": ThreadDirection.PT2DT}
-        from .messages import encode_message
-
-        with open(path, "w", encoding="utf-8") as fh:
-            for n, (tag, msg) in enumerate(self.data_log, start=1):
-                rec = ThreadRecord(n, 0, direction[tag], KIND_TAG[msg.kind],
-                                   encode_message(msg))
-                fh.write(rec.format_line())
-
     def describe(self):
         return {"period_init": 0, "log_gate": "period>0", **self.topics}
 
@@ -149,7 +137,6 @@ class PlantAssembly:
         self.links = links
         self.bridge = bridge
         self.measurement_script = measurement_script
-        self._sensor_dev_end = None
         self._closables = []
 
     def sensor_state(self):
@@ -244,7 +231,6 @@ def assemble_plant(runtime, bus, backing, recording=None,
     plant = PlantAssembly(runtime, bus, backing, sensor, sensor_driver,
                           tx_device, tx_driver, control, links, bridge=bridge,
                           measurement_script=measurement_script)
-    plant._sensor_dev_end = dev_end
     plant._closables = [dev_end, drv_end, ecs_end, tx_end]
     if outbound is not None:
         plant._closables.append(outbound)

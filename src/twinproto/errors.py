@@ -48,10 +48,6 @@ class FrameTooLarge(TransportError):
     """Frame payload exceeds the 2**20 byte ceiling."""
 
 
-class TunnelBroken(ConnectionClosed):
-    """Bridge tunnel died; surfaces as a closed connection to both parties."""
-
-
 class PortBindFailed(TransportError):
     """Could not bind or connect a TCP endpoint."""
 

@@ -28,13 +28,15 @@ import json
 import subprocess
 import sys
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
+from operator import eq, ge
 
 from .bus import EventBus
-from .config import RunConfig, Scenario
-from .control import SensorBacking, assemble_plant
+from .config import Expectations, RunConfig, Scenario
+from .control import PlantAssembly, SensorBacking, assemble_plant
 from .errors import CodecError, ConfigError, KernelHalted, ThreadLogError
-from .mapek import assemble_shadow, assemble_twin
+from .mapek import DigitalTwin, assemble_shadow, assemble_twin
 from .messages import MessageKind, command, encode_message, decode_message, status
 from .runtime import ClockMode, make_runtime
 from .statemachine import State
@@ -49,8 +51,21 @@ from .thread_log import (
 from .transport import Protocol, TcpListener, connect_pair, tcp_connect
 
 
+class _Verdict:
+    """`fail` and `summary_line` for a result with `ok` and `failures`."""
+
+    def fail(self, msg):
+        self.ok = False
+        self.failures.append(msg)
+
+    def summary_line(self) -> str:
+        verdict = "PASS" if self.ok else "FAIL"
+        tail = "" if self.ok else "  [" + "; ".join(self.failures) + "]"
+        return f"{verdict} {self._describe()}{tail}"
+
+
 @dataclass
-class SessionResult:
+class SessionResult(_Verdict):
     name: str
     mode: str
     clock: str
@@ -70,17 +85,56 @@ class SessionResult:
     thread_sha256: str | None = None
     elapsed_s: float = 0.0
 
-    def fail(self, msg):
-        self.ok = False
-        self.failures.append(msg)
-
-    def summary_line(self) -> str:
-        verdict = "PASS" if self.ok else "FAIL"
-        tail = "" if self.ok else "  [" + "; ".join(self.failures) + "]"
-        return (f"{verdict} {self.name} mode={self.mode} clock={self.clock} "
+    def _describe(self):
+        return (f"{self.name} mode={self.mode} clock={self.clock} "
                 f"seed={self.seed} status={self.final_status} "
                 f"frames={self.pt2dt_frames}/{self.dt2pt_frames} "
-                f"({self.elapsed_s:.2f}s){tail}")
+                f"({self.elapsed_s:.2f}s)")
+
+
+def _when_true(got, want):
+    # a run that must end converged is waited for; one that must not is
+    # only judged at the end
+    return got is True if want else None
+
+
+# One row per `Expectations` field: the `SessionResult` field it judges, the
+# verdict rule that passes or fails the finished run, and the poll rule that
+# says whether a running session may stop: True or False, or None when the
+# row does not wait. A run settles once every row that waits is met.
+Expectation = namedtuple("Expectation", "field result verdict poll")
+EXPECTATIONS = (
+    Expectation("final_status", "final_status", eq, eq),
+    Expectation("model_state", "model_state", eq, eq),
+    Expectation("converged", "converged", eq, _when_true),
+    Expectation("uplink_frames", "dt2pt_frames", eq, ge),  # stop once reached
+    Expectation("min_statuses", "statuses_seen", ge, ge),
+    Expectation("gate_rejections_min", "gate_rejected", ge, ge),
+    # the digest is only known once the run is over
+    Expectation("thread_sha256", "thread_sha256", eq, lambda got, want: None),
+)
+
+
+def _expected(expect: Expectations, result: SessionResult):
+    """(row, got, want) for every expectation the scenario sets."""
+    for row in EXPECTATIONS:
+        want = getattr(expect, row.field)
+        if want is not None:
+            yield row, getattr(result, row.result), want
+
+
+def expectations_settled(expect: Expectations, result: SessionResult) -> bool:
+    """True once every row that waits is met and at least one row waits."""
+    waits = [row.poll(got, want)
+             for row, got, want in _expected(expect, result)]
+    waits = [met for met in waits if met is not None]
+    return bool(waits) and all(waits)
+
+
+def _check_expectations(expect: Expectations, result: SessionResult):
+    for row, got, want in _expected(expect, result):
+        if not row.verdict(got, want):
+            result.fail(f"{row.field.replace('_', ' ')} {got}, want {want}")
 
 
 def thread_digest(log: ThreadLog) -> str:
@@ -91,17 +145,47 @@ def thread_digest(log: ThreadLog) -> str:
     return h.hexdigest()
 
 
+@dataclass
+class _Wiring:
+    """What `_wire` stood up: the operator's ends of the plant's links, and
+    what hangs off them."""
+
+    up: object
+    down: object
+    child: subprocess.Popen | None = None
+    log: ThreadLog | None = None
+    twin: DigitalTwin | None = None
+    plant: PlantAssembly | None = None
+    observed: list = field(default_factory=list)  # statuses seen (pt/dtp)
+
+
 def run_scenario(scenario: Scenario, config: RunConfig | None = None) -> SessionResult:
     cfg = config if config is not None else RunConfig()
     result = SessionResult(scenario.name, scenario.mode, scenario.clock.value,
                            scenario.seed)
     started = time.monotonic()
-
     rt = make_runtime(scenario.clock, scenario.seed)
+    wiring = _wire(rt, scenario, cfg)
+    _drive(rt, scenario, cfg, wiring, result)
+    _collect(wiring, result)
+    if wiring.log is not None:
+        wiring.log.close()
+        records = wiring.log.records
+        result.thread_lines = len(records)
+        result.thread_sha256 = thread_digest(wiring.log)
+        _check_thread_invariants(scenario.mode, wiring.twin, result)
+        if cfg.record_file:
+            write_recording_file(records, cfg.record_file)
+    _check_expectations(scenario.expect, result)
+    result.elapsed_s = time.monotonic() - started
+    return result
 
-    # the plant's two external links; who holds the far ends depends on mode.
-    # With isolation on, the plant lives in a child OS process and the links
-    # are real loopback TCP; otherwise everything shares this runtime.
+
+def _wire(rt, scenario: Scenario, cfg: RunConfig) -> _Wiring:
+    """Links, then the observing deployment, then the plant (in-process)."""
+    # who holds the far ends of the plant's two links depends on mode. With
+    # isolation on, the plant lives in a child OS process and the links are
+    # real loopback TCP; otherwise everything shares this runtime.
     child = None
     if cfg.isolate:
         if scenario.clock is not ClockMode.WALL:
@@ -122,110 +206,77 @@ def run_scenario(scenario: Scenario, config: RunConfig | None = None) -> Session
         finally:
             up_listener.close()
             down_listener.close()
-        up_plant = down_plant = None
     else:
         up_plant, up_peer = connect_pair(rt, "link:pt-up", "link:peer-up",
                                          Protocol.TCP)
         down_peer, down_plant = connect_pair(rt, "link:peer-down",
                                              "link:pt-down", Protocol.TCP)
-    raw_up, raw_down = up_peer, down_peer
+    wiring = _Wiring(up_peer, down_peer, child=child)
 
-    log = None
-    twin = None
-    operator_up = None
-    operator_down = None
     if scenario.mode in ("shadow", "twin"):
-        log = ThreadLog(path=cfg.thread_file)
+        wiring.log = ThreadLog(path=cfg.thread_file)
         dt_bus = EventBus(rt, cfg.queue_capacity)
-        ingest = TappedEndpoint(up_peer, log, rt,
+        ingest = TappedEndpoint(up_peer, wiring.log, rt,
                                 read_dir=ThreadDirection.PT2DT)
         if scenario.mode == "twin":
-            uplink = TappedEndpoint(down_peer, log, rt,
+            uplink = TappedEndpoint(down_peer, wiring.log, rt,
                                     write_dir=ThreadDirection.DT2PT)
-            twin = assemble_twin(rt, dt_bus, ingest, uplink, thread_log=log,
-                                 twinning_period_ms=cfg.twinning_period_ms)
+            wiring.twin = assemble_twin(
+                rt, dt_bus, ingest, uplink, thread_log=wiring.log,
+                twinning_period_ms=cfg.twinning_period_ms)
         else:
-            twin = assemble_shadow(rt, dt_bus, ingest)
-            operator_down = down_peer
-    else:
-        operator_up = up_peer
-        operator_down = down_peer
+            wiring.twin = assemble_shadow(rt, dt_bus, ingest)
 
-    plant = None
     if not cfg.isolate:
-        pt_bus = EventBus(rt, cfg.queue_capacity)
-        # a recording means the plant runs on the emulator, whatever is
-        # attached above it; dtp is just the bare-operator case of that
-        if scenario.mode == "dtp" or scenario.recording:
-            backing = SensorBacking.EMULATED
-            recording = load_recordings(scenario.resolve(scenario.recording))
-        else:
-            backing = SensorBacking.REAL
-            recording = None
-        plant = assemble_plant(rt, pt_bus, backing, recording=recording,
-                               outbound=up_plant, inbound=down_plant,
-                               measurement_script=scenario.measurements or None)
+        wiring.plant = _start_plant(
+            rt, EventBus(rt, cfg.queue_capacity), _recording_path(scenario),
+            up_plant, down_plant, scenario.measurements or None)
+    return wiring
 
-    observed = []  # status codes seen by the operator (pt/dtp modes)
+
+def _recording_path(scenario: Scenario):
+    # a recording means the plant runs on the emulator, whatever is attached
+    # above it; dtp is just the bare-operator case of that
+    if scenario.mode == "dtp" or scenario.recording:
+        return str(scenario.resolve(scenario.recording))
+    return None
+
+
+def _start_plant(rt, bus, recording_path, outbound, inbound, script):
+    """The plant on its emulator if given a recording path, else real."""
+    backing, recording = SensorBacking.REAL, None
+    if recording_path is not None:
+        backing = SensorBacking.EMULATED
+        recording = load_recordings(recording_path)
+    return assemble_plant(rt, bus, backing, recording=recording,
+                          outbound=outbound, inbound=inbound,
+                          measurement_script=script)
+
+
+def _drive(rt, scenario: Scenario, cfg: RunConfig, wiring: _Wiring,
+           result: SessionResult):
+    """Run the operator's script to the end or to settling, then tear down."""
+    twin = wiring.twin
 
     def watch_up():
         while True:
-            payload = operator_up.read_frame()
+            payload = wiring.up.read_frame()
             try:
                 msg = decode_message(payload)
             except CodecError:
                 continue
             if msg.kind is MessageKind.STATUS:
-                observed.append(State(msg.value))
+                wiring.observed.append(State(msg.value))
 
-    if operator_up is not None:
+    if twin is None:  # pt/dtp: the operator holds the plant's uplink
         rt.spawn(watch_up, name="op:watch")
-
-    def observed_state():
-        if twin is not None:
-            return twin.keeper.last_observed
-        return observed[-1] if observed else None
-
-    def expectations_settled():
-        exp = scenario.expect
-        waitable = False
-        if exp.final_status is not None:
-            waitable = True
-            got = observed_state()
-            if got is None or got.name != exp.final_status:
-                return False
-        if exp.model_state is not None:
-            waitable = True
-            if twin is None or twin.model_state().name != exp.model_state:
-                return False
-        if exp.converged is True:
-            waitable = True
-            if twin is None or not twin.converged:
-                return False
-        if exp.uplink_frames is not None:
-            waitable = True
-            if log is None or \
-                    log.frame_counts()[ThreadDirection.DT2PT] < exp.uplink_frames:
-                return False
-        if exp.min_statuses is not None:
-            waitable = True
-            seen = twin.monitor_stats.statuses if twin is not None \
-                else len(observed)
-            if seen < exp.min_statuses:
-                return False
-        if exp.gate_rejections_min is not None:
-            waitable = True
-            if twin is None or twin.gate is None \
-                    or twin.gate.rejected < exp.gate_rejections_min:
-                return False
-        return waitable
 
     def apply_step(step):
         if step.action == "command":
             if twin is not None and twin.has_uplink:
                 twin.send_command(command(step.value))
             else:
-                operator_down.write_frame(encode_message(command(step.value)))
+                wiring.down.write_frame(encode_message(command(step.value)))
         elif step.action == "inject":
             twin.inject_model_change(command(step.value))
         else:  # set_model: direct model-state edit
@@ -239,33 +290,40 @@ def run_scenario(scenario: Scenario, config: RunConfig | None = None) -> Session
                 rt.sleep_ms(delay)
             apply_step(step)
         while rt.ms_since(t0) < scenario.duration_ms:
-            if expectations_settled():
+            _collect(wiring, result)
+            if expectations_settled(scenario.expect, result):
                 break
             rt.sleep_ms(2)
-        if plant is not None:
-            plant.stop()
+        if wiring.plant is not None:
+            wiring.plant.stop()
         else:
-            raw_up.close()
-            raw_down.close()
+            wiring.up.close()
+            wiring.down.close()
         rt.shutdown()
 
     rt.spawn(operator, name="op:script")
     _run_to_verdict(rt, cfg.run_timeout_s, result)
-    if child is not None:
+    if wiring.child is not None:
         try:
-            rc = child.wait(timeout=cfg.run_timeout_s)
+            rc = wiring.child.wait(timeout=cfg.run_timeout_s)
         except subprocess.TimeoutExpired:
-            child.kill()
-            child.wait()
+            wiring.child.kill()
+            wiring.child.wait()
             result.fail("plant process never exited")
         else:
             if rc != 0:
                 result.fail(f"plant process exit code {rc}")
 
-    # -- collect -----------------------------------------------------------
-    final = observed_state()
-    result.final_status = final.name if final is not None else None
+
+def _collect(wiring: _Wiring, result: SessionResult):
+    """Read live deployment state into `result`.
+
+    Called from every settle poll, so it takes no digest and copies no
+    records: every read is a field or a lock-guarded counter.
+    """
+    twin = wiring.twin
     if twin is not None:
+        final = twin.keeper.last_observed
         result.model_state = twin.model_state().name
         result.converged = twin.converged
         result.statuses_seen = twin.monitor_stats.statuses
@@ -274,22 +332,13 @@ def run_scenario(scenario: Scenario, config: RunConfig | None = None) -> Session
             result.gate_committed = twin.gate.committed
             result.gate_rejected = twin.gate.rejected
     else:
-        result.statuses_seen = len(observed)
-
-    if log is not None:
-        log.close()
-        counts = log.frame_counts()
+        final = wiring.observed[-1] if wiring.observed else None
+        result.statuses_seen = len(wiring.observed)
+    result.final_status = final.name if final is not None else None
+    if wiring.log is not None:
+        counts = wiring.log.frame_counts()
         result.pt2dt_frames = counts[ThreadDirection.PT2DT]
         result.dt2pt_frames = counts[ThreadDirection.DT2PT]
-        result.thread_lines = len(log.records)
-        result.thread_sha256 = thread_digest(log)
-        _check_thread_invariants(scenario.mode, twin, counts, result)
-        if cfg.record_file:
-            write_recording_file(log.records, cfg.record_file)
-
-    _check_expectations(scenario, result)
-    result.elapsed_s = time.monotonic() - started
-    return result
 
 
 def _run_to_verdict(rt, timeout_s, result):
@@ -305,48 +354,23 @@ def _run_to_verdict(rt, timeout_s, result):
         result.fail(f"task {task_name} crashed: {err!r}")
 
 
-def _check_thread_invariants(mode, twin, counts, result):
+def _check_thread_invariants(mode, twin, result):
     """The record must be complete and the mode's direction rules must hold."""
     ingested = (twin.ingest_driver.stats.relayed_in
                 + twin.ingest_driver.stats.skipped_in)
-    if counts[ThreadDirection.PT2DT] != ingested:
-        result.fail(f"record incomplete: {counts[ThreadDirection.PT2DT]} "
+    if result.pt2dt_frames != ingested:
+        result.fail(f"record incomplete: {result.pt2dt_frames} "
                     f"ingest frames recorded, driver saw {ingested}")
     if mode == "shadow":
         if twin.has_uplink:
             result.fail("shadow deployment holds an uplink object")
-        if counts[ThreadDirection.DT2PT] != 0:
-            result.fail(f"shadow produced {counts[ThreadDirection.DT2PT]} "
-                        f"uplink frames")
+        if result.dt2pt_frames != 0:
+            result.fail(f"shadow produced {result.dt2pt_frames} uplink frames")
     if mode == "twin":
         sent = twin.uplink_driver.stats.relayed_out
-        if counts[ThreadDirection.DT2PT] != sent:
-            result.fail(f"record incomplete: {counts[ThreadDirection.DT2PT]} "
+        if result.dt2pt_frames != sent:
+            result.fail(f"record incomplete: {result.dt2pt_frames} "
                         f"uplink frames recorded, driver sent {sent}")
-
-
-def _check_expectations(scenario: Scenario, result: SessionResult):
-    exp = scenario.expect
-    if exp.final_status is not None and result.final_status != exp.final_status:
-        result.fail(f"final status {result.final_status}, "
-                    f"want {exp.final_status}")
-    if exp.model_state is not None and result.model_state != exp.model_state:
-        result.fail(f"model state {result.model_state}, want {exp.model_state}")
-    if exp.converged is not None and result.converged is not exp.converged:
-        result.fail(f"converged is {result.converged}, want {exp.converged}")
-    if exp.uplink_frames is not None and result.dt2pt_frames != exp.uplink_frames:
-        result.fail(f"{result.dt2pt_frames} uplink frames, "
-                    f"want {exp.uplink_frames}")
-    if exp.min_statuses is not None and result.statuses_seen < exp.min_statuses:
-        result.fail(f"saw {result.statuses_seen} statuses, "
-                    f"want at least {exp.min_statuses}")
-    if exp.gate_rejections_min is not None \
-            and result.gate_rejected < exp.gate_rejections_min:
-        result.fail(f"{result.gate_rejected} gate rejections, "
-                    f"want at least {exp.gate_rejections_min}")
-    if exp.thread_sha256 is not None and result.thread_sha256 != exp.thread_sha256:
-        result.fail(f"record digest {result.thread_sha256}, "
-                    f"want {exp.thread_sha256}")
 
 
 def record_session(scenario: Scenario, config: RunConfig | None = None,
@@ -388,9 +412,8 @@ def _spawn_plant_process(scenario: Scenario, up_port: int, down_port: int):
         "up_port": up_port,
         "down_port": down_port,
         "measurements": [list(p) for p in scenario.measurements],
+        "recording": _recording_path(scenario),
     }
-    if scenario.mode == "dtp" or scenario.recording:
-        opts["recording"] = str(scenario.resolve(scenario.recording))
     return subprocess.Popen([sys.executable, "-c", _CHILD_CODE,
                              json.dumps(opts)])
 
@@ -407,16 +430,8 @@ def plant_process_main(raw: str) -> int:
     bus = EventBus(rt)
     up = tcp_connect("127.0.0.1", opts["up_port"], name="plant:up")
     down = tcp_connect("127.0.0.1", opts["down_port"], name="plant:down")
-    if opts.get("recording"):
-        backing = SensorBacking.EMULATED
-        recording = load_recordings(opts["recording"])
-    else:
-        backing = SensorBacking.REAL
-        recording = None
     script = [tuple(p) for p in opts.get("measurements", [])] or None
-    plant = assemble_plant(rt, bus, backing, recording=recording,
-                           outbound=up, inbound=down,
-                           measurement_script=script)
+    plant = _start_plant(rt, bus, opts.get("recording"), up, down, script)
 
     def deadline():
         rt.sleep_ms(opts["duration_ms"] + 2000)
@@ -448,7 +463,7 @@ def plant_process_main(raw: str) -> int:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ReplayResult:
+class ReplayResult(_Verdict):
     path: str
     ok: bool = True
     failures: list = field(default_factory=list)
@@ -458,16 +473,14 @@ class ReplayResult:
     final_state: str | None = None
     trajectory: list = field(default_factory=list)  # state names, in order
 
-    def fail(self, msg):
-        self.ok = False
-        self.failures.append(msg)
-
-    def summary_line(self) -> str:
-        verdict = "PASS" if self.ok else "FAIL"
-        tail = "" if self.ok else "  [" + "; ".join(self.failures) + "]"
-        return (f"{verdict} replay {self.path} frames={self.frames_fed} "
+    def _describe(self):
+        return (f"replay {self.path} frames={self.frames_fed} "
                 f"final={self.final_state} "
-                f"trajectory={'>'.join(self.trajectory)}{tail}")
+                f"trajectory={'>'.join(self.trajectory)}")
+
+
+# one second of `monotonic_ns`; a lockstep thread would need 11 days of ticks
+WALL_TS_MIN = 1_000_000_000
 
 
 def reference_trajectory(records) -> list:
@@ -490,7 +503,10 @@ def replay_thread(path, clock: ClockMode = ClockMode.LOCKSTEP, seed: int = 0,
     The shadow sees exactly what the original one saw, so its model must
     walk the same states. `paced` sleeps the recorded gaps between frames
     (defaults on for the wall clock, off for lockstep, where the logical
-    clock makes pacing meaningless).
+    clock makes pacing meaningless), each capped at one second. The time
+    unit is decided once per file: wall records carry `monotonic_ns`, so a
+    file whose last frame is at or past WALL_TS_MIN holds nanoseconds;
+    lockstep records carry ticks counted from 0, one per millisecond.
     """
     result = ReplayResult(str(path))
     try:
@@ -503,26 +519,28 @@ def replay_thread(path, clock: ClockMode = ClockMode.LOCKSTEP, seed: int = 0,
               if r.direction is ThreadDirection.PT2DT and r.is_frame]
     if paced is None:
         paced = clock is ClockMode.WALL
+    ts_per_ms = 1_000_000 if frames and frames[-1].ts >= WALL_TS_MIN else 1
 
     rt = make_runtime(clock, seed)
     bus = EventBus(rt)
     feed_end, dt_end = connect_pair(rt, "replay:feed", "replay:ingest",
                                     Protocol.TCP)
     shadow = assemble_shadow(rt, bus, dt_end, name="replay")
+    stats = shadow.monitor_stats
+
+    def consumed():
+        return stats.statuses + stats.measurements + stats.strays
 
     def feeder():
         prev_ts = None
         for rec in frames:
             if paced and prev_ts is not None:
-                delta = rec.ts - prev_ts
-                # wall records carry nanoseconds, lockstep records ticks
-                ms = delta // 1_000_000 if delta > 1_000_000 else delta
+                ms = (rec.ts - prev_ts) // ts_per_ms
                 if ms > 0:
-                    rt.sleep_ms(min(int(ms), 1000))
+                    rt.sleep_ms(min(ms, 1000))
             prev_ts = rec.ts
             feed_end.write_frame(rec.payload)
-        stats = shadow.monitor_stats
-        while (stats.statuses + stats.measurements + stats.strays) < len(frames):
+        while consumed() < len(frames):
             rt.sleep_ms(1)
         rt.shutdown()
 
@@ -530,16 +548,12 @@ def replay_thread(path, clock: ClockMode = ClockMode.LOCKSTEP, seed: int = 0,
     _run_to_verdict(rt, timeout_s, result)
 
     result.frames_fed = len(frames)
-    result.statuses_seen = shadow.monitor_stats.statuses
-    result.measurements_seen = shadow.monitor_stats.measurements
+    result.statuses_seen = stats.statuses
+    result.measurements_seen = stats.measurements
     result.final_state = shadow.model_state().name
     result.trajectory = [s.name for _, s in shadow.keeper.trajectory]
-
-    consumed = (shadow.monitor_stats.statuses
-                + shadow.monitor_stats.measurements
-                + shadow.monitor_stats.strays)
-    if consumed != len(frames):
-        result.fail(f"consumed {consumed} of {len(frames)} frames")
+    if consumed() != len(frames):
+        result.fail(f"consumed {consumed()} of {len(frames)} frames")
     want_walk = [s.name for s in reference_trajectory(records)]
     if result.trajectory != want_walk:
         result.fail(f"trajectory {result.trajectory} != record walk {want_walk}")

@@ -14,7 +14,8 @@ rejection (text is utf-8, hex-encoded). NOTE records are not frames and are
 excluded from frame counts.
 
 A ThreadLog has exactly one writer; taps on both directions funnel into it and
-appends are serialized. Listeners (the knowledge store) observe every append.
+appends are serialized. It keeps a running frame count per direction, so
+reading the counts costs the same however long the record is.
 """
 
 from __future__ import annotations
@@ -68,9 +69,6 @@ class ThreadRecord:
         if self.kind in TAG_KIND:
             return decode_message(self.payload)
         return None
-
-    def note_text(self):
-        return self.payload.decode("utf-8") if self.kind == "NOTE" else None
 
     def format_line(self) -> str:
         return (
@@ -130,23 +128,20 @@ class ThreadLog:
     def __init__(self, path=None):
         self._lock = threading.Lock()
         self._records = []
-        self._listeners = []
+        self._frames = {d: 0 for d in ThreadDirection}
         self._fh = open(path, "w", encoding="utf-8") if path else None
         self.path = path
-
-    def add_listener(self, fn):
-        self._listeners.append(fn)
 
     def _append(self, ts, direction, kind, payload) -> ThreadRecord:
         with self._lock:
             rec = ThreadRecord(len(self._records) + 1, ts, direction, kind,
                                payload)
             self._records.append(rec)
+            if rec.is_frame:
+                self._frames[direction] += 1
             if self._fh is not None:
                 self._fh.write(rec.format_line())
                 self._fh.flush()
-        for fn in self._listeners:
-            fn(rec)
         return rec
 
     def append_message(self, ts, direction, msg: Message) -> ThreadRecord:
@@ -167,11 +162,8 @@ class ThreadLog:
             return list(self._records)
 
     def frame_counts(self):
-        counts = {d: 0 for d in ThreadDirection}
-        for rec in self.records:
-            if rec.is_frame:
-                counts[rec.direction] += 1
-        return counts
+        with self._lock:
+            return dict(self._frames)
 
     def close(self):
         with self._lock:
@@ -266,41 +258,6 @@ class TappedEndpoint:
         return self._inner.closed
 
     @property
-    def frames_in(self):
-        return self._inner.frames_in
-
-    @property
-    def frames_out(self):
-        return self._inner.frames_out
-
-    @property
     def name(self):
         return self._inner.name
 
-
-class KnowledgeStore:
-    """Append-only session knowledge, populated from the thread log."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._items = []
-
-    def attach(self, log: ThreadLog):
-        log.add_listener(self._on_record)
-        return self
-
-    def _on_record(self, rec):
-        with self._lock:
-            self._items.append(rec)
-
-    def __len__(self):
-        with self._lock:
-            return len(self._items)
-
-    def snapshot(self):
-        with self._lock:
-            return tuple(self._items)
-
-    def count(self, kind):
-        with self._lock:
-            return sum(1 for r in self._items if r.kind == kind)

@@ -16,9 +16,9 @@ Three endpoint flavors share the same read_frame/write_frame surface:
   processes;
 * `EmulatedBridge`, the serial-to-TCP-to-serial tunnel that lets the same
   driver code talk to an emulated device: two serial stubs glued together by
-  forwarding tasks through a TCP-tagged tunnel. Frames pass through unchanged
-  in both directions. Killing the tunnel surfaces as a closed connection on
-  both outer ends.
+  one forwarding task per direction, which stands in for the TCP leg. Frames
+  pass through unchanged in both directions. Killing the tunnel surfaces as a
+  closed connection on both outer ends.
 
 Each endpoint has one logical reader and one logical writer; the bridge itself
 follows that rule for its inner ends.
@@ -265,14 +265,15 @@ def tcp_connect(host, port, name="tcp-client", attempts=50, delay=0.1):
 class EmulatedBridge:
     """Tunnel between an emulated device and an unmodified serial driver.
 
-    Layout (one box per endpoint, arrows are frame flow for one direction):
+    Layout (one box per endpoint):
 
-        device_end <==serial==> inner_dev <-fwd-> tunnel(TCP) <-fwd-> inner_drv <==serial==> driver_end
+        device_end <==serial==> inner_dev <-fwd-> inner_drv <==serial==> driver_end
 
-    The two forwarding tasks (one per direction) relay frames verbatim, so the
-    composite behaves as a plain serial cable apart from buffering. Neither
-    party can observe the tunnel. `kill_tunnel` simulates the TCP leg dying:
-    both outer ends turn into closed connections.
+    The two forwarding tasks (one per direction) are the tunnel: each relays
+    frames verbatim from one inner end to the other, so the composite behaves
+    as a plain serial cable apart from buffering. Neither party can observe
+    the tunnel. `kill_tunnel` simulates the TCP leg dying: both outer ends
+    turn into closed connections.
     """
 
     def __init__(self, runtime, name="bridge"):
@@ -284,10 +285,6 @@ class EmulatedBridge:
         self._inner_drv, self.driver_end = connect_pair(
             runtime, f"{name}:drv-inner", f"{name}:drv", Protocol.RS232
         )
-        self._tcp_a, self._tcp_b = connect_pair(
-            runtime, f"{name}:tcpA", f"{name}:tcpB", Protocol.TCP,
-            capacity=BRIDGE_WINDOW,
-        )
         self._started = False
 
     def start(self):
@@ -295,40 +292,30 @@ class EmulatedBridge:
             return self
         self._started = True
         self._rt.spawn(
-            lambda: self._forward(self._inner_dev, self._tcp_a, self._tcp_b,
-                                  self._inner_drv),
+            lambda: self._forward(self._inner_dev, self._inner_drv),
             name=f"{self.name}:fwd-d2v",
         )
         self._rt.spawn(
-            lambda: self._forward(self._inner_drv, self._tcp_b, self._tcp_a,
-                                  self._inner_dev),
+            lambda: self._forward(self._inner_drv, self._inner_dev),
             name=f"{self.name}:fwd-v2d",
         )
         return self
 
-    def _forward(self, src, tunnel_in, tunnel_out, dst):
+    def _forward(self, src, dst):
         try:
             while True:
-                payload = src.read_frame()
-                tunnel_in.write_frame(payload)
-                relayed = tunnel_out.read_frame()
-                dst.write_frame(relayed)
+                dst.write_frame(src.read_frame())
         except (ConnectionClosed, ChannelClosed, TaskStopped):
             # tunnel or a side died: both outer ends must see a closed stream
-            self._inner_dev.close()
-            self._inner_drv.close()
+            self.kill_tunnel()
 
     def kill_tunnel(self):
         # socat dying drops its pty ends too: pending reads on both outer
         # endpoints must raise, not hang
-        self._tcp_a.close()
-        self._tcp_b.close()
         self._inner_dev.close()
         self._inner_drv.close()
 
     def close(self):
         self.kill_tunnel()
-        self._inner_dev.close()
-        self._inner_drv.close()
         self.device_end.close()
         self.driver_end.close()

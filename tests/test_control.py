@@ -23,7 +23,6 @@ from twinproto.messages import (
 )
 from twinproto.runtime import LockstepRuntime, WallRuntime
 from twinproto.statemachine import State
-from twinproto.thread_log import ThreadDirection, read_thread_file
 from twinproto.transport import Protocol, connect_pair
 
 
@@ -71,19 +70,6 @@ def test_stray_non_command_counted_not_forwarded():
     ctl.handle_transmitter_command(command(3))
     assert ctl.stray_commands == 1
     assert cmd_tap.drain() == [command(3)]
-
-
-def test_flush_log_round_trips_through_record_lines(tmp_path):
-    ctl, _, _ = make_control()
-    ctl.handle_transmitter_command(command(50))
-    ctl.handle_sensor_response(status(1))
-    path = tmp_path / "data.log"
-    ctl.flush_log(path)
-    records = read_thread_file(path)
-    assert [(r.direction, r.message()) for r in records] == [
-        (ThreadDirection.DT2PT, command(50)),
-        (ThreadDirection.PT2DT, status(1)),
-    ]
 
 
 def test_control_loops_preserve_per_path_order():

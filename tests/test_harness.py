@@ -1,15 +1,20 @@
 """End-to-end scenario runs, record/replay, the suite runner, and the CLI."""
 
+import dataclasses
 import json
 import threading
 import time
 
 import pytest
 
+from twinproto import harness
 from twinproto.cli import main
-from twinproto.config import RunConfig, parse_scenario
+from twinproto.config import Expectations, RunConfig, parse_scenario
 from twinproto.errors import ConfigError
 from twinproto.harness import (
+    EXPECTATIONS,
+    SessionResult,
+    expectations_settled,
     record_session,
     replay_thread,
     run_scenario,
@@ -167,6 +172,60 @@ def test_expectation_mismatch_fails_the_run():
     assert "FAIL" in result.summary_line()
 
 
+def test_every_expectation_field_has_exactly_one_table_row():
+    rows = sorted(row.field for row in EXPECTATIONS)
+    assert rows == sorted(f.name for f in dataclasses.fields(Expectations))
+    result_fields = {f.name for f in dataclasses.fields(SessionResult)}
+    assert all(row.result in result_fields for row in EXPECTATIONS)
+
+
+# what the default mission scenario meets; the digest is left out because
+# it depends on where the run settles
+MISSION_MET = {"final_status": "OFF", "model_state": "OFF", "converged": True,
+               "uplink_frames": 3, "min_statuses": 4, "gate_rejections_min": 0}
+
+
+@pytest.mark.parametrize("key,bad", [
+    ("final_status", "ACTIVE"),
+    ("model_state", "STANDBY"),
+    ("converged", False),
+    ("uplink_frames", 4),
+    ("min_statuses", 5),
+    ("gate_rejections_min", 1),
+    ("thread_sha256", "0" * 64),
+])
+def test_each_violated_expectation_fails_the_run_naming_it(key, bad):
+    assert run_scenario(scenario(expect=MISSION_MET)).ok
+    result = run_scenario(scenario(expect={**MISSION_MET, key: bad}))
+    assert not result.ok
+    assert len(result.failures) == 1, result.failures
+    assert key.replace("_", " ") in result.failures[0]
+    assert result.summary_line().startswith("FAIL")
+
+
+@pytest.mark.parametrize("expect,got,settled", [
+    ({}, {}, False),
+    # reached is enough to stop; the verdict then wants it exact
+    ({"uplink_frames": 3}, {"dt2pt_frames": 4}, True),
+    ({"uplink_frames": 3}, {"dt2pt_frames": 2}, False),
+    # only a run that must end converged waits for it
+    ({"converged": True}, {"converged": True}, True),
+    ({"converged": True}, {"converged": None}, False),
+    ({"converged": False}, {"converged": False}, False),
+    ({"converged": False, "final_status": "OFF"},
+     {"converged": True, "final_status": "OFF"}, True),
+    # the digest is only known at the end, so it never waits
+    ({"thread_sha256": "0" * 64}, {"thread_sha256": "0" * 64}, False),
+    # a floor a deployment without twin or record already meets settles
+    ({"gate_rejections_min": 0}, {}, True),
+    ({"min_statuses": 2, "final_status": "OFF"},
+     {"statuses_seen": 2, "final_status": "STANDBY"}, False),
+])
+def test_settle_poll_rules(expect, got, settled):
+    result = SessionResult("case", "twin", "lockstep", 1, **got)
+    assert expectations_settled(Expectations(**expect), result) is settled
+
+
 def test_lockstep_same_seed_same_digest_different_seed_same_outcome():
     a = run_scenario(scenario(seed=11))
     b = run_scenario(scenario(seed=11))
@@ -217,6 +276,35 @@ def test_replay_reproduces_the_recorded_walk(tmp_path):
     assert result.frames_fed == run.pt2dt_frames
     assert result.trajectory == ["ACTIVE", "STANDBY", "OFF"]
     assert result.final_state == "OFF"
+
+
+@pytest.mark.parametrize("start,gaps,sleep_ms", [
+    # wall records carry monotonic_ns: sub-millisecond gaps sleep nothing
+    (5_000_000_000, [500_000, 500_000, 500_000, 2_000_000, 2_000_000], 4),
+    # lockstep records carry ticks from 0, one per millisecond
+    (0, [10, 10, 10, 10, 10], 50),
+])
+def test_replay_paces_in_the_thread_files_time_unit(tmp_path, monkeypatch,
+                                                    start, gaps, sleep_ms):
+    real, runtimes = harness.make_runtime, []
+
+    def make_runtime(clock, seed):
+        runtimes.append(real(clock, seed))
+        return runtimes[-1]
+
+    monkeypatch.setattr(harness, "make_runtime", make_runtime)
+    ts = [start]
+    for gap in gaps:
+        ts.append(ts[-1] + gap)
+    lines = [f"seq=1 ts={ts[0]} dir=PT2DT kind=STA hex=2000"]
+    lines += [f"seq={n} ts={t} dir=PT2DT kind=MEA hex=10{n:08x}"
+              for n, t in enumerate(ts[1:], start=2)]
+    thread = tmp_path / "paced.thread"
+    thread.write_text("\n".join(lines) + "\n")
+    result = replay_thread(thread, paced=True)
+    assert result.ok, result.failures
+    # the feeder then polls every tick until the shadow has consumed all
+    assert sleep_ms <= runtimes[0].tick < sleep_ms + 20
 
 
 def test_replay_rejects_corrupt_files(tmp_path):

@@ -8,7 +8,6 @@ from twinproto.errors import CorruptRecord, DirectionKindMismatch
 from twinproto.messages import command, encode_message, measurement, status
 from twinproto.runtime import WallRuntime
 from twinproto.thread_log import (
-    KnowledgeStore,
     TappedEndpoint,
     ThreadDirection,
     ThreadLog,
@@ -73,6 +72,9 @@ def test_file_roundtrip(tmp_path):
     log.close()
     back = read_thread_file(str(path))
     assert back == log.records
+    counts = log.frame_counts()
+    assert counts == {PT2DT: 3, DT2PT: 1}
+    counts[PT2DT] = 0  # a copy: the log's running counts are untouched
     assert log.frame_counts() == {PT2DT: 3, DT2PT: 1}
 
 
@@ -174,17 +176,3 @@ def test_recording_file_from_thread(tmp_path):
     assert [r.message for r in recs] == [status(0), status(1), measurement(12)]
     assert [r.source_ts for r in recs] == [1, 3, 4]
 
-
-def test_knowledge_store_grows_monotonically():
-    log = ThreadLog()
-    store = KnowledgeStore().attach(log)
-    sizes = []
-    for i in range(5):
-        log.append_message(i, PT2DT, measurement(i))
-        sizes.append(len(store))
-    assert sizes == [1, 2, 3, 4, 5]
-    assert store.count("MEA") == 5
-    snap = store.snapshot()
-    log.append_note(9, "annotation")
-    assert len(store.snapshot()) == 6
-    assert len(snap) == 5  # old snapshots unaffected
