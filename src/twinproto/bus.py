@@ -7,6 +7,10 @@ own queue only, in emit order. There is no history: subscribing after an emit
 yields nothing. Emit blocks when a subscriber queue is full, which gives the
 same backpressure behavior in both clock modes.
 
+A subscription may cover several topics at once: it then has one queue for
+all of them, in emit order across topics, and yields `(topic, item)` pairs so
+its consumer can tell the topics apart.
+
 Buses are strictly per-process; anything crossing a process boundary goes
 through the transport module instead.
 """
@@ -34,13 +38,15 @@ TOPIC_DT_EXECUTE = "dt.execute"             # Execute/operator -> uplink driver
 
 
 class Subscription:
-    """One consumer's private FIFO view of a topic."""
+    """One consumer's private FIFO view of a topic or a tuple of topics."""
 
     def __init__(self, bus, topic, name):
         self.topic = topic
         self.name = name
         self._bus = bus
         self._chan = bus._rt.channel(bus._capacity)
+        self._tagged = isinstance(topic, tuple)
+        self._topics = topic if self._tagged else (topic,)
 
     def consume(self):
         """Pop the oldest item, blocking until one arrives. Raises BusClosed."""
@@ -81,11 +87,13 @@ class EventBus:
         self._closed = False
 
     def subscribe(self, topic, name=None) -> Subscription:
+        """Subscribe to one topic, or to a tuple of topics (tagged items)."""
         with self._lock:
             if self._closed:
                 raise BusClosed("subscribe after close")
-            sub = Subscription(self, topic, name or topic)
-            self._subs.setdefault(topic, []).append(sub)
+            sub = Subscription(self, topic, name or str(topic))
+            for t in sub._topics:
+                self._subs.setdefault(t, []).append(sub)
             return sub
 
     def producer(self, topic) -> Producer:
@@ -101,7 +109,7 @@ class EventBus:
         delivered = 0
         for sub in targets:
             try:
-                sub._chan.put(item)
+                sub._chan.put((topic, item) if sub._tagged else item)
                 delivered += 1
             except ChannelClosed:
                 pass  # subscriber detached mid-emit
@@ -109,9 +117,10 @@ class EventBus:
 
     def _unsubscribe(self, sub):
         with self._lock:
-            subs = self._subs.get(sub.topic, [])
-            if sub in subs:
-                subs.remove(sub)
+            for t in sub._topics:
+                subs = self._subs.get(t, [])
+                if sub in subs:
+                    subs.remove(sub)
 
     def close(self):
         with self._lock:

@@ -8,18 +8,21 @@ message is logged only while the period is positive (evaluated after the
 period update for commands), so the local log is a sampling-window record,
 not a full audit; the digital thread is the audit.
 
-Both relay paths run concurrently but every state mutation goes through one
-owner task, so the log order is the relay order.
+One owner task consumes a single bus subscription covering both input
+topics, so every state mutation happens on that task and the log order is the
+order in which the two drivers emitted.
 
 `assemble_plant` builds the whole physical-twin stack. The only difference
 between a REAL and an EMULATED (prototype) assembly is what hangs off the far
-end of the sensor link: the driver and control configuration are identical by
-construction, which `describe_configuration` makes checkable.
+end of the sensor link: a software sensor on a virtual serial pair, or the
+recording-fed emulator on the `bridge:` pair. Both spawn the same six tasks
+(the sensor's serve loop, two loops per driver, the control owner), and the
+driver and control configuration are identical by construction, which
+`describe_configuration` makes checkable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .bus import (
@@ -40,7 +43,7 @@ from .devices import (
 )
 from .errors import RecordingMissing
 from .messages import OP_COMMAND, OP_MEASUREMENT, OP_STATUS, MessageKind
-from .transport import EmulatedBridge, Protocol, connect_pair, open_virtual_serial_pair
+from .transport import Protocol, connect_pair, open_virtual_serial_pair
 
 
 class ControlLogic:
@@ -60,8 +63,7 @@ class ControlLogic:
             "response_in": response_in,
             "response_out": response_out,
         }
-        self._cmd_sub = bus.subscribe(command_in, name="ctl-cmd")
-        self._rsp_sub = bus.subscribe(response_in, name="ctl-rsp")
+        self._inputs = bus.subscribe((command_in, response_in), name="ctl")
         self._cmd_out = bus.producer(command_out)
         self._rsp_out = bus.producer(response_out)
 
@@ -82,24 +84,16 @@ class ControlLogic:
             self.data_log.append(("rsp", msg))
 
     def start(self, runtime):
-        owner = runtime.channel()
-
-        def intake(sub, tag):
-            def loop():
-                while True:
-                    owner.put((tag, sub.consume()))
-            return loop
+        command_in = self.topics["command_in"]
 
         def owner_loop():
             while True:
-                tag, msg = owner.get()
-                if tag == "cmd":
+                topic, msg = self._inputs.consume()
+                if topic == command_in:
                     self.handle_transmitter_command(msg)
                 else:
                     self.handle_sensor_response(msg)
 
-        runtime.spawn(intake(self._cmd_sub, "cmd"), name="ctl:cmd-intake")
-        runtime.spawn(intake(self._rsp_sub, "rsp"), name="ctl:rsp-intake")
         runtime.spawn(owner_loop, name="ctl:owner")
         return self
 
@@ -112,20 +106,11 @@ class SensorBacking(Enum):
     EMULATED = "emulated"
 
 
-@dataclass
-class PlantLinks:
-    """Deployment bindings of one plant assembly (names only)."""
-
-    sensor_device_end: str
-    sensor_driver_end: str
-    transmitter_end: str
-
-
 class PlantAssembly:
     """One physical twin (or prototype): sensor, drivers, control, transmitter."""
 
     def __init__(self, runtime, bus, backing, sensor, sensor_driver, tx_device,
-                 tx_driver, control, links, bridge=None, measurement_script=None):
+                 tx_driver, control, measurement_script=None):
         self.runtime = runtime
         self.bus = bus
         self.backing = backing
@@ -134,8 +119,6 @@ class PlantAssembly:
         self.tx_device = tx_device
         self.tx_driver = tx_driver
         self.control = control
-        self.links = links
-        self.bridge = bridge
         self.measurement_script = measurement_script
         self._closables = []
 
@@ -151,14 +134,6 @@ class PlantAssembly:
             "tx_driver": self.tx_driver.describe(),
         }
 
-    def describe_deployment(self):
-        """Configuration plus the link bindings (the only varying part)."""
-        return {
-            **self.describe_configuration(),
-            "backing": self.backing.value,
-            "links": vars(self.links),
-        }
-
     def stop(self):
         for item in self._closables:
             item.close()
@@ -171,24 +146,23 @@ def assemble_plant(runtime, bus, backing, recording=None,
     """Build and start a plant assembly.
 
     backing REAL: software sensor on a virtual serial pair.
-    backing EMULATED: recording-fed emulator behind the serial/TCP bridge;
+    backing EMULATED: recording-fed emulator on the `bridge:` serial pair;
     `recording` (a list of Recording) is mandatory.
     `outbound`/`inbound` are the transmitter's external link endpoints (either
-    may be None). The driver and control wiring is byte-identical in both
-    cases.
+    may be None); the tx driver reads and writes them directly. The driver and
+    control wiring is byte-identical in both cases.
     """
     # subscribe before any driver thread can emit, or the boot status is lost
     control = ControlLogic(bus)
 
-    bridge = None
     if backing is SensorBacking.REAL:
         dev_end, drv_end = open_virtual_serial_pair(runtime)
         sensor = SensorDevice()
     else:
         if not recording:
             raise RecordingMissing("prototype assembly needs a recording")
-        bridge = EmulatedBridge(runtime).start()
-        dev_end, drv_end = bridge.device_end, bridge.driver_end
+        dev_end, drv_end = connect_pair(runtime, "bridge:dev", "bridge:drv",
+                                        Protocol.RS232)
         sensor = EmulatorDevice(EmulatorContext(recording, replay_mode))
 
     sensor_driver = DeviceDriver(
@@ -201,11 +175,9 @@ def assemble_plant(runtime, bus, backing, recording=None,
     run_communication(runtime, sensor, dev_end, sensor_driver,
                       announce_boot=True)
 
-    ecs_end, tx_end = connect_pair(runtime, "tcp:ctl", "tcp:tx", Protocol.TCP)
-    tx_device = TransmitterDevice(tx_end, outbound=outbound, inbound=inbound)
-    tx_device.serve(runtime)
+    tx_device = TransmitterDevice(outbound=outbound, inbound=inbound)
     tx_driver = DeviceDriver(
-        ecs_end, bus,
+        tx_device, bus,
         emit_topic=TOPIC_TX_INBOUND,
         consume_topic=TOPIC_TX_OUTBOUND,
         command_set=frozenset({OP_MEASUREMENT, OP_STATUS}),
@@ -223,19 +195,8 @@ def assemble_plant(runtime, bus, backing, recording=None,
             name="measurement-script",
         )
 
-    links = PlantLinks(
-        sensor_device_end=dev_end.name,
-        sensor_driver_end=drv_end.name,
-        transmitter_end=tx_end.name,
-    )
     plant = PlantAssembly(runtime, bus, backing, sensor, sensor_driver,
-                          tx_device, tx_driver, control, links, bridge=bridge,
+                          tx_device, tx_driver, control,
                           measurement_script=measurement_script)
-    plant._closables = [dev_end, drv_end, ecs_end, tx_end]
-    if outbound is not None:
-        plant._closables.append(outbound)
-    if inbound is not None:
-        plant._closables.append(inbound)
-    if bridge is not None:
-        plant._closables.append(bridge)
+    plant._closables = [dev_end, drv_end, tx_device]
     return plant

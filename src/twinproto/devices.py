@@ -7,6 +7,10 @@ loop; they are skipped and counted. A device also pushes unsolicited frames
 (boot status announcement, scripted measurements) down the same link; drivers
 relay whatever arrives, so nothing upstream needs to know the difference.
 
+The transmitter is not a device with a serve loop but the transmitter
+driver's connection itself: writes go straight out on the plant's outbound
+link and reads come straight in from its inbound link, with no task between.
+
 The emulator is deliberately dumb: it replays previously recorded responses in
 order and never computes a fresh one. Fed with the recordings of a real run
 and given the same command script, it is byte-indistinguishable from the real
@@ -36,6 +40,7 @@ from .messages import (
     status,
 )
 from .statemachine import State, TwinState, process_event
+from .transport import Protocol
 
 DEFAULT_COMMAND_SET = frozenset({OP_COMMAND})
 
@@ -293,56 +298,48 @@ def run_communication(runtime, device, device_conn, driver,
 
 
 # ---------------------------------------------------------------------------
-# Transmitter (external link relay)
+# Transmitter (external links)
 # ---------------------------------------------------------------------------
 
 @dataclass
 class RelayStats:
-    relayed_up: int = 0      # driver connection -> outbound link
-    relayed_down: int = 0    # inbound link -> driver connection
+    relayed_up: int = 0      # tx driver -> outbound link
+    relayed_down: int = 0    # inbound link -> tx driver
     dropped_up: int = 0      # outbound with no link attached
 
 
 class TransmitterDevice:
-    """Byte-verbatim relay between the control stack and the external links.
+    """The tx driver's connection: the plant's two external links as one.
 
-    `conn` faces the transmitter's own driver. `outbound` carries everything
-    the control stack sends (the PT-to-twin stream); `inbound` carries
-    commands arriving from outside (the twin-to-PT stream). Either link may be
-    absent: a missing outbound drops frames (nobody is listening), a missing
-    inbound simply never delivers a command.
+    `write_frame` goes out on `outbound` (the PT-to-twin stream), `read_frame`
+    comes in from `inbound` (the twin-to-PT stream); payloads pass verbatim.
+    Either link may be absent: a missing outbound drops frames (nobody is
+    listening), a missing inbound reads as a closed connection.
     """
 
     kind = "transmitter"
+    protocol = Protocol.TCP
 
-    def __init__(self, conn, outbound=None, inbound=None):
-        self.conn = conn
+    def __init__(self, outbound=None, inbound=None):
         self.outbound = outbound
         self.inbound = inbound
         self.stats = RelayStats()
 
-    def serve(self, runtime, name="tx"):
-        runtime.spawn(self._up_loop, name=f"{name}:up")
-        if self.inbound is not None:
-            runtime.spawn(self._down_loop, name=f"{name}:down")
-
-    def _up_loop(self):
-        try:
-            while True:
-                payload = self.conn.read_frame()
-                if self.outbound is None:
-                    self.stats.dropped_up += 1
-                    continue
-                self.outbound.write_frame(payload)
-                self.stats.relayed_up += 1
-        except ConnectionClosed:
+    def write_frame(self, payload: bytes):
+        if self.outbound is None:
+            self.stats.dropped_up += 1
             return
+        self.outbound.write_frame(payload)
+        self.stats.relayed_up += 1
 
-    def _down_loop(self):
-        try:
-            while True:
-                payload = self.inbound.read_frame()
-                self.conn.write_frame(payload)
-                self.stats.relayed_down += 1
-        except ConnectionClosed:
-            return
+    def read_frame(self) -> bytes:
+        if self.inbound is None:
+            raise ConnectionClosed("transmitter: no inbound link")
+        payload = self.inbound.read_frame()
+        self.stats.relayed_down += 1
+        return payload
+
+    def close(self):
+        for link in (self.outbound, self.inbound):
+            if link is not None:
+                link.close()

@@ -501,12 +501,13 @@ def replay_thread(path, clock: ClockMode = ClockMode.LOCKSTEP, seed: int = 0,
     """Feed a record file into a fresh offline shadow deployment.
 
     The shadow sees exactly what the original one saw, so its model must
-    walk the same states. `paced` sleeps the recorded gaps between frames
-    (defaults on for the wall clock, off for lockstep, where the logical
-    clock makes pacing meaningless), each capped at one second. The time
-    unit is decided once per file: wall records carry `monotonic_ns`, so a
-    file whose last frame is at or past WALL_TS_MIN holds nanoseconds;
-    lockstep records carry ticks counted from 0, one per millisecond.
+    walk the same states. `paced` feeds each frame at its recorded time
+    since the first frame, in whole milliseconds, with every gap capped at
+    one second (defaults on for the wall clock, off for lockstep, where the
+    logical clock makes pacing meaningless). The time unit is decided once
+    per file: wall records carry `monotonic_ns`, so a file whose last frame
+    is at or past WALL_TS_MIN holds nanoseconds; lockstep records carry
+    ticks counted from 0, one per millisecond.
     """
     result = ReplayResult(str(path))
     try:
@@ -532,13 +533,16 @@ def replay_thread(path, clock: ClockMode = ClockMode.LOCKSTEP, seed: int = 0,
         return stats.statuses + stats.measurements + stats.strays
 
     def feeder():
-        prev_ts = None
+        t0 = rt.now_ns()
+        due = 0  # recorded time since the first frame, gaps capped at 1 s
+        prev_ts = frames[0].ts if frames else 0
         for rec in frames:
-            if paced and prev_ts is not None:
-                ms = (rec.ts - prev_ts) // ts_per_ms
-                if ms > 0:
-                    rt.sleep_ms(min(ms, 1000))
-            prev_ts = rec.ts
+            if paced:
+                due += min(rec.ts - prev_ts, 1000 * ts_per_ms)
+                prev_ts = rec.ts
+                delay = due // ts_per_ms - rt.ms_since(t0)
+                if delay > 0:
+                    rt.sleep_ms(delay)
             feed_end.write_frame(rec.payload)
         while consumed() < len(frames):
             rt.sleep_ms(1)

@@ -1,7 +1,7 @@
 """Task runtime with two clock modes.
 
-All concurrent pieces of the system (device loops, drivers, bridge forwarders,
-control loops, twin stages, scenario injectors) are written as plain blocking
+All concurrent pieces of the system (device loops, drivers, the control
+owner, twin stages, scenario injectors) are written as plain blocking
 functions against this module's Runtime interface:
 
     spawn(fn, name=...)   start a task

@@ -8,20 +8,19 @@ A frame's payload may be empty and may be at most 2**20 bytes. Delivery on any
 endpoint is FIFO, exactly-once, uncorrupted; there is no reordering layer
 because none of the underlying media (in-process pipes, loopback TCP) reorder.
 
-Three endpoint flavors share the same read_frame/write_frame surface:
+Two endpoint flavors share the same read_frame/write_frame surface:
 
 * in-process pairs (`connect_pair`, `open_virtual_serial_pair`) built on
-  runtime channels, carrying the actual wire bytes so the framing is real;
+  runtime channels, carrying the actual wire bytes so the framing is real.
+  The serial-to-TCP-to-serial tunnel that lets the same driver code talk to
+  an emulated device is one such pair, `bridge:dev` <-> `bridge:drv`, holding
+  up to BRIDGE_WINDOW frames per direction. Frames pass through unchanged in
+  both directions; killing the tunnel is closing either end, which fails
+  pending reads on both;
 * `SocketEndpoint` over a TCP socket, used when assemblies run as separate
-  processes;
-* `EmulatedBridge`, the serial-to-TCP-to-serial tunnel that lets the same
-  driver code talk to an emulated device: two serial stubs glued together by
-  one forwarding task per direction, which stands in for the TCP leg. Frames
-  pass through unchanged in both directions. Killing the tunnel surfaces as a
-  closed connection on both outer ends.
+  processes.
 
-Each endpoint has one logical reader and one logical writer; the bridge itself
-follows that rule for its inner ends.
+Each endpoint has one logical reader and one logical writer.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from .errors import (
     ConnectionClosed,
     FrameTooLarge,
     PortBindFailed,
-    TaskStopped,
 )
 
 FRAME_HEADER = struct.Struct(">I")
@@ -192,8 +190,8 @@ class SocketEndpoint:
         return payload
 
     def close(self):
-        if self._closed:
-            return
+        # a hang-up or socket error already marked the stream closed, but the
+        # socket is still open: release it here; socket.close() is idempotent
         self._closed = True
         try:
             self._sock.shutdown(socket.SHUT_RDWR)
@@ -256,66 +254,3 @@ def tcp_connect(host, port, name="tcp-client", attempts=50, delay=0.1):
             last = exc
             _time.sleep(delay)
     raise PortBindFailed(f"connect {host}:{port}: {last}")
-
-
-# ---------------------------------------------------------------------------
-# Serial <-> TCP <-> serial bridge
-# ---------------------------------------------------------------------------
-
-class EmulatedBridge:
-    """Tunnel between an emulated device and an unmodified serial driver.
-
-    Layout (one box per endpoint):
-
-        device_end <==serial==> inner_dev <-fwd-> inner_drv <==serial==> driver_end
-
-    The two forwarding tasks (one per direction) are the tunnel: each relays
-    frames verbatim from one inner end to the other, so the composite behaves
-    as a plain serial cable apart from buffering. Neither party can observe
-    the tunnel. `kill_tunnel` simulates the TCP leg dying: both outer ends
-    turn into closed connections.
-    """
-
-    def __init__(self, runtime, name="bridge"):
-        self._rt = runtime
-        self.name = name
-        self.device_end, self._inner_dev = connect_pair(
-            runtime, f"{name}:dev", f"{name}:dev-inner", Protocol.RS232
-        )
-        self._inner_drv, self.driver_end = connect_pair(
-            runtime, f"{name}:drv-inner", f"{name}:drv", Protocol.RS232
-        )
-        self._started = False
-
-    def start(self):
-        if self._started:
-            return self
-        self._started = True
-        self._rt.spawn(
-            lambda: self._forward(self._inner_dev, self._inner_drv),
-            name=f"{self.name}:fwd-d2v",
-        )
-        self._rt.spawn(
-            lambda: self._forward(self._inner_drv, self._inner_dev),
-            name=f"{self.name}:fwd-v2d",
-        )
-        return self
-
-    def _forward(self, src, dst):
-        try:
-            while True:
-                dst.write_frame(src.read_frame())
-        except (ConnectionClosed, ChannelClosed, TaskStopped):
-            # tunnel or a side died: both outer ends must see a closed stream
-            self.kill_tunnel()
-
-    def kill_tunnel(self):
-        # socat dying drops its pty ends too: pending reads on both outer
-        # endpoints must raise, not hang
-        self._inner_dev.close()
-        self._inner_drv.close()
-
-    def close(self):
-        self.kill_tunnel()
-        self.device_end.close()
-        self.driver_end.close()

@@ -48,6 +48,19 @@ def test_duplicate_items_are_distinct_deliveries():
     assert sub.drain() == ["same", "same"]
 
 
+def test_subscription_over_several_topics_tags_items_in_emit_order():
+    bus = EventBus(WallRuntime())
+    both = bus.subscribe(("a", "b"), name="both")
+    only_a = bus.subscribe("a")
+    for i in range(6):
+        assert bus.emit("ab"[i % 2], i) == (2 if i % 2 == 0 else 1)
+    bus.emit("c", "elsewhere")
+    assert both.drain() == [("ab"[i % 2], i) for i in range(6)]
+    assert only_a.drain() == [0, 2, 4]  # a one-topic subscription stays bare
+    both.close()
+    assert bus.emit("a", 6) == 1 and bus.emit("b", 7) == 0
+
+
 def test_topic_isolation_complete_delivery_matrix():
     # every subscriber sees exactly its topic's emissions, in order
     bus = EventBus(WallRuntime())

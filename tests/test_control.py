@@ -86,8 +86,6 @@ def test_control_loops_preserve_per_path_order():
         for v in range(1, 51):
             cmd_in.emit(command(v))
             rsp_in.emit(status(v % 3))
-        # wait on the forwards, not the log: whether the very first status
-        # lands before or after the first command is a legitimate race
         while len(cmd_tap) < 50 or len(rsp_tap) < 50:
             rt.sleep_ms(1)
         rt.shutdown()
@@ -100,12 +98,35 @@ def test_control_loops_preserve_per_path_order():
     assert cmds == [command(v) for v in range(1, 51)]
     assert rsps == [status(v % 3) for v in range(1, 51)]
     assert ctl.period == 50
-    cmd_log = [m for kind, m in ctl.data_log if kind == "cmd"]
-    rsp_log = [m for kind, m in ctl.data_log if kind == "rsp"]
-    assert cmd_log == cmds
-    # statuses processed before the first command go unlogged; once the
-    # period is set it stays positive, so the logged part is a suffix
-    assert rsp_log == rsps[len(rsps) - len(rsp_log):]
+    # one queue for both topics: the log keeps the emit order across them
+    assert ctl.data_log == [
+        entry for v in range(1, 51)
+        for entry in (("cmd", command(v)), ("rsp", status(v % 3)))
+    ]
+
+
+def test_owner_task_counts_a_stray_status_on_the_command_topic():
+    rt = WallRuntime()
+    bus = EventBus(rt)
+    cmd_tap = bus.subscribe(TOPIC_CONTROL_COMMAND)
+    rsp_tap = bus.subscribe(TOPIC_TX_OUTBOUND)
+    ctl = ControlLogic(bus).start(rt)
+
+    def feed():
+        bus.emit(TOPIC_TX_INBOUND, status(1))       # stray: not a command
+        bus.emit(TOPIC_SENSOR_RESPONSE, status(2))  # same kind, other topic
+        bus.emit(TOPIC_TX_INBOUND, command(4))
+        while len(cmd_tap) < 1 or len(rsp_tap) < 1:
+            rt.sleep_ms(1)
+        rt.shutdown()
+
+    rt.spawn(feed, name="feed")
+    assert rt.run(timeout=10.0) == []
+    assert rt.task_errors() == []
+    assert ctl.stray_commands == 1
+    assert cmd_tap.drain() == [command(4)]
+    assert rsp_tap.drain() == [status(2)]
+    assert ctl.data_log == [("cmd", command(4))]
 
 
 MISSION = (50, 0, -1)
@@ -168,14 +189,36 @@ def test_emulated_plant_indistinguishable_from_real():
     assert plant.sensor_state() is None  # a prototype has no real state
 
 
+MISSION_RECORDING = [Recording(status(0)), Recording(status(1)),
+                     Recording(status(0)), Recording(status(2))]
+
+
 def test_configuration_identical_across_backings():
     real, _ = drive_plant(SensorBacking.REAL)
-    rec = [Recording(status(0)), Recording(status(1)),
-           Recording(status(0)), Recording(status(2))]
-    emu, _ = drive_plant(SensorBacking.EMULATED, recording=rec)
+    emu, _ = drive_plant(SensorBacking.EMULATED, recording=MISSION_RECORDING)
     assert real.describe_configuration() == emu.describe_configuration()
-    # the deployments differ only in backing and link bindings
-    assert real.describe_deployment() != emu.describe_deployment()
+    # the assemblies differ only in what hangs off the sensor link
+    assert type(real.sensor) is not type(emu.sensor)
+    assert real.sensor_driver.conn.name != emu.sensor_driver.conn.name
+
+
+def test_backings_spawn_the_same_plant_tasks(monkeypatch):
+    spawned = []
+    spawn = WallRuntime.spawn
+
+    def recording_spawn(self, fn, name="task"):
+        spawned.append(name)
+        return spawn(self, fn, name=name)
+
+    monkeypatch.setattr(WallRuntime, "spawn", recording_spawn)
+    drive_plant(SensorBacking.REAL)
+    real = sorted(spawned)
+    spawned.clear()
+    drive_plant(SensorBacking.EMULATED, recording=MISSION_RECORDING)
+    assert sorted(spawned) == real == sorted([
+        "sensor-driver:device", "sensor-driver:recv", "sensor-driver:send",
+        "tx-driver:recv", "tx-driver:send", "ctl:owner", "operator",
+    ])
 
 
 def test_emulated_plant_requires_recording():

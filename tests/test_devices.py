@@ -20,12 +20,13 @@ from twinproto.devices import (
 from twinproto.errors import (
     CommandRejected,
     CommandSetMismatch,
+    ConnectionClosed,
     ContextExhausted,
 )
 from twinproto.messages import command, encode_message, measurement, status
 from twinproto.runtime import WallRuntime
 from twinproto.statemachine import State
-from twinproto.transport import open_virtual_serial_pair
+from twinproto.transport import Protocol, connect_pair, open_virtual_serial_pair
 
 
 def test_sensor_command_response_sequence():
@@ -183,8 +184,6 @@ def test_driver_relays_in_order_and_skips_junk():
 
 def test_record_then_replay_transcripts_match():
     """Miniature indistinguishability check at the driver boundary."""
-    from twinproto.transport import EmulatedBridge
-
     script = [command(50), command(0), command(3), command(0), command(-1),
               command(9)]
 
@@ -220,12 +219,8 @@ def test_record_then_replay_transcripts_match():
                 status(2), status(2)]
     assert real == [encode_message(m) for m in recorded]
 
-    bridges = []
-
     def bridged_link(rt):
-        bridge = EmulatedBridge(rt).start()
-        bridges.append(bridge)
-        return bridge.device_end, bridge.driver_end
+        return connect_pair(rt, "bridge:dev", "bridge:drv", Protocol.RS232)
 
     emulated = transcript(
         EmulatorDevice(EmulatorContext.from_messages(recorded)), bridged_link
@@ -272,36 +267,28 @@ def test_measurement_script_skips_when_not_active():
 
 def test_transmitter_relays_verbatim_both_ways():
     rt = WallRuntime()
-    drv_side, tx_conn = open_virtual_serial_pair(rt)
     out_a, out_b = open_virtual_serial_pair(rt, "out-pt", "out-dt")
     in_a, in_b = open_virtual_serial_pair(rt, "in-dt", "in-pt")
-    tx = TransmitterDevice(tx_conn, outbound=out_a, inbound=in_b)
-    tx.serve(rt)
-    seen = {}
-
-    def scenario():
-        drv_side.write_frame(b"\x20\x01")       # PT stack -> outbound link
-        seen["up"] = out_b.read_frame()
-        in_a.write_frame(b"\x01\x00\x32")       # inbound link -> PT stack
-        seen["down"] = drv_side.read_frame()
-        rt.shutdown()
-
-    rt.spawn(scenario, name="scenario")
-    assert rt.run(timeout=5.0) == []
-    assert seen == {"up": b"\x20\x01", "down": b"\x01\x00\x32"}
+    tx = TransmitterDevice(outbound=out_a, inbound=in_b)
+    tx.write_frame(b"\x20\x01")           # PT stack -> outbound link
+    assert out_b.read_frame() == b"\x20\x01"
+    in_a.write_frame(b"\x01\x00\x32")     # inbound link -> PT stack
+    assert tx.read_frame() == b"\x01\x00\x32"
     assert tx.stats.relayed_up == 1
     assert tx.stats.relayed_down == 1
+    assert tx.protocol is Protocol.TCP
+    tx.close()  # closes both links
+    with pytest.raises(ConnectionClosed):
+        out_b.read_frame()
+    with pytest.raises(ConnectionClosed):
+        in_a.write_frame(b"\x01\x00\x00")
 
 
 def test_transmitter_without_outbound_drops_and_counts():
-    rt = WallRuntime()
-    drv_side, tx_conn = open_virtual_serial_pair(rt)
-    tx = TransmitterDevice(tx_conn, outbound=None, inbound=None)
-    tx.serve(rt)
-    drv_side.write_frame(b"\x20\x00")
-    import time
-
-    time.sleep(0.05)
+    tx = TransmitterDevice(outbound=None, inbound=None)
+    tx.write_frame(b"\x20\x00")
     assert tx.stats.dropped_up == 1
-    rt.shutdown()
-    rt.run(timeout=5.0)
+    assert tx.stats.relayed_up == 0
+    with pytest.raises(ConnectionClosed):
+        tx.read_frame()
+    tx.close()

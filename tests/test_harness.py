@@ -279,10 +279,13 @@ def test_replay_reproduces_the_recorded_walk(tmp_path):
 
 
 @pytest.mark.parametrize("start,gaps,sleep_ms", [
-    # wall records carry monotonic_ns: sub-millisecond gaps sleep nothing
-    (5_000_000_000, [500_000, 500_000, 500_000, 2_000_000, 2_000_000], 4),
+    # wall records carry monotonic_ns; frames are fed at their time since
+    # the first frame, floored to whole ms, so sub-millisecond gaps add up
+    (5_000_000_000, [500_000, 500_000, 500_000, 2_000_000, 2_000_000], 5),
     # lockstep records carry ticks from 0, one per millisecond
     (0, [10, 10, 10, 10, 10], 50),
+    # wall again: no single gap reaches a millisecond, yet 20 ms pass
+    (5_000_000_000, [500_000] * 40, 20),
 ])
 def test_replay_paces_in_the_thread_files_time_unit(tmp_path, monkeypatch,
                                                     start, gaps, sleep_ms):

@@ -1,4 +1,5 @@
-"""Transport tests: frozen framing bytes, pair semantics, bridge transparency."""
+"""Transport tests: frozen framing bytes, pair semantics, bridge transparency,
+socket endpoints."""
 
 from __future__ import annotations
 
@@ -10,7 +11,6 @@ import pytest
 from twinproto.errors import ConnectionClosed, FrameTooLarge, PortBindFailed
 from twinproto.runtime import LockstepRuntime, WallRuntime
 from twinproto.transport import (
-    EmulatedBridge,
     MAX_FRAME_PAYLOAD,
     Protocol,
     TcpListener,
@@ -79,9 +79,14 @@ def test_close_fails_peer_reads_after_drain():
         a.write_frame(b"after close")
 
 
+def bridge_pair(rt):
+    """The emulated plant's serial/TCP/serial tunnel: (device end, driver end)."""
+    return connect_pair(rt, "bridge:dev", "bridge:drv", Protocol.RS232)
+
+
 def test_bridge_is_transparent_both_directions():
     rt = WallRuntime()
-    bridge = EmulatedBridge(rt).start()
+    dev, drv = bridge_pair(rt)
     rng = random.Random(99)
     down = [rng.randbytes(rng.randrange(0, 64)) for _ in range(50)]
     up = [rng.randbytes(rng.randrange(0, 64)) for _ in range(50)]
@@ -90,16 +95,16 @@ def test_bridge_is_transparent_both_directions():
 
     def driver_side():
         for p in down:
-            bridge.driver_end.write_frame(p)
+            drv.write_frame(p)
         for _ in up:
-            got_up.append(bridge.driver_end.read_frame())
-        bridge.close()  # unblocks the forwarding tasks
+            got_up.append(drv.read_frame())
+        drv.close()
 
     def device_side():
         for _ in down:
-            got_down.append(bridge.device_end.read_frame())
+            got_down.append(dev.read_frame())
         for p in up:
-            bridge.device_end.write_frame(p)
+            dev.write_frame(p)
 
     rt.spawn(driver_side, name="driver")
     rt.spawn(device_side, name="device")
@@ -111,17 +116,17 @@ def test_bridge_is_transparent_both_directions():
 
 def test_bridge_stress_no_loss_per_direction():
     rt = WallRuntime()
-    bridge = EmulatedBridge(rt).start()
+    dev, drv = bridge_pair(rt)
     n = 10_000
     result = {}
 
     def writer():
         for i in range(n):
-            bridge.driver_end.write_frame(i.to_bytes(4, "big"))
+            drv.write_frame(i.to_bytes(4, "big"))
 
     def reader():
-        result["got"] = [bridge.device_end.read_frame() for _ in range(n)]
-        bridge.close()
+        result["got"] = [dev.read_frame() for _ in range(n)]
+        dev.close()
 
     rt.spawn(writer, name="writer")
     rt.spawn(reader, name="reader")
@@ -132,7 +137,7 @@ def test_bridge_stress_no_loss_per_direction():
 
 def test_bridge_kill_tunnel_fails_pending_reads_both_sides():
     rt = WallRuntime()
-    bridge = EmulatedBridge(rt).start()
+    dev, drv = bridge_pair(rt)
     failures = []
 
     def pending_read(end, tag):
@@ -144,30 +149,30 @@ def test_bridge_kill_tunnel_fails_pending_reads_both_sides():
                 raise
         return run
 
-    rt.spawn(pending_read(bridge.device_end, "device"), name="r1")
-    rt.spawn(pending_read(bridge.driver_end, "driver"), name="r2")
+    rt.spawn(pending_read(dev, "device"), name="r1")
+    rt.spawn(pending_read(drv, "driver"), name="r2")
     import time
 
     time.sleep(0.05)
-    bridge.kill_tunnel()
+    dev.close()  # killing the tunnel: one end goes, both ends see it
     assert rt.run(timeout=5.0) == []
     assert sorted(failures) == ["device", "driver"]
 
 
 def test_bridge_works_under_lockstep():
     rt = LockstepRuntime(seed=5)
-    bridge = EmulatedBridge(rt).start()
+    dev, drv = bridge_pair(rt)
     frames = [bytes([i, i]) for i in range(30)]
     got = []
 
     def writer():
         for p in frames:
-            bridge.driver_end.write_frame(p)
+            drv.write_frame(p)
 
     def reader():
         for _ in frames:
-            got.append(bridge.device_end.read_frame())
-        bridge.close()
+            got.append(dev.read_frame())
+        dev.close()
 
     rt.spawn(writer, name="w")
     rt.spawn(reader, name="r")
@@ -188,6 +193,7 @@ def test_tcp_roundtrip_over_loopback():
             try:
                 ep.write_frame(ep.read_frame()[::-1])
             except ConnectionClosed:
+                ep.close()
                 return
 
     t = threading.Thread(target=serve, daemon=True)
@@ -202,6 +208,19 @@ def test_tcp_roundtrip_over_loopback():
     listener.close()
     assert client.frames_out == 2
     assert client.protocol is Protocol.TCP
+
+
+def test_socket_close_after_hang_up_releases_the_socket():
+    listener = TcpListener("127.0.0.1", 0)
+    client = tcp_connect(*listener.address)
+    server = listener.accept(timeout=5.0)
+    listener.close()
+    server.close()
+    with pytest.raises(ConnectionClosed):
+        client.read_frame()  # the hang-up marks the stream closed...
+    assert client.closed
+    client.close()  # ...and close still releases the socket
+    assert client._sock.fileno() == -1
 
 
 def test_tcp_connect_failure_reports():
