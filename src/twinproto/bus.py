@@ -29,12 +29,10 @@ TOPIC_SENSOR_RESPONSE = "sensor.response"   # sensor driver -> control logic
 TOPIC_CONTROL_COMMAND = "ctl.command"       # control logic -> sensor driver
 TOPIC_TX_INBOUND = "tx.inbound"             # transmitter driver -> control logic
 TOPIC_TX_OUTBOUND = "tx.outbound"           # control logic -> transmitter driver
-TOPIC_DT_INGEST = "dt.ingest"               # link driver -> Monitor
-TOPIC_DT_STATUS = "dt.status"               # Monitor -> Analyze (state observations)
-TOPIC_DT_MEASUREMENT = "dt.measurement"     # Monitor -> knowledge listeners
-TOPIC_DT_ANALYSIS = "dt.analysis"           # Analyze -> Plan
-TOPIC_DT_PLAN = "dt.plan"                   # Plan -> Execute
-TOPIC_DT_EXECUTE = "dt.execute"             # Execute/operator -> uplink driver
+TOPIC_DT_INGEST = "dt.ingest"               # ingest driver -> MAPE-K engine
+TOPIC_DT_STATUS = "dt.status"               # re-check statuses -> MAPE-K engine
+TOPIC_DT_PLAN = "dt.plan"                   # plans -> a standalone execute loop
+TOPIC_DT_EXECUTE = "dt.execute"             # engine/operator -> uplink driver
 
 
 class Subscription:

@@ -122,10 +122,6 @@ class PlantAssembly:
         self.measurement_script = measurement_script
         self._closables = []
 
-    def sensor_state(self):
-        """Actual device state; only a REAL backing has one."""
-        return self.sensor.state if self.backing is SensorBacking.REAL else None
-
     def describe_configuration(self):
         """Driver/control configuration. Identical for REAL and EMULATED."""
         return {

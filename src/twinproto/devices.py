@@ -105,10 +105,6 @@ class EmulatorContext:
         self.mode = mode
         self.cursor = 0
 
-    @classmethod
-    def from_messages(cls, messages, mode=ReplayMode.ONESHOT):
-        return cls([Recording(m) for m in messages], mode)
-
     def next_recording(self) -> Recording:
         if self.cursor >= len(self.recordings):
             if self.mode is ReplayMode.LOOP and self.recordings:

@@ -35,7 +35,8 @@ from operator import eq, ge
 from .bus import EventBus
 from .config import Expectations, RunConfig, Scenario
 from .control import PlantAssembly, SensorBacking, assemble_plant
-from .errors import CodecError, ConfigError, KernelHalted, ThreadLogError
+from .errors import (CodecError, ConfigError, KernelHalted, RecordingMissing,
+                     ThreadLogError)
 from .mapek import DigitalTwin, assemble_shadow, assemble_twin
 from .messages import MessageKind, command, encode_message, decode_message, status
 from .runtime import ClockMode, make_runtime
@@ -165,7 +166,12 @@ def run_scenario(scenario: Scenario, config: RunConfig | None = None) -> Session
                            scenario.seed)
     started = time.monotonic()
     rt = make_runtime(scenario.clock, scenario.seed)
-    wiring = _wire(rt, scenario, cfg)
+    try:
+        wiring = _wire(rt, scenario, cfg)
+    except RecordingMissing as exc:  # no task or child process is left
+        result.fail(str(exc))
+        result.elapsed_s = time.monotonic() - started
+        return result
     _drive(rt, scenario, cfg, wiring, result)
     _collect(wiring, result)
     if wiring.log is not None:
@@ -182,10 +188,15 @@ def run_scenario(scenario: Scenario, config: RunConfig | None = None) -> Session
 
 
 def _wire(rt, scenario: Scenario, cfg: RunConfig) -> _Wiring:
-    """Links, then the observing deployment, then the plant (in-process)."""
+    """Links, then the observing deployment, then the plant (in-process).
+
+    The recording is checked before any task is spawned; under isolation
+    while the plant process starts up, which hides the parse.
+    """
     # who holds the far ends of the plant's two links depends on mode. With
     # isolation on, the plant lives in a child OS process and the links are
     # real loopback TCP; otherwise everything shares this runtime.
+    recording_path = _recording_path(scenario)
     child = None
     if cfg.isolate:
         if scenario.clock is not ClockMode.WALL:
@@ -196,17 +207,21 @@ def _wire(rt, scenario: Scenario, cfg: RunConfig) -> _Wiring:
         child = _spawn_plant_process(scenario, up_listener.address[1],
                                      down_listener.address[1])
         try:
+            _load_recording(recording_path)
             up_peer = up_listener.accept(name="link:peer-up", timeout=15.0)
             down_peer = down_listener.accept(name="link:peer-down",
                                              timeout=15.0)
-        except Exception:
+        except Exception as exc:
             child.kill()
             child.wait()
+            if isinstance(exc, RecordingMissing):
+                raise
             raise ConfigError("plant process never connected") from None
         finally:
             up_listener.close()
             down_listener.close()
     else:
+        recording = _load_recording(recording_path)
         up_plant, up_peer = connect_pair(rt, "link:pt-up", "link:peer-up",
                                          Protocol.TCP)
         down_peer, down_plant = connect_pair(rt, "link:peer-down",
@@ -229,7 +244,7 @@ def _wire(rt, scenario: Scenario, cfg: RunConfig) -> _Wiring:
 
     if not cfg.isolate:
         wiring.plant = _start_plant(
-            rt, EventBus(rt, cfg.queue_capacity), _recording_path(scenario),
+            rt, EventBus(rt, cfg.queue_capacity), recording,
             up_plant, down_plant, scenario.measurements or None)
     return wiring
 
@@ -242,12 +257,29 @@ def _recording_path(scenario: Scenario):
     return None
 
 
-def _start_plant(rt, bus, recording_path, outbound, inbound, script):
-    """The plant on its emulator if given a recording path, else real."""
-    backing, recording = SensorBacking.REAL, None
-    if recording_path is not None:
-        backing = SensorBacking.EMULATED
-        recording = load_recordings(recording_path)
+def _load_recording(path):
+    """The emulator's recordings at `path`, or None for a real plant.
+
+    Raises RecordingMissing naming the file (and a corrupt line's seq or
+    line number) if the file cannot be read or holds no frames.
+    """
+    if path is None:
+        return None
+    try:
+        recording = load_recordings(path)
+    except (OSError, UnicodeDecodeError, ThreadLogError) as exc:
+        seq = getattr(exc, "seq", None)  # CorruptRecord's seq or line number
+        where = "" if seq is None else f" at seq/line {seq}"
+        raise RecordingMissing(f"recording {path} unusable{where}: {exc}") \
+            from None
+    if not recording:
+        raise RecordingMissing(f"recording {path} holds no frames")
+    return recording
+
+
+def _start_plant(rt, bus, recording, outbound, inbound, script):
+    """The plant on its emulator if given recordings, else real."""
+    backing = SensorBacking.EMULATED if recording else SensorBacking.REAL
     return assemble_plant(rt, bus, backing, recording=recording,
                           outbound=outbound, inbound=inbound,
                           measurement_script=script)
@@ -431,7 +463,8 @@ def plant_process_main(raw: str) -> int:
     up = tcp_connect("127.0.0.1", opts["up_port"], name="plant:up")
     down = tcp_connect("127.0.0.1", opts["down_port"], name="plant:down")
     script = [tuple(p) for p in opts.get("measurements", [])] or None
-    plant = _start_plant(rt, bus, opts.get("recording"), up, down, script)
+    plant = _start_plant(rt, bus, _load_recording(opts.get("recording")),
+                         up, down, script)
 
     def deadline():
         rt.sleep_ms(opts["duration_ms"] + 2000)

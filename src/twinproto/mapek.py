@@ -1,15 +1,16 @@
 """Twin-side engine: monitor, analyze, plan, execute around a state model.
 
 The engine consumes the physical side's traffic from one ingest connection
-and keeps a model of the counterpart device. Four stages run as independent
-tasks chained by bus topics:
+and keeps a model of the counterpart device. The four MAPE-K stages are
+function calls on one task, `engine_loop`, fed by one subscription over the
+ingest topic and the re-check topic:
 
-    ingest driver -> monitor  (classify: status observation / measurement)
-    monitor       -> analyze  (compare observation against the model)
-    analyze       -> plan     (derive a corrective command on divergence)
-    plan          -> execute  (simulation gate, then the uplink driver)
+    monitor   classify an ingested frame: status observation / measurement
+    analyze   compare an observation (ingested or re-checked) with the model
+    plan      derive a corrective command on divergence
+    execute   simulation gate, then the uplink driver via `dt.execute`
 
-Two deployment shapes share this code. A shadow wires monitor and analyze
+Two deployment shapes share this code. A shadow runs monitor and analyze
 only and holds NO uplink connection object: nothing in the process is
 capable of writing toward the physical side, so the one-way property is
 structural rather than a policy that could regress. A full twin adds plan,
@@ -20,7 +21,7 @@ Divergence handling follows one rule: the side that changed last wins. An
 observed state change with no pending goal updates the model (the model
 follows its counterpart). An operator model edit marks a goal; observations
 stop updating the model until the counterpart reports the goal state, and
-the plan/execute stages push it there.
+the plan and execute stages push it there.
 """
 
 from __future__ import annotations
@@ -28,14 +29,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from .bus import (
-    TOPIC_DT_ANALYSIS,
-    TOPIC_DT_EXECUTE,
-    TOPIC_DT_INGEST,
-    TOPIC_DT_MEASUREMENT,
-    TOPIC_DT_PLAN,
-    TOPIC_DT_STATUS,
-)
+from .bus import TOPIC_DT_EXECUTE, TOPIC_DT_INGEST, TOPIC_DT_STATUS
 from .devices import DeviceDriver
 from .errors import GateRejected
 from .messages import OP_COMMAND, Message, MessageKind, command, status
@@ -167,57 +161,54 @@ class ExecuteGate:
 
 
 # ---------------------------------------------------------------------------
-# Stage loops (each runs as one task)
+# Engine (one task per deployment)
 # ---------------------------------------------------------------------------
 
-def monitor_loop(keeper, sub, out_status, out_measurement, stats):
-    while True:
-        msg = sub.consume()
-        if msg.kind is MessageKind.STATUS:
-            stats.statuses += 1
-            keeper.note_observation(State(msg.value))
-            out_status.emit(msg)
-        elif msg.kind is MessageKind.MEASUREMENT:
-            stats.measurements += 1
-            out_measurement.emit(msg)
-        else:
-            stats.strays += 1  # commands never arrive from the counterpart
-
-
-def analyze_loop(runtime, keeper, sub, out_analysis, analyses):
-    while True:
-        msg = sub.consume()
-        res = keeper.observe(State(msg.value), runtime.now_ns())
-        analyses.append(res)
-        out_analysis.emit(res)
-
-
-def plan_loop(runtime, sub, out_plan, stats):
-    while True:
-        res = sub.consume()
-        if res.equal:
-            stats.noop += 1
-            continue
-        cmd = command_for_goal(res.model_state)
-        out_plan.emit(PlanResult(runtime.now_ns(), cmd, res.model_state,
-                                 res.pt_state))
-        stats.planned += 1
+def execute(runtime, gate, plan, out_execute, thread_log=None):
+    """Gate one plan: a committed command goes to the uplink, a rejected one
+    leaves a NOTE in the thread."""
+    try:
+        out_execute.emit(gate.enforce(plan))
+    except GateRejected as exc:
+        if thread_log is not None:
+            thread_log.append_note(runtime.now_ns(), f"gate rejected: {exc}")
 
 
 def execute_loop(runtime, gate, sub, out_execute, thread_log=None):
+    """The execute step alone, fed plans by a subscription."""
     while True:
-        plan = sub.consume()
-        try:
-            out_execute.emit(gate.enforce(plan))
-        except GateRejected as exc:
-            if thread_log is not None:
-                thread_log.append_note(runtime.now_ns(), f"gate rejected: {exc}")
+        execute(runtime, gate, sub.consume(), out_execute, thread_log)
 
 
-def collect_loop(runtime, sub, series):
+def engine_loop(runtime, twin, sub, out_execute=None, thread_log=None):
+    """Monitor, analyze, plan and execute, inline on one subscription.
+
+    `sub` covers ingest (the counterpart's frames) and status (re-checks).
+    Without `out_execute` (a shadow) the loop ends at analysis.
+    """
+    keeper, stats = twin.keeper, twin.monitor_stats
     while True:
-        msg = sub.consume()
-        series.append((runtime.now_ns(), msg.value))
+        topic, msg = sub.consume()
+        if topic == TOPIC_DT_INGEST:  # monitor: classify
+            if msg.kind is MessageKind.MEASUREMENT:
+                stats.measurements += 1
+                continue
+            if msg.kind is not MessageKind.STATUS:
+                stats.strays += 1  # commands never arrive from the counterpart
+                continue
+            stats.statuses += 1
+            keeper.note_observation(State(msg.value))
+        res = keeper.observe(State(msg.value), runtime.now_ns())  # analyze
+        twin.analyses.append(res)
+        if out_execute is None:
+            continue
+        if res.equal:
+            twin.plan_stats.noop += 1
+            continue
+        plan = PlanResult(runtime.now_ns(), command_for_goal(res.model_state),
+                          res.model_state, res.pt_state)
+        twin.plan_stats.planned += 1
+        execute(runtime, twin.gate, plan, out_execute, thread_log)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +221,6 @@ class DigitalTwin:
     def __init__(self, runtime, bus, keeper, ingest_driver, uplink_driver=None,
                  gate=None, twinning_period_ms=None):
         self._rt = runtime
-        self._bus = bus
         self.keeper = keeper
         self.ingest_driver = ingest_driver
         self.uplink_driver = uplink_driver
@@ -239,9 +229,10 @@ class DigitalTwin:
         self.monitor_stats = MonitorStats()
         self.plan_stats = PlanStats()
         self.analyses = []
-        self.measurements = []
         self._status_out = bus.producer(TOPIC_DT_STATUS)
-        self._execute_out = bus.producer(TOPIC_DT_EXECUTE)
+        # a shadow gets no producer toward the uplink either
+        self._execute_out = (bus.producer(TOPIC_DT_EXECUTE)
+                             if uplink_driver is not None else None)
 
     @property
     def has_uplink(self) -> bool:
@@ -275,88 +266,45 @@ class DigitalTwin:
             raise RuntimeError("deployment has no uplink")
         self._execute_out.emit(cmd)
 
-    def describe(self):
-        info = {
-            "ingest": self.ingest_driver.describe(),
-            "stages": ["monitor", "analyze"],
-            "uplink": None,
-        }
-        if self.has_uplink:
-            info["stages"] += ["plan", "execute"]
-            info["uplink"] = self.uplink_driver.describe()
-            info["twinning_period_ms"] = self.twinning_period_ms
-        return info
+
+def _ingest_driver(bus, ingest_conn, name):
+    return DeviceDriver(ingest_conn, bus, emit_topic=TOPIC_DT_INGEST,
+                        command_set=frozenset(), name=f"{name}-ingest")
 
 
 def assemble_shadow(runtime, bus, ingest_conn, name="shadow"):
     """Monitor + analyze over an ingest link. No uplink object exists."""
-    keeper = ModelKeeper()
-    ingest_driver = DeviceDriver(ingest_conn, bus, emit_topic=TOPIC_DT_INGEST,
-                                 command_set=frozenset(), name=f"{name}-ingest")
-    twin = DigitalTwin(runtime, bus, keeper, ingest_driver)
-
-    # every subscription exists before the source task starts pumping
-    sub_ingest = bus.subscribe(TOPIC_DT_INGEST, name=f"{name}-monitor")
-    sub_status = bus.subscribe(TOPIC_DT_STATUS, name=f"{name}-analyze")
-    sub_meas = bus.subscribe(TOPIC_DT_MEASUREMENT, name=f"{name}-knowledge")
-    out_status = bus.producer(TOPIC_DT_STATUS)
-    out_meas = bus.producer(TOPIC_DT_MEASUREMENT)
-    out_analysis = bus.producer(TOPIC_DT_ANALYSIS)
-
-    runtime.spawn(lambda: monitor_loop(keeper, sub_ingest, out_status,
-                                       out_meas, twin.monitor_stats),
-                  name=f"{name}:monitor")
-    runtime.spawn(lambda: analyze_loop(runtime, keeper, sub_status,
-                                       out_analysis, twin.analyses),
-                  name=f"{name}:analyze")
-    runtime.spawn(lambda: collect_loop(runtime, sub_meas, twin.measurements),
-                  name=f"{name}:knowledge")
-    runtime.spawn(ingest_driver.receive_loop, name=f"{name}:ingest")
+    twin = DigitalTwin(runtime, bus, ModelKeeper(),
+                       _ingest_driver(bus, ingest_conn, name))
+    # subscribe before the ingest task starts pumping
+    sub = bus.subscribe((TOPIC_DT_INGEST, TOPIC_DT_STATUS),
+                        name=f"{name}-engine")
+    runtime.spawn(lambda: engine_loop(runtime, twin, sub),
+                  name=f"{name}:engine")
+    runtime.spawn(twin.ingest_driver.receive_loop, name=f"{name}:ingest")
     return twin
 
 
 def assemble_twin(runtime, bus, ingest_conn, uplink_conn, thread_log=None,
                   twinning_period_ms=DEFAULT_TWINNING_PERIOD_MS, name="twin"):
-    """Full closed loop: shadow stages plus plan, execute, uplink, re-check."""
+    """Full closed loop: the engine through execute, an uplink, a re-check."""
     keeper = ModelKeeper()
-    ingest_driver = DeviceDriver(ingest_conn, bus, emit_topic=TOPIC_DT_INGEST,
-                                 command_set=frozenset(), name=f"{name}-ingest")
     uplink_driver = DeviceDriver(uplink_conn, bus,
                                  consume_topic=TOPIC_DT_EXECUTE,
                                  command_set=frozenset({OP_COMMAND}),
                                  name=f"{name}-uplink")
-    gate = ExecuteGate(keeper)
-    twin = DigitalTwin(runtime, bus, keeper, ingest_driver,
-                       uplink_driver=uplink_driver, gate=gate,
+    twin = DigitalTwin(runtime, bus, keeper,
+                       _ingest_driver(bus, ingest_conn, name),
+                       uplink_driver=uplink_driver, gate=ExecuteGate(keeper),
                        twinning_period_ms=twinning_period_ms)
 
-    sub_ingest = bus.subscribe(TOPIC_DT_INGEST, name=f"{name}-monitor")
-    sub_status = bus.subscribe(TOPIC_DT_STATUS, name=f"{name}-analyze")
-    sub_meas = bus.subscribe(TOPIC_DT_MEASUREMENT, name=f"{name}-knowledge")
-    sub_analysis = bus.subscribe(TOPIC_DT_ANALYSIS, name=f"{name}-plan")
-    sub_plan = bus.subscribe(TOPIC_DT_PLAN, name=f"{name}-execute")
-    out_status = bus.producer(TOPIC_DT_STATUS)
-    out_meas = bus.producer(TOPIC_DT_MEASUREMENT)
-    out_analysis = bus.producer(TOPIC_DT_ANALYSIS)
-    out_plan = bus.producer(TOPIC_DT_PLAN)
-    out_execute = bus.producer(TOPIC_DT_EXECUTE)
-
-    runtime.spawn(lambda: monitor_loop(keeper, sub_ingest, out_status,
-                                       out_meas, twin.monitor_stats),
-                  name=f"{name}:monitor")
-    runtime.spawn(lambda: analyze_loop(runtime, keeper, sub_status,
-                                       out_analysis, twin.analyses),
-                  name=f"{name}:analyze")
-    runtime.spawn(lambda: plan_loop(runtime, sub_analysis, out_plan,
-                                    twin.plan_stats),
-                  name=f"{name}:plan")
-    runtime.spawn(lambda: execute_loop(runtime, gate, sub_plan, out_execute,
-                                       thread_log=thread_log),
-                  name=f"{name}:execute")
-    runtime.spawn(lambda: collect_loop(runtime, sub_meas, twin.measurements),
-                  name=f"{name}:knowledge")
+    sub = bus.subscribe((TOPIC_DT_INGEST, TOPIC_DT_STATUS),
+                        name=f"{name}-engine")
+    runtime.spawn(lambda: engine_loop(runtime, twin, sub, twin._execute_out,
+                                      thread_log),
+                  name=f"{name}:engine")
     runtime.spawn(uplink_driver.send_loop, name=f"{name}:uplink")
-    runtime.spawn(ingest_driver.receive_loop, name=f"{name}:ingest")
+    runtime.spawn(twin.ingest_driver.receive_loop, name=f"{name}:ingest")
 
     def twinning_poll():
         while True:

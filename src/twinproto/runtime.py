@@ -1,8 +1,8 @@
 """Task runtime with two clock modes.
 
 All concurrent pieces of the system (device loops, drivers, the control
-owner, twin stages, scenario injectors) are written as plain blocking
-functions against this module's Runtime interface:
+owner, the twin's MAPE-K engine, scenario injectors) are written as plain
+blocking functions against this module's Runtime interface:
 
     spawn(fn, name=...)   start a task
     channel(capacity=..)  bounded FIFO pipe between tasks

@@ -164,7 +164,7 @@ def test_real_plant_mission_reaches_off():
         status(int(State.STANDBY)),   # after 0
         status(int(State.OFF)),       # after -1
     ]
-    assert plant.sensor_state() is State.OFF
+    assert plant.sensor.state is State.OFF
     assert plant.control.period == -1
     # only traffic under a positive period lands in the local data log
     assert plant.control.data_log == [
@@ -176,7 +176,7 @@ def test_real_plant_mission_reaches_off():
 def test_real_plant_mission_lockstep():
     plant, frames = drive_plant(SensorBacking.REAL, mode="lockstep", seed=11)
     assert [decode_message(f) for f in frames][-1] == status(int(State.OFF))
-    assert plant.sensor_state() is State.OFF
+    assert plant.sensor.state is State.OFF
 
 
 def test_emulated_plant_indistinguishable_from_real():
@@ -186,7 +186,7 @@ def test_emulated_plant_indistinguishable_from_real():
     plant, emu_frames = drive_plant(SensorBacking.EMULATED, recording=recording)
     assert emu_frames == real_frames  # byte identical, boot included
     assert plant.backing is SensorBacking.EMULATED
-    assert plant.sensor_state() is None  # a prototype has no real state
+    assert not hasattr(plant.sensor, "state")  # a prototype has no state
 
 
 MISSION_RECORDING = [Recording(status(0)), Recording(status(1)),

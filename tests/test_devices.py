@@ -23,7 +23,13 @@ from twinproto.errors import (
     ConnectionClosed,
     ContextExhausted,
 )
-from twinproto.messages import command, encode_message, measurement, status
+from twinproto.messages import (
+    Recording,
+    command,
+    encode_message,
+    measurement,
+    status,
+)
 from twinproto.runtime import WallRuntime
 from twinproto.statemachine import State
 from twinproto.transport import Protocol, connect_pair, open_virtual_serial_pair
@@ -50,7 +56,8 @@ def test_sensor_rejects_non_commands():
 
 
 def test_emulator_replays_in_order_and_never_computes():
-    ctx = EmulatorContext.from_messages([status(2), status(0), measurement(9)])
+    ctx = EmulatorContext([Recording(m) for m in
+                           (status(2), status(0), measurement(9))])
     emu = EmulatorDevice(ctx)
     # a command that would drive a real sensor ACTIVE still yields the recording
     assert emu.execute(command(50)) == status(2)
@@ -61,7 +68,7 @@ def test_emulator_replays_in_order_and_never_computes():
 
 
 def test_emulator_single_recording_then_exhausted():
-    ctx = EmulatorContext.from_messages([status(1)])
+    ctx = EmulatorContext([Recording(status(1))])
     emu = EmulatorDevice(ctx)
     assert emu.execute(command(123)) == status(1)
     assert ctx.remaining == 0
@@ -70,14 +77,15 @@ def test_emulator_single_recording_then_exhausted():
 
 
 def test_emulator_loop_mode_wraps():
-    ctx = EmulatorContext.from_messages([status(0), status(1)], ReplayMode.LOOP)
+    ctx = EmulatorContext([Recording(status(0)), Recording(status(1))],
+                          ReplayMode.LOOP)
     emu = EmulatorDevice(ctx)
     got = [emu.execute(command(1)) for _ in range(5)]
     assert got == [status(0), status(1), status(0), status(1), status(0)]
 
 
 def test_emulator_rejects_outside_command_set():
-    emu = EmulatorDevice(EmulatorContext.from_messages([status(0)]))
+    emu = EmulatorDevice(EmulatorContext([Recording(status(0))]))
     with pytest.raises(CommandRejected):
         emu.execute(measurement(1))
     assert emu.context.remaining == 1  # nothing consumed on rejection
@@ -223,7 +231,8 @@ def test_record_then_replay_transcripts_match():
         return connect_pair(rt, "bridge:dev", "bridge:drv", Protocol.RS232)
 
     emulated = transcript(
-        EmulatorDevice(EmulatorContext.from_messages(recorded)), bridged_link
+        EmulatorDevice(EmulatorContext([Recording(m) for m in recorded])),
+        bridged_link,
     )
     assert emulated == real
 

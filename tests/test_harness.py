@@ -8,7 +8,7 @@ import time
 import pytest
 
 from twinproto import harness
-from twinproto.cli import main
+from twinproto.cli import BUNDLED_SUITE, main
 from twinproto.config import Expectations, RunConfig, parse_scenario
 from twinproto.errors import ConfigError
 from twinproto.harness import (
@@ -163,6 +163,46 @@ def test_replay_safety_limit_is_a_fail_verdict(tmp_path):
     assert "safety limit" in result.failures[0]
     assert "replay:feeder=" in result.failures[0]
     assert threads_settle_to(before)
+
+
+@pytest.mark.parametrize("content, reason", [
+    pytest.param(None, "unusable", id="missing"),
+    pytest.param(b"\xff\xfe not text\n", "unusable", id="not-utf8"),
+    pytest.param(b"seq=1 ts=0 dir=PT2DT kind=STA hex=2000\n"
+                 b"seq=2 ts=5 dir=PT2DT kind=STA hex=20zz\n",
+                 "at seq/line 2", id="corrupt"),
+    pytest.param(b"seq=1 ts=0 dir=DT2PT kind=NOTE hex=6869\n",
+                 "holds no frames", id="note-only"),
+    pytest.param(b"", "holds no frames", id="empty"),
+])
+@pytest.mark.parametrize("isolate", [False, True])
+def test_unusable_recording_is_a_fail_verdict_before_any_task(
+        tmp_path, monkeypatch, content, reason, isolate):
+    rec = tmp_path / "plant.rec"
+    if content is not None:
+        rec.write_bytes(content)
+
+    children = []
+    spawn_child = harness._spawn_plant_process
+
+    def spawn_and_keep(*args):
+        children.append(spawn_child(*args))
+        return children[-1]
+
+    def no_twin(*args, **kwargs):
+        raise AssertionError("twin assembled before the recording check")
+
+    monkeypatch.setattr(harness, "_spawn_plant_process", spawn_and_keep)
+    monkeypatch.setattr(harness, "assemble_twin", no_twin)
+    sc = scenario(recording="plant.rec", path=tmp_path / "case.json",
+                  clock="wall" if isolate else "lockstep")
+    result = run_scenario(sc, RunConfig(isolate=isolate))
+    # under isolation the plant process starts beside the check, then dies
+    assert [c.returncode is not None for c in children] == [True] * isolate
+    assert result.ok is False
+    assert len(result.failures) == 1
+    assert str(rec) in result.failures[0]
+    assert reason in result.failures[0]
 
 
 def test_expectation_mismatch_fails_the_run():
@@ -340,6 +380,44 @@ def test_run_suite_forces_lockstep(tmp_path):
     assert results[0].ok
 
 
+# planned, noop, mirrored, strays and the model trajectory (tick, state) of
+# each bundled scenario that has a twin-side deployment: counters the thread
+# digest does not cover
+SUITE_COUNTERS = {
+    "01-mission-twin-emulated":
+        (0, 26, 3, 0, [(0, "ACTIVE"), (500, "STANDBY"), (900, "OFF")]),
+    "03-shadow-quiet": (0, 0, 0, 0, []),
+    "04-shadow-watch": (0, 0, 2, 0, [(0, "ACTIVE"), (300, "STANDBY")]),
+    "05-twin-inject":
+        (3, 15, 0, 0, [(60, "ACTIVE"), (260, "STANDBY"), (460, "OFF")]),
+    "06-twin-gate-reject": (1, 4, 1, 0, [(0, "OFF"), (100, "ACTIVE")]),
+}
+
+
+def test_bundled_suite_engine_counters_are_pinned(monkeypatch):
+    deployed = []
+
+    def keep(assemble):
+        def assemble_and_keep(*args, **kwargs):
+            deployed.append(assemble(*args, **kwargs))
+            return deployed[-1]
+        return assemble_and_keep
+
+    monkeypatch.setattr(harness, "assemble_twin", keep(harness.assemble_twin))
+    monkeypatch.setattr(harness, "assemble_shadow",
+                        keep(harness.assemble_shadow))
+    counters = {}
+    for result in run_suite(BUNDLED_SUITE, force_lockstep=True):
+        assert result.ok, result.failures
+        if result.mode in ("shadow", "twin"):  # deployed in suite order
+            twin = deployed.pop(0)
+            counters[result.name] = (
+                twin.plan_stats.planned, twin.plan_stats.noop,
+                twin.keeper.mirrored_count, twin.monitor_stats.strays,
+                [(ts, s.name) for ts, s in twin.keeper.trajectory])
+    assert counters == SUITE_COUNTERS
+
+
 def test_run_suite_empty_dir_is_a_config_error(tmp_path):
     with pytest.raises(ConfigError, match="no scenario files"):
         run_suite(tmp_path)
@@ -444,6 +522,25 @@ def test_cli_ci_test_safety_limit_fails_one_case_and_runs_the_next(
     assert "PASS 02-mission" in captured.out
     assert "1/2 scenarios passed" in captured.out
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_cli_ci_test_corrupt_recording_fails_one_case_and_runs_the_next(
+        tmp_path, capsys):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    (suite / "bad.rec").write_text("seq=1 ts=0 dir=PT2DT kind=STA hex=2000\n"
+                                   "seq=2 ts=0 dir=PT2DT kind=STA hex=2x01\n")
+    write_scenario(suite / "01-corrupt.json", recording="bad.rec")
+    write_scenario(suite / "02-mission.json")
+    before = threading.active_count()
+    assert main(["ci-test", str(suite)]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL 01-corrupt" in captured.out
+    assert "bad.rec unusable at seq/line 2" in captured.out
+    assert "PASS 02-mission" in captured.out
+    assert "1/2 scenarios passed" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+    assert threads_settle_to(before)
 
 
 def test_cli_template_validate(tmp_path, capsys):

@@ -2,25 +2,17 @@ import random
 
 import pytest
 
-from twinproto.bus import (
-    EventBus,
-    TOPIC_DT_INGEST,
-    TOPIC_DT_MEASUREMENT,
-    TOPIC_DT_STATUS,
-)
+from twinproto.bus import EventBus, TOPIC_DT_INGEST
 from twinproto.control import SensorBacking, assemble_plant
 from twinproto.errors import GateRejected
 from twinproto.mapek import (
-    DigitalTwin,
     ExecuteGate,
     ModelKeeper,
-    MonitorStats,
     PLAN_DEFAULT_PERIOD,
     PlanResult,
     assemble_shadow,
     assemble_twin,
     command_for_goal,
-    monitor_loop,
 )
 from twinproto.messages import command, measurement, status
 from twinproto.runtime import LockstepRuntime, WallRuntime
@@ -117,22 +109,16 @@ def test_gate_prefers_latest_observation():
 
 
 # ---------------------------------------------------------------------------
-# Monitor stage
+# Engine: monitor stage and task sets
 # ---------------------------------------------------------------------------
 
 def test_monitor_classifies_and_counts_strays():
     rt = WallRuntime()
     bus = EventBus(rt)
-    keeper = ModelKeeper()
-    stats = MonitorStats()
-    sub = bus.subscribe(TOPIC_DT_INGEST)
-    status_tap = bus.subscribe(TOPIC_DT_STATUS)
-    meas_tap = bus.subscribe(TOPIC_DT_MEASUREMENT)
+    _, dt_end = connect_pair(rt, "feed", "ingest", Protocol.TCP)
+    shadow = assemble_shadow(rt, bus, dt_end)
+    stats = shadow.monitor_stats
     feed = bus.producer(TOPIC_DT_INGEST)
-    rt.spawn(lambda: monitor_loop(keeper, sub,
-                                  bus.producer(TOPIC_DT_STATUS),
-                                  bus.producer(TOPIC_DT_MEASUREMENT), stats),
-             name="monitor")
 
     def drive():
         feed.emit(status(1))
@@ -147,9 +133,36 @@ def test_monitor_classifies_and_counts_strays():
     assert rt.run(timeout=5.0) == []
     assert rt.task_errors() == []
     assert (stats.statuses, stats.measurements, stats.strays) == (2, 1, 1)
-    assert status_tap.drain() == [status(1), status(2)]
-    assert meas_tap.drain() == [measurement(42)]
-    assert keeper.last_observed is State.OFF
+    assert shadow.keeper.last_observed is State.OFF
+    # both statuses reached analysis, and with no goal the model followed
+    assert [s for _, s in shadow.keeper.trajectory] == [State.ACTIVE,
+                                                         State.OFF]
+
+
+class SpawnLog:
+    """A runtime stand-in that records task names and starts nothing."""
+
+    def __init__(self, rt):
+        self._rt = rt
+        self.names = []
+
+    def spawn(self, fn, name="task"):
+        self.names.append(name)
+
+    def __getattr__(self, attr):
+        return getattr(self._rt, attr)
+
+
+def test_deployment_task_sets():
+    rt = SpawnLog(WallRuntime())
+    _, ingest = connect_pair(rt, "up:pt", "up:dt", Protocol.TCP)
+    uplink, _ = connect_pair(rt, "down:dt", "down:pt", Protocol.TCP)
+    assemble_twin(rt, EventBus(rt), ingest, uplink)
+    assert sorted(rt.names) == ["twin:engine", "twin:ingest", "twin:poll",
+                                "twin:uplink"]
+    rt.names.clear()
+    assemble_shadow(rt, EventBus(rt), ingest)
+    assert sorted(rt.names) == ["shadow:engine", "shadow:ingest"]
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +251,7 @@ def test_twin_pushes_injected_model_changes():
             goal = twin.inject_model_change(cmd)
             assert goal is want
             ok = await_cond(rt, lambda: twin.converged
-                            and plant.sensor_state() is want)
+                            and plant.sensor.state is want)
             reached.append(ok)
         outcome["reached"] = reached
         plant.stop()
@@ -268,7 +281,7 @@ def test_twin_direct_commands_do_not_trigger_corrections():
                           (command(-1), State.OFF)):
             twin.send_command(cmd)
             assert await_cond(rt, lambda: twin.model_state() is want)
-        outcome["pt"] = plant.sensor_state()
+        outcome["pt"] = plant.sensor.state
         plant.stop()
         rt.shutdown()
 
@@ -299,7 +312,7 @@ def test_twin_rejects_unreachable_goal():
         assert await_cond(rt, lambda: twin.keeper.last_observed is not None)
         twin.send_command(command(-1))  # kill the device for real
         assert await_cond(rt, lambda: twin.model_state() is State.OFF
-                          and plant.sensor_state() is State.OFF)
+                          and plant.sensor.state is State.OFF)
         # direct model-state edit: only a status event can leave OFF
         goal = twin.inject_model_change(status(int(State.ACTIVE)))
         assert goal is State.ACTIVE
@@ -311,7 +324,7 @@ def test_twin_rejects_unreachable_goal():
     assert rt.run(timeout=20.0) == []
     assert rt.task_errors() == []
     assert twin.gate.committed == 0
-    assert plant.sensor_state() is State.OFF
+    assert plant.sensor.state is State.OFF
     assert not twin.converged  # honest: the goal was never reached
     notes = [r for r in log.records if r.kind == "NOTE"]
     assert notes and b"gate rejected" in notes[0].payload
