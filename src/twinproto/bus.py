@@ -25,14 +25,14 @@ BUS_QUEUE_CAPACITY = 4096
 
 # Topic names used by the assemblies. Buses are per-process, so the physical
 # side and the twin side each use their own subset without collision.
+# No topic leads to a link: whoever decides to send toward a device calls
+# that device's driver (`DeviceDriver.send`) on its own task.
 TOPIC_SENSOR_RESPONSE = "sensor.response"   # sensor driver -> control logic
-TOPIC_CONTROL_COMMAND = "ctl.command"       # control logic -> sensor driver
 TOPIC_TX_INBOUND = "tx.inbound"             # transmitter driver -> control logic
-TOPIC_TX_OUTBOUND = "tx.outbound"           # control logic -> transmitter driver
 TOPIC_DT_INGEST = "dt.ingest"               # ingest driver -> MAPE-K engine
 TOPIC_DT_STATUS = "dt.status"               # re-check statuses -> MAPE-K engine
+TOPIC_DT_EXECUTE = "dt.execute"             # operator commands -> MAPE-K engine
 TOPIC_DT_PLAN = "dt.plan"                   # plans -> a standalone execute loop
-TOPIC_DT_EXECUTE = "dt.execute"             # engine/operator -> uplink driver
 
 
 class Subscription:

@@ -7,6 +7,10 @@ loop; they are skipped and counted. A device also pushes unsolicited frames
 (boot status announcement, scripted measurements) down the same link; drivers
 relay whatever arrives, so nothing upstream needs to know the difference.
 
+A driver has one task, its receive loop. Sending is a call, `send`, made on
+the task of whoever decided to send, so each link keeps exactly one writer
+and no queue sits between a decision and the wire.
+
 The transmitter is not a device with a serve loop but the transmitter
 driver's connection itself: writes go straight out on the plant's outbound
 link and reads come straight in from its inbound link, with no task between.
@@ -21,7 +25,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import (
     CodecError,
@@ -33,7 +36,6 @@ from .errors import (
 from .messages import (
     OP_COMMAND,
     Message,
-    Recording,
     decode_message,
     encode_message,
     measurement,
@@ -92,34 +94,21 @@ class SensorDevice:
         return {"kind": self.kind, "commands": command_set_label(self.command_set)}
 
 
-class ReplayMode(Enum):
-    ONESHOT = "oneshot"
-    LOOP = "loop"
-
-
 class EmulatorContext:
-    """Ordered recordings with a replay cursor."""
+    """Recorded responses (Messages) with a replay cursor, played once."""
 
-    def __init__(self, recordings, mode=ReplayMode.ONESHOT):
+    def __init__(self, recordings):
         self.recordings = list(recordings)
-        self.mode = mode
         self.cursor = 0
 
-    def next_recording(self) -> Recording:
+    def next_recording(self) -> Message:
         if self.cursor >= len(self.recordings):
-            if self.mode is ReplayMode.LOOP and self.recordings:
-                self.cursor = 0
-            else:
-                raise ContextExhausted(
-                    f"all {len(self.recordings)} recordings consumed"
-                )
-        rec = self.recordings[self.cursor]
+            raise ContextExhausted(
+                f"all {len(self.recordings)} recordings consumed"
+            )
+        msg = self.recordings[self.cursor]
         self.cursor += 1
-        return rec
-
-    @property
-    def remaining(self):
-        return max(len(self.recordings) - self.cursor, 0)
+        return msg
 
 
 class EmulatorDevice:
@@ -134,11 +123,11 @@ class EmulatorDevice:
     def execute(self, msg: Message) -> Message:
         if msg.kind.opcode not in self.command_set:
             raise CommandRejected(f"emulator does not accept {msg.kind.name}")
-        return self.context.next_recording().message
+        return self.context.next_recording()
 
     def boot_message(self) -> Message:
         # the boot announcement of the recorded run is recording zero
-        return self.context.next_recording().message
+        return self.context.next_recording()
 
     def describe(self):
         return {"kind": self.kind, "commands": command_set_label(self.command_set)}
@@ -211,28 +200,26 @@ def run_measurement_script(runtime, sensor, conn, script):
 @dataclass
 class DriverStats:
     relayed_in: int = 0    # device -> bus
-    relayed_out: int = 0   # bus -> device
+    relayed_out: int = 0   # send() -> device
     skipped_in: int = 0    # undecodable frames from the device
-    skipped_out: int = 0   # bus items outside the command set
+    skipped_out: int = 0   # sent messages outside the command set
 
 
 class DeviceDriver:
     """Pure relay between one connection and the event bus.
 
     receive loop: frame -> decode -> emit on `emit_topic` (undecodable frames
-    are counted and skipped). send loop: consume `consume_topic` -> encode ->
-    write. No transformation, no reordering, no interpretation.
+    are counted and skipped). `send`: filter -> encode -> write, on the
+    caller's task. No transformation, no reordering, no interpretation.
     """
 
-    def __init__(self, conn, bus, emit_topic=None, consume_topic=None,
+    def __init__(self, conn, bus, emit_topic=None,
                  command_set=DEFAULT_COMMAND_SET, name="driver"):
         self.name = name
         self.conn = conn
         self.command_set = frozenset(command_set)
         self.emit_topic = emit_topic
-        self.consume_topic = consume_topic
         self._emitter = bus.producer(emit_topic) if emit_topic else None
-        self._consumer = bus.subscribe(consume_topic, name=name) if consume_topic else None
         self.stats = DriverStats()
 
     def receive_loop(self):
@@ -251,23 +238,20 @@ class DeviceDriver:
         except ConnectionClosed:
             return
 
-    def send_loop(self):
-        if self._consumer is None:
+    def send(self, msg):
+        """Write one message to the device; outside the command set it is
+        counted and dropped. Raises ConnectionClosed once the link is gone."""
+        if msg.kind.opcode not in self.command_set:
+            self.stats.skipped_out += 1
             return
-        while True:
-            msg = self._consumer.consume()
-            if msg.kind.opcode not in self.command_set:
-                self.stats.skipped_out += 1
-                continue
-            self.conn.write_frame(encode_message(msg))
-            self.stats.relayed_out += 1
+        self.conn.write_frame(encode_message(msg))
+        self.stats.relayed_out += 1
 
     def describe(self):
         return {
             "name": self.name,
             "protocol": self.conn.protocol.value,
             "emit_topic": self.emit_topic,
-            "consume_topic": self.consume_topic,
             "commands": command_set_label(self.command_set),
         }
 
@@ -288,8 +272,6 @@ def run_communication(runtime, device, device_conn, driver,
     )
     if driver.emit_topic:
         runtime.spawn(driver.receive_loop, name=f"{driver.name}:recv")
-    if driver.consume_topic:
-        runtime.spawn(driver.send_loop, name=f"{driver.name}:send")
     return stats
 
 

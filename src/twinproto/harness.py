@@ -153,6 +153,8 @@ class _Wiring:
 
     up: object
     down: object
+    recording_path: str | None = None  # the emulator's recording, if any
+    recording_frames: int = 0
     child: subprocess.Popen | None = None
     log: ThreadLog | None = None
     twin: DigitalTwin | None = None
@@ -207,7 +209,7 @@ def _wire(rt, scenario: Scenario, cfg: RunConfig) -> _Wiring:
         child = _spawn_plant_process(scenario, up_listener.address[1],
                                      down_listener.address[1])
         try:
-            _load_recording(recording_path)
+            recording = _load_recording(recording_path)
             up_peer = up_listener.accept(name="link:peer-up", timeout=15.0)
             down_peer = down_listener.accept(name="link:peer-down",
                                              timeout=15.0)
@@ -226,7 +228,8 @@ def _wire(rt, scenario: Scenario, cfg: RunConfig) -> _Wiring:
                                          Protocol.TCP)
         down_peer, down_plant = connect_pair(rt, "link:peer-down",
                                              "link:pt-down", Protocol.TCP)
-    wiring = _Wiring(up_peer, down_peer, child=child)
+    wiring = _Wiring(up_peer, down_peer, recording_path,
+                     len(recording) if recording else 0, child=child)
 
     if scenario.mode in ("shadow", "twin"):
         wiring.log = ThreadLog(path=cfg.thread_file)
@@ -335,6 +338,8 @@ def _drive(rt, scenario: Scenario, cfg: RunConfig, wiring: _Wiring,
 
     rt.spawn(operator, name="op:script")
     _run_to_verdict(rt, cfg.run_timeout_s, result)
+    if wiring.plant is not None and wiring.plant.device_stats.exhausted:
+        result.fail(_ran_dry(wiring, wiring.plant.device_stats.exhausted))
     if wiring.child is not None:
         try:
             rc = wiring.child.wait(timeout=cfg.run_timeout_s)
@@ -343,8 +348,17 @@ def _drive(rt, scenario: Scenario, cfg: RunConfig, wiring: _Wiring,
             wiring.child.wait()
             result.fail("plant process never exited")
         else:
-            if rc != 0:
+            if rc == EXIT_RECORDING_DRY:  # the count stayed in the child
+                result.fail(_ran_dry(wiring))
+            elif rc != 0:
                 result.fail(f"plant process exit code {rc}")
+
+
+def _ran_dry(wiring: _Wiring, unanswered=None) -> str:
+    """Failure reason for an emulator that ran out of recorded responses."""
+    what = "commands" if unanswered is None else f"{unanswered} commands"
+    return (f"recording {wiring.recording_path} ran dry: all "
+            f"{wiring.recording_frames} frames served, {what} unanswered")
 
 
 def _collect(wiring: _Wiring, result: SessionResult):
@@ -432,6 +446,9 @@ def record_session(scenario: Scenario, config: RunConfig | None = None,
 # Isolated plant process
 # ---------------------------------------------------------------------------
 
+# exit code of a plant process whose emulator ran out of recordings
+EXIT_RECORDING_DRY = 3
+
 _CHILD_CODE = ("import sys\n"
                "from twinproto.harness import plant_process_main\n"
                "sys.exit(plant_process_main(sys.argv[1]))\n")
@@ -455,7 +472,8 @@ def plant_process_main(raw: str) -> int:
 
     Lives until the scenario duration plus a grace period, then tears itself
     down. The parent hanging up early just makes the link drivers exit; the
-    deadline still bounds the process lifetime.
+    deadline still bounds the process lifetime. Exits 1 if a task crashed or
+    straggled, EXIT_RECORDING_DRY if the emulator ran out of recordings.
     """
     opts = json.loads(raw)
     rt = make_runtime(ClockMode.WALL, opts.get("seed", 0))
@@ -488,7 +506,9 @@ def plant_process_main(raw: str) -> int:
     if stragglers:
         print(f"plant stragglers: {stragglers}", file=sys.stderr)
         bad = True
-    return 1 if bad else 0
+    if bad:
+        return 1
+    return EXIT_RECORDING_DRY if plant.device_stats.exhausted else 0
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +542,7 @@ def reference_trajectory(records) -> list:
     current = State.STANDBY
     for rec in records:
         if rec.direction is ThreadDirection.PT2DT and rec.kind == "STA":
-            s = State(decode_message(rec.payload).value)
+            s = State(rec.message().value)
             if s is not current:
                 walk.append(s)
                 current = s

@@ -3,12 +3,15 @@
 The engine consumes the physical side's traffic from one ingest connection
 and keeps a model of the counterpart device. The four MAPE-K stages are
 function calls on one task, `engine_loop`, fed by one subscription over the
-ingest topic and the re-check topic:
+ingest topic, the re-check topic and (in a twin) the operator's commands:
 
     monitor   classify an ingested frame: status observation / measurement
     analyze   compare an observation (ingested or re-checked) with the model
     plan      derive a corrective command on divergence
-    execute   simulation gate, then the uplink driver via `dt.execute`
+    execute   simulation gate, then a call to the uplink driver's `send`
+
+The engine task is the uplink's one writer: a committed correction and an
+operator's passthrough command both leave through `send` on that task.
 
 Two deployment shapes share this code. A shadow runs monitor and analyze
 only and holds NO uplink connection object: nothing in the process is
@@ -164,31 +167,36 @@ class ExecuteGate:
 # Engine (one task per deployment)
 # ---------------------------------------------------------------------------
 
-def execute(runtime, gate, plan, out_execute, thread_log=None):
-    """Gate one plan: a committed command goes to the uplink, a rejected one
-    leaves a NOTE in the thread."""
+def execute(runtime, gate, plan, send, thread_log=None):
+    """Gate one plan: a committed command is passed to `send`, a rejected
+    one leaves a NOTE in the thread."""
     try:
-        out_execute.emit(gate.enforce(plan))
+        send(gate.enforce(plan))
     except GateRejected as exc:
         if thread_log is not None:
             thread_log.append_note(runtime.now_ns(), f"gate rejected: {exc}")
 
 
 def execute_loop(runtime, gate, sub, out_execute, thread_log=None):
-    """The execute step alone, fed plans by a subscription."""
+    """The execute step alone, fed plans by a subscription, committing to
+    the `out_execute` producer."""
     while True:
-        execute(runtime, gate, sub.consume(), out_execute, thread_log)
+        execute(runtime, gate, sub.consume(), out_execute.emit, thread_log)
 
 
-def engine_loop(runtime, twin, sub, out_execute=None, thread_log=None):
+def engine_loop(runtime, twin, sub, send=None, thread_log=None):
     """Monitor, analyze, plan and execute, inline on one subscription.
 
-    `sub` covers ingest (the counterpart's frames) and status (re-checks).
-    Without `out_execute` (a shadow) the loop ends at analysis.
+    `sub` covers ingest (the counterpart's frames), status (re-checks) and,
+    in a twin, execute (operator commands, passed to `send` ungated).
+    Without `send` (a shadow) the loop ends at analysis.
     """
     keeper, stats = twin.keeper, twin.monitor_stats
     while True:
         topic, msg = sub.consume()
+        if topic == TOPIC_DT_EXECUTE:
+            send(msg)
+            continue
         if topic == TOPIC_DT_INGEST:  # monitor: classify
             if msg.kind is MessageKind.MEASUREMENT:
                 stats.measurements += 1
@@ -199,8 +207,7 @@ def engine_loop(runtime, twin, sub, out_execute=None, thread_log=None):
             stats.statuses += 1
             keeper.note_observation(State(msg.value))
         res = keeper.observe(State(msg.value), runtime.now_ns())  # analyze
-        twin.analyses.append(res)
-        if out_execute is None:
+        if send is None:
             continue
         if res.equal:
             twin.plan_stats.noop += 1
@@ -208,7 +215,7 @@ def engine_loop(runtime, twin, sub, out_execute=None, thread_log=None):
         plan = PlanResult(runtime.now_ns(), command_for_goal(res.model_state),
                           res.model_state, res.pt_state)
         twin.plan_stats.planned += 1
-        execute(runtime, twin.gate, plan, out_execute, thread_log)
+        execute(runtime, twin.gate, plan, send, thread_log)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +235,6 @@ class DigitalTwin:
         self.twinning_period_ms = twinning_period_ms
         self.monitor_stats = MonitorStats()
         self.plan_stats = PlanStats()
-        self.analyses = []
         self._status_out = bus.producer(TOPIC_DT_STATUS)
         # a shadow gets no producer toward the uplink either
         self._execute_out = (bus.producer(TOPIC_DT_EXECUTE)
@@ -261,7 +267,8 @@ class DigitalTwin:
         return goal
 
     def send_command(self, cmd: Message):
-        """Operator passthrough: straight to the uplink, no goal bookkeeping."""
+        """Operator passthrough: the engine sends it ungated, with no goal
+        bookkeeping, in order with its own corrections."""
         if not self.has_uplink:
             raise RuntimeError("deployment has no uplink")
         self._execute_out.emit(cmd)
@@ -290,7 +297,6 @@ def assemble_twin(runtime, bus, ingest_conn, uplink_conn, thread_log=None,
     """Full closed loop: the engine through execute, an uplink, a re-check."""
     keeper = ModelKeeper()
     uplink_driver = DeviceDriver(uplink_conn, bus,
-                                 consume_topic=TOPIC_DT_EXECUTE,
                                  command_set=frozenset({OP_COMMAND}),
                                  name=f"{name}-uplink")
     twin = DigitalTwin(runtime, bus, keeper,
@@ -298,12 +304,11 @@ def assemble_twin(runtime, bus, ingest_conn, uplink_conn, thread_log=None,
                        uplink_driver=uplink_driver, gate=ExecuteGate(keeper),
                        twinning_period_ms=twinning_period_ms)
 
-    sub = bus.subscribe((TOPIC_DT_INGEST, TOPIC_DT_STATUS),
+    sub = bus.subscribe((TOPIC_DT_INGEST, TOPIC_DT_STATUS, TOPIC_DT_EXECUTE),
                         name=f"{name}-engine")
-    runtime.spawn(lambda: engine_loop(runtime, twin, sub, twin._execute_out,
+    runtime.spawn(lambda: engine_loop(runtime, twin, sub, uplink_driver.send,
                                       thread_log),
                   name=f"{name}:engine")
-    runtime.spawn(uplink_driver.send_loop, name=f"{name}:uplink")
     runtime.spawn(twin.ingest_driver.receive_loop, name=f"{name}:ingest")
 
     def twinning_poll():

@@ -120,10 +120,3 @@ def decode_message(payload: bytes) -> Message:
         raise ValueOutOfRange(f"STATUS code {value} not in {STATUS_CODES}")
     return Message(kind, value)
 
-
-@dataclass(frozen=True)
-class Recording:
-    """A captured device response plus the timestamp it was observed at."""
-
-    message: Message
-    source_ts: int = 0

@@ -1,13 +1,15 @@
 """Task runtime with two clock modes.
 
-All concurrent pieces of the system (device loops, drivers, the control
-owner, the twin's MAPE-K engine, scenario injectors) are written as plain
-blocking functions against this module's Runtime interface:
+All concurrent pieces of the system (device serve loops, driver receive
+loops, the control owner, the twin's MAPE-K engine, scenario injectors) are
+written as plain blocking functions against this module's Runtime interface:
 
     spawn(fn, name=...)   start a task
     channel(capacity=..)  bounded FIFO pipe between tasks
     sleep_ms(ms)          timed wait
     now_ns()              timestamp for records
+
+Sending is not a task: a driver's `send` runs on its caller's task.
 
 Two implementations exist:
 

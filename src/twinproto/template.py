@@ -27,7 +27,6 @@ import hashlib
 from pathlib import Path
 
 from .control import SensorBacking, assemble_plant
-from .devices import ReplayMode
 from .errors import ConfigError
 from .statemachine import BUILTIN_MACHINE, StateMachineDef
 from .thread_log import load_recordings
@@ -178,8 +177,7 @@ def write_manifest(path, name, recording_path, extra_documents=None,
     return path
 
 
-def assemble_prototype(runtime, bus, template: DigitalTemplate,
-                       replay_mode=ReplayMode.ONESHOT, **plant_kwargs):
+def assemble_prototype(runtime, bus, template: DigitalTemplate, **plant_kwargs):
     """Stand up the emulated deployment a manifest describes."""
     problems = validate_manifest(template.path)
     if problems:
@@ -188,5 +186,4 @@ def assemble_prototype(runtime, bus, template: DigitalTemplate,
         raise ConfigError(f"manifest has no {RECORDING_KEY} document")
     recording = load_recordings(template.document_path(RECORDING_KEY))
     return assemble_plant(runtime, bus, SensorBacking.EMULATED,
-                          recording=recording, replay_mode=replay_mode,
-                          **plant_kwargs)
+                          recording=recording, **plant_kwargs)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import CodecError, CorruptRecord, DirectionKindMismatch
-from .messages import Message, MessageKind, Recording, decode_message, encode_message
+from .messages import Message, MessageKind, decode_message, encode_message
 
 U64_MAX = 2 ** 64 - 1
 
@@ -86,8 +86,8 @@ def _check_direction(direction, kind_tag):
         )
 
 
-def parse_record_line(line, lineno=None) -> ThreadRecord:
-    """Parse one record line; raises CorruptRecord with the seq (or line no)."""
+def _parse_line(line, lineno=None):
+    """(record, its decoded Message or None for RAW/NOTE) for one line."""
     text = line.rstrip("\n")
     parts = text.split(" ")
     seq_guess = lineno
@@ -111,15 +111,21 @@ def parse_record_line(line, lineno=None) -> ThreadRecord:
             raise ValueError(f"unknown kind {kind!r}")
         payload = bytes.fromhex(fields["hex"])
         _check_direction(direction, kind)
+        msg = None
         if kind in TAG_KIND:
             msg = decode_message(payload)  # must decode as its tagged kind
             if KIND_TAG[msg.kind] != kind:
                 raise ValueError(f"payload decodes as {msg.kind.name}, tagged {kind}")
-        return ThreadRecord(seq, ts, direction, kind, payload)
+        return ThreadRecord(seq, ts, direction, kind, payload), msg
     except DirectionKindMismatch:
         raise
     except (ValueError, CodecError) as exc:
         raise CorruptRecord(f"bad record line: {exc}", seq=seq_guess) from None
+
+
+def parse_record_line(line, lineno=None) -> ThreadRecord:
+    """Parse one record line; raises CorruptRecord with the seq (or line no)."""
+    return _parse_line(line, lineno)[0]
 
 
 class ThreadLog:
@@ -172,31 +178,32 @@ class ThreadLog:
                 self._fh = None
 
 
-def read_thread_file(path):
-    """Load and validate a whole thread file (strictly increasing seq)."""
-    records = []
+def _parse_file(path):
+    """Yield (record, Message or None) per line of a whole thread file, seq
+    strictly increasing; each payload is decoded once."""
     last_seq = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            rec = parse_record_line(line, lineno=lineno)
+            rec, msg = _parse_line(line, lineno=lineno)
             if rec.seq <= last_seq:
                 raise CorruptRecord(
                     f"seq {rec.seq} not increasing after {last_seq}", seq=rec.seq
                 )
             last_seq = rec.seq
-            records.append(rec)
-    return records
+            yield rec, msg
+
+
+def read_thread_file(path):
+    """Load and validate a whole thread file (strictly increasing seq)."""
+    return [rec for rec, _ in _parse_file(path)]
 
 
 def load_recordings(path):
-    """Recording list for an emulator context: frame records, thread order."""
-    out = []
-    for rec in read_thread_file(path):
-        if rec.kind in ("MEA", "STA"):
-            out.append(Recording(rec.message(), source_ts=rec.ts))
-    return out
+    """Emulator recordings: the MEA and STA Messages of a file, in order."""
+    return [msg for rec, msg in _parse_file(path)
+            if rec.kind in ("MEA", "STA")]
 
 
 def write_recording_file(records, path):

@@ -1,12 +1,6 @@
 import pytest
 
-from twinproto.bus import (
-    EventBus,
-    TOPIC_CONTROL_COMMAND,
-    TOPIC_SENSOR_RESPONSE,
-    TOPIC_TX_INBOUND,
-    TOPIC_TX_OUTBOUND,
-)
+from twinproto.bus import EventBus, TOPIC_SENSOR_RESPONSE, TOPIC_TX_INBOUND
 from twinproto.control import (
     ControlLogic,
     PlantAssembly,
@@ -15,7 +9,6 @@ from twinproto.control import (
 )
 from twinproto.errors import RecordingMissing
 from twinproto.messages import (
-    Recording,
     command,
     decode_message,
     encode_message,
@@ -26,58 +19,55 @@ from twinproto.statemachine import State
 from twinproto.transport import Protocol, connect_pair
 
 
-def make_control():
-    rt = WallRuntime()
-    bus = EventBus(rt)
-    cmd_tap = bus.subscribe(TOPIC_CONTROL_COMMAND, name="tap-cmd")
-    rsp_tap = bus.subscribe(TOPIC_TX_OUTBOUND, name="tap-rsp")
-    ctl = ControlLogic(bus)
-    return ctl, cmd_tap, rsp_tap
+def make_control(bus=None):
+    """Control logic whose two send callables append to lists."""
+    bus = bus if bus is not None else EventBus(WallRuntime())
+    sent_cmds, sent_rsps = [], []
+    ctl = ControlLogic(bus, sent_cmds.append, sent_rsps.append)
+    return ctl, sent_cmds, sent_rsps
 
 
 def test_command_sets_period_then_forwards_and_logs():
-    ctl, cmd_tap, _ = make_control()
+    ctl, sent_cmds, _ = make_control()
     ctl.handle_transmitter_command(command(50))
     assert ctl.period == 50
-    assert cmd_tap.drain() == [command(50)]
+    assert sent_cmds == [command(50)]
     # the period in force when the log entry is written is the new one
     assert ctl.data_log == [("cmd", command(50))]
 
 
 def test_zero_and_negative_commands_forward_but_skip_log():
-    ctl, cmd_tap, _ = make_control()
+    ctl, sent_cmds, _ = make_control()
     ctl.handle_transmitter_command(command(0))
     ctl.handle_transmitter_command(command(-7))
     assert ctl.period == -7
-    assert cmd_tap.drain() == [command(0), command(-7)]
+    assert sent_cmds == [command(0), command(-7)]
     assert ctl.data_log == []
 
 
 def test_response_forwarded_verbatim_log_gated_on_period():
-    ctl, _, rsp_tap = make_control()
+    ctl, _, sent_rsps = make_control()
     ctl.handle_sensor_response(status(0))          # period 0: not logged
     ctl.handle_transmitter_command(command(25))
     ctl.handle_sensor_response(status(1))          # period 25: logged
     ctl.handle_transmitter_command(command(0))
     ctl.handle_sensor_response(status(0))          # period 0 again: not logged
-    assert rsp_tap.drain() == [status(0), status(1), status(0)]
+    assert sent_rsps == [status(0), status(1), status(0)]
     assert ctl.data_log == [("cmd", command(25)), ("rsp", status(1))]
 
 
 def test_stray_non_command_counted_not_forwarded():
-    ctl, cmd_tap, _ = make_control()
+    ctl, sent_cmds, _ = make_control()
     ctl.handle_transmitter_command(status(1))
     ctl.handle_transmitter_command(command(3))
     assert ctl.stray_commands == 1
-    assert cmd_tap.drain() == [command(3)]
+    assert sent_cmds == [command(3)]
 
 
 def test_control_loops_preserve_per_path_order():
     rt = WallRuntime()
     bus = EventBus(rt)
-    cmd_tap = bus.subscribe(TOPIC_CONTROL_COMMAND)
-    rsp_tap = bus.subscribe(TOPIC_TX_OUTBOUND)
-    ctl = ControlLogic(bus)
+    ctl, cmds, rsps = make_control(bus)
     cmd_in = bus.producer(TOPIC_TX_INBOUND)
     rsp_in = bus.producer(TOPIC_SENSOR_RESPONSE)
     ctl.start(rt)
@@ -86,15 +76,13 @@ def test_control_loops_preserve_per_path_order():
         for v in range(1, 51):
             cmd_in.emit(command(v))
             rsp_in.emit(status(v % 3))
-        while len(cmd_tap) < 50 or len(rsp_tap) < 50:
+        while len(cmds) < 50 or len(rsps) < 50:
             rt.sleep_ms(1)
         rt.shutdown()
 
     rt.spawn(feed, name="feed")
     assert rt.run(timeout=10.0) == []
     assert rt.task_errors() == []
-    cmds = cmd_tap.drain()
-    rsps = rsp_tap.drain()
     assert cmds == [command(v) for v in range(1, 51)]
     assert rsps == [status(v % 3) for v in range(1, 51)]
     assert ctl.period == 50
@@ -108,15 +96,14 @@ def test_control_loops_preserve_per_path_order():
 def test_owner_task_counts_a_stray_status_on_the_command_topic():
     rt = WallRuntime()
     bus = EventBus(rt)
-    cmd_tap = bus.subscribe(TOPIC_CONTROL_COMMAND)
-    rsp_tap = bus.subscribe(TOPIC_TX_OUTBOUND)
-    ctl = ControlLogic(bus).start(rt)
+    ctl, cmds, rsps = make_control(bus)
+    ctl.start(rt)
 
     def feed():
         bus.emit(TOPIC_TX_INBOUND, status(1))       # stray: not a command
         bus.emit(TOPIC_SENSOR_RESPONSE, status(2))  # same kind, other topic
         bus.emit(TOPIC_TX_INBOUND, command(4))
-        while len(cmd_tap) < 1 or len(rsp_tap) < 1:
+        while len(cmds) < 1 or len(rsps) < 1:
             rt.sleep_ms(1)
         rt.shutdown()
 
@@ -124,8 +111,8 @@ def test_owner_task_counts_a_stray_status_on_the_command_topic():
     assert rt.run(timeout=10.0) == []
     assert rt.task_errors() == []
     assert ctl.stray_commands == 1
-    assert cmd_tap.drain() == [command(4)]
-    assert rsp_tap.drain() == [status(2)]
+    assert cmds == [command(4)]
+    assert rsps == [status(2)]
     assert ctl.data_log == [("cmd", command(4))]
 
 
@@ -182,15 +169,14 @@ def test_real_plant_mission_lockstep():
 def test_emulated_plant_indistinguishable_from_real():
     _, real_frames = drive_plant(SensorBacking.REAL)
     # replay material: exactly what the real sensor produced
-    recording = [Recording(decode_message(f)) for f in real_frames]
+    recording = [decode_message(f) for f in real_frames]
     plant, emu_frames = drive_plant(SensorBacking.EMULATED, recording=recording)
     assert emu_frames == real_frames  # byte identical, boot included
     assert plant.backing is SensorBacking.EMULATED
     assert not hasattr(plant.sensor, "state")  # a prototype has no state
 
 
-MISSION_RECORDING = [Recording(status(0)), Recording(status(1)),
-                     Recording(status(0)), Recording(status(2))]
+MISSION_RECORDING = [status(0), status(1), status(0), status(2)]
 
 
 def test_configuration_identical_across_backings():
@@ -216,8 +202,8 @@ def test_backings_spawn_the_same_plant_tasks(monkeypatch):
     spawned.clear()
     drive_plant(SensorBacking.EMULATED, recording=MISSION_RECORDING)
     assert sorted(spawned) == real == sorted([
-        "sensor-driver:device", "sensor-driver:recv", "sensor-driver:send",
-        "tx-driver:recv", "tx-driver:send", "ctl:owner", "operator",
+        "sensor-driver:device", "sensor-driver:recv", "tx-driver:recv",
+        "ctl:owner", "operator",
     ])
 
 

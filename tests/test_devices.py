@@ -10,7 +10,6 @@ from twinproto.devices import (
     DeviceStats,
     EmulatorContext,
     EmulatorDevice,
-    ReplayMode,
     SensorDevice,
     TransmitterDevice,
     device_serve,
@@ -24,7 +23,6 @@ from twinproto.errors import (
     ContextExhausted,
 )
 from twinproto.messages import (
-    Recording,
     command,
     encode_message,
     measurement,
@@ -56,8 +54,7 @@ def test_sensor_rejects_non_commands():
 
 
 def test_emulator_replays_in_order_and_never_computes():
-    ctx = EmulatorContext([Recording(m) for m in
-                           (status(2), status(0), measurement(9))])
+    ctx = EmulatorContext([status(2), status(0), measurement(9)])
     emu = EmulatorDevice(ctx)
     # a command that would drive a real sensor ACTIVE still yields the recording
     assert emu.execute(command(50)) == status(2)
@@ -68,27 +65,19 @@ def test_emulator_replays_in_order_and_never_computes():
 
 
 def test_emulator_single_recording_then_exhausted():
-    ctx = EmulatorContext([Recording(status(1))])
+    ctx = EmulatorContext([status(1)])
     emu = EmulatorDevice(ctx)
     assert emu.execute(command(123)) == status(1)
-    assert ctx.remaining == 0
+    assert ctx.cursor == 1
     with pytest.raises(ContextExhausted):
         emu.execute(command(123))
 
 
-def test_emulator_loop_mode_wraps():
-    ctx = EmulatorContext([Recording(status(0)), Recording(status(1))],
-                          ReplayMode.LOOP)
-    emu = EmulatorDevice(ctx)
-    got = [emu.execute(command(1)) for _ in range(5)]
-    assert got == [status(0), status(1), status(0), status(1), status(0)]
-
-
 def test_emulator_rejects_outside_command_set():
-    emu = EmulatorDevice(EmulatorContext([Recording(status(0))]))
+    emu = EmulatorDevice(EmulatorContext([status(0)]))
     with pytest.raises(CommandRejected):
         emu.execute(measurement(1))
-    assert emu.context.remaining == 1  # nothing consumed on rejection
+    assert emu.context.cursor == 0  # nothing consumed on rejection
 
 
 def run_serve_session(device, frames, expect, announce_boot=False):
@@ -154,7 +143,6 @@ def test_run_communication_checks_command_sets():
     dev_end, drv_end = open_virtual_serial_pair(rt)
     sensor = SensorDevice()
     driver = DeviceDriver(drv_end, bus, emit_topic="sensor.response",
-                          consume_topic="ctl.command",
                           command_set=frozenset({0x10}))
     with pytest.raises(CommandSetMismatch):
         run_communication(rt, sensor, dev_end, driver)
@@ -166,7 +154,7 @@ def test_driver_relays_in_order_and_skips_junk():
     dev_end, drv_end = open_virtual_serial_pair(rt)
     sensor = SensorDevice()
     driver = DeviceDriver(drv_end, bus, emit_topic="sensor.response",
-                          consume_topic="ctl.command", name="sensor-drv")
+                          name="sensor-drv")
     responses = bus.subscribe("sensor.response")
     run_communication(rt, sensor, dev_end, driver)
     got = []
@@ -174,7 +162,8 @@ def test_driver_relays_in_order_and_skips_junk():
     def scenario():
         cmds = [command(50), command(0), command(7), command(-1), command(2)]
         for c in cmds:
-            bus.emit("ctl.command", c)
+            driver.send(c)
+        driver.send(measurement(3))  # outside the command set: not written
         # inject a junk frame directly at the device side: driver must skip it
         dev_end.write_frame(b"\xee\xee")
         for _ in range(5):
@@ -186,6 +175,7 @@ def test_driver_relays_in_order_and_skips_junk():
     assert rt.task_errors() == []
     assert got == [status(1), status(0), status(1), status(2), status(2)]
     assert driver.stats.relayed_out == 5
+    assert driver.stats.skipped_out == 1
     assert driver.stats.skipped_in == 1
     assert driver.stats.relayed_in == 5
 
@@ -199,15 +189,14 @@ def test_record_then_replay_transcripts_match():
         rt = WallRuntime()
         bus = EventBus(rt)
         dev_end, drv_end = make_link(rt)
-        driver = DeviceDriver(drv_end, bus, emit_topic="sensor.response",
-                              consume_topic="ctl.command")
+        driver = DeviceDriver(drv_end, bus, emit_topic="sensor.response")
         responses = bus.subscribe("sensor.response")
         run_communication(rt, device, dev_end, driver, announce_boot=True)
         got = []
 
         def scenario():
             for c in script:
-                bus.emit("ctl.command", c)
+                driver.send(c)
             for _ in range(len(script) + 1):
                 got.append(responses.consume())
             rt.shutdown()
@@ -231,7 +220,7 @@ def test_record_then_replay_transcripts_match():
         return connect_pair(rt, "bridge:dev", "bridge:drv", Protocol.RS232)
 
     emulated = transcript(
-        EmulatorDevice(EmulatorContext([Recording(m) for m in recorded])),
+        EmulatorDevice(EmulatorContext(recorded)),
         bridged_link,
     )
     assert emulated == real

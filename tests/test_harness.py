@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import subprocess
+import sys
 import threading
 import time
 
@@ -203,6 +205,30 @@ def test_unusable_recording_is_a_fail_verdict_before_any_task(
     assert len(result.failures) == 1
     assert str(rec) in result.failures[0]
     assert reason in result.failures[0]
+
+
+@pytest.mark.parametrize("isolate", [False, True])
+def test_a_dry_emulator_fails_the_run_naming_the_recording(tmp_path, isolate):
+    # the recording holds only the boot status: every command finds it dry,
+    # while the model still converges on STANDBY once the goal is withdrawn
+    rec = tmp_path / "boot-only.rec"
+    rec.write_text("seq=1 ts=0 dir=PT2DT kind=STA hex=2000\n")
+    sc = scenario(recording="boot-only.rec", path=tmp_path / "case.json",
+                  clock="wall" if isolate else "lockstep",
+                  steps=[{"at_ms": 0, "do": "inject", "value": 50},
+                         {"at_ms": 100, "do": "inject", "value": 0}],
+                  expect={"final_status": "STANDBY"})
+    result = run_scenario(sc, RunConfig(isolate=isolate))
+    assert result.ok is False
+    assert result.converged is True
+    assert result.pt2dt_frames == 1  # the boot status, then nothing
+    assert result.dt2pt_frames >= 1
+    assert len(result.failures) == 1
+    assert f"recording {rec} ran dry: all 1 frames served" \
+        in result.failures[0]
+    if not isolate:  # under isolation the count stays in the child
+        assert f"{result.dt2pt_frames} commands unanswered" \
+            in result.failures[0]
 
 
 def test_expectation_mismatch_fails_the_run():
@@ -505,6 +531,18 @@ def test_cli_ci_test_suite(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL 03-broken" in out
     assert "2/3 scenarios passed" in out
+
+
+def test_bundled_ci_test_is_clean_under_dev_mode_and_warnings_as_errors():
+    # covers what pytest's warning filters cannot see: a child interpreter's
+    # teardown, such as a socket or file left open at exit
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "twinproto",
+         "ci-test"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stderr == ""
 
 
 def test_cli_ci_test_safety_limit_fails_one_case_and_runs_the_next(

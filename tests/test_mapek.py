@@ -14,7 +14,7 @@ from twinproto.mapek import (
     assemble_twin,
     command_for_goal,
 )
-from twinproto.messages import command, measurement, status
+from twinproto.messages import command, encode_message, measurement, status
 from twinproto.runtime import LockstepRuntime, WallRuntime
 from twinproto.statemachine import State
 from twinproto.thread_log import TappedEndpoint, ThreadDirection, ThreadLog
@@ -158,8 +158,7 @@ def test_deployment_task_sets():
     _, ingest = connect_pair(rt, "up:pt", "up:dt", Protocol.TCP)
     uplink, _ = connect_pair(rt, "down:dt", "down:pt", Protocol.TCP)
     assemble_twin(rt, EventBus(rt), ingest, uplink)
-    assert sorted(rt.names) == ["twin:engine", "twin:ingest", "twin:poll",
-                                "twin:uplink"]
+    assert sorted(rt.names) == ["twin:engine", "twin:ingest", "twin:poll"]
     rt.names.clear()
     assemble_shadow(rt, EventBus(rt), ingest)
     assert sorted(rt.names) == ["shadow:engine", "shadow:ingest"]
@@ -210,8 +209,6 @@ def test_shadow_tracks_but_cannot_push():
     outcome = {}
 
     def operator():
-        from twinproto.messages import encode_message
-
         assert await_cond(rt, lambda: twin.keeper.last_observed is not None)
         for v in (50, 0, -1):
             op_down.write_frame(encode_message(command(v)))
@@ -266,7 +263,10 @@ def test_twin_pushes_injected_model_changes():
     assert twin.gate.committed >= 3
     assert twin.gate.rejected == 0
     assert log.frame_counts()[ThreadDirection.DT2PT] == twin.gate.committed
-    assert [r for r in twin.analyses if not r.equal]  # divergence was seen
+    # every divergence was planned for; the model moved only by the injects
+    assert twin.plan_stats.planned == twin.gate.committed
+    assert [s for _, s in twin.keeper.trajectory] == [State.ACTIVE,
+                                                      State.STANDBY, State.OFF]
 
 
 def test_twin_direct_commands_do_not_trigger_corrections():
@@ -354,3 +354,46 @@ def test_twin_lockstep_injection_converges_fast():
     # well under one twinning period
     assert outcome["ticks"] <= 3
     assert log.frame_counts()[ThreadDirection.DT2PT] == 1
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_operator_command_and_correction_share_the_uplink(seed):
+    # the engine task is the uplink's one writer: an operator command and an
+    # inject's corrections leave in one order, and the plant reads that order
+    rt = LockstepRuntime(seed=seed)
+    log, delivered = ThreadLog(), ThreadLog()
+    up_plant, up_dt = connect_pair(rt, "up:pt", "up:dt", Protocol.TCP)
+    down_dt, down_plant = connect_pair(rt, "down:dt", "down:pt", Protocol.TCP)
+    twin = assemble_twin(
+        rt, EventBus(rt),
+        TappedEndpoint(up_dt, log, rt, read_dir=ThreadDirection.PT2DT),
+        TappedEndpoint(down_dt, log, rt, write_dir=ThreadDirection.DT2PT),
+        thread_log=log)
+    plant = assemble_plant(
+        rt, EventBus(rt), SensorBacking.REAL, outbound=up_plant,
+        inbound=TappedEndpoint(down_plant, delivered, rt,
+                               read_dir=ThreadDirection.DT2PT))
+    sent = twin.uplink_driver.stats
+
+    def operator():
+        assert await_cond(rt, lambda: twin.keeper.last_observed is not None,
+                          step_ms=1, tries=100)
+        twin.send_command(command(0))           # passthrough, ungated
+        twin.inject_model_change(command(50))   # correction toward ACTIVE
+        assert await_cond(
+            rt, lambda: twin.converged and plant.sensor.state is State.ACTIVE
+            and delivered.frame_counts()[ThreadDirection.DT2PT]
+            == sent.relayed_out, step_ms=1, tries=400)
+        plant.stop()
+        rt.shutdown()
+
+    rt.spawn(operator, name="operator")
+    assert rt.run(timeout=30.0) == []
+    assert rt.task_errors() == []
+    uplinked = [r.payload for r in log.records
+                if r.direction is ThreadDirection.DT2PT and r.is_frame]
+    assert len(uplinked) == sent.relayed_out
+    assert uplinked == [r.payload for r in delivered.records]
+    assert uplinked[0] == encode_message(command(0))
+    assert encode_message(command(50)) in uplinked[1:]
+    assert twin.plan_stats.planned == twin.gate.committed >= 1

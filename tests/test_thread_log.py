@@ -172,7 +172,6 @@ def test_recording_file_from_thread(tmp_path):
     rec_path = tmp_path / "rec.log"
     n = write_recording_file(log.records, str(rec_path))
     assert n == 3
-    recs = load_recordings(str(rec_path))
-    assert [r.message for r in recs] == [status(0), status(1), measurement(12)]
-    assert [r.source_ts for r in recs] == [1, 3, 4]
+    assert load_recordings(str(rec_path)) == [status(0), status(1),
+                                              measurement(12)]
 
