@@ -1,15 +1,21 @@
 """In-process event bus.
 
-Topic-keyed fan-out with one bounded FIFO queue per subscriber. Emit copies a
-reference of the item into every queue subscribed at that moment and returns
-the delivery count (0 is legal: emitting into the void). Consumers see their
-own queue only, in emit order. There is no history: subscribing after an emit
-yields nothing. Emit blocks when a subscriber queue is full, which gives the
-same backpressure behavior in both clock modes.
+Topic-keyed fan-out with two forms of subscriber, one delivery path:
 
-A subscription may cover several topics at once: it then has one queue for
-all of them, in emit order across topics, and yields `(topic, item)` pairs so
-its consumer can tell the topics apart.
+* a handler, `attach(topics, fn)`: every emit on one of `topics` calls
+  `fn(topic, item)` inline, on the emitting task, in emit order. No queue and
+  no task sits between emitter and handler, so a handler's blocking (a full
+  link it writes to) blocks the emitter, and whatever a handler raises
+  reaches the emitter. A handler that may run on several emitting tasks
+  serializes its own state;
+* a subscription, `subscribe(topic)`: one bounded FIFO queue per subscriber,
+  read with `consume` by a task of its own. Emit blocks while the queue is
+  full, which gives the same backpressure in both clock modes.
+
+Emit returns the delivery count, one per handler or queue reached (0 is
+legal: emitting into the void). There is no history: subscribing or
+attaching after an emit yields nothing. After `close`, emit and subscribe
+raise BusClosed.
 
 Buses are strictly per-process; anything crossing a process boundary goes
 through the transport module instead.
@@ -36,15 +42,20 @@ TOPIC_DT_PLAN = "dt.plan"                   # plans -> a standalone execute loop
 
 
 class Subscription:
-    """One consumer's private FIFO view of a topic or a tuple of topics."""
+    """One consumer's private FIFO view of a topic."""
 
     def __init__(self, bus, topic, name):
         self.topic = topic
         self.name = name
         self._bus = bus
         self._chan = bus._rt.channel(bus._capacity)
-        self._tagged = isinstance(topic, tuple)
-        self._topics = topic if self._tagged else (topic,)
+
+    def _deliver(self, _topic, item):
+        try:
+            self._chan.put(item)
+        except ChannelClosed:
+            return 0  # detached mid-emit
+        return 1
 
     def consume(self):
         """Pop the oldest item, blocking until one arrives. Raises BusClosed."""
@@ -80,53 +91,63 @@ class EventBus:
     def __init__(self, runtime, queue_capacity=BUS_QUEUE_CAPACITY):
         self._rt = runtime
         self._capacity = queue_capacity
-        self._subs = {}  # topic -> list[Subscription]
+        self._targets = {}  # topic -> list of deliver(topic, item) -> count
+        self._subs = []     # queues to close with the bus
         self._lock = threading.Lock()
         self._closed = False
 
-    def subscribe(self, topic, name=None) -> Subscription:
-        """Subscribe to one topic, or to a tuple of topics (tagged items)."""
+    def _register(self, topics, deliver, sub=None):
         with self._lock:
             if self._closed:
                 raise BusClosed("subscribe after close")
-            sub = Subscription(self, topic, name or str(topic))
-            for t in sub._topics:
-                self._subs.setdefault(t, []).append(sub)
-            return sub
+            for t in topics:
+                self._targets.setdefault(t, []).append(deliver)
+            if sub is not None:
+                self._subs.append(sub)
+
+    def subscribe(self, topic, name=None) -> Subscription:
+        """A queue of `topic`'s items for a consuming task."""
+        sub = Subscription(self, topic, name or str(topic))
+        self._register((topic,), sub._deliver, sub)
+        return sub
+
+    def attach(self, topics, fn):
+        """Call `fn(topic, item)` on the emitting task for every emit on
+        `topics` (one topic or a tuple of them)."""
+        def deliver(topic, item):
+            fn(topic, item)
+            return 1
+
+        self._register(topics if isinstance(topics, tuple) else (topics,),
+                       deliver)
 
     def producer(self, topic) -> Producer:
         return Producer(self, topic)
 
     def emit(self, topic, item) -> int:
-        # snapshot under the lock, deliver outside it: a full queue must
-        # block only the emitter, never the registry
+        # snapshot under the lock, deliver outside it: a full queue or a
+        # blocking handler must hold up only the emitter, never the registry
         with self._lock:
             if self._closed:
                 raise BusClosed("emit after close")
-            targets = list(self._subs.get(topic, ()))
-        delivered = 0
-        for sub in targets:
-            try:
-                sub._chan.put((topic, item) if sub._tagged else item)
-                delivered += 1
-            except ChannelClosed:
-                pass  # subscriber detached mid-emit
-        return delivered
+            targets = list(self._targets.get(topic, ()))
+        return sum(deliver(topic, item) for deliver in targets)
 
     def _unsubscribe(self, sub):
         with self._lock:
-            for t in sub._topics:
-                subs = self._subs.get(t, [])
-                if sub in subs:
-                    subs.remove(sub)
+            targets = self._targets.get(sub.topic, [])
+            if sub._deliver in targets:
+                targets.remove(sub._deliver)
+            if sub in self._subs:
+                self._subs.remove(sub)
 
     def close(self):
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            all_subs = [s for subs in self._subs.values() for s in subs]
-        for sub in all_subs:
+            subs = list(self._subs)
+        for sub in subs:
             sub._chan.close()
 
     @property

@@ -8,23 +8,28 @@ message is logged only while the period is positive (evaluated after the
 period update for commands), so the local log is a sampling-window record,
 not a full audit; the digital thread is the audit.
 
-One owner task consumes a single bus subscription covering both input
-topics, so every state mutation happens on that task and the log order is the
-order in which the two drivers emitted. Forwarding is a call to the other
-driver's `send` on that same task, so the owner is the one writer of both
-device links.
+Control has no task of its own. It is a bus handler over both input topics,
+so it runs on whichever driver emitted: a transmitter command on the
+transmitter driver's receive loop, a sensor response on the sensor driver's.
+Forwarding is a call to the other driver's `send` on that same task, so each
+device link keeps one writer: `tx-driver:recv` writes the sensor link and
+`sensor-driver:recv` writes the outbound link. The period, the data log and
+the stray count are touched by both tasks, under a short lock that is never
+held across a `send` (a send can park on a full link, and under lockstep a
+task blocked on a raw lock hangs the kernel).
 
 `assemble_plant` builds the whole physical-twin stack. The only difference
 between a REAL and an EMULATED (prototype) assembly is what hangs off the far
 end of the sensor link: a software sensor on a virtual serial pair, or the
-recording-fed emulator on the `bridge:` pair. Both spawn the same four tasks
-(the sensor's serve loop, each driver's receive loop, the control owner), and
-the driver and control configuration are identical by construction, which
+recording-fed emulator on the `bridge:` pair. Both spawn the same three
+tasks (the sensor's serve loop and each driver's receive loop), and the
+driver and control configuration are identical by construction, which
 `describe_configuration` makes checkable.
 """
 
 from __future__ import annotations
 
+import threading
 from enum import Enum
 
 from .bus import TOPIC_SENSOR_RESPONSE, TOPIC_TX_INBOUND
@@ -47,42 +52,40 @@ class ControlLogic:
 
     def __init__(self, bus, send_command, send_response):
         """`send_command` writes toward the sensor, `send_response` toward
-        the transmitter; both are called on the owner task."""
+        the transmitter; each is called on the task that emitted the input."""
         self.period = 0
         self.data_log = []  # (tag, Message), relay order
         self.stray_commands = 0
-        self._inputs = bus.subscribe((TOPIC_TX_INBOUND, TOPIC_SENSOR_RESPONSE),
-                                     name="ctl")
+        self._lock = threading.Lock()  # never held across a send
         self._send_command = send_command
         self._send_response = send_response
+        bus.attach((TOPIC_TX_INBOUND, TOPIC_SENSOR_RESPONSE), self._on_input)
+
+    def _on_input(self, topic, msg):
+        if topic == TOPIC_TX_INBOUND:
+            self.handle_transmitter_command(msg)
+        else:
+            self.handle_sensor_response(msg)
 
     def handle_transmitter_command(self, msg):
         """Period update first, then forward; log under the new period."""
         if msg.kind is not MessageKind.COMMAND:
-            self.stray_commands += 1
+            with self._lock:
+                self.stray_commands += 1
             return
-        self.period = msg.value
+        with self._lock:
+            self.period = msg.value
         self._send_command(msg)
-        if self.period > 0:
-            self.data_log.append(("cmd", msg))
+        if msg.value > 0:
+            with self._lock:
+                self.data_log.append(("cmd", msg))
 
     def handle_sensor_response(self, msg):
         """Forward verbatim; log under the current period."""
         self._send_response(msg)
-        if self.period > 0:
-            self.data_log.append(("rsp", msg))
-
-    def start(self, runtime):
-        def owner_loop():
-            while True:
-                topic, msg = self._inputs.consume()
-                if topic == TOPIC_TX_INBOUND:
-                    self.handle_transmitter_command(msg)
-                else:
-                    self.handle_sensor_response(msg)
-
-        runtime.spawn(owner_loop, name="ctl:owner")
-        return self
+        with self._lock:
+            if self.period > 0:
+                self.data_log.append(("rsp", msg))
 
     def describe(self):
         return {"period_init": 0, "log_gate": "period>0"}
@@ -158,13 +161,12 @@ def assemble_plant(runtime, bus, backing, recording=None,
         command_set=frozenset({OP_MEASUREMENT, OP_STATUS}),
         name="tx-driver",
     )
-    # subscribe before any driver thread can emit, or the boot status is lost
+    # attach before any driver task can emit, or the boot status is lost
     control = ControlLogic(bus, sensor_driver.send, tx_driver.send)
 
     device_stats = run_communication(runtime, sensor, dev_end, sensor_driver,
                                      announce_boot=True)
     runtime.spawn(tx_driver.receive_loop, name="tx-driver:recv")
-    control.start(runtime)
 
     if measurement_script and backing is SensorBacking.REAL:
         runtime.spawn(

@@ -9,7 +9,11 @@ relay whatever arrives, so nothing upstream needs to know the difference.
 
 A driver has one task, its receive loop. Sending is a call, `send`, made on
 the task of whoever decided to send, so each link keeps exactly one writer
-and no queue sits between a decision and the wire.
+and no queue sits between a decision and the wire. The receive loop's emit
+runs the bus handlers inline, so it may itself be that sender. A closed link
+met there, or on its own read, ends the loop, which then closes its own
+connection too: a break anywhere in a relay chain reaches both of its ends
+instead of leaving a peer blocked on a link nobody serves.
 
 The transmitter is not a device with a serve loop but the transmitter
 driver's connection itself: writes go straight out on the plant's outbound
@@ -211,6 +215,7 @@ class DeviceDriver:
     receive loop: frame -> decode -> emit on `emit_topic` (undecodable frames
     are counted and skipped). `send`: filter -> encode -> write, on the
     caller's task. No transformation, no reordering, no interpretation.
+    `closed_by` holds the ConnectionClosed text that ended the receive loop.
     """
 
     def __init__(self, conn, bus, emit_topic=None,
@@ -221,6 +226,7 @@ class DeviceDriver:
         self.emit_topic = emit_topic
         self._emitter = bus.producer(emit_topic) if emit_topic else None
         self.stats = DriverStats()
+        self.closed_by = None
 
     def receive_loop(self):
         if self._emitter is None:
@@ -233,10 +239,13 @@ class DeviceDriver:
                 except CodecError:
                     self.stats.skipped_in += 1
                     continue
-                self._emitter.emit(msg)
+                # counted first: the frame is handed on even if a handler
+                # then fails on its own link
                 self.stats.relayed_in += 1
-        except ConnectionClosed:
-            return
+                self._emitter.emit(msg)
+        except ConnectionClosed as exc:  # this link, or one a handler writes
+            self.closed_by = str(exc)
+            self.conn.close()
 
     def send(self, msg):
         """Write one message to the device; outside the command set it is

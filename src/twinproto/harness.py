@@ -35,8 +35,8 @@ from operator import eq, ge
 from .bus import EventBus
 from .config import Expectations, RunConfig, Scenario
 from .control import PlantAssembly, SensorBacking, assemble_plant
-from .errors import (CodecError, ConfigError, KernelHalted, RecordingMissing,
-                     ThreadLogError)
+from .errors import (CodecError, ConfigError, ConnectionClosed, KernelHalted,
+                     RecordingMissing, ThreadLogError)
 from .mapek import DigitalTwin, assemble_shadow, assemble_twin
 from .messages import MessageKind, command, encode_message, decode_message, status
 from .runtime import ClockMode, make_runtime
@@ -317,7 +317,7 @@ def _drive(rt, scenario: Scenario, cfg: RunConfig, wiring: _Wiring,
         else:  # set_model: direct model-state edit
             twin.inject_model_change(status(step.value))
 
-    def operator():
+    def script():
         t0 = rt.now_ns()
         for step in scenario.steps:
             delay = step.at_ms - rt.ms_since(t0)
@@ -326,15 +326,30 @@ def _drive(rt, scenario: Scenario, cfg: RunConfig, wiring: _Wiring,
             apply_step(step)
         while rt.ms_since(t0) < scenario.duration_ms:
             _collect(wiring, result)
-            if expectations_settled(scenario.expect, result):
+            if (expectations_settled(scenario.expect, result)
+                    or _link_losses(wiring)):
                 break
             rt.sleep_ms(2)
-        if wiring.plant is not None:
-            wiring.plant.stop()
-        else:
-            wiring.up.close()
-            wiring.down.close()
-        rt.shutdown()
+
+    def operator():
+        # the operator's steps write the uplink inline (a twin's engine runs
+        # on this task), so a closed link can end the script anywhere; every
+        # path still tears the session down
+        try:
+            script()
+        except ConnectionClosed as exc:
+            if not rt.stopping:  # else a halted kernel closed the links
+                result.fail(f"op:script lost its link: {exc}")
+        finally:
+            if not rt.stopping:
+                for loss in _link_losses(wiring):
+                    result.fail(loss)
+            if wiring.plant is not None:
+                wiring.plant.stop()
+            else:
+                wiring.up.close()
+                wiring.down.close()
+            rt.shutdown()
 
     rt.spawn(operator, name="op:script")
     _run_to_verdict(rt, cfg.run_timeout_s, result)
@@ -352,6 +367,20 @@ def _drive(rt, scenario: Scenario, cfg: RunConfig, wiring: _Wiring,
                 result.fail(_ran_dry(wiring))
             elif rc != 0:
                 result.fail(f"plant process exit code {rc}")
+
+
+def _link_losses(wiring: _Wiring) -> list:
+    """One failure reason per driver whose receive loop a closed link ended.
+
+    Read before teardown, every entry is a link lost mid-run.
+    """
+    drivers = []
+    if wiring.plant is not None:
+        drivers += [wiring.plant.sensor_driver, wiring.plant.tx_driver]
+    if wiring.twin is not None:
+        drivers.append(wiring.twin.ingest_driver)
+    return [f"{d.name} lost its link: {d.closed_by}"
+            for d in drivers if d.closed_by is not None]
 
 
 def _ran_dry(wiring: _Wiring, unanswered=None) -> str:

@@ -2,16 +2,31 @@
 
 The engine consumes the physical side's traffic from one ingest connection
 and keeps a model of the counterpart device. The four MAPE-K stages are
-function calls on one task, `engine_loop`, fed by one subscription over the
-ingest topic, the re-check topic and (in a twin) the operator's commands:
+function calls in one step, `engine_step`, a bus handler over the ingest
+topic, the re-check topic and (in a twin) the operator's commands. The step
+has no task of its own: it runs on whichever task emitted, the ingest
+driver's receive loop, the twinning poll or the operator.
 
     monitor   classify an ingested frame: status observation / measurement
     analyze   compare an observation (ingested or re-checked) with the model
     plan      derive a corrective command on divergence
     execute   simulation gate, then a call to the uplink driver's `send`
 
-The engine task is the uplink's one writer: a committed correction and an
-operator's passthrough command both leave through `send` on that task.
+In a twin, analyze, plan and execute and every uplink write run holding a
+token, a `runtime.channel(1)`: one task at a time decides and writes, so the
+plan and gate counts stay exact and the thread's DT2PT order is the wire
+order. A send can park on a full link while the token is held; a task
+waiting for the token then parks too (under lockstep it yields its slice)
+instead of blocking its thread on a raw lock.
+
+With no queue in front of control or the engine, the cross-direction cycle
+(token holder -> downlink -> control on `tx-driver:recv` -> sensor command
+link -> device -> response link -> control on `sensor-driver:recv` ->
+outbound link -> ingest loop waiting for the token) buffers only its four
+links: 4 x 1024 = 4096 frames at default capacities. A burst of 3000
+commands puts at most about 3001 frames in it (every command or its
+response, plus the boot status; scripted measurements add to that), so the
+four links are never all full at once and the cycle cannot deadlock.
 
 Two deployment shapes share this code. A shadow runs monitor and analyze
 only and holds NO uplink connection object: nothing in the process is
@@ -164,7 +179,7 @@ class ExecuteGate:
 
 
 # ---------------------------------------------------------------------------
-# Engine (one task per deployment)
+# Engine (a step on the emitting task)
 # ---------------------------------------------------------------------------
 
 def execute(runtime, gate, plan, send, thread_log=None):
@@ -184,38 +199,52 @@ def execute_loop(runtime, gate, sub, out_execute, thread_log=None):
         execute(runtime, gate, sub.consume(), out_execute.emit, thread_log)
 
 
-def engine_loop(runtime, twin, sub, send=None, thread_log=None):
-    """Monitor, analyze, plan and execute, inline on one subscription.
+def engine_step(runtime, twin, send=None, thread_log=None):
+    """Monitor, analyze, plan and execute as a handler `step(topic, msg)`.
 
-    `sub` covers ingest (the counterpart's frames), status (re-checks) and,
-    in a twin, execute (operator commands, passed to `send` ungated).
-    Without `send` (a shadow) the loop ends at analysis.
+    Topics: ingest (the counterpart's frames), status (re-checks) and, in a
+    twin, execute (operator commands, passed to `send` ungated). Without
+    `send` (a shadow) the step ends at analysis. A ConnectionClosed from
+    `send` reaches the emitting task.
     """
     keeper, stats = twin.keeper, twin.monitor_stats
-    while True:
-        topic, msg = sub.consume()
+    token = runtime.channel(1) if send is not None else None
+
+    def decide(topic, msg):
         if topic == TOPIC_DT_EXECUTE:
             send(msg)
-            continue
-        if topic == TOPIC_DT_INGEST:  # monitor: classify
-            if msg.kind is MessageKind.MEASUREMENT:
-                stats.measurements += 1
-                continue
-            if msg.kind is not MessageKind.STATUS:
-                stats.strays += 1  # commands never arrive from the counterpart
-                continue
-            stats.statuses += 1
-            keeper.note_observation(State(msg.value))
+            return
         res = keeper.observe(State(msg.value), runtime.now_ns())  # analyze
         if send is None:
-            continue
+            return
         if res.equal:
             twin.plan_stats.noop += 1
-            continue
+            return
         plan = PlanResult(runtime.now_ns(), command_for_goal(res.model_state),
                           res.model_state, res.pt_state)
         twin.plan_stats.planned += 1
         execute(runtime, twin.gate, plan, send, thread_log)
+
+    def step(topic, msg):
+        if topic == TOPIC_DT_INGEST:  # monitor: classify
+            if msg.kind is MessageKind.MEASUREMENT:
+                stats.measurements += 1
+                return
+            if msg.kind is not MessageKind.STATUS:
+                stats.strays += 1  # commands never arrive from the counterpart
+                return
+            stats.statuses += 1
+            keeper.note_observation(State(msg.value))
+        if token is None:
+            decide(topic, msg)
+            return
+        token.put(None)
+        try:
+            decide(topic, msg)
+        finally:
+            token.get()
+
+    return step
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +312,8 @@ def assemble_shadow(runtime, bus, ingest_conn, name="shadow"):
     """Monitor + analyze over an ingest link. No uplink object exists."""
     twin = DigitalTwin(runtime, bus, ModelKeeper(),
                        _ingest_driver(bus, ingest_conn, name))
-    # subscribe before the ingest task starts pumping
-    sub = bus.subscribe((TOPIC_DT_INGEST, TOPIC_DT_STATUS),
-                        name=f"{name}-engine")
-    runtime.spawn(lambda: engine_loop(runtime, twin, sub),
-                  name=f"{name}:engine")
+    # attach before the ingest task starts pumping
+    bus.attach((TOPIC_DT_INGEST, TOPIC_DT_STATUS), engine_step(runtime, twin))
     runtime.spawn(twin.ingest_driver.receive_loop, name=f"{name}:ingest")
     return twin
 
@@ -304,11 +330,8 @@ def assemble_twin(runtime, bus, ingest_conn, uplink_conn, thread_log=None,
                        uplink_driver=uplink_driver, gate=ExecuteGate(keeper),
                        twinning_period_ms=twinning_period_ms)
 
-    sub = bus.subscribe((TOPIC_DT_INGEST, TOPIC_DT_STATUS, TOPIC_DT_EXECUTE),
-                        name=f"{name}-engine")
-    runtime.spawn(lambda: engine_loop(runtime, twin, sub, uplink_driver.send,
-                                      thread_log),
-                  name=f"{name}:engine")
+    bus.attach((TOPIC_DT_INGEST, TOPIC_DT_STATUS, TOPIC_DT_EXECUTE),
+               engine_step(runtime, twin, uplink_driver.send, thread_log))
     runtime.spawn(twin.ingest_driver.receive_loop, name=f"{name}:ingest")
 
     def twinning_poll():

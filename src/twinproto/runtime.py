@@ -1,15 +1,21 @@
 """Task runtime with two clock modes.
 
 All concurrent pieces of the system (device serve loops, driver receive
-loops, the control owner, the twin's MAPE-K engine, scenario injectors) are
-written as plain blocking functions against this module's Runtime interface:
+loops, the twin's re-check poll, scenario injectors) are written as plain
+blocking functions against this module's Runtime interface:
 
     spawn(fn, name=...)   start a task
     channel(capacity=..)  bounded FIFO pipe between tasks
     sleep_ms(ms)          timed wait
     now_ns()              timestamp for records
 
-Sending is not a task: a driver's `send` runs on its caller's task.
+A task exists only where something waits on a link or a timer. Deciding and
+sending are not tasks: control and the MAPE-K engine are bus handlers that
+run on the emitting task, and a driver's `send` runs on its caller's task.
+Code that may run on several tasks and must exclude itself across a call
+that can park takes a `channel(1)` as a token, never a raw lock: under
+lockstep a thread blocked on a lock held by a parked task never parks
+itself, so no slice is ever granted again.
 
 Two implementations exist:
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from twinproto.bus import EventBus
@@ -48,17 +50,53 @@ def test_duplicate_items_are_distinct_deliveries():
     assert sub.drain() == ["same", "same"]
 
 
-def test_subscription_over_several_topics_tags_items_in_emit_order():
-    bus = EventBus(WallRuntime())
-    both = bus.subscribe(("a", "b"), name="both")
+@pytest.mark.parametrize("clock", ["wall", "lockstep"])
+def test_handler_runs_on_the_emitting_task_in_emit_order(clock):
+    rt = WallRuntime() if clock == "wall" else LockstepRuntime(seed=3)
+    bus = EventBus(rt)
+    seen, counts = [], []
+    bus.attach(("a", "b"), lambda topic, item: seen.append(
+        (topic, item, threading.get_ident())))
     only_a = bus.subscribe("a")
-    for i in range(6):
-        assert bus.emit("ab"[i % 2], i) == (2 if i % 2 == 0 else 1)
-    bus.emit("c", "elsewhere")
-    assert both.drain() == [("ab"[i % 2], i) for i in range(6)]
-    assert only_a.drain() == [0, 2, 4]  # a one-topic subscription stays bare
-    both.close()
-    assert bus.emit("a", 6) == 1 and bus.emit("b", 7) == 0
+
+    def emitter():
+        for i in range(6):
+            counts.append(bus.emit("ab"[i % 2], i))
+        bus.emit("c", "elsewhere")
+        counts.append(threading.get_ident())
+
+    rt.spawn(emitter, name="emitter")
+    assert rt.run(timeout=5.0) == []
+    assert rt.task_errors() == []
+    task_ident = counts.pop()
+    # one delivery per handler or queue reached
+    assert counts == [2, 1, 2, 1, 2, 1]
+    assert seen == [("ab"[i % 2], i, task_ident) for i in range(6)]
+    assert only_a.drain() == [0, 2, 4]
+
+
+def test_handler_exceptions_reach_the_emitter():
+    bus = EventBus(WallRuntime())
+
+    def handler(topic, item):
+        raise ValueError(item)
+
+    bus.attach("t", handler)
+    with pytest.raises(ValueError, match="boom"):
+        bus.emit("t", "boom")
+
+
+def test_emit_after_close_raises_with_a_handler_attached():
+    bus = EventBus(WallRuntime())
+    seen = []
+    bus.attach("t", lambda topic, item: seen.append(item))
+    assert bus.emit("t", 1) == 1
+    bus.close()
+    with pytest.raises(BusClosed):
+        bus.emit("t", 2)
+    with pytest.raises(BusClosed):
+        bus.attach("t", lambda topic, item: None)
+    assert seen == [1]
 
 
 def test_topic_isolation_complete_delivery_matrix():

@@ -70,7 +70,6 @@ def test_control_loops_preserve_per_path_order():
     ctl, cmds, rsps = make_control(bus)
     cmd_in = bus.producer(TOPIC_TX_INBOUND)
     rsp_in = bus.producer(TOPIC_SENSOR_RESPONSE)
-    ctl.start(rt)
 
     def feed():
         for v in range(1, 51):
@@ -86,18 +85,18 @@ def test_control_loops_preserve_per_path_order():
     assert cmds == [command(v) for v in range(1, 51)]
     assert rsps == [status(v % 3) for v in range(1, 51)]
     assert ctl.period == 50
-    # one queue for both topics: the log keeps the emit order across them
+    # control runs inline on the emitting task: the log keeps the emit
+    # order across both topics
     assert ctl.data_log == [
         entry for v in range(1, 51)
         for entry in (("cmd", command(v)), ("rsp", status(v % 3)))
     ]
 
 
-def test_owner_task_counts_a_stray_status_on_the_command_topic():
+def test_handler_counts_a_stray_status_on_the_command_topic():
     rt = WallRuntime()
     bus = EventBus(rt)
     ctl, cmds, rsps = make_control(bus)
-    ctl.start(rt)
 
     def feed():
         bus.emit(TOPIC_TX_INBOUND, status(1))       # stray: not a command
@@ -114,6 +113,34 @@ def test_owner_task_counts_a_stray_status_on_the_command_topic():
     assert cmds == [command(4)]
     assert rsps == [status(2)]
     assert ctl.data_log == [("cmd", command(4))]
+
+
+def test_control_on_two_emitting_tasks_keeps_each_path_whole():
+    # each driver's receive loop runs control inline; the two share its state
+    rt = WallRuntime()
+    bus = EventBus(rt)
+    ctl, cmds, rsps = make_control(bus)
+    done = []
+
+    def feed(topic, msgs):
+        for msg in msgs:
+            bus.emit(topic, msg)
+        done.append(topic)
+
+    commands = [command(v) for v in range(1, 2001)]
+    responses = [status(v % 3) for v in range(2000)]
+    rt.spawn(lambda: feed(TOPIC_TX_INBOUND, commands), name="tx")
+    rt.spawn(lambda: feed(TOPIC_SENSOR_RESPONSE, responses), name="sensor")
+    assert rt.run(timeout=10.0) == []
+    assert rt.task_errors() == []
+    assert len(done) == 2
+    assert cmds == commands and rsps == responses
+    assert ctl.period == 2000
+    # every command is logged (all periods positive), in order; responses
+    # are logged only once a command has set a positive period
+    assert [m for tag, m in ctl.data_log if tag == "cmd"] == commands
+    logged = [m for tag, m in ctl.data_log if tag == "rsp"]
+    assert logged == responses[len(responses) - len(logged):]
 
 
 MISSION = (50, 0, -1)
@@ -203,7 +230,7 @@ def test_backings_spawn_the_same_plant_tasks(monkeypatch):
     drive_plant(SensorBacking.EMULATED, recording=MISSION_RECORDING)
     assert sorted(spawned) == real == sorted([
         "sensor-driver:device", "sensor-driver:recv", "tx-driver:recv",
-        "ctl:owner", "operator",
+        "operator",
     ])
 
 

@@ -13,6 +13,7 @@ from twinproto import harness
 from twinproto.cli import BUNDLED_SUITE, main
 from twinproto.config import Expectations, RunConfig, parse_scenario
 from twinproto.errors import ConfigError
+from twinproto.mapek import ExecuteGate
 from twinproto.harness import (
     EXPECTATIONS,
     SessionResult,
@@ -164,6 +165,102 @@ def test_replay_safety_limit_is_a_fail_verdict(tmp_path):
     assert result.ok is False
     assert "safety limit" in result.failures[0]
     assert "replay:feeder=" in result.failures[0]
+    assert threads_settle_to(before)
+
+
+def kill_plant_child(monkeypatch, tmp_path):
+    """A wall isolated twin whose plant process is killed 0.4 s in."""
+    children = []
+    spawn_child = harness._spawn_plant_process
+    assemble = harness.assemble_twin
+
+    def spawn_and_keep(*args):
+        children.append(spawn_child(*args))
+        return children[-1]
+
+    def assemble_and_arm(rt, *args, **kwargs):
+        # the twin is assembled once the child has connected
+        def killer():
+            rt.sleep_ms(400)
+            children[0].kill()
+
+        rt.spawn(killer, name="killer")
+        return assemble(rt, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "_spawn_plant_process", spawn_and_keep)
+    monkeypatch.setattr(harness, "assemble_twin", assemble_and_arm)
+    periods = [(50, 0)[i % 2] for i in range(279)] + [-1]
+    steps = [{"at_ms": 5 * i, "do": "command", "value": v}
+             for i, v in enumerate(periods)]
+    return (scenario(clock="wall", duration_ms=2000, steps=steps),
+            RunConfig(isolate=True, run_timeout_s=10),
+            "plant process exit code -9")
+
+
+def cut_tunnel(monkeypatch, tmp_path):
+    """A wall emulated twin under a 2500-command burst; `bridge:drv` is
+    closed 5 ms in."""
+    start_plant = harness._start_plant
+
+    def start_and_cut(rt, *args):
+        plant = start_plant(rt, *args)
+
+        def cutter():
+            rt.sleep_ms(5)
+            plant.sensor_driver.conn.close()
+
+        rt.spawn(cutter, name="cutter")
+        return plant
+
+    monkeypatch.setattr(harness, "_start_plant", start_and_cut)
+    rec = tmp_path / "burst.rec"
+    rec.write_text("".join(f"seq={n} ts={n} dir=PT2DT kind=STA hex=2000\n"
+                           for n in range(1, 2502)))
+    steps = [{"at_ms": 0, "do": "command", "value": 0}] * 2500
+    return (scenario(clock="wall", duration_ms=5000, steps=steps,
+                     recording="burst.rec", path=tmp_path / "case.json",
+                     expect={"min_statuses": 2501, "uplink_frames": 2500}),
+            RunConfig(run_timeout_s=10), "bridge:drv")
+
+
+def close_uplink_in_commit(monkeypatch, tmp_path):
+    """A lockstep twin whose uplink closes inside the gate's commit."""
+    twins = []
+    assemble = harness.assemble_twin
+    enforce = ExecuteGate.enforce
+
+    def assemble_and_keep(*args, **kwargs):
+        twins.append(assemble(*args, **kwargs))
+        return twins[-1]
+
+    def enforce_then_close(self, plan, observed=None):
+        cmd = enforce(self, plan, observed)
+        twins[0].uplink_driver.conn.close()
+        return cmd
+
+    monkeypatch.setattr(harness, "assemble_twin", assemble_and_keep)
+    monkeypatch.setattr(ExecuteGate, "enforce", enforce_then_close)
+    return (scenario(steps=[{"at_ms": 10, "do": "inject", "value": 50}],
+                     expect={"converged": True}),
+            RunConfig(run_timeout_s=10), "link:peer-down")
+
+
+@pytest.mark.parametrize("inject", [kill_plant_child, cut_tunnel,
+                                    close_uplink_in_commit],
+                         ids=["plant-killed", "tunnel-cut", "uplink-closed"])
+def test_a_broken_link_fails_the_run_promptly_and_leaks_no_threads(
+        monkeypatch, tmp_path, inject):
+    before = threading.active_count()
+    sc, cfg, named = inject(monkeypatch, tmp_path)
+    result = run_scenario(sc, cfg)
+    assert result.ok is False
+    assert any(named in f for f in result.failures), result.failures
+    # a broken link is no straggler, no crash and no hole in the record
+    assert not [f for f in result.failures
+                if any(bad in f for bad in ("never finished", "crashed",
+                                            "record incomplete"))], \
+        result.failures
+    assert result.elapsed_s < cfg.run_timeout_s / 2
     assert threads_settle_to(before)
 
 

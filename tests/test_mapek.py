@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -158,10 +159,10 @@ def test_deployment_task_sets():
     _, ingest = connect_pair(rt, "up:pt", "up:dt", Protocol.TCP)
     uplink, _ = connect_pair(rt, "down:dt", "down:pt", Protocol.TCP)
     assemble_twin(rt, EventBus(rt), ingest, uplink)
-    assert sorted(rt.names) == ["twin:engine", "twin:ingest", "twin:poll"]
+    assert sorted(rt.names) == ["twin:ingest", "twin:poll"]
     rt.names.clear()
     assemble_shadow(rt, EventBus(rt), ingest)
-    assert sorted(rt.names) == ["shadow:engine", "shadow:ingest"]
+    assert rt.names == ["shadow:ingest"]
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +357,12 @@ def test_twin_lockstep_injection_converges_fast():
     assert log.frame_counts()[ThreadDirection.DT2PT] == 1
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("seed", [1, 2, 3, "wall"])
 def test_operator_command_and_correction_share_the_uplink(seed):
-    # the engine task is the uplink's one writer: an operator command and an
-    # inject's corrections leave in one order, and the plant reads that order
-    rt = LockstepRuntime(seed=seed)
+    # the engine's uplink token makes one writer at a time: an operator
+    # command and an inject's corrections leave in one order, the thread
+    # records that order, and the plant reads it (on either clock)
+    rt = WallRuntime() if seed == "wall" else LockstepRuntime(seed=seed)
     log, delivered = ThreadLog(), ThreadLog()
     up_plant, up_dt = connect_pair(rt, "up:pt", "up:dt", Protocol.TCP)
     down_dt, down_plant = connect_pair(rt, "down:dt", "down:pt", Protocol.TCP)
@@ -368,7 +370,10 @@ def test_operator_command_and_correction_share_the_uplink(seed):
         rt, EventBus(rt),
         TappedEndpoint(up_dt, log, rt, read_dir=ThreadDirection.PT2DT),
         TappedEndpoint(down_dt, log, rt, write_dir=ThreadDirection.DT2PT),
-        thread_log=log)
+        thread_log=log,
+        # on the wall clock, re-check every tick so the poll's retries race
+        # the operator's task for the uplink
+        twinning_period_ms=1 if seed == "wall" else 40)
     plant = assemble_plant(
         rt, EventBus(rt), SensorBacking.REAL, outbound=up_plant,
         inbound=TappedEndpoint(down_plant, delivered, rt,
@@ -383,7 +388,7 @@ def test_operator_command_and_correction_share_the_uplink(seed):
         assert await_cond(
             rt, lambda: twin.converged and plant.sensor.state is State.ACTIVE
             and delivered.frame_counts()[ThreadDirection.DT2PT]
-            == sent.relayed_out, step_ms=1, tries=400)
+            == sent.relayed_out, step_ms=1, tries=4000)
         plant.stop()
         rt.shutdown()
 
@@ -397,3 +402,51 @@ def test_operator_command_and_correction_share_the_uplink(seed):
     assert uplinked[0] == encode_message(command(0))
     assert encode_message(command(50)) in uplinked[1:]
     assert twin.plan_stats.planned == twin.gate.committed >= 1
+
+
+def test_concurrent_uplink_writers_keep_the_thread_in_wire_order():
+    # two operator tasks and the ingest loop all run the engine step on the
+    # wall clock; the uplink token keeps each tapped write whole, so the
+    # thread's DT2PT order is the order the plant reads
+    rt = WallRuntime()
+    log, delivered = ThreadLog(), ThreadLog()
+    up_plant, up_dt = connect_pair(rt, "up:pt", "up:dt", Protocol.TCP)
+    down_dt, down_plant = connect_pair(rt, "down:dt", "down:pt", Protocol.TCP)
+    twin = assemble_twin(
+        rt, EventBus(rt),
+        TappedEndpoint(up_dt, log, rt, read_dir=ThreadDirection.PT2DT),
+        TappedEndpoint(down_dt, log, rt, write_dir=ThreadDirection.DT2PT),
+        thread_log=log)
+    plant = assemble_plant(
+        rt, EventBus(rt), SensorBacking.REAL, outbound=up_plant,
+        inbound=TappedEndpoint(down_plant, delivered, rt,
+                               read_dir=ThreadDirection.DT2PT))
+    n, done = 1500, []
+
+    def writer(base):
+        for i in range(n):
+            twin.send_command(command(base + i))
+        done.append(base)
+
+    def stopper():
+        assert await_cond(
+            rt, lambda: len(done) == 2
+            and delivered.frame_counts()[ThreadDirection.DT2PT] == 2 * n,
+            step_ms=1, tries=20000)
+        plant.stop()
+        rt.shutdown()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often: make races likely
+    try:
+        rt.spawn(lambda: writer(1), name="writer-1")
+        rt.spawn(lambda: writer(10_000), name="writer-2")
+        rt.spawn(stopper, name="stopper")
+        assert rt.run(timeout=30.0) == []
+    finally:
+        sys.setswitchinterval(interval)
+    assert rt.task_errors() == []
+    uplinked = [r.payload for r in log.records
+                if r.direction is ThreadDirection.DT2PT and r.is_frame]
+    assert twin.uplink_driver.stats.relayed_out == 2 * n
+    assert uplinked == [r.payload for r in delivered.records]

@@ -171,7 +171,7 @@ def test_lockstep_bundled_suite_slices_are_pinned(monkeypatch):
     results = harness.run_suite(SUITE, force_lockstep=True)
     assert all(r.ok for r in results), [r.failures for r in results]
     assert len(runtimes) == len(results)
-    assert sum(rt.slices for rt in runtimes) == 279
+    assert sum(rt.slices for rt in runtimes) == 166
 
 
 def test_lockstep_seeds_change_interleaving_not_content():
