@@ -69,6 +69,8 @@ class Scenario:
 @dataclass
 class RunConfig:
     twinning_period_ms: int = 40
+    # frames each direction of an in-process link holds: the plant's uplink
+    # and downlink and its sensor link (in a child process under isolate)
     queue_capacity: int = 4096
     run_timeout_s: float = 30.0
     thread_file: str | None = None

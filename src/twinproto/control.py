@@ -44,7 +44,12 @@ from .devices import (
 )
 from .errors import RecordingMissing
 from .messages import OP_COMMAND, OP_MEASUREMENT, OP_STATUS, MessageKind
-from .transport import Protocol, connect_pair, open_virtual_serial_pair
+from .transport import (
+    BRIDGE_WINDOW,
+    Protocol,
+    connect_pair,
+    open_virtual_serial_pair,
+)
 
 
 class ControlLogic:
@@ -75,10 +80,9 @@ class ControlLogic:
             return
         with self._lock:
             self.period = msg.value
-        self._send_command(msg)
-        if msg.value > 0:
-            with self._lock:
+            if msg.value > 0:  # logged before the send: relay order is causal
                 self.data_log.append(("cmd", msg))
+        self._send_command(msg)
 
     def handle_sensor_response(self, msg):
         """Forward verbatim; log under the current period."""
@@ -128,24 +132,26 @@ class PlantAssembly:
 
 def assemble_plant(runtime, bus, backing, recording=None,
                    outbound=None, inbound=None,
-                   measurement_script=None):
+                   measurement_script=None, link_capacity=BRIDGE_WINDOW):
     """Build and start a plant assembly.
 
     backing REAL: software sensor on a virtual serial pair.
     backing EMULATED: recording-fed emulator on the `bridge:` serial pair;
     `recording` (the recorded Messages, played once) is mandatory.
     `outbound`/`inbound` are the transmitter's external link endpoints (either
-    may be None); the tx driver reads and writes them directly. The driver and
-    control wiring is byte-identical in both cases.
+    may be None); the tx driver reads and writes them directly. The sensor
+    link holds `link_capacity` frames per direction. The driver and control
+    wiring is byte-identical in both cases.
     """
     if backing is SensorBacking.REAL:
-        dev_end, drv_end = open_virtual_serial_pair(runtime)
+        dev_end, drv_end = open_virtual_serial_pair(runtime,
+                                                    capacity=link_capacity)
         sensor = SensorDevice()
     else:
         if not recording:
             raise RecordingMissing("prototype assembly needs a recording")
         dev_end, drv_end = connect_pair(runtime, "bridge:dev", "bridge:drv",
-                                        Protocol.RS232)
+                                        Protocol.RS232, link_capacity)
         sensor = EmulatorDevice(EmulatorContext(recording))
 
     sensor_driver = DeviceDriver(

@@ -207,7 +207,8 @@ def _wire(rt, scenario: Scenario, cfg: RunConfig) -> _Wiring:
         up_listener = TcpListener("127.0.0.1", 0)
         down_listener = TcpListener("127.0.0.1", 0)
         child = _spawn_plant_process(scenario, up_listener.address[1],
-                                     down_listener.address[1])
+                                     down_listener.address[1],
+                                     cfg.queue_capacity)
         try:
             recording = _load_recording(recording_path)
             up_peer = up_listener.accept(name="link:peer-up", timeout=15.0)
@@ -225,15 +226,16 @@ def _wire(rt, scenario: Scenario, cfg: RunConfig) -> _Wiring:
     else:
         recording = _load_recording(recording_path)
         up_plant, up_peer = connect_pair(rt, "link:pt-up", "link:peer-up",
-                                         Protocol.TCP)
+                                         Protocol.TCP, cfg.queue_capacity)
         down_peer, down_plant = connect_pair(rt, "link:peer-down",
-                                             "link:pt-down", Protocol.TCP)
+                                             "link:pt-down", Protocol.TCP,
+                                             cfg.queue_capacity)
     wiring = _Wiring(up_peer, down_peer, recording_path,
                      len(recording) if recording else 0, child=child)
 
     if scenario.mode in ("shadow", "twin"):
         wiring.log = ThreadLog(path=cfg.thread_file)
-        dt_bus = EventBus(rt, cfg.queue_capacity)
+        dt_bus = EventBus(rt)
         ingest = TappedEndpoint(up_peer, wiring.log, rt,
                                 read_dir=ThreadDirection.PT2DT)
         if scenario.mode == "twin":
@@ -247,8 +249,8 @@ def _wire(rt, scenario: Scenario, cfg: RunConfig) -> _Wiring:
 
     if not cfg.isolate:
         wiring.plant = _start_plant(
-            rt, EventBus(rt, cfg.queue_capacity), recording,
-            up_plant, down_plant, scenario.measurements or None)
+            rt, EventBus(rt), recording, up_plant, down_plant,
+            scenario.measurements or None, cfg.queue_capacity)
     return wiring
 
 
@@ -280,12 +282,14 @@ def _load_recording(path):
     return recording
 
 
-def _start_plant(rt, bus, recording, outbound, inbound, script):
+def _start_plant(rt, bus, recording, outbound, inbound, script,
+                 link_capacity):
     """The plant on its emulator if given recordings, else real."""
     backing = SensorBacking.EMULATED if recording else SensorBacking.REAL
     return assemble_plant(rt, bus, backing, recording=recording,
                           outbound=outbound, inbound=inbound,
-                          measurement_script=script)
+                          measurement_script=script,
+                          link_capacity=link_capacity)
 
 
 def _drive(rt, scenario: Scenario, cfg: RunConfig, wiring: _Wiring,
@@ -483,7 +487,8 @@ _CHILD_CODE = ("import sys\n"
                "sys.exit(plant_process_main(sys.argv[1]))\n")
 
 
-def _spawn_plant_process(scenario: Scenario, up_port: int, down_port: int):
+def _spawn_plant_process(scenario: Scenario, up_port: int, down_port: int,
+                         link_capacity: int):
     opts = {
         "seed": scenario.seed,
         "duration_ms": scenario.duration_ms,
@@ -491,6 +496,7 @@ def _spawn_plant_process(scenario: Scenario, up_port: int, down_port: int):
         "down_port": down_port,
         "measurements": [list(p) for p in scenario.measurements],
         "recording": _recording_path(scenario),
+        "link_capacity": link_capacity,
     }
     return subprocess.Popen([sys.executable, "-c", _CHILD_CODE,
                              json.dumps(opts)])
@@ -511,7 +517,7 @@ def plant_process_main(raw: str) -> int:
     down = tcp_connect("127.0.0.1", opts["down_port"], name="plant:down")
     script = [tuple(p) for p in opts.get("measurements", [])] or None
     plant = _start_plant(rt, bus, _load_recording(opts.get("recording")),
-                         up, down, script)
+                         up, down, script, opts["link_capacity"])
 
     def deadline():
         rt.sleep_ms(opts["duration_ms"] + 2000)

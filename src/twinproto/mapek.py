@@ -23,10 +23,13 @@ With no queue in front of control or the engine, the cross-direction cycle
 (token holder -> downlink -> control on `tx-driver:recv` -> sensor command
 link -> device -> response link -> control on `sensor-driver:recv` ->
 outbound link -> ingest loop waiting for the token) buffers only its four
-links: 4 x 1024 = 4096 frames at default capacities. A burst of 3000
-commands puts at most about 3001 frames in it (every command or its
-response, plus the boot status; scripted measurements add to that), so the
-four links are never all full at once and the cycle cannot deadlock.
+links, each sized by the run config's `queue_capacity`: 4 x 4096 = 16384
+frames at the default. It deadlocks only if that many frames are in flight
+at once (commands or their responses, the boot status, scripted
+measurements); a burst of 3000 commands puts about 3001 in it. A longer
+burst needs a larger `queue_capacity`. Past the bound the run fails naming
+the stuck tasks: at once under lockstep, at `run_timeout_s` on the wall
+clock.
 
 Two deployment shapes share this code. A shadow runs monitor and analyze
 only and holds NO uplink connection object: nothing in the process is

@@ -127,6 +127,10 @@ class _WallChannel:
         return self._closed
 
 
+# most real seconds a run stopped at its timeout waits for tasks to unwind
+UNWIND_S = 2.0
+
+
 class WallRuntime:
     mode = ClockMode.WALL
 
@@ -188,7 +192,12 @@ class WallRuntime:
             ch.close()
 
     def run(self, timeout=30.0):
-        """Wait for every spawned task to finish; returns straggler names."""
+        """Wait for every spawned task to finish; returns straggler names.
+
+        Stragglers are named as the timeout found them, then the runtime is
+        shut down and they get a grace period to unwind, so a task parked on
+        a full or empty channel does not outlive the run.
+        """
         deadline = time.monotonic() + timeout
         stragglers = []
         with self._lock:
@@ -198,6 +207,11 @@ class WallRuntime:
             thread.join(max(remaining, 0.01))
             if thread.is_alive():
                 stragglers.append(handle.name)
+        if stragglers:
+            self.shutdown()
+            deadline = time.monotonic() + UNWIND_S
+            for _, thread in pairs:
+                thread.join(max(deadline - time.monotonic(), 0.01))
         return stragglers
 
     def task_errors(self):
@@ -281,7 +295,6 @@ class _LockChannel:
 
 class LockstepRuntime:
     mode = ClockMode.LOCKSTEP
-    UNWIND_S = 2.0  # most real seconds a halted run waits for tasks to unwind
 
     def __init__(self, seed=0):
         self.seed = seed
@@ -450,7 +463,7 @@ class LockstepRuntime:
                 self._baton_free = False
                 self._step()
             self._idle.wait_for(lambda: self._baton_free,
-                                min(timeout, self.UNWIND_S))
+                                min(timeout, UNWIND_S))
         raise KernelHalted(why)
 
     def task_errors(self):

@@ -14,9 +14,9 @@ Two endpoint flavors share the same read_frame/write_frame surface:
   runtime channels, carrying the actual wire bytes so the framing is real.
   The serial-to-TCP-to-serial tunnel that lets the same driver code talk to
   an emulated device is one such pair, `bridge:dev` <-> `bridge:drv`, holding
-  up to BRIDGE_WINDOW frames per direction. Frames pass through unchanged in
-  both directions; killing the tunnel is closing either end, which fails
-  pending reads on both;
+  up to BRIDGE_WINDOW frames per direction unless its builder sizes it.
+  Frames pass through unchanged in both directions; killing the tunnel is
+  closing either end, which fails pending reads on both;
 * `SocketEndpoint` over a TCP socket, used when assemblies run as separate
   processes.
 
@@ -126,9 +126,10 @@ def connect_pair(runtime, name_a, name_b, protocol, capacity=BRIDGE_WINDOW):
     return a, b
 
 
-def open_virtual_serial_pair(runtime, name_a="ptyA", name_b="ptyB"):
+def open_virtual_serial_pair(runtime, name_a="ptyA", name_b="ptyB",
+                             capacity=BRIDGE_WINDOW):
     """In-process stand-in for a null-modem serial cable."""
-    return connect_pair(runtime, name_a, name_b, Protocol.RS232)
+    return connect_pair(runtime, name_a, name_b, Protocol.RS232, capacity)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,17 @@ def test_command_sets_period_then_forwards_and_logs():
     assert ctl.data_log == [("cmd", command(50))]
 
 
+def test_command_is_logged_before_it_is_forwarded():
+    # the response to a command is logged on another task once the command
+    # is sent, so the command's entry must already be there
+    log_at_send = []
+    ctl = ControlLogic(EventBus(WallRuntime()),
+                       lambda msg: log_at_send.append(list(ctl.data_log)),
+                       lambda msg: None)
+    ctl.handle_transmitter_command(command(50))
+    assert log_at_send == [[("cmd", command(50))]]
+
+
 def test_zero_and_negative_commands_forward_but_skip_log():
     ctl, sent_cmds, _ = make_control()
     ctl.handle_transmitter_command(command(0))

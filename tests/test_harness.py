@@ -264,6 +264,45 @@ def test_a_broken_link_fails_the_run_promptly_and_leaks_no_threads(
     assert threads_settle_to(before)
 
 
+@pytest.mark.parametrize("clock", ["wall", "lockstep"])
+def test_a_twin_burst_past_the_old_cycle_bound_completes(tmp_path, clock):
+    # 5000 commands at once, beyond the 4096 frames that four links of 1024
+    # buffer: the run config's queue_capacity sizes the cycle's links
+    rec = tmp_path / "burst.rec"
+    rec.write_text("".join(f"seq={n} ts={n} dir=PT2DT kind=STA hex=2000\n"
+                           for n in range(1, 5002)))
+    steps = [{"at_ms": 0, "do": "command", "value": 0}] * 5000
+    sc = scenario(clock=clock, duration_ms=20000, steps=steps,
+                  recording="burst.rec", path=tmp_path / "case.json",
+                  expect={"min_statuses": 5001, "uplink_frames": 5000})
+    result = run_scenario(sc, RunConfig(run_timeout_s=20))
+    assert result.ok, result.failures
+    assert result.elapsed_s < 10
+
+
+@pytest.mark.parametrize("clock, timeout_s, reason", [
+    ("wall", 1, "tasks never finished"),
+    ("lockstep", 10, "lockstep deadlock"),
+])
+def test_a_twin_burst_past_the_cycle_bound_fails_and_leaks_no_threads(
+        tmp_path, clock, timeout_s, reason):
+    # four links of 64 frames hold 256: a 500-command burst fills the cycle
+    rec = tmp_path / "burst.rec"
+    rec.write_text("".join(f"seq={n} ts={n} dir=PT2DT kind=STA hex=2000\n"
+                           for n in range(1, 502)))
+    before = threading.active_count()
+    sc = scenario(clock=clock, duration_ms=20000,
+                  steps=[{"at_ms": 0, "do": "command", "value": 0}] * 500,
+                  recording="burst.rec", path=tmp_path / "case.json",
+                  expect={"uplink_frames": 500})
+    result = run_scenario(sc, RunConfig(queue_capacity=64,
+                                        run_timeout_s=timeout_s))
+    assert result.ok is False
+    assert reason in result.failures[0]
+    assert "op:script" in result.failures[0]
+    assert threading.active_count() == before
+
+
 @pytest.mark.parametrize("content, reason", [
     pytest.param(None, "unusable", id="missing"),
     pytest.param(b"\xff\xfe not text\n", "unusable", id="not-utf8"),

@@ -82,6 +82,17 @@ def test_wall_sleep_interrupted_by_shutdown():
     assert rt.task_errors() == []
 
 
+def test_wall_run_names_stragglers_then_unwinds_them():
+    rt = WallRuntime()
+    ch = rt.channel()
+    rt.spawn(ch.get, name="waiter")  # nothing is ever put
+    before = time.monotonic()
+    assert rt.run(timeout=0.1) == ["waiter"]
+    assert time.monotonic() - before < 1.0
+    assert "waiter" not in [t.name for t in threading.enumerate()]
+    assert rt.task_errors() == []
+
+
 # -- lockstep kernel ----------------------------------------------------------
 
 def run_bounded(rt, timeout):
