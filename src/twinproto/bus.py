@@ -17,6 +17,12 @@ legal: emitting into the void). There is no history: subscribing or
 attaching after an emit yields nothing. After `close`, emit and subscribe
 raise BusClosed.
 
+The registry is copy-on-write: each topic maps to a tuple of targets that
+`attach`, `subscribe` and unsubscribing replace, under a lock, with a new
+tuple. Emit takes no lock and copies nothing; it loops over the tuple it
+read, so a target added or removed during an emit is not seen by that emit
+(a queue detached mid-emit counts 0).
+
 Buses are strictly per-process; anything crossing a process boundary goes
 through the transport module instead.
 """
@@ -91,9 +97,11 @@ class EventBus:
     def __init__(self, runtime, queue_capacity=BUS_QUEUE_CAPACITY):
         self._rt = runtime
         self._capacity = queue_capacity
-        self._targets = {}  # topic -> list of deliver(topic, item) -> count
+        # topic -> tuple of deliver(topic, item) -> count; a tuple is never
+        # changed in place, only replaced under the lock
+        self._targets = {}
         self._subs = []     # queues to close with the bus
-        self._lock = threading.Lock()
+        self._lock = threading.Lock()  # serializes writers of the registry
         self._closed = False
 
     def _register(self, topics, deliver, sub=None):
@@ -101,7 +109,7 @@ class EventBus:
             if self._closed:
                 raise BusClosed("subscribe after close")
             for t in topics:
-                self._targets.setdefault(t, []).append(deliver)
+                self._targets[t] = self._targets.get(t, ()) + (deliver,)
             if sub is not None:
                 self._subs.append(sub)
 
@@ -125,19 +133,21 @@ class EventBus:
         return Producer(self, topic)
 
     def emit(self, topic, item) -> int:
-        # snapshot under the lock, deliver outside it: a full queue or a
-        # blocking handler must hold up only the emitter, never the registry
-        with self._lock:
-            if self._closed:
-                raise BusClosed("emit after close")
-            targets = list(self._targets.get(topic, ()))
-        return sum(deliver(topic, item) for deliver in targets)
+        # no lock: the tuple read here is never mutated, so a full queue or a
+        # blocking handler holds up only the emitter, never the registry
+        if self._closed:
+            raise BusClosed("emit after close")
+        delivered = 0
+        for deliver in self._targets.get(topic, ()):
+            delivered += deliver(topic, item)
+        return delivered
 
     def _unsubscribe(self, sub):
         with self._lock:
-            targets = self._targets.get(sub.topic, [])
+            targets = list(self._targets.get(sub.topic, ()))
             if sub._deliver in targets:
                 targets.remove(sub._deliver)
+                self._targets[sub.topic] = tuple(targets)
             if sub in self._subs:
                 self._subs.remove(sub)
 

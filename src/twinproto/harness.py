@@ -262,6 +262,13 @@ def _recording_path(scenario: Scenario):
     return None
 
 
+def _where(exc):
+    """' at seq/line N' for an error that carries a CorruptRecord's seq (or
+    line number), else ''."""
+    seq = getattr(exc, "seq", None)
+    return "" if seq is None else f" at seq/line {seq}"
+
+
 def _load_recording(path):
     """The emulator's recordings at `path`, or None for a real plant.
 
@@ -273,10 +280,8 @@ def _load_recording(path):
     try:
         recording = load_recordings(path)
     except (OSError, UnicodeDecodeError, ThreadLogError) as exc:
-        seq = getattr(exc, "seq", None)  # CorruptRecord's seq or line number
-        where = "" if seq is None else f" at seq/line {seq}"
-        raise RecordingMissing(f"recording {path} unusable{where}: {exc}") \
-            from None
+        raise RecordingMissing(f"recording {path} unusable{_where(exc)}: "
+                               f"{exc}") from None
     if not recording:
         raise RecordingMissing(f"recording {path} holds no frames")
     return recording
@@ -603,7 +608,8 @@ def replay_thread(path, clock: ClockMode = ClockMode.LOCKSTEP, seed: int = 0,
     except OSError as exc:
         raise ConfigError(f"cannot read record file: {exc}") from None
     except ThreadLogError as exc:
-        raise ConfigError(f"record file rejected: {exc}") from None
+        raise ConfigError(f"record file rejected{_where(exc)}: {exc}") \
+            from None
     frames = [r for r in records
               if r.direction is ThreadDirection.PT2DT and r.is_frame]
     if paced is None:

@@ -11,13 +11,18 @@ Payloads are byte strings; viewed as bit sequences they are MSB-first, so the
 three layouts are 24, 40 and 16 bits long. Encoding is injective and decode is
 its exact inverse, which the tests pin down exhaustively for STATUS and by
 sampling for the integer kinds.
+
+Each layout is one `struct.Struct` compiled at import, used by both
+directions. A Message is a named tuple: immutable, hashable and compared by
+value. Decoding a STATUS payload returns one of three shared instances, so
+the most common frame builds nothing.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import TruncatedPayload, UnknownOpcode, ValueOutOfRange
 
@@ -40,31 +45,26 @@ class MessageKind(Enum):
         return self.value
 
 
-# struct formats per kind; opcode byte is packed alongside the value
-_LAYOUT = {
-    MessageKind.COMMAND: ">Bh",
-    MessageKind.MEASUREMENT: ">Bi",
-    MessageKind.STATUS: ">BB",
-}
+class _Layout(NamedTuple):
+    kind: MessageKind
+    codec: struct.Struct  # opcode byte and value, big-endian
+    lo: int
+    hi: int
 
-_RANGE = {
-    MessageKind.COMMAND: (COMMAND_MIN, COMMAND_MAX),
-    MessageKind.MEASUREMENT: (MEASUREMENT_MIN, MEASUREMENT_MAX),
-    MessageKind.STATUS: (0, 2),
-}
 
-_OPCODE_TO_KIND = {k.opcode: k for k in MessageKind}
-
-# encoded payload length per opcode, opcode byte included
-ENCODED_LENGTH = {
-    OP_COMMAND: 3,
-    OP_MEASUREMENT: 5,
-    OP_STATUS: 2,
+# opcode -> its layout; the codec's size is the encoded length, opcode
+# byte included
+_LAYOUTS = {
+    OP_COMMAND: _Layout(MessageKind.COMMAND, struct.Struct(">Bh"),
+                        COMMAND_MIN, COMMAND_MAX),
+    OP_MEASUREMENT: _Layout(MessageKind.MEASUREMENT, struct.Struct(">Bi"),
+                            MEASUREMENT_MIN, MEASUREMENT_MAX),
+    OP_STATUS: _Layout(MessageKind.STATUS, struct.Struct(">BB"),
+                       STATUS_CODES[0], STATUS_CODES[-1]),
 }
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """One decoded message: a kind plus its signed integer value."""
 
     kind: MessageKind
@@ -72,6 +72,12 @@ class Message:
 
     def __str__(self):
         return f"{self.kind.name}({self.value})"
+
+
+# Message(kind, value) without the Python-level __new__ of a named tuple
+_new_message = tuple.__new__
+_STATUS = MessageKind.STATUS  # a global reads faster than an Enum member
+_STATUSES = tuple(Message(_STATUS, code) for code in STATUS_CODES)
 
 
 def command(period_ms: int) -> Message:
@@ -89,12 +95,14 @@ def status(code: int) -> Message:
 
 def encode_message(msg: Message) -> bytes:
     """Encode to wire payload. Raises ValueOutOfRange if the value does not fit."""
-    lo, hi = _RANGE[msg.kind]
-    if not lo <= msg.value <= hi:
+    kind, value = msg
+    opcode = kind._value_  # a plain attribute; `.value` is a Python property
+    layout = _LAYOUTS[opcode]
+    if not layout.lo <= value <= layout.hi:
         raise ValueOutOfRange(
-            f"{msg.kind.name} value {msg.value} outside [{lo}, {hi}]"
+            f"{kind.name} value {value} outside [{layout.lo}, {layout.hi}]"
         )
-    return struct.pack(_LAYOUT[msg.kind], msg.kind.opcode, msg.value)
+    return layout.codec.pack(opcode, value)
 
 
 def decode_message(payload: bytes) -> Message:
@@ -102,21 +110,21 @@ def decode_message(payload: bytes) -> Message:
 
     Raises UnknownOpcode for an unrecognized first byte, TruncatedPayload when
     the length does not match the opcode's layout, and ValueOutOfRange for a
-    STATUS byte outside the three defined codes.
+    STATUS byte outside the three defined codes. A STATUS decodes to one of
+    the shared instances in `_STATUSES`.
     """
-    if len(payload) == 0:
-        raise TruncatedPayload("empty payload")
-    opcode = payload[0]
-    kind = _OPCODE_TO_KIND.get(opcode)
-    if kind is None:
-        raise UnknownOpcode(f"opcode 0x{opcode:02x}")
-    want = ENCODED_LENGTH[opcode]
-    if len(payload) != want:
-        raise TruncatedPayload(
-            f"{kind.name} payload is {len(payload)} bytes, expected {want}"
-        )
-    _, value = struct.unpack(_LAYOUT[kind], payload)
-    if kind is MessageKind.STATUS and value not in STATUS_CODES:
-        raise ValueOutOfRange(f"STATUS code {value} not in {STATUS_CODES}")
-    return Message(kind, value)
-
+    try:
+        kind, codec, _, _ = _LAYOUTS[payload[0]]
+        value = codec.unpack(payload)[1]  # the codec checks the length
+    except IndexError:
+        raise TruncatedPayload("empty payload") from None
+    except KeyError:
+        raise UnknownOpcode(f"opcode 0x{payload[0]:02x}") from None
+    except struct.error:
+        raise TruncatedPayload(f"{kind.name} payload is {len(payload)} "
+                               f"bytes, expected {codec.size}") from None
+    if kind is _STATUS:
+        if value >= len(_STATUSES):
+            raise ValueOutOfRange(f"STATUS code {value} not in {STATUS_CODES}")
+        return _STATUSES[value]
+    return _new_message(Message, (kind, value))

@@ -13,6 +13,15 @@ to decode (payload preserved verbatim), NOTE is an annotation such as a gate
 rejection (text is utf-8, hex-encoded). NOTE records are not frames and are
 excluded from frame counts.
 
+A reader accepts a line only when it is exactly those five fields, separated by
+single spaces, in that order. One compiled pattern splits a line into the five
+values; `int` and `bytes.fromhex` then check seq, ts and hex (so hex may be in
+either case, and the writer writes lowercase), and one table keyed by the
+(dir, kind) strings checks the pair. A line that breaks any rule raises
+CorruptRecord carrying its seq, or its line number when the seq does not
+parse; that includes a direction/kind clash such as `dir=DT2PT kind=STA`.
+Records are named tuples: immutable, hashable and compared by value.
+
 A ThreadLog has exactly one writer; taps on both directions funnel into it and
 appends are serialized. It keeps a running frame count per direction, so
 reading the counts costs the same however long the record is.
@@ -20,9 +29,10 @@ reading the counts costs the same however long the record is.
 
 from __future__ import annotations
 
+import re
 import threading
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import CodecError, CorruptRecord, DirectionKindMismatch
 from .messages import Message, MessageKind, decode_message, encode_message
@@ -45,15 +55,23 @@ TAG_KIND = {v: k for k, v in KIND_TAG.items()}
 FRAME_KINDS = ("CMD", "MEA", "STA", "RAW")
 ALL_KINDS = FRAME_KINDS + ("NOTE",)
 
-# which decoded message kinds may travel in which direction
-DIRECTION_KINDS = {
-    ThreadDirection.PT2DT: ("MEA", "STA"),
-    ThreadDirection.DT2PT: ("CMD",),
+# (dir, kind) as a line spells them -> (direction, the MessageKind the payload
+# must decode as, or None for RAW and NOTE). PT2DT carries measurements and
+# statuses, DT2PT carries commands; a pair missing here is a clash.
+_SLOTS = {
+    (direction.value, tag): (direction, TAG_KIND.get(tag))
+    for direction, tags in ((ThreadDirection.PT2DT, ("MEA", "STA")),
+                            (ThreadDirection.DT2PT, ("CMD",)))
+    for tag in tags + ("RAW", "NOTE")
 }
 
+# five fields, each value up to the next space; a value never gives back
+# characters (`*+`), since the space that follows it is the only way on
+_LINE = re.compile(r"seq=([^ ]*+) ts=([^ ]*+) dir=([^ ]*+) kind=([^ ]*+) "
+                   r"hex=([^ ]*+)")
 
-@dataclass(frozen=True)
-class ThreadRecord:
+
+class ThreadRecord(NamedTuple):
     seq: int
     ts: int
     direction: ThreadDirection
@@ -77,50 +95,51 @@ class ThreadRecord:
         )
 
 
-def _check_direction(direction, kind_tag):
-    if kind_tag in ("RAW", "NOTE"):
-        return
-    if kind_tag not in DIRECTION_KINDS[direction]:
-        raise DirectionKindMismatch(
-            f"{direction.value} record cannot carry {kind_tag}"
-        )
+# ThreadRecord(...) without the Python-level __new__ of a named tuple
+_new_record = tuple.__new__
+
+
+def _bad_pair(dir_text, kind):
+    """Why a (dir, kind) pair missing from _SLOTS is not a record."""
+    if dir_text not in ("PT2DT", "DT2PT"):
+        return f"unknown direction {dir_text!r}"
+    if kind not in ALL_KINDS:
+        return f"unknown kind {kind!r}"
+    return f"{dir_text} record cannot carry {kind}"
 
 
 def _parse_line(line, lineno=None):
-    """(record, its decoded Message or None for RAW/NOTE) for one line."""
-    text = line.rstrip("\n")
-    parts = text.split(" ")
-    seq_guess = lineno
+    """(record, its decoded Message or None for RAW/NOTE) for one line.
+
+    The match runs over the whole line: a trailing newline lands in the hex
+    field, which `bytes.fromhex` skips as whitespace.
+    """
+    seq = lineno
     try:
-        if len(parts) != 5:
-            raise ValueError(f"expected 5 fields, got {len(parts)}")
-        fields = {}
-        for part, want in zip(parts, ("seq", "ts", "dir", "kind", "hex")):
-            key, _, value = part.partition("=")
-            if key != want:
-                raise ValueError(f"expected field {want}, got {key!r}")
-            fields[want] = value
-        seq = int(fields["seq"])
-        seq_guess = seq
-        ts = int(fields["ts"])
-        if not (1 <= seq <= U64_MAX) or not (0 <= ts <= U64_MAX):
+        fields = _LINE.fullmatch(line)
+        if fields is None:
+            raise ValueError("not the five fields seq= ts= dir= kind= hex= "
+                             "separated by single spaces")
+        seq_text, ts_text, dir_text, kind, hex_text = fields.groups()
+        seq = int(seq_text)
+        ts = int(ts_text)
+        if not (1 <= seq <= U64_MAX and 0 <= ts <= U64_MAX):
             raise ValueError("seq/ts out of u64 range")
-        direction = ThreadDirection(fields["dir"])
-        kind = fields["kind"]
-        if kind not in ALL_KINDS:
-            raise ValueError(f"unknown kind {kind!r}")
-        payload = bytes.fromhex(fields["hex"])
-        _check_direction(direction, kind)
+        slot = _SLOTS.get((dir_text, kind))
+        if slot is None:
+            raise ValueError(_bad_pair(dir_text, kind))
+        direction, tagged = slot
+        payload = bytes.fromhex(hex_text)
         msg = None
-        if kind in TAG_KIND:
+        if tagged is not None:
             msg = decode_message(payload)  # must decode as its tagged kind
-            if KIND_TAG[msg.kind] != kind:
-                raise ValueError(f"payload decodes as {msg.kind.name}, tagged {kind}")
-        return ThreadRecord(seq, ts, direction, kind, payload), msg
-    except DirectionKindMismatch:
-        raise
+            if msg.kind is not tagged:
+                raise ValueError(f"payload decodes as {msg.kind.name}, "
+                                 f"tagged {kind}")
+        return _new_record(ThreadRecord, (seq, ts, direction, kind,
+                                          payload)), msg
     except (ValueError, CodecError) as exc:
-        raise CorruptRecord(f"bad record line: {exc}", seq=seq_guess) from None
+        raise CorruptRecord(f"bad record line: {exc}", seq=seq) from None
 
 
 def parse_record_line(line, lineno=None) -> ThreadRecord:
@@ -152,7 +171,9 @@ class ThreadLog:
 
     def append_message(self, ts, direction, msg: Message) -> ThreadRecord:
         tag = KIND_TAG[msg.kind]
-        _check_direction(direction, tag)
+        if (direction.value, tag) not in _SLOTS:
+            raise DirectionKindMismatch(
+                f"{direction.value} record cannot carry {tag}")
         return self._append(ts, direction, tag, encode_message(msg))
 
     def append_raw(self, ts, direction, payload: bytes) -> ThreadRecord:
@@ -184,9 +205,9 @@ def _parse_file(path):
     last_seq = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
+            if line.isspace():  # blank
                 continue
-            rec, msg = _parse_line(line, lineno=lineno)
+            rec, msg = _parse_line(line, lineno)
             if rec.seq <= last_seq:
                 raise CorruptRecord(
                     f"seq {rec.seq} not increasing after {last_seq}", seq=rec.seq

@@ -1,4 +1,4 @@
-"""Fixtures every test in this directory runs under."""
+"""Fixtures and settings every test in this directory runs under."""
 
 from __future__ import annotations
 
@@ -6,8 +6,15 @@ import threading
 import time
 
 import pytest
+from hypothesis import settings
 
 LEAK_GRACE_S = 2.0
+
+# Every property test runs under this one profile: the same examples on every
+# run, no per-example deadline on a loaded host, and a fixed budget.
+settings.register_profile("twinproto", derandomize=True, deadline=None,
+                          max_examples=150, database=None)
+settings.load_profile("twinproto")
 
 
 @pytest.fixture(autouse=True)

@@ -1,7 +1,9 @@
-"""Event bus tests: fan-out, isolation, ordering, close semantics."""
+"""Event bus tests: fan-out, isolation, ordering, close semantics, and the
+copy-on-write registry under targets added or removed mid-emit."""
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -190,3 +192,82 @@ def test_bus_under_lockstep_runtime():
     rt.run(timeout=10.0)
     assert rt.task_errors() == []
     assert got == [0, 1, 2, 3, 4]
+
+
+# ---------------------------------------------------------------------------
+# the copy-on-write registry
+# ---------------------------------------------------------------------------
+
+def test_targets_added_mid_emit_are_not_reached_by_that_emit():
+    bus = EventBus(WallRuntime())
+    late, subs = [], []
+
+    def first(topic, item):
+        if not subs:
+            bus.attach("t", lambda topic, item: late.append(item))
+            subs.append(bus.subscribe("t"))
+
+    bus.attach("t", first)
+    assert bus.emit("t", 1) == 1
+    assert late == [] and subs[0].drain() == []
+    assert bus.emit("t", 2) == 3
+    assert late == [2] and subs[0].drain() == [2]
+
+
+def test_unsubscribing_mid_emit_detaches_without_blocking():
+    bus = EventBus(WallRuntime())
+    subs = []
+    bus.attach("t", lambda topic, item: subs[0].close())
+    subs.append(bus.subscribe("t"))
+    # the emit that closes the queue still holds it in its tuple: it counts
+    # 0 for it instead of raising or waiting on the registry lock
+    assert bus.emit("t", 1) == 1
+    assert subs[0].drain() == []
+    assert bus.emit("t", 2) == 1
+
+
+def test_emit_after_close_raises_on_every_topic():
+    bus = EventBus(WallRuntime())
+    sub = bus.subscribe("t")
+    bus.close()
+    for topic in ("t", "never-registered"):
+        with pytest.raises(BusClosed):
+            bus.emit(topic, 1)
+    with pytest.raises(BusClosed):
+        sub.consume()
+
+
+def test_concurrent_attach_and_emit_lose_no_registration_or_delivery():
+    bus = EventBus(WallRuntime())
+    emitters, attachers, emits, attaches = 4, 4, 100, 1000
+    hits = []  # one entry per handler call: the emitter's index
+    returned = [0] * emitters
+    start = threading.Barrier(emitters + attachers)
+
+    def attach_many():
+        start.wait()
+        for _ in range(attaches):
+            bus.attach("t", lambda topic, item: hits.append(item))
+
+    def emit_many(k):
+        start.wait()
+        for _ in range(emits):
+            returned[k] += bus.emit("t", k)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=attach_many)
+                   for _ in range(attachers)]
+        threads += [threading.Thread(target=emit_many, args=(k,))
+                    for k in range(emitters)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old)
+    # each emit's count is the calls it made, and every attach landed
+    assert [hits.count(k) for k in range(emitters)] == returned
+    assert bus.emit("t", None) == attachers * attaches

@@ -309,6 +309,11 @@ def test_a_twin_burst_past_the_cycle_bound_fails_and_leaks_no_threads(
     pytest.param(b"seq=1 ts=0 dir=PT2DT kind=STA hex=2000\n"
                  b"seq=2 ts=5 dir=PT2DT kind=STA hex=20zz\n",
                  "at seq/line 2", id="corrupt"),
+    pytest.param(b"seq=1 ts=0 dir=PT2DT kind=STA hex=2000\n"
+                 b"seq=2 ts=1 dir=DT2PT kind=STA hex=2001\n",
+                 "at seq/line 2: bad record line: "
+                 "DT2PT record cannot carry STA",
+                 id="clash"),
     pytest.param(b"seq=1 ts=0 dir=DT2PT kind=NOTE hex=6869\n",
                  "holds no frames", id="note-only"),
     pytest.param(b"", "holds no frames", id="empty"),
@@ -519,6 +524,11 @@ def test_replay_rejects_corrupt_files(tmp_path):
     bad = tmp_path / "bad.thread"
     bad.write_text("seq=1 ts=0 dir=SIDEWAYS kind=STA hex=2001\n")
     with pytest.raises(ConfigError, match="rejected"):
+        replay_thread(bad)
+    bad.write_text("seq=1 ts=0 dir=PT2DT kind=STA hex=2000\n"
+                   "seq=2 ts=1 dir=DT2PT kind=STA hex=2001\n")
+    with pytest.raises(ConfigError, match="rejected at seq/line 2: .*"
+                                          "DT2PT record cannot carry STA"):
         replay_thread(bad)
 
 

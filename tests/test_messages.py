@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from twinproto.errors import TruncatedPayload, UnknownOpcode, ValueOutOfRange
 from twinproto.messages import (
@@ -12,6 +14,7 @@ from twinproto.messages import (
     COMMAND_MIN,
     MEASUREMENT_MAX,
     MEASUREMENT_MIN,
+    STATUS_CODES,
     Message,
     MessageKind,
     command,
@@ -127,3 +130,70 @@ def test_message_is_value_type():
     assert command(5) == Message(MessageKind.COMMAND, 5)
     assert command(5) != command(6)
     assert str(status(2)) == "STATUS(2)"
+
+
+# ---------------------------------------------------------------------------
+# properties over the whole value range and every short payload
+# ---------------------------------------------------------------------------
+
+FULL_RANGE = {
+    "command": st.builds(command, st.integers(COMMAND_MIN, COMMAND_MAX)),
+    "measurement": st.builds(measurement,
+                             st.integers(MEASUREMENT_MIN, MEASUREMENT_MAX)),
+    "status": st.builds(status, st.sampled_from(STATUS_CODES)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FULL_RANGE))
+def test_decode_inverts_encode_over_each_kinds_full_range(kind):
+    @given(FULL_RANGE[kind])
+    def roundtrip(msg):
+        assert decode_message(encode_message(msg)) == msg
+
+    roundtrip()
+
+
+def reference_error(payload):
+    """The error class the codec has always raised for `payload`, or None."""
+    lengths = {0x01: 3, 0x10: 5, 0x20: 2}
+    if not payload:
+        return TruncatedPayload
+    if payload[0] not in lengths:
+        return UnknownOpcode
+    if len(payload) != lengths[payload[0]]:
+        return TruncatedPayload
+    if payload[0] == 0x20 and payload[1] > 2:
+        return ValueOutOfRange
+    return None
+
+
+def test_every_short_payload_fails_with_the_same_error_class():
+    for first in range(256):
+        for length in range(7):
+            for fill in (0x00, 0x02, 0x03, 0xff):
+                payload = bytes([first]) + bytes([fill]) * (length - 1) \
+                    if length else b""
+                want = reference_error(payload)
+                try:
+                    decode_message(payload)
+                    got = None
+                except (TruncatedPayload, UnknownOpcode,
+                        ValueOutOfRange) as exc:
+                    got = type(exc)
+                assert got is want, payload
+
+
+def test_statuses_decode_to_shared_instances():
+    for code in STATUS_CODES:
+        wire = encode_message(status(code))
+        assert decode_message(wire) is decode_message(bytes(wire))
+        assert decode_message(wire) == status(code)
+
+
+def test_messages_are_immutable_hashable_values():
+    with pytest.raises(AttributeError):
+        status(1).value = 2
+    assert len({status(1), status(1), decode_message(b"\x20\x01")}) == 1
+    assert str(status(1)) == "STATUS(1)"
+    assert repr(command(5)) == \
+        "Message(kind=<MessageKind.COMMAND: 1>, value=5)"

@@ -1,13 +1,31 @@
-"""Digital thread tests: line format, invariants, taps, file round-trip."""
+"""Digital thread tests: line format, invariants, taps, file round-trip,
+and the reader checked against the reference line parser."""
 
 from __future__ import annotations
 
-import pytest
+import os
+import tempfile
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from reference_thread_line import Rejected, ref_parse_line
 from twinproto.errors import CorruptRecord, DirectionKindMismatch
-from twinproto.messages import command, encode_message, measurement, status
+from twinproto.messages import (
+    COMMAND_MAX,
+    COMMAND_MIN,
+    MEASUREMENT_MAX,
+    MEASUREMENT_MIN,
+    STATUS_CODES,
+    command,
+    encode_message,
+    measurement,
+    status,
+)
 from twinproto.runtime import WallRuntime
 from twinproto.thread_log import (
+    U64_MAX,
     TappedEndpoint,
     ThreadDirection,
     ThreadLog,
@@ -40,6 +58,17 @@ def test_line_parse_is_inverse_of_format():
     ]
     for rec in recs:
         assert parse_record_line(rec.format_line()) == rec
+
+
+def test_records_are_immutable_hashable_values():
+    rec = ThreadRecord(1, 2, PT2DT, "STA", encode_message(status(1)))
+    with pytest.raises(AttributeError):
+        rec.seq = 5
+    assert rec == ThreadRecord(*rec) and hash(rec) == hash(ThreadRecord(*rec))
+    assert len({rec, ThreadRecord(1, 2, PT2DT, "STA", b"\x20\x01")}) == 1
+    assert repr(rec) == ("ThreadRecord(seq=1, ts=2, direction=<ThreadDirection"
+                         ".PT2DT: 'PT2DT'>, kind='STA', payload=b' \\x01')")
+    assert rec.is_frame and rec.message() == status(1)
 
 
 def test_append_assigns_strictly_increasing_seq():
@@ -175,3 +204,191 @@ def test_recording_file_from_thread(tmp_path):
     assert load_recordings(str(rec_path)) == [status(0), status(1),
                                               measurement(12)]
 
+
+
+def test_a_direction_kind_clash_in_a_file_names_its_seq(tmp_path):
+    path = tmp_path / "clash.log"
+    path.write_text(
+        "seq=1 ts=0 dir=PT2DT kind=STA hex=2000\n"
+        "seq=2 ts=1 dir=DT2PT kind=STA hex=2001\n"
+    )
+    with pytest.raises(CorruptRecord, match="DT2PT record cannot carry STA") \
+            as exc:
+        read_thread_file(str(path))
+    assert exc.value.seq == 2
+
+
+# ---------------------------------------------------------------------------
+# grammar properties: the reader against the reference line parser
+# ---------------------------------------------------------------------------
+
+U64 = st.integers(0, U64_MAX)
+TAGGED = {
+    "CMD": st.builds(command, st.integers(COMMAND_MIN, COMMAND_MAX)),
+    "MEA": st.builds(measurement,
+                     st.integers(MEASUREMENT_MIN, MEASUREMENT_MAX)),
+    "STA": st.builds(status, st.sampled_from(STATUS_CODES)),
+}
+SLOTS = [(PT2DT, "MEA"), (PT2DT, "STA"), (DT2PT, "CMD")] + [
+    (d, k) for d in (PT2DT, DT2PT) for k in ("RAW", "NOTE")]
+
+
+@st.composite
+def records(draw, seq=st.integers(1, U64_MAX)):
+    """Any record the grammar admits."""
+    direction, kind = draw(st.sampled_from(SLOTS))
+    if kind in TAGGED:
+        payload = encode_message(draw(TAGGED[kind]))
+    else:
+        payload = draw(st.binary(max_size=12))
+    return ThreadRecord(draw(seq), draw(U64), direction, kind, payload)
+
+
+@given(records())
+def test_parse_is_inverse_of_format_for_every_legal_record(rec):
+    assert parse_record_line(rec.format_line()) == rec
+
+
+@given(st.lists(records(), max_size=20))
+def test_a_recording_file_gives_back_the_pt2dt_messages_in_order(recs):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rec.log")
+        write_recording_file(recs, path)
+        assert load_recordings(path) == [
+            r.message() for r in recs
+            if r.direction is PT2DT and r.kind in ("MEA", "STA")]
+
+
+class Draft:
+    """A legal line taken apart: five (key, value) fields, the four
+    separators between them and the line end, for one mutation to edit."""
+
+    def __init__(self, rec):
+        self.fields = [("seq", str(rec.seq)), ("ts", str(rec.ts)),
+                       ("dir", rec.direction.value), ("kind", rec.kind),
+                       ("hex", rec.payload.hex())]
+        self.seps = [" "] * 4
+        self.end = "\n"
+
+    def line(self):
+        parts = [f"{key}={value}" for key, value in self.fields]
+        return (parts[0] + "".join(s + p for s, p in zip(self.seps, parts[1:]))
+                + self.end)
+
+
+def _key(draft, draw):
+    i = draw(st.integers(0, 4))
+    draft.fields[i] = (draw(st.sampled_from(
+        ["", "Seq", "sq", "ts", "hex", "x=y", " seq", "kind"])),
+        draft.fields[i][1])
+
+
+def _value(i, edit):
+    def mutate(draft, draw):
+        key, value = draft.fields[i]
+        draft.fields[i] = (key, edit(value, draw))
+    return mutate
+
+
+def _one_of(*values):
+    return lambda _value, draw: draw(st.sampled_from(values))
+
+
+def _insert(*chars):
+    def edit(value, draw):
+        at = draw(st.integers(0, len(value)))
+        return value[:at] + draw(st.sampled_from(chars)) + value[at:]
+    return edit
+
+
+def _separator(*seps):
+    def mutate(draft, draw):
+        draft.seps[draw(st.integers(0, 3))] = draw(st.sampled_from(seps))
+    return mutate
+
+
+def _end(*ends):
+    def mutate(draft, draw):
+        draft.end = draw(st.sampled_from(ends))
+    return mutate
+
+
+def _flip_direction(value, _draw):
+    return "DT2PT" if value == "PT2DT" else "PT2DT"
+
+
+# one mutation of a legal line, each a way a line can go wrong or be written
+# differently and still be legal
+MUTATIONS = {
+    "key": _key,
+    "order": lambda draft, _draw: draft.fields.reverse(),
+    "dir": _value(2, _one_of("NORTH", "pt2dt", "", "DT2PT2", "PT2DT\r")),
+    "kind": _value(3, _one_of("XYZ", "sta", "", "NOTES", "MEA\t", "CMD\r")),
+    "clash": _value(2, _flip_direction),
+    "tag": _value(3, _one_of("CMD", "MEA", "STA")),
+    "non-hex": _value(4, _insert("zz", "g", "0x", "-", "\u00e9")),
+    "odd-hex": _value(4, lambda v, draw: draw(st.sampled_from([v + "0",
+                                                               v[:-1]]))),
+    "upper-hex": _value(4, lambda v, _draw: v.upper()),
+    "seq-0": _value(0, _one_of("0", "-0", "+0", "0_0")),
+    "seq-u64": _value(0, _one_of(str(U64_MAX), str(U64_MAX + 1))),
+    "ts-negative": _value(1, lambda v, _draw: "-" + v),
+    "seq-plus": _value(0, lambda v, _draw: "+" + v),
+    "ts-plus": _value(1, lambda v, _draw: "+" + v),
+    "seq-underscore": _value(0, _insert("_")),
+    "ts-underscore": _value(1, _insert("_", "__")),
+    "tab-in-value": _value(4, _insert("\t")),
+    "tab": _separator("\t", " \t"),
+    "double-space": _separator("  "),
+    "cr-in-value": _value(0, lambda v, _draw: v + "\r"),
+    "end": _end("", "\r\n", "\r", " \n", "\n\n"),
+    "none": lambda draft, _draw: None,
+}
+
+
+@st.composite
+def lines(draw):
+    """A formatted legal line with one mutation applied."""
+    draft = Draft(draw(records(seq=st.integers(1, 10 ** 6))))
+    MUTATIONS[draw(st.sampled_from(sorted(MUTATIONS)))](draft, draw)
+    return draft.line()
+
+
+def _agrees_with_reference(line, lineno):
+    try:
+        want = ref_parse_line(line, lineno)
+    except Rejected as ref:
+        # the reference raised a clash with no seq; the reader names it
+        with pytest.raises(CorruptRecord) as got:
+            parse_record_line(line, lineno)
+        assert got.value.seq == ref.seq, (line, str(got.value))
+        return False
+    rec = parse_record_line(line, lineno)
+    assert (rec.seq, rec.ts, rec.direction.value, rec.kind,
+            rec.payload) == want
+    return True
+
+
+@given(lines(), st.sampled_from([None, 7]))
+def test_the_reader_accepts_exactly_what_the_reference_accepts(line, lineno):
+    _agrees_with_reference(line, lineno)
+
+
+@pytest.mark.parametrize("line, accepted", [
+    ("seq=+1 ts=0 dir=PT2DT kind=STA hex=2001\n", True),
+    ("seq=1_0 ts=0 dir=PT2DT kind=STA hex=2001\n", True),
+    ("seq=1 ts=0 dir=PT2DT kind=MEA hex=10FFFFFFFF\n", True),
+    ("seq=1 ts=0 dir=PT2DT kind=STA hex=2001\r\n", True),
+    ("seq=1 ts=0 dir=PT2DT kind=STA hex=20\t01\n", True),
+    ("seq=1 ts=0 dir=PT2DT kind=STA hex=2001 \n", False),
+    ("seq=1  ts=0 dir=PT2DT kind=STA hex=2001\n", False),
+    ("seq=1\tts=0 dir=PT2DT kind=STA hex=2001\n", False),
+    ("seq=_1 ts=0 dir=PT2DT kind=STA hex=2001\n", False),
+    ("seq=5 ts=0 dir=NORTH kind=STA hex=2001\n", False),
+    ("seq=5 ts=0 dir=PT2DT kind=XYZ hex=2001\n", False),
+    ("seq=5 ts=0 dir=DT2PT kind=STA hex=2001\n", False),
+    ("seq=5 ts=0 dir=PT2DT kind=STA hex=200\n", False),
+    ("", False),
+])
+def test_named_line_shapes_agree_with_the_reference(line, accepted):
+    assert _agrees_with_reference(line, 3) is accepted
