@@ -6,15 +6,20 @@ import threading
 import time
 
 import pytest
-from hypothesis import settings
 
 LEAK_GRACE_S = 2.0
 
 # Every property test runs under this one profile: the same examples on every
-# run, no per-example deadline on a loaded host, and a fixed budget.
-settings.register_profile("twinproto", derandomize=True, deadline=None,
-                          max_examples=150, database=None)
-settings.load_profile("twinproto")
+# run, no per-example deadline on a loaded host, and a fixed budget. Without
+# hypothesis only the modules that import it fail to collect.
+try:
+    from hypothesis import settings
+except ImportError:
+    pass
+else:
+    settings.register_profile("twinproto", derandomize=True, deadline=None,
+                              max_examples=150, database=None)
+    settings.load_profile("twinproto")
 
 
 @pytest.fixture(autouse=True)
