@@ -8,9 +8,9 @@ message is logged only while the period is positive (evaluated after the
 period update for commands), so the local log is a sampling-window record,
 not a full audit; the digital thread is the audit.
 
-Control has no task of its own. It is a bus handler over both input topics,
-so it runs on whichever driver emitted: a transmitter command on the
-transmitter driver's receive loop, a sensor response on the sensor driver's.
+Control has no task of its own. Each driver's receive loop calls one of its
+two handlers directly: the transmitter driver's loop calls
+`handle_transmitter_command`, the sensor driver's `handle_sensor_response`.
 Forwarding is a call to the other driver's `send` on that same task, so each
 device link keeps one writer: `tx-driver:recv` writes the sensor link and
 `sensor-driver:recv` writes the outbound link. The period, the data log and
@@ -32,7 +32,6 @@ from __future__ import annotations
 import threading
 from enum import Enum
 
-from .bus import TOPIC_SENSOR_RESPONSE, TOPIC_TX_INBOUND
 from .devices import (
     DeviceDriver,
     EmulatorContext,
@@ -55,22 +54,15 @@ from .transport import (
 class ControlLogic:
     """Bidirectional relay with period bookkeeping and a gated data log."""
 
-    def __init__(self, bus, send_command, send_response):
+    def __init__(self, send_command, send_response):
         """`send_command` writes toward the sensor, `send_response` toward
-        the transmitter; each is called on the task that emitted the input."""
+        the transmitter; each is called on the task that called the handler."""
         self.period = 0
         self.data_log = []  # (tag, Message), relay order
         self.stray_commands = 0
         self._lock = threading.Lock()  # never held across a send
         self._send_command = send_command
         self._send_response = send_response
-        bus.attach((TOPIC_TX_INBOUND, TOPIC_SENSOR_RESPONSE), self._on_input)
-
-    def _on_input(self, topic, msg):
-        if topic == TOPIC_TX_INBOUND:
-            self.handle_transmitter_command(msg)
-        else:
-            self.handle_sensor_response(msg)
 
     def handle_transmitter_command(self, msg):
         """Period update first, then forward; log under the new period."""
@@ -103,10 +95,9 @@ class SensorBacking(Enum):
 class PlantAssembly:
     """One physical twin (or prototype): sensor, drivers, control, transmitter."""
 
-    def __init__(self, runtime, bus, backing, sensor, sensor_driver, tx_device,
+    def __init__(self, runtime, backing, sensor, sensor_driver, tx_device,
                  tx_driver, control, device_stats, measurement_script=None):
         self.runtime = runtime
-        self.bus = bus
         self.backing = backing
         self.sensor = sensor
         self.device_stats = device_stats  # the sensor serve loop's counts
@@ -142,6 +133,10 @@ def assemble_plant(runtime, bus, backing, recording=None,
     may be None); the tx driver reads and writes them directly. The sensor
     link holds `link_capacity` frames per direction. The driver and control
     wiring is byte-identical in both cases.
+
+    `bus` is ignored: the drivers call control directly, so a plant has no
+    use for a bus. The parameter stays so that callers written against the
+    bus-wired plant, the acceptance gate among them, keep working.
     """
     if backing is SensorBacking.REAL:
         dev_end, drv_end = open_virtual_serial_pair(runtime,
@@ -155,24 +150,24 @@ def assemble_plant(runtime, bus, backing, recording=None,
         sensor = EmulatorDevice(EmulatorContext(recording))
 
     sensor_driver = DeviceDriver(
-        drv_end, bus,
-        emit_topic=TOPIC_SENSOR_RESPONSE,
+        drv_end,
         command_set=frozenset({OP_COMMAND}),
         name="sensor-driver",
     )
     tx_device = TransmitterDevice(outbound=outbound, inbound=inbound)
     tx_driver = DeviceDriver(
-        tx_device, bus,
-        emit_topic=TOPIC_TX_INBOUND,
+        tx_device,
         command_set=frozenset({OP_MEASUREMENT, OP_STATUS}),
         name="tx-driver",
     )
-    # attach before any driver task can emit, or the boot status is lost
-    control = ControlLogic(bus, sensor_driver.send, tx_driver.send)
+    control = ControlLogic(sensor_driver.send, tx_driver.send)
 
     device_stats = run_communication(runtime, sensor, dev_end, sensor_driver,
+                                     control.handle_sensor_response,
                                      announce_boot=True)
-    runtime.spawn(tx_driver.receive_loop, name="tx-driver:recv")
+    runtime.spawn(
+        lambda: tx_driver.receive_loop(control.handle_transmitter_command),
+        name="tx-driver:recv")
 
     if measurement_script and backing is SensorBacking.REAL:
         runtime.spawn(
@@ -181,7 +176,7 @@ def assemble_plant(runtime, bus, backing, recording=None,
             name="measurement-script",
         )
 
-    plant = PlantAssembly(runtime, bus, backing, sensor, sensor_driver,
+    plant = PlantAssembly(runtime, backing, sensor, sensor_driver,
                           tx_device, tx_driver, control, device_stats,
                           measurement_script=measurement_script)
     plant._closables = [dev_end, drv_end, tx_device]

@@ -1,5 +1,5 @@
 """Device layer: the software sensor, the recording-fed emulator, and the
-serial drivers that bind either of them to the event bus.
+serial drivers that bind either of them to the rest of the stack.
 
 The request/response contract on a device link is strict: one decoded command
 in, one encoded response out, in order. Malformed frames never kill a serve
@@ -7,13 +7,15 @@ loop; they are skipped and counted. A device also pushes unsolicited frames
 (boot status announcement, scripted measurements) down the same link; drivers
 relay whatever arrives, so nothing upstream needs to know the difference.
 
-A driver has one task, its receive loop. Sending is a call, `send`, made on
-the task of whoever decided to send, so each link keeps exactly one writer
-and no queue sits between a decision and the wire. The receive loop's emit
-runs the bus handlers inline, so it may itself be that sender. A closed link
-met there, or on its own read, ends the loop, which then closes its own
-connection too: a break anywhere in a relay chain reaches both of its ends
-instead of leaving a peer blocked on a link nobody serves.
+A driver has one task, its receive loop, which hands every decoded frame to
+the one callable it was started with (control, or the twin's MAPE-K engine),
+in read order, on that task. Sending is a call, `send`, made on the task of
+whoever decided to send, so each link keeps exactly one writer and no queue
+sits between a decision and the wire; the receive loop's callable may itself
+be that sender. A closed link met there, or on its own read, ends the loop,
+which then closes its own connection too: a break anywhere in a relay chain
+reaches both of its ends instead of leaving a peer blocked on a link nobody
+serves.
 
 The transmitter is not a device with a serve loop but the transmitter
 driver's connection itself: writes go straight out on the plant's outbound
@@ -203,34 +205,30 @@ def run_measurement_script(runtime, sensor, conn, script):
 
 @dataclass
 class DriverStats:
-    relayed_in: int = 0    # device -> bus
+    relayed_in: int = 0    # device -> the receive loop's callable
     relayed_out: int = 0   # send() -> device
     skipped_in: int = 0    # undecodable frames from the device
     skipped_out: int = 0   # sent messages outside the command set
 
 
 class DeviceDriver:
-    """Pure relay between one connection and the event bus.
+    """Pure relay between one connection and its callers.
 
-    receive loop: frame -> decode -> emit on `emit_topic` (undecodable frames
-    are counted and skipped). `send`: filter -> encode -> write, on the
-    caller's task. No transformation, no reordering, no interpretation.
-    `closed_by` holds the ConnectionClosed text that ended the receive loop.
+    `receive_loop(on_message)`: frame -> decode -> `on_message(msg)` on the
+    loop's task (undecodable frames are counted and skipped). `send`: filter
+    -> encode -> write, on the caller's task. No transformation, no
+    reordering, no interpretation. `closed_by` holds the ConnectionClosed
+    text that ended the receive loop.
     """
 
-    def __init__(self, conn, bus, emit_topic=None,
-                 command_set=DEFAULT_COMMAND_SET, name="driver"):
+    def __init__(self, conn, command_set=DEFAULT_COMMAND_SET, name="driver"):
         self.name = name
         self.conn = conn
         self.command_set = frozenset(command_set)
-        self.emit_topic = emit_topic
-        self._emitter = bus.producer(emit_topic) if emit_topic else None
         self.stats = DriverStats()
         self.closed_by = None
 
-    def receive_loop(self):
-        if self._emitter is None:
-            return
+    def receive_loop(self, on_message):
         try:
             while True:
                 payload = self.conn.read_frame()
@@ -239,11 +237,11 @@ class DeviceDriver:
                 except CodecError:
                     self.stats.skipped_in += 1
                     continue
-                # counted first: the frame is handed on even if a handler
-                # then fails on its own link
+                # counted first: the frame is handed on even if its
+                # consumer then fails on its own link
                 self.stats.relayed_in += 1
-                self._emitter.emit(msg)
-        except ConnectionClosed as exc:  # this link, or one a handler writes
+                on_message(msg)
+        except ConnectionClosed as exc:  # this link, or one a consumer writes
             self.closed_by = str(exc)
             self.conn.close()
 
@@ -260,14 +258,15 @@ class DeviceDriver:
         return {
             "name": self.name,
             "protocol": self.conn.protocol.value,
-            "emit_topic": self.emit_topic,
             "commands": command_set_label(self.command_set),
         }
 
 
-def run_communication(runtime, device, device_conn, driver,
+def run_communication(runtime, device, device_conn, driver, on_message,
                       announce_boot=False):
-    """Start a device/driver session after checking both agree on commands."""
+    """Start a device/driver session after checking both agree on commands:
+    the device's serve loop, and the driver's receive loop handing every
+    frame to `on_message`."""
     if frozenset(device.command_set) != frozenset(driver.command_set):
         raise CommandSetMismatch(
             f"device={command_set_label(device.command_set)} "
@@ -279,8 +278,8 @@ def run_communication(runtime, device, device_conn, driver,
                              stats=stats),
         name=f"{driver.name}:device",
     )
-    if driver.emit_topic:
-        runtime.spawn(driver.receive_loop, name=f"{driver.name}:recv")
+    runtime.spawn(lambda: driver.receive_loop(on_message),
+                  name=f"{driver.name}:recv")
     return stats
 
 

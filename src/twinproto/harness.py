@@ -32,7 +32,6 @@ from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from operator import eq, ge
 
-from .bus import EventBus
 from .config import Expectations, RunConfig, Scenario
 from .control import PlantAssembly, SensorBacking, assemble_plant
 from .errors import (CodecError, ConfigError, ConnectionClosed, KernelHalted,
@@ -235,21 +234,20 @@ def _wire(rt, scenario: Scenario, cfg: RunConfig) -> _Wiring:
 
     if scenario.mode in ("shadow", "twin"):
         wiring.log = ThreadLog(path=cfg.thread_file)
-        dt_bus = EventBus(rt)
         ingest = TappedEndpoint(up_peer, wiring.log, rt,
                                 read_dir=ThreadDirection.PT2DT)
         if scenario.mode == "twin":
             uplink = TappedEndpoint(down_peer, wiring.log, rt,
                                     write_dir=ThreadDirection.DT2PT)
             wiring.twin = assemble_twin(
-                rt, dt_bus, ingest, uplink, thread_log=wiring.log,
+                rt, None, ingest, uplink, thread_log=wiring.log,
                 twinning_period_ms=cfg.twinning_period_ms)
         else:
-            wiring.twin = assemble_shadow(rt, dt_bus, ingest)
+            wiring.twin = assemble_shadow(rt, ingest)
 
     if not cfg.isolate:
         wiring.plant = _start_plant(
-            rt, EventBus(rt), recording, up_plant, down_plant,
+            rt, recording, up_plant, down_plant,
             scenario.measurements or None, cfg.queue_capacity)
     return wiring
 
@@ -287,11 +285,10 @@ def _load_recording(path):
     return recording
 
 
-def _start_plant(rt, bus, recording, outbound, inbound, script,
-                 link_capacity):
+def _start_plant(rt, recording, outbound, inbound, script, link_capacity):
     """The plant on its emulator if given recordings, else real."""
     backing = SensorBacking.EMULATED if recording else SensorBacking.REAL
-    return assemble_plant(rt, bus, backing, recording=recording,
+    return assemble_plant(rt, None, backing, recording=recording,
                           outbound=outbound, inbound=inbound,
                           measurement_script=script,
                           link_capacity=link_capacity)
@@ -517,11 +514,10 @@ def plant_process_main(raw: str) -> int:
     """
     opts = json.loads(raw)
     rt = make_runtime(ClockMode.WALL, opts.get("seed", 0))
-    bus = EventBus(rt)
     up = tcp_connect("127.0.0.1", opts["up_port"], name="plant:up")
     down = tcp_connect("127.0.0.1", opts["down_port"], name="plant:down")
     script = [tuple(p) for p in opts.get("measurements", [])] or None
-    plant = _start_plant(rt, bus, _load_recording(opts.get("recording")),
+    plant = _start_plant(rt, _load_recording(opts.get("recording")),
                          up, down, script, opts["link_capacity"])
 
     def deadline():
@@ -617,14 +613,15 @@ def replay_thread(path, clock: ClockMode = ClockMode.LOCKSTEP, seed: int = 0,
     ts_per_ms = 1_000_000 if frames and frames[-1].ts >= WALL_TS_MIN else 1
 
     rt = make_runtime(clock, seed)
-    bus = EventBus(rt)
     feed_end, dt_end = connect_pair(rt, "replay:feed", "replay:ingest",
                                     Protocol.TCP)
-    shadow = assemble_shadow(rt, bus, dt_end, name="replay")
+    shadow = assemble_shadow(rt, dt_end, name="replay")
     stats = shadow.monitor_stats
+    driver = shadow.ingest_driver.stats
 
-    def consumed():
-        return stats.statuses + stats.measurements + stats.strays
+    def consumed():  # a frame that does not decode is skipped by the driver
+        return (stats.statuses + stats.measurements + stats.strays
+                + driver.skipped_in)
 
     def feeder():
         t0 = rt.now_ns()

@@ -2,10 +2,11 @@
 
 The engine consumes the physical side's traffic from one ingest connection
 and keeps a model of the counterpart device. The four MAPE-K stages are
-function calls in one step, `engine_step`, a bus handler over the ingest
-topic, the re-check topic and (in a twin) the operator's commands. The step
-has no task of its own: it runs on whichever task emitted, the ingest
-driver's receive loop, the twinning poll or the operator.
+function calls on a `DigitalTwin`, which has no task of its own: the ingest
+driver's receive loop calls `ingest` (monitor, then the rest) for every
+frame, the twinning poll calls `recheck` (analyze onward, against the last
+report), and the operator calls `send_command`. Each runs on its caller's
+task.
 
     monitor   classify an ingested frame: status observation / measurement
     analyze   compare an observation (ingested or re-checked) with the model
@@ -50,7 +51,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from .bus import TOPIC_DT_EXECUTE, TOPIC_DT_INGEST, TOPIC_DT_STATUS
 from .devices import DeviceDriver
 from .errors import GateRejected
 from .messages import OP_COMMAND, Message, MessageKind, command, status
@@ -182,7 +182,7 @@ class ExecuteGate:
 
 
 # ---------------------------------------------------------------------------
-# Engine (a step on the emitting task)
+# Execute, and the deployments it runs in
 # ---------------------------------------------------------------------------
 
 def execute(runtime, gate, plan, send, thread_log=None):
@@ -202,63 +202,16 @@ def execute_loop(runtime, gate, sub, out_execute, thread_log=None):
         execute(runtime, gate, sub.consume(), out_execute.emit, thread_log)
 
 
-def engine_step(runtime, twin, send=None, thread_log=None):
-    """Monitor, analyze, plan and execute as a handler `step(topic, msg)`.
-
-    Topics: ingest (the counterpart's frames), status (re-checks) and, in a
-    twin, execute (operator commands, passed to `send` ungated). Without
-    `send` (a shadow) the step ends at analysis. A ConnectionClosed from
-    `send` reaches the emitting task.
-    """
-    keeper, stats = twin.keeper, twin.monitor_stats
-    token = runtime.channel(1) if send is not None else None
-
-    def decide(topic, msg):
-        if topic == TOPIC_DT_EXECUTE:
-            send(msg)
-            return
-        res = keeper.observe(State(msg.value), runtime.now_ns())  # analyze
-        if send is None:
-            return
-        if res.equal:
-            twin.plan_stats.noop += 1
-            return
-        plan = PlanResult(runtime.now_ns(), command_for_goal(res.model_state),
-                          res.model_state, res.pt_state)
-        twin.plan_stats.planned += 1
-        execute(runtime, twin.gate, plan, send, thread_log)
-
-    def step(topic, msg):
-        if topic == TOPIC_DT_INGEST:  # monitor: classify
-            if msg.kind is MessageKind.MEASUREMENT:
-                stats.measurements += 1
-                return
-            if msg.kind is not MessageKind.STATUS:
-                stats.strays += 1  # commands never arrive from the counterpart
-                return
-            stats.statuses += 1
-            keeper.note_observation(State(msg.value))
-        if token is None:
-            decide(topic, msg)
-            return
-        token.put(None)
-        try:
-            decide(topic, msg)
-        finally:
-            token.get()
-
-    return step
-
-
-# ---------------------------------------------------------------------------
-# Deployments
-# ---------------------------------------------------------------------------
-
 class DigitalTwin:
-    """Handle on one running twin or shadow deployment."""
+    """One running twin or shadow deployment, and its MAPE-K engine.
 
-    def __init__(self, runtime, bus, keeper, ingest_driver, uplink_driver=None,
-                 gate=None, twinning_period_ms=None):
+    Without an uplink (a shadow) the engine ends at analysis. In a twin,
+    analysis onward and every uplink write hold the token, and a
+    ConnectionClosed from the uplink reaches the calling task.
+    """
+
+    def __init__(self, runtime, keeper, ingest_driver, uplink_driver=None,
+                 gate=None, twinning_period_ms=None, thread_log=None):
         self._rt = runtime
         self.keeper = keeper
         self.ingest_driver = ingest_driver
@@ -267,10 +220,8 @@ class DigitalTwin:
         self.twinning_period_ms = twinning_period_ms
         self.monitor_stats = MonitorStats()
         self.plan_stats = PlanStats()
-        self._status_out = bus.producer(TOPIC_DT_STATUS)
-        # a shadow gets no producer toward the uplink either
-        self._execute_out = (bus.producer(TOPIC_DT_EXECUTE)
-                             if uplink_driver is not None else None)
+        self._thread_log = thread_log
+        self._token = runtime.channel(1) if uplink_driver is not None else None
 
     @property
     def has_uplink(self) -> bool:
@@ -283,11 +234,47 @@ class DigitalTwin:
     def model_state(self) -> State:
         return self.keeper.snapshot().current
 
+    def ingest(self, msg: Message):
+        """Monitor: classify one frame from the counterpart; a status goes
+        on to analysis."""
+        stats = self.monitor_stats
+        if msg.kind is MessageKind.MEASUREMENT:
+            stats.measurements += 1
+            return
+        if msg.kind is not MessageKind.STATUS:
+            stats.strays += 1  # commands never arrive from the counterpart
+            return
+        stats.statuses += 1
+        obs = State(msg.value)
+        self.keeper.note_observation(obs)
+        self._analyze(obs)
+
     def recheck(self):
         """Re-run analysis against the latest report from the counterpart."""
         obs = self.keeper.last_observed
         if obs is not None:
-            self._status_out.emit(status(int(obs)))
+            self._analyze(obs)
+
+    def _analyze(self, obs: State):
+        """Analyze, then in a twin plan and execute, holding the token."""
+        token = self._token
+        if token is None:
+            self.keeper.observe(obs, self._rt.now_ns())
+            return
+        token.put(None)
+        try:
+            res = self.keeper.observe(obs, self._rt.now_ns())
+            if res.equal:
+                self.plan_stats.noop += 1
+                return
+            plan = PlanResult(self._rt.now_ns(),
+                              command_for_goal(res.model_state),
+                              res.model_state, res.pt_state)
+            self.plan_stats.planned += 1
+            execute(self._rt, self.gate, plan, self.uplink_driver.send,
+                    self._thread_log)
+        finally:
+            token.get()
 
     def inject_model_change(self, cmd: Message) -> State:
         """Apply a command to the model; the engine pushes the device after it."""
@@ -299,43 +286,51 @@ class DigitalTwin:
         return goal
 
     def send_command(self, cmd: Message):
-        """Operator passthrough: the engine sends it ungated, with no goal
-        bookkeeping, in order with its own corrections."""
+        """Operator passthrough: sent ungated, with no goal bookkeeping, in
+        order with the engine's own corrections."""
         if not self.has_uplink:
             raise RuntimeError("deployment has no uplink")
-        self._execute_out.emit(cmd)
+        self._token.put(None)
+        try:
+            self.uplink_driver.send(cmd)
+        finally:
+            self._token.get()
 
 
-def _ingest_driver(bus, ingest_conn, name):
-    return DeviceDriver(ingest_conn, bus, emit_topic=TOPIC_DT_INGEST,
-                        command_set=frozenset(), name=f"{name}-ingest")
+def _ingest_driver(ingest_conn, name):
+    return DeviceDriver(ingest_conn, command_set=frozenset(),
+                        name=f"{name}-ingest")
 
 
-def assemble_shadow(runtime, bus, ingest_conn, name="shadow"):
+def assemble_shadow(runtime, ingest_conn, name="shadow"):
     """Monitor + analyze over an ingest link. No uplink object exists."""
-    twin = DigitalTwin(runtime, bus, ModelKeeper(),
-                       _ingest_driver(bus, ingest_conn, name))
-    # attach before the ingest task starts pumping
-    bus.attach((TOPIC_DT_INGEST, TOPIC_DT_STATUS), engine_step(runtime, twin))
-    runtime.spawn(twin.ingest_driver.receive_loop, name=f"{name}:ingest")
+    twin = DigitalTwin(runtime, ModelKeeper(),
+                       _ingest_driver(ingest_conn, name))
+    runtime.spawn(lambda: twin.ingest_driver.receive_loop(twin.ingest),
+                  name=f"{name}:ingest")
     return twin
 
 
 def assemble_twin(runtime, bus, ingest_conn, uplink_conn, thread_log=None,
                   twinning_period_ms=DEFAULT_TWINNING_PERIOD_MS, name="twin"):
-    """Full closed loop: the engine through execute, an uplink, a re-check."""
+    """Full closed loop: the engine through execute, an uplink, a re-check.
+
+    `bus` is ignored: the ingest loop, the poll and the operator call the
+    engine directly, so a twin has no use for a bus. The parameter stays so
+    that callers written against the bus-wired twin, the acceptance gate
+    among them, keep working.
+    """
     keeper = ModelKeeper()
-    uplink_driver = DeviceDriver(uplink_conn, bus,
+    # the uplink driver never receives, so it gets no receive loop
+    uplink_driver = DeviceDriver(uplink_conn,
                                  command_set=frozenset({OP_COMMAND}),
                                  name=f"{name}-uplink")
-    twin = DigitalTwin(runtime, bus, keeper,
-                       _ingest_driver(bus, ingest_conn, name),
+    twin = DigitalTwin(runtime, keeper, _ingest_driver(ingest_conn, name),
                        uplink_driver=uplink_driver, gate=ExecuteGate(keeper),
-                       twinning_period_ms=twinning_period_ms)
-
-    bus.attach((TOPIC_DT_INGEST, TOPIC_DT_STATUS, TOPIC_DT_EXECUTE),
-               engine_step(runtime, twin, uplink_driver.send, thread_log))
-    runtime.spawn(twin.ingest_driver.receive_loop, name=f"{name}:ingest")
+                       twinning_period_ms=twinning_period_ms,
+                       thread_log=thread_log)
+    runtime.spawn(lambda: twin.ingest_driver.receive_loop(twin.ingest),
+                  name=f"{name}:ingest")
 
     def twinning_poll():
         while True:

@@ -10,8 +10,8 @@ blocking functions against this module's Runtime interface:
     now_ns()              timestamp for records
 
 A task exists only where something waits on a link or a timer. Deciding and
-sending are not tasks: control and the MAPE-K engine are bus handlers that
-run on the emitting task, and a driver's `send` runs on its caller's task.
+sending are not tasks: a driver's receive loop calls control or the MAPE-K
+engine directly, and a driver's `send` runs on its caller's task.
 Code that may run on several tasks and must exclude itself across a call
 that can park takes a `channel(1)` as a token, never a raw lock: under
 lockstep a thread blocked on a lock held by a parked task never parks
@@ -69,6 +69,7 @@ class TaskHandle:
         self.name = name
         self.state = "new"
         self.error = None
+        self.thread = None
 
     def __repr__(self):
         return f"<task {self.name} {self.state}>"
@@ -136,7 +137,6 @@ class WallRuntime:
 
     def __init__(self):
         self._tasks = []
-        self._threads = {}
         self._channels = []
         self._stop = threading.Event()
         self._lock = threading.Lock()
@@ -155,11 +155,10 @@ class WallRuntime:
                 handle.error = exc
                 handle.state = "failed"
 
-        t = threading.Thread(target=run, name=name, daemon=True)
+        handle.thread = threading.Thread(target=run, name=name, daemon=True)
         with self._lock:
             self._tasks.append(handle)
-            self._threads[handle.name + str(id(handle))] = (handle, t)
-        t.start()
+        handle.thread.start()
         return handle
 
     def channel(self, capacity=DEFAULT_CHANNEL_CAPACITY):
@@ -201,17 +200,17 @@ class WallRuntime:
         deadline = time.monotonic() + timeout
         stragglers = []
         with self._lock:
-            pairs = list(self._threads.values())
-        for handle, thread in pairs:
+            tasks = list(self._tasks)
+        for handle in tasks:
             remaining = deadline - time.monotonic()
-            thread.join(max(remaining, 0.01))
-            if thread.is_alive():
+            handle.thread.join(max(remaining, 0.01))
+            if handle.thread.is_alive():
                 stragglers.append(handle.name)
         if stragglers:
             self.shutdown()
             deadline = time.monotonic() + UNWIND_S
-            for _, thread in pairs:
-                thread.join(max(deadline - time.monotonic(), 0.01))
+            for handle in tasks:
+                handle.thread.join(max(deadline - time.monotonic(), 0.01))
         return stragglers
 
     def task_errors(self):
@@ -228,7 +227,6 @@ class _LockTask(TaskHandle):
         super().__init__(name)
         self.grant = threading.Lock()  # held until the kernel grants a slice
         self.grant.acquire()
-        self.thread = None
         self.wake_tick = None
 
 

@@ -177,7 +177,7 @@ def write_manifest(path, name, recording_path, extra_documents=None,
     return path
 
 
-def assemble_prototype(runtime, bus, template: DigitalTemplate, **plant_kwargs):
+def assemble_prototype(runtime, template: DigitalTemplate, **plant_kwargs):
     """Stand up the emulated deployment a manifest describes."""
     problems = validate_manifest(template.path)
     if problems:
@@ -185,5 +185,5 @@ def assemble_prototype(runtime, bus, template: DigitalTemplate, **plant_kwargs):
     if RECORDING_KEY not in template.documents:
         raise ConfigError(f"manifest has no {RECORDING_KEY} document")
     recording = load_recordings(template.document_path(RECORDING_KEY))
-    return assemble_plant(runtime, bus, SensorBacking.EMULATED,
+    return assemble_plant(runtime, None, SensorBacking.EMULATED,
                           recording=recording, **plant_kwargs)

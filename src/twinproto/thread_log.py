@@ -199,9 +199,12 @@ class ThreadLog:
 
 def _parse_file(path):
     """Yield (record, Message or None) per line of a whole thread file, seq
-    strictly increasing; each payload is decoded once."""
+    strictly increasing; each payload is decoded once. Only a line feed ends
+    a line, so the file reads as `parse_record_line` reads each of its
+    lines: a lone carriage return stays inside its line, and the hex
+    field's whitespace skipping takes a CRLF ending."""
     last_seq = 0
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.isspace():  # blank
                 continue

@@ -1,10 +1,11 @@
 """Event bus tests: fan-out, isolation, ordering, close semantics, and the
-copy-on-write registry under targets added or removed mid-emit."""
+copy-on-write registry under subscriptions added or removed mid-emit."""
 
 from __future__ import annotations
 
 import sys
 import threading
+import time
 
 import pytest
 
@@ -52,55 +53,6 @@ def test_duplicate_items_are_distinct_deliveries():
     assert sub.drain() == ["same", "same"]
 
 
-@pytest.mark.parametrize("clock", ["wall", "lockstep"])
-def test_handler_runs_on_the_emitting_task_in_emit_order(clock):
-    rt = WallRuntime() if clock == "wall" else LockstepRuntime(seed=3)
-    bus = EventBus(rt)
-    seen, counts = [], []
-    bus.attach(("a", "b"), lambda topic, item: seen.append(
-        (topic, item, threading.get_ident())))
-    only_a = bus.subscribe("a")
-
-    def emitter():
-        for i in range(6):
-            counts.append(bus.emit("ab"[i % 2], i))
-        bus.emit("c", "elsewhere")
-        counts.append(threading.get_ident())
-
-    rt.spawn(emitter, name="emitter")
-    assert rt.run(timeout=5.0) == []
-    assert rt.task_errors() == []
-    task_ident = counts.pop()
-    # one delivery per handler or queue reached
-    assert counts == [2, 1, 2, 1, 2, 1]
-    assert seen == [("ab"[i % 2], i, task_ident) for i in range(6)]
-    assert only_a.drain() == [0, 2, 4]
-
-
-def test_handler_exceptions_reach_the_emitter():
-    bus = EventBus(WallRuntime())
-
-    def handler(topic, item):
-        raise ValueError(item)
-
-    bus.attach("t", handler)
-    with pytest.raises(ValueError, match="boom"):
-        bus.emit("t", "boom")
-
-
-def test_emit_after_close_raises_with_a_handler_attached():
-    bus = EventBus(WallRuntime())
-    seen = []
-    bus.attach("t", lambda topic, item: seen.append(item))
-    assert bus.emit("t", 1) == 1
-    bus.close()
-    with pytest.raises(BusClosed):
-        bus.emit("t", 2)
-    with pytest.raises(BusClosed):
-        bus.attach("t", lambda topic, item: None)
-    assert seen == [1]
-
-
 def test_topic_isolation_complete_delivery_matrix():
     # every subscriber sees exactly its topic's emissions, in order
     bus = EventBus(WallRuntime())
@@ -139,8 +91,6 @@ def test_close_wakes_blocked_consumer():
             raise
 
     rt.spawn(consumer, name="consumer")
-    import time
-
     time.sleep(0.05)
     bus.close()
     assert rt.run(timeout=2.0) == []
@@ -163,8 +113,6 @@ def test_bounded_queue_blocks_emitter_until_consumed():
             progress.append(i)
 
     rt.spawn(emitter, name="emitter")
-    import time
-
     time.sleep(0.1)
     assert progress == [0, 1, 2, 3]  # fifth emit is blocked on the full queue
     got = [sub.consume() for _ in range(8)]
@@ -198,31 +146,45 @@ def test_bus_under_lockstep_runtime():
 # the copy-on-write registry
 # ---------------------------------------------------------------------------
 
+def _emit_blocked_on_a_full_queue(bus):
+    """Emit 1 on "t" from a thread; it blocks on the first, full queue.
+    Returns the thread and a list that receives the emit's count."""
+    returned = []
+    emitter = threading.Thread(target=lambda: returned.append(bus.emit("t", 1)))
+    emitter.start()
+    time.sleep(0.05)
+    assert returned == []  # still parked on the full queue
+    return emitter, returned
+
+
 def test_targets_added_mid_emit_are_not_reached_by_that_emit():
-    bus = EventBus(WallRuntime())
-    late, subs = [], []
-
-    def first(topic, item):
-        if not subs:
-            bus.attach("t", lambda topic, item: late.append(item))
-            subs.append(bus.subscribe("t"))
-
-    bus.attach("t", first)
-    assert bus.emit("t", 1) == 1
-    assert late == [] and subs[0].drain() == []
+    bus = EventBus(WallRuntime(), queue_capacity=1)
+    full, other = bus.subscribe("t"), bus.subscribe("t")
+    assert bus.emit("t", 0) == 2
+    assert other.drain() == [0]
+    emitter, returned = _emit_blocked_on_a_full_queue(bus)
+    late = bus.subscribe("t")  # takes the registry lock the emit does not hold
+    assert full.consume() == 0  # room again: the emit goes on
+    emitter.join(timeout=5)
+    assert returned == [2]
+    assert full.drain() == [1] and other.drain() == [1]
+    assert late.drain() == []
     assert bus.emit("t", 2) == 3
-    assert late == [2] and subs[0].drain() == [2]
+    assert late.drain() == [2]
 
 
 def test_unsubscribing_mid_emit_detaches_without_blocking():
-    bus = EventBus(WallRuntime())
-    subs = []
-    bus.attach("t", lambda topic, item: subs[0].close())
-    subs.append(bus.subscribe("t"))
-    # the emit that closes the queue still holds it in its tuple: it counts
-    # 0 for it instead of raising or waiting on the registry lock
-    assert bus.emit("t", 1) == 1
-    assert subs[0].drain() == []
+    bus = EventBus(WallRuntime(), queue_capacity=1)
+    full, other = bus.subscribe("t"), bus.subscribe("t")
+    assert bus.emit("t", 0) == 2
+    assert other.drain() == [0]
+    emitter, returned = _emit_blocked_on_a_full_queue(bus)
+    # the emit that is parked on the queue still holds it in its tuple: it
+    # counts 0 for it instead of raising or waiting on the registry lock
+    full.close()
+    emitter.join(timeout=5)
+    assert returned == [1]
+    assert other.drain() == [1]
     assert bus.emit("t", 2) == 1
 
 
@@ -237,17 +199,17 @@ def test_emit_after_close_raises_on_every_topic():
         sub.consume()
 
 
-def test_concurrent_attach_and_emit_lose_no_registration_or_delivery():
+def test_concurrent_subscribe_and_emit_lose_no_registration_or_delivery():
     bus = EventBus(WallRuntime())
-    emitters, attachers, emits, attaches = 4, 4, 100, 1000
-    hits = []  # one entry per handler call: the emitter's index
+    emitters, subscribers, emits, subscribes = 4, 4, 100, 100
+    subs = [[] for _ in range(subscribers)]
     returned = [0] * emitters
-    start = threading.Barrier(emitters + attachers)
+    start = threading.Barrier(emitters + subscribers)
 
-    def attach_many():
+    def subscribe_many(k):
         start.wait()
-        for _ in range(attaches):
-            bus.attach("t", lambda topic, item: hits.append(item))
+        for _ in range(subscribes):
+            subs[k].append(bus.subscribe("t"))
 
     def emit_many(k):
         start.wait()
@@ -257,8 +219,8 @@ def test_concurrent_attach_and_emit_lose_no_registration_or_delivery():
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=attach_many)
-                   for _ in range(attachers)]
+        threads = [threading.Thread(target=subscribe_many, args=(k,))
+                   for k in range(subscribers)]
         threads += [threading.Thread(target=emit_many, args=(k,))
                     for k in range(emitters)]
         for t in threads:
@@ -268,6 +230,7 @@ def test_concurrent_attach_and_emit_lose_no_registration_or_delivery():
         assert not any(t.is_alive() for t in threads)
     finally:
         sys.setswitchinterval(old)
-    # each emit's count is the calls it made, and every attach landed
-    assert [hits.count(k) for k in range(emitters)] == returned
-    assert bus.emit("t", None) == attachers * attaches
+    # each emit's count is the queues it reached, and every subscribe landed
+    queued = [item for group in subs for sub in group for item in sub.drain()]
+    assert [queued.count(k) for k in range(emitters)] == returned
+    assert bus.emit("t", None) == subscribers * subscribes

@@ -1,12 +1,6 @@
 import pytest
 
-from twinproto.bus import EventBus, TOPIC_SENSOR_RESPONSE, TOPIC_TX_INBOUND
-from twinproto.control import (
-    ControlLogic,
-    PlantAssembly,
-    SensorBacking,
-    assemble_plant,
-)
+from twinproto.control import ControlLogic, SensorBacking, assemble_plant
 from twinproto.errors import RecordingMissing
 from twinproto.messages import (
     command,
@@ -19,11 +13,10 @@ from twinproto.statemachine import State
 from twinproto.transport import Protocol, connect_pair
 
 
-def make_control(bus=None):
+def make_control():
     """Control logic whose two send callables append to lists."""
-    bus = bus if bus is not None else EventBus(WallRuntime())
     sent_cmds, sent_rsps = [], []
-    ctl = ControlLogic(bus, sent_cmds.append, sent_rsps.append)
+    ctl = ControlLogic(sent_cmds.append, sent_rsps.append)
     return ctl, sent_cmds, sent_rsps
 
 
@@ -40,8 +33,7 @@ def test_command_is_logged_before_it_is_forwarded():
     # the response to a command is logged on another task once the command
     # is sent, so the command's entry must already be there
     log_at_send = []
-    ctl = ControlLogic(EventBus(WallRuntime()),
-                       lambda msg: log_at_send.append(list(ctl.data_log)),
+    ctl = ControlLogic(lambda msg: log_at_send.append(list(ctl.data_log)),
                        lambda msg: None)
     ctl.handle_transmitter_command(command(50))
     assert log_at_send == [[("cmd", command(50))]]
@@ -77,17 +69,12 @@ def test_stray_non_command_counted_not_forwarded():
 
 def test_control_loops_preserve_per_path_order():
     rt = WallRuntime()
-    bus = EventBus(rt)
-    ctl, cmds, rsps = make_control(bus)
-    cmd_in = bus.producer(TOPIC_TX_INBOUND)
-    rsp_in = bus.producer(TOPIC_SENSOR_RESPONSE)
+    ctl, cmds, rsps = make_control()
 
     def feed():
         for v in range(1, 51):
-            cmd_in.emit(command(v))
-            rsp_in.emit(status(v % 3))
-        while len(cmds) < 50 or len(rsps) < 50:
-            rt.sleep_ms(1)
+            ctl.handle_transmitter_command(command(v))
+            ctl.handle_sensor_response(status(v % 3))
         rt.shutdown()
 
     rt.spawn(feed, name="feed")
@@ -96,52 +83,58 @@ def test_control_loops_preserve_per_path_order():
     assert cmds == [command(v) for v in range(1, 51)]
     assert rsps == [status(v % 3) for v in range(1, 51)]
     assert ctl.period == 50
-    # control runs inline on the emitting task: the log keeps the emit
-    # order across both topics
+    # control runs inline on the calling task: the log keeps the call order
+    # across both handlers
     assert ctl.data_log == [
         entry for v in range(1, 51)
         for entry in (("cmd", command(v)), ("rsp", status(v % 3)))
     ]
 
 
-def test_handler_counts_a_stray_status_on_the_command_topic():
+def test_a_status_on_the_command_link_is_a_stray():
+    # the tx driver hands control whatever arrives inbound: a status there
+    # is counted and dropped, while the sensor's own statuses pass on
     rt = WallRuntime()
-    bus = EventBus(rt)
-    ctl, cmds, rsps = make_control(bus)
+    up_plant, up_op = connect_pair(rt, "up:plant", "up:op", Protocol.TCP)
+    down_op, down_plant = connect_pair(rt, "down:op", "down:plant",
+                                       Protocol.TCP)
+    plant = assemble_plant(rt, None, SensorBacking.REAL,
+                           outbound=up_plant, inbound=down_plant)
+    frames = []
 
-    def feed():
-        bus.emit(TOPIC_TX_INBOUND, status(1))       # stray: not a command
-        bus.emit(TOPIC_SENSOR_RESPONSE, status(2))  # same kind, other topic
-        bus.emit(TOPIC_TX_INBOUND, command(4))
-        while len(cmds) < 1 or len(rsps) < 1:
-            rt.sleep_ms(1)
+    def operator():
+        frames.append(up_op.read_frame())  # boot announcement
+        down_op.write_frame(encode_message(status(1)))  # stray
+        down_op.write_frame(encode_message(command(4)))
+        frames.append(up_op.read_frame())
+        plant.stop()
         rt.shutdown()
 
-    rt.spawn(feed, name="feed")
+    rt.spawn(operator, name="operator")
     assert rt.run(timeout=10.0) == []
     assert rt.task_errors() == []
-    assert ctl.stray_commands == 1
-    assert cmds == [command(4)]
-    assert rsps == [status(2)]
-    assert ctl.data_log == [("cmd", command(4))]
+    assert plant.control.stray_commands == 1
+    assert [decode_message(f) for f in frames] == [status(0), status(1)]
+    assert plant.control.data_log == [("cmd", command(4)), ("rsp", status(1))]
 
 
 def test_control_on_two_emitting_tasks_keeps_each_path_whole():
-    # each driver's receive loop runs control inline; the two share its state
+    # each driver's receive loop calls one handler; the two share its state
     rt = WallRuntime()
-    bus = EventBus(rt)
-    ctl, cmds, rsps = make_control(bus)
+    ctl, cmds, rsps = make_control()
     done = []
 
-    def feed(topic, msgs):
+    def feed(handle, msgs):
         for msg in msgs:
-            bus.emit(topic, msg)
-        done.append(topic)
+            handle(msg)
+        done.append(handle)
 
     commands = [command(v) for v in range(1, 2001)]
     responses = [status(v % 3) for v in range(2000)]
-    rt.spawn(lambda: feed(TOPIC_TX_INBOUND, commands), name="tx")
-    rt.spawn(lambda: feed(TOPIC_SENSOR_RESPONSE, responses), name="sensor")
+    rt.spawn(lambda: feed(ctl.handle_transmitter_command, commands),
+             name="tx")
+    rt.spawn(lambda: feed(ctl.handle_sensor_response, responses),
+             name="sensor")
     assert rt.run(timeout=10.0) == []
     assert rt.task_errors() == []
     assert len(done) == 2
@@ -160,10 +153,9 @@ MISSION = (50, 0, -1)
 def drive_plant(backing, mode="wall", seed=0, recording=None, script=MISSION):
     """Assemble a plant, run an operator script against it, return transcript."""
     rt = WallRuntime() if mode == "wall" else LockstepRuntime(seed=seed)
-    bus = EventBus(rt)
     up_plant, up_op = connect_pair(rt, "up:plant", "up:op", Protocol.TCP)
     down_op, down_plant = connect_pair(rt, "down:op", "down:plant", Protocol.TCP)
-    plant = assemble_plant(rt, bus, backing, recording=recording,
+    plant = assemble_plant(rt, None, backing, recording=recording,
                            outbound=up_plant, inbound=down_plant)
     frames = []
 
@@ -246,7 +238,5 @@ def test_backings_spawn_the_same_plant_tasks(monkeypatch):
 
 
 def test_emulated_plant_requires_recording():
-    rt = WallRuntime()
-    bus = EventBus(rt)
     with pytest.raises(RecordingMissing):
-        assemble_plant(rt, bus, SensorBacking.EMULATED)
+        assemble_plant(WallRuntime(), None, SensorBacking.EMULATED)

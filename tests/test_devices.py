@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
-from twinproto.bus import EventBus
 from twinproto.devices import (
     DeviceDriver,
     DeviceStats,
@@ -28,7 +29,7 @@ from twinproto.messages import (
     measurement,
     status,
 )
-from twinproto.runtime import WallRuntime
+from twinproto.runtime import LockstepRuntime, WallRuntime
 from twinproto.statemachine import State
 from twinproto.transport import Protocol, connect_pair, open_virtual_serial_pair
 
@@ -139,24 +140,20 @@ def test_device_serve_rejected_command_writes_nothing():
 
 def test_run_communication_checks_command_sets():
     rt = WallRuntime()
-    bus = EventBus(rt)
     dev_end, drv_end = open_virtual_serial_pair(rt)
     sensor = SensorDevice()
-    driver = DeviceDriver(drv_end, bus, emit_topic="sensor.response",
-                          command_set=frozenset({0x10}))
+    driver = DeviceDriver(drv_end, command_set=frozenset({0x10}))
     with pytest.raises(CommandSetMismatch):
-        run_communication(rt, sensor, dev_end, driver)
+        run_communication(rt, sensor, dev_end, driver, lambda msg: None)
 
 
 def test_driver_relays_in_order_and_skips_junk():
     rt = WallRuntime()
-    bus = EventBus(rt)
     dev_end, drv_end = open_virtual_serial_pair(rt)
     sensor = SensorDevice()
-    driver = DeviceDriver(drv_end, bus, emit_topic="sensor.response",
-                          name="sensor-drv")
-    responses = bus.subscribe("sensor.response")
-    run_communication(rt, sensor, dev_end, driver)
+    driver = DeviceDriver(drv_end, name="sensor-drv")
+    responses = rt.channel(16)
+    run_communication(rt, sensor, dev_end, driver, responses.put)
     got = []
 
     def scenario():
@@ -167,7 +164,7 @@ def test_driver_relays_in_order_and_skips_junk():
         # inject a junk frame directly at the device side: driver must skip it
         dev_end.write_frame(b"\xee\xee")
         for _ in range(5):
-            got.append(responses.consume())
+            got.append(responses.get())
         rt.shutdown()
 
     rt.spawn(scenario, name="scenario")
@@ -180,6 +177,31 @@ def test_driver_relays_in_order_and_skips_junk():
     assert driver.stats.relayed_in == 5
 
 
+@pytest.mark.parametrize("clock", ["wall", "lockstep"])
+def test_a_driver_callback_runs_on_its_receive_loop_in_read_order(clock):
+    rt = WallRuntime() if clock == "wall" else LockstepRuntime(seed=3)
+    dev_end, drv_end = open_virtual_serial_pair(rt)
+    driver = DeviceDriver(drv_end, name="drv")
+    seen = []
+    recv = rt.spawn(lambda: driver.receive_loop(
+        lambda msg: seen.append((msg, threading.get_ident()))), name="recv")
+    frames = [measurement(v) for v in range(20)] + [status(1), status(2)]
+
+    def device():
+        for msg in frames:
+            dev_end.write_frame(encode_message(msg))
+        dev_end.write_frame(b"\xee\xee")  # undecodable: skipped, not handed on
+        dev_end.close()
+
+    rt.spawn(device, name="device")
+    assert rt.run(timeout=5.0) == []
+    assert rt.task_errors() == []
+    assert seen == [(msg, recv.thread.ident) for msg in frames]
+    assert driver.stats.relayed_in == len(frames)
+    assert driver.stats.skipped_in == 1
+    assert driver.closed_by is not None
+
+
 def test_record_then_replay_transcripts_match():
     """Miniature indistinguishability check at the driver boundary."""
     script = [command(50), command(0), command(3), command(0), command(-1),
@@ -187,18 +209,18 @@ def test_record_then_replay_transcripts_match():
 
     def transcript(device, make_link):
         rt = WallRuntime()
-        bus = EventBus(rt)
         dev_end, drv_end = make_link(rt)
-        driver = DeviceDriver(drv_end, bus, emit_topic="sensor.response")
-        responses = bus.subscribe("sensor.response")
-        run_communication(rt, device, dev_end, driver, announce_boot=True)
+        driver = DeviceDriver(drv_end)
+        responses = rt.channel(16)
+        run_communication(rt, device, dev_end, driver, responses.put,
+                          announce_boot=True)
         got = []
 
         def scenario():
             for c in script:
                 driver.send(c)
             for _ in range(len(script) + 1):
-                got.append(responses.consume())
+                got.append(responses.get())
             rt.shutdown()
 
         rt.spawn(scenario, name="scenario")

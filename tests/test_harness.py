@@ -10,6 +10,7 @@ import time
 import pytest
 
 from twinproto import harness
+from twinproto.bus import EventBus
 from twinproto.cli import BUNDLED_SUITE, main
 from twinproto.config import Expectations, RunConfig, parse_scenario
 from twinproto.errors import ConfigError
@@ -24,6 +25,7 @@ from twinproto.harness import (
     run_suite,
     thread_digest,
 )
+from twinproto.runtime import ClockMode
 from twinproto.template import write_manifest
 
 
@@ -517,6 +519,23 @@ def test_replay_paces_in_the_thread_files_time_unit(tmp_path, monkeypatch,
     assert sleep_ms <= runtimes[0].tick < sleep_ms + 20
 
 
+@pytest.mark.parametrize("clock", [ClockMode.LOCKSTEP, ClockMode.WALL])
+def test_replay_counts_an_undecodable_frame_as_consumed(tmp_path, clock):
+    # the shadow's ingest driver skips the RAW frame; the feeder must not
+    # wait for the monitor to see it
+    thread = tmp_path / "raw.thread"
+    thread.write_text("seq=1 ts=0 dir=PT2DT kind=STA hex=2000\n"
+                      "seq=2 ts=1 dir=PT2DT kind=RAW hex=ff\n"
+                      "seq=3 ts=2 dir=PT2DT kind=STA hex=2001\n")
+    started = time.monotonic()
+    result = replay_thread(thread, clock=clock, timeout_s=3.0)
+    assert time.monotonic() - started < 1.0
+    assert result.ok, result.failures
+    assert result.frames_fed == 3
+    assert result.statuses_seen == 2
+    assert result.trajectory == ["ACTIVE"]
+
+
 def test_replay_rejects_corrupt_files(tmp_path):
     missing = tmp_path / "none.thread"
     with pytest.raises(ConfigError, match="cannot read"):
@@ -588,6 +607,16 @@ def test_bundled_suite_engine_counters_are_pinned(monkeypatch):
                 twin.keeper.mirrored_count, twin.monitor_stats.strays,
                 [(ts, s.name) for ts, s in twin.keeper.trajectory])
     assert counters == SUITE_COUNTERS
+
+
+def test_the_bundled_suite_passes_without_the_event_bus(monkeypatch):
+    # no deployment emits: drivers call control and the engine directly
+    def emit(self, topic, item):
+        raise AssertionError(f"emit on {topic}")
+
+    monkeypatch.setattr(EventBus, "emit", emit)
+    results = run_suite(BUNDLED_SUITE, force_lockstep=True)
+    assert [r.failures for r in results if not r.ok] == []
 
 
 def test_run_suite_empty_dir_is_a_config_error(tmp_path):

@@ -3,7 +3,6 @@ import sys
 
 import pytest
 
-from twinproto.bus import EventBus, TOPIC_DT_INGEST
 from twinproto.control import SensorBacking, assemble_plant
 from twinproto.errors import GateRejected
 from twinproto.mapek import (
@@ -115,19 +114,15 @@ def test_gate_prefers_latest_observation():
 
 def test_monitor_classifies_and_counts_strays():
     rt = WallRuntime()
-    bus = EventBus(rt)
     _, dt_end = connect_pair(rt, "feed", "ingest", Protocol.TCP)
-    shadow = assemble_shadow(rt, bus, dt_end)
+    shadow = assemble_shadow(rt, dt_end)
     stats = shadow.monitor_stats
-    feed = bus.producer(TOPIC_DT_INGEST)
 
     def drive():
-        feed.emit(status(1))
-        feed.emit(measurement(42))
-        feed.emit(command(9))  # stray: counterparts do not send commands
-        feed.emit(status(2))
-        while stats.statuses + stats.measurements + stats.strays < 4:
-            rt.sleep_ms(1)
+        shadow.ingest(status(1))
+        shadow.ingest(measurement(42))
+        shadow.ingest(command(9))  # stray: counterparts do not send commands
+        shadow.ingest(status(2))
         rt.shutdown()
 
     rt.spawn(drive, name="drive")
@@ -158,10 +153,10 @@ def test_deployment_task_sets():
     rt = SpawnLog(WallRuntime())
     _, ingest = connect_pair(rt, "up:pt", "up:dt", Protocol.TCP)
     uplink, _ = connect_pair(rt, "down:dt", "down:pt", Protocol.TCP)
-    assemble_twin(rt, EventBus(rt), ingest, uplink)
+    assemble_twin(rt, None, ingest, uplink)
     assert sorted(rt.names) == ["twin:ingest", "twin:poll"]
     rt.names.clear()
-    assemble_shadow(rt, EventBus(rt), ingest)
+    assemble_shadow(rt, ingest)
     assert rt.names == ["shadow:ingest"]
 
 
@@ -171,8 +166,6 @@ def test_deployment_task_sets():
 
 def build_session(rt, kind, twinning_period_ms=40):
     """Plant plus twin-side deployment, PT2DT and (twin only) DT2PT links."""
-    pt_bus = EventBus(rt)
-    dt_bus = EventBus(rt)
     log = ThreadLog()
     up_plant, up_dt = connect_pair(rt, "up:pt", "up:dt", Protocol.TCP)
     ingest = TappedEndpoint(up_dt, log, rt, read_dir=ThreadDirection.PT2DT)
@@ -182,16 +175,16 @@ def build_session(rt, kind, twinning_period_ms=40):
                                            Protocol.TCP)
         uplink = TappedEndpoint(down_dt, log, rt,
                                 write_dir=ThreadDirection.DT2PT)
-        twin = assemble_twin(rt, dt_bus, ingest, uplink, thread_log=log,
+        twin = assemble_twin(rt, None, ingest, uplink, thread_log=log,
                              twinning_period_ms=twinning_period_ms)
         operator_down = None
     else:
         # shadow: the plant's command inlet stays with the operator
         operator_down, down_plant = connect_pair(rt, "down:op", "down:pt",
                                                  Protocol.TCP)
-        twin = assemble_shadow(rt, dt_bus, ingest)
+        twin = assemble_shadow(rt, ingest)
 
-    plant = assemble_plant(rt, pt_bus, SensorBacking.REAL,
+    plant = assemble_plant(rt, None, SensorBacking.REAL,
                            outbound=up_plant, inbound=down_plant)
     return plant, twin, log, operator_down
 
@@ -367,7 +360,7 @@ def test_operator_command_and_correction_share_the_uplink(seed):
     up_plant, up_dt = connect_pair(rt, "up:pt", "up:dt", Protocol.TCP)
     down_dt, down_plant = connect_pair(rt, "down:dt", "down:pt", Protocol.TCP)
     twin = assemble_twin(
-        rt, EventBus(rt),
+        rt, None,
         TappedEndpoint(up_dt, log, rt, read_dir=ThreadDirection.PT2DT),
         TappedEndpoint(down_dt, log, rt, write_dir=ThreadDirection.DT2PT),
         thread_log=log,
@@ -375,7 +368,7 @@ def test_operator_command_and_correction_share_the_uplink(seed):
         # the operator's task for the uplink
         twinning_period_ms=1 if seed == "wall" else 40)
     plant = assemble_plant(
-        rt, EventBus(rt), SensorBacking.REAL, outbound=up_plant,
+        rt, None, SensorBacking.REAL, outbound=up_plant,
         inbound=TappedEndpoint(down_plant, delivered, rt,
                                read_dir=ThreadDirection.DT2PT))
     sent = twin.uplink_driver.stats
@@ -405,7 +398,7 @@ def test_operator_command_and_correction_share_the_uplink(seed):
 
 
 def test_concurrent_uplink_writers_keep_the_thread_in_wire_order():
-    # two operator tasks and the ingest loop all run the engine step on the
+    # two operator tasks and the ingest loop all call the engine on the
     # wall clock; the uplink token keeps each tapped write whole, so the
     # thread's DT2PT order is the order the plant reads
     rt = WallRuntime()
@@ -413,12 +406,12 @@ def test_concurrent_uplink_writers_keep_the_thread_in_wire_order():
     up_plant, up_dt = connect_pair(rt, "up:pt", "up:dt", Protocol.TCP)
     down_dt, down_plant = connect_pair(rt, "down:dt", "down:pt", Protocol.TCP)
     twin = assemble_twin(
-        rt, EventBus(rt),
+        rt, None,
         TappedEndpoint(up_dt, log, rt, read_dir=ThreadDirection.PT2DT),
         TappedEndpoint(down_dt, log, rt, write_dir=ThreadDirection.DT2PT),
         thread_log=log)
     plant = assemble_plant(
-        rt, EventBus(rt), SensorBacking.REAL, outbound=up_plant,
+        rt, None, SensorBacking.REAL, outbound=up_plant,
         inbound=TappedEndpoint(down_plant, delivered, rt,
                                read_dir=ThreadDirection.DT2PT))
     n, done = 1500, []

@@ -1,6 +1,5 @@
 import pytest
 
-from twinproto.bus import EventBus
 from twinproto.errors import ConfigError
 from twinproto.messages import command, decode_message, encode_message, status
 from twinproto.runtime import WallRuntime
@@ -124,10 +123,9 @@ def test_fingerprint_tracks_source_changes(tmp_path):
 def test_assemble_prototype_replays_recording(valid_manifest):
     tpl = load_template(valid_manifest)
     rt = WallRuntime()
-    bus = EventBus(rt)
     up_plant, up_op = connect_pair(rt, "up:pt", "up:op", Protocol.TCP)
     down_op, down_plant = connect_pair(rt, "down:op", "down:pt", Protocol.TCP)
-    plant = assemble_prototype(rt, bus, tpl, outbound=up_plant,
+    plant = assemble_prototype(rt, tpl, outbound=up_plant,
                                inbound=down_plant)
     frames = []
 
@@ -147,6 +145,5 @@ def test_assemble_prototype_replays_recording(valid_manifest):
 def test_assemble_prototype_refuses_invalid_manifest(valid_manifest):
     (valid_manifest.parent / "design.md").unlink()
     tpl = load_template(valid_manifest)
-    rt = WallRuntime()
     with pytest.raises(ConfigError, match="manifest rejected"):
-        assemble_prototype(rt, EventBus(rt), tpl)
+        assemble_prototype(WallRuntime(), tpl)

@@ -157,6 +157,18 @@ def test_non_monotone_seq_rejected(tmp_path):
     assert exc.value.seq == 2
 
 
+def test_a_carriage_return_inside_a_line_does_not_split_it(tmp_path):
+    path = tmp_path / "cr.log"
+    line = "seq=1\r ts=0 dir=PT2DT kind=STA hex=2001\n"
+    path.write_bytes(line.encode())
+    assert read_thread_file(str(path)) == [parse_record_line(line)]
+    # CRLF line ends and a blank CRLF line read as before
+    path.write_bytes(b"seq=1 ts=0 dir=PT2DT kind=STA hex=2000\r\n\r\n"
+                     b"seq=2 ts=1 dir=PT2DT kind=STA hex=2001\r\n")
+    assert [(r.seq, r.payload) for r in read_thread_file(str(path))] == [
+        (1, b"\x20\x00"), (2, b"\x20\x01")]
+
+
 def test_empty_thread_file(tmp_path):
     path = tmp_path / "empty.log"
     path.write_text("")
@@ -369,9 +381,26 @@ def _agrees_with_reference(line, lineno):
     return True
 
 
+def _file_agrees_with_the_line_reader(line):
+    """A file holding just `line` reads as `parse_record_line` reads it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "one.log")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(line)
+        try:
+            want = [parse_record_line(line, 1)]
+        except CorruptRecord as exc:
+            with pytest.raises(CorruptRecord) as got:
+                read_thread_file(path)
+            assert got.value.seq == exc.seq, (line, str(got.value))
+            return
+        assert read_thread_file(path) == want, line
+
+
 @given(lines(), st.sampled_from([None, 7]))
 def test_the_reader_accepts_exactly_what_the_reference_accepts(line, lineno):
     _agrees_with_reference(line, lineno)
+    _file_agrees_with_the_line_reader(line)
 
 
 @pytest.mark.parametrize("line, accepted", [
