@@ -13,6 +13,7 @@ code 2 so broken inputs are distinguishable from failed runs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -84,6 +85,12 @@ def _require(cond, msg):
         raise ScenarioError(msg)
 
 
+def _is_int(x):
+    """An integer and not a bool: Python's bool is an int, so JSON's true
+    would pass for 1."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _state_name(raw, where):
     names = tuple(s.name for s in State)
     _require(raw in names, f"{where}: unknown state {raw!r}, want one of {names}")
@@ -103,9 +110,9 @@ def parse_scenario(data, path=None) -> Scenario:
     except ValueError:
         raise ScenarioError(f"{name}: unknown clock {clock_raw!r}") from None
     seed = data.get("seed", 0)
-    _require(isinstance(seed, int), f"{name}: seed must be an integer")
+    _require(_is_int(seed), f"{name}: seed must be an integer")
     duration = data.get("duration_ms", 0)
-    _require(isinstance(duration, int) and duration > 0,
+    _require(_is_int(duration) and duration > 0,
              f"{name}: duration_ms must be a positive integer")
 
     steps = []
@@ -114,14 +121,14 @@ def parse_scenario(data, path=None) -> Scenario:
         where = f"{name}: steps[{i}]"
         _require(isinstance(raw, dict), f"{where} must be an object")
         t = raw.get("at_ms")
-        _require(isinstance(t, int) and t >= 0, f"{where}: bad at_ms {t!r}")
+        _require(_is_int(t) and t >= 0, f"{where}: bad at_ms {t!r}")
         _require(t >= last_t, f"{where}: at_ms {t} goes backwards")
         last_t = t
         action = raw.get("do")
         _require(action in STEP_ACTIONS,
                  f"{where}: do must be one of {STEP_ACTIONS}, got {action!r}")
         value = raw.get("value")
-        _require(isinstance(value, int), f"{where}: value must be an integer")
+        _require(_is_int(value), f"{where}: value must be an integer")
         if action in ("command", "inject"):
             _require(COMMAND_MIN <= value <= COMMAND_MAX,
                      f"{where}: command value {value} out of range")
@@ -141,8 +148,8 @@ def parse_scenario(data, path=None) -> Scenario:
         _require(isinstance(raw, (list, tuple)) and len(raw) == 2,
                  f"{where} must be [t_ms, value]")
         t, v = raw
-        _require(isinstance(t, int) and t >= 0, f"{where}: bad time {t!r}")
-        _require(isinstance(v, int), f"{where}: bad value {v!r}")
+        _require(_is_int(t) and t >= 0, f"{where}: bad time {t!r}")
+        _require(_is_int(v), f"{where}: bad value {v!r}")
         measurements.append((t, v))
 
     recording = data.get("recording")
@@ -162,7 +169,7 @@ def parse_scenario(data, path=None) -> Scenario:
         exp.converged = raw_exp["converged"]
     for key in ("uplink_frames", "min_statuses", "gate_rejections_min"):
         if raw_exp.get(key) is not None:
-            _require(isinstance(raw_exp[key], int) and raw_exp[key] >= 0,
+            _require(_is_int(raw_exp[key]) and raw_exp[key] >= 0,
                      f"{name}: expect.{key} must be a non-negative integer")
             setattr(exp, key, raw_exp[key])
     if raw_exp.get("thread_sha256") is not None:
@@ -211,14 +218,16 @@ def load_config(path=None) -> RunConfig:
     cfg = RunConfig()
     for key in ("twinning_period_ms", "queue_capacity"):
         if key in data:
-            if not isinstance(data[key], int) or data[key] <= 0:
+            if not _is_int(data[key]) or data[key] <= 0:
                 raise ConfigError(f"config.{key} must be a positive integer")
             setattr(cfg, key, data[key])
     if "run_timeout_s" in data:
-        if not isinstance(data["run_timeout_s"], (int, float)) \
-                or data["run_timeout_s"] <= 0:
-            raise ConfigError("config.run_timeout_s must be positive")
-        cfg.run_timeout_s = float(data["run_timeout_s"])
+        timeout = data["run_timeout_s"]
+        if not (_is_int(timeout) or isinstance(timeout, float)) \
+                or not 0 < timeout < math.inf:  # JSON has NaN and Infinity
+            raise ConfigError("config.run_timeout_s must be positive and "
+                              "finite")
+        cfg.run_timeout_s = float(timeout)
     for key in ("thread_file", "record_file"):
         if data.get(key) is not None:
             if not isinstance(data[key], str):

@@ -52,12 +52,6 @@ class PortBindFailed(TransportError):
     """Could not bind or connect a TCP endpoint."""
 
 
-# -- event bus ----------------------------------------------------------------
-
-class BusClosed(TwinprotoError):
-    """Emit or consume on a bus that has been shut down."""
-
-
 # -- devices ------------------------------------------------------------------
 
 class DeviceError(TwinprotoError):

@@ -137,10 +137,11 @@ def _check_expectations(expect: Expectations, result: SessionResult):
             result.fail(f"{row.field.replace('_', ' ')} {got}, want {want}")
 
 
-def thread_digest(log: ThreadLog) -> str:
-    """Stable content hash of a whole interchange record."""
+def thread_digest(records) -> str:
+    """Stable content hash of a whole interchange record, given as the list
+    of its records."""
     h = hashlib.sha256()
-    for rec in log.records:
+    for rec in records:
         h.update(rec.format_line().encode("utf-8"))
     return h.hexdigest()
 
@@ -179,7 +180,7 @@ def run_scenario(scenario: Scenario, config: RunConfig | None = None) -> Session
         wiring.log.close()
         records = wiring.log.records
         result.thread_lines = len(records)
-        result.thread_sha256 = thread_digest(wiring.log)
+        result.thread_sha256 = thread_digest(records)
         _check_thread_invariants(scenario.mode, wiring.twin, result)
         if cfg.record_file:
             write_recording_file(records, cfg.record_file)

@@ -166,8 +166,8 @@ class ExecuteGate:
         self.committed = 0
         self.rejected = 0
 
-    def enforce(self, plan: PlanResult, observed: State | None = None) -> Message:
-        pt = observed if observed is not None else self.keeper.last_observed
+    def enforce(self, plan: PlanResult) -> Message:
+        pt = self.keeper.last_observed
         if pt is None:
             pt = plan.observed
         simulated = transition(pt, plan.command.value)
@@ -211,13 +211,12 @@ class DigitalTwin:
     """
 
     def __init__(self, runtime, keeper, ingest_driver, uplink_driver=None,
-                 gate=None, twinning_period_ms=None, thread_log=None):
+                 gate=None, thread_log=None):
         self._rt = runtime
         self.keeper = keeper
         self.ingest_driver = ingest_driver
         self.uplink_driver = uplink_driver
         self.gate = gate
-        self.twinning_period_ms = twinning_period_ms
         self.monitor_stats = MonitorStats()
         self.plan_stats = PlanStats()
         self._thread_log = thread_log
@@ -327,7 +326,6 @@ def assemble_twin(runtime, bus, ingest_conn, uplink_conn, thread_log=None,
                                  name=f"{name}-uplink")
     twin = DigitalTwin(runtime, keeper, _ingest_driver(ingest_conn, name),
                        uplink_driver=uplink_driver, gate=ExecuteGate(keeper),
-                       twinning_period_ms=twinning_period_ms,
                        thread_log=thread_log)
     runtime.spawn(lambda: twin.ingest_driver.receive_loop(twin.ingest),
                   name=f"{name}:ingest")

@@ -4,10 +4,16 @@ All concurrent pieces of the system (device serve loops, driver receive
 loops, the twin's re-check poll, scenario injectors) are written as plain
 blocking functions against this module's Runtime interface:
 
-    spawn(fn, name=...)   start a task
-    channel(capacity=..)  bounded FIFO pipe between tasks
+    spawn(fn, name=...)   start a task; its handle records how it ended
+    channel(capacity=..)  bounded FIFO pipe between tasks: put, get, close, len
     sleep_ms(ms)          timed wait
     now_ns()              timestamp for records
+    shutdown()            close every channel and wake every sleeper
+    run(timeout=...)      wait for every task, those spawned meanwhile too
+
+A task that ends by returning or by meeting a closed channel or link (or a
+stopping runtime) is `done`; any other exception makes it `failed`, and the
+exception is kept for `task_errors`.
 
 A task exists only where something waits on a link or a timer. Deciding and
 sending are not tasks: a driver's receive loop calls control or the MAPE-K
@@ -45,18 +51,12 @@ import time
 from collections import deque
 from enum import Enum
 
-from .errors import (
-    BusClosed,
-    ChannelClosed,
-    ConnectionClosed,
-    KernelHalted,
-    TaskStopped,
-)
+from .errors import ChannelClosed, ConnectionClosed, KernelHalted, TaskStopped
 
 DEFAULT_CHANNEL_CAPACITY = 1024
 
 # task exit paths that mean "unwound cleanly during teardown"
-CLEAN_EXITS = (TaskStopped, ChannelClosed, ConnectionClosed, BusClosed)
+CLEAN_EXITS = (TaskStopped, ChannelClosed, ConnectionClosed)
 
 
 class ClockMode(Enum):
@@ -73,6 +73,19 @@ class TaskHandle:
 
     def __repr__(self):
         return f"<task {self.name} {self.state}>"
+
+
+def _task_body(handle, fn):
+    """Run `fn` on `handle`'s thread, then record how it ended."""
+    handle.state = "running"
+    try:
+        fn()
+        handle.state = "done"
+    except CLEAN_EXITS:
+        handle.state = "done"
+    except Exception as exc:  # real failure: keep for the supervisor
+        handle.error = exc
+        handle.state = "failed"
 
 
 # ---------------------------------------------------------------------------
@@ -112,20 +125,9 @@ class _WallChannel:
             self._closed = True
             self._cond.notify_all()
 
-    def drain(self):
-        with self._cond:
-            items = list(self._items)
-            self._items.clear()
-            self._cond.notify_all()
-            return items
-
     def __len__(self):
         with self._cond:
             return len(self._items)
-
-    @property
-    def closed(self):
-        return self._closed
 
 
 # most real seconds a run stopped at its timeout waits for tasks to unwind
@@ -143,22 +145,12 @@ class WallRuntime:
 
     def spawn(self, fn, name="task"):
         handle = TaskHandle(name)
-
-        def run():
-            handle.state = "running"
-            try:
-                fn()
-                handle.state = "done"
-            except CLEAN_EXITS:
-                handle.state = "done"
-            except Exception as exc:  # real failure: keep for the supervisor
-                handle.error = exc
-                handle.state = "failed"
-
-        handle.thread = threading.Thread(target=run, name=name, daemon=True)
+        handle.thread = threading.Thread(target=_task_body, args=(handle, fn),
+                                         name=name, daemon=True)
+        # started under the lock, so `run` never meets an unjoinable handle
         with self._lock:
             self._tasks.append(handle)
-        handle.thread.start()
+            handle.thread.start()
         return handle
 
     def channel(self, capacity=DEFAULT_CHANNEL_CAPACITY):
@@ -191,27 +183,31 @@ class WallRuntime:
             ch.close()
 
     def run(self, timeout=30.0):
-        """Wait for every spawned task to finish; returns straggler names.
+        """Wait for every spawned task to finish, tasks spawned during the
+        run included; returns straggler names.
 
         Stragglers are named as the timeout found them, then the runtime is
         shut down and they get a grace period to unwind, so a task parked on
         a full or empty channel does not outlive the run.
         """
         deadline = time.monotonic() + timeout
-        stragglers = []
+        joined = 0
+        while True:
+            with self._lock:
+                tasks = self._tasks[joined:]
+            if not tasks or time.monotonic() >= deadline:
+                break
+            joined += len(tasks)
+            for handle in tasks:
+                handle.thread.join(max(deadline - time.monotonic(), 0.01))
         with self._lock:
-            tasks = list(self._tasks)
-        for handle in tasks:
-            remaining = deadline - time.monotonic()
-            handle.thread.join(max(remaining, 0.01))
-            if handle.thread.is_alive():
-                stragglers.append(handle.name)
+            stragglers = [h for h in self._tasks if h.thread.is_alive()]
         if stragglers:
             self.shutdown()
             deadline = time.monotonic() + UNWIND_S
-            for handle in tasks:
+            for handle in stragglers:
                 handle.thread.join(max(deadline - time.monotonic(), 0.01))
-        return stragglers
+        return [h.name for h in stragglers]
 
     def task_errors(self):
         with self._lock:
@@ -227,7 +223,6 @@ class _LockTask(TaskHandle):
         super().__init__(name)
         self.grant = threading.Lock()  # held until the kernel grants a slice
         self.grant.acquire()
-        self.wake_tick = None
 
 
 class _LockChannel:
@@ -275,20 +270,9 @@ class _LockChannel:
             k._make_ready(self._getters)
             k._make_ready(self._putters)
 
-    def drain(self):
-        with self._k._lock:
-            items = list(self._items)
-            self._items.clear()
-            self._k._make_ready(self._putters)
-            return items
-
     def __len__(self):
         with self._k._lock:
             return len(self._items)
-
-    @property
-    def closed(self):
-        return self._closed
 
 
 class LockstepRuntime:
@@ -365,15 +349,8 @@ class LockstepRuntime:
 
         def run():
             task.grant.acquire()  # first slice is granted by the kernel
-            task.state = "running"
             try:
-                fn()
-                task.state = "done"
-            except CLEAN_EXITS:
-                task.state = "done"
-            except Exception as exc:
-                task.error = exc
-                task.state = "failed"
+                _task_body(task, fn)
             finally:
                 with self._lock:
                     self._by_ident.pop(task.thread.ident, None)
@@ -402,11 +379,10 @@ class LockstepRuntime:
         with self._lock:
             if self._stopping:
                 raise TaskStopped()
-            task.wake_tick = self._tick + int(ms)
             self._serial += 1
-            heapq.heappush(self._sleepers, (task.wake_tick, self._serial, task))
+            heapq.heappush(self._sleepers,
+                           (self._tick + int(ms), self._serial, task))
             self._park(task, "sleeping")
-            task.wake_tick = None
             if self._stopping:
                 raise TaskStopped()
 

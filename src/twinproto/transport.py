@@ -1,24 +1,24 @@
 """Framed stream transport.
 
-Wire format, identical on every link in the system:
-
-    [length: uint32 big-endian][payload bytes]
-
-A frame's payload may be empty and may be at most 2**20 bytes. Delivery on any
-endpoint is FIFO, exactly-once, uncorrupted; there is no reordering layer
-because none of the underlying media (in-process pipes, loopback TCP) reorder.
-
-Two endpoint flavors share the same read_frame/write_frame surface:
+Every link carries whole frames: a payload of 0 to MAX_FRAME_PAYLOAD
+(2**20) bytes, delivered FIFO, exactly once and uncorrupted; there is no
+reordering layer because none of the underlying media (in-process pipes,
+loopback TCP) reorder. Two endpoint flavors share the same
+read_frame/write_frame surface:
 
 * in-process pairs (`connect_pair`, `open_virtual_serial_pair`) built on
-  runtime channels, carrying the actual wire bytes so the framing is real.
+  runtime channels, which carry each payload as it is. A write refuses what
+  a socket refuses: a payload over MAX_FRAME_PAYLOAD.
   The serial-to-TCP-to-serial tunnel that lets the same driver code talk to
   an emulated device is one such pair, `bridge:dev` <-> `bridge:drv`, holding
   up to BRIDGE_WINDOW frames per direction unless its builder sizes it.
   Frames pass through unchanged in both directions; killing the tunnel is
   closing either end, which fails pending reads on both;
 * `SocketEndpoint` over a TCP socket, used when assemblies run as separate
-  processes.
+  processes. A socket is a byte stream, so each frame goes on the wire
+  behind a length prefix:
+
+    [length: uint32 big-endian][payload bytes]
 
 Each endpoint has one logical reader and one logical writer.
 """
@@ -69,7 +69,7 @@ def unframe(wire: bytes) -> bytes:
 
 
 class Endpoint:
-    """In-process framed stream endpoint (one half of a connected pair)."""
+    """In-process frame endpoint (one half of a connected pair)."""
 
     def __init__(self, name, protocol, rx, tx):
         self.name = name
@@ -77,31 +77,22 @@ class Endpoint:
         self._rx = rx
         self._tx = tx
         self._closed = False
-        self.frames_in = 0
-        self.frames_out = 0
-        self.bytes_in = 0
-        self.bytes_out = 0
 
     def write_frame(self, payload: bytes):
         if self._closed:
             raise ConnectionClosed(f"{self.name}: write after close")
-        wire = frame_payload(payload)
+        if len(payload) > MAX_FRAME_PAYLOAD:
+            raise FrameTooLarge(f"{len(payload)} bytes > {MAX_FRAME_PAYLOAD}")
         try:
-            self._tx.put(wire)
+            self._tx.put(payload)
         except ChannelClosed:
             raise ConnectionClosed(f"{self.name}: peer closed") from None
-        self.frames_out += 1
-        self.bytes_out += len(wire)
 
     def read_frame(self) -> bytes:
         try:
-            wire = self._rx.get()
+            return self._rx.get()
         except ChannelClosed:
             raise ConnectionClosed(f"{self.name}: stream closed") from None
-        payload = unframe(wire)
-        self.frames_in += 1
-        self.bytes_in += len(wire)
-        return payload
 
     def close(self):
         # idempotent; also fails the peer's blocked reads once drained
@@ -137,7 +128,8 @@ def open_virtual_serial_pair(runtime, name_a="ptyA", name_b="ptyB",
 # ---------------------------------------------------------------------------
 
 class SocketEndpoint:
-    """Framed stream over a connected TCP socket. Same surface as Endpoint."""
+    """Length-prefixed frames over a connected TCP socket. Same surface as
+    Endpoint."""
 
     protocol = Protocol.TCP
 
@@ -146,10 +138,6 @@ class SocketEndpoint:
         self._sock = sock
         self._closed = False
         self._wlock = threading.Lock()
-        self.frames_in = 0
-        self.frames_out = 0
-        self.bytes_in = 0
-        self.bytes_out = 0
 
     def _recv_exact(self, n):
         buf = b""
@@ -175,8 +163,6 @@ class SocketEndpoint:
             except OSError:
                 self._closed = True
                 raise ConnectionClosed(f"{self.name}: send failed") from None
-        self.frames_out += 1
-        self.bytes_out += len(wire)
 
     def read_frame(self) -> bytes:
         if self._closed:
@@ -185,10 +171,7 @@ class SocketEndpoint:
         (length,) = FRAME_HEADER.unpack(header)
         if length > MAX_FRAME_PAYLOAD:
             raise FrameTooLarge(f"prefix {length} > {MAX_FRAME_PAYLOAD}")
-        payload = self._recv_exact(length)
-        self.frames_in += 1
-        self.bytes_in += len(header) + length
-        return payload
+        return self._recv_exact(length)
 
     def close(self):
         # a hang-up or socket error already marked the stream closed, but the

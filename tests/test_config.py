@@ -1,17 +1,24 @@
 """Scenario and run-config parsing: strict in, structured out."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from twinproto.config import (
+    MODES,
     RunConfig,
     load_config,
     load_scenario,
     parse_scenario,
 )
 from twinproto.errors import ConfigError, ScenarioError
+from twinproto.messages import COMMAND_MAX, COMMAND_MIN
 from twinproto.runtime import ClockMode
+from twinproto.statemachine import State
 
 
 def base(**over):
@@ -163,6 +170,8 @@ def test_load_config_defaults_and_overrides(tmp_path):
     ({"thread_file": 9}, "path string"),
     ({"isolate": "yes"}, "boolean"),
     ({"mystery": 1}, "unknown config keys"),
+    ({"run_timeout_s": float("nan")}, "finite"),
+    ({"run_timeout_s": float("inf")}, "finite"),
 ])
 def test_load_config_rejects_bad_values(tmp_path, payload, needle):
     p = tmp_path / "cfg.json"
@@ -170,3 +179,140 @@ def test_load_config_rejects_bad_values(tmp_path, payload, needle):
     with pytest.raises(ConfigError) as err:
         load_config(p)
     assert needle in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# properties: generated valid inputs round-trip, booleans are no integers
+# ---------------------------------------------------------------------------
+
+INTS = st.integers(-(2 ** 40), 2 ** 40)
+NATURALS = st.integers(0, 2 ** 40)
+STATE_NAMES = st.sampled_from([s.name for s in State])
+STEP_VALUES = {
+    "command": st.integers(COMMAND_MIN, COMMAND_MAX),
+    "inject": st.integers(COMMAND_MIN, COMMAND_MAX),
+    "set_model": st.sampled_from([int(s) for s in State]),
+}
+
+
+@st.composite
+def scenarios(draw):
+    """A scenario dict that `parse_scenario` must accept."""
+    mode = draw(st.sampled_from(MODES))
+    clock = draw(st.sampled_from([c.value for c in ClockMode]))
+    actions = list(STEP_VALUES) if mode == "twin" else ["command"]
+    times = sorted(draw(st.lists(NATURALS, max_size=6)))
+    steps = []
+    for t in times:
+        action = draw(st.sampled_from(actions))
+        steps.append({"at_ms": t, "do": action,
+                      "value": draw(STEP_VALUES[action])})
+    data = {
+        "name": draw(st.text(min_size=1, max_size=8)),
+        "mode": mode,
+        "clock": clock,
+        "seed": draw(INTS),
+        "duration_ms": max(times, default=0) + draw(st.integers(1, 1000)),
+        "steps": steps,
+        "measurements": draw(st.lists(st.tuples(NATURALS, INTS).map(list),
+                                      max_size=6)),
+    }
+    if mode == "dtp" or draw(st.booleans()):
+        data["recording"] = draw(st.text(min_size=1, max_size=8))
+    expect = {}
+    for key in ("final_status", "model_state"):
+        if draw(st.booleans()):
+            expect[key] = draw(STATE_NAMES)
+    if draw(st.booleans()):
+        expect["converged"] = draw(st.booleans())
+    for key in ("uplink_frames", "min_statuses", "gate_rejections_min"):
+        if draw(st.booleans()):
+            expect[key] = draw(NATURALS)
+    if clock == "lockstep" and draw(st.booleans()):
+        expect["thread_sha256"] = draw(st.text("0123456789abcdef",
+                                               min_size=64, max_size=64))
+    data["expect"] = expect
+    return data
+
+
+def integer_fields(data):
+    """(path, needle) for every integer field of a scenario dict: the path
+    into the dict, and what the rejection must name."""
+    fields = [(("seed",), "seed"), (("duration_ms",), "duration_ms")]
+    for i in range(len(data["steps"])):
+        fields += [(("steps", i, "at_ms"), "at_ms"),
+                   (("steps", i, "value"), "value")]
+    for i in range(len(data["measurements"])):
+        fields += [(("measurements", i, j), f"measurements[{i}]")
+                   for j in (0, 1)]
+    fields += [(("expect", key), key) for key in data["expect"]
+               if key in ("uplink_frames", "min_statuses",
+                          "gate_rejections_min")]
+    return fields
+
+
+@given(scenarios())
+def test_a_valid_scenario_parses_to_its_own_fields(data):
+    sc = parse_scenario(data)
+    assert (sc.name, sc.mode, sc.clock.value, sc.seed, sc.duration_ms) == \
+        (data["name"], data["mode"], data["clock"], data["seed"],
+         data["duration_ms"])
+    assert [(s.at_ms, s.action, s.value) for s in sc.steps] == \
+        [(s["at_ms"], s["do"], s["value"]) for s in data["steps"]]
+    assert sc.measurements == [tuple(m) for m in data["measurements"]]
+    assert sc.recording == data.get("recording")
+    for key, value in vars(sc.expect).items():
+        assert value == data["expect"].get(key)
+
+
+@given(scenarios(), st.data())
+def test_a_boolean_in_any_integer_field_of_a_scenario_is_rejected(data, pick):
+    path, needle = pick.draw(st.sampled_from(integer_fields(data)))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = pick.draw(st.booleans())
+    with pytest.raises(ScenarioError, match=needle.replace("[", r"\[")):
+        parse_scenario(data)
+
+
+POSITIVE = st.integers(1, 2 ** 40)
+
+
+@st.composite
+def configs(draw):
+    """A run-config dict that `load_config` must accept."""
+    values = {
+        "twinning_period_ms": POSITIVE,
+        "queue_capacity": POSITIVE,
+        "run_timeout_s": POSITIVE | st.floats(min_value=1e-3, max_value=1e6),
+        "thread_file": st.none() | st.text(max_size=8),
+        "record_file": st.none() | st.text(max_size=8),
+        "isolate": st.booleans(),
+    }
+    keys = draw(st.lists(st.sampled_from(sorted(values)), unique=True))
+    return {key: draw(values[key]) for key in keys}
+
+
+def load_config_from(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(data))
+        return load_config(path)
+
+
+@given(configs())
+def test_a_valid_config_loads_to_its_own_fields(data):
+    cfg = load_config_from(data)
+    for key, default in vars(RunConfig()).items():
+        want = data.get(key)
+        assert getattr(cfg, key) == (default if want is None else want)
+    assert isinstance(cfg.run_timeout_s, float)
+
+
+@given(configs(), st.sampled_from(["twinning_period_ms", "queue_capacity",
+                                   "run_timeout_s"]), st.booleans())
+def test_a_boolean_for_a_number_in_a_config_is_rejected(data, key, flag):
+    data[key] = flag
+    with pytest.raises(ConfigError, match=f"config.{key}"):
+        load_config_from(data)

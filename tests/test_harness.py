@@ -235,8 +235,8 @@ def close_uplink_in_commit(monkeypatch, tmp_path):
         twins.append(assemble(*args, **kwargs))
         return twins[-1]
 
-    def enforce_then_close(self, plan, observed=None):
-        cmd = enforce(self, plan, observed)
+    def enforce_then_close(self, plan):
+        cmd = enforce(self, plan)
         twins[0].uplink_driver.conn.close()
         return cmd
 

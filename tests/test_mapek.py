@@ -80,7 +80,8 @@ def test_plan_command_per_goal():
 
 def test_gate_matches_pure_transition_oracle():
     rng = random.Random(0xD7)
-    gate = ExecuteGate(ModelKeeper())
+    keeper = ModelKeeper()
+    gate = ExecuteGate(keeper)
     states = [State.STANDBY, State.ACTIVE, State.OFF]
     for _ in range(500):
         pt = rng.choice(states)
@@ -88,8 +89,9 @@ def test_gate_matches_pure_transition_oracle():
         value = rng.choice([-1, 0, 1, 50, rng.randrange(-100, 100)])
         plan = PlanResult(0, command(value), goal, pt)
         expected = S[ref_step(pt.name, value)] is goal
+        keeper.note_observation(pt)
         try:
-            gate.enforce(plan, observed=pt)
+            gate.enforce(plan)
             passed = True
         except GateRejected:
             passed = False

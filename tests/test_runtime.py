@@ -93,6 +93,27 @@ def test_wall_run_names_stragglers_then_unwinds_them():
     assert rt.task_errors() == []
 
 
+@pytest.mark.parametrize("child_ms,timeout,stragglers", [
+    (1000, 0.3, ["late-child"]),  # outlives the timeout: named, then unwound
+    (100, 5.0, []),               # ends inside the timeout: waited for
+])
+def test_wall_run_waits_for_tasks_spawned_during_the_run(child_ms, timeout,
+                                                         stragglers):
+    rt = WallRuntime()
+    children = []
+
+    def parent():
+        rt.sleep_ms(50)
+        children.append(rt.spawn(lambda: rt.sleep_ms(child_ms),
+                                 name="late-child"))
+
+    rt.spawn(parent, name="parent")
+    assert rt.run(timeout=timeout) == stragglers
+    assert not children[0].thread.is_alive()
+    assert children[0].state == "done"
+    assert rt.task_errors() == []
+
+
 # -- lockstep kernel ----------------------------------------------------------
 
 def run_bounded(rt, timeout):
@@ -357,17 +378,3 @@ def test_lockstep_channel_rejects_foreign_threads():
     ch = rt.channel()
     with pytest.raises(RuntimeError, match="spawned tasks"):
         ch.get()
-
-
-def test_lockstep_drain_is_nonblocking():
-    rt = LockstepRuntime(seed=0)
-    ch = rt.channel()
-
-    def producer():
-        for i in range(3):
-            ch.put(i)
-
-    rt.spawn(producer, name="producer")
-    rt.run(timeout=5.0)
-    assert ch.drain() == [0, 1, 2]
-    assert ch.drain() == []

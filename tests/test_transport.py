@@ -50,9 +50,44 @@ def test_pair_fifo_and_counters():
         a.write_frame(p)
     got = [b.read_frame() for _ in payloads]
     assert got == payloads
-    assert a.frames_out == b.frames_in == 20
-    assert a.bytes_out == b.bytes_in == sum(len(p) + 4 for p in payloads)
     assert a.protocol is Protocol.RS232
+
+
+def socket_pair():
+    """Two connected loopback `SocketEndpoint`s: (client, server)."""
+    listener = TcpListener("127.0.0.1", 0)
+    client = tcp_connect(*listener.address)
+    server = listener.accept(timeout=5.0)
+    listener.close()
+    return client, server
+
+
+# an in-process pair carries payloads as they are, a socket behind a length
+# prefix; both must carry and refuse the same frames
+EDGE_PAYLOADS = [b"", b"\x00", b"", bytes(range(256)),
+                 b"x" * MAX_FRAME_PAYLOAD, b"end"]
+
+
+@pytest.mark.parametrize("kind", ["in-process", "socket"])
+def test_both_endpoint_kinds_carry_and_refuse_the_same_frames(kind):
+    if kind == "socket":
+        writer, reader = socket_pair()
+    else:
+        writer, reader = connect_pair(WallRuntime(), "a", "b", Protocol.TCP)
+    # a socket can hold less than a full frame: write from a second thread
+    sent = threading.Thread(
+        target=lambda: [writer.write_frame(p) for p in EDGE_PAYLOADS])
+    sent.start()
+    try:
+        assert [reader.read_frame() for _ in EDGE_PAYLOADS] == EDGE_PAYLOADS
+    finally:
+        sent.join(timeout=10)
+    with pytest.raises(FrameTooLarge):
+        writer.write_frame(b"x" * (MAX_FRAME_PAYLOAD + 1))
+    writer.write_frame(b"after")  # a refused frame leaves the link intact
+    assert reader.read_frame() == b"after"
+    writer.close()
+    reader.close()
 
 
 def test_pair_duplex_and_empty_frames():
@@ -206,15 +241,11 @@ def test_tcp_roundtrip_over_loopback():
     client.close()
     t.join(timeout=5.0)
     listener.close()
-    assert client.frames_out == 2
     assert client.protocol is Protocol.TCP
 
 
 def test_socket_close_after_hang_up_releases_the_socket():
-    listener = TcpListener("127.0.0.1", 0)
-    client = tcp_connect(*listener.address)
-    server = listener.accept(timeout=5.0)
-    listener.close()
+    client, server = socket_pair()
     server.close()
     with pytest.raises(ConnectionClosed):
         client.read_frame()  # the hang-up marks the stream closed...
