@@ -11,12 +11,15 @@ not a full audit; the digital thread is the audit.
 Control has no task of its own. Each driver's receive loop calls one of its
 two handlers directly: the transmitter driver's loop calls
 `handle_transmitter_command`, the sensor driver's `handle_sensor_response`.
-Forwarding is a call to the other driver's `send` on that same task, so each
-device link keeps one writer: `tx-driver:recv` writes the sensor link and
-`sensor-driver:recv` writes the outbound link. The period, the data log and
-the stray count are touched by both tasks, under a short lock that is never
-held across a `send` (a send can park on a full link, and under lockstep a
-task blocked on a raw lock hangs the kernel).
+A handler logs, then forwards with the other driver's send and returns what
+that send returns. In a plant that is the driver's `forward`: it sends at
+once, or, on a full link, returns the generator that waits and then sends,
+which the receive loop runs on that same task. So each device link keeps
+one writer: `tx-driver:recv` writes the sensor link and `sensor-driver:recv`
+writes the outbound link. The period, the data log and the stray count are
+touched by both tasks, under a short lock that is never held across a send
+(a send can park on a full link, and under lockstep a task blocked on a raw
+lock hangs the kernel).
 
 `assemble_plant` builds the whole physical-twin stack. The only difference
 between a REAL and an EMULATED (prototype) assembly is what hangs off the far
@@ -56,7 +59,8 @@ class ControlLogic:
 
     def __init__(self, send_command, send_response):
         """`send_command` writes toward the sensor, `send_response` toward
-        the transmitter; each is called on the task that called the handler."""
+        the transmitter. Each is called by a handler, which returns what it
+        returns: None from a plain send, or a generator the caller runs."""
         self.period = 0
         self.data_log = []  # (tag, Message), relay order
         self.stray_commands = 0
@@ -69,19 +73,19 @@ class ControlLogic:
         if msg.kind is not MessageKind.COMMAND:
             with self._lock:
                 self.stray_commands += 1
-            return
+            return None
         with self._lock:
             self.period = msg.value
             if msg.value > 0:  # logged before the send: relay order is causal
                 self.data_log.append(("cmd", msg))
-        self._send_command(msg)
+        return self._send_command(msg)
 
     def handle_sensor_response(self, msg):
-        """Forward verbatim; log under the current period."""
-        self._send_response(msg)
+        """Log under the current period, then forward verbatim."""
         with self._lock:
             if self.period > 0:
                 self.data_log.append(("rsp", msg))
+        return self._send_response(msg)
 
     def describe(self):
         return {"period_init": 0, "log_gate": "period>0"}
@@ -160,16 +164,17 @@ def assemble_plant(runtime, bus, backing, recording=None,
         command_set=frozenset({OP_MEASUREMENT, OP_STATUS}),
         name="tx-driver",
     )
-    control = ControlLogic(sensor_driver.send, tx_driver.send)
+    control = ControlLogic(sensor_driver.forward, tx_driver.forward)
 
     device_stats = run_communication(runtime, sensor, dev_end, sensor_driver,
                                      control.handle_sensor_response,
                                      announce_boot=True)
-    runtime.spawn(
-        lambda: tx_driver.receive_loop(control.handle_transmitter_command),
-        name="tx-driver:recv")
+    runtime.spawn(tx_driver.receive(control.handle_transmitter_command),
+                  name="tx-driver:recv")
 
     if measurement_script and backing is SensorBacking.REAL:
+        # a thread task: under lockstep, while it sleeps between entries,
+        # its own thread carries the generator tasks' slices
         runtime.spawn(
             lambda: run_measurement_script(runtime, sensor, dev_end,
                                            measurement_script),

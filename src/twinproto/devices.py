@@ -17,6 +17,14 @@ which then closes its own connection too: a break anywhere in a relay chain
 reaches both of its ends instead of leaving a peer blocked on a link nobody
 serves.
 
+The serve loop, the receive loop and a driver's send are generator bodies
+(`serve`, `DeviceDriver.receive`, `DeviceDriver.forward`), which the
+assemblies spawn as generator tasks; `device_serve`, `receive_loop` and
+`send` are the same bodies run by the runtime's blocking driver, for thread
+tasks. The callable a receive loop hands frames to returns None, or a
+generator that the loop runs before its next read: a handler with blocking
+work (a send) returns it instead of blocking.
+
 The transmitter is not a device with a serve loop but the transmitter
 driver's connection itself: writes go straight out on the plant's outbound
 link and reads come straight in from its inbound link, with no task between.
@@ -25,6 +33,10 @@ The emulator is deliberately dumb: it replays previously recorded responses in
 order and never computes a fresh one. Fed with the recordings of a real run
 and given the same command script, it is byte-indistinguishable from the real
 device at the driver side, which is what makes prototype assemblies honest.
+A real sensor answers the boot and each command with one status and sends
+measurements only unprompted, so the serve loop writes, right after each
+answer, the frames the device sends unprompted: for the emulator, every
+recorded measurement that follows the status it just replayed.
 """
 
 from __future__ import annotations
@@ -42,11 +54,13 @@ from .errors import (
 from .messages import (
     OP_COMMAND,
     Message,
+    MessageKind,
     decode_message,
     encode_message,
     measurement,
     status,
 )
+from .runtime import drive
 from .statemachine import State, TwinState, process_event
 from .transport import Protocol
 
@@ -96,6 +110,11 @@ class SensorDevice:
     def boot_message(self) -> Message:
         return status(int(self.state))
 
+    def unprompted(self):
+        """None: the sensor's measurements come from its measurement
+        script's own task."""
+        return None
+
     def describe(self):
         return {"kind": self.kind, "commands": command_set_label(self.command_set)}
 
@@ -116,6 +135,16 @@ class EmulatorContext:
         self.cursor += 1
         return msg
 
+    def next_measurement(self) -> Message | None:
+        """The recording at the cursor if it is a measurement (consumed),
+        else None."""
+        if self.cursor < len(self.recordings):
+            msg = self.recordings[self.cursor]
+            if msg.kind is MessageKind.MEASUREMENT:
+                self.cursor += 1
+                return msg
+        return None
+
 
 class EmulatorDevice:
     """Replays an EmulatorContext; never computes a response."""
@@ -135,6 +164,11 @@ class EmulatorDevice:
         # the boot announcement of the recorded run is recording zero
         return self.context.next_recording()
 
+    def unprompted(self):
+        """The next recorded measurement after the last frame replayed, or
+        None: the recorded sensor sent it unprompted."""
+        return self.context.next_measurement()
+
     def describe(self):
         return {"kind": self.kind, "commands": command_set_label(self.command_set)}
 
@@ -151,13 +185,21 @@ def device_serve(device, conn, announce_boot=False, stats=None) -> DeviceStats:
     """Serve loop: read frame, decode, execute, encode, write response.
 
     Malformed frames and rejected commands are counted and skipped, never
-    fatal. Returns (with its stats) when the connection closes.
+    fatal. Returns (with its stats) when the connection closes. A plain
+    call: `serve` run by the blocking driver.
     """
+    return drive(serve(device, conn, announce_boot, stats))
+
+
+def serve(device, conn, announce_boot=False, stats=None):
+    """Generator body of `device_serve`."""
     stats = stats if stats is not None else DeviceStats()
     try:
         if announce_boot:
-            conn.write_frame(encode_message(device.boot_message()))
+            yield from _answer(device, conn, device.boot_message())
         while True:
+            while (wait := conn.wait_read()) is not None:
+                yield wait
             payload = conn.read_frame()
             try:
                 msg = decode_message(payload)
@@ -172,10 +214,25 @@ def device_serve(device, conn, announce_boot=False, stats=None) -> DeviceStats:
             except ContextExhausted:
                 stats.exhausted += 1
                 continue
+            while (wait := conn.wait_write()) is not None:
+                yield wait
             conn.write_frame(encode_message(response))
             stats.served += 1
+            unprompted = device.unprompted()
+            if unprompted is not None:
+                yield from _answer(device, conn, unprompted)
     except ConnectionClosed:
         return stats
+
+
+def _answer(device, conn, msg):
+    """Write `msg`, then each frame the device sends unprompted right after
+    it."""
+    while msg is not None:
+        while (wait := conn.wait_write()) is not None:
+            yield wait
+        conn.write_frame(encode_message(msg))
+        msg = device.unprompted()
 
 
 def run_measurement_script(runtime, sensor, conn, script):
@@ -229,9 +286,18 @@ class DeviceDriver:
         self.closed_by = None
 
     def receive_loop(self, on_message):
+        """`receive` run by the blocking driver, on the calling task."""
+        drive(self.receive(on_message))
+
+    def receive(self, on_message):
+        """Generator body of the receive loop. `on_message(msg)` returns
+        None, or a generator run here before the next read."""
+        conn = self.conn
         try:
             while True:
-                payload = self.conn.read_frame()
+                while (wait := conn.wait_read()) is not None:
+                    yield wait
+                payload = conn.read_frame()
                 try:
                     msg = decode_message(payload)
                 except CodecError:
@@ -240,17 +306,40 @@ class DeviceDriver:
                 # counted first: the frame is handed on even if its
                 # consumer then fails on its own link
                 self.stats.relayed_in += 1
-                on_message(msg)
+                work = on_message(msg)
+                if work is not None:
+                    yield from work
         except ConnectionClosed as exc:  # this link, or one a consumer writes
             self.closed_by = str(exc)
-            self.conn.close()
+            conn.close()
 
     def send(self, msg):
         """Write one message to the device; outside the command set it is
-        counted and dropped. Raises ConnectionClosed once the link is gone."""
+        counted and dropped. Raises ConnectionClosed once the link is gone.
+        A plain call: `forward`, its wait run by the blocking driver."""
+        work = self.forward(msg)
+        if work is not None:
+            drive(work)
+
+    def forward(self, msg):
+        """`send` for generator code: sends at once and returns None, or,
+        if the link is full, returns the generator that waits for room and
+        then sends. The caller's task runs it before anything else."""
         if msg.kind.opcode not in self.command_set:
             self.stats.skipped_out += 1
-            return
+            return None
+        wait = self.conn.wait_write()
+        if wait is not None:
+            return self._send_after(wait, msg)
+        self.conn.write_frame(encode_message(msg))
+        self.stats.relayed_out += 1
+        return None
+
+    def _send_after(self, wait, msg):
+        """`forward`'s generator: the wait it met first, then the send."""
+        while wait is not None:
+            yield wait
+            wait = self.conn.wait_write()
         self.conn.write_frame(encode_message(msg))
         self.stats.relayed_out += 1
 
@@ -273,13 +362,9 @@ def run_communication(runtime, device, device_conn, driver, on_message,
             f"driver={command_set_label(driver.command_set)}"
         )
     stats = DeviceStats()
-    runtime.spawn(
-        lambda: device_serve(device, device_conn, announce_boot=announce_boot,
-                             stats=stats),
-        name=f"{driver.name}:device",
-    )
-    runtime.spawn(lambda: driver.receive_loop(on_message),
-                  name=f"{driver.name}:recv")
+    runtime.spawn(serve(device, device_conn, announce_boot, stats),
+                  name=f"{driver.name}:device")
+    runtime.spawn(driver.receive(on_message), name=f"{driver.name}:recv")
     return stats
 
 
@@ -292,6 +377,10 @@ class RelayStats:
     relayed_up: int = 0      # tx driver -> outbound link
     relayed_down: int = 0    # inbound link -> tx driver
     dropped_up: int = 0      # outbound with no link attached
+
+
+def _no_wait():
+    return None
 
 
 class TransmitterDevice:
@@ -310,6 +399,9 @@ class TransmitterDevice:
         self.outbound = outbound
         self.inbound = inbound
         self.stats = RelayStats()
+        # the wait halves are the links' own; with no link nothing waits
+        self.wait_write = _no_wait if outbound is None else outbound.wait_write
+        self.wait_read = _no_wait if inbound is None else inbound.wait_read
 
     def write_frame(self, payload: bytes):
         if self.outbound is None:

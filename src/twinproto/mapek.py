@@ -6,12 +6,17 @@ function calls on a `DigitalTwin`, which has no task of its own: the ingest
 driver's receive loop calls `ingest` (monitor, then the rest) for every
 frame, the twinning poll calls `recheck` (analyze onward, against the last
 report), and the operator calls `send_command`. Each runs on its caller's
-task.
+task. The work that can park (taking the token, the uplink send) is a
+generator: `ingest` and `recheck` return it for the calling task to run (the
+receive loop and the poll are generator tasks), and the plain calls
+`inject_model_change` and `send_command` run it with the runtime's blocking
+driver. A measurement, or a status in a shadow, takes no token, so `ingest`
+returns None for it.
 
     monitor   classify an ingested frame: status observation / measurement
     analyze   compare an observation (ingested or re-checked) with the model
     plan      derive a corrective command on divergence
-    execute   simulation gate, then a call to the uplink driver's `send`
+    execute   simulation gate, then the uplink driver's send (`forward`)
 
 In a twin, analyze, plan and execute and every uplink write run holding a
 token, a `runtime.channel(1)`: one task at a time decides and writes, so the
@@ -54,6 +59,7 @@ from dataclasses import dataclass
 from .devices import DeviceDriver
 from .errors import GateRejected
 from .messages import OP_COMMAND, Message, MessageKind, command, status
+from .runtime import drive
 from .statemachine import State, TwinState, process_event, transition
 
 # corrective command toward ACTIVE uses this sampling period
@@ -186,13 +192,16 @@ class ExecuteGate:
 # ---------------------------------------------------------------------------
 
 def execute(runtime, gate, plan, send, thread_log=None):
-    """Gate one plan: a committed command is passed to `send`, a rejected
-    one leaves a NOTE in the thread."""
+    """Gate one plan: a committed command is passed to `send`, and what
+    `send` returns is returned (a generator, from a driver's `forward`, is
+    the caller's to run); a rejected one leaves a NOTE in the thread."""
     try:
-        send(gate.enforce(plan))
+        cmd = gate.enforce(plan)
     except GateRejected as exc:
         if thread_log is not None:
             thread_log.append_note(runtime.now_ns(), f"gate rejected: {exc}")
+        return None
+    return send(cmd)
 
 
 def execute_loop(runtime, gate, sub, out_execute, thread_log=None):
@@ -220,7 +229,9 @@ class DigitalTwin:
         self.monitor_stats = MonitorStats()
         self.plan_stats = PlanStats()
         self._thread_log = thread_log
-        self._token = runtime.channel(1) if uplink_driver is not None else None
+        self._token = None
+        if uplink_driver is not None:
+            self._token = runtime.channel(1, f"{uplink_driver.name}:token")
 
     @property
     def has_uplink(self) -> bool:
@@ -235,43 +246,62 @@ class DigitalTwin:
 
     def ingest(self, msg: Message):
         """Monitor: classify one frame from the counterpart; a status goes
-        on to analysis."""
+        on to analysis. Returns None, or in a twin the generator that
+        analyzes onward, for the caller to run."""
         stats = self.monitor_stats
         if msg.kind is MessageKind.MEASUREMENT:
             stats.measurements += 1
-            return
+            return None
         if msg.kind is not MessageKind.STATUS:
             stats.strays += 1  # commands never arrive from the counterpart
-            return
+            return None
         stats.statuses += 1
         obs = State(msg.value)
         self.keeper.note_observation(obs)
-        self._analyze(obs)
+        return self._analyze(obs)
 
     def recheck(self):
-        """Re-run analysis against the latest report from the counterpart."""
+        """Re-run analysis against the latest report from the counterpart.
+        Returns None, or in a twin the generator that analyzes onward, for
+        the caller to run, as `ingest` does."""
         obs = self.keeper.last_observed
-        if obs is not None:
-            self._analyze(obs)
+        if obs is None:
+            return None
+        return self._analyze(obs)
 
     def _analyze(self, obs: State):
-        """Analyze, then in a twin plan and execute, holding the token."""
-        token = self._token
-        if token is None:
+        """Analyze; a shadow is done then (None). A twin returns the
+        generator that analyzes, plans and executes holding the token."""
+        if self._token is None:
             self.keeper.observe(obs, self._rt.now_ns())
-            return
+            return None
+        return self._holding_token(self._decide, obs)
+
+    def _decide(self, obs: State):
+        """Analyze, plan and execute; returns the uplink send's generator,
+        if it has to wait. The caller holds the token."""
+        res = self.keeper.observe(obs, self._rt.now_ns())
+        if res.equal:
+            self.plan_stats.noop += 1
+            return None
+        plan = PlanResult(self._rt.now_ns(),
+                          command_for_goal(res.model_state),
+                          res.model_state, res.pt_state)
+        self.plan_stats.planned += 1
+        return execute(self._rt, self.gate, plan, self.uplink_driver.forward,
+                       self._thread_log)
+
+    def _holding_token(self, step, arg):
+        """Generator: take the token, run `step(arg)` and the generator it
+        may return, give the token back."""
+        token = self._token
+        while (wait := token.wait_put()) is not None:
+            yield wait
         token.put(None)
         try:
-            res = self.keeper.observe(obs, self._rt.now_ns())
-            if res.equal:
-                self.plan_stats.noop += 1
-                return
-            plan = PlanResult(self._rt.now_ns(),
-                              command_for_goal(res.model_state),
-                              res.model_state, res.pt_state)
-            self.plan_stats.planned += 1
-            execute(self._rt, self.gate, plan, self.uplink_driver.send,
-                    self._thread_log)
+            work = step(arg)
+            if work is not None:
+                yield from work
         finally:
             token.get()
 
@@ -281,7 +311,9 @@ class DigitalTwin:
             raise RuntimeError("deployment has no uplink; model edits cannot "
                                "propagate")
         goal = self.keeper.inject(cmd, self._rt.now_ns())
-        self.recheck()
+        work = self.recheck()
+        if work is not None:
+            drive(work)
         return goal
 
     def send_command(self, cmd: Message):
@@ -289,11 +321,7 @@ class DigitalTwin:
         order with the engine's own corrections."""
         if not self.has_uplink:
             raise RuntimeError("deployment has no uplink")
-        self._token.put(None)
-        try:
-            self.uplink_driver.send(cmd)
-        finally:
-            self._token.get()
+        drive(self._holding_token(self.uplink_driver.forward, cmd))
 
 
 def _ingest_driver(ingest_conn, name):
@@ -305,7 +333,7 @@ def assemble_shadow(runtime, ingest_conn, name="shadow"):
     """Monitor + analyze over an ingest link. No uplink object exists."""
     twin = DigitalTwin(runtime, ModelKeeper(),
                        _ingest_driver(ingest_conn, name))
-    runtime.spawn(lambda: twin.ingest_driver.receive_loop(twin.ingest),
+    runtime.spawn(twin.ingest_driver.receive(twin.ingest),
                   name=f"{name}:ingest")
     return twin
 
@@ -327,13 +355,15 @@ def assemble_twin(runtime, bus, ingest_conn, uplink_conn, thread_log=None,
     twin = DigitalTwin(runtime, keeper, _ingest_driver(ingest_conn, name),
                        uplink_driver=uplink_driver, gate=ExecuteGate(keeper),
                        thread_log=thread_log)
-    runtime.spawn(lambda: twin.ingest_driver.receive_loop(twin.ingest),
+    runtime.spawn(twin.ingest_driver.receive(twin.ingest),
                   name=f"{name}:ingest")
 
     def twinning_poll():
         while True:
-            runtime.sleep_ms(twinning_period_ms)
-            twin.recheck()
+            yield from runtime.pause(twinning_period_ms)
+            work = twin.recheck()
+            if work is not None:
+                yield from work
 
-    runtime.spawn(twinning_poll, name=f"{name}:poll")
+    runtime.spawn(twinning_poll(), name=f"{name}:poll")
     return twin

@@ -255,6 +255,9 @@ class TappedEndpoint:
         self._rt = runtime
         self._read_dir = read_dir
         self._write_dir = write_dir
+        # the tap never waits itself: its wait halves are the inner link's
+        self.wait_read = inner.wait_read
+        self.wait_write = inner.wait_write
 
     def _record(self, direction, payload):
         if direction is None:

@@ -7,8 +7,9 @@ loopback TCP) reorder. Two endpoint flavors share the same
 read_frame/write_frame surface:
 
 * in-process pairs (`connect_pair`, `open_virtual_serial_pair`) built on
-  runtime channels, which carry each payload as it is. A write refuses what
-  a socket refuses: a payload over MAX_FRAME_PAYLOAD.
+  runtime channels, which carry each payload as it is and are named after
+  the endpoints (`a->b` carries what `a` writes). A write refuses what a
+  socket refuses: a payload over MAX_FRAME_PAYLOAD.
   The serial-to-TCP-to-serial tunnel that lets the same driver code talk to
   an emulated device is one such pair, `bridge:dev` <-> `bridge:drv`, holding
   up to BRIDGE_WINDOW frames per direction unless its builder sizes it.
@@ -21,6 +22,12 @@ read_frame/write_frame surface:
     [length: uint32 big-endian][payload bytes]
 
 Each endpoint has one logical reader and one logical writer.
+
+`read_frame` and `write_frame` are plain calls that block their task. Their
+wait halves, `wait_read` and `wait_write`, let a generator task wait first
+(see the runtime module): each returns None once the plain call would not
+park, or the wait request to yield. A socket's wait halves always return
+None; its reads and writes block their own thread.
 """
 
 from __future__ import annotations
@@ -77,6 +84,10 @@ class Endpoint:
         self._rx = rx
         self._tx = tx
         self._closed = False
+        # each wait half is its channel's: `close` closes both channels, so
+        # a closed endpoint's waits return None like a closed channel's
+        self.wait_read = rx.wait_get
+        self.wait_write = tx.wait_put
 
     def write_frame(self, payload: bytes):
         if self._closed:
@@ -110,8 +121,8 @@ class Endpoint:
 
 def connect_pair(runtime, name_a, name_b, protocol, capacity=BRIDGE_WINDOW):
     """Two cross-wired endpoints: whatever A writes, B reads, and vice versa."""
-    a_to_b = runtime.channel(capacity)
-    b_to_a = runtime.channel(capacity)
+    a_to_b = runtime.channel(capacity, f"{name_a}->{name_b}")
+    b_to_a = runtime.channel(capacity, f"{name_b}->{name_a}")
     a = Endpoint(name_a, protocol, rx=b_to_a, tx=a_to_b)
     b = Endpoint(name_b, protocol, rx=a_to_b, tx=b_to_a)
     return a, b
@@ -152,6 +163,12 @@ class SocketEndpoint:
                 raise ConnectionClosed(f"{self.name}: peer hung up")
             buf += chunk
         return buf
+
+    def wait_write(self):
+        return None  # `write_frame` blocks its own thread
+
+    def wait_read(self):
+        return None  # `read_frame` blocks its own thread
 
     def write_frame(self, payload: bytes):
         if self._closed:

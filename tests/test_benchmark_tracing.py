@@ -31,3 +31,42 @@ def test_every_traced_target_is_wrapped_and_restored():
         tracing.install_probe(patches)
         tracing.install_layers(patches)  # a missing target raises here
     assert patches.restored is True
+
+
+def load_workloads():
+    """perfbench/workloads.py imported by path; it imports its sibling
+    modules (`hostspeed`, `tracing`) by name, so perfbench/ is on the path
+    while it loads, and the modules it added are taken off afterwards."""
+    name = "_perfbench_workloads"
+    bench = str(TRACING.parent)
+    before = set(sys.modules)
+    spec = importlib.util.spec_from_file_location(name,
+                                                  TRACING.parent / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    sys.path.insert(0, bench)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(bench)
+        for added in set(sys.modules) - before:
+            if not added.startswith("twinproto"):
+                del sys.modules[added]
+    return module
+
+
+def test_a_traced_lockstep_mission_session_matches_the_untraced_one(
+        tmp_path):
+    # the benchmark's contract with the package: the probe's count of
+    # measurements sent matches what the twin saw, every wrapper installs,
+    # and tracing moves no slice
+    workloads = load_workloads()
+    mission = workloads.LockstepMission(1, tmp_path, injects=1)
+    plain = mission.session(trace=False)
+    traced = mission.session(trace=True)
+    for out in (plain, traced):
+        assert out.problems == []
+        assert out.failed == 0
+        assert out.frames > 0
+    assert traced.digest == plain.digest
+    assert traced.layers["runtime.spawns"][0] == 7

@@ -305,6 +305,28 @@ def test_a_twin_burst_past_the_cycle_bound_fails_and_leaks_no_threads(
     assert threading.active_count() == before
 
 
+def test_a_lockstep_twin_deadlock_names_the_links_of_its_cycle(tmp_path):
+    # the burst that overfills the cycle above; each parked task's state
+    # names the link it waits on, so the dump shows the cycle's four links
+    rec = tmp_path / "burst.rec"
+    rec.write_text("".join(f"seq={n} ts={n} dir=PT2DT kind=STA hex=2000\n"
+                           for n in range(1, 502)))
+    sc = scenario(duration_ms=20000,
+                  steps=[{"at_ms": 0, "do": "command", "value": 0}] * 500,
+                  recording="burst.rec", path=tmp_path / "case.json",
+                  expect={"uplink_frames": 500})
+    result = run_scenario(sc, RunConfig(queue_capacity=64, run_timeout_s=10))
+    assert result.ok is False
+    dump = result.failures[0]
+    assert "lockstep deadlock" in dump
+    for link in ("link:peer-down->link:pt-down",   # the twin's uplink
+                 "bridge:drv->bridge:dev",         # commands to the device
+                 "bridge:dev->bridge:drv",         # its responses
+                 "link:pt-up->link:peer-up"):      # the plant's outbound
+        assert f"=put-wait({link})" in dump, link
+    assert "=put-wait(twin-uplink:token)" in dump  # the ingest loop
+
+
 @pytest.mark.parametrize("content, reason", [
     pytest.param(None, "unusable", id="missing"),
     pytest.param(b"\xff\xfe not text\n", "unusable", id="not-utf8"),

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 from twinproto import harness
-from twinproto.errors import ChannelClosed, KernelHalted, TaskStopped
+from twinproto.config import parse_scenario
+from twinproto.errors import (ChannelClosed, ConnectionClosed, KernelHalted,
+                              TaskStopped)
 from twinproto.runtime import (ClockMode, LockstepRuntime, WallRuntime,
                                make_runtime)
 
@@ -378,3 +380,242 @@ def test_lockstep_channel_rejects_foreign_threads():
     ch = rt.channel()
     with pytest.raises(RuntimeError, match="spawned tasks"):
         ch.get()
+
+
+# -- generator tasks ------------------------------------------------------------
+
+def gen_put(ch, item):
+    while (wait := ch.wait_put()) is not None:
+        yield wait
+    ch.put(item)
+
+
+def gen_get(ch):
+    while (wait := ch.wait_get()) is not None:
+        yield wait
+    return ch.get()
+
+
+PING_ROUNDS = 20
+NAPS = (3, 1, 4, 1, 5)
+FILL = 4
+
+
+def mixed_run(seed, kinds):
+    """A ping-pong over two channel(1)s, a sleeper, and a filler putting
+    into a full channel(1) that a drainer empties slowly.
+
+    `kinds` is "plain", "generator" or "mixed" (generator and thread tasks
+    alternate). Returns (slices, tick, events).
+    """
+    rt = LockstepRuntime(seed=seed)
+    ping, pong, full = (rt.channel(1, name) for name in ("ping", "pong",
+                                                          "full"))
+    events = []
+
+    def note(*what):
+        events.append(what + (rt.tick,))
+
+    def pinger():
+        for i in range(PING_ROUNDS):
+            ping.put(i)
+            note("ping", pong.get())
+
+    def pinger_gen():
+        for i in range(PING_ROUNDS):
+            yield from gen_put(ping, i)
+            note("ping", (yield from gen_get(pong)))
+
+    def ponger():
+        for _ in range(PING_ROUNDS):
+            item = ping.get()
+            note("pong", item)
+            pong.put(item)
+
+    def ponger_gen():
+        for _ in range(PING_ROUNDS):
+            item = yield from gen_get(ping)
+            note("pong", item)
+            yield from gen_put(pong, item)
+
+    def sleeper():
+        for ms in NAPS:
+            rt.sleep_ms(ms)
+            note("woke")
+
+    def sleeper_gen():
+        for ms in NAPS:
+            yield from rt.pause(ms)
+            note("woke")
+
+    def filler():
+        for i in range(FILL):
+            full.put(i)
+            note("put", i)
+
+    def filler_gen():
+        for i in range(FILL):
+            yield from gen_put(full, i)
+            note("put", i)
+
+    def drainer():
+        for _ in range(FILL):
+            rt.sleep_ms(2)
+            note("got", full.get())
+
+    def drainer_gen():
+        for _ in range(FILL):
+            yield from rt.pause(2)
+            note("got", (yield from gen_get(full)))
+
+    tasks = [(pinger, pinger_gen), (ponger, ponger_gen), (sleeper, sleeper_gen),
+             (filler, filler_gen), (drainer, drainer_gen)]
+    for i, (plain, gen) in enumerate(tasks):
+        as_gen = kinds == "generator" or (kinds == "mixed" and i % 2 == 0)
+        rt.spawn(gen() if as_gen else plain, name=plain.__name__)
+    assert run_bounded(rt, 10.0) == []
+    assert rt.task_errors() == []
+    return rt.slices, rt.tick, events
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_generator_tasks_keep_the_thread_tasks_schedule(seed):
+    plain = mixed_run(seed, "plain")
+    assert mixed_run(seed, "generator") == plain
+    assert mixed_run(seed, "mixed") == plain
+    assert len(plain[2]) == 2 * PING_ROUNDS + len(NAPS) + 2 * FILL
+
+
+def test_a_generator_task_ends_done_or_failed_like_a_thread_task():
+    rt = LockstepRuntime(seed=0)
+    closed = rt.channel(1)
+    closed.close()
+    boom = ValueError("boom")
+
+    def raises():
+        yield from rt.pause(1)
+        raise boom
+
+    def meets_a_closed_channel():
+        yield from gen_get(closed)
+
+    def meets_a_closed_link():
+        yield from rt.pause(1)
+        raise ConnectionClosed("link gone")
+
+    def is_stopped():
+        yield from rt.pause(2)
+        raise TaskStopped()
+
+    def returns():
+        yield from rt.pause(3)
+
+    handles = [rt.spawn(body(), name=body.__name__)
+               for body in (raises, meets_a_closed_channel,
+                            meets_a_closed_link, is_stopped, returns)]
+    assert run_bounded(rt, 5.0) == []
+    assert [h.state for h in handles] == ["failed", "done", "done", "done",
+                                          "done"]
+    assert rt.task_errors() == [("raises", boom)]
+
+
+def test_shutdown_wakes_generator_sleepers_and_channel_waiters():
+    rt = LockstepRuntime(seed=0)
+    ch = rt.channel()
+    saw = []
+
+    def sleeper():
+        try:
+            yield from rt.pause(10_000)
+        except TaskStopped:
+            saw.append("sleeper")
+            raise
+
+    def waiter():
+        try:
+            yield from gen_get(ch)
+        except ChannelClosed:
+            saw.append("waiter")
+            raise
+
+    def terminator():
+        yield from rt.pause(5)
+        rt.shutdown()
+
+    handles = [rt.spawn(body(), name=body.__name__)
+               for body in (sleeper, waiter, terminator)]
+    assert run_bounded(rt, 5.0) == []
+    assert sorted(saw) == ["sleeper", "waiter"]
+    assert rt.tick == 5
+    assert [h.state for h in handles] == ["done"] * 3
+    assert rt.task_errors() == []
+
+
+@pytest.mark.parametrize("call", ["get", "put", "sleep_ms"])
+def test_a_plain_call_that_would_park_a_generator_task_raises(call):
+    rt = LockstepRuntime(seed=0)
+    empty, full = rt.channel(1), rt.channel(1)
+    after = []
+
+    def careless():
+        yield from rt.pause(1)
+        if call == "get":
+            empty.get()
+        elif call == "put":
+            full.put("first")  # room: no park, so no complaint
+            full.put("second")
+        else:
+            rt.sleep_ms(5)
+
+    def bystander():
+        yield from rt.pause(3)
+        after.append(rt.tick)
+
+    careless_task = rt.spawn(careless(), name="careless")
+    rt.spawn(bystander(), name="bystander")
+    assert run_bounded(rt, 5.0) == []
+    assert careless_task.state == "failed"
+    [(name, err)] = rt.task_errors()
+    assert name == "careless"
+    assert isinstance(err, RuntimeError)
+    assert "task careless" in str(err) and "yield from" in str(err)
+    assert after == [3]  # the carrier thread was not parked
+
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    """The name of every thread started while the test runs."""
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(self):
+        started.append(self.name)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    return started
+
+
+def test_a_lockstep_run_starts_a_thread_per_plain_task_only(started_threads):
+    started = started_threads
+    mixed_run(0, "generator")
+    assert started == ["run-bounded"]  # the test's own helper, no task
+    started.clear()
+    mixed_run(0, "mixed")
+    assert sorted(started) == ["filler", "ponger", "run-bounded"]
+
+
+def test_a_lockstep_twin_session_runs_its_link_tasks_without_threads(
+        started_threads):
+    sc = parse_scenario({
+        "name": "threads", "mode": "twin", "clock": "lockstep", "seed": 2,
+        "duration_ms": 300,
+        "steps": [{"at_ms": 0, "do": "command", "value": 50},
+                  {"at_ms": 100, "do": "inject", "value": 0}],
+        "measurements": [[t, t] for t in range(0, 100, 5)],
+        "expect": {"final_status": "STANDBY"}})
+    result = harness.run_scenario(sc)
+    assert result.ok, result.failures
+    # the operator and the sensor's measurement script; every link task
+    # (serve loop, receive loops, ingest, poll) runs as a generator
+    assert sorted(started_threads) == ["measurement-script", "op:script"]
