@@ -17,13 +17,15 @@ which then closes its own connection too: a break anywhere in a relay chain
 reaches both of its ends instead of leaving a peer blocked on a link nobody
 serves.
 
-The serve loop, the receive loop and a driver's send are generator bodies
-(`serve`, `DeviceDriver.receive`, `DeviceDriver.forward`), which the
-assemblies spawn as generator tasks; `device_serve`, `receive_loop` and
-`send` are the same bodies run by the runtime's blocking driver, for thread
-tasks. The callable a receive loop hands frames to returns None, or a
-generator that the loop runs before its next read: a handler with blocking
-work (a send) returns it instead of blocking.
+The serve loop and the receive loop are generator bodies (`serve`,
+`DeviceDriver.receive`) that the assemblies spawn as generator tasks, and
+`DeviceDriver.forward` is a driver's send for generator code: it sends at
+once, or returns the generator that waits for room and then sends.
+`device_serve`, `receive_loop` and `send` run the same code with the
+runtime's blocking driver, for thread tasks. The callable a receive loop
+hands frames to returns None, or a generator that the loop runs before its
+next read: a handler with blocking work (a send) returns it instead of
+blocking.
 
 The transmitter is not a device with a serve loop but the transmitter
 driver's connection itself: writes go straight out on the plant's outbound

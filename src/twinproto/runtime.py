@@ -48,8 +48,8 @@ park a generator task raises RuntimeError naming the task; it never parks
 the thread carrying the task. `drive(body)` is the blocking driver: it runs
 a generator body to its end on the calling thread, parking that thread's
 task at each wait. A public entry point whose body is a generator (a serve
-loop, a receive loop, a driver's send, the twin's re-check) is `drive` over
-that body, so thread tasks, tests and the bus run the same code as
+loop, a receive loop, a driver's send, the twin's `send_command`) is `drive`
+over that body, so thread tasks, tests and the bus run the same code as
 generator tasks.
 
 Two implementations exist:
