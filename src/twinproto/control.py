@@ -11,15 +11,15 @@ not a full audit; the digital thread is the audit.
 Control has no task of its own. Each driver's receive loop calls one of its
 two handlers directly: the transmitter driver's loop calls
 `handle_transmitter_command`, the sensor driver's `handle_sensor_response`.
-A handler logs, then forwards with the other driver's send and returns what
-that send returns. In a plant that is the driver's `forward`: it sends at
-once, or, on a full link, returns the generator that waits and then sends,
-which the receive loop runs on that same task. So each device link keeps
-one writer: `tx-driver:recv` writes the sensor link and `sensor-driver:recv`
-writes the outbound link. The period, the data log and the stray count are
-touched by both tasks, under a short lock that is never held across a send
-(a send can park on a full link, and under lockstep a task blocked on a raw
-lock hangs the kernel).
+A handler logs, then forwards with the other driver's `forward` and returns
+what it returns: None once the frame is sent, or, on a full lockstep link,
+the generator that waits and then sends, which the receive loop runs on
+that same task. So each device link keeps one writer: `tx-driver:recv`
+writes the sensor link and `sensor-driver:recv` writes the outbound link.
+The period, the data log and the stray count are touched by both tasks,
+under a short lock that is never held across a send (a send can park on a
+full link, and under lockstep a task blocked on a raw lock hangs the
+kernel).
 
 `assemble_plant` builds the whole physical-twin stack. The only difference
 between a REAL and an EMULATED (prototype) assembly is what hangs off the far
@@ -60,7 +60,7 @@ class ControlLogic:
     def __init__(self, send_command, send_response):
         """`send_command` writes toward the sensor, `send_response` toward
         the transmitter. Each is called by a handler, which returns what it
-        returns: None from a plain send, or a generator the caller runs."""
+        returns: None once sent, or a generator the caller runs."""
         self.period = 0
         self.data_log = []  # (tag, Message), relay order
         self.stray_commands = 0
@@ -99,17 +99,14 @@ class SensorBacking(Enum):
 class PlantAssembly:
     """One physical twin (or prototype): sensor, drivers, control, transmitter."""
 
-    def __init__(self, runtime, backing, sensor, sensor_driver, tx_device,
-                 tx_driver, control, device_stats, measurement_script=None):
-        self.runtime = runtime
+    def __init__(self, backing, sensor, sensor_driver, tx_driver, control,
+                 device_stats):
         self.backing = backing
         self.sensor = sensor
         self.device_stats = device_stats  # the sensor serve loop's counts
         self.sensor_driver = sensor_driver
-        self.tx_device = tx_device
         self.tx_driver = tx_driver
         self.control = control
-        self.measurement_script = measurement_script
         self._closables = []
 
     def describe_configuration(self):
@@ -181,8 +178,7 @@ def assemble_plant(runtime, bus, backing, recording=None,
             name="measurement-script",
         )
 
-    plant = PlantAssembly(runtime, backing, sensor, sensor_driver,
-                          tx_device, tx_driver, control, device_stats,
-                          measurement_script=measurement_script)
+    plant = PlantAssembly(backing, sensor, sensor_driver, tx_driver, control,
+                          device_stats)
     plant._closables = [dev_end, drv_end, tx_device]
     return plant

@@ -9,23 +9,21 @@ relay whatever arrives, so nothing upstream needs to know the difference.
 
 A driver has one task, its receive loop, which hands every decoded frame to
 the one callable it was started with (control, or the twin's MAPE-K engine),
-in read order, on that task. Sending is a call, `send`, made on the task of
-whoever decided to send, so each link keeps exactly one writer and no queue
-sits between a decision and the wire; the receive loop's callable may itself
-be that sender. A closed link met there, or on its own read, ends the loop,
-which then closes its own connection too: a break anywhere in a relay chain
-reaches both of its ends instead of leaving a peer blocked on a link nobody
-serves.
+in read order, on that task. Sending is a call, `forward`, made on the task
+of whoever decided to send, so each link keeps exactly one writer and no
+queue sits between a decision and the wire; the receive loop's callable may
+itself be that sender. A closed link met there, or on its own read, ends the
+loop, which then closes its own connection too: a break anywhere in a relay
+chain reaches both of its ends instead of leaving a peer blocked on a link
+nobody serves.
 
 The serve loop and the receive loop are generator bodies (`serve`,
-`DeviceDriver.receive`) that the assemblies spawn as generator tasks, and
-`DeviceDriver.forward` is a driver's send for generator code: it sends at
-once, or returns the generator that waits for room and then sends.
-`device_serve`, `receive_loop` and `send` run the same code with the
-runtime's blocking driver, for thread tasks. The callable a receive loop
-hands frames to returns None, or a generator that the loop runs before its
-next read: a handler with blocking work (a send) returns it instead of
-blocking.
+`DeviceDriver.receive`) that the assemblies spawn as generator tasks; a
+thread task runs one with the runtime's `drive`. `forward` sends at once and
+returns None, or, on a full lockstep link, returns the generator that waits
+for room and then sends. The callable a receive loop hands frames to returns
+None, or a generator that the loop runs before its next read: a handler
+with blocking work (a send) returns it instead of blocking.
 
 The transmitter is not a device with a serve loop but the transmitter
 driver's connection itself: writes go straight out on the plant's outbound
@@ -62,7 +60,6 @@ from .messages import (
     measurement,
     status,
 )
-from .runtime import drive
 from .statemachine import State, TwinState, process_event
 from .transport import Protocol
 
@@ -85,8 +82,6 @@ class SensorDevice:
     script share it.
     """
 
-    kind = "sensor"
-
     def __init__(self, command_set=DEFAULT_COMMAND_SET):
         self.command_set = frozenset(command_set)
         self._lock = threading.Lock()
@@ -96,11 +91,6 @@ class SensorDevice:
     def state(self) -> State:
         with self._lock:
             return self._ts.current
-
-    @property
-    def twin_state(self) -> TwinState:
-        with self._lock:
-            return self._ts
 
     def execute(self, msg: Message) -> Message:
         if msg.kind.opcode not in self.command_set:
@@ -116,9 +106,6 @@ class SensorDevice:
         """None: the sensor's measurements come from its measurement
         script's own task."""
         return None
-
-    def describe(self):
-        return {"kind": self.kind, "commands": command_set_label(self.command_set)}
 
 
 class EmulatorContext:
@@ -151,8 +138,6 @@ class EmulatorContext:
 class EmulatorDevice:
     """Replays an EmulatorContext; never computes a response."""
 
-    kind = "emulator"
-
     def __init__(self, context: EmulatorContext, command_set=DEFAULT_COMMAND_SET):
         self.command_set = frozenset(command_set)
         self.context = context
@@ -171,9 +156,6 @@ class EmulatorDevice:
         None: the recorded sensor sent it unprompted."""
         return self.context.next_measurement()
 
-    def describe(self):
-        return {"kind": self.kind, "commands": command_set_label(self.command_set)}
-
 
 @dataclass
 class DeviceStats:
@@ -183,18 +165,13 @@ class DeviceStats:
     exhausted: int = 0
 
 
-def device_serve(device, conn, announce_boot=False, stats=None) -> DeviceStats:
-    """Serve loop: read frame, decode, execute, encode, write response.
+def serve(device, conn, announce_boot=False, stats=None):
+    """Serve loop, a generator body: read frame, decode, execute, encode,
+    write response.
 
     Malformed frames and rejected commands are counted and skipped, never
-    fatal. Returns (with its stats) when the connection closes. A plain
-    call: `serve` run by the blocking driver.
+    fatal. Returns its stats when the connection closes.
     """
-    return drive(serve(device, conn, announce_boot, stats))
-
-
-def serve(device, conn, announce_boot=False, stats=None):
-    """Generator body of `device_serve`."""
     stats = stats if stats is not None else DeviceStats()
     try:
         if announce_boot:
@@ -265,7 +242,7 @@ def run_measurement_script(runtime, sensor, conn, script):
 @dataclass
 class DriverStats:
     relayed_in: int = 0    # device -> the receive loop's callable
-    relayed_out: int = 0   # send() -> device
+    relayed_out: int = 0   # forward() -> device
     skipped_in: int = 0    # undecodable frames from the device
     skipped_out: int = 0   # sent messages outside the command set
 
@@ -273,9 +250,9 @@ class DriverStats:
 class DeviceDriver:
     """Pure relay between one connection and its callers.
 
-    `receive_loop(on_message)`: frame -> decode -> `on_message(msg)` on the
-    loop's task (undecodable frames are counted and skipped). `send`: filter
-    -> encode -> write, on the caller's task. No transformation, no
+    `receive(on_message)`: frame -> decode -> `on_message(msg)` on the
+    loop's task (undecodable frames are counted and skipped). `forward`:
+    filter -> encode -> write, on the caller's task. No transformation, no
     reordering, no interpretation. `closed_by` holds the ConnectionClosed
     text that ended the receive loop.
     """
@@ -286,10 +263,6 @@ class DeviceDriver:
         self.command_set = frozenset(command_set)
         self.stats = DriverStats()
         self.closed_by = None
-
-    def receive_loop(self, on_message):
-        """`receive` run by the blocking driver, on the calling task."""
-        drive(self.receive(on_message))
 
     def receive(self, on_message):
         """Generator body of the receive loop. `on_message(msg)` returns
@@ -315,18 +288,12 @@ class DeviceDriver:
             self.closed_by = str(exc)
             conn.close()
 
-    def send(self, msg):
+    def forward(self, msg):
         """Write one message to the device; outside the command set it is
         counted and dropped. Raises ConnectionClosed once the link is gone.
-        A plain call: `forward`, its wait run by the blocking driver."""
-        work = self.forward(msg)
-        if work is not None:
-            drive(work)
-
-    def forward(self, msg):
-        """`send` for generator code: sends at once and returns None, or,
-        if the link is full, returns the generator that waits for room and
-        then sends. The caller's task runs it before anything else."""
+        Sends at once and returns None, or, if the link is full, returns
+        the generator that waits for room and then sends; the caller's task
+        runs it before anything else."""
         if msg.kind.opcode not in self.command_set:
             self.stats.skipped_out += 1
             return None
@@ -394,7 +361,6 @@ class TransmitterDevice:
     listening), a missing inbound reads as a closed connection.
     """
 
-    kind = "transmitter"
     protocol = Protocol.TCP
 
     def __init__(self, outbound=None, inbound=None):

@@ -27,6 +27,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import threading
 import time
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
@@ -364,7 +365,7 @@ def _drive(rt, scenario: Scenario, cfg: RunConfig, wiring: _Wiring,
         result.fail(_ran_dry(wiring, wiring.plant.device_stats.exhausted))
     if wiring.child is not None:
         try:
-            rc = wiring.child.wait(timeout=cfg.run_timeout_s)
+            rc = _wait_for_exit(wiring.child, cfg.run_timeout_s)
         except subprocess.TimeoutExpired:
             wiring.child.kill()
             wiring.child.wait()
@@ -374,6 +375,19 @@ def _drive(rt, scenario: Scenario, cfg: RunConfig, wiring: _Wiring,
                 result.fail(_ran_dry(wiring))
             elif rc != 0:
                 result.fail(f"plant process exit code {rc}")
+
+
+def _wait_for_exit(child, timeout_s):
+    """`child.wait(timeout=timeout_s)`, returning as the child exits: with a
+    timeout, `Popen.wait` polls in sleeps of up to 50 ms, so a blocking wait
+    runs on a thread of its own instead. Raises TimeoutExpired."""
+    waiter = threading.Thread(target=child.wait, name="plant:wait",
+                              daemon=True)
+    waiter.start()
+    waiter.join(timeout_s)
+    if waiter.is_alive():  # ends once the caller has killed the child
+        raise subprocess.TimeoutExpired(child.args, timeout_s)
+    return child.returncode
 
 
 def _link_losses(wiring: _Wiring) -> list:
@@ -508,10 +522,9 @@ def _spawn_plant_process(scenario: Scenario, up_port: int, down_port: int,
 def plant_process_main(raw: str) -> int:
     """Child half of an isolated run: the whole plant behind two TCP links.
 
-    Lives until the scenario duration plus a grace period, then tears itself
-    down. The parent hanging up early just makes the link drivers exit; the
-    deadline still bounds the process lifetime. Exits 1 if a task crashed or
-    straggled, EXIT_RECORDING_DRY if the emulator ran out of recordings.
+    Lives until the parent hangs up, or at most until the scenario duration
+    plus a grace period, then tears itself down. Exits 1 if a task crashed
+    or straggled, EXIT_RECORDING_DRY if the emulator ran out of recordings.
     """
     opts = json.loads(raw)
     rt = make_runtime(ClockMode.WALL, opts.get("seed", 0))
@@ -527,9 +540,12 @@ def plant_process_main(raw: str) -> int:
         rt.shutdown()
 
     def hangup_watch():
-        # the parent closing either link is the end of the session
-        while not (up.closed or down.closed):
-            rt.sleep_ms(100)
+        # the parent never writes the uplink, so this read returns only at
+        # hang-up (EOF or a reset) or when the plant closes the link itself
+        try:
+            up.read_frame()
+        except ConnectionClosed:
+            pass
         plant.stop()
         rt.shutdown()
 
@@ -624,7 +640,7 @@ def replay_thread(path, clock: ClockMode = ClockMode.LOCKSTEP, seed: int = 0,
         return (stats.statuses + stats.measurements + stats.strays
                 + driver.skipped_in)
 
-    def feeder():
+    def feeder():  # the shadow drains the closed link, then its loop ends
         t0 = rt.now_ns()
         due = 0  # recorded time since the first frame, gaps capped at 1 s
         prev_ts = frames[0].ts if frames else 0
@@ -636,9 +652,7 @@ def replay_thread(path, clock: ClockMode = ClockMode.LOCKSTEP, seed: int = 0,
                 if delay > 0:
                     rt.sleep_ms(delay)
             feed_end.write_frame(rec.payload)
-        while consumed() < len(frames):
-            rt.sleep_ms(1)
-        rt.shutdown()
+        feed_end.close()
 
     rt.spawn(feeder, name="replay:feeder")
     _run_to_verdict(rt, timeout_s, result)

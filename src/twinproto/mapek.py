@@ -16,7 +16,7 @@ returns None for it.
     monitor   classify an ingested frame: status observation / measurement
     analyze   compare an observation (ingested or re-checked) with the model
     plan      derive a corrective command on divergence
-    execute   simulation gate, then the uplink driver's send (`forward`)
+    execute   simulation gate, then the uplink driver's `forward`
 
 In a twin, analyze, plan and execute and every uplink write run holding a
 token, a `runtime.channel(1)`: one task at a time decides and writes, so the

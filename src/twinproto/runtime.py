@@ -19,7 +19,7 @@ exception is kept for `task_errors`.
 
 A task exists only where something waits on a link or a timer. Deciding and
 sending are not tasks: a driver's receive loop calls control or the MAPE-K
-engine directly, and a driver's send runs on its caller's task.
+engine directly, and a driver's `forward` runs on its caller's task.
 Code that may run on several tasks and must exclude itself across a call
 that can park takes a `channel(1)` as a token, never a raw lock: under
 lockstep a thread blocked on a lock held by a parked task never parks
@@ -47,10 +47,10 @@ Plain code just calls `get`, which waits inside. A plain call that would
 park a generator task raises RuntimeError naming the task; it never parks
 the thread carrying the task. `drive(body)` is the blocking driver: it runs
 a generator body to its end on the calling thread, parking that thread's
-task at each wait. A public entry point whose body is a generator (a serve
-loop, a receive loop, a driver's send, the twin's `send_command`) is `drive`
-over that body, so thread tasks, tests and the bus run the same code as
-generator tasks.
+task at each wait. The only plain entry points over generator bodies are
+the twin's `send_command` and `inject_model_change`, which the operator's
+thread task calls; a thread task that runs a serve or receive loop (a test,
+say) drives the same generator body.
 
 Two implementations exist:
 

@@ -13,9 +13,9 @@ from twinproto.devices import (
     EmulatorDevice,
     SensorDevice,
     TransmitterDevice,
-    device_serve,
     run_communication,
     run_measurement_script,
+    serve,
 )
 from twinproto.errors import (
     CommandRejected,
@@ -29,7 +29,7 @@ from twinproto.messages import (
     measurement,
     status,
 )
-from twinproto.runtime import LockstepRuntime, WallRuntime
+from twinproto.runtime import LockstepRuntime, WallRuntime, drive
 from twinproto.statemachine import State
 from twinproto.transport import Protocol, connect_pair, open_virtual_serial_pair
 
@@ -42,7 +42,6 @@ def test_sensor_command_response_sequence():
     assert sensor.execute(command(-1)) == status(2)
     # absorbed: still answers, state stays OFF
     assert sensor.execute(command(50)) == status(2)
-    assert sensor.twin_state.period == 50
 
 
 def test_sensor_rejects_non_commands():
@@ -87,8 +86,8 @@ def run_serve_session(device, frames, expect, announce_boot=False):
     dev_end, drv_end = open_virtual_serial_pair(rt)
     stats = DeviceStats()
     rt.spawn(
-        lambda: device_serve(device, dev_end, announce_boot=announce_boot,
-                             stats=stats),
+        lambda: drive(serve(device, dev_end, announce_boot=announce_boot,
+                            stats=stats)),
         name="device",
     )
     responses = []
@@ -159,8 +158,9 @@ def test_driver_relays_in_order_and_skips_junk():
     def scenario():
         cmds = [command(50), command(0), command(7), command(-1), command(2)]
         for c in cmds:
-            driver.send(c)
-        driver.send(measurement(3))  # outside the command set: not written
+            assert driver.forward(c) is None  # the wall clock never defers
+        # outside the command set: not written
+        assert driver.forward(measurement(3)) is None
         # inject a junk frame directly at the device side: driver must skip it
         dev_end.write_frame(b"\xee\xee")
         for _ in range(5):
@@ -183,8 +183,8 @@ def test_a_driver_callback_runs_on_its_receive_loop_in_read_order(clock):
     dev_end, drv_end = open_virtual_serial_pair(rt)
     driver = DeviceDriver(drv_end, name="drv")
     seen = []
-    recv = rt.spawn(lambda: driver.receive_loop(
-        lambda msg: seen.append((msg, threading.get_ident()))), name="recv")
+    recv = rt.spawn(lambda: drive(driver.receive(
+        lambda msg: seen.append((msg, threading.get_ident())))), name="recv")
     frames = [measurement(v) for v in range(20)] + [status(1), status(2)]
 
     def device():
@@ -218,7 +218,7 @@ def test_record_then_replay_transcripts_match():
 
         def scenario():
             for c in script:
-                driver.send(c)
+                assert driver.forward(c) is None  # the wall clock never defers
             for _ in range(len(script) + 1):
                 got.append(responses.get())
             rt.shutdown()

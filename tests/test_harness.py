@@ -509,6 +509,18 @@ def test_replay_reproduces_the_recorded_walk(tmp_path):
     assert result.final_state == "OFF"
 
 
+def capture_runtimes(monkeypatch):
+    """The list every runtime the harness makes is appended to."""
+    real, runtimes = harness.make_runtime, []
+
+    def make_runtime(clock, seed):
+        runtimes.append(real(clock, seed))
+        return runtimes[-1]
+
+    monkeypatch.setattr(harness, "make_runtime", make_runtime)
+    return runtimes
+
+
 @pytest.mark.parametrize("start,gaps,sleep_ms", [
     # wall records carry monotonic_ns; frames are fed at their time since
     # the first frame, floored to whole ms, so sub-millisecond gaps add up
@@ -520,13 +532,7 @@ def test_replay_reproduces_the_recorded_walk(tmp_path):
 ])
 def test_replay_paces_in_the_thread_files_time_unit(tmp_path, monkeypatch,
                                                     start, gaps, sleep_ms):
-    real, runtimes = harness.make_runtime, []
-
-    def make_runtime(clock, seed):
-        runtimes.append(real(clock, seed))
-        return runtimes[-1]
-
-    monkeypatch.setattr(harness, "make_runtime", make_runtime)
+    runtimes = capture_runtimes(monkeypatch)
     ts = [start]
     for gap in gaps:
         ts.append(ts[-1] + gap)
@@ -537,8 +543,25 @@ def test_replay_paces_in_the_thread_files_time_unit(tmp_path, monkeypatch,
     thread.write_text("\n".join(lines) + "\n")
     result = replay_thread(thread, paced=True)
     assert result.ok, result.failures
-    # the feeder then polls every tick until the shadow has consumed all
-    assert sleep_ms <= runtimes[0].tick < sleep_ms + 20
+    # the shadow drains the closed link without another tick
+    assert runtimes[0].tick == sleep_ms
+
+
+def test_an_unpaced_lockstep_replay_ends_at_tick_0(tmp_path, monkeypatch):
+    # the feeder closes its link after the last frame, so the shadow ends
+    # once it has drained the link, with no timer in the run
+    runtimes = capture_runtimes(monkeypatch)
+    lines = ["seq=1 ts=0 dir=PT2DT kind=STA hex=2001"]
+    lines += [f"seq={n} ts={n} dir=PT2DT kind=MEA hex=10{n:08x}"
+              for n in range(2, 3001)]
+    thread = tmp_path / "long.thread"
+    thread.write_text("\n".join(lines) + "\n")
+    result = replay_thread(thread, clock=ClockMode.LOCKSTEP, seed=1)
+    assert result.ok, result.failures
+    assert result.frames_fed == 3000
+    assert result.statuses_seen + result.measurements_seen == 3000
+    assert result.trajectory == ["ACTIVE"]
+    assert runtimes[0].tick == 0
 
 
 @pytest.mark.parametrize("clock", [ClockMode.LOCKSTEP, ClockMode.WALL])

@@ -5,12 +5,21 @@ links over real loopback TCP; nothing about the protocol or the engine may
 care about the difference.
 """
 
+import json
+import subprocess
+import sys
+import threading
+
 import pytest
 
+from twinproto import harness
 from twinproto.config import RunConfig, parse_scenario
 from twinproto.errors import ConfigError
 from twinproto.harness import run_scenario
+from twinproto.messages import decode_message, status
+from twinproto.runtime import WallRuntime
 from twinproto.thread_log import ThreadDirection, read_thread_file
+from twinproto.transport import TcpListener
 
 
 def mission(**over):
@@ -80,3 +89,54 @@ def test_isolation_requires_the_wall_clock():
     sc = mission(clock="lockstep")
     with pytest.raises(ConfigError, match="wall clock"):
         run_scenario(sc, RunConfig(isolate=True))
+
+
+def test_an_isolated_plant_stops_at_the_parents_hang_up(monkeypatch):
+    # the plant's half of an isolated run, on a thread here; its only timed
+    # wait must be the deadline's, so nothing polls for the hang-up
+    sleeps = []
+    sleep_ms = WallRuntime.sleep_ms
+
+    def recording_sleep(self, ms):
+        sleeps.append(ms)
+        return sleep_ms(self, ms)
+
+    monkeypatch.setattr(WallRuntime, "sleep_ms", recording_sleep)
+    up_listener = TcpListener("127.0.0.1", 0)
+    down_listener = TcpListener("127.0.0.1", 0)
+    opts = {"seed": 1, "duration_ms": 1000, "link_capacity": 16,
+            "up_port": up_listener.address[1],
+            "down_port": down_listener.address[1]}
+    exit_codes = []
+    plant = threading.Thread(
+        target=lambda: exit_codes.append(
+            harness.plant_process_main(json.dumps(opts))),
+        name="plant-process-main")
+    plant.start()
+    try:
+        up = up_listener.accept(name="peer-up", timeout=15.0)
+        down = down_listener.accept(name="peer-down", timeout=15.0)
+    finally:
+        up_listener.close()
+        down_listener.close()
+    assert decode_message(up.read_frame()) == status(0)  # the boot status
+    # the uplink alone: no plant task but the watcher reads it, so only the
+    # watcher can notice that it is gone
+    up.close()
+    plant.join(timeout=30.0)
+    down.close()
+    assert not plant.is_alive()
+    assert exit_codes == [0]
+    assert sleeps == [opts["duration_ms"] + 2000]
+
+
+def test_the_wait_for_a_plant_process_is_bounded():
+    child = subprocess.Popen([sys.executable, "-c",
+                              "import time; time.sleep(60)"])
+    try:
+        with pytest.raises(subprocess.TimeoutExpired):
+            harness._wait_for_exit(child, 0.05)
+    finally:
+        child.kill()
+        child.wait()
+    assert harness._wait_for_exit(child, 5.0) == -9

@@ -1,0 +1,74 @@
+"""Every function and class the package defines is used by the package.
+
+A definition that nothing in `src/` names is dead weight, or is kept for a
+caller outside the package: the acceptance gate, a test, the benchmark, or
+a code string run in another process. The scan collects every name the
+package loads, as a plain name or as an attribute, and fails on a
+definition named nowhere unless ALLOWED gives its outside caller. Dunder
+methods are called by Python itself and are skipped.
+"""
+
+from __future__ import annotations
+
+import ast
+
+from test_generator_calls import package_sources
+
+# name -> the caller outside `src/` that keeps it
+ALLOWED = {
+    "EventBus": "C5 in the acceptance gate",
+    "subscribe": "C5",
+    "producer": "C5",
+    "execute_loop": "C5",
+    "fold_commands": "C1-C9",
+    "unframe": "C1-C9",
+    "tick": "tests, and the benchmark's replay digest",
+    "plant_process_main": "the isolated plant's code string",
+    "describe_configuration": "the DTP same-configuration test",
+    "assemble_prototype": "tests",
+    "write_manifest": "tests",
+    "parse_record_line": "tests",
+}
+
+
+def unreferenced_definitions(sources: dict) -> dict:
+    """name -> `where` of each function or class defined in `sources`
+    (file name -> source text) that no name or attribute there refers
+    to."""
+    defined, named = {}, set()
+    for where, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defined.setdefault(node.name, f"{where}:{node.lineno}")
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    return {name: where for name, where in defined.items()
+            if name not in named
+            and not (name.startswith("__") and name.endswith("__"))}
+
+
+def test_the_scan_finds_a_planted_unused_definition():
+    source = ("class Driver:\n"
+              "    def __init__(self):\n"
+              "        self.sent = 0\n"
+              "\n"
+              "    def forward(self, msg):\n"
+              "        self.sent += 1\n"
+              "\n"
+              "    def send(self, msg):\n"
+              "        self.forward(msg)\n"
+              "\n"
+              "def make():\n"
+              "    return Driver()\n")
+    assert unreferenced_definitions({"m.py": source}) == {
+        "send": "m.py:8", "make": "m.py:11"}
+
+
+def test_every_definition_in_the_package_has_a_caller():
+    unused = unreferenced_definitions(package_sources())
+    assert sorted(set(unused) - set(ALLOWED)) == [], unused
+    # a name the package now uses, or no longer defines, leaves the list
+    assert sorted(set(ALLOWED) - set(unused)) == []
