@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError, ScenarioError
@@ -237,9 +237,7 @@ def load_config(path=None) -> RunConfig:
         if not isinstance(data["isolate"], bool):
             raise ConfigError("config.isolate must be a boolean")
         cfg.isolate = data["isolate"]
-    known = {"twinning_period_ms", "queue_capacity", "run_timeout_s",
-             "thread_file", "record_file", "isolate"}
-    extra = set(data) - known
+    extra = set(data) - {f.name for f in fields(RunConfig)}
     if extra:
         raise ConfigError(f"unknown config keys {sorted(extra)}")
     return cfg

@@ -25,9 +25,10 @@ kernel).
 between a REAL and an EMULATED (prototype) assembly is what hangs off the far
 end of the sensor link: a software sensor on a virtual serial pair, or the
 recording-fed emulator on the `bridge:` pair. Both spawn the same three
-tasks (the sensor's serve loop and each driver's receive loop), and the
-driver and control configuration are identical by construction, which
-`describe_configuration` makes checkable.
+tasks (the sensor's serve loop and each driver's receive loop) and build the
+same drivers (name, command set, protocol) and the same control logic: the
+configuration is identical by construction, and the assembly's own
+`sensor_driver`, `tx_driver` and `control` show it.
 """
 
 from __future__ import annotations
@@ -87,9 +88,6 @@ class ControlLogic:
                 self.data_log.append(("rsp", msg))
         return self._send_response(msg)
 
-    def describe(self):
-        return {"period_init": 0, "log_gate": "period>0"}
-
 
 class SensorBacking(Enum):
     REAL = "real"
@@ -109,29 +107,20 @@ class PlantAssembly:
         self.control = control
         self._closables = []
 
-    def describe_configuration(self):
-        """Driver/control configuration. Identical for REAL and EMULATED."""
-        return {
-            "control": self.control.describe(),
-            "sensor_driver": self.sensor_driver.describe(),
-            "tx_driver": self.tx_driver.describe(),
-        }
-
     def stop(self):
         for item in self._closables:
             item.close()
 
 
-def assemble_plant(runtime, bus, backing, recording=None,
-                   outbound=None, inbound=None,
+def assemble_plant(runtime, bus, backing, outbound, inbound, recording=None,
                    measurement_script=None, link_capacity=BRIDGE_WINDOW):
     """Build and start a plant assembly.
 
     backing REAL: software sensor on a virtual serial pair.
     backing EMULATED: recording-fed emulator on the `bridge:` serial pair;
     `recording` (the recorded Messages, played once) is mandatory.
-    `outbound`/`inbound` are the transmitter's external link endpoints (either
-    may be None); the tx driver reads and writes them directly. The sensor
+    `outbound`/`inbound` are the transmitter's external link endpoints; the
+    tx driver writes the one and reads the other directly. The sensor
     link holds `link_capacity` frames per direction. The driver and control
     wiring is byte-identical in both cases.
 
@@ -155,7 +144,7 @@ def assemble_plant(runtime, bus, backing, recording=None,
         command_set=frozenset({OP_COMMAND}),
         name="sensor-driver",
     )
-    tx_device = TransmitterDevice(outbound=outbound, inbound=inbound)
+    tx_device = TransmitterDevice(outbound, inbound)
     tx_driver = DeviceDriver(
         tx_device,
         command_set=frozenset({OP_MEASUREMENT, OP_STATUS}),

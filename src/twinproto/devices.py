@@ -27,7 +27,8 @@ with blocking work (a send) returns it instead of blocking.
 
 The transmitter is not a device with a serve loop but the transmitter
 driver's connection itself: writes go straight out on the plant's outbound
-link and reads come straight in from its inbound link, with no task between.
+link and reads come straight in from its inbound link, with no task between;
+every plant is built with both links.
 
 The emulator is deliberately dumb: it replays previously recorded responses in
 order and never computes a fresh one. Fed with the recordings of a real run
@@ -82,8 +83,9 @@ class SensorDevice:
     script share it.
     """
 
-    def __init__(self, command_set=DEFAULT_COMMAND_SET):
-        self.command_set = frozenset(command_set)
+    command_set = DEFAULT_COMMAND_SET
+
+    def __init__(self):
         self._lock = threading.Lock()
         self._ts = TwinState()
 
@@ -138,8 +140,9 @@ class EmulatorContext:
 class EmulatorDevice:
     """Replays an EmulatorContext; never computes a response."""
 
-    def __init__(self, context: EmulatorContext, command_set=DEFAULT_COMMAND_SET):
-        self.command_set = frozenset(command_set)
+    command_set = DEFAULT_COMMAND_SET
+
+    def __init__(self, context: EmulatorContext):
         self.context = context
 
     def execute(self, msg: Message) -> Message:
@@ -312,13 +315,6 @@ class DeviceDriver:
         self.conn.write_frame(encode_message(msg))
         self.stats.relayed_out += 1
 
-    def describe(self):
-        return {
-            "name": self.name,
-            "protocol": self.conn.protocol.value,
-            "commands": command_set_label(self.command_set),
-        }
-
 
 def run_communication(runtime, device, device_conn, driver, on_message,
                       announce_boot=False):
@@ -345,47 +341,34 @@ def run_communication(runtime, device, device_conn, driver, on_message,
 class RelayStats:
     relayed_up: int = 0      # tx driver -> outbound link
     relayed_down: int = 0    # inbound link -> tx driver
-    dropped_up: int = 0      # outbound with no link attached
-
-
-def _no_wait():
-    return None
 
 
 class TransmitterDevice:
     """The tx driver's connection: the plant's two external links as one.
 
     `write_frame` goes out on `outbound` (the PT-to-twin stream), `read_frame`
-    comes in from `inbound` (the twin-to-PT stream); payloads pass verbatim.
-    Either link may be absent: a missing outbound drops frames (nobody is
-    listening), a missing inbound reads as a closed connection.
+    comes in from `inbound` (the twin-to-PT stream); payloads pass verbatim,
+    and the wait halves are those links' own.
     """
 
     protocol = Protocol.TCP
 
-    def __init__(self, outbound=None, inbound=None):
+    def __init__(self, outbound, inbound):
         self.outbound = outbound
         self.inbound = inbound
         self.stats = RelayStats()
-        # the wait halves are the links' own; with no link nothing waits
-        self.wait_write = _no_wait if outbound is None else outbound.wait_write
-        self.wait_read = _no_wait if inbound is None else inbound.wait_read
+        self.wait_write = outbound.wait_write
+        self.wait_read = inbound.wait_read
 
     def write_frame(self, payload: bytes):
-        if self.outbound is None:
-            self.stats.dropped_up += 1
-            return
         self.outbound.write_frame(payload)
         self.stats.relayed_up += 1
 
     def read_frame(self) -> bytes:
-        if self.inbound is None:
-            raise ConnectionClosed("transmitter: no inbound link")
         payload = self.inbound.read_frame()
         self.stats.relayed_down += 1
         return payload
 
     def close(self):
-        for link in (self.outbound, self.inbound):
-            if link is not None:
-                link.close()
+        self.outbound.close()
+        self.inbound.close()

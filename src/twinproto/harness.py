@@ -165,6 +165,13 @@ class _Wiring:
 
 def run_scenario(scenario: Scenario, config: RunConfig | None = None) -> SessionResult:
     cfg = config if config is not None else RunConfig()
+    if cfg.record_file and (scenario.mode not in ("shadow", "twin")
+                            or _recording_path(scenario) is not None):
+        # a recording is the ingest half of a thread taken against the
+        # real sensor: no other run has one to write
+        raise ConfigError("record_file needs a real-backed shadow or twin "
+                          "run, with no recording; the `record` verb runs "
+                          "a pt scenario as a shadow")
     result = SessionResult(scenario.name, scenario.mode, scenario.clock.value,
                            scenario.seed)
     started = time.monotonic()
@@ -475,15 +482,14 @@ def record_session(scenario: Scenario, config: RunConfig | None = None,
 
     The output file loads straight back as emulator recordings, which is
     the whole point: capture once against the real sensor, replay forever.
+    A pt scenario runs as a shadow; `run_scenario` refuses an
+    emulator-backed one.
     """
-    if scenario.mode == "dtp" or scenario.recording:
-        raise ConfigError("recording needs a real-backed run, "
-                          "not an emulator-backed one")
     for step in scenario.steps:
         if step.action != "command":
             raise ConfigError("recording scenarios may only use command steps")
-    lifted = scenario if scenario.mode in ("shadow", "twin") \
-        else replace(scenario, mode="shadow")
+    lifted = replace(scenario, mode="shadow") if scenario.mode == "pt" \
+        else scenario
     cfg = replace(config if config is not None else RunConfig())
     if record_path is not None:
         cfg.record_file = str(record_path)

@@ -102,9 +102,9 @@ class PlanStats:
 class ModelKeeper:
     """Serialized access to the model state and its history."""
 
-    def __init__(self, initial: TwinState | None = None):
+    def __init__(self):
         self._lock = threading.Lock()
-        self.model = initial if initial is not None else TwinState()
+        self.model = TwinState()
         self.goal_pending = False
         self.last_observed = None  # State reported most recently, or None
         self.trajectory = []       # (ts, State) at every model change
@@ -339,7 +339,7 @@ def assemble_shadow(runtime, ingest_conn, name="shadow"):
 
 
 def assemble_twin(runtime, bus, ingest_conn, uplink_conn, thread_log=None,
-                  twinning_period_ms=DEFAULT_TWINNING_PERIOD_MS, name="twin"):
+                  twinning_period_ms=DEFAULT_TWINNING_PERIOD_MS):
     """Full closed loop: the engine through execute, an uplink, a re-check.
 
     `bus` is ignored: the ingest loop, the poll and the operator call the
@@ -351,12 +351,12 @@ def assemble_twin(runtime, bus, ingest_conn, uplink_conn, thread_log=None,
     # the uplink driver never receives, so it gets no receive loop
     uplink_driver = DeviceDriver(uplink_conn,
                                  command_set=frozenset({OP_COMMAND}),
-                                 name=f"{name}-uplink")
-    twin = DigitalTwin(runtime, keeper, _ingest_driver(ingest_conn, name),
+                                 name="twin-uplink")
+    twin = DigitalTwin(runtime, keeper, _ingest_driver(ingest_conn, "twin"),
                        uplink_driver=uplink_driver, gate=ExecuteGate(keeper),
                        thread_log=thread_log)
     runtime.spawn(twin.ingest_driver.receive(twin.ingest),
-                  name=f"{name}:ingest")
+                  name="twin:ingest")
 
     def twinning_poll():
         while True:
@@ -365,5 +365,5 @@ def assemble_twin(runtime, bus, ingest_conn, uplink_conn, thread_log=None,
             if work is not None:
                 yield from work
 
-    runtime.spawn(twinning_poll(), name=f"{name}:poll")
+    runtime.spawn(twinning_poll(), name="twin:poll")
     return twin

@@ -177,9 +177,9 @@ class ThreadLog:
     def append_raw(self, ts, direction, payload: bytes) -> ThreadRecord:
         return self._append(ts, direction, "RAW", payload)
 
-    def append_note(self, ts, text: str,
-                    direction=ThreadDirection.DT2PT) -> ThreadRecord:
-        return self._append(ts, direction, "NOTE", text.encode("utf-8"))
+    def append_note(self, ts, text: str) -> ThreadRecord:
+        return self._append(ts, ThreadDirection.DT2PT, "NOTE",
+                            text.encode("utf-8"))
 
     @property
     def records(self):
@@ -284,10 +284,6 @@ class TappedEndpoint:
     @property
     def protocol(self):
         return self._inner.protocol
-
-    @property
-    def closed(self):
-        return self._inner.closed
 
     @property
     def name(self):

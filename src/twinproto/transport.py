@@ -111,10 +111,6 @@ class Endpoint:
         self._rx.close()
         self._tx.close()
 
-    @property
-    def closed(self):
-        return self._closed
-
     def __repr__(self):
         return f"<Endpoint {self.name} {self.protocol.value}>"
 
@@ -199,10 +195,6 @@ class SocketEndpoint:
         except OSError:
             pass
         self._sock.close()
-
-    @property
-    def closed(self):
-        return self._closed
 
 
 class TcpListener:

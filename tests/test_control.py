@@ -3,6 +3,9 @@ import pytest
 from twinproto.control import ControlLogic, SensorBacking, assemble_plant
 from twinproto.errors import RecordingMissing
 from twinproto.messages import (
+    OP_COMMAND,
+    OP_MEASUREMENT,
+    OP_STATUS,
     command,
     decode_message,
     encode_message,
@@ -209,10 +212,24 @@ def test_emulated_plant_indistinguishable_from_real():
 MISSION_RECORDING = [status(0), status(1), status(0), status(2)]
 
 
+def configuration(plant):
+    """Each driver's name, command set and protocol, then the control
+    logic's type and period."""
+    drivers = [(d.name, d.command_set, d.conn.protocol)
+               for d in (plant.sensor_driver, plant.tx_driver)]
+    return drivers, type(plant.control), plant.control.period
+
+
 def test_configuration_identical_across_backings():
-    real, _ = drive_plant(SensorBacking.REAL)
-    emu, _ = drive_plant(SensorBacking.EMULATED, recording=MISSION_RECORDING)
-    assert real.describe_configuration() == emu.describe_configuration()
+    # no commands: control keeps the period it starts with
+    real, _ = drive_plant(SensorBacking.REAL, script=())
+    emu, _ = drive_plant(SensorBacking.EMULATED, recording=MISSION_RECORDING,
+                         script=())
+    assert configuration(real) == configuration(emu) == (
+        [("sensor-driver", frozenset({OP_COMMAND}), Protocol.RS232),
+         ("tx-driver", frozenset({OP_MEASUREMENT, OP_STATUS}), Protocol.TCP)],
+        ControlLogic, 0,
+    )
     # the assemblies differ only in what hangs off the sensor link
     assert type(real.sensor) is not type(emu.sensor)
     assert real.sensor_driver.conn.name != emu.sensor_driver.conn.name
@@ -238,5 +255,8 @@ def test_backings_spawn_the_same_plant_tasks(monkeypatch):
 
 
 def test_emulated_plant_requires_recording():
+    rt = WallRuntime()
+    up_plant, _ = connect_pair(rt, "up:plant", "up:op", Protocol.TCP)
+    _, down_plant = connect_pair(rt, "down:op", "down:plant", Protocol.TCP)
     with pytest.raises(RecordingMissing):
-        assemble_plant(WallRuntime(), None, SensorBacking.EMULATED)
+        assemble_plant(rt, None, SensorBacking.EMULATED, up_plant, down_plant)

@@ -303,12 +303,3 @@ def test_transmitter_relays_verbatim_both_ways():
     with pytest.raises(ConnectionClosed):
         in_a.write_frame(b"\x01\x00\x00")
 
-
-def test_transmitter_without_outbound_drops_and_counts():
-    tx = TransmitterDevice(outbound=None, inbound=None)
-    tx.write_frame(b"\x20\x00")
-    assert tx.stats.dropped_up == 1
-    assert tx.stats.relayed_up == 0
-    with pytest.raises(ConnectionClosed):
-        tx.read_frame()
-    tx.close()

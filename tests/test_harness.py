@@ -497,6 +497,28 @@ def test_record_rejects_dtp_and_model_steps(tmp_path):
         record_session(scenario(mode="shadow"))
 
 
+@pytest.mark.parametrize("mode, emulated", [
+    ("pt", False), ("dtp", True), ("shadow", True),
+], ids=["pt", "dtp", "emulated"])
+def test_record_file_needs_a_real_backed_observing_run(tmp_path, mode,
+                                                       emulated):
+    # such a run would write nothing, or a recording of the emulator
+    # itself; it is refused before anything starts
+    recording = {}
+    if emulated:
+        assert record_session(scenario(mode="pt"),
+                              record_path=tmp_path / "mission.rec").ok
+        recording = {"recording": "mission.rec",
+                     "path": tmp_path / "case.json"}
+    out = tmp_path / "out.rec"
+    with pytest.raises(ConfigError, match="real-backed shadow or twin") \
+            as err:
+        run_scenario(scenario(mode=mode, **recording),
+                     RunConfig(record_file=str(out)))
+    assert "`record` verb" in str(err.value)
+    assert not out.exists()
+
+
 def test_replay_reproduces_the_recorded_walk(tmp_path):
     thread = tmp_path / "mission.thread"
     run = run_scenario(scenario(), RunConfig(thread_file=str(thread)))
@@ -707,6 +729,15 @@ def test_cli_rejects_model_steps_outside_twin(tmp_path, capsys):
 def test_cli_missing_scenario_is_exit_2(tmp_path, capsys):
     assert main(["run-pt", "--scenario", str(tmp_path / "ghost.json")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_record_file_on_a_pt_run_is_exit_2(tmp_path, capsys):
+    sc = write_scenario(tmp_path / "mission.json", mode="pt")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"record_file": str(tmp_path / "out.rec")}))
+    assert main(["run-pt", "--scenario", str(sc), "--config", str(cfg)]) == 2
+    assert "`record` verb" in capsys.readouterr().err
+    assert not (tmp_path / "out.rec").exists()
 
 
 def test_cli_failed_expectation_is_exit_1(tmp_path, capsys):

@@ -249,7 +249,8 @@ def test_socket_close_after_hang_up_releases_the_socket():
     server.close()
     with pytest.raises(ConnectionClosed):
         client.read_frame()  # the hang-up marks the stream closed...
-    assert client.closed
+    with pytest.raises(ConnectionClosed, match="read after close"):
+        client.read_frame()
     client.close()  # ...and close still releases the socket
     assert client._sock.fileno() == -1
 

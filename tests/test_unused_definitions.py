@@ -4,7 +4,9 @@ A definition that nothing in `src/` names is dead weight, or is kept for a
 caller outside the package: the acceptance gate, a test, the benchmark, or
 a code string run in another process. The scan collects every name the
 package loads, as a plain name or as an attribute, and fails on a
-definition named nowhere unless ALLOWED gives its outside caller. Dunder
+definition named nowhere unless ALLOWED gives its outside caller. A name
+loaded only inside definitions of that same name, like a property that
+returns `self._inner.<its own name>`, does not count as a use. Dunder
 methods are called by Python itself and are skipped.
 """
 
@@ -24,27 +26,34 @@ ALLOWED = {
     "unframe": "C1-C9",
     "tick": "tests, and the benchmark's replay digest",
     "plant_process_main": "the isolated plant's code string",
-    "describe_configuration": "the DTP same-configuration test",
     "assemble_prototype": "tests",
     "write_manifest": "tests",
     "parse_record_line": "tests",
 }
 
 
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
 def unreferenced_definitions(sources: dict) -> dict:
     """name -> `where` of each function or class defined in `sources`
     (file name -> source text) that no name or attribute there refers
-    to."""
+    to, outside definitions of that name."""
     defined, named = {}, set()
+
+    def scan(node, where, enclosing):
+        if isinstance(node, DEFINITIONS):
+            defined.setdefault(node.name, f"{where}:{node.lineno}")
+            enclosing = enclosing | {node.name}
+        elif isinstance(node, ast.Name) and node.id not in enclosing:
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in enclosing:
+            named.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            scan(child, where, enclosing)
+
     for where, text in sources.items():
-        for node in ast.walk(ast.parse(text)):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                defined.setdefault(node.name, f"{where}:{node.lineno}")
-            elif isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
+        scan(ast.parse(text), where, frozenset())
     return {name: where for name, where in defined.items()
             if name not in named
             and not (name.startswith("__") and name.endswith("__"))}
@@ -65,6 +74,27 @@ def test_the_scan_finds_a_planted_unused_definition():
               "    return Driver()\n")
     assert unreferenced_definitions({"m.py": source}) == {
         "send": "m.py:8", "make": "m.py:11"}
+
+
+def test_the_scan_sees_through_a_property_that_forwards_to_itself():
+    source = ("class Tap:\n"
+              "    def __init__(self, inner):\n"
+              "        self._inner = inner\n"
+              "\n"
+              "    @property\n"
+              "    def name(self):\n"
+              "        return self._inner.name\n"
+              "\n"
+              "    @property\n"
+              "    def closed(self):\n"
+              "        return self._inner.closed\n"
+              "\n"
+              "def label(inner):\n"
+              "    return Tap(inner).name\n"
+              "\n"
+              "print(label)\n")
+    # `name` has a caller besides itself, `closed` has none
+    assert unreferenced_definitions({"m.py": source}) == {"closed": "m.py:10"}
 
 
 def test_every_definition_in_the_package_has_a_caller():
