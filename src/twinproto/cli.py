@@ -5,8 +5,8 @@ Verbs:
     run-pt / run-dtp / run-shadow / run-twin
         load a scenario, force the deployment shape, run it end to end
     record
-        run a real-backed observing session and write the ingest half
-        as an emulator-loadable recording
+        run a real-backed observing session with its thread file at the
+        recording path; the emulator plays the thread's MEA and STA frames
     replay
         feed an interchange record file into a fresh offline deployment
         and check it reproduces the recorded state walk

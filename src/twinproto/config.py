@@ -74,8 +74,7 @@ class RunConfig:
     # and downlink and its sensor link (in a child process under isolate)
     queue_capacity: int = 4096
     run_timeout_s: float = 30.0
-    thread_file: str | None = None
-    record_file: str | None = None
+    thread_file: str | None = None  # a shadow or twin run's thread
     # run the plant in a separate OS process over loopback TCP (wall clock only)
     isolate: bool = False
 
@@ -228,11 +227,10 @@ def load_config(path=None) -> RunConfig:
             raise ConfigError("config.run_timeout_s must be positive and "
                               "finite")
         cfg.run_timeout_s = float(timeout)
-    for key in ("thread_file", "record_file"):
-        if data.get(key) is not None:
-            if not isinstance(data[key], str):
-                raise ConfigError(f"config.{key} must be a path string")
-            setattr(cfg, key, data[key])
+    if data.get("thread_file") is not None:
+        if not isinstance(data["thread_file"], str):
+            raise ConfigError("config.thread_file must be a path string")
+        cfg.thread_file = data["thread_file"]
     if "isolate" in data:
         if not isinstance(data["isolate"], bool):
             raise ConfigError("config.isolate must be a boolean")

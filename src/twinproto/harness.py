@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 import subprocess
 import sys
 import threading
@@ -32,6 +33,7 @@ import time
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from operator import eq, ge
+from pathlib import Path
 
 from .config import Expectations, RunConfig, Scenario
 from .control import PlantAssembly, SensorBacking, assemble_plant
@@ -47,7 +49,6 @@ from .thread_log import (
     ThreadLog,
     load_recordings,
     read_thread_file,
-    write_recording_file,
 )
 from .transport import Protocol, TcpListener, connect_pair, tcp_connect
 
@@ -161,17 +162,16 @@ class _Wiring:
     twin: DigitalTwin | None = None
     plant: PlantAssembly | None = None
     observed: list = field(default_factory=list)  # statuses seen (pt/dtp)
+    measured: int = 0  # measurements seen (pt/dtp)
 
 
 def run_scenario(scenario: Scenario, config: RunConfig | None = None) -> SessionResult:
     cfg = config if config is not None else RunConfig()
-    if cfg.record_file and (scenario.mode not in ("shadow", "twin")
-                            or _recording_path(scenario) is not None):
-        # a recording is the ingest half of a thread taken against the
-        # real sensor: no other run has one to write
-        raise ConfigError("record_file needs a real-backed shadow or twin "
-                          "run, with no recording; the `record` verb runs "
-                          "a pt scenario as a shadow")
+    if cfg.thread_file and scenario.mode not in ("shadow", "twin"):
+        # the operator holds both links of a pt or dtp run: nothing taps
+        # them, so there is no thread to write
+        raise ConfigError(f"thread_file needs a shadow or twin run; a "
+                          f"{scenario.mode} run keeps no thread")
     result = SessionResult(scenario.name, scenario.mode, scenario.clock.value,
                            scenario.seed)
     started = time.monotonic()
@@ -190,8 +190,6 @@ def run_scenario(scenario: Scenario, config: RunConfig | None = None) -> Session
         result.thread_lines = len(records)
         result.thread_sha256 = thread_digest(records)
         _check_thread_invariants(scenario.mode, wiring.twin, result)
-        if cfg.record_file:
-            write_recording_file(records, cfg.record_file)
     _check_expectations(scenario.expect, result)
     result.elapsed_s = time.monotonic() - started
     return result
@@ -317,6 +315,8 @@ def _drive(rt, scenario: Scenario, cfg: RunConfig, wiring: _Wiring,
                 continue
             if msg.kind is MessageKind.STATUS:
                 wiring.observed.append(State(msg.value))
+            elif msg.kind is MessageKind.MEASUREMENT:
+                wiring.measured += 1
 
     if twin is None:  # pt/dtp: the operator holds the plant's uplink
         rt.spawn(watch_up, name="op:watch")
@@ -359,12 +359,9 @@ def _drive(rt, scenario: Scenario, cfg: RunConfig, wiring: _Wiring,
             if not rt.stopping:
                 for loss in _link_losses(wiring):
                     result.fail(loss)
-            if wiring.plant is not None:
-                wiring.plant.stop()
-            else:
-                wiring.up.close()
-                wiring.down.close()
-            rt.shutdown()
+            wiring.up.close()
+            wiring.down.close()
+            rt.shutdown()  # closes an in-process plant's links too
 
     rt.spawn(operator, name="op:script")
     _run_to_verdict(rt, cfg.run_timeout_s, result)
@@ -437,6 +434,7 @@ def _collect(wiring: _Wiring, result: SessionResult):
     else:
         final = wiring.observed[-1] if wiring.observed else None
         result.statuses_seen = len(wiring.observed)
+        result.measurements_seen = wiring.measured
     result.final_status = final.name if final is not None else None
     if wiring.log is not None:
         counts = wiring.log.frame_counts()
@@ -478,24 +476,30 @@ def _check_thread_invariants(mode, twin, result):
 
 def record_session(scenario: Scenario, config: RunConfig | None = None,
                    record_path=None) -> SessionResult:
-    """Run a real-backed observing session and persist the ingest half.
+    """Run a real-backed observing session with its thread at `record_path`.
 
-    The output file loads straight back as emulator recordings, which is
-    the whole point: capture once against the real sensor, replay forever.
-    A pt scenario runs as a shadow; `run_scenario` refuses an
-    emulator-backed one.
+    A recording is a thread file, which loads straight back as emulator
+    recordings: capture once against the real sensor, replay forever. A pt
+    scenario runs as a shadow. A config that names its own thread file
+    keeps it, and the file is copied to `record_path` afterwards.
     """
     for step in scenario.steps:
         if step.action != "command":
             raise ConfigError("recording scenarios may only use command steps")
+    if _recording_path(scenario) is not None:
+        raise ConfigError("record needs a real-backed run; this scenario "
+                          "plays a recording")
+    if record_path is None:
+        raise ConfigError("record needs an output path")
     lifted = replace(scenario, mode="shadow") if scenario.mode == "pt" \
         else scenario
-    cfg = replace(config if config is not None else RunConfig())
-    if record_path is not None:
-        cfg.record_file = str(record_path)
-    if not cfg.record_file:
-        raise ConfigError("record needs an output path")
-    return run_scenario(lifted, cfg)
+    cfg = config if config is not None else RunConfig()
+    if not cfg.thread_file:
+        return run_scenario(lifted, replace(cfg, thread_file=str(record_path)))
+    result = run_scenario(lifted, cfg)
+    if Path(cfg.thread_file).resolve() != Path(record_path).resolve():
+        shutil.copyfile(cfg.thread_file, record_path)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -688,8 +692,6 @@ def run_suite(suite_dir, config: RunConfig | None = None,
     logical clock no matter what the file says, so the whole suite is
     deterministic and fast.
     """
-    from pathlib import Path
-
     from .config import load_scenario
 
     paths = sorted(Path(suite_dir).glob("*.json"))

@@ -35,7 +35,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import CodecError, CorruptRecord, DirectionKindMismatch
-from .messages import Message, MessageKind, decode_message, encode_message
+from .messages import MessageKind, decode_message
 
 U64_MAX = 2 ** 64 - 1
 
@@ -167,12 +167,17 @@ class ThreadLog:
                 self._fh.flush()
         return rec
 
-    def append_message(self, ts, direction, msg: Message) -> ThreadRecord:
-        tag = KIND_TAG[msg.kind]
+    def append_message(self, ts, direction, payload: bytes) -> ThreadRecord:
+        """Record a frame as it came off the wire, decoded only to tag it.
+
+        Raises CodecError if it does not decode and DirectionKindMismatch
+        if `direction` does not carry its kind; either way nothing is kept.
+        """
+        tag = KIND_TAG[decode_message(payload).kind]
         if (direction.value, tag) not in _SLOTS:
             raise DirectionKindMismatch(
                 f"{direction.value} record cannot carry {tag}")
-        return self._append(ts, direction, tag, encode_message(msg))
+        return self._append(ts, direction, tag, payload)
 
     def append_raw(self, ts, direction, payload: bytes) -> ThreadRecord:
         return self._append(ts, direction, "RAW", payload)
@@ -223,21 +228,10 @@ def read_thread_file(path):
 
 
 def load_recordings(path):
-    """Emulator recordings: the MEA and STA Messages of a file, in order."""
+    """Emulator recordings: the MEA and STA Messages of a thread file, in
+    order. A recording is a thread file; every other line is skipped."""
     return [msg for rec, msg in _parse_file(path)
             if rec.kind in ("MEA", "STA")]
-
-
-def write_recording_file(records, path):
-    """Persist the PT2DT-filtered view of a thread as an emulator recording."""
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            if rec.direction is ThreadDirection.PT2DT and rec.is_frame:
-                n += 1
-                fh.write(ThreadRecord(n, rec.ts, rec.direction, rec.kind,
-                                      rec.payload).format_line())
-    return n
 
 
 class TappedEndpoint:
@@ -264,8 +258,7 @@ class TappedEndpoint:
             return
         ts = self._rt.now_ns()
         try:
-            msg = decode_message(payload)
-            self._log.append_message(ts, direction, msg)
+            self._log.append_message(ts, direction, payload)
         except (CodecError, DirectionKindMismatch):
             self._log.append_raw(ts, direction, payload)
 
@@ -280,12 +273,3 @@ class TappedEndpoint:
 
     def close(self):
         self._inner.close()
-
-    @property
-    def protocol(self):
-        return self._inner.protocol
-
-    @property
-    def name(self):
-        return self._inner.name
-

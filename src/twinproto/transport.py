@@ -232,18 +232,13 @@ class TcpListener:
             pass
 
 
-def tcp_connect(host, port, name="tcp-client", attempts=50, delay=0.1):
-    """Connect with retries; the peer process may still be binding."""
-    import time as _time
-
-    last = None
-    for _ in range(attempts):
-        try:
-            sock = socket.create_connection((host, port), timeout=5.0)
-            sock.settimeout(None)  # the timeout was for connecting only
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            return SocketEndpoint(sock, name=name)
-        except OSError as exc:
-            last = exc
-            _time.sleep(delay)
-    raise PortBindFailed(f"connect {host}:{port}: {last}")
+def tcp_connect(host, port, name="tcp-client"):
+    """Connect once: an isolated run binds its listeners before it starts
+    the process that connects."""
+    try:
+        sock = socket.create_connection((host, port), timeout=5.0)
+    except OSError as exc:
+        raise PortBindFailed(f"connect {host}:{port}: {exc}") from None
+    sock.settimeout(None)  # the timeout was for connecting only
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return SocketEndpoint(sock, name=name)

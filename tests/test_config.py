@@ -287,7 +287,6 @@ def configs(draw):
         "queue_capacity": POSITIVE,
         "run_timeout_s": POSITIVE | st.floats(min_value=1e-3, max_value=1e6),
         "thread_file": st.none() | st.text(max_size=8),
-        "record_file": st.none() | st.text(max_size=8),
         "isolate": st.booleans(),
     }
     keys = draw(st.lists(st.sampled_from(sorted(values)), unique=True))

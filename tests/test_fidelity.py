@@ -19,9 +19,10 @@ from hypothesis import strategies as st
 from twinproto import transport
 from twinproto.config import parse_scenario
 from twinproto.harness import record_session, run_scenario
-from twinproto.messages import (MEASUREMENT_MAX, MEASUREMENT_MIN,
+from twinproto.messages import (MEASUREMENT_MAX, MEASUREMENT_MIN, command,
                                 encode_message, measurement, status)
-from twinproto.thread_log import load_recordings
+from twinproto.thread_log import (ThreadDirection, load_recordings,
+                                  read_thread_file)
 
 TWIN_END = "link:peer-up"  # the twin side of the plant's outbound link
 
@@ -83,6 +84,32 @@ def test_the_emulator_replays_measurements_after_the_status_they_follow(
         status(0), status(1))]
     assert frames == want
     assert streams == {"real": want, "dtp": want, "shadow": want}
+
+
+def test_a_twin_recording_holds_its_commands_and_dtp_plays_its_pt2dt_bytes(
+        tmp_path):
+    # a recording is the thread file of the run that made it, so a twin's
+    # holds its uplink commands too; the emulator plays only MEA and STA
+    steps = [{"at_ms": 0, "do": "command", "value": 50},
+             {"at_ms": 100, "do": "command", "value": 0},
+             {"at_ms": 200, "do": "command", "value": -1}]
+    data = {"name": "fidelity", "mode": "twin", "clock": "lockstep",
+            "seed": 5, "duration_ms": 300, "steps": steps,
+            "measurements": [[20, 7], [30, 8], [40, 9]]}
+    rec = tmp_path / "twin.rec"
+    recorded = record_session(parse_scenario(data), record_path=rec)
+    assert recorded.ok, recorded.failures
+    records = read_thread_file(rec)
+    assert [r.payload for r in records if r.kind == "CMD"] == [
+        encode_message(command(s["value"])) for s in steps]
+    pt2dt = [r.payload for r in records
+             if r.direction is ThreadDirection.PT2DT and r.is_frame]
+    assert pt2dt == [encode_message(m) for m in load_recordings(rec)]
+    with pt2dt_stream() as got:
+        result = run_scenario(parse_scenario(
+            dict(data, mode="dtp", recording=str(rec))))
+    assert result.ok, result.failures
+    assert got == pt2dt
 
 
 PERIODS = st.one_of(st.sampled_from((-1, 0, 1, 50)),

@@ -23,7 +23,6 @@ from twinproto.harness import (
     replay_thread,
     run_scenario,
     run_suite,
-    thread_digest,
 )
 from twinproto.runtime import ClockMode
 from twinproto.template import write_manifest
@@ -497,26 +496,63 @@ def test_record_rejects_dtp_and_model_steps(tmp_path):
         record_session(scenario(mode="shadow"))
 
 
-@pytest.mark.parametrize("mode, emulated", [
-    ("pt", False), ("dtp", True), ("shadow", True),
-], ids=["pt", "dtp", "emulated"])
-def test_record_file_needs_a_real_backed_observing_run(tmp_path, mode,
-                                                       emulated):
-    # such a run would write nothing, or a recording of the emulator
-    # itself; it is refused before anything starts
-    recording = {}
-    if emulated:
-        assert record_session(scenario(mode="pt"),
-                              record_path=tmp_path / "mission.rec").ok
-        recording = {"recording": "mission.rec",
-                     "path": tmp_path / "case.json"}
+@pytest.mark.parametrize("mode", ["shadow", "twin"],
+                         ids=["emulated-shadow", "emulated-twin"])
+def test_record_needs_a_real_backed_run(tmp_path, mode):
+    # a recording of the emulator would only copy the recording it plays;
+    # it is refused before anything starts (dtp: see the test above)
+    assert record_session(scenario(mode="pt"),
+                          record_path=tmp_path / "mission.rec").ok
     out = tmp_path / "out.rec"
-    with pytest.raises(ConfigError, match="real-backed shadow or twin") \
-            as err:
-        run_scenario(scenario(mode=mode, **recording),
-                     RunConfig(record_file=str(out)))
-    assert "`record` verb" in str(err.value)
+    with pytest.raises(ConfigError, match="real-backed"):
+        record_session(scenario(mode=mode, recording="mission.rec",
+                                path=tmp_path / "case.json"),
+                       record_path=out)
     assert not out.exists()
+
+
+def test_record_keeps_a_configured_thread_file_and_copies_it(tmp_path):
+    thread, rec = tmp_path / "run.thread", tmp_path / "run.rec"
+    recorded = record_session(scenario(mode="pt"),
+                              RunConfig(thread_file=str(thread)),
+                              record_path=rec)
+    assert recorded.ok, recorded.failures
+    assert recorded.mode == "shadow"
+    assert rec.read_bytes() == thread.read_bytes()
+    # the same file twice: the run writes it once and nothing is copied
+    again = record_session(scenario(mode="pt"),
+                           RunConfig(thread_file=str(rec)), record_path=rec)
+    assert again.thread_sha256 == recorded.thread_sha256
+    assert rec.read_bytes() == thread.read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["pt", "dtp"])
+def test_thread_file_needs_a_shadow_or_twin_run(tmp_path, mode):
+    # the operator holds both links of a pt or dtp run, so nothing is
+    # tapped: such a run used to pass and write no file
+    assert record_session(scenario(mode="pt"),
+                          record_path=tmp_path / "mission.rec").ok
+    out = tmp_path / "out.thread"
+    with pytest.raises(ConfigError, match="thread_file needs a shadow or "
+                                          f"twin run; a {mode} run"):
+        run_scenario(scenario(mode=mode, recording="mission.rec",
+                              path=tmp_path / "case.json"),
+                     RunConfig(thread_file=str(out)))
+    assert not out.exists()
+
+
+def test_pt_and_dtp_count_the_measurements_they_see(tmp_path):
+    measured = dict(duration_ms=100, expect={},
+                    steps=[{"at_ms": 0, "do": "command", "value": 50}],
+                    measurements=[[10, 1], [20, 2], [30, 3]])
+    rec = tmp_path / "measured.rec"
+    shadow = record_session(scenario(mode="shadow", **measured),
+                            record_path=rec)
+    pt = run_scenario(scenario(mode="pt", **measured))
+    dtp = run_scenario(scenario(mode="dtp", recording=str(rec), **measured))
+    assert [r.ok for r in (shadow, pt, dtp)] == [True] * 3
+    assert [r.measurements_seen for r in (shadow, pt, dtp)] == [3, 3, 3]
+    assert [r.statuses_seen for r in (shadow, pt, dtp)] == [2, 2, 2]
 
 
 def test_replay_reproduces_the_recorded_walk(tmp_path):
@@ -731,13 +767,18 @@ def test_cli_missing_scenario_is_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_cli_record_file_on_a_pt_run_is_exit_2(tmp_path, capsys):
-    sc = write_scenario(tmp_path / "mission.json", mode="pt")
+def test_cli_thread_file_on_a_pt_run_is_exit_2(tmp_path, capsys):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    sc = write_scenario(suite / "mission.json", mode="pt")
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"record_file": str(tmp_path / "out.rec")}))
+    cfg.write_text(json.dumps({"thread_file": str(tmp_path / "out.thread")}))
     assert main(["run-pt", "--scenario", str(sc), "--config", str(cfg)]) == 2
-    assert "`record` verb" in capsys.readouterr().err
-    assert not (tmp_path / "out.rec").exists()
+    assert "keeps no thread" in capsys.readouterr().err
+    # the suite runner too: one file for every case would keep the last
+    assert main(["ci-test", str(suite), "--config", str(cfg)]) == 2
+    assert "keeps no thread" in capsys.readouterr().err
+    assert not (tmp_path / "out.thread").exists()
 
 
 def test_cli_failed_expectation_is_exit_1(tmp_path, capsys):
@@ -835,11 +876,10 @@ def test_cli_ci_test_corrupt_recording_fails_one_case_and_runs_the_next(
 def test_cli_template_validate(tmp_path, capsys):
     thread = tmp_path / "cap.thread"
     run = run_scenario(scenario(mode="shadow"),
-                       RunConfig(thread_file=str(thread),
-                                 record_file=str(tmp_path / "cap.rec")))
+                       RunConfig(thread_file=str(thread)))
     assert run.ok, run.failures
     manifest = tmp_path / "plant.ini"
-    write_manifest(manifest, "plant", tmp_path / "cap.rec")
+    write_manifest(manifest, "plant", thread)
     assert main(["template-validate", str(manifest)]) == 0
     assert "manifest ok" in capsys.readouterr().out
 

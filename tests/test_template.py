@@ -13,15 +13,16 @@ from twinproto.template import (
     validate_manifest,
     write_manifest,
 )
-from twinproto.thread_log import ThreadDirection, ThreadLog, write_recording_file
+from twinproto.thread_log import ThreadDirection, ThreadLog, load_recordings
 from twinproto.transport import Protocol, connect_pair
 
 
 def make_recording_file(path, messages):
-    log = ThreadLog()
+    log = ThreadLog(path)
     for n, msg in enumerate(messages):
-        log.append_message(n, ThreadDirection.PT2DT, msg)
-    assert write_recording_file(log.records, path) == len(messages)
+        log.append_message(n, ThreadDirection.PT2DT, encode_message(msg))
+    log.close()
+    assert load_recordings(path) == messages
     return path
 
 

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from reference_thread_line import Rejected, ref_parse_line
-from twinproto.errors import CorruptRecord, DirectionKindMismatch
+from twinproto.errors import CodecError, CorruptRecord, DirectionKindMismatch
 from twinproto.messages import (
     COMMAND_MAX,
     COMMAND_MIN,
@@ -33,7 +33,6 @@ from twinproto.thread_log import (
     load_recordings,
     parse_record_line,
     read_thread_file,
-    write_recording_file,
 )
 from twinproto.transport import open_virtual_serial_pair
 
@@ -73,8 +72,8 @@ def test_records_are_immutable_hashable_values():
 
 def test_append_assigns_strictly_increasing_seq():
     log = ThreadLog()
-    r1 = log.append_message(10, PT2DT, status(1))
-    r2 = log.append_message(11, PT2DT, measurement(5))
+    r1 = log.append_message(10, PT2DT, encode_message(status(1)))
+    r2 = log.append_message(11, PT2DT, encode_message(measurement(5)))
     r3 = log.append_note(12, "hello")
     assert [r1.seq, r2.seq, r3.seq] == [1, 2, 3]
 
@@ -82,20 +81,32 @@ def test_append_assigns_strictly_increasing_seq():
 def test_direction_kind_invariant_enforced():
     log = ThreadLog()
     with pytest.raises(DirectionKindMismatch):
-        log.append_message(0, PT2DT, command(5))
+        log.append_message(0, PT2DT, encode_message(command(5)))
     with pytest.raises(DirectionKindMismatch):
-        log.append_message(0, DT2PT, status(1))
+        log.append_message(0, DT2PT, encode_message(status(1)))
     with pytest.raises(DirectionKindMismatch):
-        log.append_message(0, DT2PT, measurement(1))
+        log.append_message(0, DT2PT, encode_message(measurement(1)))
+    for payload in (b"", b"\x99", b"\x20\x07", b"\x01\x00"):
+        with pytest.raises(CodecError):  # a frame that does not decode
+            log.append_message(0, PT2DT, payload)
     assert log.records == []  # nothing committed
+    assert log.frame_counts() == {PT2DT: 0, DT2PT: 0}
+
+
+def test_append_message_stores_the_payload_it_was_given():
+    log = ThreadLog()
+    payload = encode_message(measurement(-7))
+    rec = log.append_message(3, PT2DT, payload)
+    assert (rec.kind, rec.payload) == ("MEA", payload)
+    assert rec.payload is payload  # stored as given, not encoded again
 
 
 def test_file_roundtrip(tmp_path):
     path = tmp_path / "thread.log"
     log = ThreadLog(str(path))
-    log.append_message(1, PT2DT, status(0))
-    log.append_message(2, DT2PT, command(50))
-    log.append_message(3, PT2DT, status(1))
+    log.append_message(1, PT2DT, encode_message(status(0)))
+    log.append_message(2, DT2PT, encode_message(command(50)))
+    log.append_message(3, PT2DT, encode_message(status(1)))
     log.append_raw(4, PT2DT, b"\xff")
     log.append_note(5, "checkpoint")
     log.close()
@@ -111,7 +122,7 @@ def test_scan_large_file(tmp_path):
     path = tmp_path / "big.log"
     log = ThreadLog(str(path))
     for i in range(2000):
-        log.append_message(i, PT2DT, measurement(i))
+        log.append_message(i, PT2DT, encode_message(measurement(i)))
     log.close()
     back = read_thread_file(str(path))
     assert len(back) == 2000
@@ -204,15 +215,15 @@ def test_tap_demotes_illegal_kind_to_raw():
 
 
 def test_recording_file_from_thread(tmp_path):
-    log = ThreadLog()
-    log.append_message(1, PT2DT, status(0))
-    log.append_message(2, DT2PT, command(50))   # filtered out
-    log.append_message(3, PT2DT, status(1))
-    log.append_message(4, PT2DT, measurement(12))
-    log.append_note(5, "skip me")               # filtered out
     rec_path = tmp_path / "rec.log"
-    n = write_recording_file(log.records, str(rec_path))
-    assert n == 3
+    log = ThreadLog(str(rec_path))
+    log.append_message(1, PT2DT, encode_message(status(0)))
+    log.append_message(2, DT2PT, encode_message(command(50)))   # skipped
+    log.append_message(3, PT2DT, encode_message(status(1)))
+    log.append_raw(4, PT2DT, b"\x99")                            # skipped
+    log.append_message(5, PT2DT, encode_message(measurement(12)))
+    log.append_note(6, "skip me")                               # skipped
+    log.close()
     assert load_recordings(str(rec_path)) == [status(0), status(1),
                                               measurement(12)]
 
@@ -261,11 +272,25 @@ def test_parse_is_inverse_of_format_for_every_legal_record(rec):
     assert parse_record_line(rec.format_line()) == rec
 
 
+def append(log, rec):
+    """Append `rec` through the writer for its kind (a NOTE's text is its
+    payload read as latin-1, and a NOTE is always DT2PT)."""
+    if rec.kind in TAGGED:
+        return log.append_message(rec.ts, rec.direction, rec.payload)
+    if rec.kind == "RAW":
+        return log.append_raw(rec.ts, rec.direction, rec.payload)
+    return log.append_note(rec.ts, rec.payload.decode("latin-1"))
+
+
 @given(st.lists(records(), max_size=20))
 def test_a_recording_file_gives_back_the_pt2dt_messages_in_order(recs):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "rec.log")
-        write_recording_file(recs, path)
+        log = ThreadLog(path)
+        for rec in recs:
+            append(log, rec)
+        log.close()
+        assert read_thread_file(path) == log.records
         assert load_recordings(path) == [
             r.message() for r in recs
             if r.direction is PT2DT and r.kind in ("MEA", "STA")]

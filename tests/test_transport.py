@@ -257,4 +257,4 @@ def test_socket_close_after_hang_up_releases_the_socket():
 
 def test_tcp_connect_failure_reports():
     with pytest.raises(PortBindFailed):
-        tcp_connect("127.0.0.1", 1, attempts=1, delay=0.0)
+        tcp_connect("127.0.0.1", 1)
