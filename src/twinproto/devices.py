@@ -95,7 +95,7 @@ class SensorDevice:
             return self._ts.current
 
     def execute(self, msg: Message) -> Message:
-        if msg.kind.opcode not in self.command_set:
+        if msg.kind._value_ not in self.command_set:  # the opcode
             raise CommandRejected(f"sensor does not accept {msg.kind.name}")
         with self._lock:
             self._ts = process_event(self._ts, msg)
@@ -146,7 +146,7 @@ class EmulatorDevice:
         self.context = context
 
     def execute(self, msg: Message) -> Message:
-        if msg.kind.opcode not in self.command_set:
+        if msg.kind._value_ not in self.command_set:  # the opcode
             raise CommandRejected(f"emulator does not accept {msg.kind.name}")
         return self.context.next_recording()
 
@@ -225,12 +225,13 @@ def run_measurement_script(runtime, sensor, conn, script):
     """
     t0 = runtime.now_ns()
     sent = 0
+    active = State.ACTIVE  # read once, not once a tick (messages._STATUS)
     try:
         for t, value in script:
             delay = t - runtime.ms_since(t0)
             if delay > 0:
                 runtime.sleep_ms(delay)
-            if sensor.state is State.ACTIVE:
+            if sensor.state is active:
                 conn.write_frame(encode_message(measurement(value)))
                 sent += 1
     except ConnectionClosed:
@@ -297,7 +298,7 @@ class DeviceDriver:
         Sends at once and returns None, or, if the link is full, returns
         the generator that waits for room and then sends; the caller's task
         runs it before anything else."""
-        if msg.kind.opcode not in self.command_set:
+        if msg.kind._value_ not in self.command_set:  # the opcode
             self.stats.skipped_out += 1
             return None
         wait = self.conn.wait_write()

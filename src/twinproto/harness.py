@@ -42,7 +42,7 @@ from .errors import (CodecError, ConfigError, ConnectionClosed, KernelHalted,
 from .mapek import DigitalTwin, assemble_shadow, assemble_twin
 from .messages import MessageKind, command, encode_message, decode_message, status
 from .runtime import ClockMode, make_runtime
-from .statemachine import State
+from .statemachine import STATE_OF_CODE, State
 from .thread_log import (
     TappedEndpoint,
     ThreadDirection,
@@ -165,13 +165,21 @@ class _Wiring:
     measured: int = 0  # measurements seen (pt/dtp)
 
 
-def run_scenario(scenario: Scenario, config: RunConfig | None = None) -> SessionResult:
-    cfg = config if config is not None else RunConfig()
+def _refuse_config(scenario: Scenario, cfg: RunConfig):
+    """Raise ConfigError if `cfg` cannot run `scenario`; touches nothing."""
     if cfg.thread_file and scenario.mode not in ("shadow", "twin"):
         # the operator holds both links of a pt or dtp run: nothing taps
         # them, so there is no thread to write
         raise ConfigError(f"thread_file needs a shadow or twin run; a "
                           f"{scenario.mode} run keeps no thread")
+    if cfg.isolate and scenario.clock is not ClockMode.WALL:
+        raise ConfigError("isolated runs need the wall clock; "
+                          "lockstep scheduling cannot cross processes")
+
+
+def run_scenario(scenario: Scenario, config: RunConfig | None = None) -> SessionResult:
+    cfg = config if config is not None else RunConfig()
+    _refuse_config(scenario, cfg)
     result = SessionResult(scenario.name, scenario.mode, scenario.clock.value,
                            scenario.seed)
     started = time.monotonic()
@@ -207,9 +215,6 @@ def _wire(rt, scenario: Scenario, cfg: RunConfig) -> _Wiring:
     recording_path = _recording_path(scenario)
     child = None
     if cfg.isolate:
-        if scenario.clock is not ClockMode.WALL:
-            raise ConfigError("isolated runs need the wall clock; "
-                              "lockstep scheduling cannot cross processes")
         up_listener = TcpListener("127.0.0.1", 0)
         down_listener = TcpListener("127.0.0.1", 0)
         child = _spawn_plant_process(scenario, up_listener.address[1],
@@ -600,12 +605,15 @@ WALL_TS_MIN = 1_000_000_000
 
 
 def reference_trajectory(records) -> list:
-    """State walk a record file implies: distinct changes from the initial."""
+    """State walk a record file implies: distinct changes from the initial.
+
+    The records come from `read_thread_file`, which has decoded every STA
+    payload, so a status's state is its code byte."""
     walk = []
     current = State.STANDBY
     for rec in records:
         if rec.direction is ThreadDirection.PT2DT and rec.kind == "STA":
-            s = State(rec.message().value)
+            s = STATE_OF_CODE[rec.payload[1]]
             if s is not current:
                 walk.append(s)
                 current = s
@@ -690,17 +698,21 @@ def run_suite(suite_dir, config: RunConfig | None = None,
 
     `force_lockstep` is what the CI gate uses: every case runs on the
     logical clock no matter what the file says, so the whole suite is
-    deterministic and fast.
+    deterministic and fast. Every case is loaded and checked against
+    `config` before the first one runs, so a suite the config cannot run
+    is refused with nothing run and no thread file written.
     """
     from .config import load_scenario
 
     paths = sorted(Path(suite_dir).glob("*.json"))
     if not paths:
         raise ConfigError(f"no scenario files in {suite_dir}")
-    results = []
+    cfg = config if config is not None else RunConfig()
+    scenarios = []
     for p in paths:
         scenario = load_scenario(p)
         if force_lockstep and scenario.clock is not ClockMode.LOCKSTEP:
             scenario = replace(scenario, clock=ClockMode.LOCKSTEP)
-        results.append(run_scenario(scenario, config))
-    return results
+        _refuse_config(scenario, cfg)
+        scenarios.append(scenario)
+    return [run_scenario(scenario, cfg) for scenario in scenarios]

@@ -60,7 +60,11 @@ from .devices import DeviceDriver
 from .errors import GateRejected
 from .messages import OP_COMMAND, Message, MessageKind, command, status
 from .runtime import drive
-from .statemachine import State, TwinState, process_event, transition
+from .statemachine import (STATE_OF_CODE, State, TwinState, process_event,
+                           transition)
+
+# read once a frame by `ingest` (see messages._STATUS)
+_MEASUREMENT, _STATUS = MessageKind.MEASUREMENT, MessageKind.STATUS
 
 # corrective command toward ACTIVE uses this sampling period
 PLAN_DEFAULT_PERIOD = 50
@@ -249,14 +253,15 @@ class DigitalTwin:
         on to analysis. Returns None, or in a twin the generator that
         analyzes onward, for the caller to run."""
         stats = self.monitor_stats
-        if msg.kind is MessageKind.MEASUREMENT:
+        kind = msg.kind
+        if kind is _MEASUREMENT:
             stats.measurements += 1
             return None
-        if msg.kind is not MessageKind.STATUS:
+        if kind is not _STATUS:
             stats.strays += 1  # commands never arrive from the counterpart
             return None
         stats.statuses += 1
-        obs = State(msg.value)
+        obs = STATE_OF_CODE[msg.value]
         self.keeper.note_observation(obs)
         return self._analyze(obs)
 

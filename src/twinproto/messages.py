@@ -40,9 +40,11 @@ class MessageKind(Enum):
     MEASUREMENT = OP_MEASUREMENT
     STATUS = OP_STATUS
 
-    @property
-    def opcode(self) -> int:
-        return self.value
+
+# A member read through its class goes through the enum metaclass's
+# __getattr__ hook on Python 3.11, several times a global read; code that
+# runs once a frame or more reads a module-level alias instead.
+_STATUS = MessageKind.STATUS
 
 
 class _Layout(NamedTuple):
@@ -93,7 +95,7 @@ def status(code: int) -> Message:
 def encode_message(msg: Message) -> bytes:
     """Encode to wire payload. Raises ValueOutOfRange if the value does not fit."""
     kind, value = msg
-    opcode = kind.value
+    opcode = kind._value_  # not the `value` property: one runs per frame
     layout = _LAYOUTS[opcode]
     if not layout.lo <= value <= layout.hi:
         raise ValueOutOfRange(
@@ -120,7 +122,7 @@ def decode_message(payload: bytes) -> Message:
     except struct.error:
         raise TruncatedPayload(f"{kind.name} payload is {len(payload)} "
                                f"bytes, expected {codec.size}") from None
-    if kind is MessageKind.STATUS:
+    if kind is _STATUS:
         if value >= len(_STATUSES):
             raise ValueOutOfRange(f"STATUS code {value} not in {STATUS_CODES}")
         return _STATUSES[value]

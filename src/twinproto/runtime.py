@@ -70,7 +70,9 @@ Two implementations exist:
   are parked (quiescence), then the tick jumps to the next timer. The only
   nondeterminism is which runnable task goes next, and that choice comes
   from a seeded RNG, so a whole run is a pure function of (seed, inputs),
-  whichever kind each task is.
+  whichever kind each task is. The draw is `random.Random(seed).randrange(n)`
+  over the n ready tasks, done inline as `randrange` does it on Python
+  3.10-3.12: `getrandbits(n.bit_length())`, drawn again while it is >= n.
 
 Component code never touches threading primitives directly; that is what keeps
 it bit-reproducible under lockstep while staying an ordinary threaded program
@@ -398,7 +400,7 @@ class LockstepRuntime:
 
     def __init__(self, seed=0):
         self.seed = seed
-        self._rng = random.Random(seed)
+        self._getrandbits = random.Random(seed).getrandbits
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)  # baton came back
         self._baton_free = True
@@ -453,10 +455,11 @@ class LockstepRuntime:
 
     def _make_ready(self, waiters):
         """Move parked tasks to the ready list. Kernel lock must be held."""
-        while waiters:
-            t = waiters.pop(0)
-            if t not in self._ready:
-                self._ready.append(t)
+        ready = self._ready
+        for t in waiters:
+            if t not in ready:
+                ready.append(t)
+        waiters.clear()
 
     def _step(self, me=None):
         """Hand on the baton from this thread. Lock held.
@@ -471,12 +474,18 @@ class LockstepRuntime:
         ident = threading.get_ident()
         on_runner = self._runner == ident
         ready = self._ready
+        getrandbits = self._getrandbits
         while True:
             if ready:
                 if on_runner and time.monotonic() >= self._carry_until:
                     self._gave_up = True
                     break
-                task = ready.pop(self._rng.randrange(len(ready)))
+                n = len(ready)  # randrange(n), without its two calls
+                k = n.bit_length()
+                i = getrandbits(k)
+                while i >= n:
+                    i = getrandbits(k)
+                task = ready.pop(i)
                 if task.state in _ENDED:
                     continue
                 self.slices += 1
@@ -552,13 +561,9 @@ class LockstepRuntime:
         self._channels.append(ch)
         return ch
 
-    def _add_sleeper(self, task, ms):
-        self._serial += 1
-        heapq.heappush(self._sleepers,
-                       (self._tick + int(ms), self._serial, task))
-
     def sleep_ms(self, ms):
-        """Park until `ms` ticks have elapsed (1 tick == 1 ms)."""
+        """Park until `ms` ticks have elapsed (1 tick == 1 ms). It parks as
+        `_park` does, inline: a sleeping thread task runs this every tick."""
         if ms <= 0:
             return
         task = self._current()
@@ -567,8 +572,15 @@ class LockstepRuntime:
                 raise TaskStopped()
             if task.gen is not None:  # checked before it joins the timers
                 raise self._parks_generator(task, "sleeping")
-            self._add_sleeper(task, ms)
-            self._park(task, "sleeping")
+            self._serial += 1
+            heapq.heappush(self._sleepers,
+                           (self._tick + int(ms), self._serial, task))
+            task.state = "sleeping"
+            if not self._step(task):
+                self._lock.release()
+                task.grant.acquire()
+                self._lock.acquire()
+            task.state = "running"
             if self._stopping:
                 raise TaskStopped()
 
@@ -580,7 +592,9 @@ class LockstepRuntime:
         with self._lock:
             if self._stopping:
                 raise TaskStopped()
-            self._add_sleeper(task, ms)
+            self._serial += 1
+            heapq.heappush(self._sleepers,
+                           (self._tick + int(ms), self._serial, task))
         yield self._sleep_wait
         if self._stopping:
             raise TaskStopped()

@@ -37,6 +37,9 @@ class State(IntEnum):
 
 TERMINAL_STATES = frozenset({State.OFF})
 
+# wire code -> State, indexed as messages._STATUSES is: no Enum call
+STATE_OF_CODE = tuple(State)
+
 
 def transition(state: State, value: int) -> State:
     """One COMMAND transition. Total on non-terminal states; OFF absorbs."""

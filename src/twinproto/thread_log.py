@@ -45,12 +45,14 @@ class ThreadDirection(Enum):
     DT2PT = "DT2PT"
 
 
-KIND_TAG = {
-    MessageKind.COMMAND: "CMD",
-    MessageKind.MEASUREMENT: "MEA",
-    MessageKind.STATUS: "STA",
+_PT2DT = ThreadDirection.PT2DT  # read once a record (see messages._STATUS)
+
+
+TAG_KIND = {
+    "CMD": MessageKind.COMMAND,
+    "MEA": MessageKind.MEASUREMENT,
+    "STA": MessageKind.STATUS,
 }
-TAG_KIND = {v: k for k, v in KIND_TAG.items()}
 
 FRAME_KINDS = ("CMD", "MEA", "STA", "RAW")
 ALL_KINDS = FRAME_KINDS + ("NOTE",)
@@ -64,6 +66,11 @@ _SLOTS = {
                             (ThreadDirection.DT2PT, ("CMD",)))
     for tag in tags + ("RAW", "NOTE")
 }
+
+# a frame's opcode byte -> (its tag, the one direction that carries it)
+_FRAME_TAGS = {kind._value_: (tag, direction)
+               for (_, tag), (direction, kind) in _SLOTS.items()
+               if kind is not None}
 
 # five fields, each value running up to the space that ends it
 _LINE = re.compile(r"seq=([^ ]*) ts=([^ ]*) dir=([^ ]*) kind=([^ ]*) "
@@ -81,15 +88,10 @@ class ThreadRecord(NamedTuple):
     def is_frame(self):
         return self.kind in FRAME_KINDS
 
-    def message(self):
-        """Decode frame records back to a Message (None for RAW/NOTE)."""
-        if self.kind in TAG_KIND:
-            return decode_message(self.payload)
-        return None
-
     def format_line(self) -> str:
+        # `_value_`, not the `value` property: two of these run per record
         return (
-            f"seq={self.seq} ts={self.ts} dir={self.direction.value} "
+            f"seq={self.seq} ts={self.ts} dir={self.direction._value_} "
             f"kind={self.kind} hex={self.payload.hex()}\n"
         )
 
@@ -151,17 +153,22 @@ class ThreadLog:
     def __init__(self, path=None):
         self._lock = threading.Lock()
         self._records = []
-        self._frames = {d: 0 for d in ThreadDirection}
+        # frames per direction; plain counters, so counting hashes no enum
+        self._pt2dt_frames = 0
+        self._dt2pt_frames = 0
         self._fh = open(path, "w", encoding="utf-8") if path else None
         self.path = path
 
     def _append(self, ts, direction, kind, payload) -> ThreadRecord:
         with self._lock:
-            rec = ThreadRecord(len(self._records) + 1, ts, direction, kind,
-                               payload)
+            rec = tuple.__new__(ThreadRecord, (len(self._records) + 1, ts,
+                                               direction, kind, payload))
             self._records.append(rec)
-            if rec.is_frame:
-                self._frames[direction] += 1
+            if kind != "NOTE":
+                if direction is _PT2DT:
+                    self._pt2dt_frames += 1
+                else:
+                    self._dt2pt_frames += 1
             if self._fh is not None:
                 self._fh.write(rec.format_line())
                 self._fh.flush()
@@ -173,8 +180,9 @@ class ThreadLog:
         Raises CodecError if it does not decode and DirectionKindMismatch
         if `direction` does not carry its kind; either way nothing is kept.
         """
-        tag = KIND_TAG[decode_message(payload).kind]
-        if (direction.value, tag) not in _SLOTS:
+        decode_message(payload)  # it decodes, so its opcode is a frame's
+        tag, carrier = _FRAME_TAGS[payload[0]]
+        if direction is not carrier:
             raise DirectionKindMismatch(
                 f"{direction.value} record cannot carry {tag}")
         return self._append(ts, direction, tag, payload)
@@ -193,7 +201,8 @@ class ThreadLog:
 
     def frame_counts(self):
         with self._lock:
-            return dict(self._frames)
+            return {ThreadDirection.PT2DT: self._pt2dt_frames,
+                    ThreadDirection.DT2PT: self._dt2pt_frames}
 
     def close(self):
         with self._lock:

@@ -781,6 +781,17 @@ def test_cli_thread_file_on_a_pt_run_is_exit_2(tmp_path, capsys):
     assert not (tmp_path / "out.thread").exists()
 
 
+def test_cli_ci_test_refuses_the_suite_before_running_any_case(tmp_path,
+                                                                capsys):
+    # the bundled suite's first case is a twin, its second a pt run
+    out = tmp_path / "out.thread"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"thread_file": str(out)}))
+    assert main(["ci-test", "--config", str(cfg)]) == 2
+    assert "keeps no thread" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_failed_expectation_is_exit_1(tmp_path, capsys):
     sc = write_scenario(tmp_path / "wrong.json",
                         expect={"final_status": "ACTIVE"})

@@ -19,6 +19,7 @@ from twinproto.messages import (
     MEASUREMENT_MIN,
     STATUS_CODES,
     command,
+    decode_message,
     encode_message,
     measurement,
     status,
@@ -67,7 +68,7 @@ def test_records_are_immutable_hashable_values():
     assert len({rec, ThreadRecord(1, 2, PT2DT, "STA", b"\x20\x01")}) == 1
     assert repr(rec) == ("ThreadRecord(seq=1, ts=2, direction=<ThreadDirection"
                          ".PT2DT: 'PT2DT'>, kind='STA', payload=b' \\x01')")
-    assert rec.is_frame and rec.message() == status(1)
+    assert rec.is_frame and decode_message(rec.payload) == status(1)
 
 
 def test_append_assigns_strictly_increasing_seq():
@@ -101,6 +102,70 @@ def test_append_message_stores_the_payload_it_was_given():
     assert rec.payload is payload  # stored as given, not encoded again
 
 
+def other(direction):
+    return DT2PT if direction is PT2DT else PT2DT
+
+
+@pytest.mark.parametrize("direction, msg, tag", [
+    (PT2DT, status(2), "STA"),
+    (PT2DT, measurement(-9), "MEA"),
+    (DT2PT, command(40), "CMD"),
+])
+def test_an_accepted_frame_is_tagged_and_counted_in_its_direction(
+        direction, msg, tag):
+    log = ThreadLog()
+    rec = log.append_message(7, direction, encode_message(msg))
+    assert (rec.seq, rec.ts, rec.direction, rec.kind) == (1, 7, direction, tag)
+    assert log.frame_counts() == {direction: 1, other(direction): 0}
+    log.append_raw(8, direction, b"\x99")  # a RAW frame is counted too
+    assert log.frame_counts() == {direction: 2, other(direction): 0}
+
+
+@pytest.mark.parametrize("direction, msg, tag", [
+    (PT2DT, command(5), "CMD"),
+    (DT2PT, status(1), "STA"),
+    (DT2PT, measurement(1), "MEA"),
+])
+def test_a_clash_names_its_direction_and_keeps_nothing(direction, msg, tag):
+    log = ThreadLog()
+    with pytest.raises(DirectionKindMismatch,
+                       match=f"^{direction.value} record cannot carry {tag}$"):
+        log.append_message(0, direction, encode_message(msg))
+    assert log.records == []
+    assert log.frame_counts() == {PT2DT: 0, DT2PT: 0}
+
+
+@pytest.mark.parametrize("direction", [PT2DT, DT2PT])
+@pytest.mark.parametrize("payload", [b"", b"\x99", b"\x20\x07", b"\x01\x00",
+                                     b"\x10\x00\x00\x00\x00\x00"])
+def test_an_undecodable_frame_is_refused_but_a_tap_keeps_it_as_raw(
+        direction, payload):
+    log = ThreadLog()
+    with pytest.raises(CodecError):
+        log.append_message(0, direction, payload)
+    assert log.records == []
+    assert log.frame_counts() == {PT2DT: 0, DT2PT: 0}
+
+    rt = WallRuntime()
+    a, b = open_virtual_serial_pair(rt)
+    tapped = TappedEndpoint(b, log, rt, read_dir=direction)
+    a.write_frame(payload)
+    assert tapped.read_frame() == payload  # delivered as it came
+    assert [(r.direction, r.kind, r.payload) for r in log.records] == [
+        (direction, "RAW", payload)]
+    assert log.frame_counts() == {direction: 1, other(direction): 0}
+
+
+def test_a_note_is_kept_but_not_counted():
+    log = ThreadLog()
+    log.append_message(1, PT2DT, encode_message(status(1)))
+    rec = log.append_note(2, "gate rejected")
+    assert (rec.seq, rec.direction, rec.kind, rec.payload) == (
+        2, DT2PT, "NOTE", b"gate rejected")
+    assert not rec.is_frame
+    assert log.frame_counts() == {PT2DT: 1, DT2PT: 0}
+
+
 def test_file_roundtrip(tmp_path):
     path = tmp_path / "thread.log"
     log = ThreadLog(str(path))
@@ -126,7 +191,7 @@ def test_scan_large_file(tmp_path):
     log.close()
     back = read_thread_file(str(path))
     assert len(back) == 2000
-    assert [r.message().value for r in back] == list(range(2000))
+    assert [decode_message(r.payload).value for r in back] == list(range(2000))
 
 
 def test_corrupt_lines_report_seq(tmp_path):
@@ -292,7 +357,7 @@ def test_a_recording_file_gives_back_the_pt2dt_messages_in_order(recs):
         log.close()
         assert read_thread_file(path) == log.records
         assert load_recordings(path) == [
-            r.message() for r in recs
+            decode_message(r.payload) for r in recs
             if r.direction is PT2DT and r.kind in ("MEA", "STA")]
 
 
