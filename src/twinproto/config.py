@@ -195,9 +195,9 @@ def load_scenario(path) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read scenario: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or too deep
         raise ConfigError(f"scenario is not valid JSON: {exc}") from None
     return parse_scenario(data, path=path)
 
@@ -208,9 +208,9 @@ def load_config(path=None) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or too deep
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")

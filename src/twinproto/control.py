@@ -9,17 +9,18 @@ period update for commands), so the local log is a sampling-window record,
 not a full audit; the digital thread is the audit.
 
 Control has no task of its own. Each driver's receive loop calls one of its
-two handlers directly: the transmitter driver's loop calls
-`handle_transmitter_command`, the sensor driver's `handle_sensor_response`.
-A handler logs, then forwards with the other driver's `forward` and returns
-what it returns: None once the frame is sent, or, on a full lockstep link,
-the generator that waits and then sends, which the receive loop runs on
-that same task. So each device link keeps one writer: `tx-driver:recv`
-writes the sensor link and `sensor-driver:recv` writes the outbound link.
-The period, the data log and the stray count are touched by both tasks,
-under a short lock that is never held across a send (a send can park on a
-full link, and under lockstep a task blocked on a raw lock hangs the
-kernel).
+two handlers directly, with the frame decoded and as read: the transmitter
+driver's loop calls `handle_transmitter_command`, the sensor driver's
+`handle_sensor_response`. A handler reads the message, logs, then forwards
+the bytes its driver read with the other driver's `forward` (a relay never
+calls the codec) and returns what it returns: None once the frame is sent,
+or, on a full lockstep link, the generator that waits and then sends, which
+the receive loop runs on that same task. So each device link keeps one
+writer: `tx-driver:recv` writes the sensor link and `sensor-driver:recv`
+writes the outbound link. The period, the data log and the stray count are
+touched by both tasks, under a short lock that is never held across a send
+(a send can park on a full link, and under lockstep a task blocked on a raw
+lock hangs the kernel).
 
 `assemble_plant` builds the whole physical-twin stack. The only difference
 between a REAL and an EMULATED (prototype) assembly is what hangs off the far
@@ -69,7 +70,7 @@ class ControlLogic:
         self._send_command = send_command
         self._send_response = send_response
 
-    def handle_transmitter_command(self, msg):
+    def handle_transmitter_command(self, msg, payload):
         """Period update first, then forward; log under the new period."""
         if msg.kind is not MessageKind.COMMAND:
             with self._lock:
@@ -79,14 +80,14 @@ class ControlLogic:
             self.period = msg.value
             if msg.value > 0:  # logged before the send: relay order is causal
                 self.data_log.append(("cmd", msg))
-        return self._send_command(msg)
+        return self._send_command(payload)
 
-    def handle_sensor_response(self, msg):
+    def handle_sensor_response(self, msg, payload):
         """Log under the current period, then forward verbatim."""
         with self._lock:
             if self.period > 0:
                 self.data_log.append(("rsp", msg))
-        return self._send_response(msg)
+        return self._send_response(payload)
 
 
 class SensorBacking(Enum):
@@ -118,7 +119,7 @@ def assemble_plant(runtime, bus, backing, outbound, inbound, recording=None,
 
     backing REAL: software sensor on a virtual serial pair.
     backing EMULATED: recording-fed emulator on the `bridge:` serial pair;
-    `recording` (the recorded Messages, played once) is mandatory.
+    `recording` (the recorded payloads, played once) is mandatory.
     `outbound`/`inbound` are the transmitter's external link endpoints; the
     tx driver writes the one and reads the other directly. The sensor
     link holds `link_capacity` frames per direction. The driver and control

@@ -5,17 +5,19 @@ The request/response contract on a device link is strict: one decoded command
 in, one encoded response out, in order. Malformed frames never kill a serve
 loop; they are skipped and counted. A device also pushes unsolicited frames
 (boot status announcement, scripted measurements) down the same link; drivers
-relay whatever arrives, so nothing upstream needs to know the difference.
+relay whatever arrives, so nothing upstream needs to know the difference. A
+frame stays its wire bytes from where it is encoded to where a value is read:
+a device answers in bytes, and a relay never calls the codec.
 
-A driver has one task, its receive loop, which hands every decoded frame to
-the one callable it was started with (control, or the twin's MAPE-K engine),
-in read order, on that task. Sending is a call, `forward`, made on the task
-of whoever decided to send, so each link keeps exactly one writer and no
-queue sits between a decision and the wire; the receive loop's callable may
-itself be that sender. A closed link met there, or on its own read, ends the
-loop, which then closes its own connection too: a break anywhere in a relay
-chain reaches both of its ends instead of leaving a peer blocked on a link
-nobody serves.
+A driver has one task, its receive loop, which hands every frame, decoded
+and as read, to the one callable it was started with (control, or the twin's
+MAPE-K engine), in read order, on that task. Sending is a call, `forward` of
+the bytes to write, made on the task of whoever decided to send, so each
+link keeps exactly one writer and no queue sits between a decision and the
+wire; the receive loop's callable may itself be that sender. A closed link
+met there, or on its own read, ends the loop, which then closes its own
+connection too: a break anywhere in a relay chain reaches both of its ends
+instead of leaving a peer blocked on a link nobody serves.
 
 The serve loop and the receive loop are generator bodies (`serve`,
 `DeviceDriver.receive`) that the assemblies spawn as generator tasks; a
@@ -32,12 +34,13 @@ every plant is built with both links.
 
 The emulator is deliberately dumb: it replays previously recorded responses in
 order and never computes a fresh one. Fed with the recordings of a real run
-and given the same command script, it is byte-indistinguishable from the real
-device at the driver side, which is what makes prototype assemblies honest.
-A real sensor answers the boot and each command with one status and sends
-measurements only unprompted, so the serve loop writes, right after each
-answer, the frames the device sends unprompted: for the emulator, every
-recorded measurement that follows the status it just replayed.
+(the bytes of its MEA and STA frames) and given the same command script, it
+writes the bytes the real device wrote, which is what makes prototype
+assemblies honest. A real sensor answers the boot and each command with one
+status and sends measurements only unprompted, so the serve loop writes,
+right after each answer, the frames the device sends unprompted: for the
+emulator, every recorded measurement that follows the status it just
+replayed.
 """
 
 from __future__ import annotations
@@ -54,8 +57,8 @@ from .errors import (
 )
 from .messages import (
     OP_COMMAND,
+    OP_MEASUREMENT,
     Message,
-    MessageKind,
     decode_message,
     encode_message,
     measurement,
@@ -94,15 +97,15 @@ class SensorDevice:
         with self._lock:
             return self._ts.current
 
-    def execute(self, msg: Message) -> Message:
+    def execute(self, msg: Message) -> bytes:
         if msg.kind._value_ not in self.command_set:  # the opcode
             raise CommandRejected(f"sensor does not accept {msg.kind.name}")
         with self._lock:
             self._ts = process_event(self._ts, msg)
-            return status(int(self._ts.current))
+            return encode_message(status(int(self._ts.current)))
 
-    def boot_message(self) -> Message:
-        return status(int(self.state))
+    def boot_message(self) -> bytes:
+        return encode_message(status(int(self.state)))
 
     def unprompted(self):
         """None: the sensor's measurements come from its measurement
@@ -111,29 +114,29 @@ class SensorDevice:
 
 
 class EmulatorContext:
-    """Recorded responses (Messages) with a replay cursor, played once."""
+    """Recorded responses (wire payloads) with a replay cursor, played once."""
 
     def __init__(self, recordings):
         self.recordings = list(recordings)
         self.cursor = 0
 
-    def next_recording(self) -> Message:
+    def next_recording(self) -> bytes:
         if self.cursor >= len(self.recordings):
             raise ContextExhausted(
                 f"all {len(self.recordings)} recordings consumed"
             )
-        msg = self.recordings[self.cursor]
+        payload = self.recordings[self.cursor]
         self.cursor += 1
-        return msg
+        return payload
 
-    def next_measurement(self) -> Message | None:
+    def next_measurement(self) -> bytes | None:
         """The recording at the cursor if it is a measurement (consumed),
         else None."""
         if self.cursor < len(self.recordings):
-            msg = self.recordings[self.cursor]
-            if msg.kind is MessageKind.MEASUREMENT:
+            payload = self.recordings[self.cursor]
+            if payload[0] == OP_MEASUREMENT:
                 self.cursor += 1
-                return msg
+                return payload
         return None
 
 
@@ -145,12 +148,12 @@ class EmulatorDevice:
     def __init__(self, context: EmulatorContext):
         self.context = context
 
-    def execute(self, msg: Message) -> Message:
+    def execute(self, msg: Message) -> bytes:
         if msg.kind._value_ not in self.command_set:  # the opcode
             raise CommandRejected(f"emulator does not accept {msg.kind.name}")
         return self.context.next_recording()
 
-    def boot_message(self) -> Message:
+    def boot_message(self) -> bytes:
         # the boot announcement of the recorded run is recording zero
         return self.context.next_recording()
 
@@ -169,8 +172,8 @@ class DeviceStats:
 
 
 def serve(device, conn, announce_boot=False, stats=None):
-    """Serve loop, a generator body: read frame, decode, execute, encode,
-    write response.
+    """Serve loop, a generator body: read frame, decode, execute, write
+    the response the device encoded.
 
     Malformed frames and rejected commands are counted and skipped, never
     fatal. Returns its stats when the connection closes.
@@ -198,7 +201,7 @@ def serve(device, conn, announce_boot=False, stats=None):
                 continue
             while (wait := conn.wait_write()) is not None:
                 yield wait
-            conn.write_frame(encode_message(response))
+            conn.write_frame(response)
             stats.served += 1
             unprompted = device.unprompted()
             if unprompted is not None:
@@ -207,14 +210,14 @@ def serve(device, conn, announce_boot=False, stats=None):
         return stats
 
 
-def _answer(device, conn, msg):
-    """Write `msg`, then each frame the device sends unprompted right after
-    it."""
-    while msg is not None:
+def _answer(device, conn, payload):
+    """Write `payload`, then each frame the device sends unprompted right
+    after it."""
+    while payload is not None:
         while (wait := conn.wait_write()) is not None:
             yield wait
-        conn.write_frame(encode_message(msg))
-        msg = device.unprompted()
+        conn.write_frame(payload)
+        payload = device.unprompted()
 
 
 def run_measurement_script(runtime, sensor, conn, script):
@@ -254,11 +257,12 @@ class DriverStats:
 class DeviceDriver:
     """Pure relay between one connection and its callers.
 
-    `receive(on_message)`: frame -> decode -> `on_message(msg)` on the
-    loop's task (undecodable frames are counted and skipped). `forward`:
-    filter -> encode -> write, on the caller's task. No transformation, no
-    reordering, no interpretation. `closed_by` holds the ConnectionClosed
-    text that ended the receive loop.
+    `receive(on_message)`: frame -> decode -> `on_message(msg, payload)`
+    on the loop's task (undecodable frames are counted and skipped).
+    `forward(payload)`: filter on the opcode byte -> write, on the caller's
+    task. No transformation, no reordering, no interpretation, and no
+    encode. `closed_by` holds the ConnectionClosed text that ended the
+    receive loop.
     """
 
     def __init__(self, conn, command_set=DEFAULT_COMMAND_SET, name="driver"):
@@ -269,8 +273,9 @@ class DeviceDriver:
         self.closed_by = None
 
     def receive(self, on_message):
-        """Generator body of the receive loop. `on_message(msg)` returns
-        None, or a generator run here before the next read."""
+        """Generator body of the receive loop. `on_message(msg, payload)`
+        gets the frame decoded and as it was read, and returns None, or a
+        generator run here before the next read."""
         conn = self.conn
         try:
             while True:
@@ -285,35 +290,35 @@ class DeviceDriver:
                 # counted first: the frame is handed on even if its
                 # consumer then fails on its own link
                 self.stats.relayed_in += 1
-                work = on_message(msg)
+                work = on_message(msg, payload)
                 if work is not None:
                     yield from work
         except ConnectionClosed as exc:  # this link, or one a consumer writes
             self.closed_by = str(exc)
             conn.close()
 
-    def forward(self, msg):
-        """Write one message to the device; outside the command set it is
-        counted and dropped. Raises ConnectionClosed once the link is gone.
-        Sends at once and returns None, or, if the link is full, returns
-        the generator that waits for room and then sends; the caller's task
-        runs it before anything else."""
-        if msg.kind._value_ not in self.command_set:  # the opcode
+    def forward(self, payload: bytes):
+        """Write one frame to the device; one whose opcode is outside the
+        command set is counted and dropped. Raises ConnectionClosed once
+        the link is gone. Sends at once and returns None, or, if the link
+        is full, returns the generator that waits for room and then sends;
+        the caller's task runs it before anything else."""
+        if payload[0] not in self.command_set:
             self.stats.skipped_out += 1
             return None
         wait = self.conn.wait_write()
         if wait is not None:
-            return self._send_after(wait, msg)
-        self.conn.write_frame(encode_message(msg))
+            return self._send_after(wait, payload)
+        self.conn.write_frame(payload)
         self.stats.relayed_out += 1
         return None
 
-    def _send_after(self, wait, msg):
+    def _send_after(self, wait, payload):
         """`forward`'s generator: the wait it met first, then the send."""
         while wait is not None:
             yield wait
             wait = self.conn.wait_write()
-        self.conn.write_frame(encode_message(msg))
+        self.conn.write_frame(payload)
         self.stats.relayed_out += 1
 
 
@@ -338,18 +343,14 @@ def run_communication(runtime, device, device_conn, driver, on_message,
 # Transmitter (external links)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RelayStats:
-    relayed_up: int = 0      # tx driver -> outbound link
-    relayed_down: int = 0    # inbound link -> tx driver
-
-
 class TransmitterDevice:
     """The tx driver's connection: the plant's two external links as one.
 
-    `write_frame` goes out on `outbound` (the PT-to-twin stream), `read_frame`
-    comes in from `inbound` (the twin-to-PT stream); payloads pass verbatim,
-    and the wait halves are those links' own.
+    `write_frame` and `wait_write` are those of `outbound` (the PT-to-twin
+    stream), `read_frame` and `wait_read` those of `inbound` (the
+    twin-to-PT stream), so payloads pass verbatim. The tx driver's stats
+    count what crosses: `relayed_out` frames up, `relayed_in + skipped_in`
+    down.
     """
 
     protocol = Protocol.TCP
@@ -357,18 +358,10 @@ class TransmitterDevice:
     def __init__(self, outbound, inbound):
         self.outbound = outbound
         self.inbound = inbound
-        self.stats = RelayStats()
+        self.write_frame = outbound.write_frame
         self.wait_write = outbound.wait_write
+        self.read_frame = inbound.read_frame
         self.wait_read = inbound.wait_read
-
-    def write_frame(self, payload: bytes):
-        self.outbound.write_frame(payload)
-        self.stats.relayed_up += 1
-
-    def read_frame(self) -> bytes:
-        payload = self.inbound.read_frame()
-        self.stats.relayed_down += 1
-        return payload
 
     def close(self):
         self.outbound.close()

@@ -86,10 +86,6 @@ class ThreadLogError(TwinprotoError):
     pass
 
 
-class DirectionKindMismatch(ThreadLogError):
-    """Record direction does not admit the message kind."""
-
-
 class CorruptRecord(ThreadLogError):
     """Unparseable thread record line. Carries the failing sequence number."""
 

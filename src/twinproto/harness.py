@@ -636,7 +636,7 @@ def replay_thread(path, clock: ClockMode = ClockMode.LOCKSTEP, seed: int = 0,
     result = ReplayResult(str(path))
     try:
         records = read_thread_file(path)  # grammar and ordering enforced here
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read record file: {exc}") from None
     except ThreadLogError as exc:
         raise ConfigError(f"record file rejected{_where(exc)}: {exc}") \

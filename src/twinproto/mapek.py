@@ -16,7 +16,8 @@ returns None for it.
     monitor   classify an ingested frame: status observation / measurement
     analyze   compare an observation (ingested or re-checked) with the model
     plan      derive a corrective command on divergence
-    execute   simulation gate, then the uplink driver's `forward`
+    execute   simulation gate, then the command encoded and handed to the
+              uplink driver's `forward`, the one place a twin encodes
 
 In a twin, analyze, plan and execute and every uplink write run holding a
 token, a `runtime.channel(1)`: one task at a time decides and writes, so the
@@ -58,7 +59,8 @@ from dataclasses import dataclass
 
 from .devices import DeviceDriver
 from .errors import GateRejected
-from .messages import OP_COMMAND, Message, MessageKind, command, status
+from .messages import (OP_COMMAND, Message, MessageKind, command,
+                       encode_message, status)
 from .runtime import drive
 from .statemachine import (STATE_OF_CODE, State, TwinState, process_event,
                            transition)
@@ -248,10 +250,11 @@ class DigitalTwin:
     def model_state(self) -> State:
         return self.keeper.snapshot().current
 
-    def ingest(self, msg: Message):
+    def ingest(self, msg: Message, payload: bytes):
         """Monitor: classify one frame from the counterpart; a status goes
         on to analysis. Returns None, or in a twin the generator that
-        analyzes onward, for the caller to run."""
+        analyzes onward, for the caller to run. The bytes are not needed:
+        the tap has recorded them."""
         stats = self.monitor_stats
         kind = msg.kind
         if kind is _MEASUREMENT:
@@ -293,8 +296,13 @@ class DigitalTwin:
                           command_for_goal(res.model_state),
                           res.model_state, res.pt_state)
         self.plan_stats.planned += 1
-        return execute(self._rt, self.gate, plan, self.uplink_driver.forward,
+        return execute(self._rt, self.gate, plan, self._send,
                        self._thread_log)
+
+    def _send(self, cmd: Message):
+        """Encode a command and forward it on the uplink; returns what
+        `forward` returns. The caller holds the token."""
+        return self.uplink_driver.forward(encode_message(cmd))
 
     def _holding_token(self, step, arg):
         """Generator: take the token, run `step(arg)` and the generator it
@@ -326,7 +334,7 @@ class DigitalTwin:
         order with the engine's own corrections."""
         if not self.has_uplink:
             raise RuntimeError("deployment has no uplink")
-        drive(self._holding_token(self.uplink_driver.forward, cmd))
+        drive(self._holding_token(self._send, cmd))
 
 
 def _ingest_driver(ingest_conn, name):

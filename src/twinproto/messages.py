@@ -127,5 +127,5 @@ def decode_message(payload: bytes) -> Message:
             raise ValueOutOfRange(f"STATUS code {value} not in {STATUS_CODES}")
         return _STATUSES[value]
     # Message(kind, value) without the named tuple's Python-level __new__;
-    # with the same in thread_log._parse_line, 6% of lockstep-replay's frames/s
+    # with the same in parse_record_line, 6% of lockstep-replay's frames/s
     return tuple.__new__(Message, (kind, value))

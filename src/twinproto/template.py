@@ -4,8 +4,7 @@ A manifest is a plain INI file naming everything needed to rebuild a
 deployment without its physical half: the reference documents, the exact
 control software, and the state model the device is expected to obey. It is
 data about construction, not a running thing; `validate_manifest` checks a
-file is complete and self-consistent, and `assemble_prototype` turns a valid
-one into a running emulated plant.
+file is complete and self-consistent.
 
 Sections:
 
@@ -26,10 +25,8 @@ import configparser
 import hashlib
 from pathlib import Path
 
-from .control import SensorBacking, assemble_plant
 from .errors import ConfigError
 from .statemachine import BUILTIN_MACHINE, StateMachineDef
-from .thread_log import load_recordings
 
 REQUIRED_SECTIONS = ("template", "documents", "software", "model")
 RECORDING_KEY = "recording"
@@ -71,25 +68,27 @@ def machine_from_raw(raw) -> StateMachineDef:
 
 
 def load_template(path) -> DigitalTemplate:
+    """The manifest at `path`. Anything that stops it being read is a
+    ConfigError: bytes that are not UTF-8, or a bad `%` reference, which
+    fails only when the value is read."""
     parser = configparser.ConfigParser()
     try:
-        read = parser.read(path)
-    except configparser.Error as exc:
+        if not parser.read(path, encoding="utf-8"):
+            raise ConfigError(f"manifest not found: {path}")
+        for section in REQUIRED_SECTIONS:
+            if not parser.has_section(section):
+                raise ConfigError(f"missing section: {section}")
+        tpl = parser["template"]
+        return DigitalTemplate(
+            path,
+            name=tpl.get("name", ""),
+            version=tpl.get("version", ""),
+            documents=dict(parser["documents"]),
+            software=dict(parser["software"]),
+            model_raw=dict(parser["model"]),
+        )
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"unparseable manifest: {exc}") from None
-    if not read:
-        raise ConfigError(f"manifest not found: {path}")
-    for section in REQUIRED_SECTIONS:
-        if not parser.has_section(section):
-            raise ConfigError(f"missing section: {section}")
-    tpl = parser["template"]
-    return DigitalTemplate(
-        path,
-        name=tpl.get("name", ""),
-        version=tpl.get("version", ""),
-        documents=dict(parser["documents"]),
-        software=dict(parser["software"]),
-        model_raw=dict(parser["model"]),
-    )
 
 
 def fingerprint_sources(root) -> str:
@@ -176,14 +175,3 @@ def write_manifest(path, name, recording_path, extra_documents=None,
         parser.write(fh)
     return path
 
-
-def assemble_prototype(runtime, template: DigitalTemplate, **plant_kwargs):
-    """Stand up the emulated deployment a manifest describes."""
-    problems = validate_manifest(template.path)
-    if problems:
-        raise ConfigError(f"manifest rejected: {problems}")
-    if RECORDING_KEY not in template.documents:
-        raise ConfigError(f"manifest has no {RECORDING_KEY} document")
-    recording = load_recordings(template.document_path(RECORDING_KEY))
-    return assemble_plant(runtime, None, SensorBacking.EMULATED,
-                          recording=recording, **plant_kwargs)

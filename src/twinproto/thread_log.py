@@ -24,7 +24,10 @@ Records are named tuples: immutable, hashable and compared by value.
 
 A ThreadLog has exactly one writer; taps on both directions funnel into it and
 appends are serialized. It keeps a running frame count per direction, so
-reading the counts costs the same however long the record is.
+reading the counts costs the same however long the record is. A tap hands
+it the wire bytes with one call per record, and a relay never calls the
+codec: the log decodes a frame only to tag it, and a recording loads back as
+the payloads the emulator writes.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import threading
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import CodecError, CorruptRecord, DirectionKindMismatch
+from .errors import CodecError, CorruptRecord
 from .messages import MessageKind, decode_message
 
 U64_MAX = 2 ** 64 - 1
@@ -105,8 +108,8 @@ def _bad_pair(dir_text, kind):
     return f"{dir_text} record cannot carry {kind}"
 
 
-def _parse_line(line, lineno=None):
-    """(record, its decoded Message or None for RAW/NOTE) for one line.
+def parse_record_line(line, lineno=None) -> ThreadRecord:
+    """Parse one record line; raises CorruptRecord with the seq (or line no).
 
     The match runs over the whole line: a trailing newline lands in the hex
     field, which `bytes.fromhex` skips as whitespace.
@@ -127,24 +130,16 @@ def _parse_line(line, lineno=None):
             raise ValueError(_bad_pair(dir_text, kind))
         direction, tagged = slot
         payload = bytes.fromhex(hex_text)
-        msg = None
         if tagged is not None:
-            msg = decode_message(payload)  # must decode as its tagged kind
-            if msg.kind is not tagged:
-                raise ValueError(f"payload decodes as {msg.kind.name}, "
+            got = decode_message(payload).kind  # must be its tagged kind
+            if got is not tagged:
+                raise ValueError(f"payload decodes as {got.name}, "
                                  f"tagged {kind}")
         # ThreadRecord(...) without the named tuple's Python-level __new__;
         # with the same in decode_message, 6% of lockstep-replay's frames/s
-        record = tuple.__new__(ThreadRecord,
-                               (seq, ts, direction, kind, payload))
-        return record, msg
+        return tuple.__new__(ThreadRecord, (seq, ts, direction, kind, payload))
     except (ValueError, CodecError) as exc:
         raise CorruptRecord(f"bad record line: {exc}", seq=seq) from None
-
-
-def parse_record_line(line, lineno=None) -> ThreadRecord:
-    """Parse one record line; raises CorruptRecord with the seq (or line no)."""
-    return _parse_line(line, lineno)[0]
 
 
 class ThreadLog:
@@ -177,14 +172,16 @@ class ThreadLog:
     def append_message(self, ts, direction, payload: bytes) -> ThreadRecord:
         """Record a frame as it came off the wire, decoded only to tag it.
 
-        Raises CodecError if it does not decode and DirectionKindMismatch
-        if `direction` does not carry its kind; either way nothing is kept.
+        A frame that does not decode, or whose kind `direction` does not
+        carry, is kept as RAW.
         """
-        decode_message(payload)  # it decodes, so its opcode is a frame's
+        try:
+            decode_message(payload)  # it decodes, so its opcode is a frame's
+        except CodecError:
+            return self.append_raw(ts, direction, payload)
         tag, carrier = _FRAME_TAGS[payload[0]]
         if direction is not carrier:
-            raise DirectionKindMismatch(
-                f"{direction.value} record cannot carry {tag}")
+            return self.append_raw(ts, direction, payload)
         return self._append(ts, direction, tag, payload)
 
     def append_raw(self, ts, direction, payload: bytes) -> ThreadRecord:
@@ -212,8 +209,8 @@ class ThreadLog:
 
 
 def _parse_file(path):
-    """Yield (record, Message or None) per line of a whole thread file, seq
-    strictly increasing; each payload is decoded once. Only a line feed ends
+    """Yield the record of each line of a whole thread file, seq strictly
+    increasing; each payload is decoded once. Only a line feed ends
     a line, so the file reads as `parse_record_line` reads each of its
     lines: a lone carriage return stays inside its line, and the hex
     field's whitespace skipping takes a CRLF ending."""
@@ -222,33 +219,35 @@ def _parse_file(path):
         for lineno, line in enumerate(fh, start=1):
             if line.isspace():  # blank
                 continue
-            rec, msg = _parse_line(line, lineno)
+            rec = parse_record_line(line, lineno)
             if rec.seq <= last_seq:
                 raise CorruptRecord(
                     f"seq {rec.seq} not increasing after {last_seq}", seq=rec.seq
                 )
             last_seq = rec.seq
-            yield rec, msg
+            yield rec
 
 
 def read_thread_file(path):
     """Load and validate a whole thread file (strictly increasing seq)."""
-    return [rec for rec, _ in _parse_file(path)]
+    return list(_parse_file(path))
 
 
 def load_recordings(path):
-    """Emulator recordings: the MEA and STA Messages of a thread file, in
-    order. A recording is a thread file; every other line is skipped."""
-    return [msg for rec, msg in _parse_file(path)
+    """Emulator recordings: the payloads of the MEA and STA records of a
+    thread file, in order, as they were on the wire. A recording is a
+    thread file; every other line is skipped."""
+    return [rec.payload for rec in _parse_file(path)
             if rec.kind in ("MEA", "STA")]
 
 
 class TappedEndpoint:
     """Transparent tap: records every frame that passes, perturbing nothing.
 
-    Reads are tagged `read_dir`, writes `write_dir`. Undecodable frames and
-    frames whose kind is illegal for the direction are preserved as RAW
-    records; delivery is never altered either way.
+    Reads are tagged `read_dir`, writes `write_dir`, with one
+    `append_message` per frame, which keeps an undecodable frame, or one
+    whose kind is illegal for the direction, as RAW; delivery is never
+    altered either way.
     """
 
     def __init__(self, inner, log: ThreadLog, runtime, read_dir=None,
@@ -263,13 +262,8 @@ class TappedEndpoint:
         self.wait_write = inner.wait_write
 
     def _record(self, direction, payload):
-        if direction is None:
-            return
-        ts = self._rt.now_ns()
-        try:
-            self._log.append_message(ts, direction, payload)
-        except (CodecError, DirectionKindMismatch):
-            self._log.append_raw(ts, direction, payload)
+        if direction is not None:
+            self._log.append_message(self._rt.now_ns(), direction, payload)
 
     def read_frame(self):
         payload = self._inner.read_frame()

@@ -23,11 +23,20 @@ def make_control():
     return ctl, sent_cmds, sent_rsps
 
 
+def frame(msg):
+    """A frame as a driver hands it on: decoded, and as read."""
+    return msg, encode_message(msg)
+
+
+def wire(msgs):
+    return [encode_message(m) for m in msgs]
+
+
 def test_command_sets_period_then_forwards_and_logs():
     ctl, sent_cmds, _ = make_control()
-    ctl.handle_transmitter_command(command(50))
+    ctl.handle_transmitter_command(*frame(command(50)))
     assert ctl.period == 50
-    assert sent_cmds == [command(50)]
+    assert sent_cmds == wire([command(50)])
     # the period in force when the log entry is written is the new one
     assert ctl.data_log == [("cmd", command(50))]
 
@@ -36,38 +45,47 @@ def test_command_is_logged_before_it_is_forwarded():
     # the response to a command is logged on another task once the command
     # is sent, so the command's entry must already be there
     log_at_send = []
-    ctl = ControlLogic(lambda msg: log_at_send.append(list(ctl.data_log)),
-                       lambda msg: None)
-    ctl.handle_transmitter_command(command(50))
+    ctl = ControlLogic(lambda payload: log_at_send.append(list(ctl.data_log)),
+                       lambda payload: None)
+    ctl.handle_transmitter_command(*frame(command(50)))
     assert log_at_send == [[("cmd", command(50))]]
 
 
 def test_zero_and_negative_commands_forward_but_skip_log():
     ctl, sent_cmds, _ = make_control()
-    ctl.handle_transmitter_command(command(0))
-    ctl.handle_transmitter_command(command(-7))
+    ctl.handle_transmitter_command(*frame(command(0)))
+    ctl.handle_transmitter_command(*frame(command(-7)))
     assert ctl.period == -7
-    assert sent_cmds == [command(0), command(-7)]
+    assert sent_cmds == wire([command(0), command(-7)])
     assert ctl.data_log == []
 
 
 def test_response_forwarded_verbatim_log_gated_on_period():
     ctl, _, sent_rsps = make_control()
-    ctl.handle_sensor_response(status(0))          # period 0: not logged
-    ctl.handle_transmitter_command(command(25))
-    ctl.handle_sensor_response(status(1))          # period 25: logged
-    ctl.handle_transmitter_command(command(0))
-    ctl.handle_sensor_response(status(0))          # period 0 again: not logged
-    assert sent_rsps == [status(0), status(1), status(0)]
+    ctl.handle_sensor_response(*frame(status(0)))     # period 0: not logged
+    ctl.handle_transmitter_command(*frame(command(25)))
+    ctl.handle_sensor_response(*frame(status(1)))     # period 25: logged
+    ctl.handle_transmitter_command(*frame(command(0)))
+    ctl.handle_sensor_response(*frame(status(0)))     # period 0: not logged
+    assert sent_rsps == wire([status(0), status(1), status(0)])
     assert ctl.data_log == [("cmd", command(25)), ("rsp", status(1))]
+
+
+def test_handlers_forward_the_bytes_they_were_handed():
+    # a relay never re-encodes: what goes out is the very object read
+    ctl, sent_cmds, sent_rsps = make_control()
+    cmd, rsp = frame(command(9)), frame(status(1))
+    ctl.handle_transmitter_command(*cmd)
+    ctl.handle_sensor_response(*rsp)
+    assert sent_cmds[0] is cmd[1] and sent_rsps[0] is rsp[1]
 
 
 def test_stray_non_command_counted_not_forwarded():
     ctl, sent_cmds, _ = make_control()
-    ctl.handle_transmitter_command(status(1))
-    ctl.handle_transmitter_command(command(3))
+    ctl.handle_transmitter_command(*frame(status(1)))
+    ctl.handle_transmitter_command(*frame(command(3)))
     assert ctl.stray_commands == 1
-    assert sent_cmds == [command(3)]
+    assert sent_cmds == wire([command(3)])
 
 
 def test_control_loops_preserve_per_path_order():
@@ -76,15 +94,15 @@ def test_control_loops_preserve_per_path_order():
 
     def feed():
         for v in range(1, 51):
-            ctl.handle_transmitter_command(command(v))
-            ctl.handle_sensor_response(status(v % 3))
+            ctl.handle_transmitter_command(*frame(command(v)))
+            ctl.handle_sensor_response(*frame(status(v % 3)))
         rt.shutdown()
 
     rt.spawn(feed, name="feed")
     assert rt.run(timeout=10.0) == []
     assert rt.task_errors() == []
-    assert cmds == [command(v) for v in range(1, 51)]
-    assert rsps == [status(v % 3) for v in range(1, 51)]
+    assert cmds == wire(command(v) for v in range(1, 51))
+    assert rsps == wire(status(v % 3) for v in range(1, 51))
     assert ctl.period == 50
     # control runs inline on the calling task: the log keeps the call order
     # across both handlers
@@ -119,6 +137,9 @@ def test_a_status_on_the_command_link_is_a_stray():
     assert plant.control.stray_commands == 1
     assert [decode_message(f) for f in frames] == [status(0), status(1)]
     assert plant.control.data_log == [("cmd", command(4)), ("rsp", status(1))]
+    # the tx driver's counts are the transmitter's: 2 frames in each way
+    tx = plant.tx_driver.stats
+    assert (tx.relayed_in + tx.skipped_in, tx.relayed_out) == (2, 2)
 
 
 def test_control_on_two_emitting_tasks_keeps_each_path_whole():
@@ -129,7 +150,7 @@ def test_control_on_two_emitting_tasks_keeps_each_path_whole():
 
     def feed(handle, msgs):
         for msg in msgs:
-            handle(msg)
+            handle(*frame(msg))
         done.append(handle)
 
     commands = [command(v) for v in range(1, 2001)]
@@ -141,7 +162,7 @@ def test_control_on_two_emitting_tasks_keeps_each_path_whole():
     assert rt.run(timeout=10.0) == []
     assert rt.task_errors() == []
     assert len(done) == 2
-    assert cmds == commands and rsps == responses
+    assert cmds == wire(commands) and rsps == wire(responses)
     assert ctl.period == 2000
     # every command is logged (all periods positive), in order; responses
     # are logged only once a command has set a positive period
@@ -201,15 +222,15 @@ def test_real_plant_mission_lockstep():
 
 def test_emulated_plant_indistinguishable_from_real():
     _, real_frames = drive_plant(SensorBacking.REAL)
-    # replay material: exactly what the real sensor produced
-    recording = [decode_message(f) for f in real_frames]
-    plant, emu_frames = drive_plant(SensorBacking.EMULATED, recording=recording)
+    # replay material: exactly the bytes the real sensor produced
+    plant, emu_frames = drive_plant(SensorBacking.EMULATED,
+                                    recording=real_frames)
     assert emu_frames == real_frames  # byte identical, boot included
     assert plant.backing is SensorBacking.EMULATED
     assert not hasattr(plant.sensor, "state")  # a prototype has no state
 
 
-MISSION_RECORDING = [status(0), status(1), status(0), status(2)]
+MISSION_RECORDING = wire([status(0), status(1), status(0), status(2)])
 
 
 def configuration(plant):

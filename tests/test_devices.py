@@ -34,14 +34,19 @@ from twinproto.statemachine import State
 from twinproto.transport import Protocol, connect_pair, open_virtual_serial_pair
 
 
+def wire(msgs):
+    return [encode_message(m) for m in msgs]
+
+
 def test_sensor_command_response_sequence():
     sensor = SensorDevice()
-    assert sensor.execute(command(50)) == status(1)
+    assert sensor.boot_message() == b"\x20\x00"  # answers are wire bytes
+    assert sensor.execute(command(50)) == b"\x20\x01"
     assert sensor.state is State.ACTIVE
-    assert sensor.execute(command(0)) == status(0)
-    assert sensor.execute(command(-1)) == status(2)
+    assert sensor.execute(command(0)) == encode_message(status(0))
+    assert sensor.execute(command(-1)) == encode_message(status(2))
     # absorbed: still answers, state stays OFF
-    assert sensor.execute(command(50)) == status(2)
+    assert sensor.execute(command(50)) == encode_message(status(2))
 
 
 def test_sensor_rejects_non_commands():
@@ -54,27 +59,38 @@ def test_sensor_rejects_non_commands():
 
 
 def test_emulator_replays_in_order_and_never_computes():
-    ctx = EmulatorContext([status(2), status(0), measurement(9)])
-    emu = EmulatorDevice(ctx)
-    # a command that would drive a real sensor ACTIVE still yields the recording
-    assert emu.execute(command(50)) == status(2)
-    assert emu.execute(command(50)) == status(0)
-    assert emu.execute(command(0)) == measurement(9)
+    recorded = wire([status(2), status(0), measurement(9)])
+    emu = EmulatorDevice(EmulatorContext(recorded))
+    # a command that would drive a real sensor ACTIVE still yields the
+    # recording: the very bytes recorded, not a copy
+    assert emu.execute(command(50)) is recorded[0]
+    assert emu.execute(command(50)) is recorded[1]
+    assert emu.execute(command(0)) is recorded[2]
     with pytest.raises(ContextExhausted):
         emu.execute(command(0))
 
 
+def test_emulator_sends_the_measurements_that_follow_a_replayed_status():
+    recorded = wire([status(1), measurement(7), measurement(8), status(0)])
+    emu = EmulatorDevice(EmulatorContext(recorded))
+    assert emu.boot_message() is recorded[0]
+    assert [emu.unprompted(), emu.unprompted()] == recorded[1:3]
+    assert emu.unprompted() is None  # a status is only ever an answer
+    assert emu.execute(command(0)) is recorded[3]
+    assert emu.unprompted() is None  # nothing left
+
+
 def test_emulator_single_recording_then_exhausted():
-    ctx = EmulatorContext([status(1)])
+    ctx = EmulatorContext(wire([status(1)]))
     emu = EmulatorDevice(ctx)
-    assert emu.execute(command(123)) == status(1)
+    assert emu.execute(command(123)) == encode_message(status(1))
     assert ctx.cursor == 1
     with pytest.raises(ContextExhausted):
         emu.execute(command(123))
 
 
 def test_emulator_rejects_outside_command_set():
-    emu = EmulatorDevice(EmulatorContext([status(0)]))
+    emu = EmulatorDevice(EmulatorContext(wire([status(0)])))
     with pytest.raises(CommandRejected):
         emu.execute(measurement(1))
     assert emu.context.cursor == 0  # nothing consumed on rejection
@@ -143,7 +159,8 @@ def test_run_communication_checks_command_sets():
     sensor = SensorDevice()
     driver = DeviceDriver(drv_end, command_set=frozenset({0x10}))
     with pytest.raises(CommandSetMismatch):
-        run_communication(rt, sensor, dev_end, driver, lambda msg: None)
+        run_communication(rt, sensor, dev_end, driver,
+                          lambda msg, payload: None)
 
 
 def test_driver_relays_in_order_and_skips_junk():
@@ -152,15 +169,16 @@ def test_driver_relays_in_order_and_skips_junk():
     sensor = SensorDevice()
     driver = DeviceDriver(drv_end, name="sensor-drv")
     responses = rt.channel(16)
-    run_communication(rt, sensor, dev_end, driver, responses.put)
+    run_communication(rt, sensor, dev_end, driver,
+                      lambda msg, payload: responses.put((msg, payload)))
     got = []
 
     def scenario():
         cmds = [command(50), command(0), command(7), command(-1), command(2)]
-        for c in cmds:
+        for c in wire(cmds):
             assert driver.forward(c) is None  # the wall clock never defers
         # outside the command set: not written
-        assert driver.forward(measurement(3)) is None
+        assert driver.forward(encode_message(measurement(3))) is None
         # inject a junk frame directly at the device side: driver must skip it
         dev_end.write_frame(b"\xee\xee")
         for _ in range(5):
@@ -170,7 +188,8 @@ def test_driver_relays_in_order_and_skips_junk():
     rt.spawn(scenario, name="scenario")
     assert rt.run(timeout=5.0) == []
     assert rt.task_errors() == []
-    assert got == [status(1), status(0), status(1), status(2), status(2)]
+    want = [status(1), status(0), status(1), status(2), status(2)]
+    assert got == list(zip(want, wire(want)))  # each frame in both forms
     assert driver.stats.relayed_out == 5
     assert driver.stats.skipped_out == 1
     assert driver.stats.skipped_in == 1
@@ -184,7 +203,8 @@ def test_a_driver_callback_runs_on_its_receive_loop_in_read_order(clock):
     driver = DeviceDriver(drv_end, name="drv")
     seen = []
     recv = rt.spawn(lambda: drive(driver.receive(
-        lambda msg: seen.append((msg, threading.get_ident())))), name="recv")
+        lambda msg, payload: seen.append((msg, threading.get_ident())))),
+        name="recv")
     frames = [measurement(v) for v in range(20)] + [status(1), status(2)]
 
     def device():
@@ -212,12 +232,13 @@ def test_record_then_replay_transcripts_match():
         dev_end, drv_end = make_link(rt)
         driver = DeviceDriver(drv_end)
         responses = rt.channel(16)
-        run_communication(rt, device, dev_end, driver, responses.put,
+        run_communication(rt, device, dev_end, driver,
+                          lambda msg, payload: responses.put(payload),
                           announce_boot=True)
         got = []
 
         def scenario():
-            for c in script:
+            for c in wire(script):
                 assert driver.forward(c) is None  # the wall clock never defers
             for _ in range(len(script) + 1):
                 got.append(responses.get())
@@ -226,7 +247,7 @@ def test_record_then_replay_transcripts_match():
         rt.spawn(scenario, name="scenario")
         assert rt.run(timeout=5.0) == []
         assert rt.task_errors() == []
-        return [encode_message(m) for m in got]
+        return got
 
     def serial_link(rt):
         return open_virtual_serial_pair(rt)
@@ -234,9 +255,9 @@ def test_record_then_replay_transcripts_match():
     real = transcript(SensorDevice(), serial_link)
 
     # recordings of the real run (boot + one response per command)
-    recorded = [status(0), status(1), status(0), status(1), status(0),
-                status(2), status(2)]
-    assert real == [encode_message(m) for m in recorded]
+    recorded = wire([status(0), status(1), status(0), status(1), status(0),
+                     status(2), status(2)])
+    assert real == recorded
 
     def bridged_link(rt):
         return connect_pair(rt, "bridge:dev", "bridge:drv", Protocol.RS232)
@@ -294,8 +315,6 @@ def test_transmitter_relays_verbatim_both_ways():
     assert out_b.read_frame() == b"\x20\x01"
     in_a.write_frame(b"\x01\x00\x32")     # inbound link -> PT stack
     assert tx.read_frame() == b"\x01\x00\x32"
-    assert tx.stats.relayed_up == 1
-    assert tx.stats.relayed_down == 1
     assert tx.protocol is Protocol.TCP
     tx.close()  # closes both links
     with pytest.raises(ConnectionClosed):

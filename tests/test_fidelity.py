@@ -57,7 +57,7 @@ def record_and_replay(workdir: Path, seed, steps, measurements, duration_ms):
     with pt2dt_stream() as real:
         recorded = record_session(parse_scenario(data), record_path=rec)
     assert recorded.ok, recorded.failures
-    frames = [encode_message(m) for m in load_recordings(rec)]
+    frames = load_recordings(rec)
     streams = {"real": real}
     for mode in ("dtp", "shadow"):
         with pt2dt_stream() as got:
@@ -104,7 +104,7 @@ def test_a_twin_recording_holds_its_commands_and_dtp_plays_its_pt2dt_bytes(
         encode_message(command(s["value"])) for s in steps]
     pt2dt = [r.payload for r in records
              if r.direction is ThreadDirection.PT2DT and r.is_frame]
-    assert pt2dt == [encode_message(m) for m in load_recordings(rec)]
+    assert pt2dt == load_recordings(rec)
     with pt2dt_stream() as got:
         result = run_scenario(parse_scenario(
             dict(data, mode="dtp", recording=str(rec))))

@@ -121,10 +121,10 @@ def test_monitor_classifies_and_counts_strays():
     stats = shadow.monitor_stats
 
     def drive():
-        shadow.ingest(status(1))
-        shadow.ingest(measurement(42))
-        shadow.ingest(command(9))  # stray: counterparts do not send commands
-        shadow.ingest(status(2))
+        for msg in (status(1), measurement(42),
+                    command(9),  # stray: counterparts do not send commands
+                    status(2)):
+            shadow.ingest(msg, encode_message(msg))
         rt.shutdown()
 
     rt.spawn(drive, name="drive")

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from reference_thread_line import Rejected, ref_parse_line
-from twinproto.errors import CodecError, CorruptRecord, DirectionKindMismatch
+from twinproto.errors import CorruptRecord
 from twinproto.messages import (
     COMMAND_MAX,
     COMMAND_MIN,
@@ -80,18 +80,18 @@ def test_append_assigns_strictly_increasing_seq():
 
 
 def test_direction_kind_invariant_enforced():
+    # a frame the direction does not carry, or that does not decode, is
+    # kept as RAW: never tagged with a kind its direction cannot carry
     log = ThreadLog()
-    with pytest.raises(DirectionKindMismatch):
-        log.append_message(0, PT2DT, encode_message(command(5)))
-    with pytest.raises(DirectionKindMismatch):
-        log.append_message(0, DT2PT, encode_message(status(1)))
-    with pytest.raises(DirectionKindMismatch):
-        log.append_message(0, DT2PT, encode_message(measurement(1)))
-    for payload in (b"", b"\x99", b"\x20\x07", b"\x01\x00"):
-        with pytest.raises(CodecError):  # a frame that does not decode
-            log.append_message(0, PT2DT, payload)
-    assert log.records == []  # nothing committed
-    assert log.frame_counts() == {PT2DT: 0, DT2PT: 0}
+    clashes = [(PT2DT, encode_message(command(5))),
+               (DT2PT, encode_message(status(1))),
+               (DT2PT, encode_message(measurement(1)))]
+    junk = [(PT2DT, p) for p in (b"", b"\x99", b"\x20\x07", b"\x01\x00")]
+    for direction, payload in clashes + junk:
+        log.append_message(0, direction, payload)
+    assert [(r.direction, r.kind, r.payload) for r in log.records] == [
+        (direction, "RAW", payload) for direction, payload in clashes + junk]
+    assert log.frame_counts() == {PT2DT: 5, DT2PT: 2}
 
 
 def test_append_message_stores_the_payload_it_was_given():
@@ -126,31 +126,46 @@ def test_an_accepted_frame_is_tagged_and_counted_in_its_direction(
     (DT2PT, status(1), "STA"),
     (DT2PT, measurement(1), "MEA"),
 ])
-def test_a_clash_names_its_direction_and_keeps_nothing(direction, msg, tag):
-    log = ThreadLog()
-    with pytest.raises(DirectionKindMismatch,
-                       match=f"^{direction.value} record cannot carry {tag}$"):
-        log.append_message(0, direction, encode_message(msg))
-    assert log.records == []
-    assert log.frame_counts() == {PT2DT: 0, DT2PT: 0}
+def test_a_clash_is_kept_as_raw_with_one_tap_call(direction, msg, tag):
+    payload = encode_message(msg)
+    log, calls = tapped_once(direction, payload)
+    assert calls == ["append_message"]  # one call for one record
+    assert [(r.direction, r.kind, r.payload) for r in log.records] == [
+        (direction, "RAW", payload)]  # not tagged `tag`
+    assert log.frame_counts() == {direction: 1, other(direction): 0}
+
+
+class CallLog:
+    """A ThreadLog that notes the name of each method called on it."""
+
+    def __init__(self):
+        self.log = ThreadLog()
+        self.calls = []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.log, name)
+
+
+def tapped_once(direction, payload):
+    """Read `payload` through a tap tagging reads `direction`; returns the
+    log and the calls the tap made on it."""
+    spy = CallLog()
+    rt = WallRuntime()
+    a, b = open_virtual_serial_pair(rt)
+    tapped = TappedEndpoint(b, spy, rt, read_dir=direction)
+    a.write_frame(payload)
+    assert tapped.read_frame() == payload  # delivered as it came
+    return spy.log, spy.calls
 
 
 @pytest.mark.parametrize("direction", [PT2DT, DT2PT])
 @pytest.mark.parametrize("payload", [b"", b"\x99", b"\x20\x07", b"\x01\x00",
                                      b"\x10\x00\x00\x00\x00\x00"])
-def test_an_undecodable_frame_is_refused_but_a_tap_keeps_it_as_raw(
+def test_an_undecodable_frame_is_kept_as_raw_with_one_tap_call(
         direction, payload):
-    log = ThreadLog()
-    with pytest.raises(CodecError):
-        log.append_message(0, direction, payload)
-    assert log.records == []
-    assert log.frame_counts() == {PT2DT: 0, DT2PT: 0}
-
-    rt = WallRuntime()
-    a, b = open_virtual_serial_pair(rt)
-    tapped = TappedEndpoint(b, log, rt, read_dir=direction)
-    a.write_frame(payload)
-    assert tapped.read_frame() == payload  # delivered as it came
+    log, calls = tapped_once(direction, payload)
+    assert calls == ["append_message"]  # one call for one record
     assert [(r.direction, r.kind, r.payload) for r in log.records] == [
         (direction, "RAW", payload)]
     assert log.frame_counts() == {direction: 1, other(direction): 0}
@@ -289,8 +304,8 @@ def test_recording_file_from_thread(tmp_path):
     log.append_message(5, PT2DT, encode_message(measurement(12)))
     log.append_note(6, "skip me")                               # skipped
     log.close()
-    assert load_recordings(str(rec_path)) == [status(0), status(1),
-                                              measurement(12)]
+    assert load_recordings(str(rec_path)) == [
+        encode_message(m) for m in (status(0), status(1), measurement(12))]
 
 
 
@@ -357,7 +372,7 @@ def test_a_recording_file_gives_back_the_pt2dt_messages_in_order(recs):
         log.close()
         assert read_thread_file(path) == log.records
         assert load_recordings(path) == [
-            decode_message(r.payload) for r in recs
+            r.payload for r in recs
             if r.direction is PT2DT and r.kind in ("MEA", "STA")]
 
 

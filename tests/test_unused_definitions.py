@@ -26,9 +26,7 @@ ALLOWED = {
     "unframe": "C1-C9",
     "tick": "tests, and the benchmark's replay digest",
     "plant_process_main": "the isolated plant's code string",
-    "assemble_prototype": "tests",
     "write_manifest": "tests",
-    "parse_record_line": "tests",
 }
 
 
