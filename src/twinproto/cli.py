@@ -27,8 +27,8 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from .config import MODEL_ACTIONS, load_config, load_scenario
-from .errors import ConfigError, ScenarioError
+from .config import load_config, load_scenario
+from .errors import ConfigError
 from .harness import record_session, replay_thread, run_scenario, run_suite
 from .runtime import ClockMode
 from .template import validate_manifest
@@ -85,30 +85,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _override_mode(scenario, mode):
-    """Force a deployment shape, re-checking what parse-time guaranteed."""
-    if scenario.mode == mode:
-        return scenario
-    if mode != "twin":
-        for step in scenario.steps:
-            if step.action in MODEL_ACTIONS:
-                raise ScenarioError(
-                    f"step action {step.action!r} needs twin mode, not {mode}")
-    if mode == "dtp" and not scenario.recording:
-        raise ScenarioError("dtp run needs a recording path in the scenario")
-    return replace(scenario, mode=mode)
+def _overrides(args, mode=None):
+    """The scenario keys the command line sets: a run verb's mode, --mode's
+    clock and --seed. `load_scenario` sets them before it parses."""
+    keys = {"mode": mode, "clock": args.mode, "seed": args.seed}
+    return {key: value for key, value in keys.items() if value is not None}
 
 
-def _apply_overrides(scenario, args):
-    if args.mode is not None:
-        clock = ClockMode(args.mode)
-        if clock is ClockMode.WALL and scenario.expect.thread_sha256:
-            raise ScenarioError("golden record digests only hold on the "
-                                "logical clock; drop --mode wall or the digest")
-        scenario = replace(scenario, clock=clock)
-    if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed)
-    return scenario
+def _out_dir(out) -> Path:
+    """The --out directory, created if need be."""
+    try:
+        Path(out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create --out {out}: {exc.strerror}") \
+            from None
+    return Path(out)
 
 
 def _emit_result(result, as_json):
@@ -119,23 +110,18 @@ def _emit_result(result, as_json):
 
 
 def _cmd_run(args, mode) -> int:
-    scenario = _apply_overrides(_override_mode(load_scenario(args.scenario),
-                                               mode), args)
+    scenario = load_scenario(args.scenario, _overrides(args, mode))
     cfg = load_config(args.config)
-    if args.out is not None and mode in ("shadow", "twin"):
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        cfg = replace(cfg, thread_file=str(out / f"{scenario.name}.thread"))
-    result = run_scenario(scenario, cfg)
-    return _emit_result(result, args.json)
+    if args.out is not None:  # a pt or dtp run refuses it: it keeps no thread
+        thread = _out_dir(args.out) / f"{scenario.name}.thread"
+        cfg = replace(cfg, thread_file=str(thread))
+    return _emit_result(run_scenario(scenario, cfg), args.json)
 
 
 def _cmd_record(args) -> int:
-    scenario = _apply_overrides(load_scenario(args.scenario), args)
+    scenario = load_scenario(args.scenario, _overrides(args))
     cfg = load_config(args.config)
-    out = Path(args.out) if args.out is not None else Path(".")
-    out.mkdir(parents=True, exist_ok=True)
-    record_path = out / f"{scenario.name}.rec"
+    record_path = _out_dir(args.out or ".") / f"{scenario.name}.rec"
     result = record_session(scenario, cfg, record_path=record_path)
     if result.ok:
         print(f"recorded {result.pt2dt_frames} frames -> {record_path}")

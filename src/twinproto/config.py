@@ -13,7 +13,7 @@ code 2 so broken inputs are distinguishable from failed runs.
 from __future__ import annotations
 
 import json
-import math
+import threading
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -27,6 +27,10 @@ STEP_ACTIONS = ("command", "inject", "set_model")
 
 # step actions that only make sense when a model exists to edit
 MODEL_ACTIONS = ("inject", "set_model")
+
+# the longest wait, in seconds, that `threading` accepts: a longer run
+# timeout or twinning period would overflow the platform's time_t
+WAIT_MAX_S = threading.TIMEOUT_MAX
 
 
 @dataclass
@@ -191,27 +195,31 @@ def parse_scenario(data, path=None) -> Scenario:
                     expect=exp, path=Path(path) if path else None)
 
 
-def load_scenario(path) -> Scenario:
+def _read_json(path, what):
+    """The JSON value in the file at `path`; `what` names the file in the
+    ConfigError that refuses it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read scenario: {exc}") from None
+        raise ConfigError(f"cannot read {what}: {exc}") from None
     except (json.JSONDecodeError, RecursionError) as exc:  # or too deep
-        raise ConfigError(f"scenario is not valid JSON: {exc}") from None
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from None
+
+
+def load_scenario(path, overrides=None) -> Scenario:
+    """The scenario at `path`, with the scenario keys in `overrides` set on
+    its JSON object first, so `parse_scenario` judges what will run."""
+    data = _read_json(path, "scenario")
+    if overrides and isinstance(data, dict):  # else parse_scenario refuses it
+        data = {**data, **overrides}
     return parse_scenario(data, path=path)
 
 
 def load_config(path=None) -> RunConfig:
     if path is None:
         return RunConfig()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config: {exc}") from None
-    except (json.JSONDecodeError, RecursionError) as exc:  # or too deep
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
+    data = _read_json(path, "config")
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
     cfg = RunConfig()
@@ -220,12 +228,15 @@ def load_config(path=None) -> RunConfig:
             if not _is_int(data[key]) or data[key] <= 0:
                 raise ConfigError(f"config.{key} must be a positive integer")
             setattr(cfg, key, data[key])
+    if cfg.twinning_period_ms > WAIT_MAX_S * 1000:
+        raise ConfigError(f"config.twinning_period_ms must be at most "
+                          f"{WAIT_MAX_S * 1000:.0f}")
     if "run_timeout_s" in data:
         timeout = data["run_timeout_s"]
         if not (_is_int(timeout) or isinstance(timeout, float)) \
-                or not 0 < timeout < math.inf:  # JSON has NaN and Infinity
-            raise ConfigError("config.run_timeout_s must be positive and "
-                              "finite")
+                or not 0 < timeout <= WAIT_MAX_S:  # JSON has NaN and Infinity
+            raise ConfigError(f"config.run_timeout_s must be positive and "
+                              f"finite, at most {WAIT_MAX_S:.0f}")
         cfg.run_timeout_s = float(timeout)
     if data.get("thread_file") is not None:
         if not isinstance(data["thread_file"], str):

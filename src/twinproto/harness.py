@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 from operator import eq, ge
 from pathlib import Path
 
-from .config import Expectations, RunConfig, Scenario
+from .config import Expectations, RunConfig, Scenario, load_scenario
 from .control import PlantAssembly, SensorBacking, assemble_plant
 from .errors import (CodecError, ConfigError, ConnectionClosed, KernelHalted,
                      RecordingMissing, ThreadLogError)
@@ -47,8 +47,9 @@ from .thread_log import (
     TappedEndpoint,
     ThreadDirection,
     ThreadLog,
-    load_recordings,
+    load_checked_recordings,
     read_thread_file,
+    where_in_file,
 )
 from .transport import Protocol, TcpListener, connect_pair, tcp_connect
 
@@ -177,16 +178,33 @@ def _refuse_config(scenario: Scenario, cfg: RunConfig):
                           "lockstep scheduling cannot cross processes")
 
 
+def _open_thread_log(scenario: Scenario, cfg: RunConfig):
+    """A shadow or twin run's ThreadLog, else None. Raises ConfigError
+    naming `cfg.thread_file` if that file cannot be written."""
+    if scenario.mode not in ("shadow", "twin"):
+        return None
+    try:
+        return ThreadLog(path=cfg.thread_file)
+    except OSError as exc:
+        raise ConfigError(f"cannot write thread_file {cfg.thread_file}: "
+                          f"{exc.strerror}") from None
+
+
 def run_scenario(scenario: Scenario, config: RunConfig | None = None) -> SessionResult:
     cfg = config if config is not None else RunConfig()
     _refuse_config(scenario, cfg)
+    log = _open_thread_log(scenario, cfg)  # before any task or child starts
     result = SessionResult(scenario.name, scenario.mode, scenario.clock.value,
                            scenario.seed)
     started = time.monotonic()
     rt = make_runtime(scenario.clock, scenario.seed)
     try:
-        wiring = _wire(rt, scenario, cfg)
-    except RecordingMissing as exc:  # no task or child process is left
+        wiring = _wire(rt, scenario, cfg, log)
+    except Exception as exc:  # no task or child process is left
+        if log is not None:
+            log.close()
+        if not isinstance(exc, RecordingMissing):
+            raise
         result.fail(str(exc))
         result.elapsed_s = time.monotonic() - started
         return result
@@ -203,7 +221,8 @@ def run_scenario(scenario: Scenario, config: RunConfig | None = None) -> Session
     return result
 
 
-def _wire(rt, scenario: Scenario, cfg: RunConfig) -> _Wiring:
+def _wire(rt, scenario: Scenario, cfg: RunConfig,
+          log: ThreadLog | None) -> _Wiring:
     """Links, then the observing deployment, then the plant (in-process).
 
     The recording is checked before any task is spawned; under isolation
@@ -221,7 +240,7 @@ def _wire(rt, scenario: Scenario, cfg: RunConfig) -> _Wiring:
                                      down_listener.address[1],
                                      cfg.queue_capacity)
         try:
-            recording = _load_recording(recording_path)
+            recording = load_checked_recordings(recording_path)
             up_peer = up_listener.accept(name="link:peer-up", timeout=15.0)
             down_peer = down_listener.accept(name="link:peer-down",
                                              timeout=15.0)
@@ -235,24 +254,23 @@ def _wire(rt, scenario: Scenario, cfg: RunConfig) -> _Wiring:
             up_listener.close()
             down_listener.close()
     else:
-        recording = _load_recording(recording_path)
+        recording = load_checked_recordings(recording_path)
         up_plant, up_peer = connect_pair(rt, "link:pt-up", "link:peer-up",
                                          Protocol.TCP, cfg.queue_capacity)
         down_peer, down_plant = connect_pair(rt, "link:peer-down",
                                              "link:pt-down", Protocol.TCP,
                                              cfg.queue_capacity)
     wiring = _Wiring(up_peer, down_peer, recording_path,
-                     len(recording) if recording else 0, child=child)
+                     len(recording) if recording else 0, child=child, log=log)
 
-    if scenario.mode in ("shadow", "twin"):
-        wiring.log = ThreadLog(path=cfg.thread_file)
-        ingest = TappedEndpoint(up_peer, wiring.log, rt,
+    if log is not None:
+        ingest = TappedEndpoint(up_peer, log, rt,
                                 read_dir=ThreadDirection.PT2DT)
         if scenario.mode == "twin":
-            uplink = TappedEndpoint(down_peer, wiring.log, rt,
+            uplink = TappedEndpoint(down_peer, log, rt,
                                     write_dir=ThreadDirection.DT2PT)
             wiring.twin = assemble_twin(
-                rt, None, ingest, uplink, thread_log=wiring.log,
+                rt, None, ingest, uplink, thread_log=log,
                 twinning_period_ms=cfg.twinning_period_ms)
         else:
             wiring.twin = assemble_shadow(rt, ingest)
@@ -270,31 +288,6 @@ def _recording_path(scenario: Scenario):
     if scenario.mode == "dtp" or scenario.recording:
         return str(scenario.resolve(scenario.recording))
     return None
-
-
-def _where(exc):
-    """' at seq/line N' for an error that carries a CorruptRecord's seq (or
-    line number), else ''."""
-    seq = getattr(exc, "seq", None)
-    return "" if seq is None else f" at seq/line {seq}"
-
-
-def _load_recording(path):
-    """The emulator's recordings at `path`, or None for a real plant.
-
-    Raises RecordingMissing naming the file (and a corrupt line's seq or
-    line number) if the file cannot be read or holds no frames.
-    """
-    if path is None:
-        return None
-    try:
-        recording = load_recordings(path)
-    except (OSError, UnicodeDecodeError, ThreadLogError) as exc:
-        raise RecordingMissing(f"recording {path} unusable{_where(exc)}: "
-                               f"{exc}") from None
-    if not recording:
-        raise RecordingMissing(f"recording {path} holds no frames")
-    return recording
 
 
 def _start_plant(rt, recording, outbound, inbound, script, link_capacity):
@@ -479,8 +472,8 @@ def _check_thread_invariants(mode, twin, result):
                         f"uplink frames recorded, driver sent {sent}")
 
 
-def record_session(scenario: Scenario, config: RunConfig | None = None,
-                   record_path=None) -> SessionResult:
+def record_session(scenario: Scenario, config: RunConfig | None = None, *,
+                   record_path) -> SessionResult:
     """Run a real-backed observing session with its thread at `record_path`.
 
     A recording is a thread file, which loads straight back as emulator
@@ -494,8 +487,6 @@ def record_session(scenario: Scenario, config: RunConfig | None = None,
     if _recording_path(scenario) is not None:
         raise ConfigError("record needs a real-backed run; this scenario "
                           "plays a recording")
-    if record_path is None:
-        raise ConfigError("record needs an output path")
     lifted = replace(scenario, mode="shadow") if scenario.mode == "pt" \
         else scenario
     cfg = config if config is not None else RunConfig()
@@ -546,7 +537,7 @@ def plant_process_main(raw: str) -> int:
     up = tcp_connect("127.0.0.1", opts["up_port"], name="plant:up")
     down = tcp_connect("127.0.0.1", opts["down_port"], name="plant:down")
     script = [tuple(p) for p in opts.get("measurements", [])] or None
-    plant = _start_plant(rt, _load_recording(opts.get("recording")),
+    plant = _start_plant(rt, load_checked_recordings(opts.get("recording")),
                          up, down, script, opts["link_capacity"])
 
     def deadline():
@@ -639,7 +630,7 @@ def replay_thread(path, clock: ClockMode = ClockMode.LOCKSTEP, seed: int = 0,
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read record file: {exc}") from None
     except ThreadLogError as exc:
-        raise ConfigError(f"record file rejected{_where(exc)}: {exc}") \
+        raise ConfigError(f"record file rejected{where_in_file(exc)}: {exc}") \
             from None
     frames = [r for r in records
               if r.direction is ThreadDirection.PT2DT and r.is_frame]
@@ -702,17 +693,14 @@ def run_suite(suite_dir, config: RunConfig | None = None,
     `config` before the first one runs, so a suite the config cannot run
     is refused with nothing run and no thread file written.
     """
-    from .config import load_scenario
-
     paths = sorted(Path(suite_dir).glob("*.json"))
     if not paths:
         raise ConfigError(f"no scenario files in {suite_dir}")
     cfg = config if config is not None else RunConfig()
     scenarios = []
+    overrides = {"clock": ClockMode.LOCKSTEP.value} if force_lockstep else None
     for p in paths:
-        scenario = load_scenario(p)
-        if force_lockstep and scenario.clock is not ClockMode.LOCKSTEP:
-            scenario = replace(scenario, clock=ClockMode.LOCKSTEP)
+        scenario = load_scenario(p, overrides)
         _refuse_config(scenario, cfg)
         scenarios.append(scenario)
     return [run_scenario(scenario, cfg) for scenario in scenarios]

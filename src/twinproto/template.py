@@ -14,7 +14,8 @@ Sections:
     [model]      states, initial, terminal, codes
 
 The recording document (key "recording") must point at a record file in the
-interchange line format; it becomes the emulator's replay context. The
+interchange line format; it becomes the emulator's replay context, so it is
+judged as the emulator judges it: readable, well formed, holding frames. The
 fingerprint pins the control software: "any" skips the check, otherwise it
 must match the installed package's source digest.
 """
@@ -25,8 +26,9 @@ import configparser
 import hashlib
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, RecordingMissing
 from .statemachine import BUILTIN_MACHINE, StateMachineDef
+from .thread_log import load_checked_recordings
 
 REQUIRED_SECTIONS = ("template", "documents", "software", "model")
 RECORDING_KEY = "recording"
@@ -69,12 +71,12 @@ def machine_from_raw(raw) -> StateMachineDef:
 
 def load_template(path) -> DigitalTemplate:
     """The manifest at `path`. Anything that stops it being read is a
-    ConfigError: bytes that are not UTF-8, or a bad `%` reference, which
-    fails only when the value is read."""
+    ConfigError: a file that cannot be opened, bytes that are not UTF-8, or
+    a bad `%` reference, which fails only when the value is read."""
     parser = configparser.ConfigParser()
     try:
-        if not parser.read(path, encoding="utf-8"):
-            raise ConfigError(f"manifest not found: {path}")
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
         for section in REQUIRED_SECTIONS:
             if not parser.has_section(section):
                 raise ConfigError(f"missing section: {section}")
@@ -87,6 +89,8 @@ def load_template(path) -> DigitalTemplate:
             software=dict(parser["software"]),
             model_raw=dict(parser["model"]),
         )
+    except OSError as exc:
+        raise ConfigError(f"cannot read manifest: {exc}") from None
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"unparseable manifest: {exc}") from None
 
@@ -126,6 +130,11 @@ def validate_manifest(path) -> list:
         doc = tpl.document_path(key)
         if not doc.is_file():
             problems.append(f"missing-document: {key} -> {doc}")
+        elif key == RECORDING_KEY:
+            try:  # judged as the emulator would judge it
+                load_checked_recordings(doc)
+            except RecordingMissing as exc:
+                problems.append(f"bad-recording: {exc}")
 
     for key in ("package", "entry"):
         if not tpl.software.get(key, "").strip():

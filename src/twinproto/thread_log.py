@@ -37,7 +37,7 @@ import threading
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import CodecError, CorruptRecord
+from .errors import CodecError, CorruptRecord, RecordingMissing, ThreadLogError
 from .messages import MessageKind, decode_message
 
 U64_MAX = 2 ** 64 - 1
@@ -239,6 +239,32 @@ def load_recordings(path):
     thread file; every other line is skipped."""
     return [rec.payload for rec in _parse_file(path)
             if rec.kind in ("MEA", "STA")]
+
+
+def where_in_file(exc):
+    """' at seq/line N' for an error that carries a CorruptRecord's seq (or
+    line number), else ''."""
+    seq = getattr(exc, "seq", None)
+    return "" if seq is None else f" at seq/line {seq}"
+
+
+def load_checked_recordings(path):
+    """`load_recordings(path)` for an emulator, or None for a real plant
+    (no path).
+
+    Raises RecordingMissing naming the file (and a corrupt line's seq or
+    line number) if the file cannot be read or holds no frames.
+    """
+    if path is None:
+        return None
+    try:
+        recording = load_recordings(path)
+    except (OSError, UnicodeDecodeError, ThreadLogError) as exc:
+        raise RecordingMissing(f"recording {path} unusable"
+                               f"{where_in_file(exc)}: {exc}") from None
+    if not recording:
+        raise RecordingMissing(f"recording {path} holds no frames")
+    return recording
 
 
 class TappedEndpoint:

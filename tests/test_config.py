@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from twinproto.config import (
     MODES,
+    WAIT_MAX_S,
     RunConfig,
     load_config,
     load_scenario,
@@ -181,6 +182,19 @@ def test_load_config_rejects_bad_values(tmp_path, payload, needle):
     assert needle in str(err.value)
 
 
+def test_a_wait_longer_than_threading_accepts_is_refused(tmp_path):
+    # past the bound, the run's first wait would raise OverflowError
+    p = tmp_path / "cfg.json"
+    for key, most in (("run_timeout_s", WAIT_MAX_S),
+                      ("twinning_period_ms", int(WAIT_MAX_S) * 1000)):
+        p.write_text(json.dumps({key: most}))
+        assert getattr(load_config(p), key) == most
+        for over in (most + 1000, most * 1024):
+            p.write_text(json.dumps({key: over}))
+            with pytest.raises(ConfigError, match=f"config.{key} .*at most"):
+                load_config(p)
+
+
 # ---------------------------------------------------------------------------
 # properties: generated valid inputs round-trip, booleans are no integers
 # ---------------------------------------------------------------------------
@@ -285,7 +299,9 @@ def configs(draw):
     values = {
         "twinning_period_ms": POSITIVE,
         "queue_capacity": POSITIVE,
-        "run_timeout_s": POSITIVE | st.floats(min_value=1e-3, max_value=1e6),
+        # a longer wait than `threading` accepts is refused
+        "run_timeout_s": st.integers(1, int(WAIT_MAX_S))
+                         | st.floats(min_value=1e-3, max_value=WAIT_MAX_S),
         "thread_file": st.none() | st.text(max_size=8),
         "isolate": st.booleans(),
     }

@@ -492,7 +492,7 @@ def test_record_rejects_dtp_and_model_steps(tmp_path):
     sc = scenario(steps=[{"at_ms": 0, "do": "inject", "value": 5}])
     with pytest.raises(ConfigError, match="command steps"):
         record_session(sc, record_path=tmp_path / "b.rec")
-    with pytest.raises(ConfigError, match="output path"):
+    with pytest.raises(TypeError, match="record_path"):  # a required keyword
         record_session(scenario(mode="shadow"))
 
 

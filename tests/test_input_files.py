@@ -2,7 +2,9 @@
 
 The command line maps a broken input to exit code 2 (`error: ...` on
 stderr), a manifest problem to a `parse-error` line, and an unusable
-recording to a FAIL verdict. The property feeds each loader arbitrary bytes
+recording to a FAIL verdict. An output path that cannot be written is
+broken input too, and a command-line override is judged by
+`parse_scenario`, with its message. The property feeds each loader arbitrary bytes
 and one-byte edits of a valid file: it must return, or raise only the error
 its caller maps. No session runs inside the property.
 """
@@ -14,12 +16,15 @@ import os
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from twinproto import cli
 from twinproto.cli import BUNDLED_SUITE, main
-from twinproto.config import load_config, load_scenario
-from twinproto.errors import ConfigError, ThreadLogError
+from twinproto.config import load_config, load_scenario, parse_scenario
+from twinproto.errors import ConfigError, ScenarioError, ThreadLogError
+from twinproto.harness import SessionResult
 from twinproto.template import validate_manifest, write_manifest
 from twinproto.thread_log import load_recordings, read_thread_file
 
@@ -93,6 +98,119 @@ def test_cli_a_manifest_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
     manifest.write_bytes(b"\xff" + MANIFEST)
     assert main(["template-validate", str(manifest)]) == 1
     assert capsys.readouterr().out.startswith("parse-error: ")
+
+
+def test_cli_a_manifest_that_is_a_directory_names_why_it_cannot_be_read(
+        tmp_path, capsys):
+    assert main(["template-validate", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("parse-error: cannot read manifest: ")
+    assert "Is a directory" in out
+
+
+def test_cli_a_manifest_whose_recording_holds_no_record_is_rejected(
+        tmp_path, capsys):
+    garbage = tmp_path / "garbage.rec"
+    garbage.write_text("garbage\n")
+    manifest = tmp_path / "plant.ini"
+    manifest.write_bytes(MANIFEST.replace(str(MISSION_REC).encode(),
+                                          str(garbage).encode()))
+    assert main(["template-validate", str(manifest)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith(f"bad-recording: recording {garbage} unusable "
+                          f"at seq/line 1: ")
+
+
+# ---------------------------------------------------------------------------
+# the command line: an output path that cannot be written is refused before
+# anything starts
+# ---------------------------------------------------------------------------
+
+def wall_copy(tmp_path):
+    """SCENARIO on the wall clock, without its digest and with its recording
+    path made absolute."""
+    data = json.loads(SCENARIO.read_text())
+    data["clock"] = "wall"
+    del data["expect"]["thread_sha256"]
+    data["recording"] = str(SCENARIO.parent / data["recording"])
+    path = tmp_path / SCENARIO.name
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("isolate", [False, True],
+                         ids=["in-process", "isolated"])
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+def test_cli_a_thread_file_that_cannot_be_written_is_exit_2(
+        tmp_path, capsys, isolate, where):
+    thread = tmp_path / "missing" / "run.thread" if where == "missing-dir" \
+        else tmp_path
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"thread_file": str(thread),
+                               "isolate": isolate}))
+    assert main(["run-twin", "--scenario", str(wall_copy(tmp_path)),
+                 "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write thread_file {thread}: ")
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("verb", ["run-twin", "record"])
+def test_cli_an_out_that_cannot_be_created_is_exit_2(tmp_path, capsys, verb):
+    below_a_file = tmp_path / "file" / "out"
+    (tmp_path / "file").write_text("")
+    scenario = BUNDLED_SUITE / ("02-mission-pt.json" if verb == "record"
+                                else "05-twin-inject.json")
+    assert main([verb, "--scenario", str(scenario),
+                 "--out", str(below_a_file)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot create --out {below_a_file}: ")
+
+
+@pytest.mark.parametrize("verb", ["run-pt", "run-dtp"])
+def test_cli_out_on_a_run_that_keeps_no_thread_is_exit_2(tmp_path, capsys,
+                                                         verb):
+    out = tmp_path / "out"
+    assert main([verb, "--scenario", str(BUNDLED_SUITE / "01-mission-twin-"
+                                         "emulated.json"),
+                 "--out", str(out)]) == 2
+    assert "keeps no thread" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# the command line: an override is judged by the scenario's own rules
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("clock", [None, "wall", "lockstep"])
+@pytest.mark.parametrize("mode", ["pt", "dtp", "shadow", "twin"])
+def test_a_cli_refusal_is_a_parse_refusal(monkeypatch, capsys, mode, clock):
+    ran = []
+
+    def run_scenario(scenario, cfg):
+        ran.append(scenario)
+        return SessionResult(scenario.name, scenario.mode,
+                             scenario.clock.value, scenario.seed)
+
+    monkeypatch.setattr(cli, "run_scenario", run_scenario)
+    flags = [] if clock is None else ["--mode", clock]
+    for path in sorted(BUNDLED_SUITE.glob("*.json")):
+        data = json.loads(path.read_text())
+        data["mode"] = mode
+        if clock is not None:
+            data["clock"] = clock
+        try:
+            want = parse_scenario(data, path=path)
+        except ScenarioError as exc:
+            want = exc
+        code = main([f"run-{mode}", "--scenario", str(path)] + flags)
+        err = capsys.readouterr().err
+        if isinstance(want, ScenarioError):
+            assert (code, err) == (2, f"error: {want}\n"), path.name
+        else:
+            assert (code, err) == (0, ""), path.name
+            assert ran.pop() == want
+    assert ran == []
 
 
 # ---------------------------------------------------------------------------
