@@ -29,7 +29,8 @@ from pathlib import Path
 
 from .config import load_config, load_scenario
 from .errors import ConfigError
-from .harness import record_session, replay_thread, run_scenario, run_suite
+from .harness import (check_run_config, record_session, replay_thread,
+                      run_scenario, run_suite)
 from .runtime import ClockMode
 from .template import validate_manifest
 
@@ -113,8 +114,10 @@ def _cmd_run(args, mode) -> int:
     scenario = load_scenario(args.scenario, _overrides(args, mode))
     cfg = load_config(args.config)
     if args.out is not None:  # a pt or dtp run refuses it: it keeps no thread
-        thread = _out_dir(args.out) / f"{scenario.name}.thread"
+        thread = Path(args.out) / f"{scenario.name}.thread"
         cfg = replace(cfg, thread_file=str(thread))
+        check_run_config(scenario, cfg)  # before --out is created
+        _out_dir(args.out)
     return _emit_result(run_scenario(scenario, cfg), args.json)
 
 

@@ -13,8 +13,11 @@ code 2 so broken inputs are distinguishable from failed runs.
 from __future__ import annotations
 
 import json
+import re
 import threading
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
+from dataclasses import dataclass, field, fields, make_dataclass
+from operator import eq, ge
 from pathlib import Path
 
 from .errors import ConfigError, ScenarioError
@@ -24,6 +27,10 @@ from .statemachine import State
 
 MODES = ("pt", "dtp", "shadow", "twin")
 STEP_ACTIONS = ("command", "inject", "set_model")
+SCENARIO_KEYS = ("name", "mode", "clock", "seed", "duration_ms", "steps",
+                 "measurements", "recording", "expect")
+STEP_KEYS = ("at_ms", "do", "value")
+STATE_NAMES = tuple(s.name for s in State)
 
 # step actions that only make sense when a model exists to edit
 MODEL_ACTIONS = ("inject", "set_model")
@@ -40,15 +47,44 @@ class ScenarioStep:
     value: int
 
 
-@dataclass
-class Expectations:
-    final_status: str | None = None   # counterpart's last reported state
-    model_state: str | None = None
-    converged: bool | None = None
-    uplink_frames: int | None = None
-    min_statuses: int | None = None
-    gate_rejections_min: int | None = None
-    thread_sha256: str | None = None
+# what a value in a scenario file must pass; a refusal gives the reason
+Check = namedtuple("Check", "ok reason")  # reason: formatted with the value
+STATE = Check(STATE_NAMES.__contains__,
+              f"must be one of {STATE_NAMES}: unknown state {{!r}}")
+FLAG = Check(lambda v: isinstance(v, bool), "must be a boolean")
+COUNT = Check(lambda v: _is_int(v) and v >= 0,
+              "must be a non-negative integer")
+DIGEST = Check(lambda v: isinstance(v, str)
+               and re.fullmatch("[0-9a-f]{64}", v),
+               "must be a sha256 hex digest: 64 lowercase hex digits")
+OBSERVED = ("shadow", "twin")  # the shapes that hold a model and a thread
+
+# One row per expectation key, its only declaration: the `SessionResult`
+# field it judges, its value's check, the shapes whose runs produce it, the
+# verdict rule on the finished run, and the poll rule that says whether a
+# running session may stop (None: the row does not wait). A run settles
+# once every row that waits is met.
+Expectation = namedtuple("Expectation", "key result check shapes verdict poll")
+EXPECTATIONS = (
+    Expectation("final_status", "final_status", STATE, MODES, eq, eq),
+    Expectation("model_state", "model_state", STATE, OBSERVED, eq, eq),
+    # a run that must end converged is waited for; one that must not is
+    # only judged at the end
+    Expectation("converged", "converged", FLAG, OBSERVED, eq,
+                lambda got, want: got is True if want else None),
+    # stop once reached; the verdict then wants it exact
+    Expectation("uplink_frames", "dt2pt_frames", COUNT, OBSERVED, eq, ge),
+    Expectation("min_statuses", "statuses_seen", COUNT, MODES, ge, ge),
+    Expectation("gate_rejections_min", "gate_rejected", COUNT, ("twin",),
+                ge, ge),
+    # the digest is only known once the run is over
+    Expectation("thread_sha256", "thread_sha256", DIGEST, OBSERVED, eq,
+                lambda got, want: None),
+)
+Expectations = make_dataclass(  # a scenario's `expect`; None: not set
+    "Expectations",
+    [(row.key, object, field(default=None)) for row in EXPECTATIONS],
+    namespace={"__module__": __name__})
 
 
 @dataclass
@@ -94,12 +130,6 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _state_name(raw, where):
-    names = tuple(s.name for s in State)
-    _require(raw in names, f"{where}: unknown state {raw!r}, want one of {names}")
-    return raw
-
-
 def parse_scenario(data, path=None) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError("scenario root must be an object")
@@ -123,6 +153,8 @@ def parse_scenario(data, path=None) -> Scenario:
     for i, raw in enumerate(data.get("steps", [])):
         where = f"{name}: steps[{i}]"
         _require(isinstance(raw, dict), f"{where} must be an object")
+        extra = set(raw) - set(STEP_KEYS)
+        _require(not extra, f"{where}: unknown step keys {sorted(extra)}")
         t = raw.get("at_ms")
         _require(_is_int(t) and t >= 0, f"{where}: bad at_ms {t!r}")
         _require(t >= last_t, f"{where}: at_ms {t} goes backwards")
@@ -155,38 +187,32 @@ def parse_scenario(data, path=None) -> Scenario:
         _require(_is_int(v), f"{where}: bad value {v!r}")
         measurements.append((t, v))
 
-    recording = data.get("recording")
-    if mode == "dtp":
-        _require(isinstance(recording, str) and recording,
-                 f"{name}: dtp mode needs a recording path")
-
     raw_exp = data.get("expect", {})
     _require(isinstance(raw_exp, dict), f"{name}: expect must be an object")
-    exp = Expectations()
-    for key in ("final_status", "model_state"):
-        if raw_exp.get(key) is not None:
-            setattr(exp, key, _state_name(raw_exp[key], f"{name}: expect.{key}"))
-    if raw_exp.get("converged") is not None:
-        _require(isinstance(raw_exp["converged"], bool),
-                 f"{name}: expect.converged must be a boolean")
-        exp.converged = raw_exp["converged"]
-    for key in ("uplink_frames", "min_statuses", "gate_rejections_min"):
-        if raw_exp.get(key) is not None:
-            _require(_is_int(raw_exp[key]) and raw_exp[key] >= 0,
-                     f"{name}: expect.{key} must be a non-negative integer")
-            setattr(exp, key, raw_exp[key])
-    if raw_exp.get("thread_sha256") is not None:
-        h = raw_exp["thread_sha256"]
-        _require(isinstance(h, str) and len(h) == 64,
-                 f"{name}: expect.thread_sha256 must be a sha256 hex digest")
-        exp.thread_sha256 = h
+    extra = set(raw_exp) - {row.key for row in EXPECTATIONS}
+    _require(not extra, f"{name}: unknown expect keys {sorted(extra)}")
+    for row in EXPECTATIONS:
+        want, where = raw_exp.get(row.key), f"{name}: expect.{row.key}"
+        _require(want is None or mode in row.shapes, f"{where} needs a "
+                 f"{' or '.join(row.shapes)} run, not a {mode} run")
+        _require(want is None or row.check.ok(want),
+                 f"{where} {row.check.reason.format(want)}")
+    exp = Expectations(**raw_exp)
     if exp.thread_sha256 is not None:
         _require(clock is ClockMode.LOCKSTEP,
                  f"{name}: thread hashes are only stable under the lockstep clock")
 
-    known = {"name", "mode", "clock", "seed", "duration_ms", "steps",
-             "measurements", "recording", "expect"}
-    extra = set(data) - known
+    recording = data.get("recording")
+    if mode == "dtp":
+        _require(isinstance(recording, str) and recording,
+                 f"{name}: dtp mode needs a recording path")
+    elif recording is not None:
+        _require(mode != "pt", f"{name}: a pt run drives the real plant and "
+                               f"plays no recording; a recorded plant is dtp")
+        _require(isinstance(recording, str) and recording,
+                 f"{name}: recording must be a non-empty path string")
+
+    extra = set(data) - set(SCENARIO_KEYS)
     _require(not extra, f"{name}: unknown scenario keys {sorted(extra)}")
 
     return Scenario(name=name, mode=mode, clock=clock, seed=seed,

@@ -30,12 +30,11 @@ import subprocess
 import sys
 import threading
 import time
-from collections import namedtuple
 from dataclasses import dataclass, field, replace
-from operator import eq, ge
 from pathlib import Path
 
-from .config import Expectations, RunConfig, Scenario, load_scenario
+from .config import (EXPECTATIONS, Expectations, RunConfig, Scenario,
+                     load_scenario)
 from .control import PlantAssembly, SensorBacking, assemble_plant
 from .errors import (CodecError, ConfigError, ConnectionClosed, KernelHalted,
                      RecordingMissing, ThreadLogError)
@@ -95,33 +94,10 @@ class SessionResult(_Verdict):
                 f"({self.elapsed_s:.2f}s)")
 
 
-def _when_true(got, want):
-    # a run that must end converged is waited for; one that must not is
-    # only judged at the end
-    return got is True if want else None
-
-
-# One row per `Expectations` field: the `SessionResult` field it judges, the
-# verdict rule that passes or fails the finished run, and the poll rule that
-# says whether a running session may stop: True or False, or None when the
-# row does not wait. A run settles once every row that waits is met.
-Expectation = namedtuple("Expectation", "field result verdict poll")
-EXPECTATIONS = (
-    Expectation("final_status", "final_status", eq, eq),
-    Expectation("model_state", "model_state", eq, eq),
-    Expectation("converged", "converged", eq, _when_true),
-    Expectation("uplink_frames", "dt2pt_frames", eq, ge),  # stop once reached
-    Expectation("min_statuses", "statuses_seen", ge, ge),
-    Expectation("gate_rejections_min", "gate_rejected", ge, ge),
-    # the digest is only known once the run is over
-    Expectation("thread_sha256", "thread_sha256", eq, lambda got, want: None),
-)
-
-
 def _expected(expect: Expectations, result: SessionResult):
-    """(row, got, want) for every expectation the scenario sets."""
+    """(row, got, want) for every row of `EXPECTATIONS` the scenario sets."""
     for row in EXPECTATIONS:
-        want = getattr(expect, row.field)
+        want = getattr(expect, row.key)
         if want is not None:
             yield row, getattr(result, row.result), want
 
@@ -137,7 +113,7 @@ def expectations_settled(expect: Expectations, result: SessionResult) -> bool:
 def _check_expectations(expect: Expectations, result: SessionResult):
     for row, got, want in _expected(expect, result):
         if not row.verdict(got, want):
-            result.fail(f"{row.field.replace('_', ' ')} {got}, want {want}")
+            result.fail(f"{row.key.replace('_', ' ')} {got}, want {want}")
 
 
 def thread_digest(records) -> str:
@@ -166,7 +142,7 @@ class _Wiring:
     measured: int = 0  # measurements seen (pt/dtp)
 
 
-def _refuse_config(scenario: Scenario, cfg: RunConfig):
+def check_run_config(scenario: Scenario, cfg: RunConfig):
     """Raise ConfigError if `cfg` cannot run `scenario`; touches nothing."""
     if cfg.thread_file and scenario.mode not in ("shadow", "twin"):
         # the operator holds both links of a pt or dtp run: nothing taps
@@ -192,7 +168,7 @@ def _open_thread_log(scenario: Scenario, cfg: RunConfig):
 
 def run_scenario(scenario: Scenario, config: RunConfig | None = None) -> SessionResult:
     cfg = config if config is not None else RunConfig()
-    _refuse_config(scenario, cfg)
+    check_run_config(scenario, cfg)
     log = _open_thread_log(scenario, cfg)  # before any task or child starts
     result = SessionResult(scenario.name, scenario.mode, scenario.clock.value,
                            scenario.seed)
@@ -284,8 +260,8 @@ def _wire(rt, scenario: Scenario, cfg: RunConfig,
 
 def _recording_path(scenario: Scenario):
     # a recording means the plant runs on the emulator, whatever is attached
-    # above it; dtp is just the bare-operator case of that
-    if scenario.mode == "dtp" or scenario.recording:
+    # above it; dtp is just the bare-operator case of that (pt takes none)
+    if scenario.recording:
         return str(scenario.resolve(scenario.recording))
     return None
 
@@ -479,7 +455,9 @@ def record_session(scenario: Scenario, config: RunConfig | None = None, *,
     A recording is a thread file, which loads straight back as emulator
     recordings: capture once against the real sensor, replay forever. A pt
     scenario runs as a shadow. A config that names its own thread file
-    keeps it, and the file is copied to `record_path` afterwards.
+    keeps it, and the file is copied to `record_path` afterwards; the
+    record path is opened before the run, so one that cannot be written is
+    refused with nothing run.
     """
     for step in scenario.steps:
         if step.action != "command":
@@ -490,11 +468,24 @@ def record_session(scenario: Scenario, config: RunConfig | None = None, *,
     lifted = replace(scenario, mode="shadow") if scenario.mode == "pt" \
         else scenario
     cfg = config if config is not None else RunConfig()
-    if not cfg.thread_file:
+    if not cfg.thread_file or \
+            Path(cfg.thread_file).resolve() == Path(record_path).resolve():
         return run_scenario(lifted, replace(cfg, thread_file=str(record_path)))
-    result = run_scenario(lifted, cfg)
-    if Path(cfg.thread_file).resolve() != Path(record_path).resolve():
-        shutil.copyfile(cfg.thread_file, record_path)
+    made = not Path(record_path).exists()
+    try:
+        out = open(record_path, "wb")
+    except OSError as exc:
+        raise ConfigError(f"cannot write record file {record_path}: "
+                          f"{exc.strerror}") from None
+    with out:
+        try:
+            result = run_scenario(lifted, cfg)
+        except ConfigError:  # refused before it ran: leave no recording
+            if made:
+                Path(record_path).unlink()
+            raise
+        with open(cfg.thread_file, "rb") as thread:
+            shutil.copyfileobj(thread, out)
     return result
 
 
@@ -691,7 +682,9 @@ def run_suite(suite_dir, config: RunConfig | None = None,
     logical clock no matter what the file says, so the whole suite is
     deterministic and fast. Every case is loaded and checked against
     `config` before the first one runs, so a suite the config cannot run
-    is refused with nothing run and no thread file written.
+    is refused with nothing run and no thread file written. So is a
+    `thread_file` on a suite of more than one case: every case would
+    overwrite the one file, which would keep only the last.
     """
     paths = sorted(Path(suite_dir).glob("*.json"))
     if not paths:
@@ -701,6 +694,9 @@ def run_suite(suite_dir, config: RunConfig | None = None,
     overrides = {"clock": ClockMode.LOCKSTEP.value} if force_lockstep else None
     for p in paths:
         scenario = load_scenario(p, overrides)
-        _refuse_config(scenario, cfg)
+        check_run_config(scenario, cfg)
         scenarios.append(scenario)
+    if cfg.thread_file and len(scenarios) > 1:
+        raise ConfigError(f"thread_file names one file for {len(scenarios)} "
+                          f"cases, and each case would overwrite the last")
     return [run_scenario(scenario, cfg) for scenario in scenarios]

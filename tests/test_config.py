@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from twinproto.config import (
+    EXPECTATIONS,
     MODES,
     WAIT_MAX_S,
     RunConfig,
@@ -66,6 +67,10 @@ def test_clock_defaults_to_wall():
     ({"duration_ms": 0}, "duration_ms"),
     ({"duration_ms": 50}, "ends before"),
     ({"extra_knob": 1}, "unknown scenario keys"),
+    ({"steps": [{"at_ms": 0, "do": "command", "value": 50, "vaule": 7}]},
+     "unknown step keys"),
+    ({"expect": {"final_stauts": "STANDBY", "min_statuses": 4}},
+     "unknown expect keys"),
 ])
 def test_parse_rejects_bad_top_level(mutate, needle):
     with pytest.raises(ScenarioError) as err:
@@ -128,9 +133,21 @@ def test_thread_hash_only_with_lockstep():
     data = base(clock="wall", expect={"thread_sha256": "a" * 64})
     with pytest.raises(ScenarioError, match="lockstep"):
         parse_scenario(data)
-    data = base(expect={"thread_sha256": "zz"})
-    with pytest.raises(ScenarioError, match="sha256"):
+    for digest in ("zz", "Z" * 64, "A" * 64, "a" * 63 + "\n"):
+        data = base(expect={"thread_sha256": digest})
+        with pytest.raises(ScenarioError, match="sha256"):
+            parse_scenario(data)
+
+
+def test_pt_plays_no_recording_and_a_recording_is_a_path():
+    # a recorded plant is dtp: pt names the real one
+    data = base(mode="pt", steps=[], recording="sessions/a.rec")
+    with pytest.raises(ScenarioError, match="pt run .* recorded plant is dtp"):
         parse_scenario(data)
+    for mode in ("shadow", "twin"):
+        data = base(mode=mode, steps=[], recording=5)
+        with pytest.raises(ScenarioError, match="recording must be a"):
+            parse_scenario(data)
 
 
 def test_resolve_is_relative_to_scenario_file(tmp_path):
@@ -209,9 +226,26 @@ STEP_VALUES = {
 }
 
 
+# each expectation key: the shapes whose runs produce it, and the values
+# its check passes
+OBSERVED = ("shadow", "twin")
+EXPECT = {
+    "final_status": (MODES, STATE_NAMES),
+    "model_state": (OBSERVED, STATE_NAMES),
+    "converged": (OBSERVED, st.booleans()),
+    "uplink_frames": (OBSERVED, NATURALS),
+    "min_statuses": (MODES, NATURALS),
+    "gate_rejections_min": (("twin",), NATURALS),
+    "thread_sha256": (OBSERVED, st.text("0123456789abcdef", min_size=64,
+                                        max_size=64)),
+}
+
+
 @st.composite
 def scenarios(draw):
-    """A scenario dict that `parse_scenario` must accept."""
+    """A scenario dict that `parse_scenario` must accept: a recording only
+    where the shape plays one, and an expectation only where the shape
+    produces it (a digest only under lockstep)."""
     mode = draw(st.sampled_from(MODES))
     clock = draw(st.sampled_from([c.value for c in ClockMode]))
     actions = list(STEP_VALUES) if mode == "twin" else ["command"]
@@ -231,20 +265,13 @@ def scenarios(draw):
         "measurements": draw(st.lists(st.tuples(NATURALS, INTS).map(list),
                                       max_size=6)),
     }
-    if mode == "dtp" or draw(st.booleans()):
+    if mode == "dtp" or (mode != "pt" and draw(st.booleans())):
         data["recording"] = draw(st.text(min_size=1, max_size=8))
     expect = {}
-    for key in ("final_status", "model_state"):
-        if draw(st.booleans()):
-            expect[key] = draw(STATE_NAMES)
-    if draw(st.booleans()):
-        expect["converged"] = draw(st.booleans())
-    for key in ("uplink_frames", "min_statuses", "gate_rejections_min"):
-        if draw(st.booleans()):
-            expect[key] = draw(NATURALS)
-    if clock == "lockstep" and draw(st.booleans()):
-        expect["thread_sha256"] = draw(st.text("0123456789abcdef",
-                                               min_size=64, max_size=64))
+    for key, (shapes, values) in EXPECT.items():
+        if (mode in shapes and (key != "thread_sha256" or clock == "lockstep")
+                and draw(st.booleans())):
+            expect[key] = draw(values)
     data["expect"] = expect
     return data
 
@@ -288,6 +315,33 @@ def test_a_boolean_in_any_integer_field_of_a_scenario_is_rejected(data, pick):
     node[path[-1]] = pick.draw(st.booleans())
     with pytest.raises(ScenarioError, match=needle.replace("[", r"\[")):
         parse_scenario(data)
+
+
+@given(st.sampled_from(MODES), st.sampled_from(sorted(EXPECT)), st.data())
+def test_an_expectation_parses_iff_the_shape_produces_it(mode, key, pick):
+    shapes, values = EXPECT[key]
+    data = base(mode=mode, steps=[], expect={key: pick.draw(values)})
+    if mode == "dtp":
+        data["recording"] = "a.rec"
+    if mode in shapes:
+        assert getattr(parse_scenario(data).expect, key) == \
+            data["expect"][key]
+    else:
+        with pytest.raises(ScenarioError, match=f"expect.{key} needs a .* "
+                                                f"run, not a {mode} run"):
+            parse_scenario(data)
+
+
+@given(scenarios(), st.text(max_size=12).filter(lambda k: k not in EXPECT),
+       st.none() | INTS)
+def test_an_expect_key_outside_the_table_is_refused(data, key, value):
+    data["expect"][key] = value
+    with pytest.raises(ScenarioError, match="unknown expect keys"):
+        parse_scenario(data)
+
+
+def test_the_expectation_table_declares_the_keys_above():
+    assert sorted(row.key for row in EXPECTATIONS) == sorted(EXPECT)
 
 
 POSITIVE = st.integers(1, 2 ** 40)

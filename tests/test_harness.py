@@ -12,11 +12,11 @@ import pytest
 from twinproto import harness
 from twinproto.bus import EventBus
 from twinproto.cli import BUNDLED_SUITE, main
-from twinproto.config import Expectations, RunConfig, parse_scenario
+from twinproto.config import (EXPECTATIONS, Expectations, RunConfig,
+                              parse_scenario)
 from twinproto.errors import ConfigError
 from twinproto.mapek import ExecuteGate
 from twinproto.harness import (
-    EXPECTATIONS,
     SessionResult,
     expectations_settled,
     record_session,
@@ -403,7 +403,7 @@ def test_expectation_mismatch_fails_the_run():
 
 
 def test_every_expectation_field_has_exactly_one_table_row():
-    rows = sorted(row.field for row in EXPECTATIONS)
+    rows = sorted(row.key for row in EXPECTATIONS)
     assert rows == sorted(f.name for f in dataclasses.fields(Expectations))
     result_fields = {f.name for f in dataclasses.fields(SessionResult)}
     assert all(row.result in result_fields for row in EXPECTATIONS)
@@ -533,10 +533,11 @@ def test_thread_file_needs_a_shadow_or_twin_run(tmp_path, mode):
     assert record_session(scenario(mode="pt"),
                           record_path=tmp_path / "mission.rec").ok
     out = tmp_path / "out.thread"
+    recording = {"recording": "mission.rec"} if mode == "dtp" else {}
     with pytest.raises(ConfigError, match="thread_file needs a shadow or "
                                           f"twin run; a {mode} run"):
-        run_scenario(scenario(mode=mode, recording="mission.rec",
-                              path=tmp_path / "case.json"),
+        run_scenario(scenario(mode=mode, path=tmp_path / "case.json",
+                              **recording),
                      RunConfig(thread_file=str(out)))
     assert not out.exists()
 

@@ -170,12 +170,116 @@ def test_cli_an_out_that_cannot_be_created_is_exit_2(tmp_path, capsys, verb):
 @pytest.mark.parametrize("verb", ["run-pt", "run-dtp"])
 def test_cli_out_on_a_run_that_keeps_no_thread_is_exit_2(tmp_path, capsys,
                                                          verb):
+    # a scenario both shapes accept; the run-config check refuses --out
+    # before the directory is made
+    data = {"name": "mission", "mode": verb[4:], "clock": "lockstep",
+            "duration_ms": 100, "expect": {"final_status": "STANDBY"}}
+    if verb == "run-dtp":
+        data["recording"] = str(MISSION_REC)
+    sc = tmp_path / "mission.json"
+    sc.write_text(json.dumps(data))
     out = tmp_path / "out"
-    assert main([verb, "--scenario", str(BUNDLED_SUITE / "01-mission-twin-"
-                                         "emulated.json"),
-                 "--out", str(out)]) == 2
+    assert main([verb, "--scenario", str(sc), "--out", str(out)]) == 2
     assert "keeps no thread" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+def test_cli_record_to_a_path_that_cannot_be_written_is_exit_2(tmp_path,
+                                                               capsys):
+    # the config keeps its own thread file, which used to be copied to the
+    # record path only after the whole session
+    out = tmp_path / "rec"
+    (out / "02-mission-pt.rec").mkdir(parents=True)
+    thread = tmp_path / "run.thread"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"thread_file": str(thread)}))
+    assert main(["record", "--scenario", str(BUNDLED_SUITE / "02-mission-"
+                                             "pt.json"),
+                 "--out", str(out), "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot write record file {out / '02-mission-pt.rec'}: ")
+    assert not thread.exists()
+
+
+def test_cli_record_whose_thread_file_is_refused_leaves_no_recording(
+        tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"thread_file": str(tmp_path / "missing" /
+                                                  "run.thread")}))
+    assert main(["record", "--scenario", str(BUNDLED_SUITE / "02-mission-"
+                                             "pt.json"),
+                 "--out", str(tmp_path), "--config", str(cfg)]) == 2
+    assert "cannot write thread_file" in capsys.readouterr().err
+    assert not (tmp_path / "02-mission-pt.rec").exists()
+
+
+# ---------------------------------------------------------------------------
+# the command line: a scenario or suite a run cannot honour is refused
+# before any session runs
+# ---------------------------------------------------------------------------
+
+def set_key(key, value):
+    return lambda data: data.__setitem__(key, value)
+
+
+# verb, bundled case, edit, what the refusal names
+REFUSED = {
+    "a-misspelled-expect-key": (
+        "run-pt", "02-mission-pt.json",
+        set_key("expect", {"final_stauts": "STANDBY", "min_statuses": 4}),
+        "unknown expect keys ['final_stauts']"),
+    "a-key-the-shape-cannot-produce": (
+        "run-pt", "01-mission-twin-emulated.json", lambda data: None,
+        "expect.model_state needs a shadow or twin run, not a pt run"),
+    "a-digest-that-is-not-lowercase-hex": (
+        "run-twin", "05-twin-inject.json",
+        lambda data: data["expect"].update(thread_sha256="Z" * 64),
+        "expect.thread_sha256 must be a sha256 hex digest"),
+    "a-pt-with-a-recording": (
+        "run-pt", "02-mission-pt.json",
+        set_key("recording", "recordings/mission.rec"),
+        "a recorded plant is dtp"),
+    "an-unknown-step-key": (
+        "run-pt", "02-mission-pt.json",
+        lambda data: data["steps"][0].update(vaule=7),
+        "steps[0]: unknown step keys ['vaule']"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_cli_a_scenario_the_run_cannot_honour_is_exit_2(
+        tmp_path, capsys, monkeypatch, case):
+    verb, name, edit, needle = REFUSED[case]
+    monkeypatch.setattr(cli, "run_scenario", lambda *args: pytest.fail(
+        "a session ran"))
+    data = json.loads((BUNDLED_SUITE / name).read_text())
+    edit(data)
+    sc = tmp_path / name
+    sc.write_text(json.dumps(data))
+    assert main([verb, "--scenario", str(sc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err
+    assert list(tmp_path.iterdir()) == [sc]
+
+
+def test_cli_ci_test_refuses_one_thread_file_for_several_cases(tmp_path,
+                                                               capsys):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    for name in ("05-twin-inject.json", "06-twin-gate-reject.json"):
+        (suite / name).write_bytes((BUNDLED_SUITE / name).read_bytes())
+    thread = tmp_path / "run.thread"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"thread_file": str(thread)}))
+    assert main(["ci-test", str(suite), "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: thread_file names one file for "
+                                   "2 cases")
+    assert not thread.exists()
+    (suite / "06-twin-gate-reject.json").unlink()  # one case keeps it
+    assert main(["ci-test", str(suite), "--config", str(cfg)]) == 0
+    assert thread.exists()
 
 
 # ---------------------------------------------------------------------------
