@@ -29,8 +29,8 @@ from pathlib import Path
 
 from .config import load_config, load_scenario
 from .errors import ConfigError
-from .harness import (check_run_config, record_session, replay_thread,
-                      run_scenario, run_suite)
+from .harness import (check_recordable, check_run_config, record_session,
+                      replay_thread, run_scenario, run_suite)
 from .runtime import ClockMode
 from .template import validate_manifest
 
@@ -124,6 +124,7 @@ def _cmd_run(args, mode) -> int:
 def _cmd_record(args) -> int:
     scenario = load_scenario(args.scenario, _overrides(args))
     cfg = load_config(args.config)
+    check_recordable(scenario, cfg)  # before --out is created
     record_path = _out_dir(args.out or ".") / f"{scenario.name}.rec"
     result = record_session(scenario, cfg, record_path=record_path)
     if result.ok:

@@ -264,10 +264,12 @@ def load_config(path=None) -> RunConfig:
             raise ConfigError(f"config.run_timeout_s must be positive and "
                               f"finite, at most {WAIT_MAX_S:.0f}")
         cfg.run_timeout_s = float(timeout)
-    if data.get("thread_file") is not None:
-        if not isinstance(data["thread_file"], str):
-            raise ConfigError("config.thread_file must be a path string")
-        cfg.thread_file = data["thread_file"]
+    thread_file = data.get("thread_file")
+    if thread_file is not None:
+        if not isinstance(thread_file, str) or not thread_file:
+            raise ConfigError("config.thread_file must be a non-empty path "
+                              "string")
+        cfg.thread_file = thread_file
     if "isolate" in data:
         if not isinstance(data["isolate"], bool):
             raise ConfigError("config.isolate must be a boolean")

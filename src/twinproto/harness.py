@@ -33,13 +33,15 @@ import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .config import (EXPECTATIONS, Expectations, RunConfig, Scenario,
-                     load_scenario)
+from .config import (EXPECTATIONS, OBSERVED, Expectations, RunConfig,
+                     Scenario, load_scenario)
 from .control import PlantAssembly, SensorBacking, assemble_plant
-from .errors import (CodecError, ConfigError, ConnectionClosed, KernelHalted,
+from .devices import DeviceDriver
+from .errors import (ConfigError, ConnectionClosed, KernelHalted,
                      RecordingMissing, ThreadLogError)
-from .mapek import DigitalTwin, assemble_shadow, assemble_twin
-from .messages import MessageKind, command, encode_message, decode_message, status
+from .mapek import (DigitalTwin, MonitorStats, assemble_shadow, assemble_twin,
+                    monitor)
+from .messages import command, encode_message, status
 from .runtime import ClockMode, make_runtime
 from .statemachine import STATE_OF_CODE, State
 from .thread_log import (
@@ -138,13 +140,14 @@ class _Wiring:
     log: ThreadLog | None = None
     twin: DigitalTwin | None = None
     plant: PlantAssembly | None = None
-    observed: list = field(default_factory=list)  # statuses seen (pt/dtp)
-    measured: int = 0  # measurements seen (pt/dtp)
+    # a pt or dtp run's watch: what it counted, and the last status
+    watch_stats: MonitorStats = field(default_factory=MonitorStats)
+    last_status: State | None = None
 
 
 def check_run_config(scenario: Scenario, cfg: RunConfig):
     """Raise ConfigError if `cfg` cannot run `scenario`; touches nothing."""
-    if cfg.thread_file and scenario.mode not in ("shadow", "twin"):
+    if cfg.thread_file and scenario.mode not in OBSERVED:
         # the operator holds both links of a pt or dtp run: nothing taps
         # them, so there is no thread to write
         raise ConfigError(f"thread_file needs a shadow or twin run; a "
@@ -157,7 +160,7 @@ def check_run_config(scenario: Scenario, cfg: RunConfig):
 def _open_thread_log(scenario: Scenario, cfg: RunConfig):
     """A shadow or twin run's ThreadLog, else None. Raises ConfigError
     naming `cfg.thread_file` if that file cannot be written."""
-    if scenario.mode not in ("shadow", "twin"):
+    if scenario.mode not in OBSERVED:
         return None
     try:
         return ThreadLog(path=cfg.thread_file)
@@ -280,20 +283,15 @@ def _drive(rt, scenario: Scenario, cfg: RunConfig, wiring: _Wiring,
     """Run the operator's script to the end or to settling, then tear down."""
     twin = wiring.twin
 
-    def watch_up():
-        while True:
-            payload = wiring.up.read_frame()
-            try:
-                msg = decode_message(payload)
-            except CodecError:
-                continue
-            if msg.kind is MessageKind.STATUS:
-                wiring.observed.append(State(msg.value))
-            elif msg.kind is MessageKind.MEASUREMENT:
-                wiring.measured += 1
+    def watched(msg, payload):
+        obs = monitor(wiring.watch_stats, msg)
+        if obs is not None:
+            wiring.last_status = obs
 
     if twin is None:  # pt/dtp: the operator holds the plant's uplink
-        rt.spawn(watch_up, name="op:watch")
+        watch = DeviceDriver(wiring.up, command_set=frozenset(),
+                             name="op-watch")
+        rt.spawn(watch.receive(watched), name="op:watch")
 
     def apply_step(step):
         if step.action == "command":
@@ -396,19 +394,16 @@ def _collect(wiring: _Wiring, result: SessionResult):
     records: every read is a field or a lock-guarded counter.
     """
     twin = wiring.twin
+    stats, final = wiring.watch_stats, wiring.last_status
     if twin is not None:
-        final = twin.keeper.last_observed
+        stats, final = twin.monitor_stats, twin.keeper.last_observed
         result.model_state = twin.model_state().name
         result.converged = twin.converged
-        result.statuses_seen = twin.monitor_stats.statuses
-        result.measurements_seen = twin.monitor_stats.measurements
         if twin.gate is not None:
             result.gate_committed = twin.gate.committed
             result.gate_rejected = twin.gate.rejected
-    else:
-        final = wiring.observed[-1] if wiring.observed else None
-        result.statuses_seen = len(wiring.observed)
-        result.measurements_seen = wiring.measured
+    result.statuses_seen = stats.statuses
+    result.measurements_seen = stats.measurements
     result.final_status = final.name if final is not None else None
     if wiring.log is not None:
         counts = wiring.log.frame_counts()
@@ -448,6 +443,21 @@ def _check_thread_invariants(mode, twin, result):
                         f"uplink frames recorded, driver sent {sent}")
 
 
+def check_recordable(scenario: Scenario, cfg: RunConfig) -> Scenario:
+    """Raise ConfigError if `record` cannot run `scenario` under `cfg`;
+    touches nothing. Returns the scenario it runs: a pt one as a shadow."""
+    for step in scenario.steps:
+        if step.action != "command":
+            raise ConfigError("recording scenarios may only use command steps")
+    if _recording_path(scenario) is not None:
+        raise ConfigError("record needs a real-backed run; this scenario "
+                          "plays a recording")
+    lifted = replace(scenario, mode="shadow") if scenario.mode == "pt" \
+        else scenario
+    check_run_config(lifted, cfg)
+    return lifted
+
+
 def record_session(scenario: Scenario, config: RunConfig | None = None, *,
                    record_path) -> SessionResult:
     """Run a real-backed observing session with its thread at `record_path`.
@@ -459,15 +469,8 @@ def record_session(scenario: Scenario, config: RunConfig | None = None, *,
     record path is opened before the run, so one that cannot be written is
     refused with nothing run.
     """
-    for step in scenario.steps:
-        if step.action != "command":
-            raise ConfigError("recording scenarios may only use command steps")
-    if _recording_path(scenario) is not None:
-        raise ConfigError("record needs a real-backed run; this scenario "
-                          "plays a recording")
-    lifted = replace(scenario, mode="shadow") if scenario.mode == "pt" \
-        else scenario
     cfg = config if config is not None else RunConfig()
+    lifted = check_recordable(scenario, cfg)
     if not cfg.thread_file or \
             Path(cfg.thread_file).resolve() == Path(record_path).resolve():
         return run_scenario(lifted, replace(cfg, thread_file=str(record_path)))
@@ -636,10 +639,6 @@ def replay_thread(path, clock: ClockMode = ClockMode.LOCKSTEP, seed: int = 0,
     stats = shadow.monitor_stats
     driver = shadow.ingest_driver.stats
 
-    def consumed():  # a frame that does not decode is skipped by the driver
-        return (stats.statuses + stats.measurements + stats.strays
-                + driver.skipped_in)
-
     def feeder():  # the shadow drains the closed link, then its loop ends
         t0 = rt.now_ns()
         due = 0  # recorded time since the first frame, gaps capped at 1 s
@@ -662,8 +661,9 @@ def replay_thread(path, clock: ClockMode = ClockMode.LOCKSTEP, seed: int = 0,
     result.measurements_seen = stats.measurements
     result.final_state = shadow.model_state().name
     result.trajectory = [s.name for _, s in shadow.keeper.trajectory]
-    if consumed() != len(frames):
-        result.fail(f"consumed {consumed()} of {len(frames)} frames")
+    consumed = driver.relayed_in + driver.skipped_in
+    if consumed != len(frames):
+        result.fail(f"consumed {consumed} of {len(frames)} frames")
     want_walk = [s.name for s in reference_trajectory(records)]
     if result.trajectory != want_walk:
         result.fail(f"trajectory {result.trajectory} != record walk {want_walk}")

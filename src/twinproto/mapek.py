@@ -13,7 +13,7 @@ receive loop and the poll are generator tasks), and the plain calls
 driver. A measurement, or a status in a shadow, takes no token, so `ingest`
 returns None for it.
 
-    monitor   classify an ingested frame: status observation / measurement
+    monitor   classify a frame from the counterpart: status / measurement
     analyze   compare an observation (ingested or re-checked) with the model
     plan      derive a corrective command on divergence
     execute   simulation gate, then the command encoded and handed to the
@@ -65,7 +65,7 @@ from .runtime import drive
 from .statemachine import (STATE_OF_CODE, State, TwinState, process_event,
                            transition)
 
-# read once a frame by `ingest` (see messages._STATUS)
+# read once a frame by `monitor` (see messages._STATUS)
 _MEASUREMENT, _STATUS = MessageKind.MEASUREMENT, MessageKind.STATUS
 
 # corrective command toward ACTIVE uses this sampling period
@@ -97,6 +97,20 @@ class MonitorStats:
     statuses: int = 0
     measurements: int = 0
     strays: int = 0  # inbound frames that make no sense from a counterpart
+
+
+def monitor(stats: MonitorStats, msg: Message) -> State | None:
+    """Monitor: count one frame from the counterpart into `stats`; returns
+    a status's State, else None. Every shape's observer calls this."""
+    kind = msg.kind
+    if kind is _MEASUREMENT:
+        stats.measurements += 1
+        return None
+    if kind is not _STATUS:
+        stats.strays += 1  # commands never arrive from the counterpart
+        return None
+    stats.statuses += 1
+    return STATE_OF_CODE[msg.value]
 
 
 @dataclass
@@ -251,20 +265,13 @@ class DigitalTwin:
         return self.keeper.snapshot().current
 
     def ingest(self, msg: Message, payload: bytes):
-        """Monitor: classify one frame from the counterpart; a status goes
-        on to analysis. Returns None, or in a twin the generator that
-        analyzes onward, for the caller to run. The bytes are not needed:
-        the tap has recorded them."""
-        stats = self.monitor_stats
-        kind = msg.kind
-        if kind is _MEASUREMENT:
-            stats.measurements += 1
+        """Monitor one frame from the counterpart; a status goes on to
+        analysis. Returns None, or in a twin the generator that analyzes
+        onward, for the caller to run. The bytes are not needed: the tap
+        has recorded them."""
+        obs = monitor(self.monitor_stats, msg)
+        if obs is None:
             return None
-        if kind is not _STATUS:
-            stats.strays += 1  # commands never arrive from the counterpart
-            return None
-        stats.statuses += 1
-        obs = STATE_OF_CODE[msg.value]
         self.keeper.note_observation(obs)
         return self._analyze(obs)
 

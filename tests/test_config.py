@@ -190,6 +190,7 @@ def test_load_config_defaults_and_overrides(tmp_path):
     ({"mystery": 1}, "unknown config keys"),
     ({"run_timeout_s": float("nan")}, "finite"),
     ({"run_timeout_s": float("inf")}, "finite"),
+    ({"thread_file": ""}, "config.thread_file"),
 ])
 def test_load_config_rejects_bad_values(tmp_path, payload, needle):
     p = tmp_path / "cfg.json"
@@ -356,7 +357,7 @@ def configs(draw):
         # a longer wait than `threading` accepts is refused
         "run_timeout_s": st.integers(1, int(WAIT_MAX_S))
                          | st.floats(min_value=1e-3, max_value=WAIT_MAX_S),
-        "thread_file": st.none() | st.text(max_size=8),
+        "thread_file": st.none() | st.text(min_size=1, max_size=8),
         "isolate": st.booleans(),
     }
     keys = draw(st.lists(st.sampled_from(sorted(values)), unique=True))

@@ -184,6 +184,22 @@ def test_cli_out_on_a_run_that_keeps_no_thread_is_exit_2(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case,config,needle", [
+    ("01-mission-twin-emulated.json", {}, "needs a real-backed run"),
+    ("05-twin-inject.json", {}, "only use command steps"),
+    ("02-mission-pt.json", {"isolate": True}, "need the wall clock"),
+])
+def test_cli_record_refuses_a_scenario_before_out_is_created(
+        tmp_path, capsys, case, config, needle):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["record", "--scenario", str(BUNDLED_SUITE / case),
+                 "--out", str(out), "--config", str(cfg)]) == 2
+    assert needle in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_record_to_a_path_that_cannot_be_written_is_exit_2(tmp_path,
                                                                capsys):
     # the config keeps its own thread file, which used to be copied to the

@@ -719,3 +719,19 @@ def test_a_lockstep_twin_session_runs_its_link_tasks_without_threads(
     # the operator and the sensor's measurement script; every link task
     # (serve loop, receive loops, ingest, poll) runs as a generator
     assert sorted(started_threads) == ["measurement-script", "op:script"]
+
+
+def test_a_lockstep_pt_session_watches_the_plant_without_a_thread(
+        started_threads):
+    sc = parse_scenario({
+        "name": "threads", "mode": "pt", "clock": "lockstep", "seed": 2,
+        "duration_ms": 300,
+        "steps": [{"at_ms": 0, "do": "command", "value": 50},
+                  {"at_ms": 100, "do": "command", "value": 0}],
+        "measurements": [[t, t] for t in range(0, 100, 5)],
+        "expect": {"final_status": "STANDBY", "min_statuses": 3}})
+    result = harness.run_scenario(sc)
+    assert result.ok, result.failures
+    assert result.measurements_seen > 0
+    # the operator's watch is a driver's receive loop, a generator task
+    assert sorted(started_threads) == ["measurement-script", "op:script"]
