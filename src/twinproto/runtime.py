@@ -55,8 +55,9 @@ say) drives the same generator body.
 Two implementations exist:
 
 * WallRuntime: every task is a daemon thread (a generator task's thread
-  just drives it), channels are condition-variable queues, sleep is real
-  time, now_ns is the monotonic clock. Free-running. A wall channel's wait
+  just drives it), a channel is one lock with a not-empty and a not-full
+  condition over it, where a handoff wakes one waiter; sleep is real time,
+  now_ns is the monotonic clock. Free-running. A wall channel's wait
   halves always return None: the act blocks its own thread and a generator
   never yields.
 
@@ -152,17 +153,22 @@ def drive(body):
 class _WallChannel:
     """Bounded FIFO with close semantics: reads drain, then raise.
 
-    A put or get notifies only when some thread waits on the channel; the
-    count of waiters is kept under the condition's lock, so no wakeup is
-    lost.
+    One lock with two conditions over it, not-empty and not-full. A put
+    wakes one waiting getter and a get wakes one waiting putter, and only
+    when one waits: each side's count of waiters is kept under the lock, so
+    no wakeup is lost (a count left high by an interrupted wait costs only
+    a spare notify). `close` wakes every waiter on both sides.
     """
 
     def __init__(self, capacity):
         self._items = deque()
         self._capacity = capacity
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
+        self._not_empty = threading.Condition(self._lock)
+        self._not_full = threading.Condition(self._lock)
         self._closed = False
-        self._waiting = 0
+        self._getters = 0  # threads waiting in `get`
+        self._putters = 0  # threads waiting in `put`
 
     def wait_put(self):
         return None  # `put` blocks its own thread
@@ -170,41 +176,39 @@ class _WallChannel:
     def wait_get(self):
         return None  # `get` blocks its own thread
 
-    def _wait(self):
-        self._waiting += 1
-        try:
-            self._cond.wait()
-        finally:
-            self._waiting -= 1
-
     def put(self, item):
-        with self._cond:
+        with self._lock:
             while len(self._items) >= self._capacity and not self._closed:
-                self._wait()
+                self._putters += 1
+                self._not_full.wait()
+                self._putters -= 1
             if self._closed:
                 raise ChannelClosed("put on closed channel")
             self._items.append(item)
-            if self._waiting:
-                self._cond.notify_all()
+            if self._getters:
+                self._not_empty.notify()
 
     def get(self):
-        with self._cond:
+        with self._lock:
             while not self._items:
                 if self._closed:
                     raise ChannelClosed("get on closed channel")
-                self._wait()
+                self._getters += 1
+                self._not_empty.wait()
+                self._getters -= 1
             item = self._items.popleft()
-            if self._waiting:
-                self._cond.notify_all()
+            if self._putters:
+                self._not_full.notify()
             return item
 
     def close(self):
-        with self._cond:
+        with self._lock:
             self._closed = True
-            self._cond.notify_all()
+            self._not_empty.notify_all()
+            self._not_full.notify_all()
 
     def __len__(self):
-        with self._cond:
+        with self._lock:
             return len(self._items)
 
 

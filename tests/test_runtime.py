@@ -69,6 +69,95 @@ def test_wall_channel_backpressure_blocks_until_space():
     assert done.wait(1.0)
 
 
+@pytest.mark.parametrize("waiters", [1, 3])
+def test_wall_channel_close_wakes_every_blocked_put_and_get(waiters):
+    rt = WallRuntime()
+    full = rt.channel(capacity=1)
+    full.put("x")
+    empty = rt.channel(capacity=1)
+    closed = []
+
+    def blocked(call):
+        try:
+            call()
+        except ChannelClosed:
+            closed.append(call)
+            raise
+
+    tasks = []
+    for n in range(waiters):
+        tasks.append(rt.spawn(lambda: blocked(lambda: full.put("y")),
+                              name=f"putter-{n}"))
+        tasks.append(rt.spawn(lambda: blocked(empty.get), name=f"getter-{n}"))
+    time.sleep(0.05)
+    assert {t.state for t in tasks} == {"running"}
+    full.close()
+    empty.close()
+    assert rt.run(timeout=2.0) == []
+    assert {t.state for t in tasks} == {"done"}
+    assert len(closed) == 2 * waiters
+    assert rt.task_errors() == []
+
+
+@pytest.mark.parametrize("waiters", [3, 4, 5])
+def test_wall_channel_wakes_every_blocked_getter_one_put_each(waiters):
+    rt = WallRuntime()
+    ch = rt.channel(capacity=waiters)
+    got = []
+    for n in range(waiters):
+        rt.spawn(lambda: got.append(ch.get()), name=f"getter-{n}")
+    time.sleep(0.05)
+    assert got == []
+    for i in range(waiters):
+        ch.put(i)
+    assert rt.run(timeout=2.0) == []  # a lost wakeup leaves a getter parked
+    assert sorted(got) == list(range(waiters))
+
+
+@pytest.mark.parametrize("producers,consumers,capacity", [
+    (1, 1, 1), (1, 3, 1), (4, 1, 1), (4, 3, 1),
+    (2, 2, 2), (3, 1, 2), (1, 2, 2), (4, 2, 2),
+    (1, 1, 3), (2, 3, 3), (3, 2, 3), (4, 3, 3),
+])
+def test_wall_channel_stress_closed_mid_stream(producers, consumers,
+                                               capacity):
+    """Every put that returned is got exactly once, and each consumer sees
+    each producer's items in the order they were put."""
+    rt = WallRuntime()
+    ch = rt.channel(capacity=capacity)
+    put = [[] for _ in range(producers)]  # i of each put that returned
+    got = [[] for _ in range(consumers)]
+
+    def producer(p):
+        for i in itertools.count():
+            ch.put((p, i))
+            put[p].append(i)
+
+    def consumer(c):
+        while True:
+            got[c].append(ch.get())
+
+    switch_s = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the lock too
+    try:
+        for p in range(producers):
+            rt.spawn(lambda p=p: producer(p), name=f"producer-{p}")
+        for c in range(consumers):
+            rt.spawn(lambda c=c: consumer(c), name=f"consumer-{c}")
+        time.sleep(0.05)
+        ch.close()
+        assert rt.run(timeout=5) == []
+    finally:
+        sys.setswitchinterval(switch_s)
+    assert rt.task_errors() == []
+    assert sorted(item for items in got for item in items) == sorted(
+        (p, i) for p in range(producers) for i in put[p])
+    for items in got:
+        for p in range(producers):
+            seen = [i for q, i in items if q == p]
+            assert seen == sorted(set(seen))
+
+
 def test_wall_sleep_interrupted_by_shutdown():
     rt = WallRuntime()
     saw = []
