@@ -170,6 +170,12 @@ class DeviceStats:
     rejected: int = 0
     exhausted: int = 0
 
+    def counts(self):
+        """(commands read, answered, skipped as undecodable or rejected); one
+        the recording could no longer answer is neither."""
+        skipped = self.decode_errors + self.rejected
+        return (self.served + skipped + self.exhausted, self.served, skipped)
+
 
 def serve(device, conn, announce_boot=False, stats=None):
     """Serve loop, a generator body: read frame, decode, execute, write
@@ -252,6 +258,16 @@ class DriverStats:
     relayed_out: int = 0   # forward() -> device
     skipped_in: int = 0    # undecodable frames from the device
     skipped_out: int = 0   # sent messages outside the command set
+
+    def received(self):
+        """(frames read, handed to the receive loop's callable, skipped)."""
+        return (self.relayed_in + self.skipped_in, self.relayed_in,
+                self.skipped_in)
+
+    def forwarded(self):
+        """(frames given to `forward`, written, skipped)."""
+        return (self.relayed_out + self.skipped_out, self.relayed_out,
+                self.skipped_out)
 
 
 class DeviceDriver:

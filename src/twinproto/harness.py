@@ -11,14 +11,24 @@ wiring links between the physical side and the twin side, tapping those
 links into the interchange record, pacing the operator's steps, tearing the
 whole thing down, and reducing the run to a machine-checkable verdict.
 
-Mode map (who hangs off the plant's two external links):
+Mode map (who hangs off the plant's two external links), and the hop
+chains `_wire` builds, each direction's relays in frame order:
 
     pt      real sensor, operator holds both links
     dtp     emulated sensor behind the bridge, operator holds both links
+    (both)  PT2DT sensor-driver, tx-driver, op-watch
+            DT2PT tx-driver, sensor-driver, device
     shadow  ingest link feeds a monitor/analyze deployment; the command
-            link stays with the operator; no uplink object exists
+            link stays with the operator, untapped; no uplink object
+            PT2DT sensor-driver, tx-driver, tap, shadow-ingest
+            DT2PT tx-driver, sensor-driver, device
     twin    ingest link feeds the full engine; the command link IS the
             engine's uplink; the operator talks to the model only
+            PT2DT sensor-driver, tx-driver, tap, twin-ingest
+            DT2PT twin-uplink, tap, tx-driver, sensor-driver, device
+
+Under isolation the plant's hops (sensor-driver, tx-driver, device) run in
+the plant process, and the chains hold only this process's.
 """
 
 from __future__ import annotations
@@ -30,12 +40,14 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .config import (EXPECTATIONS, OBSERVED, Expectations, RunConfig,
                      Scenario, load_scenario)
-from .control import PlantAssembly, SensorBacking, assemble_plant
+from .control import SensorBacking, assemble_plant
 from .devices import DeviceDriver
 from .errors import (ConfigError, ConnectionClosed, KernelHalted,
                      RecordingMissing, ThreadLogError)
@@ -127,10 +139,46 @@ def thread_digest(records) -> str:
     return h.hexdigest()
 
 
+class _Hop(NamedTuple):
+    """One relay on a direction's chain. `counts()` reads what it has taken
+    in, handed on and skipped; `loop` is the driver whose receive loop
+    keeps the link loss that ended it (`closed_by`), if the hop reports
+    one; the last PT2DT hop's `observer` holds what `monitor` made of the
+    frames, as `monitor_stats` and `last_observed`."""
+
+    name: str
+    counts: Callable[[], tuple]
+    loop: DeviceDriver | None = None
+    observer: object = None
+
+
+def _tap(log, direction):
+    """The tap on `direction`: it records each frame it hands on."""
+    def counts():
+        frames = log.frame_counts()[direction]
+        return frames, frames, 0
+    return _Hop("tap", counts)
+
+
+class _Watch:
+    """A pt or dtp run's observer: `op-watch`'s receive loop, which `_drive`
+    starts, hands it each frame for `monitor` to count."""
+
+    def __init__(self, conn):
+        self.driver = DeviceDriver(conn, command_set=frozenset(),
+                                   name="op-watch")
+        self.monitor_stats, self.last_observed = MonitorStats(), None
+
+    def __call__(self, msg, payload):
+        obs = monitor(self.monitor_stats, msg)
+        if obs is not None:
+            self.last_observed = obs
+
+
 @dataclass
 class _Wiring:
-    """What `_wire` stood up: the operator's ends of the plant's links, and
-    what hangs off them."""
+    """What `_wire` stood up: the operator's ends of the plant's links, what
+    hangs off them, and each direction's chain of hops."""
 
     up: object
     down: object
@@ -139,10 +187,8 @@ class _Wiring:
     child: subprocess.Popen | None = None
     log: ThreadLog | None = None
     twin: DigitalTwin | None = None
-    plant: PlantAssembly | None = None
-    # a pt or dtp run's watch: what it counted, and the last status
-    watch_stats: MonitorStats = field(default_factory=MonitorStats)
-    last_status: State | None = None
+    pt2dt: tuple = ()
+    dt2pt: tuple = ()
 
 
 def check_run_config(scenario: Scenario, cfg: RunConfig):
@@ -194,7 +240,7 @@ def run_scenario(scenario: Scenario, config: RunConfig | None = None) -> Session
         records = wiring.log.records
         result.thread_lines = len(records)
         result.thread_sha256 = thread_digest(records)
-        _check_thread_invariants(scenario.mode, wiring.twin, result)
+        _check_record(wiring, result)
     _check_expectations(scenario.expect, result)
     result.elapsed_s = time.monotonic() - started
     return result
@@ -202,7 +248,8 @@ def run_scenario(scenario: Scenario, config: RunConfig | None = None) -> Session
 
 def _wire(rt, scenario: Scenario, cfg: RunConfig,
           log: ThreadLog | None) -> _Wiring:
-    """Links, then the observing deployment, then the plant (in-process).
+    """Links, then the observing deployment, then the plant (in-process),
+    then the hop chains: the one place that names a shape's hops.
 
     The recording is checked before any task is spawned; under isolation
     while the plant process starts up, which hides the parse.
@@ -213,25 +260,27 @@ def _wire(rt, scenario: Scenario, cfg: RunConfig,
     recording_path = _recording_path(scenario)
     child = None
     if cfg.isolate:
-        up_listener = TcpListener("127.0.0.1", 0)
-        down_listener = TcpListener("127.0.0.1", 0)
-        child = _spawn_plant_process(scenario, up_listener.address[1],
-                                     down_listener.address[1],
-                                     cfg.queue_capacity)
-        try:
-            recording = load_checked_recordings(recording_path)
-            up_peer = up_listener.accept(name="link:peer-up", timeout=15.0)
-            down_peer = down_listener.accept(name="link:peer-down",
+        with closing(TcpListener("127.0.0.1", 0)) as up_listener, \
+                closing(TcpListener("127.0.0.1", 0)) as down_listener:
+            try:
+                child = _spawn_plant_process(
+                    scenario, up_listener.address[1],
+                    down_listener.address[1], cfg.queue_capacity)
+            except OSError as exc:
+                raise ConfigError(f"plant process could not start: {exc}") \
+                    from None
+            try:
+                recording = load_checked_recordings(recording_path)
+                up_peer = up_listener.accept(name="link:peer-up",
                                              timeout=15.0)
-        except Exception as exc:
-            child.kill()
-            child.wait()
-            if isinstance(exc, RecordingMissing):
-                raise
-            raise ConfigError("plant process never connected") from None
-        finally:
-            up_listener.close()
-            down_listener.close()
+                down_peer = down_listener.accept(name="link:peer-down",
+                                                 timeout=15.0)
+            except Exception as exc:
+                child.kill()
+                child.wait()
+                if isinstance(exc, RecordingMissing):
+                    raise
+                raise ConfigError("plant process never connected") from None
     else:
         recording = load_checked_recordings(recording_path)
         up_plant, up_peer = connect_pair(rt, "link:pt-up", "link:peer-up",
@@ -242,7 +291,14 @@ def _wire(rt, scenario: Scenario, cfg: RunConfig,
     wiring = _Wiring(up_peer, down_peer, recording_path,
                      len(recording) if recording else 0, child=child, log=log)
 
-    if log is not None:
+    down = ()  # without a twin, the operator writes the commands, untapped
+    if log is None:  # pt, dtp: the operator watches the plant's uplink
+        watch = _Watch(up_peer)
+        # the link is the operator's, so the watch reports no loss: the
+        # plant's drivers, or the plant process's exit code, report it
+        up = (_Hop(watch.driver.name, watch.driver.stats.received,
+                   observer=watch),)
+    else:
         ingest = TappedEndpoint(up_peer, log, rt,
                                 read_dir=ThreadDirection.PT2DT)
         if scenario.mode == "twin":
@@ -251,13 +307,26 @@ def _wire(rt, scenario: Scenario, cfg: RunConfig,
             wiring.twin = assemble_twin(
                 rt, None, ingest, uplink, thread_log=log,
                 twinning_period_ms=cfg.twinning_period_ms)
+            sender = wiring.twin.uplink_driver
+            down = (_Hop(sender.name, sender.stats.forwarded, sender),
+                    _tap(log, ThreadDirection.DT2PT))
         else:
             wiring.twin = assemble_shadow(rt, ingest)
+        reader = wiring.twin.ingest_driver
+        up = (_tap(log, ThreadDirection.PT2DT),
+              _Hop(reader.name, reader.stats.received, reader, wiring.twin))
 
     if not cfg.isolate:
-        wiring.plant = _start_plant(
-            rt, recording, up_plant, down_plant,
-            scenario.measurements or None, cfg.queue_capacity)
+        plant = _start_plant(rt, recording, up_plant, down_plant,
+                             scenario.measurements or None,
+                             cfg.queue_capacity)
+        sensor, tx = plant.sensor_driver, plant.tx_driver
+        up = (_Hop(sensor.name, sensor.stats.received, sensor),
+              _Hop(tx.name, tx.stats.forwarded, tx), *up)
+        down += (_Hop(tx.name, tx.stats.received, tx),
+                 _Hop(sensor.name, sensor.stats.forwarded, sensor),
+                 _Hop("device", plant.device_stats.counts))
+    wiring.pt2dt, wiring.dt2pt = up, down
     return wiring
 
 
@@ -282,16 +351,9 @@ def _drive(rt, scenario: Scenario, cfg: RunConfig, wiring: _Wiring,
            result: SessionResult):
     """Run the operator's script to the end or to settling, then tear down."""
     twin = wiring.twin
-
-    def watched(msg, payload):
-        obs = monitor(wiring.watch_stats, msg)
-        if obs is not None:
-            wiring.last_status = obs
-
     if twin is None:  # pt/dtp: the operator holds the plant's uplink
-        watch = DeviceDriver(wiring.up, command_set=frozenset(),
-                             name="op-watch")
-        rt.spawn(watch.receive(watched), name="op:watch")
+        watch = wiring.pt2dt[-1].observer
+        rt.spawn(watch.driver.receive(watch), name="op:watch")
 
     def apply_step(step):
         if step.action == "command":
@@ -337,8 +399,10 @@ def _drive(rt, scenario: Scenario, cfg: RunConfig, wiring: _Wiring,
 
     rt.spawn(operator, name="op:script")
     _run_to_verdict(rt, cfg.run_timeout_s, result)
-    if wiring.plant is not None and wiring.plant.device_stats.exhausted:
-        result.fail(_ran_dry(wiring, wiring.plant.device_stats.exhausted))
+    for hop in wiring.dt2pt:  # only an emulator leaves commands unanswered
+        taken, handed, skipped = hop.counts()
+        if taken > handed + skipped:
+            result.fail(_ran_dry(wiring, taken - handed - skipped))
     if wiring.child is not None:
         try:
             rc = _wait_for_exit(wiring.child, cfg.run_timeout_s)
@@ -367,17 +431,14 @@ def _wait_for_exit(child, timeout_s):
 
 
 def _link_losses(wiring: _Wiring) -> list:
-    """One failure reason per driver whose receive loop a closed link ended.
+    """One failure reason per driver whose receive loop a closed link ended;
+    every driver that runs one is on the PT2DT chain.
 
     Read before teardown, every entry is a link lost mid-run.
     """
-    drivers = []
-    if wiring.plant is not None:
-        drivers += [wiring.plant.sensor_driver, wiring.plant.tx_driver]
-    if wiring.twin is not None:
-        drivers.append(wiring.twin.ingest_driver)
-    return [f"{d.name} lost its link: {d.closed_by}"
-            for d in drivers if d.closed_by is not None]
+    return [f"{hop.name} lost its link: {hop.loop.closed_by}"
+            for hop in wiring.pt2dt
+            if hop.loop is not None and hop.loop.closed_by is not None]
 
 
 def _ran_dry(wiring: _Wiring, unanswered=None) -> str:
@@ -393,10 +454,10 @@ def _collect(wiring: _Wiring, result: SessionResult):
     Called from every settle poll, so it takes no digest and copies no
     records: every read is a field or a lock-guarded counter.
     """
+    observer = wiring.pt2dt[-1].observer
+    stats, final = observer.monitor_stats, observer.last_observed
     twin = wiring.twin
-    stats, final = wiring.watch_stats, wiring.last_status
     if twin is not None:
-        stats, final = twin.monitor_stats, twin.keeper.last_observed
         result.model_state = twin.model_state().name
         result.converged = twin.converged
         if twin.gate is not None:
@@ -424,23 +485,27 @@ def _run_to_verdict(rt, timeout_s, result):
         result.fail(f"task {task_name} crashed: {err!r}")
 
 
-def _check_thread_invariants(mode, twin, result):
-    """The record must be complete and the mode's direction rules must hold."""
-    ingested = (twin.ingest_driver.stats.relayed_in
-                + twin.ingest_driver.stats.skipped_in)
-    if result.pt2dt_frames != ingested:
-        result.fail(f"record incomplete: {result.pt2dt_frames} "
-                    f"ingest frames recorded, driver saw {ingested}")
-    if mode == "shadow":
-        if twin.has_uplink:
-            result.fail("shadow deployment holds an uplink object")
+def _check_record(wiring, result):
+    """Every frame the twin side read or wrote is in the record. A tap is
+    the connection of the twin's driver beside it, so both count the same
+    frames: the ingest loop after the PT2DT tap takes in what that tap
+    hands on, and the uplink driver before a DT2PT tap hands on what that
+    tap takes in. With no DT2PT tap, as in a shadow, none is recorded."""
+    tap, ingest = wiring.pt2dt[-2:]  # PT2DT ends in the ingest loop
+    recorded, saw = tap.counts()[1], ingest.counts()[0]
+    if recorded != saw:
+        result.fail(f"record incomplete: {recorded} "
+                    f"ingest frames recorded, driver saw {saw}")
+    if not any(hop.name == "tap" for hop in wiring.dt2pt):
         if result.dt2pt_frames != 0:
-            result.fail(f"shadow produced {result.dt2pt_frames} uplink frames")
-    if mode == "twin":
-        sent = twin.uplink_driver.stats.relayed_out
-        if result.dt2pt_frames != sent:
-            result.fail(f"record incomplete: {result.dt2pt_frames} "
-                        f"uplink frames recorded, driver sent {sent}")
+            result.fail(f"{result.mode} produced {result.dt2pt_frames} "
+                        f"uplink frames")
+        return
+    uplink, tap = wiring.dt2pt[:2]  # DT2PT starts at the uplink driver
+    recorded, sent = tap.counts()[0], uplink.counts()[1]
+    if recorded != sent:
+        result.fail(f"record incomplete: {recorded} "
+                    f"uplink frames recorded, driver sent {sent}")
 
 
 def check_recordable(scenario: Scenario, cfg: RunConfig) -> Scenario:

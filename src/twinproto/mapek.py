@@ -261,6 +261,10 @@ class DigitalTwin:
     def converged(self) -> bool:
         return self.keeper.converged
 
+    @property
+    def last_observed(self) -> State | None:
+        return self.keeper.last_observed
+
     def model_state(self) -> State:
         return self.keeper.snapshot().current
 

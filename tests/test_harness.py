@@ -13,9 +13,11 @@ from twinproto import harness
 from twinproto.bus import EventBus
 from twinproto.cli import BUNDLED_SUITE, main
 from twinproto.config import (EXPECTATIONS, Expectations, RunConfig,
-                              parse_scenario)
+                              load_scenario, parse_scenario)
 from twinproto.errors import ConfigError
 from twinproto.mapek import ExecuteGate
+from twinproto.messages import command, encode_message
+from twinproto.thread_log import ThreadDirection, ThreadLog
 from twinproto.harness import (
     SessionResult,
     expectations_settled,
@@ -326,6 +328,151 @@ def test_a_lockstep_twin_deadlock_names_the_links_of_its_cycle(tmp_path):
     assert "=put-wait(twin-uplink:token)" in dump  # the ingest loop
 
 
+def bundled(prefix):
+    path = next(BUNDLED_SUITE.glob(f"{prefix}-*.json"))
+    return load_scenario(path, {"clock": "lockstep"})
+
+
+def drop_tapped_append(monkeypatch, direction, nth):
+    """The thread loses the `nth` frame its taps hand it in `direction`."""
+    append, seen = ThreadLog.append_message, []
+
+    def append_but_one(self, ts, dir_, payload):
+        if dir_ is direction:
+            seen.append(payload)
+            if len(seen) == nth:
+                return None
+        return append(self, ts, dir_, payload)
+
+    monkeypatch.setattr(ThreadLog, "append_message", append_but_one)
+
+
+def record_lost_from_ingest(monkeypatch, tmp_path):
+    drop_tapped_append(monkeypatch, ThreadDirection.PT2DT, 2)
+    return bundled("01"), RunConfig(), [
+        "record incomplete: 3 ingest frames recorded, driver saw 4",
+        "thread sha256 1ad9afddb490a813ea2d862706fc3cb1273762164b07dbb1d76f16"
+        "95dc2e0645, want ffaa7b58f23251637f118cd8f47ce5af2ae039a27a7b954af0d5"
+        "4775d155bb3f"]
+
+
+def record_lost_from_uplink(monkeypatch, tmp_path):
+    drop_tapped_append(monkeypatch, ThreadDirection.DT2PT, 2)
+    return bundled("01"), RunConfig(), [
+        "record incomplete: 2 uplink frames recorded, driver sent 3",
+        "uplink frames 2, want 3",
+        "thread sha256 a8a67b90714a6217f2a061cafb6d2132d8c540fbf4a9e42e03152a"
+        "5e2ab48e67, want ffaa7b58f23251637f118cd8f47ce5af2ae039a27a7b954af0d5"
+        "4775d155bb3f"]
+
+
+def shadow_thread_gains_a_command(monkeypatch, tmp_path):
+    append = ThreadLog.append_message
+
+    def append_and_add_one(self, ts, dir_, payload):
+        record = append(self, ts, dir_, payload)
+        if record.seq == 1:  # the boot status
+            append(self, ts, ThreadDirection.DT2PT,
+                   encode_message(command(50)))
+        return record
+
+    monkeypatch.setattr(ThreadLog, "append_message", append_and_add_one)
+    return bundled("04"), RunConfig(), [
+        "shadow produced 1 uplink frames",
+        "uplink frames 1, want 0",
+        "thread sha256 16e332f0bd5f4e29635900845886ce155789356f04fe460ee46841"
+        "18b77f970f, want 33e5783c19505f27c81bd9f317295806b8f304c0797a9b87a36f"
+        "29d579dfadd9"]
+
+
+def uplink_closed_in_commit(monkeypatch, tmp_path):
+    sc, cfg, _ = close_uplink_in_commit(monkeypatch, tmp_path)
+    return sc, cfg, ["op:script lost its link: link:peer-down: write after "
+                     "close",
+                     "converged False, want True"]
+
+
+def cut_sensor_link(monkeypatch, mode):
+    """A lockstep `mode` mission whose sensor link closes 50 ms in."""
+    start_plant = harness._start_plant
+
+    def start_and_cut(rt, *args):
+        plant = start_plant(rt, *args)
+
+        def cutter():
+            rt.sleep_ms(50)
+            plant.sensor_driver.conn.close()
+
+        rt.spawn(cutter, name="cutter")
+        return plant
+
+    monkeypatch.setattr(harness, "_start_plant", start_and_cut)
+    return scenario(mode=mode), RunConfig()
+
+
+def sensor_link_cut_under_pt(monkeypatch, tmp_path):
+    # the plant's drivers report the loss; the operator's watch does not
+    sc, cfg = cut_sensor_link(monkeypatch, "pt")
+    return sc, cfg, ["op:script lost its link: link:peer-down: peer closed",
+                     "sensor-driver lost its link: ptyB: stream closed",
+                     "tx-driver lost its link: ptyB: write after close",
+                     "final status ACTIVE, want OFF"]
+
+
+def sensor_link_cut_under_twin(monkeypatch, tmp_path):
+    sc, cfg = cut_sensor_link(monkeypatch, "twin")
+    return sc, cfg, ["op:script lost its link: link:peer-down: peer closed",
+                     "sensor-driver lost its link: ptyB: stream closed",
+                     "tx-driver lost its link: ptyB: write after close",
+                     "twin-ingest lost its link: link:peer-up: stream closed",
+                     "final status ACTIVE, want OFF"]
+
+
+def cycle_bound_deadlock(monkeypatch, tmp_path):
+    rec = tmp_path / "burst.rec"
+    rec.write_text("".join(f"seq={n} ts={n} dir=PT2DT kind=STA hex=2000\n"
+                           for n in range(1, 502)))
+    sc = scenario(duration_ms=20000,
+                  steps=[{"at_ms": 0, "do": "command", "value": 0}] * 500,
+                  recording="burst.rec", path=tmp_path / "case.json",
+                  expect={"uplink_frames": 500})
+    return sc, RunConfig(queue_capacity=64, run_timeout_s=10), [
+        "lockstep deadlock: twin:ingest=put-wait(twin-uplink:token), "
+        "twin:poll=put-wait(twin-uplink:token), "
+        "sensor-driver:device=put-wait(bridge:dev->bridge:drv), "
+        "sensor-driver:recv=put-wait(link:pt-up->link:peer-up), "
+        "tx-driver:recv=put-wait(bridge:drv->bridge:dev), "
+        "op:script=put-wait(link:peer-down->link:pt-down)",
+        "uplink frames 259, want 500"]
+
+
+def dry_emulator(monkeypatch, tmp_path):
+    rec = tmp_path / "boot-only.rec"
+    rec.write_text("seq=1 ts=0 dir=PT2DT kind=STA hex=2000\n")
+    sc = scenario(recording="boot-only.rec", path=tmp_path / "case.json",
+                  steps=[{"at_ms": 0, "do": "inject", "value": 50},
+                         {"at_ms": 100, "do": "inject", "value": 0}],
+                  expect={"final_status": "STANDBY"})
+    return sc, RunConfig(), [f"recording {rec} ran dry: all 1 frames "
+                             f"served, 3 commands unanswered"]
+
+
+@pytest.mark.parametrize("case", [
+    record_lost_from_ingest, record_lost_from_uplink,
+    shadow_thread_gains_a_command, uplink_closed_in_commit,
+    sensor_link_cut_under_pt, sensor_link_cut_under_twin,
+    cycle_bound_deadlock, dry_emulator,
+], ids=lambda case: case.__name__.replace("_", "-"))
+def test_a_failing_lockstep_run_reports_exactly_these_reasons(
+        monkeypatch, tmp_path, case):
+    # every reason the hop chains give, and the reasons beside them, in the
+    # order the run finds them; the record checks fire on no other test
+    sc, cfg, want = case(monkeypatch, tmp_path)
+    result = run_scenario(sc, cfg)
+    assert result.failures == want
+    assert result.ok is False
+
+
 @pytest.mark.parametrize("content, reason", [
     pytest.param(None, "unusable", id="missing"),
     pytest.param(b"\xff\xfe not text\n", "unusable", id="not-utf8"),
@@ -477,8 +624,6 @@ def test_record_then_run_dtp_from_the_recording(tmp_path):
 
     sc_file = write_scenario(tmp_path / "replayed.json", mode="dtp",
                              recording="mission.rec")
-    from twinproto.config import load_scenario
-
     result = run_scenario(load_scenario(sc_file))
     assert result.ok, result.failures
     assert result.final_status == "OFF"

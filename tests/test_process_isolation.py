@@ -5,16 +5,20 @@ links over real loopback TCP; nothing about the protocol or the engine may
 care about the difference.
 """
 
+import errno
+import gc
 import json
 import subprocess
 import sys
 import threading
+import warnings
 
 import pytest
 
 from twinproto import harness
+from twinproto.cli import main
 from twinproto.config import RunConfig, parse_scenario
-from twinproto.errors import ConfigError
+from twinproto.errors import ConfigError, PortBindFailed
 from twinproto.harness import run_scenario
 from twinproto.messages import decode_message, status
 from twinproto.runtime import WallRuntime
@@ -89,6 +93,63 @@ def test_isolation_requires_the_wall_clock():
     sc = mission(clock="lockstep")
     with pytest.raises(ConfigError, match="wall clock"):
         run_scenario(sc, RunConfig(isolate=True))
+
+
+def raised_and_unclosed(sc, cfg):
+    """The (type, text) of what `run_scenario` raised, and the
+    ResourceWarnings of what it left open, once nothing refers to it."""
+    raised = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        try:
+            run_scenario(sc, cfg)
+        except Exception as exc:  # its traceback holds the listeners
+            raised = type(exc), str(exc)
+        gc.collect()
+    return raised, [str(w.message) for w in caught
+                    if issubclass(w.category, ResourceWarning)]
+
+
+def test_a_plant_process_that_cannot_start_is_refused_closing_both_listeners(
+        monkeypatch, tmp_path, capsys):
+    def cannot_start(*args):
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(harness, "_spawn_plant_process", cannot_start)
+    reason = ("plant process could not start: [Errno 11] Resource "
+              "temporarily unavailable")
+    assert raised_and_unclosed(mission(), RunConfig(isolate=True)) == \
+        ((ConfigError, reason), [])
+    # the command line: exit code 2 with the reason, not a traceback
+    scenario = tmp_path / "mission.json"
+    scenario.write_text(json.dumps({"name": "mission", "mode": "twin",
+                                    "clock": "wall", "duration_ms": 300,
+                                    "steps": []}))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"isolate": True}))
+    assert main(["run-twin", "--scenario", str(scenario),
+                 "--config", str(config)]) == 2
+    assert reason in capsys.readouterr().err
+
+
+def test_a_second_listener_that_cannot_bind_closes_the_first(monkeypatch):
+    bound, closed = [], []
+
+    class Listener(TcpListener):
+        def close(self):
+            closed.append(self)
+            super().close()
+
+    def bind_once(host, port):
+        if bound:
+            raise PortBindFailed(f"bind {host}:{port}: no port left")
+        bound.append(Listener(host, port))
+        return bound[-1]
+
+    monkeypatch.setattr(harness, "TcpListener", bind_once)
+    with pytest.raises(PortBindFailed, match="no port left"):
+        run_scenario(mission(), RunConfig(isolate=True))
+    assert closed == bound
 
 
 def test_an_isolated_plant_stops_at_the_parents_hang_up(monkeypatch):

@@ -3,7 +3,9 @@
 Each table's first column names one key per row, in backticks. The run
 config table must name the `RunConfig` fields, the scenario table the
 top-level keys `parse_scenario` accepts, and the example scenario's
-`expect` object must hold every key of the expectation table.
+`expect` object must hold every key of the expectation table. The hop
+chain table must list, for each shape, the hops of the chains the harness
+builds, in their order.
 """
 
 import json
@@ -11,7 +13,10 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
-from twinproto.config import EXPECTATIONS, SCENARIO_KEYS, RunConfig
+from twinproto import harness
+from twinproto.cli import BUNDLED_SUITE
+from twinproto.config import (EXPECTATIONS, SCENARIO_KEYS, RunConfig,
+                              parse_scenario)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -45,3 +50,47 @@ def test_the_example_scenario_sets_every_expectation_key():
     assert sorted(json.loads(example)["expect"]) == \
         sorted(row.key for row in EXPECTATIONS)
 
+
+
+def wired_chains(monkeypatch, mode, clock="lockstep", **config):
+    """The hop names of each chain `_wire` builds for a short `mode` run:
+    (PT2DT, DT2PT)."""
+    wire, chains = harness._wire, []
+
+    def wire_and_keep(*args):
+        wiring = wire(*args)
+        chains.append(tuple([hop.name for hop in chain]
+                            for chain in (wiring.pt2dt, wiring.dt2pt)))
+        return wiring
+
+    monkeypatch.setattr(harness, "_wire", wire_and_keep)
+    recording = BUNDLED_SUITE / "recordings" / "mission.rec"
+    scenario = parse_scenario({
+        "name": "chains", "mode": mode, "clock": clock, "duration_ms": 50,
+        "steps": [], **({"recording": str(recording)} if mode == "dtp"
+                        else {})})
+    assert harness.run_scenario(scenario, RunConfig(**config)).ok
+    return chains[0]
+
+
+def test_the_hop_chain_table_lists_each_shapes_chains(monkeypatch):
+    rows = re.findall(r"^\| `(\w+)` +\| ([^|]+)\| ([^|]+)\|$",
+                      section("Hop chains"), re.M)
+    table = {shape: tuple([hop.strip() for hop in chain.split(",")]
+                          for chain in (up, down))
+             for shape, up, down in rows}
+    assert table == {mode: wired_chains(monkeypatch, mode)
+                     for mode in ("pt", "dtp", "shadow", "twin")}
+
+
+def test_an_isolated_run_chains_only_the_parents_hops(monkeypatch):
+    text = " ".join(section("Hop chains").split())
+    plant = re.search(r"the plant's hops \(([^)]+)\) run in the plant "
+                      r"process", text).group(1).split(", ")
+    isolated = re.search(r"a `twin` has `([^`]+)` and `([^`]+)`", text)
+    in_process = wired_chains(monkeypatch, "twin")
+    want = tuple(chain.split(", ") for chain in isolated.groups())
+    assert want == tuple([hop for hop in chain if hop not in plant]
+                         for chain in in_process)
+    assert wired_chains(monkeypatch, "twin", clock="wall",
+                        isolate=True) == want
