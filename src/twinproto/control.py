@@ -30,10 +30,16 @@ tasks (the sensor's serve loop and each driver's receive loop) and build the
 same drivers (name, command set, protocol) and the same control logic: the
 configuration is identical by construction, and the assembly's own
 `sensor_driver`, `tx_driver` and `control` show it.
+
+`plant_process_main` is the isolated plant's entry: the child interpreter
+an `isolate` run starts imports it from here, so the child loads the plant's
+modules and none of the harness.
 """
 
 from __future__ import annotations
 
+import json
+import sys
 import threading
 from enum import Enum
 
@@ -46,13 +52,16 @@ from .devices import (
     run_communication,
     run_measurement_script,
 )
-from .errors import RecordingMissing
+from .errors import ConnectionClosed, RecordingMissing
 from .messages import OP_COMMAND, OP_MEASUREMENT, OP_STATUS, MessageKind
+from .runtime import ClockMode, make_runtime
+from .thread_log import load_checked_recordings
 from .transport import (
     BRIDGE_WINDOW,
     Protocol,
     connect_pair,
     open_virtual_serial_pair,
+    tcp_connect,
 )
 
 
@@ -172,3 +181,65 @@ def assemble_plant(runtime, bus, backing, outbound, inbound, recording=None,
                           device_stats)
     plant._closables = [dev_end, drv_end, tx_device]
     return plant
+
+
+def _start_plant(rt, recording, outbound, inbound, script, link_capacity):
+    """The plant on its emulator if given recordings, else real."""
+    backing = SensorBacking.EMULATED if recording else SensorBacking.REAL
+    return assemble_plant(rt, None, backing, recording=recording,
+                          outbound=outbound, inbound=inbound,
+                          measurement_script=script,
+                          link_capacity=link_capacity)
+
+
+# ---------------------------------------------------------------------------
+# Isolated plant process
+# ---------------------------------------------------------------------------
+
+# exit code of a plant process whose emulator ran out of recordings
+EXIT_RECORDING_DRY = 3
+
+
+def plant_process_main(raw: str) -> int:
+    """Child half of an isolated run: the whole plant behind two TCP links.
+
+    Lives until the parent hangs up, or at most until the scenario duration
+    plus a grace period, then tears itself down. Exits 1 if a task crashed
+    or straggled, EXIT_RECORDING_DRY if the emulator ran out of recordings.
+    """
+    opts = json.loads(raw)
+    rt = make_runtime(ClockMode.WALL, opts.get("seed", 0))
+    up = tcp_connect("127.0.0.1", opts["up_port"], name="plant:up")
+    down = tcp_connect("127.0.0.1", opts["down_port"], name="plant:down")
+    script = [tuple(p) for p in opts.get("measurements", [])] or None
+    plant = _start_plant(rt, load_checked_recordings(opts.get("recording")),
+                         up, down, script, opts["link_capacity"])
+
+    def deadline():
+        rt.sleep_ms(opts["duration_ms"] + 2000)
+        plant.stop()
+        rt.shutdown()
+
+    def hangup_watch():
+        # the parent never writes the uplink, so this read returns only at
+        # hang-up (EOF or a reset) or when the plant closes the link itself
+        try:
+            up.read_frame()
+        except ConnectionClosed:
+            pass
+        plant.stop()
+        rt.shutdown()
+
+    rt.spawn(deadline, name="plant:deadline")
+    rt.spawn(hangup_watch, name="plant:hangup")
+    stragglers = rt.run(timeout=opts["duration_ms"] / 1000.0 + 10.0)
+    bad = False
+    for task_name, err in rt.task_errors():
+        print(f"plant task {task_name}: {err!r}", file=sys.stderr)
+        bad = True
+    if stragglers:
+        print(f"plant stragglers: {stragglers}", file=sys.stderr)
+        bad = True
+    if bad:
+        return 1
+    return EXIT_RECORDING_DRY if plant.device_stats.exhausted else 0

@@ -47,10 +47,12 @@ from typing import Callable, NamedTuple
 
 from .config import (EXPECTATIONS, OBSERVED, Expectations, RunConfig,
                      Scenario, load_scenario)
-from .control import SensorBacking, assemble_plant
+# the isolated plant's entry lives beside the plant, so that its process
+# imports no more than the plant; callers may still reach it from here
+from .control import EXIT_RECORDING_DRY, _start_plant, plant_process_main
 from .devices import DeviceDriver
 from .errors import (ConfigError, ConnectionClosed, KernelHalted,
-                     RecordingMissing, ThreadLogError)
+                     PortBindFailed, RecordingMissing, ThreadLogError)
 from .mapek import (DigitalTwin, MonitorStats, assemble_shadow, assemble_twin,
                     monitor)
 from .messages import command, encode_message, status
@@ -64,7 +66,7 @@ from .thread_log import (
     read_thread_file,
     where_in_file,
 )
-from .transport import Protocol, TcpListener, connect_pair, tcp_connect
+from .transport import Protocol, TcpListener, connect_pair
 
 
 class _Verdict:
@@ -260,8 +262,8 @@ def _wire(rt, scenario: Scenario, cfg: RunConfig,
     recording_path = _recording_path(scenario)
     child = None
     if cfg.isolate:
-        with closing(TcpListener("127.0.0.1", 0)) as up_listener, \
-                closing(TcpListener("127.0.0.1", 0)) as down_listener:
+        with closing(_listen()) as up_listener, \
+                closing(_listen()) as down_listener:
             try:
                 child = _spawn_plant_process(
                     scenario, up_listener.address[1],
@@ -330,21 +332,20 @@ def _wire(rt, scenario: Scenario, cfg: RunConfig,
     return wiring
 
 
+def _listen():
+    """A loopback listener for one of the plant process's links."""
+    try:
+        return TcpListener("127.0.0.1", 0)
+    except PortBindFailed as exc:
+        raise ConfigError(f"plant process link: {exc}") from None
+
+
 def _recording_path(scenario: Scenario):
     # a recording means the plant runs on the emulator, whatever is attached
     # above it; dtp is just the bare-operator case of that (pt takes none)
     if scenario.recording:
         return str(scenario.resolve(scenario.recording))
     return None
-
-
-def _start_plant(rt, recording, outbound, inbound, script, link_capacity):
-    """The plant on its emulator if given recordings, else real."""
-    backing = SensorBacking.EMULATED if recording else SensorBacking.REAL
-    return assemble_plant(rt, None, backing, recording=recording,
-                          outbound=outbound, inbound=inbound,
-                          measurement_script=script,
-                          link_capacity=link_capacity)
 
 
 def _drive(rt, scenario: Scenario, cfg: RunConfig, wiring: _Wiring,
@@ -561,11 +562,8 @@ def record_session(scenario: Scenario, config: RunConfig | None = None, *,
 # Isolated plant process
 # ---------------------------------------------------------------------------
 
-# exit code of a plant process whose emulator ran out of recordings
-EXIT_RECORDING_DRY = 3
-
 _CHILD_CODE = ("import sys\n"
-               "from twinproto.harness import plant_process_main\n"
+               "from twinproto.control import plant_process_main\n"
                "sys.exit(plant_process_main(sys.argv[1]))\n")
 
 
@@ -582,51 +580,6 @@ def _spawn_plant_process(scenario: Scenario, up_port: int, down_port: int,
     }
     return subprocess.Popen([sys.executable, "-c", _CHILD_CODE,
                              json.dumps(opts)])
-
-
-def plant_process_main(raw: str) -> int:
-    """Child half of an isolated run: the whole plant behind two TCP links.
-
-    Lives until the parent hangs up, or at most until the scenario duration
-    plus a grace period, then tears itself down. Exits 1 if a task crashed
-    or straggled, EXIT_RECORDING_DRY if the emulator ran out of recordings.
-    """
-    opts = json.loads(raw)
-    rt = make_runtime(ClockMode.WALL, opts.get("seed", 0))
-    up = tcp_connect("127.0.0.1", opts["up_port"], name="plant:up")
-    down = tcp_connect("127.0.0.1", opts["down_port"], name="plant:down")
-    script = [tuple(p) for p in opts.get("measurements", [])] or None
-    plant = _start_plant(rt, load_checked_recordings(opts.get("recording")),
-                         up, down, script, opts["link_capacity"])
-
-    def deadline():
-        rt.sleep_ms(opts["duration_ms"] + 2000)
-        plant.stop()
-        rt.shutdown()
-
-    def hangup_watch():
-        # the parent never writes the uplink, so this read returns only at
-        # hang-up (EOF or a reset) or when the plant closes the link itself
-        try:
-            up.read_frame()
-        except ConnectionClosed:
-            pass
-        plant.stop()
-        rt.shutdown()
-
-    rt.spawn(deadline, name="plant:deadline")
-    rt.spawn(hangup_watch, name="plant:hangup")
-    stragglers = rt.run(timeout=opts["duration_ms"] / 1000.0 + 10.0)
-    bad = False
-    for task_name, err in rt.task_errors():
-        print(f"plant task {task_name}: {err!r}", file=sys.stderr)
-        bad = True
-    if stragglers:
-        print(f"plant stragglers: {stragglers}", file=sys.stderr)
-        bad = True
-    if bad:
-        return 1
-    return EXIT_RECORDING_DRY if plant.device_stats.exhausted else 0
 
 
 # ---------------------------------------------------------------------------

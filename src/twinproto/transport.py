@@ -199,12 +199,15 @@ class SocketEndpoint:
 
 class TcpListener:
     def __init__(self, host, port):
+        self._sock = None
         try:
             self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             self._sock.bind((host, port))
             self._sock.listen(4)
         except OSError as exc:
+            if self._sock is not None:  # a failed listener keeps no socket
+                self._sock.close()
             raise PortBindFailed(f"bind {host}:{port}: {exc}") from None
         self.address = self._sock.getsockname()
 

@@ -22,9 +22,6 @@ DRIVER_ATTRIBUTES = frozenset({"sensor_driver", "tx_driver", "ingest_driver",
 EXEMPT = {
     "replay_thread": "replay stands up its own shadow outside `_wire`, "
                      "until ROADMAP item 11 folds replay into it",
-    "plant_process_main": "the plant process's exit code, from the counts "
-                          "of its own serve loop; the plant's hops run "
-                          "there, outside the parent's chains",
 }
 
 

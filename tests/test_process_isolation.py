@@ -147,9 +147,29 @@ def test_a_second_listener_that_cannot_bind_closes_the_first(monkeypatch):
         return bound[-1]
 
     monkeypatch.setattr(harness, "TcpListener", bind_once)
-    with pytest.raises(PortBindFailed, match="no port left"):
+    with pytest.raises(ConfigError, match="plant process link: bind "
+                                          "127.0.0.1:0: no port left"):
         run_scenario(mission(), RunConfig(isolate=True))
     assert closed == bound
+
+
+def test_a_listener_that_cannot_bind_is_refused_on_the_command_line(
+        monkeypatch, tmp_path, capsys):
+    def cannot_bind(host, port):
+        raise PortBindFailed(f"bind {host}:{port}: no port left")
+
+    monkeypatch.setattr(harness, "TcpListener", cannot_bind)
+    scenario = tmp_path / "mission.json"
+    scenario.write_text(json.dumps({"name": "mission", "mode": "twin",
+                                    "clock": "wall", "duration_ms": 300,
+                                    "steps": []}))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"isolate": True}))
+    assert main(["run-twin", "--scenario", str(scenario),
+                 "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "plant process link: bind 127.0.0.1:0: no port left" in err
+    assert "Traceback" not in err
 
 
 def test_an_isolated_plant_stops_at_the_parents_hang_up(monkeypatch):

@@ -3,8 +3,10 @@ socket endpoints."""
 
 from __future__ import annotations
 
+import gc
 import random
 import threading
+import warnings
 
 import pytest
 
@@ -253,6 +255,20 @@ def test_socket_close_after_hang_up_releases_the_socket():
         client.read_frame()
     client.close()  # ...and close still releases the socket
     assert client._sock.fileno() == -1
+
+
+def test_a_listener_that_cannot_bind_keeps_no_socket():
+    first = TcpListener("127.0.0.1", 0)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(PortBindFailed, match="in use"):
+                TcpListener("127.0.0.1", first.address[1])
+            gc.collect()
+    finally:
+        first.close()
+    assert [str(w.message) for w in caught
+            if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_tcp_connect_failure_reports():

@@ -25,7 +25,8 @@ ALLOWED = {
     "fold_commands": "C1-C9",
     "unframe": "C1-C9",
     "tick": "tests, and the benchmark's replay digest",
-    "plant_process_main": "the isolated plant's code string",
+    "plant_process_main": "the code string in `harness` that the isolated "
+                          "plant's process runs, calling into `control`",
     "write_manifest": "tests",
 }
 
