@@ -562,9 +562,20 @@ def record_session(scenario: Scenario, config: RunConfig | None = None, *,
 # Isolated plant process
 # ---------------------------------------------------------------------------
 
+# The child starts without `site` (`-S`): it needs nothing from
+# site-packages, and a `.pth` hook there may import whole libraries into
+# every interpreter. It imports the package this process runs, from the
+# directory passed as its first argument, with or without PYTHONPATH.
 _CHILD_CODE = ("import sys\n"
+               "sys.path.insert(0, sys.argv[1])\n"
                "from twinproto.control import plant_process_main\n"
-               "sys.exit(plant_process_main(sys.argv[1]))\n")
+               "sys.exit(plant_process_main(sys.argv[2]))\n")
+
+
+def _plant_process_argv(raw_opts: str) -> list:
+    """The command line of the isolated plant's child interpreter."""
+    package_root = str(Path(__file__).resolve().parent.parent)
+    return [sys.executable, "-S", "-c", _CHILD_CODE, package_root, raw_opts]
 
 
 def _spawn_plant_process(scenario: Scenario, up_port: int, down_port: int,
@@ -578,8 +589,7 @@ def _spawn_plant_process(scenario: Scenario, up_port: int, down_port: int,
         "recording": _recording_path(scenario),
         "link_capacity": link_capacity,
     }
-    return subprocess.Popen([sys.executable, "-c", _CHILD_CODE,
-                             json.dumps(opts)])
+    return subprocess.Popen(_plant_process_argv(json.dumps(opts)))
 
 
 # ---------------------------------------------------------------------------

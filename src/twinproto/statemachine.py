@@ -22,8 +22,8 @@ State codes on the wire are the IntEnum values: STANDBY=0, ACTIVE=1, OFF=2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from enum import IntEnum
+from typing import NamedTuple
 
 from .errors import KindRejected
 from .messages import Message, MessageKind
@@ -52,8 +52,7 @@ def transition(state: State, value: int) -> State:
     return State.OFF
 
 
-@dataclass(frozen=True)
-class TwinState:
+class TwinState(NamedTuple):
     """Immutable snapshot of the modeled device: state plus commanded period."""
 
     current: State = State.STANDBY
@@ -70,7 +69,7 @@ def process_event(ts: TwinState, msg: Message) -> TwinState:
     if msg.kind is MessageKind.COMMAND:
         return TwinState(transition(ts.current, msg.value), msg.value)
     if msg.kind is MessageKind.STATUS:
-        return replace(ts, current=State(msg.value))
+        return ts._replace(current=State(msg.value))
     raise KindRejected(f"state machine does not process {msg.kind.name}")
 
 
@@ -82,16 +81,13 @@ def fold_commands(values, start: TwinState | None = None) -> TwinState:
     return ts
 
 
-@dataclass(frozen=True)
-class StateMachineDef:
+class StateMachineDef(NamedTuple):
     """Declarative descriptor of the machine, for manifests and validation."""
 
     states: tuple = tuple(s.name for s in State)
     initial: str = State.STANDBY.name
     terminal: tuple = tuple(s.name for s in TERMINAL_STATES)
-    codes: tuple = field(default_factory=lambda: tuple(
-        (s.name, int(s)) for s in State
-    ))
+    codes: tuple = tuple((s.name, int(s)) for s in State)
 
 
 BUILTIN_MACHINE = StateMachineDef()

@@ -21,7 +21,12 @@ read_frame/write_frame surface:
 
     [length: uint32 big-endian][payload bytes]
 
-Each endpoint has one logical reader and one logical writer.
+Each endpoint has one logical reader and one logical writer. A socket
+endpoint relies on the single reader: its `read_frame` slices frames out of
+a receive buffer that nothing else touches, so two tasks reading one socket
+endpoint would corrupt the stream. In an isolated run the child's `plant:up`
+is read only by its hang-up watcher and `plant:down` only by the transmitter
+driver, and the parent's `link:peer-up` only by the ingest or watch driver.
 
 `read_frame` and `write_frame` are plain calls that block their task. Their
 wait halves, `wait_read` and `wait_write`, let a generator task wait first
@@ -48,6 +53,7 @@ FRAME_HEADER = struct.Struct(">I")
 MAX_FRAME_PAYLOAD = 2 ** 20
 
 BRIDGE_WINDOW = 1024  # in-flight frames per direction before backpressure
+RECV_CHUNK = 65536  # bytes a socket endpoint asks for when its buffer runs dry
 
 
 class Protocol(Enum):
@@ -136,7 +142,15 @@ def open_virtual_serial_pair(runtime, name_a="ptyA", name_b="ptyB",
 
 class SocketEndpoint:
     """Length-prefixed frames over a connected TCP socket. Same surface as
-    Endpoint."""
+    Endpoint.
+
+    Reads go through one receive buffer: `read_frame` returns the next frame
+    from it and calls `recv` only while the buffer holds no whole header or
+    no whole payload, so a burst of small frames costs one `recv` per chunk
+    the kernel hands over, not two per frame. The buffer is the reader's
+    own: this relies on one reader task per endpoint (see the module
+    docstring). Writes are one `sendall` per frame, under a lock.
+    """
 
     protocol = Protocol.TCP
 
@@ -145,20 +159,19 @@ class SocketEndpoint:
         self._sock = sock
         self._closed = False
         self._wlock = threading.Lock()
+        self._rbuf = bytearray()  # received, not yet returned; reader's own
 
-    def _recv_exact(self, n):
-        buf = b""
-        while len(buf) < n:
-            try:
-                chunk = self._sock.recv(n - len(buf))
-            except OSError:
-                self._closed = True
-                raise ConnectionClosed(f"{self.name}: socket error") from None
-            if not chunk:
-                self._closed = True
-                raise ConnectionClosed(f"{self.name}: peer hung up")
-            buf += chunk
-        return buf
+    def _fill(self):
+        """Append the next chunk the socket gives to the receive buffer."""
+        try:
+            chunk = self._sock.recv(RECV_CHUNK)
+        except OSError:
+            self._closed = True
+            raise ConnectionClosed(f"{self.name}: socket error") from None
+        if not chunk:
+            self._closed = True
+            raise ConnectionClosed(f"{self.name}: peer hung up")
+        self._rbuf += chunk
 
     def wait_write(self):
         return None  # `write_frame` blocks its own thread
@@ -180,11 +193,20 @@ class SocketEndpoint:
     def read_frame(self) -> bytes:
         if self._closed:
             raise ConnectionClosed(f"{self.name}: read after close")
-        header = self._recv_exact(FRAME_HEADER.size)
-        (length,) = FRAME_HEADER.unpack(header)
+        buf = self._rbuf
+        while len(buf) < FRAME_HEADER.size:
+            self._fill()
+        (length,) = FRAME_HEADER.unpack_from(buf)
         if length > MAX_FRAME_PAYLOAD:
+            # the stream has lost its framing: never read on into the payload
+            self._closed = True
             raise FrameTooLarge(f"prefix {length} > {MAX_FRAME_PAYLOAD}")
-        return self._recv_exact(length)
+        end = FRAME_HEADER.size + length
+        while len(buf) < end:
+            self._fill()
+        payload = bytes(buf[FRAME_HEADER.size:end])
+        del buf[:end]
+        return payload
 
     def close(self):
         # a hang-up or socket error already marked the stream closed, but the

@@ -2,38 +2,73 @@
 
 An isolated run's plant process imports the plant, and nothing of the
 harness that starts it: `twinproto/__init__.py` resolves its exported
-names on first use instead of importing the harness up front.
+names on first use instead of importing the harness up front. The child
+starts without `site`, and the plant's classes need no `dataclasses`.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
-from pathlib import Path
+import threading
 
 import pytest
 
 import twinproto
 from twinproto import harness
+from twinproto.messages import decode_message, status
+from twinproto.transport import TcpListener
 
 # modules the plant process never runs
 NOT_IN_THE_PLANT = ("harness", "config", "mapek", "bus", "cli", "template")
 
 
+def imported_modules(argv, env):
+    """Every module the process `argv` imports while it runs, read from the
+    interpreter's own import-time report on standard error."""
+    proc = subprocess.run(argv, env=dict(env, PYTHONPROFILEIMPORTTIME="1"),
+                          stderr=subprocess.PIPE, text=True, timeout=60)
+    return proc, {line.rsplit("|", 1)[1].strip()
+                  for line in proc.stderr.splitlines()
+                  if line.startswith("import time:") and "|" in line}
+
+
+def test_the_report_shows_site_where_an_interpreter_loads_it():
+    _, loaded = imported_modules([sys.executable, "-c", "pass"], os.environ)
+    assert "site" in loaded
+
+
 def test_the_plant_process_imports_only_the_plant():
-    imports = [line for line in harness._CHILD_CODE.splitlines()
-               if "plant_process_main" in line and "import" in line]
-    assert len(imports) == 1
-    src = str(Path(twinproto.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = imports[0] + "\nimport sys\nprint(*sorted(sys.modules))\n"
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
+    # the child's own command line, run to its end: it connects, serves the
+    # boot status and stops at the hang-up, without PYTHONPATH
+    up_listener = TcpListener("127.0.0.1", 0)
+    down_listener = TcpListener("127.0.0.1", 0)
+    opts = {"seed": 1, "duration_ms": 1000, "link_capacity": 16,
+            "up_port": up_listener.address[1],
+            "down_port": down_listener.address[1]}
+    argv = harness._plant_process_argv(json.dumps(opts))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    box = {}
+    child = threading.Thread(
+        target=lambda: box.update(run=imported_modules(argv, env)))
+    child.start()
+    try:
+        up = up_listener.accept(name="peer-up", timeout=15.0)
+        down = down_listener.accept(name="peer-down", timeout=15.0)
+        assert decode_message(up.read_frame()) == status(0)
+        up.close()
+        down.close()
+    finally:
+        child.join(timeout=60.0)
+        up_listener.close()
+        down_listener.close()
+    assert not child.is_alive()
+    proc, loaded = box["run"]
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
     assert "twinproto.control" in loaded
+    assert sorted(loaded & {"site", "dataclasses"}) == []
     assert sorted(loaded & {f"twinproto.{name}"
                             for name in NOT_IN_THE_PLANT}) == []
 

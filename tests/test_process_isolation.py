@@ -89,6 +89,15 @@ def test_isolated_dtp_replays_a_recording(tmp_path):
     assert result.statuses_seen == 4
 
 
+def test_an_isolated_run_needs_no_pythonpath(monkeypatch):
+    # the child imports the package this process runs from the directory
+    # its command line names, so the environment need not name it too
+    monkeypatch.delenv("PYTHONPATH", raising=False)
+    result = run_scenario(mission(), RunConfig(isolate=True))
+    assert result.ok, result.failures
+    assert result.final_status == "OFF"
+
+
 def test_isolation_requires_the_wall_clock():
     sc = mission(clock="lockstep")
     with pytest.raises(ConfigError, match="wall clock"):

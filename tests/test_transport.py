@@ -9,12 +9,17 @@ import threading
 import warnings
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from twinproto.errors import ConnectionClosed, FrameTooLarge, PortBindFailed
 from twinproto.runtime import LockstepRuntime, WallRuntime
 from twinproto.transport import (
+    FRAME_HEADER,
     MAX_FRAME_PAYLOAD,
+    RECV_CHUNK,
     Protocol,
+    SocketEndpoint,
     TcpListener,
     connect_pair,
     frame_payload,
@@ -65,9 +70,10 @@ def socket_pair():
 
 
 # an in-process pair carries payloads as they are, a socket behind a length
-# prefix; both must carry and refuse the same frames
+# prefix; both must carry and refuse the same frames. The smallest frames
+# behind the largest share a socket read with its tail.
 EDGE_PAYLOADS = [b"", b"\x00", b"", bytes(range(256)),
-                 b"x" * MAX_FRAME_PAYLOAD, b"end"]
+                 b"x" * MAX_FRAME_PAYLOAD, b"", b"y", b"end"]
 
 
 @pytest.mark.parametrize("kind", ["in-process", "socket"])
@@ -216,6 +222,87 @@ def test_bridge_works_under_lockstep():
     rt.run(timeout=20.0)
     assert rt.task_errors() == []
     assert got == frames
+
+
+class ChunkedSocket:
+    """A socket stand-in whose `recv(n)` hands out a byte stream in drawn
+    chunk sizes (at most `n` each), then EOF. `buffered_at_last_recv` is how
+    much of the stream had been handed out when `recv` was last called."""
+
+    def __init__(self, stream, sizes):
+        self.stream = stream
+        self.sizes = iter(sizes)
+        self.handed = 0
+        self.buffered_at_last_recv = None
+
+    def recv(self, n):
+        self.buffered_at_last_recv = self.handed
+        size = min(n, next(self.sizes, n))
+        chunk = self.stream[self.handed:self.handed + size]
+        self.handed += len(chunk)
+        return chunk
+
+
+# mostly small payloads, now and then one that spans several RECV_CHUNKs
+payloads = st.lists(st.one_of(
+    st.binary(max_size=24),
+    st.integers(RECV_CHUNK - 5, 2 * RECV_CHUNK + 5).map(lambda n: b"\xa5" * n),
+), max_size=8).filter(lambda ps: sum(map(len, ps)) <= 4 * RECV_CHUNK)
+chunk_sizes = st.lists(st.integers(1, 9), max_size=40)
+
+
+def read_until_error(stream, sizes):
+    """Every frame a SocketEndpoint reads from `stream`, the error that ends
+    the reads, and the fake socket."""
+    sock = ChunkedSocket(stream, sizes)
+    endpoint = SocketEndpoint(sock, name="fake")
+    got = []
+    while True:
+        try:
+            got.append(endpoint.read_frame())
+        except (ConnectionClosed, FrameTooLarge) as exc:
+            with pytest.raises(ConnectionClosed, match="read after close"):
+                endpoint.read_frame()  # the endpoint is closed for good
+            return got, exc, sock
+
+
+@given(payloads, chunk_sizes, st.data())
+def test_any_split_of_a_framed_stream_reads_as_unframe_reads_it(
+        frames, sizes, data):
+    wires = [frame_payload(p) for p in frames]
+    stream = b"".join(wires)
+    ending = data.draw(st.sampled_from(["whole", "truncated", "oversize"]))
+    if ending == "oversize":  # a prefix over the limit, then anything
+        length = data.draw(st.integers(MAX_FRAME_PAYLOAD + 1, 2 ** 32 - 1))
+        bad = FRAME_HEADER.pack(length) + data.draw(st.binary(max_size=16))
+        wires.append(bad)
+        stream += bad
+    elif ending == "truncated" and stream:
+        stream = stream[:data.draw(st.integers(0, len(stream) - 1))]
+    # what unframe makes of each whole frame, up to the first it refuses
+    want, start = [], 0
+    for wire in wires:
+        piece = stream[start:start + len(wire)]
+        if len(piece) < len(wire):
+            if piece:
+                with pytest.raises(ConnectionClosed):
+                    unframe(piece)
+            break
+        try:
+            want.append(unframe(piece))
+        except FrameTooLarge:
+            break
+        start += len(wire)
+
+    got, error, sock = read_until_error(stream, sizes)
+    assert got == want
+    if ending == "oversize":
+        assert isinstance(error, FrameTooLarge)
+        # no recv once the refused header was whole in the buffer
+        assert sock.buffered_at_last_recv < start + FRAME_HEADER.size
+    else:
+        assert isinstance(error, ConnectionClosed)
+        assert sock.handed == len(stream)
 
 
 def test_tcp_roundtrip_over_loopback():
