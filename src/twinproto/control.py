@@ -65,6 +65,9 @@ from .transport import (
 )
 
 
+_COMMAND = MessageKind.COMMAND  # read once a frame (see messages._STATUS)
+
+
 class ControlLogic:
     """Bidirectional relay with period bookkeeping and a gated data log."""
 
@@ -81,7 +84,7 @@ class ControlLogic:
 
     def handle_transmitter_command(self, msg, payload):
         """Period update first, then forward; log under the new period."""
-        if msg.kind is not MessageKind.COMMAND:
+        if msg.kind is not _COMMAND:
             with self._lock:
                 self.stray_commands += 1
             return None

@@ -565,21 +565,33 @@ def record_session(scenario: Scenario, config: RunConfig | None = None, *,
 # The child starts without `site` (`-S`): it needs nothing from
 # site-packages, and a `.pth` hook there may import whole libraries into
 # every interpreter. It imports the package this process runs, from the
-# directory passed as its first argument, with or without PYTHONPATH.
-_CHILD_CODE = ("import sys\n"
+# directory passed as its one argument, with or without PYTHONPATH, and
+# reads its options from its standard input: one command-line argument may
+# hold at most 128 KiB, which a long measurement script passes. It ends as
+# multiprocessing's children do: it flushes its output and calls `os._exit`,
+# so the parent's wait does not include interpreter finalization;
+# `plant.stop()` has closed its sockets by then.
+_CHILD_CODE = ("import os, sys\n"
                "sys.path.insert(0, sys.argv[1])\n"
                "from twinproto.control import plant_process_main\n"
-               "sys.exit(plant_process_main(sys.argv[2]))\n")
+               "rc = plant_process_main(sys.stdin.read())\n"
+               "sys.stdout.flush()\n"
+               "sys.stderr.flush()\n"
+               "os._exit(rc)\n")
 
 
-def _plant_process_argv(raw_opts: str) -> list:
+def _plant_process_argv() -> list:
     """The command line of the isolated plant's child interpreter."""
     package_root = str(Path(__file__).resolve().parent.parent)
-    return [sys.executable, "-S", "-c", _CHILD_CODE, package_root, raw_opts]
+    return [sys.executable, "-S", "-c", _CHILD_CODE, package_root]
 
 
 def _spawn_plant_process(scenario: Scenario, up_port: int, down_port: int,
                          link_capacity: int):
+    """Start the plant's child and write its options to its standard input,
+    which is closed on return; options past the pipe's buffer wait for the
+    child to read them. Raises OSError if the child cannot start or dies
+    before it has read them."""
     opts = {
         "seed": scenario.seed,
         "duration_ms": scenario.duration_ms,
@@ -589,7 +601,15 @@ def _spawn_plant_process(scenario: Scenario, up_port: int, down_port: int,
         "recording": _recording_path(scenario),
         "link_capacity": link_capacity,
     }
-    return subprocess.Popen(_plant_process_argv(json.dumps(opts)))
+    child = subprocess.Popen(_plant_process_argv(), stdin=subprocess.PIPE)
+    try:
+        with child.stdin:
+            child.stdin.write(json.dumps(opts).encode("ascii"))
+    except OSError:  # a broken pipe: the child is gone
+        child.kill()
+        child.wait()
+        raise
+    return child
 
 
 # ---------------------------------------------------------------------------
@@ -617,20 +637,31 @@ class ReplayResult(_Verdict):
 WALL_TS_MIN = 1_000_000_000
 
 
-def reference_trajectory(records) -> list:
-    """State walk a record file implies: distinct changes from the initial.
+# read once a record by `_replay_plan` (see messages._STATUS)
+_PT2DT, _STANDBY = ThreadDirection.PT2DT, State.STANDBY
 
-    The records come from `read_thread_file`, which has decoded every STA
-    payload, so a status's state is its code byte."""
-    walk = []
-    current = State.STANDBY
-    for rec in records:
-        if rec.direction is ThreadDirection.PT2DT and rec.kind == "STA":
-            s = STATE_OF_CODE[rec.payload[1]]
-            if s is not current:
-                walk.append(s)
-                current = s
-    return walk
+
+def _replay_plan(records):
+    """One pass over a record file: the PT2DT frames to feed, in order, and
+    the state walk they imply, by name: each distinct change from STANDBY.
+
+    The records come from `read_thread_file`, which has checked every
+    (dir, kind) pair and decoded every STA payload, so every PT2DT record
+    but a NOTE is a frame, and a status's state is its code byte."""
+    frames, walk = [], []
+    feed = frames.append
+    current = _STANDBY
+    for rec in records:  # fields by index: 2 direction, 3 kind, 4 payload
+        if rec[2] is _PT2DT:
+            kind = rec[3]
+            if kind != "NOTE":
+                feed(rec)
+                if kind == "STA":
+                    state = STATE_OF_CODE[rec[4][1]]
+                    if state is not current:
+                        walk.append(state._name_)
+                        current = state
+    return frames, walk
 
 
 def replay_thread(path, clock: ClockMode = ClockMode.LOCKSTEP, seed: int = 0,
@@ -654,8 +685,7 @@ def replay_thread(path, clock: ClockMode = ClockMode.LOCKSTEP, seed: int = 0,
     except ThreadLogError as exc:
         raise ConfigError(f"record file rejected{where_in_file(exc)}: {exc}") \
             from None
-    frames = [r for r in records
-              if r.direction is ThreadDirection.PT2DT and r.is_frame]
+    frames, want_walk = _replay_plan(records)
     if paced is None:
         paced = clock is ClockMode.WALL
     ts_per_ms = 1_000_000 if frames and frames[-1].ts >= WALL_TS_MIN else 1
@@ -687,12 +717,11 @@ def replay_thread(path, clock: ClockMode = ClockMode.LOCKSTEP, seed: int = 0,
     result.frames_fed = len(frames)
     result.statuses_seen = stats.statuses
     result.measurements_seen = stats.measurements
-    result.final_state = shadow.model_state().name
-    result.trajectory = [s.name for _, s in shadow.keeper.trajectory]
+    result.final_state = shadow.model_state()._name_
+    result.trajectory = [s._name_ for _, s in shadow.keeper.trajectory]
     consumed = driver.relayed_in + driver.skipped_in
     if consumed != len(frames):
         result.fail(f"consumed {consumed} of {len(frames)} frames")
-    want_walk = [s.name for s in reference_trajectory(records)]
     if result.trajectory != want_walk:
         result.fail(f"trajectory {result.trajectory} != record walk {want_walk}")
     return result

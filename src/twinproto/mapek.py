@@ -60,13 +60,15 @@ from dataclasses import dataclass
 from .devices import DeviceDriver
 from .errors import GateRejected
 from .messages import (OP_COMMAND, Message, MessageKind, command,
-                       encode_message, status)
+                       encode_message)
 from .runtime import drive
 from .statemachine import (STATE_OF_CODE, State, TwinState, process_event,
                            transition)
 
-# read once a frame by `monitor` (see messages._STATUS)
+# read once a frame by `monitor`, once a plan by `command_for_goal` (see
+# messages._STATUS)
 _MEASUREMENT, _STATUS = MessageKind.MEASUREMENT, MessageKind.STATUS
+_ACTIVE, _STANDBY = State.ACTIVE, State.STANDBY
 
 # corrective command toward ACTIVE uses this sampling period
 PLAN_DEFAULT_PERIOD = 50
@@ -147,7 +149,8 @@ class ModelKeeper:
                 return AnalysisResult(ts, obs, self.model.current, True)
             if self.goal_pending:
                 return AnalysisResult(ts, obs, self.model.current, False)
-            self.model = process_event(self.model, status(int(obs)))
+            # what a STATUS event does to the model, without building one
+            self.model = TwinState(obs, self.model.period)
             self.trajectory.append((ts, self.model.current))
             self.mirrored_count += 1
             return AnalysisResult(ts, obs, self.model.current, True,
@@ -172,9 +175,9 @@ class ModelKeeper:
 
 
 def command_for_goal(goal: State) -> Message:
-    if goal is State.ACTIVE:
+    if goal is _ACTIVE:
         return command(PLAN_DEFAULT_PERIOD)
-    if goal is State.STANDBY:
+    if goal is _STANDBY:
         return command(0)
     return command(-1)
 

@@ -40,16 +40,20 @@ TERMINAL_STATES = frozenset({State.OFF})
 # wire code -> State, indexed as messages._STATUSES is: no Enum call
 STATE_OF_CODE = tuple(State)
 
+# read once an event (see messages._STATUS)
+_STANDBY, _ACTIVE, _OFF = State.STANDBY, State.ACTIVE, State.OFF
+_COMMAND, _STATUS = MessageKind.COMMAND, MessageKind.STATUS
+
 
 def transition(state: State, value: int) -> State:
     """One COMMAND transition. Total on non-terminal states; OFF absorbs."""
     if state in TERMINAL_STATES:
-        return State.OFF
+        return _OFF
     if value > 0:
-        return State.ACTIVE
+        return _ACTIVE
     if value == 0:
-        return State.STANDBY
-    return State.OFF
+        return _STANDBY
+    return _OFF
 
 
 class TwinState(NamedTuple):
@@ -66,9 +70,10 @@ def process_event(ts: TwinState, msg: Message) -> TwinState:
     STATUS: set the state to the observed code directly (may leave OFF).
     MEASUREMENT: raises KindRejected.
     """
-    if msg.kind is MessageKind.COMMAND:
+    kind = msg.kind
+    if kind is _COMMAND:
         return TwinState(transition(ts.current, msg.value), msg.value)
-    if msg.kind is MessageKind.STATUS:
+    if kind is _STATUS:
         return ts._replace(current=State(msg.value))
     raise KindRejected(f"state machine does not process {msg.kind.name}")
 

@@ -208,29 +208,33 @@ class ThreadLog:
                 self._fh = None
 
 
-def _parse_file(path):
-    """Yield the record of each line of a whole thread file, seq strictly
-    increasing; each payload is decoded once. Only a line feed ends
+def _parse_file(path) -> list:
+    """The record of each line of a whole thread file, in a list, seq
+    strictly increasing; each payload is decoded once. Only a line feed ends
     a line, so the file reads as `parse_record_line` reads each of its
     lines: a lone carriage return stays inside its line, and the hex
     field's whitespace skipping takes a CRLF ending."""
+    records = []
+    keep = records.append
     last_seq = 0
     with open(path, "r", encoding="utf-8", newline="\n") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.isspace():  # blank
                 continue
             rec = parse_record_line(line, lineno)
-            if rec.seq <= last_seq:
+            seq = rec[0]
+            if seq <= last_seq:
                 raise CorruptRecord(
-                    f"seq {rec.seq} not increasing after {last_seq}", seq=rec.seq
+                    f"seq {seq} not increasing after {last_seq}", seq=seq
                 )
-            last_seq = rec.seq
-            yield rec
+            last_seq = seq
+            keep(rec)
+    return records
 
 
 def read_thread_file(path):
     """Load and validate a whole thread file (strictly increasing seq)."""
-    return list(_parse_file(path))
+    return _parse_file(path)
 
 
 def load_recordings(path):

@@ -785,6 +785,37 @@ def test_replay_counts_an_undecodable_frame_as_consumed(tmp_path, clock):
     assert result.trajectory == ["ACTIVE"]
 
 
+def test_replay_feeds_raw_frames_and_never_a_note(tmp_path, monkeypatch):
+    # RAW frames are fed and the shadow's ingest driver skips them; NOTE
+    # lines, in either direction, and DT2PT frames are never fed
+    shadows = []
+    real = harness.assemble_shadow
+
+    def keep_shadow(*args, **kwargs):
+        shadows.append(real(*args, **kwargs))
+        return shadows[-1]
+
+    monkeypatch.setattr(harness, "assemble_shadow", keep_shadow)
+    thread = tmp_path / "mixed.thread"
+    thread.write_text("seq=1 ts=0 dir=PT2DT kind=STA hex=2000\n"
+                      "seq=2 ts=1 dir=PT2DT kind=NOTE hex=6869\n"
+                      "seq=3 ts=2 dir=PT2DT kind=RAW hex=ff\n"
+                      "seq=4 ts=3 dir=DT2PT kind=CMD hex=010032\n"
+                      "seq=5 ts=4 dir=DT2PT kind=NOTE hex=6f6b\n"
+                      "seq=6 ts=5 dir=PT2DT kind=STA hex=2001\n"
+                      "seq=7 ts=6 dir=PT2DT kind=MEA hex=100000002a\n"
+                      "seq=8 ts=7 dir=PT2DT kind=RAW hex=2007\n"
+                      "seq=9 ts=8 dir=DT2PT kind=RAW hex=ee\n"
+                      "seq=10 ts=9 dir=PT2DT kind=STA hex=2001\n")
+    result = replay_thread(thread, clock=ClockMode.LOCKSTEP, seed=1)
+    assert result.ok, result.failures
+    assert result.frames_fed == 6
+    assert (result.statuses_seen, result.measurements_seen) == (3, 1)
+    assert result.trajectory == ["ACTIVE"]
+    stats = shadows[0].ingest_driver.stats
+    assert (stats.relayed_in, stats.skipped_in) == (4, 2)
+
+
 def test_replay_rejects_corrupt_files(tmp_path):
     missing = tmp_path / "none.thread"
     with pytest.raises(ConfigError, match="cannot read"):

@@ -25,11 +25,13 @@ from twinproto.transport import TcpListener
 NOT_IN_THE_PLANT = ("harness", "config", "mapek", "bus", "cli", "template")
 
 
-def imported_modules(argv, env):
-    """Every module the process `argv` imports while it runs, read from the
-    interpreter's own import-time report on standard error."""
+def imported_modules(argv, env, stdin_text=""):
+    """Every module the process `argv` imports while it runs, given
+    `stdin_text` on its standard input, read from the interpreter's own
+    import-time report on standard error."""
     proc = subprocess.run(argv, env=dict(env, PYTHONPROFILEIMPORTTIME="1"),
-                          stderr=subprocess.PIPE, text=True, timeout=60)
+                          input=stdin_text, stderr=subprocess.PIPE,
+                          text=True, timeout=60)
     return proc, {line.rsplit("|", 1)[1].strip()
                   for line in proc.stderr.splitlines()
                   if line.startswith("import time:") and "|" in line}
@@ -48,11 +50,12 @@ def test_the_plant_process_imports_only_the_plant():
     opts = {"seed": 1, "duration_ms": 1000, "link_capacity": 16,
             "up_port": up_listener.address[1],
             "down_port": down_listener.address[1]}
-    argv = harness._plant_process_argv(json.dumps(opts))
+    argv = harness._plant_process_argv()
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     box = {}
     child = threading.Thread(
-        target=lambda: box.update(run=imported_modules(argv, env)))
+        target=lambda: box.update(
+            run=imported_modules(argv, env, json.dumps(opts))))
     child.start()
     try:
         up = up_listener.accept(name="peer-up", timeout=15.0)

@@ -98,6 +98,51 @@ def test_an_isolated_run_needs_no_pythonpath(monkeypatch):
     assert result.final_status == "OFF"
 
 
+def long_script(n=10000):
+    """A wall twin whose measurement script holds `n` entries: its options
+    outgrow what one command-line argument may hold (128 KiB on Linux) and
+    a pipe's buffer (64 KiB). The script is done long before the last step
+    ends the run."""
+    return mission(name="iso-script", duration_ms=3000,
+                   steps=[{"at_ms": 0, "do": "command", "value": 50},
+                          {"at_ms": 1000, "do": "command", "value": 50}],
+                   measurements=[[50, 1_000_000 + i] for i in range(n)],
+                   expect={"final_status": "ACTIVE", "min_statuses": 3})
+
+
+def test_a_long_measurement_script_runs_isolated():
+    result = run_scenario(long_script(), RunConfig(isolate=True))
+    assert result.ok, result.failures
+    assert result.measurements_seen == 10000
+
+
+def test_a_plant_process_that_dies_before_reading_is_refused(monkeypatch):
+    # the child exits without reading its options, so writing them breaks
+    # the pipe; the refusal leaves no pipe or process open
+    monkeypatch.setattr(harness, "_plant_process_argv",
+                        lambda: [sys.executable, "-S", "-c", "pass"])
+    raised, unclosed = raised_and_unclosed(long_script(),
+                                           RunConfig(isolate=True))
+    assert raised == (ConfigError, "plant process could not start: "
+                                   "[Errno 32] Broken pipe")
+    assert unclosed == []
+
+
+def test_an_isolated_emulator_that_runs_dry_fails_with_the_dry_reason(
+        tmp_path):
+    # the child's exit code is all the parent learns of a dry emulator, so
+    # it must survive the child's exit without interpreter finalization
+    rec = tmp_path / "boot-only.rec"
+    rec.write_text("seq=1 ts=0 dir=PT2DT kind=STA hex=2000\n")
+    sc = mission(name="iso-dry", recording=str(rec),
+                 steps=[{"at_ms": 0, "do": "inject", "value": 50},
+                        {"at_ms": 100, "do": "inject", "value": 0}],
+                 expect={"final_status": "STANDBY"})
+    result = run_scenario(sc, RunConfig(isolate=True))
+    assert result.failures == [f"recording {rec} ran dry: all 1 frames "
+                               f"served, commands unanswered"]
+
+
 def test_isolation_requires_the_wall_clock():
     sc = mission(clock="lockstep")
     with pytest.raises(ConfigError, match="wall clock"):

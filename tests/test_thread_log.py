@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from reference_thread_line import Rejected, ref_parse_line
 from twinproto.errors import CorruptRecord
+from twinproto.harness import _replay_plan
 from twinproto.messages import (
     COMMAND_MAX,
     COMMAND_MIN,
@@ -25,6 +26,7 @@ from twinproto.messages import (
     status,
 )
 from twinproto.runtime import WallRuntime
+from twinproto.statemachine import STATE_OF_CODE, State
 from twinproto.thread_log import (
     U64_MAX,
     TappedEndpoint,
@@ -374,6 +376,26 @@ def test_a_recording_file_gives_back_the_pt2dt_messages_in_order(recs):
         assert load_recordings(path) == [
             r.payload for r in recs
             if r.direction is PT2DT and r.kind in ("MEA", "STA")]
+
+
+def two_pass_replay_plan(records):
+    """What replay fed and judged before its walk was fused into one pass:
+    one pass for the PT2DT frames, one for the states their statuses walk
+    through from STANDBY."""
+    frames = [r for r in records if r.direction is PT2DT and r.is_frame]
+    walk, current = [], State.STANDBY
+    for rec in records:
+        if rec.direction is PT2DT and rec.kind == "STA":
+            state = STATE_OF_CODE[rec.payload[1]]
+            if state is not current:
+                walk.append(state)
+                current = state
+    return frames, [state.name for state in walk]
+
+
+@given(st.lists(records(), max_size=40))
+def test_replays_one_pass_feeds_and_walks_as_the_two_passes_did(recs):
+    assert _replay_plan(recs) == two_pass_replay_plan(recs)
 
 
 class Draft:

@@ -28,6 +28,8 @@ ALLOWED = {
     "plant_process_main": "the code string in `harness` that the isolated "
                           "plant's process runs, calling into `control`",
     "write_manifest": "tests",
+    "is_frame": "C1, C3 and C6 (the acceptance gate's `frame_walk`), and "
+                "tests",
 }
 
 
