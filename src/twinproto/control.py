@@ -54,7 +54,7 @@ from .devices import (
 )
 from .errors import ConnectionClosed, RecordingMissing
 from .messages import OP_COMMAND, OP_MEASUREMENT, OP_STATUS, MessageKind
-from .runtime import ClockMode, make_runtime
+from .runtime import WallRuntime
 from .thread_log import load_checked_recordings
 from .transport import (
     BRIDGE_WINDOW,
@@ -211,11 +211,11 @@ def plant_process_main(raw: str) -> int:
     or straggled, EXIT_RECORDING_DRY if the emulator ran out of recordings.
     """
     opts = json.loads(raw)
-    rt = make_runtime(ClockMode.WALL, opts.get("seed", 0))
+    rt = WallRuntime()
     up = tcp_connect("127.0.0.1", opts["up_port"], name="plant:up")
     down = tcp_connect("127.0.0.1", opts["down_port"], name="plant:down")
-    script = [tuple(p) for p in opts.get("measurements", [])] or None
-    plant = _start_plant(rt, load_checked_recordings(opts.get("recording")),
+    script = [tuple(p) for p in opts["measurements"]] or None
+    plant = _start_plant(rt, load_checked_recordings(opts["recording"]),
                          up, down, script, opts["link_capacity"])
 
     def deadline():

@@ -16,7 +16,9 @@ chains `_wire` builds, each direction's relays in frame order:
 
     pt      real sensor, operator holds both links
     dtp     emulated sensor behind the bridge, operator holds both links
-    (both)  PT2DT sensor-driver, tx-driver, op-watch
+    (both)  the operator watches the uplink through a shadow's engine,
+            untapped, whose model the result leaves out
+            PT2DT sensor-driver, tx-driver, op-watch
             DT2PT tx-driver, sensor-driver, device
     shadow  ingest link feeds a monitor/analyze deployment; the command
             link stays with the operator, untapped; no uplink object
@@ -47,14 +49,11 @@ from typing import Callable, NamedTuple
 
 from .config import (EXPECTATIONS, OBSERVED, Expectations, RunConfig,
                      Scenario, load_scenario)
-# the isolated plant's entry lives beside the plant, so that its process
-# imports no more than the plant; callers may still reach it from here
-from .control import EXIT_RECORDING_DRY, _start_plant, plant_process_main
+from .control import EXIT_RECORDING_DRY, _start_plant
 from .devices import DeviceDriver
 from .errors import (ConfigError, ConnectionClosed, KernelHalted,
                      PortBindFailed, RecordingMissing, ThreadLogError)
-from .mapek import (DigitalTwin, MonitorStats, assemble_shadow, assemble_twin,
-                    monitor)
+from .mapek import DigitalTwin, ModelKeeper, assemble_shadow, assemble_twin
 from .messages import command, encode_message, status
 from .runtime import ClockMode, make_runtime
 from .statemachine import STATE_OF_CODE, State
@@ -145,8 +144,9 @@ class _Hop(NamedTuple):
     """One relay on a direction's chain. `counts()` reads what it has taken
     in, handed on and skipped; `loop` is the driver whose receive loop
     keeps the link loss that ended it (`closed_by`), if the hop reports
-    one; the last PT2DT hop's `observer` holds what `monitor` made of the
-    frames, as `monitor_stats` and `last_observed`."""
+    one; the last PT2DT hop's `observer` is the `DigitalTwin` that took
+    the frames in, which counts them in `monitor_stats` and keeps
+    `last_observed`."""
 
     name: str
     counts: Callable[[], tuple]
@@ -160,21 +160,6 @@ def _tap(log, direction):
         frames = log.frame_counts()[direction]
         return frames, frames, 0
     return _Hop("tap", counts)
-
-
-class _Watch:
-    """A pt or dtp run's observer: `op-watch`'s receive loop, which `_drive`
-    starts, hands it each frame for `monitor` to count."""
-
-    def __init__(self, conn):
-        self.driver = DeviceDriver(conn, command_set=frozenset(),
-                                   name="op-watch")
-        self.monitor_stats, self.last_observed = MonitorStats(), None
-
-    def __call__(self, msg, payload):
-        obs = monitor(self.monitor_stats, msg)
-        if obs is not None:
-            self.last_observed = obs
 
 
 @dataclass
@@ -271,6 +256,7 @@ def _wire(rt, scenario: Scenario, cfg: RunConfig,
             except OSError as exc:
                 raise ConfigError(f"plant process could not start: {exc}") \
                     from None
+            up_peer = None
             try:
                 recording = load_checked_recordings(recording_path)
                 up_peer = up_listener.accept(name="link:peer-up",
@@ -278,6 +264,8 @@ def _wire(rt, scenario: Scenario, cfg: RunConfig,
                 down_peer = down_listener.accept(name="link:peer-down",
                                                  timeout=15.0)
             except Exception as exc:
+                if up_peer is not None:
+                    up_peer.close()
                 child.kill()
                 child.wait()
                 if isinstance(exc, RecordingMissing):
@@ -295,11 +283,13 @@ def _wire(rt, scenario: Scenario, cfg: RunConfig,
 
     down = ()  # without a twin, the operator writes the commands, untapped
     if log is None:  # pt, dtp: the operator watches the plant's uplink
-        watch = _Watch(up_peer)
-        # the link is the operator's, so the watch reports no loss: the
-        # plant's drivers, or the plant process's exit code, report it
-        up = (_Hop(watch.driver.name, watch.driver.stats.received,
-                   observer=watch),)
+        # through a shadow's engine, which `_drive` starts; the link is the
+        # operator's, so the watch reports no loss: the plant's drivers, or
+        # the plant process's exit code, report it
+        reader = DeviceDriver(up_peer, command_set=frozenset(),
+                              name="op-watch")
+        up = (_Hop(reader.name, reader.stats.received,
+                   observer=DigitalTwin(rt, ModelKeeper(), reader)),)
     else:
         ingest = TappedEndpoint(up_peer, log, rt,
                                 read_dir=ThreadDirection.PT2DT)
@@ -353,8 +343,7 @@ def _drive(rt, scenario: Scenario, cfg: RunConfig, wiring: _Wiring,
     """Run the operator's script to the end or to settling, then tear down."""
     twin = wiring.twin
     if twin is None:  # pt/dtp: the operator holds the plant's uplink
-        watch = wiring.pt2dt[-1].observer
-        rt.spawn(watch.driver.receive(watch), name="op:watch")
+        rt.spawn(wiring.pt2dt[-1].observer.ingest_loop(), name="op:watch")
 
     def apply_step(step):
         if step.action == "command":
@@ -593,7 +582,6 @@ def _spawn_plant_process(scenario: Scenario, up_port: int, down_port: int,
     child to read them. Raises OSError if the child cannot start or dies
     before it has read them."""
     opts = {
-        "seed": scenario.seed,
         "duration_ms": scenario.duration_ms,
         "up_port": up_port,
         "down_port": down_port,

@@ -65,8 +65,8 @@ from .runtime import drive
 from .statemachine import (STATE_OF_CODE, State, TwinState, process_event,
                            transition)
 
-# read once a frame by `monitor`, once a plan by `command_for_goal` (see
-# messages._STATUS)
+# read once a frame by `DigitalTwin.ingest`, once a plan by
+# `command_for_goal` (see messages._STATUS)
 _MEASUREMENT, _STATUS = MessageKind.MEASUREMENT, MessageKind.STATUS
 _ACTIVE, _STANDBY = State.ACTIVE, State.STANDBY
 
@@ -99,20 +99,6 @@ class MonitorStats:
     statuses: int = 0
     measurements: int = 0
     strays: int = 0  # inbound frames that make no sense from a counterpart
-
-
-def monitor(stats: MonitorStats, msg: Message) -> State | None:
-    """Monitor: count one frame from the counterpart into `stats`; returns
-    a status's State, else None. Every shape's observer calls this."""
-    kind = msg.kind
-    if kind is _MEASUREMENT:
-        stats.measurements += 1
-        return None
-    if kind is not _STATUS:
-        stats.strays += 1  # commands never arrive from the counterpart
-        return None
-    stats.statuses += 1
-    return STATE_OF_CODE[msg.value]
 
 
 @dataclass
@@ -237,9 +223,10 @@ def execute_loop(runtime, gate, sub, out_execute, thread_log=None):
 class DigitalTwin:
     """One running twin or shadow deployment, and its MAPE-K engine.
 
-    Without an uplink (a shadow) the engine ends at analysis. In a twin,
-    analysis onward and every uplink write hold the token, and a
-    ConnectionClosed from the uplink reaches the calling task.
+    Without an uplink (a shadow, or the operator's watch in a pt or dtp
+    run) the engine ends at analysis. In a twin, analysis onward and every
+    uplink write hold the token, and a ConnectionClosed from the uplink
+    reaches the calling task.
     """
 
     def __init__(self, runtime, keeper, ingest_driver, uplink_driver=None,
@@ -271,14 +258,25 @@ class DigitalTwin:
     def model_state(self) -> State:
         return self.keeper.snapshot().current
 
+    def ingest_loop(self):
+        """The ingest driver's receive loop, calling `ingest` on each frame:
+        the generator for the caller to spawn."""
+        return self.ingest_driver.receive(self.ingest)
+
     def ingest(self, msg: Message, payload: bytes):
-        """Monitor one frame from the counterpart; a status goes on to
-        analysis. Returns None, or in a twin the generator that analyzes
-        onward, for the caller to run. The bytes are not needed: the tap
-        has recorded them."""
-        obs = monitor(self.monitor_stats, msg)
-        if obs is None:
+        """Monitor one frame from the counterpart: count it, and a status
+        goes on to analysis. Returns None, or in a twin the generator that
+        analyzes onward, for the caller to run. The bytes are not needed:
+        the tap has recorded them."""
+        stats, kind = self.monitor_stats, msg.kind
+        if kind is _MEASUREMENT:  # the common frame, tested first
+            stats.measurements += 1
             return None
+        if kind is not _STATUS:
+            stats.strays += 1  # commands never arrive from the counterpart
+            return None
+        stats.statuses += 1
+        obs = STATE_OF_CODE[msg.value]
         self.keeper.note_observation(obs)
         return self._analyze(obs)
 
@@ -360,8 +358,7 @@ def assemble_shadow(runtime, ingest_conn, name="shadow"):
     """Monitor + analyze over an ingest link. No uplink object exists."""
     twin = DigitalTwin(runtime, ModelKeeper(),
                        _ingest_driver(ingest_conn, name))
-    runtime.spawn(twin.ingest_driver.receive(twin.ingest),
-                  name=f"{name}:ingest")
+    runtime.spawn(twin.ingest_loop(), name=f"{name}:ingest")
     return twin
 
 
@@ -382,8 +379,7 @@ def assemble_twin(runtime, bus, ingest_conn, uplink_conn, thread_log=None,
     twin = DigitalTwin(runtime, keeper, _ingest_driver(ingest_conn, "twin"),
                        uplink_driver=uplink_driver, gate=ExecuteGate(keeper),
                        thread_log=thread_log)
-    runtime.spawn(twin.ingest_driver.receive(twin.ingest),
-                  name="twin:ingest")
+    runtime.spawn(twin.ingest_loop(), name="twin:ingest")
 
     def twinning_poll():
         while True:

@@ -699,6 +699,9 @@ def test_pt_and_dtp_count_the_measurements_they_see(tmp_path):
     assert [r.ok for r in (shadow, pt, dtp)] == [True] * 3
     assert [r.measurements_seen for r in (shadow, pt, dtp)] == [3, 3, 3]
     assert [r.statuses_seen for r in (shadow, pt, dtp)] == [2, 2, 2]
+    # the operator's watch keeps a model, but a pt or dtp result reports none
+    assert [(r.model_state, r.converged) for r in (pt, dtp)] == \
+        [(None, None)] * 2
 
 
 def test_replay_reproduces_the_recorded_walk(tmp_path):

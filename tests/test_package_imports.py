@@ -47,9 +47,9 @@ def test_the_plant_process_imports_only_the_plant():
     # boot status and stops at the hang-up, without PYTHONPATH
     up_listener = TcpListener("127.0.0.1", 0)
     down_listener = TcpListener("127.0.0.1", 0)
-    opts = {"seed": 1, "duration_ms": 1000, "link_capacity": 16,
-            "up_port": up_listener.address[1],
-            "down_port": down_listener.address[1]}
+    opts = {"duration_ms": 1000, "up_port": up_listener.address[1],
+            "down_port": down_listener.address[1], "measurements": [],
+            "recording": None, "link_capacity": 16}
     argv = harness._plant_process_argv()
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     box = {}

@@ -18,7 +18,8 @@ import pytest
 from twinproto import harness
 from twinproto.cli import main
 from twinproto.config import RunConfig, parse_scenario
-from twinproto.errors import ConfigError, PortBindFailed
+from twinproto.control import plant_process_main
+from twinproto.errors import ConfigError, ConnectionClosed, PortBindFailed
 from twinproto.harness import run_scenario
 from twinproto.messages import decode_message, status
 from twinproto.runtime import WallRuntime
@@ -186,6 +187,21 @@ def test_a_plant_process_that_cannot_start_is_refused_closing_both_listeners(
     assert reason in capsys.readouterr().err
 
 
+def test_a_second_accept_that_fails_closes_the_first_peer(monkeypatch):
+    # the uplink's peer is accepted, the downlink's accept fails: the
+    # refusal leaves the accepted socket closed
+    accept = TcpListener.accept
+
+    def accept_up_only(self, name="tcp-server", timeout=None):
+        if name == "link:peer-down":
+            raise ConnectionClosed("accept timed out")
+        return accept(self, name=name, timeout=timeout)
+
+    monkeypatch.setattr(TcpListener, "accept", accept_up_only)
+    assert raised_and_unclosed(mission(), RunConfig(isolate=True)) == \
+        ((ConfigError, "plant process never connected"), [])
+
+
 def test_a_second_listener_that_cannot_bind_closes_the_first(monkeypatch):
     bound, closed = [], []
 
@@ -239,13 +255,13 @@ def test_an_isolated_plant_stops_at_the_parents_hang_up(monkeypatch):
     monkeypatch.setattr(WallRuntime, "sleep_ms", recording_sleep)
     up_listener = TcpListener("127.0.0.1", 0)
     down_listener = TcpListener("127.0.0.1", 0)
-    opts = {"seed": 1, "duration_ms": 1000, "link_capacity": 16,
-            "up_port": up_listener.address[1],
-            "down_port": down_listener.address[1]}
+    opts = {"duration_ms": 1000, "up_port": up_listener.address[1],
+            "down_port": down_listener.address[1], "measurements": [],
+            "recording": None, "link_capacity": 16}
     exit_codes = []
     plant = threading.Thread(
         target=lambda: exit_codes.append(
-            harness.plant_process_main(json.dumps(opts))),
+            plant_process_main(json.dumps(opts))),
         name="plant-process-main")
     plant.start()
     try:
