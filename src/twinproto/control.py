@@ -39,6 +39,7 @@ modules and none of the harness.
 from __future__ import annotations
 
 import json
+import socket
 import sys
 import threading
 from enum import Enum
@@ -59,9 +60,9 @@ from .thread_log import load_checked_recordings
 from .transport import (
     BRIDGE_WINDOW,
     Protocol,
+    SocketEndpoint,
     connect_pair,
     open_virtual_serial_pair,
-    tcp_connect,
 )
 
 
@@ -203,8 +204,11 @@ def _start_plant(rt, recording, outbound, inbound, script, link_capacity):
 EXIT_RECORDING_DRY = 3
 
 
-def plant_process_main(raw: str) -> int:
-    """Child half of an isolated run: the whole plant behind two TCP links.
+def plant_process_main(raw: str, ready) -> int:
+    """Child half of an isolated run: the whole plant behind two TCP links,
+    whose ends it inherits as the file descriptors its options name. It
+    calls `ready()` once it has wrapped them, before it loads its
+    recording.
 
     Lives until the parent hangs up, or at most until the scenario duration
     plus a grace period, then tears itself down. Exits 1 if a task crashed
@@ -212,8 +216,10 @@ def plant_process_main(raw: str) -> int:
     """
     opts = json.loads(raw)
     rt = WallRuntime()
-    up = tcp_connect("127.0.0.1", opts["up_port"], name="plant:up")
-    down = tcp_connect("127.0.0.1", opts["down_port"], name="plant:down")
+    up = SocketEndpoint(socket.socket(fileno=opts["up_fd"]), name="plant:up")
+    down = SocketEndpoint(socket.socket(fileno=opts["down_fd"]),
+                          name="plant:down")
+    ready()
     script = [tuple(p) for p in opts["measurements"]] or None
     plant = _start_plant(rt, load_checked_recordings(opts["recording"]),
                          up, down, script, opts["link_capacity"])

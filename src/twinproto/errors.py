@@ -48,10 +48,6 @@ class FrameTooLarge(TransportError):
     """Frame payload exceeds the 2**20 byte ceiling."""
 
 
-class PortBindFailed(TransportError):
-    """Could not bind or connect a TCP endpoint."""
-
-
 # -- devices ------------------------------------------------------------------
 
 class DeviceError(TwinprotoError):

@@ -37,12 +37,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import select
 import shutil
 import subprocess
 import sys
-import threading
 import time
-from contextlib import closing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -52,7 +52,7 @@ from .config import (EXPECTATIONS, OBSERVED, Expectations, RunConfig,
 from .control import EXIT_RECORDING_DRY, _start_plant
 from .devices import DeviceDriver
 from .errors import (ConfigError, ConnectionClosed, KernelHalted,
-                     PortBindFailed, RecordingMissing, ThreadLogError)
+                     RecordingMissing, ThreadLogError)
 from .mapek import DigitalTwin, ModelKeeper, assemble_shadow, assemble_twin
 from .messages import command, encode_message, status
 from .runtime import ClockMode, make_runtime
@@ -65,7 +65,8 @@ from .thread_log import (
     read_thread_file,
     where_in_file,
 )
-from .transport import Protocol, TcpListener, connect_pair
+from .transport import (Protocol, SocketEndpoint, connect_pair,
+                        loopback_pair)
 
 
 class _Verdict:
@@ -247,30 +248,8 @@ def _wire(rt, scenario: Scenario, cfg: RunConfig,
     recording_path = _recording_path(scenario)
     child = None
     if cfg.isolate:
-        with closing(_listen()) as up_listener, \
-                closing(_listen()) as down_listener:
-            try:
-                child = _spawn_plant_process(
-                    scenario, up_listener.address[1],
-                    down_listener.address[1], cfg.queue_capacity)
-            except OSError as exc:
-                raise ConfigError(f"plant process could not start: {exc}") \
-                    from None
-            up_peer = None
-            try:
-                recording = load_checked_recordings(recording_path)
-                up_peer = up_listener.accept(name="link:peer-up",
-                                             timeout=15.0)
-                down_peer = down_listener.accept(name="link:peer-down",
-                                                 timeout=15.0)
-            except Exception as exc:
-                if up_peer is not None:
-                    up_peer.close()
-                child.kill()
-                child.wait()
-                if isinstance(exc, RecordingMissing):
-                    raise
-                raise ConfigError("plant process never connected") from None
+        child, up_peer, down_peer, recording = _start_plant_process(
+            scenario, cfg.queue_capacity)
     else:
         recording = load_checked_recordings(recording_path)
         up_plant, up_peer = connect_pair(rt, "link:pt-up", "link:peer-up",
@@ -320,14 +299,6 @@ def _wire(rt, scenario: Scenario, cfg: RunConfig,
                  _Hop("device", plant.device_stats.counts))
     wiring.pt2dt, wiring.dt2pt = up, down
     return wiring
-
-
-def _listen():
-    """A loopback listener for one of the plant process's links."""
-    try:
-        return TcpListener("127.0.0.1", 0)
-    except PortBindFailed as exc:
-        raise ConfigError(f"plant process link: {exc}") from None
 
 
 def _recording_path(scenario: Scenario):
@@ -394,30 +365,14 @@ def _drive(rt, scenario: Scenario, cfg: RunConfig, wiring: _Wiring,
         if taken > handed + skipped:
             result.fail(_ran_dry(wiring, taken - handed - skipped))
     if wiring.child is not None:
-        try:
-            rc = _wait_for_exit(wiring.child, cfg.run_timeout_s)
-        except subprocess.TimeoutExpired:
-            wiring.child.kill()
-            wiring.child.wait()
+        rc = _wait_for_exit(wiring.child, cfg.run_timeout_s)
+        _reap(wiring.child)
+        if rc is None:
             result.fail("plant process never exited")
-        else:
-            if rc == EXIT_RECORDING_DRY:  # the count stayed in the child
-                result.fail(_ran_dry(wiring))
-            elif rc != 0:
-                result.fail(f"plant process exit code {rc}")
-
-
-def _wait_for_exit(child, timeout_s):
-    """`child.wait(timeout=timeout_s)`, returning as the child exits: with a
-    timeout, `Popen.wait` polls in sleeps of up to 50 ms, so a blocking wait
-    runs on a thread of its own instead. Raises TimeoutExpired."""
-    waiter = threading.Thread(target=child.wait, name="plant:wait",
-                              daemon=True)
-    waiter.start()
-    waiter.join(timeout_s)
-    if waiter.is_alive():  # ends once the caller has killed the child
-        raise subprocess.TimeoutExpired(child.args, timeout_s)
-    return child.returncode
+        elif rc == EXIT_RECORDING_DRY:  # the count stayed in the child
+            result.fail(_ran_dry(wiring))
+        elif rc != 0:
+            result.fail(f"plant process exit code {rc}")
 
 
 def _link_losses(wiring: _Wiring) -> list:
@@ -556,17 +511,21 @@ def record_session(scenario: Scenario, config: RunConfig | None = None, *,
 # every interpreter. It imports the package this process runs, from the
 # directory passed as its one argument, with or without PYTHONPATH, and
 # reads its options from its standard input: one command-line argument may
-# hold at most 128 KiB, which a long measurement script passes. It ends as
-# multiprocessing's children do: it flushes its output and calls `os._exit`,
-# so the parent's wait does not include interpreter finalization;
-# `plant.stop()` has closed its sockets by then.
+# hold at most 128 KiB, which a long measurement script passes. It inherits
+# its two links as descriptors (`pass_fds`, so POSIX only). Its stdout
+# carries one byte, once it has wrapped them, then EOF at its exit. It ends
+# as multiprocessing's children do: it flushes its output and calls
+# `os._exit`, so the parent's wait does not include interpreter
+# finalization; `plant.stop()` has closed its sockets by then.
 _CHILD_CODE = ("import os, sys\n"
                "sys.path.insert(0, sys.argv[1])\n"
                "from twinproto.control import plant_process_main\n"
-               "rc = plant_process_main(sys.stdin.read())\n"
-               "sys.stdout.flush()\n"
+               "rc = plant_process_main(sys.stdin.read(),\n"
+               "                        lambda: os.write(1, b'.'))\n"
                "sys.stderr.flush()\n"
                "os._exit(rc)\n")
+
+READY_TIMEOUT_S = 15.0  # how long the child may take to say it is ready
 
 
 def _plant_process_argv() -> list:
@@ -575,29 +534,97 @@ def _plant_process_argv() -> list:
     return [sys.executable, "-S", "-c", _CHILD_CODE, package_root]
 
 
-def _spawn_plant_process(scenario: Scenario, up_port: int, down_port: int,
+def _start_plant_process(scenario: Scenario, link_capacity: int):
+    """The plant's child, started on the far ends of two loopback links
+    that this process makes, once it has said it is ready: (child, up_peer,
+    down_peer, recording). The recording is checked while the child starts.
+    A refusal is a ConfigError, or the recording's RecordingMissing, and
+    leaves no socket open and no child running."""
+    socks = []
+    try:
+        for _ in range(2):
+            socks += loopback_pair()
+    except OSError as exc:
+        for sock in socks:
+            sock.close()
+        raise ConfigError(f"plant process link: {exc}") from None
+    up, up_far, down, down_far = socks
+    try:
+        child = _spawn_plant_process(scenario, up_far.fileno(),
+                                     down_far.fileno(), link_capacity)
+    except OSError as exc:
+        up.close()
+        down.close()
+        raise ConfigError(f"plant process could not start: {exc}") from None
+    finally:  # socket.close(): a shutdown would end the child's links too
+        up_far.close()
+        down_far.close()
+    try:
+        recording = load_checked_recordings(_recording_path(scenario))
+        said = _child_says(child, READY_TIMEOUT_S)
+        if said is None:
+            raise ConfigError(f"plant process not ready after "
+                              f"{READY_TIMEOUT_S:g} s")
+        if not said:
+            raise ConfigError(f"plant process exited with code "
+                              f"{child.wait()} before it started")
+    except Exception:
+        up.close()
+        down.close()
+        _reap(child)
+        raise
+    return (child, SocketEndpoint(up, name="link:peer-up"),
+            SocketEndpoint(down, name="link:peer-down"), recording)
+
+
+def _spawn_plant_process(scenario: Scenario, up_fd: int, down_fd: int,
                          link_capacity: int):
-    """Start the plant's child and write its options to its standard input,
-    which is closed on return; options past the pipe's buffer wait for the
-    child to read them. Raises OSError if the child cannot start or dies
-    before it has read them."""
+    """Start the plant's child, which inherits `up_fd` and `down_fd`, and
+    write its options to its standard input, which is closed on return;
+    options past the pipe's buffer wait for the child to read them. Raises
+    OSError if the child cannot start or dies before it has read them."""
     opts = {
         "duration_ms": scenario.duration_ms,
-        "up_port": up_port,
-        "down_port": down_port,
+        "up_fd": up_fd,
+        "down_fd": down_fd,
         "measurements": [list(p) for p in scenario.measurements],
         "recording": _recording_path(scenario),
         "link_capacity": link_capacity,
     }
-    child = subprocess.Popen(_plant_process_argv(), stdin=subprocess.PIPE)
+    child = subprocess.Popen(_plant_process_argv(), stdin=subprocess.PIPE,
+                             stdout=subprocess.PIPE, pass_fds=(up_fd, down_fd))
     try:
         with child.stdin:
             child.stdin.write(json.dumps(opts).encode("ascii"))
     except OSError:  # a broken pipe: the child is gone
-        child.kill()
-        child.wait()
+        _reap(child)
         raise
     return child
+
+
+def _child_says(child, timeout_s):
+    """The next bytes on the plant child's stdout: b"" once its exit has
+    closed it, None if neither comes within `timeout_s`."""
+    out = child.stdout.fileno()
+    if select.select([out], [], [], timeout_s)[0]:
+        return os.read(out, 64)
+    return None
+
+
+def _wait_for_exit(child, timeout_s):
+    """The child's exit code once its exit has closed its stdout, which
+    carries nothing after the ready byte, or None if that takes longer than
+    `timeout_s`. (A `Popen.wait` with a timeout polls in sleeps of up to
+    50 ms.)"""
+    return child.wait() if _child_says(child, timeout_s) == b"" else None
+
+
+def _reap(child):
+    """Kill the plant's child unless it has exited, reap it and close its
+    stdout."""
+    child.kill()
+    child.wait()
+    child.stdout.close()
 
 
 # ---------------------------------------------------------------------------
@@ -677,6 +704,11 @@ def replay_thread(path, clock: ClockMode = ClockMode.LOCKSTEP, seed: int = 0,
     if paced is None:
         paced = clock is ClockMode.WALL
     ts_per_ms = 1_000_000 if frames and frames[-1].ts >= WALL_TS_MIN else 1
+    due_ms, due = [], 0  # paced: when to feed each frame, gaps capped at 1 s
+    if paced:
+        for prev, rec in zip(frames[:1] + frames, frames):
+            due += min(rec.ts - prev.ts, 1000 * ts_per_ms)
+            due_ms.append(due // ts_per_ms)
 
     rt = make_runtime(clock, seed)
     feed_end, dt_end = connect_pair(rt, "replay:feed", "replay:ingest",
@@ -686,21 +718,18 @@ def replay_thread(path, clock: ClockMode = ClockMode.LOCKSTEP, seed: int = 0,
     driver = shadow.ingest_driver.stats
 
     def feeder():  # the shadow drains the closed link, then its loop ends
-        t0 = rt.now_ns()
-        due = 0  # recorded time since the first frame, gaps capped at 1 s
-        prev_ts = frames[0].ts if frames else 0
+        t0, dues = rt.now_ns(), iter(due_ms)
         for rec in frames:
             if paced:
-                due += min(rec.ts - prev_ts, 1000 * ts_per_ms)
-                prev_ts = rec.ts
-                delay = due // ts_per_ms - rt.ms_since(t0)
+                delay = next(dues) - rt.ms_since(t0)
                 if delay > 0:
                     rt.sleep_ms(delay)
             feed_end.write_frame(rec.payload)
         feed_end.close()
 
     rt.spawn(feeder, name="replay:feeder")
-    _run_to_verdict(rt, timeout_s, result)
+    # the safety limit runs from the last frame's due time
+    _run_to_verdict(rt, timeout_s + due / ts_per_ms / 1000, result)
 
     result.frames_fed = len(frames)
     result.statuses_seen = stats.statuses

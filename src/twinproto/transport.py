@@ -16,8 +16,11 @@ read_frame/write_frame surface:
   Frames pass through unchanged in both directions; killing the tunnel is
   closing either end, which fails pending reads on both;
 * `SocketEndpoint` over a TCP socket, used when assemblies run as separate
-  processes. A socket is a byte stream, so each frame goes on the wire
-  behind a length prefix:
+  processes. `loopback_pair` makes such a link whole in one process, which
+  then hands one end to the other process (an isolated run passes the
+  plant's child its two ends as inherited file descriptors, so nothing
+  listens once the child runs). A socket is a byte stream, so each frame
+  goes on the wire behind a length prefix:
 
     [length: uint32 big-endian][payload bytes]
 
@@ -42,12 +45,7 @@ import struct
 import threading
 from enum import Enum
 
-from .errors import (
-    ChannelClosed,
-    ConnectionClosed,
-    FrameTooLarge,
-    PortBindFailed,
-)
+from .errors import ChannelClosed, ConnectionClosed, FrameTooLarge
 
 FRAME_HEADER = struct.Struct(">I")
 MAX_FRAME_PAYLOAD = 2 ** 20
@@ -219,51 +217,20 @@ class SocketEndpoint:
         self._sock.close()
 
 
-class TcpListener:
-    def __init__(self, host, port):
-        self._sock = None
+def loopback_pair():
+    """Two connected loopback TCP sockets, Nagle off on both: listened
+    for, connected and accepted here, so no other process takes part. An
+    isolated run hands one end of each to the plant's child. Raises
+    OSError, keeping no socket, if the pair cannot be made."""
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        near = socket.create_connection(listener.getsockname())
         try:
-            self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            self._sock.bind((host, port))
-            self._sock.listen(4)
-        except OSError as exc:
-            if self._sock is not None:  # a failed listener keeps no socket
-                self._sock.close()
-            raise PortBindFailed(f"bind {host}:{port}: {exc}") from None
-        self.address = self._sock.getsockname()
-
-    def accept(self, name="tcp-server", timeout=None):
-        try:
-            self._sock.settimeout(timeout)
-            conn, _ = self._sock.accept()
-        except socket.timeout:
-            raise ConnectionClosed("accept timed out") from None
+            far, _ = listener.accept()
         except OSError:
-            raise ConnectionClosed("listener closed") from None
-        finally:
-            try:
-                self._sock.settimeout(None)
-            except OSError:
-                pass
-        conn.settimeout(None)  # session reads block, they don't expire
-        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return SocketEndpoint(conn, name=name)
-
-    def close(self):
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-
-
-def tcp_connect(host, port, name="tcp-client"):
-    """Connect once: an isolated run binds its listeners before it starts
-    the process that connects."""
-    try:
-        sock = socket.create_connection((host, port), timeout=5.0)
-    except OSError as exc:
-        raise PortBindFailed(f"connect {host}:{port}: {exc}") from None
-    sock.settimeout(None)  # the timeout was for connecting only
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    return SocketEndpoint(sock, name=name)
+            near.close()
+            raise
+    for sock in (near, far):
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return near, far

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
 import threading
 import time
 
@@ -37,3 +40,41 @@ def no_leaked_threads():
     if leaked:
         pytest.fail(f"threads alive {LEAK_GRACE_S} s after the test: "
                     f"{', '.join(leaked)}")
+
+
+def _running(pid) -> bool:
+    """True while `pid`, a child of this process, has not exited; a child
+    that has is reaped here."""
+    try:
+        return os.waitpid(pid, os.WNOHANG) == (0, 0)
+    except ChildProcessError:  # reaped already
+        return False
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_processes(monkeypatch):
+    """Fail a test that leaves a process it started with `subprocess.Popen`
+    (which `subprocess.run` uses) running LEAK_GRACE_S after it ends, and
+    kill that process. Only pids are kept, so no `Popen` or pipe of the
+    test's outlives it here."""
+    pids = []
+    init = subprocess.Popen.__init__
+
+    def init_and_keep(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        pids.append(self.pid)
+
+    monkeypatch.setattr(subprocess.Popen, "__init__", init_and_keep)
+    yield
+    deadline = time.monotonic() + LEAK_GRACE_S
+    while True:
+        running = [pid for pid in pids if _running(pid)]
+        if not running or time.monotonic() >= deadline:
+            break
+        time.sleep(0.01)
+    for pid in running:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    if running:
+        pytest.fail(f"processes running {LEAK_GRACE_S} s after the test: "
+                    f"{', '.join(map(str, running))}")

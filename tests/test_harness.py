@@ -754,6 +754,19 @@ def test_replay_paces_in_the_thread_files_time_unit(tmp_path, monkeypatch,
     assert runtimes[0].tick == sleep_ms
 
 
+def test_a_paced_wall_replay_may_outlast_its_timeout(tmp_path):
+    # the frames span 1 s; the safety limit runs `timeout_s` past the last
+    # one's due time, not from the start
+    lines = ["seq=1 ts=5000000000 dir=PT2DT kind=STA hex=2001"]
+    lines += [f"seq={n} ts={5_000_000_000 + 500_000_000 * (n - 1)} "
+              f"dir=PT2DT kind=MEA hex=10{n:08x}" for n in (2, 3)]
+    thread = tmp_path / "paced.thread"
+    thread.write_text("\n".join(lines) + "\n")
+    result = replay_thread(thread, clock=ClockMode.WALL, timeout_s=0.5)
+    assert result.ok, result.failures
+    assert result.frames_fed == 3
+
+
 def test_an_unpaced_lockstep_replay_ends_at_tick_0(tmp_path, monkeypatch):
     # the feeder closes its link after the last frame, so the shadow ends
     # once it has drained the link, with no timer in the run

@@ -19,18 +19,19 @@ import pytest
 import twinproto
 from twinproto import harness
 from twinproto.messages import decode_message, status
-from twinproto.transport import TcpListener
+from twinproto.transport import SocketEndpoint, loopback_pair
 
 # modules the plant process never runs
 NOT_IN_THE_PLANT = ("harness", "config", "mapek", "bus", "cli", "template")
 
 
-def imported_modules(argv, env, stdin_text=""):
+def imported_modules(argv, env, stdin_text="", pass_fds=()):
     """Every module the process `argv` imports while it runs, given
-    `stdin_text` on its standard input, read from the interpreter's own
-    import-time report on standard error."""
+    `stdin_text` on its standard input and the descriptors `pass_fds`, read
+    from the interpreter's own import-time report on standard error."""
     proc = subprocess.run(argv, env=dict(env, PYTHONPROFILEIMPORTTIME="1"),
-                          input=stdin_text, stderr=subprocess.PIPE,
+                          input=stdin_text, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, pass_fds=pass_fds,
                           text=True, timeout=60)
     return proc, {line.rsplit("|", 1)[1].strip()
                   for line in proc.stderr.splitlines()
@@ -43,33 +44,33 @@ def test_the_report_shows_site_where_an_interpreter_loads_it():
 
 
 def test_the_plant_process_imports_only_the_plant():
-    # the child's own command line, run to its end: it connects, serves the
-    # boot status and stops at the hang-up, without PYTHONPATH
-    up_listener = TcpListener("127.0.0.1", 0)
-    down_listener = TcpListener("127.0.0.1", 0)
-    opts = {"duration_ms": 1000, "up_port": up_listener.address[1],
-            "down_port": down_listener.address[1], "measurements": [],
-            "recording": None, "link_capacity": 16}
+    # the child's own command line, run to its end on the two link ends it
+    # inherits: it says it is ready, serves the boot status and stops at
+    # the hang-up, without PYTHONPATH
+    (up, up_far), (down, down_far) = loopback_pair(), loopback_pair()
+    fds = (up_far.fileno(), down_far.fileno())
+    opts = {"duration_ms": 1000, "up_fd": fds[0], "down_fd": fds[1],
+            "measurements": [], "recording": None, "link_capacity": 16}
     argv = harness._plant_process_argv()
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     box = {}
     child = threading.Thread(
         target=lambda: box.update(
-            run=imported_modules(argv, env, json.dumps(opts))))
+            run=imported_modules(argv, env, json.dumps(opts), fds)))
     child.start()
+    up, down = SocketEndpoint(up), SocketEndpoint(down)
     try:
-        up = up_listener.accept(name="peer-up", timeout=15.0)
-        down = down_listener.accept(name="peer-down", timeout=15.0)
         assert decode_message(up.read_frame()) == status(0)
+    finally:
         up.close()
         down.close()
-    finally:
         child.join(timeout=60.0)
-        up_listener.close()
-        down_listener.close()
+        up_far.close()
+        down_far.close()
     assert not child.is_alive()
     proc, loaded = box["run"]
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "."  # the ready byte, then EOF at its exit
     assert "twinproto.control" in loaded
     assert sorted(loaded & {"site", "dataclasses"}) == []
     assert sorted(loaded & {f"twinproto.{name}"

@@ -2,7 +2,8 @@
 
 Isolated runs put the whole plant in a child interpreter and carry both
 links over real loopback TCP; nothing about the protocol or the engine may
-care about the difference.
+care about the difference. The parent makes both links and hands the child
+its ends, so every way a start can fail is the parent's to clean up.
 """
 
 import errno
@@ -11,6 +12,7 @@ import json
 import subprocess
 import sys
 import threading
+import time
 import warnings
 
 import pytest
@@ -19,12 +21,12 @@ from twinproto import harness
 from twinproto.cli import main
 from twinproto.config import RunConfig, parse_scenario
 from twinproto.control import plant_process_main
-from twinproto.errors import ConfigError, ConnectionClosed, PortBindFailed
+from twinproto.errors import ConfigError
 from twinproto.harness import run_scenario
 from twinproto.messages import decode_message, status
 from twinproto.runtime import WallRuntime
 from twinproto.thread_log import ThreadDirection, read_thread_file
-from twinproto.transport import TcpListener
+from twinproto.transport import SocketEndpoint, loopback_pair
 
 
 def mission(**over):
@@ -158,87 +160,136 @@ def raised_and_unclosed(sc, cfg):
         warnings.simplefilter("always", ResourceWarning)
         try:
             run_scenario(sc, cfg)
-        except Exception as exc:  # its traceback holds the listeners
+        except Exception as exc:  # its traceback holds the sockets
             raised = type(exc), str(exc)
         gc.collect()
     return raised, [str(w.message) for w in caught
                     if issubclass(w.category, ResourceWarning)]
 
 
-def test_a_plant_process_that_cannot_start_is_refused_closing_both_listeners(
+def keep_links(monkeypatch, fail_at=None):
+    """The list of every socket the harness's `loopback_pair` calls make;
+    the call numbered `fail_at` (from 1) fails as if no descriptor were
+    left, and makes none."""
+    made = []
+
+    def pair_and_keep():
+        if len(made) // 2 + 1 == fail_at:
+            raise OSError(errno.EMFILE, "Too many open files")
+        made.extend(loopback_pair())
+        return made[-2:]
+
+    monkeypatch.setattr(harness, "loopback_pair", pair_and_keep)
+    return made
+
+
+def keep_children(monkeypatch):
+    """The list of every plant process the harness starts."""
+    children = []
+    spawn = harness._spawn_plant_process
+
+    def spawn_and_keep(*args):
+        children.append(spawn(*args))
+        return children[-1]
+
+    monkeypatch.setattr(harness, "_spawn_plant_process", spawn_and_keep)
+    return children
+
+
+def closed(socks):
+    return [sock.fileno() for sock in socks] == [-1] * len(socks)
+
+
+def refused_on_the_command_line(tmp_path, capsys):
+    """What `run-twin` with `isolate` returns and writes on stderr."""
+    scenario = tmp_path / "mission.json"
+    scenario.write_text(json.dumps({"name": "mission", "mode": "twin",
+                                    "clock": "wall", "duration_ms": 300,
+                                    "steps": []}))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"isolate": True}))
+    code = main(["run-twin", "--scenario", str(scenario),
+                 "--config", str(config)])
+    return code, capsys.readouterr().err
+
+
+def test_a_plant_process_that_cannot_start_is_refused_closing_every_socket(
         monkeypatch, tmp_path, capsys):
     def cannot_start(*args):
         raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
+    made = keep_links(monkeypatch)
     monkeypatch.setattr(harness, "_spawn_plant_process", cannot_start)
     reason = ("plant process could not start: [Errno 11] Resource "
               "temporarily unavailable")
     assert raised_and_unclosed(mission(), RunConfig(isolate=True)) == \
         ((ConfigError, reason), [])
+    assert len(made) == 4 and closed(made)
     # the command line: exit code 2 with the reason, not a traceback
-    scenario = tmp_path / "mission.json"
-    scenario.write_text(json.dumps({"name": "mission", "mode": "twin",
-                                    "clock": "wall", "duration_ms": 300,
-                                    "steps": []}))
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"isolate": True}))
-    assert main(["run-twin", "--scenario", str(scenario),
-                 "--config", str(config)]) == 2
-    assert reason in capsys.readouterr().err
+    code, err = refused_on_the_command_line(tmp_path, capsys)
+    assert code == 2
+    assert reason in err
 
 
-def test_a_second_accept_that_fails_closes_the_first_peer(monkeypatch):
-    # the uplink's peer is accepted, the downlink's accept fails: the
-    # refusal leaves the accepted socket closed
-    accept = TcpListener.accept
+def test_a_plant_process_that_exits_before_it_is_ready_is_refused_at_once(
+        monkeypatch):
+    # the child reads its options, then exits where it would say it is
+    # ready: the parent sees its stdout close and does not wait out the
+    # 15 s a silent child gets
+    monkeypatch.setattr(harness, "_plant_process_argv", lambda: [
+        sys.executable, "-S", "-c", "import sys; sys.stdin.read(); "
+                                    "sys.exit(1)"])
+    made = keep_links(monkeypatch)
+    started = time.monotonic()
+    raised, unclosed = raised_and_unclosed(mission(), RunConfig(isolate=True))
+    assert time.monotonic() - started < 5.0
+    assert raised == (ConfigError, "plant process exited with code 1 before "
+                                   "it started")
+    assert unclosed == []
+    assert len(made) == 4 and closed(made)
 
-    def accept_up_only(self, name="tcp-server", timeout=None):
-        if name == "link:peer-down":
-            raise ConnectionClosed("accept timed out")
-        return accept(self, name=name, timeout=timeout)
 
-    monkeypatch.setattr(TcpListener, "accept", accept_up_only)
+def test_a_plant_process_that_never_says_it_is_ready_is_killed(monkeypatch):
+    monkeypatch.setattr(harness, "_plant_process_argv", lambda: [
+        sys.executable, "-S", "-c", "import sys, time; sys.stdin.read(); "
+                                    "time.sleep(60)"])
+    monkeypatch.setattr(harness, "READY_TIMEOUT_S", 0.2)
+    children = keep_children(monkeypatch)
+    raised, unclosed = raised_and_unclosed(mission(), RunConfig(isolate=True))
+    assert raised == (ConfigError, "plant process not ready after 0.2 s")
+    assert unclosed == []
+    assert [child.returncode for child in children] == [-9]
+
+
+def test_an_unusable_recording_kills_the_plant_process_and_its_links(
+        monkeypatch, tmp_path):
+    # the parent checks the recording while the child starts; the refusal
+    # is a FAIL verdict, with no child or socket left behind
+    rec = tmp_path / "empty.rec"
+    rec.write_text("")
+    made = keep_links(monkeypatch)
+    children = keep_children(monkeypatch)
+    assert raised_and_unclosed(mission(recording=str(rec)),
+                               RunConfig(isolate=True)) == (None, [])
+    assert [(child.returncode is not None, child.stdout.closed)
+            for child in children] == [(True, True)]
+    assert len(made) == 4 and closed(made)
+
+
+def test_a_second_link_that_cannot_be_made_closes_the_first(monkeypatch):
+    made = keep_links(monkeypatch, fail_at=2)
     assert raised_and_unclosed(mission(), RunConfig(isolate=True)) == \
-        ((ConfigError, "plant process never connected"), [])
+        ((ConfigError, "plant process link: [Errno 24] Too many open files"),
+         [])
+    assert len(made) == 2 and closed(made)
 
 
-def test_a_second_listener_that_cannot_bind_closes_the_first(monkeypatch):
-    bound, closed = [], []
-
-    class Listener(TcpListener):
-        def close(self):
-            closed.append(self)
-            super().close()
-
-    def bind_once(host, port):
-        if bound:
-            raise PortBindFailed(f"bind {host}:{port}: no port left")
-        bound.append(Listener(host, port))
-        return bound[-1]
-
-    monkeypatch.setattr(harness, "TcpListener", bind_once)
-    with pytest.raises(ConfigError, match="plant process link: bind "
-                                          "127.0.0.1:0: no port left"):
-        run_scenario(mission(), RunConfig(isolate=True))
-    assert closed == bound
-
-
-def test_a_listener_that_cannot_bind_is_refused_on_the_command_line(
+def test_a_link_that_cannot_be_made_is_refused_on_the_command_line(
         monkeypatch, tmp_path, capsys):
-    def cannot_bind(host, port):
-        raise PortBindFailed(f"bind {host}:{port}: no port left")
-
-    monkeypatch.setattr(harness, "TcpListener", cannot_bind)
-    scenario = tmp_path / "mission.json"
-    scenario.write_text(json.dumps({"name": "mission", "mode": "twin",
-                                    "clock": "wall", "duration_ms": 300,
-                                    "steps": []}))
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"isolate": True}))
-    assert main(["run-twin", "--scenario", str(scenario),
-                 "--config", str(config)]) == 2
-    err = capsys.readouterr().err
-    assert "plant process link: bind 127.0.0.1:0: no port left" in err
+    keep_links(monkeypatch, fail_at=1)
+    code, err = refused_on_the_command_line(tmp_path, capsys)
+    assert code == 2
+    assert "plant process link: [Errno 24] Too many open files" in err
     assert "Traceback" not in err
 
 
@@ -253,23 +304,18 @@ def test_an_isolated_plant_stops_at_the_parents_hang_up(monkeypatch):
         return sleep_ms(self, ms)
 
     monkeypatch.setattr(WallRuntime, "sleep_ms", recording_sleep)
-    up_listener = TcpListener("127.0.0.1", 0)
-    down_listener = TcpListener("127.0.0.1", 0)
-    opts = {"duration_ms": 1000, "up_port": up_listener.address[1],
-            "down_port": down_listener.address[1], "measurements": [],
+    (up, up_far), (down, down_far) = loopback_pair(), loopback_pair()
+    # the plant owns its ends, as the child owns the descriptors it inherits
+    opts = {"duration_ms": 1000, "up_fd": up_far.detach(),
+            "down_fd": down_far.detach(), "measurements": [],
             "recording": None, "link_capacity": 16}
-    exit_codes = []
+    exit_codes, readies = [], []
     plant = threading.Thread(
-        target=lambda: exit_codes.append(
-            plant_process_main(json.dumps(opts))),
+        target=lambda: exit_codes.append(plant_process_main(
+            json.dumps(opts), lambda: readies.append(len(sleeps)))),
         name="plant-process-main")
     plant.start()
-    try:
-        up = up_listener.accept(name="peer-up", timeout=15.0)
-        down = down_listener.accept(name="peer-down", timeout=15.0)
-    finally:
-        up_listener.close()
-        down_listener.close()
+    up, down = SocketEndpoint(up), SocketEndpoint(down)
     assert decode_message(up.read_frame()) == status(0)  # the boot status
     # the uplink alone: no plant task but the watcher reads it, so only the
     # watcher can notice that it is gone
@@ -278,16 +324,17 @@ def test_an_isolated_plant_stops_at_the_parents_hang_up(monkeypatch):
     down.close()
     assert not plant.is_alive()
     assert exit_codes == [0]
+    assert readies == [0]  # once, before any task ran
     assert sleeps == [opts["duration_ms"] + 2000]
 
 
 def test_the_wait_for_a_plant_process_is_bounded():
-    child = subprocess.Popen([sys.executable, "-c",
-                              "import time; time.sleep(60)"])
-    try:
-        with pytest.raises(subprocess.TimeoutExpired):
-            harness._wait_for_exit(child, 0.05)
-    finally:
-        child.kill()
-        child.wait()
-    assert harness._wait_for_exit(child, 5.0) == -9
+    # the wait ends at EOF on the child's stdout, which its exit closes
+    with subprocess.Popen([sys.executable, "-c", "import time; "
+                                                 "time.sleep(60)"],
+                          stdout=subprocess.PIPE) as child:
+        try:
+            assert harness._wait_for_exit(child, 0.05) is None
+        finally:
+            child.kill()
+        assert harness._wait_for_exit(child, 5.0) == -9

@@ -3,8 +3,10 @@ socket endpoints."""
 
 from __future__ import annotations
 
+import errno
 import gc
 import random
+import socket
 import threading
 import warnings
 
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from twinproto.errors import ConnectionClosed, FrameTooLarge, PortBindFailed
+from twinproto.errors import ConnectionClosed, FrameTooLarge
 from twinproto.runtime import LockstepRuntime, WallRuntime
 from twinproto.transport import (
     FRAME_HEADER,
@@ -20,11 +22,10 @@ from twinproto.transport import (
     RECV_CHUNK,
     Protocol,
     SocketEndpoint,
-    TcpListener,
     connect_pair,
     frame_payload,
+    loopback_pair,
     open_virtual_serial_pair,
-    tcp_connect,
     unframe,
 )
 
@@ -62,11 +63,9 @@ def test_pair_fifo_and_counters():
 
 def socket_pair():
     """Two connected loopback `SocketEndpoint`s: (client, server)."""
-    listener = TcpListener("127.0.0.1", 0)
-    client = tcp_connect(*listener.address)
-    server = listener.accept(timeout=5.0)
-    listener.close()
-    return client, server
+    near, far = loopback_pair()
+    return SocketEndpoint(near, name="client"), SocketEndpoint(far,
+                                                               name="server")
 
 
 # an in-process pair carries payloads as they are, a socket behind a length
@@ -306,31 +305,33 @@ def test_any_split_of_a_framed_stream_reads_as_unframe_reads_it(
 
 
 def test_tcp_roundtrip_over_loopback():
-    listener = TcpListener("127.0.0.1", 0)
-    host, port = listener.address
-    server_box = {}
+    client, server = socket_pair()
 
     def serve():
-        server_box["ep"] = listener.accept()
-        ep = server_box["ep"]
         while True:
             try:
-                ep.write_frame(ep.read_frame()[::-1])
+                server.write_frame(server.read_frame()[::-1])
             except ConnectionClosed:
-                ep.close()
+                server.close()
                 return
 
     t = threading.Thread(target=serve, daemon=True)
     t.start()
-    client = tcp_connect(host, port)
     client.write_frame(b"abc")
     assert client.read_frame() == b"cba"
     client.write_frame(b"")
     assert client.read_frame() == b""
     client.close()
     t.join(timeout=5.0)
-    listener.close()
+    assert not t.is_alive()
     assert client.protocol is Protocol.TCP
+    # a pair is one loopback connection, with Nagle off at both ends
+    near, far = loopback_pair()
+    with near, far:
+        assert near.getpeername() == far.getsockname()
+        assert near.getpeername()[0] == "127.0.0.1"
+        assert [s.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+                for s in (near, far)] == [1, 1]
 
 
 def test_socket_close_after_hang_up_releases_the_socket():
@@ -344,20 +345,26 @@ def test_socket_close_after_hang_up_releases_the_socket():
     assert client._sock.fileno() == -1
 
 
-def test_a_listener_that_cannot_bind_keeps_no_socket():
-    first = TcpListener("127.0.0.1", 0)
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", ResourceWarning)
-            with pytest.raises(PortBindFailed, match="in use"):
-                TcpListener("127.0.0.1", first.address[1])
-            gc.collect()
-    finally:
-        first.close()
+def test_a_loopback_pair_that_cannot_be_made_keeps_no_socket(monkeypatch):
+    # the listener and the connecting end are made, then the accept fails,
+    # as it does when no descriptor is left for the accepted connection
+    made = []
+
+    class AcceptFails(socket.socket):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+        def accept(self):
+            raise OSError(errno.EMFILE, "Too many open files")
+
+    monkeypatch.setattr(socket, "socket", AcceptFails)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises(OSError, match="Too many open files"):
+            loopback_pair()
+        gc.collect()
     assert [str(w.message) for w in caught
             if issubclass(w.category, ResourceWarning)] == []
-
-
-def test_tcp_connect_failure_reports():
-    with pytest.raises(PortBindFailed):
-        tcp_connect("127.0.0.1", 1)
+    assert len(made) == 2
+    assert [sock.fileno() for sock in made] == [-1, -1]
