@@ -661,8 +661,9 @@ def _replay_plan(records):
     the state walk they imply, by name: each distinct change from STANDBY.
 
     The records come from `read_thread_file`, which has checked every
-    (dir, kind) pair and decoded every STA payload, so every PT2DT record
-    but a NOTE is a frame, and a status's state is its code byte."""
+    (dir, kind) pair and that every STA payload is a valid STATUS, so every
+    PT2DT record but a NOTE is a frame, and a status's state is its code
+    byte."""
     frames, walk = [], []
     feed = frames.append
     current = _STANDBY

@@ -16,6 +16,13 @@ Each layout is one `struct.Struct` compiled at import, used by both
 directions. A Message is a named tuple: immutable, hashable and compared by
 value. Decoding a STATUS payload returns one of three shared instances, so
 the most common frame builds nothing.
+
+`payload_kind` returns the kind a payload decodes as and builds no Message,
+for a reader that only checks or tags a frame. It accepts exactly what
+`decode_message` accepts: it looks the kind up by opcode and length in a
+table built from the same layouts, checks a STATUS code against the same
+shared instances, and hands every payload it does not accept to
+`decode_message`, so each error and its text come from one place.
 """
 
 from __future__ import annotations
@@ -78,6 +85,11 @@ class Message(NamedTuple):
 
 _STATUSES = tuple(Message(MessageKind.STATUS, code) for code in STATUS_CODES)
 
+# (opcode, encoded length) -> the kind of each payload shape that decodes
+_KINDS = {(opcode, layout.codec.size): layout.kind
+          for opcode, layout in _LAYOUTS.items()}
+_STATUS_COUNT = len(_STATUSES)
+
 
 def command(period_ms: int) -> Message:
     """Command carrying a sampling period in ms; negative powers the device off."""
@@ -129,3 +141,18 @@ def decode_message(payload: bytes) -> Message:
     # Message(kind, value) without the named tuple's Python-level __new__;
     # with the same in parse_record_line, 6% of lockstep-replay's frames/s
     return tuple.__new__(Message, (kind, value))
+
+
+def payload_kind(payload: bytes) -> MessageKind:
+    """The kind `decode_message(payload)` returns, with no Message built.
+
+    Raises what `decode_message` raises, by calling it on every payload
+    that does not decode.
+    """
+    try:
+        kind = _KINDS[payload[0], len(payload)]
+    except (IndexError, KeyError):
+        return decode_message(payload).kind  # raises
+    if kind is _STATUS and payload[1] >= _STATUS_COUNT:
+        return decode_message(payload).kind  # raises
+    return kind

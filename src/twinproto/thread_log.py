@@ -26,8 +26,10 @@ A ThreadLog has exactly one writer; taps on both directions funnel into it and
 appends are serialized. It keeps a running frame count per direction, so
 reading the counts costs the same however long the record is. A tap hands
 it the wire bytes with one call per record, and a relay never calls the
-codec: the log decodes a frame only to tag it, and a recording loads back as
-the payloads the emulator writes.
+codec: the log tags a frame by `payload_kind`, which checks the payload as
+`decode_message` would and builds no Message, and a recording loads back as
+the payloads the emulator writes. A reader checks each tagged line's
+payload the same way, so loading a thread file decodes nothing.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import CodecError, CorruptRecord, RecordingMissing, ThreadLogError
-from .messages import MessageKind, decode_message
+from .messages import MessageKind, payload_kind
 
 U64_MAX = 2 ** 64 - 1
 
@@ -131,7 +133,7 @@ def parse_record_line(line, lineno=None) -> ThreadRecord:
         direction, tagged = slot
         payload = bytes.fromhex(hex_text)
         if tagged is not None:
-            got = decode_message(payload).kind  # must be its tagged kind
+            got = payload_kind(payload)  # must be its tagged kind
             if got is not tagged:
                 raise ValueError(f"payload decodes as {got.name}, "
                                  f"tagged {kind}")
@@ -170,13 +172,13 @@ class ThreadLog:
         return rec
 
     def append_message(self, ts, direction, payload: bytes) -> ThreadRecord:
-        """Record a frame as it came off the wire, decoded only to tag it.
+        """Record a frame as it came off the wire, tagged by its kind.
 
         A frame that does not decode, or whose kind `direction` does not
         carry, is kept as RAW.
         """
         try:
-            decode_message(payload)  # it decodes, so its opcode is a frame's
+            payload_kind(payload)  # it decodes, so its opcode is a frame's
         except CodecError:
             return self.append_raw(ts, direction, payload)
         tag, carrier = _FRAME_TAGS[payload[0]]
@@ -210,10 +212,11 @@ class ThreadLog:
 
 def _parse_file(path) -> list:
     """The record of each line of a whole thread file, in a list, seq
-    strictly increasing; each payload is decoded once. Only a line feed ends
-    a line, so the file reads as `parse_record_line` reads each of its
-    lines: a lone carriage return stays inside its line, and the hex
-    field's whitespace skipping takes a CRLF ending."""
+    strictly increasing; each tagged payload's kind is checked and no
+    payload is decoded. Only a line feed ends a line, so the file reads as
+    `parse_record_line` reads each of its lines: a lone carriage return
+    stays inside its line, and the hex field's whitespace skipping takes a
+    CRLF ending."""
     records = []
     keep = records.append
     last_seq = 0

@@ -70,7 +70,8 @@ def test_a_traced_lockstep_mission_session_matches_the_untraced_one(
         assert out.frames > 0
     assert traced.digest == plain.digest
     assert traced.layers["runtime.spawns"][0] == 7
-    # each frame is encoded once, where it is made, and decoded by the
-    # tap, for the plant's control and for the device or twin it is for
+    # each frame is encoded once, where it is made, and decoded only by its
+    # two receive loops, the plant's control and the device or twin it is
+    # for; the tap checks its kind without decoding it
     assert traced.layers["messages.encodes_per_frame"][0] == 1.0
-    assert traced.layers["messages.decodes_per_frame"][0] == 3.0
+    assert traced.layers["messages.decodes_per_frame"][0] == 2.0

@@ -21,6 +21,7 @@ from twinproto.messages import (
     decode_message,
     encode_message,
     measurement,
+    payload_kind,
     status,
 )
 
@@ -50,6 +51,7 @@ def test_frozen_encodings(msg, wire):
 @pytest.mark.parametrize("msg,wire", FROZEN_VECTORS)
 def test_frozen_decodings(msg, wire):
     assert decode_message(wire) == msg
+    assert payload_kind(wire) is msg.kind
 
 
 def test_payload_bit_lengths():
@@ -197,3 +199,52 @@ def test_messages_are_immutable_hashable_values():
     assert str(status(1)) == "STATUS(1)"
     assert repr(command(5)) == \
         "Message(kind=<MessageKind.COMMAND: 1>, value=5)"
+
+
+# ---------------------------------------------------------------------------
+# payload_kind: the kind without the Message, accepting what decode accepts
+# ---------------------------------------------------------------------------
+
+def kind_outcome(read_kind, payload):
+    """The kind `read_kind(payload)` returns, or its error's type and text."""
+    try:
+        return read_kind(payload)
+    except (TruncatedPayload, UnknownOpcode, ValueOutOfRange) as exc:
+        return type(exc), str(exc)
+
+
+def assert_payload_kind_agrees_with_decode(payload):
+    assert kind_outcome(payload_kind, payload) == \
+        kind_outcome(lambda p: decode_message(p).kind, payload), payload
+
+
+def test_payload_kind_agrees_with_decode_at_every_opcode_and_short_length():
+    for first in range(256):
+        for length in range(7):
+            for fill in (0x00, 0x02, 0x03, 0xff):
+                assert_payload_kind_agrees_with_decode(
+                    bytes([first]) + bytes([fill]) * (length - 1)
+                    if length else b"")
+
+
+def test_payload_kind_agrees_with_decode_on_every_status_code_byte():
+    accepted = []
+    for code in range(256):
+        payload = bytes([0x20, code])
+        assert_payload_kind_agrees_with_decode(payload)
+        if kind_outcome(payload_kind, payload) is MessageKind.STATUS:
+            accepted.append(code)
+    assert accepted == list(STATUS_CODES)
+
+
+# any bytes, and any bytes after a known opcode, so that payloads which
+# decode are drawn often too
+ANY_PAYLOAD = st.binary(max_size=8) | st.builds(
+    lambda op, tail: bytes([op]) + tail,
+    st.sampled_from([kind.value for kind in MessageKind]),
+    st.binary(max_size=6))
+
+
+@given(ANY_PAYLOAD)
+def test_payload_kind_agrees_with_decode_on_any_bytes(payload):
+    assert_payload_kind_agrees_with_decode(payload)

@@ -4,6 +4,7 @@ and the reader checked against the reference line parser."""
 from __future__ import annotations
 
 import os
+import sys
 import tempfile
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from reference_thread_line import Rejected, ref_parse_line
+from twinproto import messages
 from twinproto.errors import CorruptRecord
 from twinproto.harness import _replay_plan
 from twinproto.messages import (
@@ -171,6 +173,62 @@ def test_an_undecodable_frame_is_kept_as_raw_with_one_tap_call(
     assert [(r.direction, r.kind, r.payload) for r in log.records] == [
         (direction, "RAW", payload)]
     assert log.frame_counts() == {direction: 1, other(direction): 0}
+
+
+def count_decodes(monkeypatch):
+    """Wrap `decode_message` in every package module that binds it, as the
+    benchmark's tracer does; returns the list each call appends to."""
+    original, calls = messages.decode_message, []
+
+    def counted(payload):
+        calls.append(payload)
+        return original(payload)
+
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and name.split(".")[0] == "twinproto":
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_reading_a_thread_file_or_tapping_a_frame_decodes_nothing(
+        tmp_path, monkeypatch):
+    frames = [(PT2DT, status(1)), (PT2DT, measurement(-3)),
+              (DT2PT, command(40))]
+    path = tmp_path / "thread.log"
+    written = ThreadLog(str(path))
+    for ts, (direction, msg) in enumerate(frames):
+        written.append_message(ts, direction, encode_message(msg))
+    written.append_raw(3, PT2DT, b"\x99")
+    written.append_note(4, "checkpoint")
+    written.close()
+    calls = count_decodes(monkeypatch)
+
+    back = read_thread_file(str(path))
+    assert [r.kind for r in back] == ["STA", "MEA", "CMD", "RAW", "NOTE"]
+    tapped = ThreadLog()
+    for ts, (direction, msg) in enumerate(frames):
+        tapped.append_message(ts, direction, encode_message(msg))
+    assert [r.kind for r in tapped.records] == ["STA", "MEA", "CMD"]
+    assert calls == []
+
+    # a payload that is refused is still refused by the codec, in its words
+    for seq, line, text in [
+        (4, "seq=4 ts=0 dir=PT2DT kind=STA hex=010032\n",
+         "bad record line: payload decodes as COMMAND, tagged STA"),
+        (5, "seq=5 ts=0 dir=PT2DT kind=STA hex=2007\n",
+         "bad record line: STATUS code 7 not in (0, 1, 2)"),
+        (6, "seq=6 ts=0 dir=DT2PT kind=CMD hex=0100\n",
+         "bad record line: COMMAND payload is 2 bytes, expected 3"),
+        (7, "seq=7 ts=0 dir=PT2DT kind=MEA hex=\n",
+         "bad record line: empty payload"),
+        (8, "seq=8 ts=0 dir=PT2DT kind=MEA hex=99\n",
+         "bad record line: opcode 0x99"),
+    ]:
+        with pytest.raises(CorruptRecord) as exc:
+            parse_record_line(line)
+        assert (exc.value.seq, str(exc.value)) == (seq, text)
 
 
 def test_a_note_is_kept_but_not_counted():
