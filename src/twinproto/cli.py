@@ -8,8 +8,8 @@ Verbs:
         run a real-backed observing session with its thread file at the
         recording path; the emulator plays the thread's MEA and STA frames
     replay
-        feed an interchange record file into a fresh offline deployment
-        and check it reproduces the recorded state walk
+        feed an interchange record file's frames straight into a fresh
+        shadow's engine and check it reproduces the recorded state walk
     ci-test
         run every scenario in a suite directory on the logical clock;
         one line per case, exit reflects the worst case

@@ -51,11 +51,11 @@ from .config import (EXPECTATIONS, OBSERVED, Expectations, RunConfig,
                      Scenario, load_scenario)
 from .control import EXIT_RECORDING_DRY, _start_plant
 from .devices import DeviceDriver
-from .errors import (ConfigError, ConnectionClosed, KernelHalted,
+from .errors import (CodecError, ConfigError, ConnectionClosed, KernelHalted,
                      RecordingMissing, ThreadLogError)
 from .mapek import DigitalTwin, ModelKeeper, assemble_shadow, assemble_twin
-from .messages import command, encode_message, status
-from .runtime import ClockMode, make_runtime
+from .messages import command, decode_message, encode_message, status
+from .runtime import UNWIND_S, ClockMode, make_runtime
 from .statemachine import STATE_OF_CODE, State
 from .thread_log import (
     TappedEndpoint,
@@ -682,18 +682,19 @@ def _replay_plan(records):
 
 def replay_thread(path, clock: ClockMode = ClockMode.LOCKSTEP, seed: int = 0,
                   paced: bool | None = None, timeout_s: float = 30.0) -> ReplayResult:
-    """Feed a record file into a fresh offline shadow deployment.
+    """Feed a record file's PT2DT frames into a fresh shadow's engine.
 
     The shadow sees exactly what the original one saw, so its model must
-    walk the same states. `paced` feeds each frame at its recorded time
-    since the first frame, in whole milliseconds, with every gap capped at
-    one second (defaults on for the wall clock, off for lockstep, where the
+    walk the same states. Its one task, `replay:feeder`, decodes each frame
+    for `DigitalTwin.ingest` and skips one that does not decode, as an
+    ingest driver would. `paced` feeds each frame at its recorded time since
+    the first frame, in whole milliseconds, with every gap capped at one
+    second (defaults on for the wall clock, off for lockstep, where the
     logical clock makes pacing meaningless). The time unit is decided once
     per file: wall records carry `monotonic_ns`, so a file whose last frame
     is at or past WALL_TS_MIN holds nanoseconds; lockstep records carry
     ticks counted from 0, one per millisecond.
     """
-    result = ReplayResult(str(path))
     try:
         records = read_thread_file(path)  # grammar and ordering enforced here
     except (OSError, UnicodeDecodeError) as exc:
@@ -702,6 +703,7 @@ def replay_thread(path, clock: ClockMode = ClockMode.LOCKSTEP, seed: int = 0,
         raise ConfigError(f"record file rejected{where_in_file(exc)}: {exc}") \
             from None
     frames, want_walk = _replay_plan(records)
+    result = ReplayResult(str(path), frames_fed=len(frames))
     if paced is None:
         paced = clock is ClockMode.WALL
     ts_per_ms = 1_000_000 if frames and frames[-1].ts >= WALL_TS_MIN else 1
@@ -712,34 +714,32 @@ def replay_thread(path, clock: ClockMode = ClockMode.LOCKSTEP, seed: int = 0,
             due_ms.append(due // ts_per_ms)
 
     rt = make_runtime(clock, seed)
-    feed_end, dt_end = connect_pair(rt, "replay:feed", "replay:ingest",
-                                    Protocol.TCP)
-    shadow = assemble_shadow(rt, dt_end, name="replay")
-    stats = shadow.monitor_stats
-    driver = shadow.ingest_driver.stats
+    shadow = DigitalTwin(rt, ModelKeeper(), None)  # no driver, no uplink
 
-    def feeder():  # the shadow drains the closed link, then its loop ends
+    def feeder():  # a shadow's `ingest` returns None: it has no more to run
         t0, dues = rt.now_ns(), iter(due_ms)
         for rec in frames:
+            if rt.stopping:  # a halted run; a paced sleep raises instead
+                return
             if paced:
                 delay = next(dues) - rt.ms_since(t0)
                 if delay > 0:
                     rt.sleep_ms(delay)
-            feed_end.write_frame(rec.payload)
-        feed_end.close()
+            try:
+                msg = decode_message(rec.payload)
+            except CodecError:  # skipped, as an ingest driver skips it
+                continue
+            shadow.ingest(msg, rec.payload)
 
-    rt.spawn(feeder, name="replay:feeder")
+    feeding = rt.spawn(feeder, name="replay:feeder")
     # the safety limit runs from the last frame's due time
     _run_to_verdict(rt, timeout_s + due / ts_per_ms / 1000, result)
+    feeding.thread.join(UNWIND_S)  # a halted run may return before it ends
 
-    result.frames_fed = len(frames)
-    result.statuses_seen = stats.statuses
-    result.measurements_seen = stats.measurements
+    result.statuses_seen = shadow.monitor_stats.statuses
+    result.measurements_seen = shadow.monitor_stats.measurements
     result.final_state = shadow.model_state()._name_
     result.trajectory = [s._name_ for _, s in shadow.keeper.trajectory]
-    consumed = driver.relayed_in + driver.skipped_in
-    if consumed != len(frames):
-        result.fail(f"consumed {consumed} of {len(frames)} frames")
     if result.trajectory != want_walk:
         result.fail(f"trajectory {result.trajectory} != record walk {want_walk}")
     return result

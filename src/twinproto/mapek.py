@@ -223,10 +223,10 @@ def execute_loop(runtime, gate, sub, out_execute, thread_log=None):
 class DigitalTwin:
     """One running twin or shadow deployment, and its MAPE-K engine.
 
-    Without an uplink (a shadow, or the operator's watch in a pt or dtp
-    run) the engine ends at analysis. In a twin, analysis onward and every
-    uplink write hold the token, and a ConnectionClosed from the uplink
-    reaches the calling task.
+    Without an uplink (a shadow, a pt or dtp run's watch, or a replay,
+    which calls `ingest` with no ingest driver) the engine ends at analysis.
+    In a twin, analysis onward and every uplink write hold the token, and a
+    ConnectionClosed from the uplink reaches the calling task.
     """
 
     def __init__(self, runtime, keeper, ingest_driver, uplink_driver=None,
@@ -354,11 +354,11 @@ def _ingest_driver(ingest_conn, name):
                         name=f"{name}-ingest")
 
 
-def assemble_shadow(runtime, ingest_conn, name="shadow"):
+def assemble_shadow(runtime, ingest_conn):
     """Monitor + analyze over an ingest link. No uplink object exists."""
     twin = DigitalTwin(runtime, ModelKeeper(),
-                       _ingest_driver(ingest_conn, name))
-    runtime.spawn(twin.ingest_loop(), name=f"{name}:ingest")
+                       _ingest_driver(ingest_conn, "shadow"))
+    runtime.spawn(twin.ingest_loop(), name="shadow:ingest")
     return twin
 
 

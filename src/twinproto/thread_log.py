@@ -9,9 +9,9 @@ seq starts at 1 and increases strictly; ts is monotonic nanoseconds on the
 wall clock or the logical tick under lockstep. Direction constrains the frame
 kinds: PT2DT carries measurements and statuses, DT2PT carries commands. Two
 extra kinds extend the grammar without breaking it: RAW is a frame that failed
-to decode (payload preserved verbatim), NOTE is an annotation such as a gate
-rejection (text is utf-8, hex-encoded). NOTE records are not frames and are
-excluded from frame counts.
+to decode (payload preserved verbatim, no longer than a link carries), NOTE is
+an annotation such as a gate rejection (text is utf-8, hex-encoded). NOTE
+records are not frames and are excluded from frame counts.
 
 A reader accepts a line only when it is exactly those five fields, separated by
 single spaces, in that order. One compiled pattern splits a line into the five
@@ -41,6 +41,7 @@ from typing import NamedTuple
 
 from .errors import CodecError, CorruptRecord, RecordingMissing, ThreadLogError
 from .messages import MessageKind, payload_kind
+from .transport import MAX_FRAME_PAYLOAD
 
 U64_MAX = 2 ** 64 - 1
 
@@ -137,6 +138,9 @@ def parse_record_line(line, lineno=None) -> ThreadRecord:
             if got is not tagged:
                 raise ValueError(f"payload decodes as {got.name}, "
                                  f"tagged {kind}")
+        elif kind == "RAW" and len(payload) > MAX_FRAME_PAYLOAD:
+            raise ValueError(f"RAW payload of {len(payload)} bytes, over "
+                             f"the {MAX_FRAME_PAYLOAD} a link carries")
         # ThreadRecord(...) without the named tuple's Python-level __new__;
         # with the same in decode_message, 6% of lockstep-replay's frames/s
         return tuple.__new__(ThreadRecord, (seq, ts, direction, kind, payload))

@@ -75,3 +75,24 @@ def test_a_traced_lockstep_mission_session_matches_the_untraced_one(
     # for; the tap checks its kind without decoding it
     assert traced.layers["messages.encodes_per_frame"][0] == 1.0
     assert traced.layers["messages.decodes_per_frame"][0] == 2.0
+
+
+# the benchmark's lockstep digests for seed 1, as its runs report them; a
+# change that moves one changes what every earlier figure was measured on
+PINNED_DIGESTS = {
+    "LockstepReplay":
+        "1ce4305261ed67bcc878747283bfb64184b6f9e33c8ddb2e9b5af274af17dd13",
+    "LockstepMission":
+        "b2a5e802b4e2b2ddbbb85ccd847dd50e5b564a9e4520d6196d778ca7caa69cf5",
+}
+
+
+def test_the_benchmarks_lockstep_digests_hold(tmp_path):
+    workloads = load_workloads()
+    for name, digest in PINNED_DIGESTS.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        out = getattr(workloads, name)(1, workdir).session(trace=False)
+        assert out.problems == []
+        assert out.failed == 0
+        assert (name, out.digest) == (name, digest)

@@ -9,15 +9,17 @@ import time
 
 import pytest
 
-from twinproto import harness
+from twinproto import control, harness
 from twinproto.bus import EventBus
 from twinproto.cli import BUNDLED_SUITE, main
 from twinproto.config import (EXPECTATIONS, Expectations, RunConfig,
                               load_scenario, parse_scenario)
-from twinproto.errors import ConfigError
-from twinproto.mapek import ExecuteGate
+from twinproto.errors import ConfigError, RecordingMissing
+from twinproto.mapek import ExecuteGate, ModelKeeper
 from twinproto.messages import command, encode_message
-from twinproto.thread_log import ThreadDirection, ThreadLog
+from twinproto.statemachine import State
+from twinproto.thread_log import (ThreadDirection, ThreadLog,
+                                  load_checked_recordings)
 from twinproto.harness import (
     SessionResult,
     expectations_settled,
@@ -26,8 +28,9 @@ from twinproto.harness import (
     run_scenario,
     run_suite,
 )
-from twinproto.runtime import ClockMode
+from twinproto.runtime import ClockMode, LockstepRuntime, WallRuntime
 from twinproto.template import write_manifest
+from twinproto.transport import MAX_FRAME_PAYLOAD
 
 
 def scenario(**over):
@@ -158,16 +161,41 @@ def test_safety_limit_is_a_fail_verdict_and_leaks_no_threads():
 
 
 def test_replay_safety_limit_is_a_fail_verdict(tmp_path):
+    # long enough that feeding it outlasts, many times over, the interval
+    # for which the interpreter lets the feeder's thread run before the
+    # run's own thread sees its 1 ms limit
     thread = tmp_path / "long.thread"
     lines = ["seq=1 ts=0 dir=PT2DT kind=STA hex=2000"]
     lines += [f"seq={n} ts={n} dir=PT2DT kind=MEA hex=10{n:08x}"
-              for n in range(2, 5002)]
+              for n in range(2, 20002)]
     thread.write_text("\n".join(lines) + "\n")
     before = threading.active_count()
     result = replay_thread(thread, timeout_s=0.001)
     assert result.ok is False
     assert "safety limit" in result.failures[0]
     assert "replay:feeder=" in result.failures[0]
+    # the halted feeder stops within a frame, and replay waits for it
+    assert result.measurements_seen < 20000
+    assert "replay:feeder" not in [t.name for t in threading.enumerate()]
+    assert threads_settle_to(before)
+
+
+@pytest.mark.parametrize("clock", ["lockstep", "wall"])
+def test_a_crashed_thread_task_fails_the_run_and_leaks_no_threads(
+        monkeypatch, clock):
+    # the measurement script is the plant's one thread task; what escapes
+    # it is kept by its task and read into the verdict
+    def broken_script(*args):
+        raise RuntimeError("script broke")
+
+    monkeypatch.setattr(control, "run_measurement_script", broken_script)
+    before = threading.active_count()
+    result = run_scenario(scenario(mode="shadow", clock=clock,
+                                   duration_ms=100, steps=[],
+                                   measurements=[[10, 1]], expect={}))
+    assert result.ok is False
+    assert result.failures == [
+        "task measurement-script crashed: RuntimeError('script broke')"]
     assert threads_settle_to(before)
 
 
@@ -750,7 +778,7 @@ def test_replay_paces_in_the_thread_files_time_unit(tmp_path, monkeypatch,
     thread.write_text("\n".join(lines) + "\n")
     result = replay_thread(thread, paced=True)
     assert result.ok, result.failures
-    # the shadow drains the closed link without another tick
+    # the last frame is fed at its due tick, and nothing runs after it
     assert runtimes[0].tick == sleep_ms
 
 
@@ -768,8 +796,8 @@ def test_a_paced_wall_replay_may_outlast_its_timeout(tmp_path):
 
 
 def test_an_unpaced_lockstep_replay_ends_at_tick_0(tmp_path, monkeypatch):
-    # the feeder closes its link after the last frame, so the shadow ends
-    # once it has drained the link, with no timer in the run
+    # the feeder hands every frame to the shadow's engine in one slice and
+    # ends, with no timer in the run
     runtimes = capture_runtimes(monkeypatch)
     lines = ["seq=1 ts=0 dir=PT2DT kind=STA hex=2001"]
     lines += [f"seq={n} ts={n} dir=PT2DT kind=MEA hex=10{n:08x}"
@@ -786,7 +814,7 @@ def test_an_unpaced_lockstep_replay_ends_at_tick_0(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("clock", [ClockMode.LOCKSTEP, ClockMode.WALL])
 def test_replay_counts_an_undecodable_frame_as_consumed(tmp_path, clock):
-    # the shadow's ingest driver skips the RAW frame; the feeder must not
+    # the feeder skips the RAW frame, which does not decode; it must not
     # wait for the monitor to see it
     thread = tmp_path / "raw.thread"
     thread.write_text("seq=1 ts=0 dir=PT2DT kind=STA hex=2000\n"
@@ -801,17 +829,9 @@ def test_replay_counts_an_undecodable_frame_as_consumed(tmp_path, clock):
     assert result.trajectory == ["ACTIVE"]
 
 
-def test_replay_feeds_raw_frames_and_never_a_note(tmp_path, monkeypatch):
-    # RAW frames are fed and the shadow's ingest driver skips them; NOTE
-    # lines, in either direction, and DT2PT frames are never fed
-    shadows = []
-    real = harness.assemble_shadow
-
-    def keep_shadow(*args, **kwargs):
-        shadows.append(real(*args, **kwargs))
-        return shadows[-1]
-
-    monkeypatch.setattr(harness, "assemble_shadow", keep_shadow)
+def test_replay_feeds_raw_frames_and_never_a_note(tmp_path):
+    # RAW frames are fed and the feeder skips them, as they do not decode;
+    # NOTE lines, in either direction, and DT2PT frames are never fed
     thread = tmp_path / "mixed.thread"
     thread.write_text("seq=1 ts=0 dir=PT2DT kind=STA hex=2000\n"
                       "seq=2 ts=1 dir=PT2DT kind=NOTE hex=6869\n"
@@ -828,8 +848,73 @@ def test_replay_feeds_raw_frames_and_never_a_note(tmp_path, monkeypatch):
     assert result.frames_fed == 6
     assert (result.statuses_seen, result.measurements_seen) == (3, 1)
     assert result.trajectory == ["ACTIVE"]
-    stats = shadows[0].ingest_driver.stats
-    assert (stats.relayed_in, stats.skipped_in) == (4, 2)
+
+
+@pytest.mark.parametrize("clock", [ClockMode.LOCKSTEP, ClockMode.WALL])
+def test_a_replay_spawns_only_its_feeder_and_makes_no_channel(
+        tmp_path, monkeypatch, clock):
+    calls = []
+    for kind in (LockstepRuntime, WallRuntime):
+        for attr in ("spawn", "channel"):
+            def called(self, *args, _real=getattr(kind, attr), _attr=attr,
+                       **kwargs):
+                calls.append((_attr, kwargs.get("name")))
+                return _real(self, *args, **kwargs)
+
+            monkeypatch.setattr(kind, attr, called)
+    thread = tmp_path / "walk.thread"
+    thread.write_text("seq=1 ts=0 dir=PT2DT kind=STA hex=2000\n"
+                      "seq=2 ts=1 dir=PT2DT kind=STA hex=2001\n")
+    result = replay_thread(thread, clock=clock)
+    assert result.ok, result.failures
+    assert calls == [("spawn", "replay:feeder")]
+
+
+def test_a_replay_whose_model_leaves_the_record_walk_fails(tmp_path,
+                                                           monkeypatch):
+    class DeafToOff(ModelKeeper):
+        """A keeper whose model never follows a report of OFF."""
+
+        def observe(self, obs, ts):
+            if obs is State.OFF:
+                obs = self.model.current
+            return super().observe(obs, ts)
+
+    monkeypatch.setattr(harness, "ModelKeeper", DeafToOff)
+    thread = tmp_path / "walk.thread"
+    thread.write_text("seq=1 ts=0 dir=PT2DT kind=STA hex=2000\n"
+                      "seq=2 ts=1 dir=PT2DT kind=STA hex=2001\n"
+                      "seq=3 ts=2 dir=PT2DT kind=STA hex=2002\n")
+    result = replay_thread(thread)
+    assert result.ok is False
+    assert result.failures == ["trajectory ['ACTIVE'] != record walk "
+                               "['ACTIVE', 'OFF']"]
+    assert result.final_state == "ACTIVE"
+
+
+def test_a_raw_frame_larger_than_a_link_carries_rejects_the_file(tmp_path):
+    # no link carries a payload over MAX_FRAME_PAYLOAD, so no record of one
+    # is read, for a replay or as a recording; one of that size is
+    def thread_with_raw(size):
+        path = tmp_path / f"raw{size}.thread"
+        path.write_text("seq=1 ts=0 dir=PT2DT kind=STA hex=2000\n"
+                        f"seq=2 ts=1 dir=PT2DT kind=RAW hex={'ff' * size}\n"
+                        "seq=3 ts=2 dir=PT2DT kind=STA hex=2001\n")
+        return path
+
+    result = replay_thread(thread_with_raw(MAX_FRAME_PAYLOAD))
+    assert result.ok, result.failures
+    assert (result.frames_fed, result.statuses_seen) == (3, 2)
+    big = thread_with_raw(MAX_FRAME_PAYLOAD + 1)
+    why = (f"at seq/line 2: bad record line: RAW payload of "
+           f"{MAX_FRAME_PAYLOAD + 1} bytes, over the {MAX_FRAME_PAYLOAD} a "
+           f"link carries")
+    with pytest.raises(ConfigError) as rejected:
+        replay_thread(big)
+    assert str(rejected.value) == f"record file rejected {why}"
+    with pytest.raises(RecordingMissing) as unusable:
+        load_checked_recordings(big)
+    assert str(unusable.value) == f"recording {big} unusable {why}"
 
 
 def test_replay_rejects_corrupt_files(tmp_path):

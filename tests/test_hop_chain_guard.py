@@ -5,7 +5,8 @@ the record check, the dry check and the result read those chains. A
 function in `harness.py` that reads a driver, or the device's serve-loop
 counts, off the plant or the twin keeps a second list of a shape's hops.
 The scan fails on any function or class other than `_wire` that loads one
-of DRIVER_ATTRIBUTES, unless EXEMPT gives the reason it still does.
+of DRIVER_ATTRIBUTES. Replay reads no driver: its feeder calls the shadow's
+engine itself.
 """
 
 from __future__ import annotations
@@ -17,12 +18,6 @@ from twinproto import harness
 
 DRIVER_ATTRIBUTES = frozenset({"sensor_driver", "tx_driver", "ingest_driver",
                                "uplink_driver", "device_stats"})
-
-# function -> why it still reads one of them
-EXEMPT = {
-    "replay_thread": "replay stands up its own shadow outside `_wire`, "
-                     "until ROADMAP item 11 folds replay into it",
-}
 
 
 def driver_reads(source: str) -> dict:
@@ -59,7 +54,4 @@ def test_the_scan_finds_a_planted_driver_read():
 
 def test_only_wire_reads_a_shapes_drivers():
     source = Path(harness.__file__).read_text(encoding="utf-8")
-    readers = set(driver_reads(source)) - {"_wire"}
-    assert sorted(readers - set(EXEMPT)) == []
-    # a function that no longer reads one leaves the list
-    assert sorted(set(EXEMPT) - readers) == []
+    assert sorted(set(driver_reads(source)) - {"_wire"}) == []

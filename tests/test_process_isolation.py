@@ -328,6 +328,16 @@ def test_an_isolated_plant_stops_at_the_parents_hang_up(monkeypatch):
     assert sleeps == [opts["duration_ms"] + 2000]
 
 
+def test_a_plant_process_that_never_exits_fails_the_run(monkeypatch):
+    # the wait gives up on the child, which is then killed and reaped (the
+    # process-leak fixture checks that)
+    monkeypatch.setattr(harness, "_wait_for_exit",
+                        lambda child, timeout_s: None)
+    result = run_scenario(mission(), RunConfig(isolate=True))
+    assert result.ok is False
+    assert result.failures == ["plant process never exited"]
+
+
 def test_the_wait_for_a_plant_process_is_bounded():
     # the wait ends at EOF on the child's stdout, which its exit closes
     with subprocess.Popen([sys.executable, "-c", "import time; "

@@ -389,6 +389,24 @@ def test_lockstep_safety_limit_fires_while_a_task_blocks_outside_the_kernel():
     assert not handle.thread.is_alive()
 
 
+def test_lockstep_safety_limit_ends_a_run_of_generator_tasks_only():
+    # no thread task ever takes the baton, so `run`'s own thread carries
+    # every slice and gives up between two of them at its time
+    rt = LockstepRuntime(seed=0)
+
+    def ticker():
+        while True:
+            yield from rt.pause(1)
+
+    handle = rt.spawn(ticker(), name="ticker")
+    with pytest.raises(KernelHalted, match=r"^lockstep wall-time safety "
+                                           r"limit hit at tick \d+: "
+                                           r"ticker=sleeping$"):
+        rt.run(timeout=0.2)
+    assert rt.tick > 0
+    assert handle.state == "done"  # it unwound at its next pause
+
+
 def ring_run(seed, tasks=32, items=16, hops=64):
     """Items hop round a ring of tasks over small lockstep channels.
 
