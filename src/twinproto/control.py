@@ -38,7 +38,6 @@ modules and none of the harness.
 
 from __future__ import annotations
 
-import json
 import socket
 import sys
 import threading
@@ -204,23 +203,24 @@ def _start_plant(rt, recording, outbound, inbound, script, link_capacity):
 EXIT_RECORDING_DRY = 3
 
 
-def plant_process_main(raw: str, ready) -> int:
+def plant_process_main(opts: dict, ready) -> int:
     """Child half of an isolated run: the whole plant behind two TCP links,
-    whose ends it inherits as the file descriptors its options name. It
-    calls `ready()` once it has wrapped them, before it loads its
-    recording.
+    whose ends it inherits as the file descriptors its options name. The
+    options are the dict the parent marshals onto the child's standard
+    input: `duration_ms`, `up_fd`, `down_fd`, `measurements` ((t_ms, value)
+    pairs), `recording` (a path or None) and `link_capacity`. It calls
+    `ready()` once it has wrapped its links, before it loads its recording.
 
     Lives until the parent hangs up, or at most until the scenario duration
     plus a grace period, then tears itself down. Exits 1 if a task crashed
     or straggled, EXIT_RECORDING_DRY if the emulator ran out of recordings.
     """
-    opts = json.loads(raw)
     rt = WallRuntime()
     up = SocketEndpoint(socket.socket(fileno=opts["up_fd"]), name="plant:up")
     down = SocketEndpoint(socket.socket(fileno=opts["down_fd"]),
                           name="plant:down")
     ready()
-    script = [tuple(p) for p in opts["measurements"]] or None
+    script = opts["measurements"] or None
     plant = _start_plant(rt, load_checked_recordings(opts["recording"]),
                          up, down, script, opts["link_capacity"])
 

@@ -35,8 +35,9 @@ the plant process, and the chains hold only this process's.
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import json
+import marshal
 import os
 import select
 import shutil
@@ -55,7 +56,7 @@ from .errors import (CodecError, ConfigError, ConnectionClosed, KernelHalted,
                      RecordingMissing, ThreadLogError)
 from .mapek import DigitalTwin, ModelKeeper, assemble_shadow, assemble_twin
 from .messages import command, decode_message, encode_message, status
-from .runtime import UNWIND_S, ClockMode, make_runtime
+from .runtime import ClockMode, make_runtime
 from .statemachine import STATE_OF_CODE, State
 from .thread_log import (
     TappedEndpoint,
@@ -508,30 +509,81 @@ def record_session(scenario: Scenario, config: RunConfig | None = None, *,
 
 # The child starts without `site` (`-S`): it needs nothing from
 # site-packages, and a `.pth` hook there may import whole libraries into
-# every interpreter. It imports the package this process runs, from the
-# directory passed as its one argument, with or without PYTHONPATH, and
-# reads its options from its standard input: one command-line argument may
-# hold at most 128 KiB, which a long measurement script passes. It inherits
-# its two links as descriptors (`pass_fds`, so POSIX only). Its stdout
-# carries one byte, once it has wrapped them, then EOF at its exit. It ends
-# as multiprocessing's children do: it flushes its output and calls
+# every interpreter. It reads its standard input to EOF: one marshalled pair
+# of the code of the package modules it runs (`_PLANT_MODULES`), compiled
+# here from the files this process imported, and its options. One
+# command-line argument may hold at most 128 KiB, which a long measurement
+# script passes. A meta-path finder serves that code, so the child compiles
+# none of the package and writes no bytecode file, and a traceback still
+# names each module's file and line. The package's `__path__` is the
+# directory this process imported it from, so the child needs no
+# `PYTHONPATH` and no installed copy; any other module comes from `sys.path`.
+# It inherits its two links as descriptors (`pass_fds`, so POSIX only). Its
+# stdout carries one byte, once it has wrapped them, then EOF at its exit.
+# It ends as multiprocessing's children do: it flushes its output and calls
 # `os._exit`, so the parent's wait does not include interpreter
 # finalization; `plant.stop()` has closed its sockets by then.
-_CHILD_CODE = ("import os, sys\n"
-               "sys.path.insert(0, sys.argv[1])\n"
-               "from twinproto.control import plant_process_main\n"
-               "rc = plant_process_main(sys.stdin.read(),\n"
-               "                        lambda: os.write(1, b'.'))\n"
-               "sys.stderr.flush()\n"
-               "os._exit(rc)\n")
+_CHILD_CODE = """\
+import marshal, os, sys
+from importlib.machinery import ModuleSpec
+shipped, opts = marshal.loads(sys.stdin.buffer.read())
+code = marshal.loads(shipped)
+
+class Shipped:  # finder and loader of the modules whose code was sent
+    def find_spec(name, path, target=None):
+        if name in code:
+            spec = ModuleSpec(name, Shipped, origin=code[name].co_filename)
+            spec.has_location = True  # sets __file__
+            if os.path.basename(spec.origin) == "__init__.py":
+                spec.submodule_search_locations = [
+                    os.path.dirname(spec.origin)]
+            return spec
+    def create_module(spec):
+        return None
+    def exec_module(module):
+        exec(code[module.__name__], module.__dict__)
+
+sys.meta_path.insert(0, Shipped)
+from twinproto.control import plant_process_main
+rc = plant_process_main(opts, lambda: os.write(1, b"."))
+sys.stderr.flush()
+os._exit(rc)
+"""
 
 READY_TIMEOUT_S = 15.0  # how long the child may take to say it is ready
+
+# the modules the plant's child runs, with the code this process sends it
+_PLANT_MODULES = (__package__, *(f"{__package__}.{name}" for name in (
+    "control", "devices", "errors", "messages", "runtime", "statemachine",
+    "thread_log", "transport")))
 
 
 def _plant_process_argv() -> list:
     """The command line of the isolated plant's child interpreter."""
-    package_root = str(Path(__file__).resolve().parent.parent)
-    return [sys.executable, "-S", "-c", _CHILD_CODE, package_root]
+    return [sys.executable, "-S", "-c", _CHILD_CODE]
+
+
+@functools.cache
+def _plant_code() -> bytes:
+    """The marshalled code of `_PLANT_MODULES`, compiled once per process
+    by each module's own loader from the file this process imported."""
+    return marshal.dumps({name: sys.modules[name].__spec__.loader
+                          .get_code(name) for name in _PLANT_MODULES})
+
+
+def _plant_process_input(scenario: Scenario, up_fd: int, down_fd: int,
+                         link_capacity: int) -> bytes:
+    """What the plant's child reads on its standard input: the code it runs,
+    then the options `plant_process_main` takes."""
+    opts = {
+        "duration_ms": scenario.duration_ms,
+        "up_fd": up_fd,
+        "down_fd": down_fd,
+        "measurements": scenario.measurements,
+        "recording": _recording_path(scenario),
+        "link_capacity": link_capacity,
+    }
+    return marshal.dumps((_plant_code(), opts))
 
 
 def _start_plant_process(scenario: Scenario, link_capacity: int):
@@ -552,10 +604,12 @@ def _start_plant_process(scenario: Scenario, link_capacity: int):
     try:
         child = _spawn_plant_process(scenario, up_far.fileno(),
                                      down_far.fileno(), link_capacity)
-    except OSError as exc:
+    except BaseException as exc:
         up.close()
         down.close()
-        raise ConfigError(f"plant process could not start: {exc}") from None
+        if isinstance(exc, OSError):
+            raise ConfigError(f"plant process could not start: {exc}") from None
+        raise
     finally:  # socket.close(): a shutdown would end the child's links too
         up_far.close()
         down_far.close()
@@ -580,26 +634,36 @@ def _start_plant_process(scenario: Scenario, link_capacity: int):
 def _spawn_plant_process(scenario: Scenario, up_fd: int, down_fd: int,
                          link_capacity: int):
     """Start the plant's child, which inherits `up_fd` and `down_fd`, and
-    write its options to its standard input, which is closed on return;
-    options past the pipe's buffer wait for the child to read them. Raises
-    OSError if the child cannot start or dies before it has read them."""
-    opts = {
-        "duration_ms": scenario.duration_ms,
-        "up_fd": up_fd,
-        "down_fd": down_fd,
-        "measurements": [list(p) for p in scenario.measurements],
-        "recording": _recording_path(scenario),
-        "link_capacity": link_capacity,
-    }
+    write its input (`_plant_process_input`) to its standard input, which is
+    closed on return; input past the pipe's buffer waits for the child to
+    read it, for at most `READY_TIMEOUT_S`. The input is made once the child
+    is started, so a first start compiles its code while the child's
+    interpreter starts. Raises OSError if the child cannot start or dies
+    before it has read it all, and ConfigError if it has not read it in
+    time; the child is reaped on every raise."""
     child = subprocess.Popen(_plant_process_argv(), stdin=subprocess.PIPE,
                              stdout=subprocess.PIPE, pass_fds=(up_fd, down_fd))
     try:
         with child.stdin:
-            child.stdin.write(json.dumps(opts).encode("ascii"))
-    except OSError:  # a broken pipe: the child is gone
+            _write_within(child.stdin.fileno(), _plant_process_input(
+                scenario, up_fd, down_fd, link_capacity), READY_TIMEOUT_S)
+    except BaseException:  # a broken pipe, or input it will never get
         _reap(child)
         raise
     return child
+
+
+def _write_within(fd, data, timeout_s):
+    """Write `data` to the pipe `fd`, or raise ConfigError if its reader has
+    not taken it all within `timeout_s`."""
+    os.set_blocking(fd, False)
+    deadline = time.monotonic() + timeout_s
+    data = memoryview(data)
+    while data:
+        if not select.select([], [fd], [],
+                             max(deadline - time.monotonic(), 0.0))[1]:
+            raise ConfigError(f"plant process not ready after {timeout_s:g} s")
+        data = data[os.write(fd, data):]
 
 
 def _child_says(child, timeout_s):
@@ -731,10 +795,9 @@ def replay_thread(path, clock: ClockMode = ClockMode.LOCKSTEP, seed: int = 0,
                 continue
             shadow.ingest(msg, rec.payload)
 
-    feeding = rt.spawn(feeder, name="replay:feeder")
+    rt.spawn(feeder, name="replay:feeder")
     # the safety limit runs from the last frame's due time
     _run_to_verdict(rt, timeout_s + due / ts_per_ms / 1000, result)
-    feeding.thread.join(UNWIND_S)  # a halted run may return before it ends
 
     result.statuses_seen = shadow.monitor_stats.statuses
     result.measurements_seen = shadow.monitor_stats.measurements

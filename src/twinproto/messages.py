@@ -28,8 +28,8 @@ shared instances, and hands every payload it does not accept to
 from __future__ import annotations
 
 import struct
+from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple
 
 from .errors import TruncatedPayload, UnknownOpcode, ValueOutOfRange
 
@@ -54,11 +54,9 @@ class MessageKind(Enum):
 _STATUS = MessageKind.STATUS
 
 
-class _Layout(NamedTuple):
-    kind: MessageKind
-    codec: struct.Struct  # opcode byte and value, big-endian
-    lo: int
-    hi: int
+# a kind's `codec` (a struct.Struct of the opcode byte and the value,
+# big-endian) and its value's bounds `lo` and `hi`
+_Layout = namedtuple("_Layout", "kind codec lo hi")
 
 
 # opcode -> its layout; the codec's size is the encoded length, opcode
@@ -73,11 +71,10 @@ _LAYOUTS = {
 }
 
 
-class Message(NamedTuple):
+class Message(namedtuple("Message", "kind value")):
     """One decoded message: a kind plus its signed integer value."""
 
-    kind: MessageKind
-    value: int
+    __slots__ = ()
 
     def __str__(self):
         return f"{self.kind.name}({self.value})"

@@ -644,8 +644,9 @@ class LockstepRuntime:
         a slice; each later slice is picked by the task that parks or exits
         before it. `timeout` is a real-time safety net against bugs, not a
         feature of the logical clock. At that limit or on a deadlock, the
-        runtime is shut down, its tasks get a grace period to unwind, and
-        KernelHalted carries the task dump taken when the run stopped.
+        runtime is shut down, its tasks get a grace period (`UNWIND_S`) to
+        unwind and their threads to exit, and KernelHalted carries the task
+        dump taken when the run stopped.
         """
         with self._lock:
             self._gave_up = False
@@ -662,13 +663,17 @@ class LockstepRuntime:
             why += self._dump()
         self.shutdown()
         with self._lock:
-            unwind_s = min(timeout, UNWIND_S)
-            unwind_until = time.monotonic() + unwind_s
+            # the full grace, however short `timeout` was: a thread task may
+            # still be in its slice, changing what the caller reads next
+            unwind_until = time.monotonic() + UNWIND_S
             if self._baton_free:  # nobody is left to pick a slice
-                self._carry(unwind_s)
+                self._carry(UNWIND_S)
             self._idle.wait_for(lambda: self._baton_free,
                                 max(unwind_until - time.monotonic(), 0.0))
             self._runner = None
+            threads = [t.thread for t in self._tasks if t.gen is None]
+        for thread in threads:  # a task frees the baton before its exit
+            thread.join(max(unwind_until - time.monotonic(), 0.0))
         raise KernelHalted(why)
 
     def task_errors(self):

@@ -22,8 +22,8 @@ State codes on the wire are the IntEnum values: STANDBY=0, ACTIVE=1, OFF=2.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from enum import IntEnum
-from typing import NamedTuple
 
 from .errors import KindRejected
 from .messages import Message, MessageKind
@@ -56,11 +56,11 @@ def transition(state: State, value: int) -> State:
     return _OFF
 
 
-class TwinState(NamedTuple):
+class TwinState(namedtuple("TwinState", "current period",
+                           defaults=(State.STANDBY, 0))):
     """Immutable snapshot of the modeled device: state plus commanded period."""
 
-    current: State = State.STANDBY
-    period: int = 0
+    __slots__ = ()
 
 
 def process_event(ts: TwinState, msg: Message) -> TwinState:
@@ -86,13 +86,16 @@ def fold_commands(values, start: TwinState | None = None) -> TwinState:
     return ts
 
 
-class StateMachineDef(NamedTuple):
+class StateMachineDef(namedtuple("StateMachineDef",
+                                 "states initial terminal codes")):
     """Declarative descriptor of the machine, for manifests and validation."""
 
-    states: tuple = tuple(s.name for s in State)
-    initial: str = State.STANDBY.name
-    terminal: tuple = tuple(s.name for s in TERMINAL_STATES)
-    codes: tuple = tuple((s.name, int(s)) for s in State)
+    __slots__ = ()
 
 
-BUILTIN_MACHINE = StateMachineDef()
+BUILTIN_MACHINE = StateMachineDef(
+    states=tuple(s.name for s in State),
+    initial=State.STANDBY.name,
+    terminal=tuple(s.name for s in TERMINAL_STATES),
+    codes=tuple((s.name, int(s)) for s in State),
+)

@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import re
 import threading
+from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple
 
 from .errors import CodecError, CorruptRecord, RecordingMissing, ThreadLogError
 from .messages import MessageKind, payload_kind
@@ -83,12 +83,13 @@ _LINE = re.compile(r"seq=([^ ]*) ts=([^ ]*) dir=([^ ]*) kind=([^ ]*) "
                    r"hex=([^ ]*)")
 
 
-class ThreadRecord(NamedTuple):
-    seq: int
-    ts: int
-    direction: ThreadDirection
-    kind: str
-    payload: bytes
+class ThreadRecord(namedtuple("ThreadRecord",
+                              "seq ts direction kind payload")):
+    """One line of a thread file: `direction` is a ThreadDirection, `kind`
+    one of ALL_KINDS, and `payload` the frame's bytes, or a NOTE's utf-8
+    text."""
+
+    __slots__ = ()
 
     @property
     def is_frame(self):

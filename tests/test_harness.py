@@ -160,6 +160,19 @@ def test_safety_limit_is_a_fail_verdict_and_leaks_no_threads():
     assert threads_settle_to(before)
 
 
+def test_a_halted_lockstep_run_returns_only_once_its_thread_tasks_end():
+    # the sensor never goes ACTIVE, so the script skips its 30000 entries
+    # in one slice that never parks; the 1 ms limit halts the run inside
+    # that slice, and the run must wait for it, not return at once
+    sc = scenario(steps=[], measurements=[[1, n] for n in range(30000)],
+                  **FOREVER)
+    for _ in range(10):
+        result = run_scenario(sc, RunConfig(run_timeout_s=0.001))
+        assert "safety limit" in result.failures[0]
+        assert [t.name for t in threading.enumerate()
+                if t.name in ("op:script", "measurement-script")] == []
+
+
 def test_replay_safety_limit_is_a_fail_verdict(tmp_path):
     # long enough that feeding it outlasts, many times over, the interval
     # for which the interpreter lets the feeder's thread run before the

@@ -261,6 +261,39 @@ def test_a_plant_process_that_never_says_it_is_ready_is_killed(monkeypatch):
     assert [child.returncode for child in children] == [-9]
 
 
+def test_a_plant_process_that_never_reads_its_input_is_killed(monkeypatch):
+    # its input outgrows a pipe's buffer, so writing it waits for a reader
+    # that never comes: the wait is bounded as the ready byte's is, and
+    # the child (kept only by the leaked-process check) is killed
+    monkeypatch.setattr(harness, "_plant_process_argv", lambda: [
+        sys.executable, "-S", "-c", "import time; time.sleep(60)"])
+    monkeypatch.setattr(harness, "READY_TIMEOUT_S", 0.2)
+    made = keep_links(monkeypatch)
+    started = time.monotonic()
+    raised, unclosed = raised_and_unclosed(long_script(),
+                                           RunConfig(isolate=True))
+    assert time.monotonic() - started < 5.0
+    assert raised == (ConfigError, "plant process not ready after 0.2 s")
+    assert unclosed == []
+    assert len(made) == 4 and closed(made)
+
+
+def test_a_plant_process_whose_code_cannot_be_made_leaves_nothing_open(
+        monkeypatch):
+    # making the child's input may fail with more than an OSError (a source
+    # file edited since it was imported no longer compiles, say): the error
+    # is raised as it is, and no socket or child is left behind
+    def cannot_compile(*args):
+        raise SyntaxError("invalid syntax")
+
+    monkeypatch.setattr(harness, "_plant_process_input", cannot_compile)
+    made = keep_links(monkeypatch)
+    raised, unclosed = raised_and_unclosed(mission(), RunConfig(isolate=True))
+    assert raised == (SyntaxError, "invalid syntax")
+    assert unclosed == []
+    assert len(made) == 4 and closed(made)
+
+
 def test_an_unusable_recording_kills_the_plant_process_and_its_links(
         monkeypatch, tmp_path):
     # the parent checks the recording while the child starts; the refusal
@@ -312,7 +345,7 @@ def test_an_isolated_plant_stops_at_the_parents_hang_up(monkeypatch):
     exit_codes, readies = [], []
     plant = threading.Thread(
         target=lambda: exit_codes.append(plant_process_main(
-            json.dumps(opts), lambda: readies.append(len(sleeps)))),
+            opts, lambda: readies.append(len(sleeps)))),
         name="plant-process-main")
     plant.start()
     up, down = SocketEndpoint(up), SocketEndpoint(down)
