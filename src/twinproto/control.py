@@ -31,9 +31,8 @@ same drivers (name, command set, protocol) and the same control logic: the
 configuration is identical by construction, and the assembly's own
 `sensor_driver`, `tx_driver` and `control` show it.
 
-`plant_process_main` is the isolated plant's entry: the child interpreter
-an `isolate` run starts imports it from here, so the child loads the plant's
-modules and none of the harness.
+`plant_process_main` is the isolated plant's entry: the child process that
+an `isolate` run forks calls it with its options.
 """
 
 from __future__ import annotations
@@ -206,8 +205,8 @@ EXIT_RECORDING_DRY = 3
 def plant_process_main(opts: dict, ready) -> int:
     """Child half of an isolated run: the whole plant behind two TCP links,
     whose ends it inherits as the file descriptors its options name. The
-    options are the dict the parent marshals onto the child's standard
-    input: `duration_ms`, `up_fd`, `down_fd`, `measurements` ((t_ms, value)
+    options are the dict the parent made before it forked the child:
+    `duration_ms`, `up_fd`, `down_fd`, `measurements` ((t_ms, value)
     pairs), `recording` (a path or None) and `link_capacity`. It calls
     `ready()` once it has wrapped its links, before it loads its recording.
 

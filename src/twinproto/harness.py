@@ -35,19 +35,21 @@ the plant process, and the chains hold only this process's.
 
 from __future__ import annotations
 
-import functools
+import contextlib
+import gc
 import hashlib
-import marshal
 import os
 import select
 import shutil
-import subprocess
+import signal
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+from . import control
 from .config import (EXPECTATIONS, OBSERVED, Expectations, RunConfig,
                      Scenario, load_scenario)
 from .control import EXIT_RECORDING_DRY, _start_plant
@@ -133,12 +135,22 @@ def _check_expectations(expect: Expectations, result: SessionResult):
             result.fail(f"{row.key.replace('_', ' ')} {got}, want {want}")
 
 
+_DIGEST_SLICE = 256  # records; a slice's text is some 25 KB
+
+
 def thread_digest(records) -> str:
     """Stable content hash of a whole interchange record, given as the list
-    of its records."""
+    of its records: the sha256 of its lines as `format_line` writes them.
+    Each slice of `_DIGEST_SLICE` records is formatted in one pass and
+    hashed at once, so no copy of a whole long record is ever made."""
     h = hashlib.sha256()
-    for rec in records:
-        h.update(rec.format_line().encode("utf-8"))
+    for start in range(0, len(records), _DIGEST_SLICE):
+        h.update("".join([
+            f"seq={seq} ts={ts} dir={direction._value_} kind={kind} "
+            f"hex={payload.hex()}\n"
+            for seq, ts, direction, kind, payload
+            in records[start:start + _DIGEST_SLICE]
+        ]).encode("utf-8"))
     return h.hexdigest()
 
 
@@ -173,7 +185,7 @@ class _Wiring:
     down: object
     recording_path: str | None = None  # the emulator's recording, if any
     recording_frames: int = 0
-    child: subprocess.Popen | None = None
+    child: _PlantChild | None = None
     log: ThreadLog | None = None
     twin: DigitalTwin | None = None
     pt2dt: tuple = ()
@@ -507,83 +519,32 @@ def record_session(scenario: Scenario, config: RunConfig | None = None, *,
 # Isolated plant process
 # ---------------------------------------------------------------------------
 
-# The child starts without `site` (`-S`): it needs nothing from
-# site-packages, and a `.pth` hook there may import whole libraries into
-# every interpreter. It reads its standard input to EOF: one marshalled pair
-# of the code of the package modules it runs (`_PLANT_MODULES`), compiled
-# here from the files this process imported, and its options. One
-# command-line argument may hold at most 128 KiB, which a long measurement
-# script passes. A meta-path finder serves that code, so the child compiles
-# none of the package and writes no bytecode file, and a traceback still
-# names each module's file and line. The package's `__path__` is the
-# directory this process imported it from, so the child needs no
-# `PYTHONPATH` and no installed copy; any other module comes from `sys.path`.
-# It inherits its two links as descriptors (`pass_fds`, so POSIX only). Its
-# stdout carries one byte, once it has wrapped them, then EOF at its exit.
-# It ends as multiprocessing's children do: it flushes its output and calls
-# `os._exit`, so the parent's wait does not include interpreter
-# finalization; `plant.stop()` has closed its sockets by then.
-_CHILD_CODE = """\
-import marshal, os, sys
-from importlib.machinery import ModuleSpec
-shipped, opts = marshal.loads(sys.stdin.buffer.read())
-code = marshal.loads(shipped)
-
-class Shipped:  # finder and loader of the modules whose code was sent
-    def find_spec(name, path, target=None):
-        if name in code:
-            spec = ModuleSpec(name, Shipped, origin=code[name].co_filename)
-            spec.has_location = True  # sets __file__
-            if os.path.basename(spec.origin) == "__init__.py":
-                spec.submodule_search_locations = [
-                    os.path.dirname(spec.origin)]
-            return spec
-    def create_module(spec):
-        return None
-    def exec_module(module):
-        exec(code[module.__name__], module.__dict__)
-
-sys.meta_path.insert(0, Shipped)
-from twinproto.control import plant_process_main
-rc = plant_process_main(opts, lambda: os.write(1, b"."))
-sys.stderr.flush()
-os._exit(rc)
-"""
-
+# The plant's child is a fork of this process (`_spawn_plant_process`), so
+# isolation is POSIX-only. Every wait for it reads its ready pipe: the one
+# byte it writes once it has wrapped its links, within `READY_TIMEOUT_S`,
+# then EOF at its exit within `run_timeout_s`, and only then `waitpid`.
 READY_TIMEOUT_S = 15.0  # how long the child may take to say it is ready
 
-# the modules the plant's child runs, with the code this process sends it
-_PLANT_MODULES = (__package__, *(f"{__package__}.{name}" for name in (
-    "control", "devices", "errors", "messages", "runtime", "statemachine",
-    "thread_log", "transport")))
 
+class _PlantChild:
+    """The forked plant child, with the part of `subprocess.Popen` the
+    harness uses: `pid`, `stdout` (the read end of its ready pipe),
+    `returncode`, `kill` and `wait`."""
 
-def _plant_process_argv() -> list:
-    """The command line of the isolated plant's child interpreter."""
-    return [sys.executable, "-S", "-c", _CHILD_CODE]
+    def __init__(self, pid, stdout):
+        self.pid = pid
+        self.stdout = stdout
+        self.returncode = None
 
+    def kill(self):
+        if self.returncode is None:  # a reaped pid may name another process
+            os.kill(self.pid, signal.SIGKILL)
 
-@functools.cache
-def _plant_code() -> bytes:
-    """The marshalled code of `_PLANT_MODULES`, compiled once per process
-    by each module's own loader from the file this process imported."""
-    return marshal.dumps({name: sys.modules[name].__spec__.loader
-                          .get_code(name) for name in _PLANT_MODULES})
-
-
-def _plant_process_input(scenario: Scenario, up_fd: int, down_fd: int,
-                         link_capacity: int) -> bytes:
-    """What the plant's child reads on its standard input: the code it runs,
-    then the options `plant_process_main` takes."""
-    opts = {
-        "duration_ms": scenario.duration_ms,
-        "up_fd": up_fd,
-        "down_fd": down_fd,
-        "measurements": scenario.measurements,
-        "recording": _recording_path(scenario),
-        "link_capacity": link_capacity,
-    }
-    return marshal.dumps((_plant_code(), opts))
+    def wait(self):
+        if self.returncode is None:
+            self.returncode = os.waitstatus_to_exitcode(
+                os.waitpid(self.pid, 0)[1])
+        return self.returncode
 
 
 def _start_plant_process(scenario: Scenario, link_capacity: int):
@@ -632,38 +593,78 @@ def _start_plant_process(scenario: Scenario, link_capacity: int):
 
 
 def _spawn_plant_process(scenario: Scenario, up_fd: int, down_fd: int,
-                         link_capacity: int):
-    """Start the plant's child, which inherits `up_fd` and `down_fd`, and
-    write its input (`_plant_process_input`) to its standard input, which is
-    closed on return; input past the pipe's buffer waits for the child to
-    read it, for at most `READY_TIMEOUT_S`. The input is made once the child
-    is started, so a first start compiles its code while the child's
-    interpreter starts. Raises OSError if the child cannot start or dies
-    before it has read it all, and ConfigError if it has not read it in
-    time; the child is reaped on every raise."""
-    child = subprocess.Popen(_plant_process_argv(), stdin=subprocess.PIPE,
-                             stdout=subprocess.PIPE, pass_fds=(up_fd, down_fd))
+                         link_capacity: int) -> _PlantChild:
+    """Fork the plant's child on the link ends `up_fd` and `down_fd`; it
+    takes its options as a dict in memory. Raises OSError if it cannot,
+    leaving nothing open.
+
+    The fork's hazards, and how they are settled:
+    - Output: this process flushes `sys.stdout` and `sys.stderr` first, so
+      the child inherits no pending bytes. The child writes only its own
+      failure lines, through a `sys.stderr` of its own on descriptor 2,
+      and flushes them before `os._exit`, which flushes nothing else: a
+      file this process has open, such as the thread file, is written by
+      this process alone.
+    - Descriptors: the child closes every one but stdio, its two links and
+      its ready pipe, from a list taken before the fork, so that it closes
+      exactly what was open.
+    - Objects: the child runs this process's modules as they are, a
+      monkeypatched function included. It freezes the garbage collector's
+      view of what it inherited (`gc.freeze`), so nothing of this process
+      is finalized in it, and it never unwinds this process's frames.
+    - Threads: only the forking thread lives on in the child, and a lock
+      another thread held at the fork stays held there. A child that
+      blocks on one either never says it is ready, and is killed after
+      `READY_TIMEOUT_S`, or never exits, and is killed at reap after
+      `run_timeout_s` with a FAIL verdict. No wait of this process for the
+      child is unbounded.
+    """
+    opts = {
+        "duration_ms": scenario.duration_ms,
+        "up_fd": up_fd,
+        "down_fd": down_fd,
+        "measurements": scenario.measurements,
+        "recording": _recording_path(scenario),
+        "link_capacity": link_capacity,
+    }
+    read_end, write_end = os.pipe()
+    stdout = open(read_end, "rb", buffering=0)
     try:
-        with child.stdin:
-            _write_within(child.stdin.fileno(), _plant_process_input(
-                scenario, up_fd, down_fd, link_capacity), READY_TIMEOUT_S)
-    except BaseException:  # a broken pipe, or input it will never get
-        _reap(child)
+        fds = [int(fd) for fd in os.listdir("/dev/fd")]
+        sys.stdout.flush()
+        sys.stderr.flush()
+        pid = os.fork()
+        if pid == 0:
+            _run_plant_child(opts, write_end, fds)
+    except BaseException:
+        stdout.close()
         raise
-    return child
+    finally:  # only this process gets here: the child never returns
+        os.close(write_end)
+    return _PlantChild(pid, stdout)
 
 
-def _write_within(fd, data, timeout_s):
-    """Write `data` to the pipe `fd`, or raise ConfigError if its reader has
-    not taken it all within `timeout_s`."""
-    os.set_blocking(fd, False)
-    deadline = time.monotonic() + timeout_s
-    data = memoryview(data)
-    while data:
-        if not select.select([], [fd], [],
-                             max(deadline - time.monotonic(), 0.0))[1]:
-            raise ConfigError(f"plant process not ready after {timeout_s:g} s")
-        data = data[os.write(fd, data):]
+def _run_plant_child(opts: dict, ready_fd: int, fds: list):
+    """The forked child's whole life (see `_spawn_plant_process`): it ends
+    in `os._exit` with `plant_process_main`'s exit code, or 1 on a raise."""
+    rc = 1
+    try:
+        gc.freeze()
+        keep = {0, 1, 2, opts["up_fd"], opts["down_fd"], ready_fd}
+        for fd in fds:
+            if fd not in keep:
+                with contextlib.suppress(OSError):  # the listing's own fd
+                    os.close(fd)
+        sys.stderr = open(2, "w", closefd=False)
+        rc = control.plant_process_main(
+            opts, lambda: os.write(ready_fd, b"."))
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        try:
+            sys.stderr.flush()
+        finally:
+            os._exit(rc)
 
 
 def _child_says(child, timeout_s):

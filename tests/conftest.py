@@ -54,17 +54,24 @@ def _running(pid) -> bool:
 @pytest.fixture(autouse=True)
 def no_leaked_processes(monkeypatch):
     """Fail a test that leaves a process it started with `subprocess.Popen`
-    (which `subprocess.run` uses) running LEAK_GRACE_S after it ends, and
-    kill that process. Only pids are kept, so no `Popen` or pipe of the
-    test's outlives it here."""
+    (which `subprocess.run` uses) or `os.fork` (which an isolated run
+    uses) running LEAK_GRACE_S after it ends, and kill that process. Only
+    pids are kept, so no `Popen` or pipe of the test's outlives it here."""
     pids = []
-    init = subprocess.Popen.__init__
+    init, fork = subprocess.Popen.__init__, os.fork
 
     def init_and_keep(self, *args, **kwargs):
         init(self, *args, **kwargs)
         pids.append(self.pid)
 
+    def fork_and_keep():
+        pid = fork()
+        if pid:  # the child keeps nothing
+            pids.append(pid)
+        return pid
+
     monkeypatch.setattr(subprocess.Popen, "__init__", init_and_keep)
+    monkeypatch.setattr(os, "fork", fork_and_keep)
     yield
     deadline = time.monotonic() + LEAK_GRACE_S
     while True:

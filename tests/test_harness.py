@@ -1,6 +1,7 @@
 """End-to-end scenario runs, record/replay, the suite runner, and the CLI."""
 
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -74,6 +75,21 @@ def write_scenario(path, **over):
 # ---------------------------------------------------------------------------
 # run_scenario
 # ---------------------------------------------------------------------------
+
+def test_the_digest_hashes_the_lines_format_line_writes():
+    # more records than one slice holds, of every kind, with a NOTE's text
+    log = ThreadLog()
+    for i in range(2 * harness._DIGEST_SLICE + 3):
+        log.append_message(i, ThreadDirection.PT2DT,
+                           encode_message(command(i % 100)))
+        log.append_raw(10**15 + i, ThreadDirection.DT2PT, bytes([i % 256]))
+        log.append_note(i, f"note {i} \u00e9")
+    records = log.records
+    want = hashlib.sha256("".join(rec.format_line() for rec in records)
+                          .encode("utf-8")).hexdigest()
+    assert harness.thread_digest(records) == want
+    assert harness.thread_digest([]) == hashlib.sha256().hexdigest()
+
 
 def test_twin_mission_reaches_off():
     result = run_scenario(scenario(expect={"final_status": "OFF",

@@ -1,14 +1,18 @@
 """The plant gives identical results in-process and as a separate OS process.
 
-Isolated runs put the whole plant in a child interpreter and carry both
+Isolated runs put the whole plant in a forked child process and carry both
 links over real loopback TCP; nothing about the protocol or the engine may
 care about the difference. The parent makes both links and hands the child
-its ends, so every way a start can fail is the parent's to clean up.
+its ends, so every way a start can fail is the parent's to clean up. The
+child is a fork: what it inherits, and what it must leave alone, is pinned
+here too.
 """
 
 import errno
 import gc
+import hashlib
 import json
+import os
 import subprocess
 import sys
 import threading
@@ -17,7 +21,7 @@ import warnings
 
 import pytest
 
-from twinproto import harness
+from twinproto import control, harness
 from twinproto.cli import main
 from twinproto.config import RunConfig, parse_scenario
 from twinproto.control import plant_process_main
@@ -93,8 +97,8 @@ def test_isolated_dtp_replays_a_recording(tmp_path):
 
 
 def test_an_isolated_run_needs_no_pythonpath(monkeypatch):
-    # the child imports the package this process runs from the directory
-    # its command line names, so the environment need not name it too
+    # the forked child runs the modules this process imported, so the
+    # environment need not name the package
     monkeypatch.delenv("PYTHONPATH", raising=False)
     result = run_scenario(mission(), RunConfig(isolate=True))
     assert result.ok, result.failures
@@ -102,9 +106,8 @@ def test_an_isolated_run_needs_no_pythonpath(monkeypatch):
 
 
 def long_script(n=10000):
-    """A wall twin whose measurement script holds `n` entries: its options
-    outgrow what one command-line argument may hold (128 KiB on Linux) and
-    a pipe's buffer (64 KiB). The script is done long before the last step
+    """A wall twin whose measurement script holds `n` entries, which the
+    child takes in memory. The script is done long before the last step
     ends the run."""
     return mission(name="iso-script", duration_ms=3000,
                    steps=[{"at_ms": 0, "do": "command", "value": 50},
@@ -117,18 +120,6 @@ def test_a_long_measurement_script_runs_isolated():
     result = run_scenario(long_script(), RunConfig(isolate=True))
     assert result.ok, result.failures
     assert result.measurements_seen == 10000
-
-
-def test_a_plant_process_that_dies_before_reading_is_refused(monkeypatch):
-    # the child exits without reading its options, so writing them breaks
-    # the pipe; the refusal leaves no pipe or process open
-    monkeypatch.setattr(harness, "_plant_process_argv",
-                        lambda: [sys.executable, "-S", "-c", "pass"])
-    raised, unclosed = raised_and_unclosed(long_script(),
-                                           RunConfig(isolate=True))
-    assert raised == (ConfigError, "plant process could not start: "
-                                   "[Errno 32] Broken pipe")
-    assert unclosed == []
 
 
 def test_an_isolated_emulator_that_runs_dry_fails_with_the_dry_reason(
@@ -213,17 +204,25 @@ def refused_on_the_command_line(tmp_path, capsys):
     return code, capsys.readouterr().err
 
 
+def open_fds():
+    return sorted(os.listdir("/dev/fd"))
+
+
 def test_a_plant_process_that_cannot_start_is_refused_closing_every_socket(
         monkeypatch, tmp_path, capsys):
-    def cannot_start(*args):
+    # the fork fails as it does when no process can be made; its ready
+    # pipe is closed with the sockets
+    def cannot_fork():
         raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
     made = keep_links(monkeypatch)
-    monkeypatch.setattr(harness, "_spawn_plant_process", cannot_start)
+    monkeypatch.setattr(os, "fork", cannot_fork)
     reason = ("plant process could not start: [Errno 11] Resource "
               "temporarily unavailable")
+    before = open_fds()
     assert raised_and_unclosed(mission(), RunConfig(isolate=True)) == \
         ((ConfigError, reason), [])
+    assert open_fds() == before
     assert len(made) == 4 and closed(made)
     # the command line: exit code 2 with the reason, not a traceback
     code, err = refused_on_the_command_line(tmp_path, capsys)
@@ -232,14 +231,16 @@ def test_a_plant_process_that_cannot_start_is_refused_closing_every_socket(
 
 
 def test_a_plant_process_that_exits_before_it_is_ready_is_refused_at_once(
-        monkeypatch):
-    # the child reads its options, then exits where it would say it is
-    # ready: the parent sees its stdout close and does not wait out the
-    # 15 s a silent child gets
-    monkeypatch.setattr(harness, "_plant_process_argv", lambda: [
-        sys.executable, "-S", "-c", "import sys; sys.stdin.read(); "
-                                    "sys.exit(1)"])
+        monkeypatch, capfd):
+    # the child raises where it would say it is ready: it writes its
+    # traceback and exits 1, and the parent sees its ready pipe close and
+    # does not wait out the 15 s a silent child gets
+    def crash(opts, ready):
+        raise RuntimeError("no plant here")
+
+    monkeypatch.setattr(control, "plant_process_main", crash)
     made = keep_links(monkeypatch)
+    children = keep_children(monkeypatch)
     started = time.monotonic()
     raised, unclosed = raised_and_unclosed(mission(), RunConfig(isolate=True))
     assert time.monotonic() - started < 5.0
@@ -247,51 +248,153 @@ def test_a_plant_process_that_exits_before_it_is_ready_is_refused_at_once(
                                    "it started")
     assert unclosed == []
     assert len(made) == 4 and closed(made)
+    assert [child.returncode for child in children] == [1]
+    err = capfd.readouterr().err
+    assert err.count("Traceback") == 1
+    assert err.endswith("RuntimeError: no plant here\n")
 
 
 def test_a_plant_process_that_never_says_it_is_ready_is_killed(monkeypatch):
-    monkeypatch.setattr(harness, "_plant_process_argv", lambda: [
-        sys.executable, "-S", "-c", "import sys, time; sys.stdin.read(); "
-                                    "time.sleep(60)"])
+    monkeypatch.setattr(control, "plant_process_main",
+                        lambda opts, ready: time.sleep(60))
     monkeypatch.setattr(harness, "READY_TIMEOUT_S", 0.2)
+    made = keep_links(monkeypatch)
     children = keep_children(monkeypatch)
     raised, unclosed = raised_and_unclosed(mission(), RunConfig(isolate=True))
     assert raised == (ConfigError, "plant process not ready after 0.2 s")
     assert unclosed == []
+    assert len(made) == 4 and closed(made)
     assert [child.returncode for child in children] == [-9]
 
 
-def test_a_plant_process_that_never_reads_its_input_is_killed(monkeypatch):
-    # its input outgrows a pipe's buffer, so writing it waits for a reader
-    # that never comes: the wait is bounded as the ready byte's is, and
-    # the child (kept only by the leaked-process check) is killed
-    monkeypatch.setattr(harness, "_plant_process_argv", lambda: [
-        sys.executable, "-S", "-c", "import time; time.sleep(60)"])
-    monkeypatch.setattr(harness, "READY_TIMEOUT_S", 0.2)
-    made = keep_links(monkeypatch)
-    started = time.monotonic()
-    raised, unclosed = raised_and_unclosed(long_script(),
-                                           RunConfig(isolate=True))
-    assert time.monotonic() - started < 5.0
-    assert raised == (ConfigError, "plant process not ready after 0.2 s")
-    assert unclosed == []
-    assert len(made) == 4 and closed(made)
-
-
-def test_a_plant_process_whose_code_cannot_be_made_leaves_nothing_open(
+def test_the_plant_process_holds_only_stdio_its_links_and_its_ready_pipe(
         monkeypatch):
-    # making the child's input may fail with more than an OSError (a source
-    # file edited since it was imported no longer compiles, say): the error
-    # is raised as it is, and no socket or child is left behind
-    def cannot_compile(*args):
-        raise SyntaxError("invalid syntax")
+    # the child reports its open descriptors on its uplink, then says it
+    # is ready; the one that is neither stdio nor a link is the pipe whose
+    # read end the parent holds
+    def report_fds(opts, ready):
+        fds = {}
+        for fd in map(int, os.listdir("/dev/fd")):
+            try:
+                fds[fd] = os.fstat(fd).st_ino
+            except OSError:  # the listing's own descriptor, closed by now
+                pass
+        os.write(opts["up_fd"], json.dumps(
+            [opts["up_fd"], opts["down_fd"], sorted(fds.items())]).encode())
+        ready()
+        return 0
 
-    monkeypatch.setattr(harness, "_plant_process_input", cannot_compile)
+    monkeypatch.setattr(control, "plant_process_main", report_fds)
     made = keep_links(monkeypatch)
-    raised, unclosed = raised_and_unclosed(mission(), RunConfig(isolate=True))
-    assert raised == (SyntaxError, "invalid syntax")
-    assert unclosed == []
-    assert len(made) == 4 and closed(made)
+    child, up, down, _ = harness._start_plant_process(mission(), 16)
+    ready_pipe = os.fstat(child.stdout.fileno()).st_ino
+    try:
+        report = b""
+        while chunk := made[0].recv(65536):  # EOF at the child's exit
+            report += chunk
+    finally:
+        up.close()
+        down.close()
+        harness._reap(child)
+    assert child.returncode == 0
+    up_fd, down_fd, fds = json.loads(report)
+    fds = dict(fds)
+    assert {up_fd, down_fd} <= fds.keys()
+    assert [ino for fd, ino in fds.items()
+            if fd not in (0, 1, 2, up_fd, down_fd)] == [ready_pipe]
+
+
+def test_an_isolated_twins_thread_file_holds_each_record_once(
+        monkeypatch, tmp_path):
+    # the thread file is open, with a record written, when the child is
+    # forked, and the child shares its open file: a child that wrote to it,
+    # or went on with the parent's session instead of exiting, would show
+    # there. It must hold each record once and hash to the run's digest.
+    open_log = harness._open_thread_log
+
+    def open_with_a_note(scenario, cfg):
+        log = open_log(scenario, cfg)
+        log.append_note(0, "before the fork")
+        return log
+
+    monkeypatch.setattr(harness, "_open_thread_log", open_with_a_note)
+    path = tmp_path / "iso.thread"
+    result = run_scenario(mission(), RunConfig(thread_file=str(path),
+                                               isolate=True))
+    assert result.ok, result.failures
+    data = path.read_bytes()
+    assert data.count(b" kind=NOTE ") == 1
+    assert len(data.splitlines()) == result.thread_lines
+    assert hashlib.sha256(data).hexdigest() == result.thread_sha256
+
+
+def test_the_plant_process_runs_a_monkeypatched_measurement_script(
+        monkeypatch):
+    # the child is a fork, so it runs the functions this process has, as
+    # patched, not the code on disk: this one sends the script's first
+    # entry only
+    script = control.run_measurement_script
+    monkeypatch.setattr(control, "run_measurement_script",
+                        lambda rt, sensor, conn, entries:
+                        script(rt, sensor, conn, entries[:1]))
+    sc = mission(measurements=[[100, 7], [110, 8], [120, 9]],
+                 expect={"final_status": "OFF"})
+    result = run_scenario(sc, RunConfig(isolate=True))
+    assert result.ok, result.failures
+    assert result.measurements_seen == 1
+
+
+def with_a_thread_holding(lock, run):
+    """What `run()` returns while another thread holds `lock`."""
+    taken, release = threading.Event(), threading.Event()
+
+    def hold():
+        with lock:
+            taken.set()
+            release.wait(timeout=30.0)
+
+    holder = threading.Thread(target=hold, name="lock-holder")
+    holder.start()
+    try:
+        assert taken.wait(timeout=30.0)
+        return run()
+    finally:
+        release.set()
+        holder.join(timeout=30.0)
+        assert not holder.is_alive()
+
+
+def test_an_isolated_run_beside_another_thread_ends_in_a_verdict():
+    result = with_a_thread_holding(
+        threading.Lock(), lambda: run_scenario(mission(),
+                                               RunConfig(isolate=True)))
+    assert result.ok, result.failures
+    assert result.final_status == "OFF"
+
+
+def test_a_child_blocked_on_a_lock_held_at_the_fork_fails_the_run(
+        monkeypatch):
+    # the thread that holds the lock does not exist in the child, so the
+    # child never exits: the parent's wait for it ends at `run_timeout_s`,
+    # and the child is killed at reap
+    lock = threading.Lock()
+
+    def blocked(opts, ready):
+        ready()
+        with lock:
+            return 0
+
+    monkeypatch.setattr(control, "plant_process_main", blocked)
+    children = keep_children(monkeypatch)
+    sc = mission(duration_ms=200, steps=[], expect={})
+    started = time.monotonic()
+    result = with_a_thread_holding(
+        lock, lambda: run_scenario(sc, RunConfig(isolate=True,
+                                                 run_timeout_s=1.0)))
+    assert time.monotonic() - started < 10.0
+    assert result.ok is False
+    assert result.failures == ["plant process never exited"]
+    assert [child.returncode for child in children] == [-9]
 
 
 def test_an_unusable_recording_kills_the_plant_process_and_its_links(

@@ -1,13 +1,13 @@
 """Every function and class the package defines is used by the package.
 
 A definition that nothing in `src/` names is dead weight, or is kept for a
-caller outside the package: the acceptance gate, a test, the benchmark, or
-a code string run in another process. The scan collects every name the
-package loads, as a plain name or as an attribute, and fails on a
-definition named nowhere unless ALLOWED gives its outside caller. A name
-loaded only inside definitions of that same name, like a property that
-returns `self._inner.<its own name>`, does not count as a use. Dunder
-methods are called by Python itself and are skipped.
+caller outside the package: the acceptance gate, a test or the benchmark.
+The scan collects every name the package loads, as a plain name or as an
+attribute, and fails on a definition named nowhere unless ALLOWED gives
+its outside caller. A name loaded only inside definitions of that same
+name, like a property that returns `self._inner.<its own name>`, does not
+count as a use. Dunder methods are called by Python itself and are
+skipped.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ ALLOWED = {
     "fold_commands": "C1-C9",
     "unframe": "C1-C9",
     "tick": "tests, and the benchmark's replay digest",
-    "plant_process_main": "the code string in `harness` that the isolated "
-                          "plant's process runs, calling into `control`",
     "write_manifest": "tests",
     "is_frame": "C1, C3 and C6 (the acceptance gate's `frame_walk`), and "
                 "tests",
