@@ -155,9 +155,11 @@ class _WallChannel:
 
     One lock with two conditions over it, not-empty and not-full. A put
     wakes one waiting getter and a get wakes one waiting putter, and only
-    when one waits: each side's count of waiters is kept under the lock, so
-    no wakeup is lost (a count left high by an interrupted wait costs only
-    a spare notify). `close` wakes every waiter on both sides.
+    when one waits: each side's count of waiters is kept under the lock,
+    raised by a thread before it waits and lowered by whoever wakes it, so
+    no wakeup is lost and none is spent on a waiter already woken (a count
+    left high by an interrupted wait costs only a spare notify). `close`
+    zeroes both counts and wakes every waiter on both sides.
     """
 
     def __init__(self, capacity):
@@ -181,11 +183,11 @@ class _WallChannel:
             while len(self._items) >= self._capacity and not self._closed:
                 self._putters += 1
                 self._not_full.wait()
-                self._putters -= 1
             if self._closed:
                 raise ChannelClosed("put on closed channel")
             self._items.append(item)
             if self._getters:
+                self._getters -= 1  # the getter it wakes waits no more
                 self._not_empty.notify()
 
     def get(self):
@@ -195,15 +197,16 @@ class _WallChannel:
                     raise ChannelClosed("get on closed channel")
                 self._getters += 1
                 self._not_empty.wait()
-                self._getters -= 1
             item = self._items.popleft()
             if self._putters:
+                self._putters -= 1
                 self._not_full.notify()
             return item
 
     def close(self):
         with self._lock:
             self._closed = True
+            self._getters = self._putters = 0
             self._not_empty.notify_all()
             self._not_full.notify_all()
 

@@ -22,6 +22,18 @@ CorruptRecord carrying its seq, or its line number when the seq does not
 parse; that includes a direction/kind clash such as `dir=DT2PT kind=STA`.
 Records are named tuples: immutable, hashable and compared by value.
 
+A file is read in binary blocks of about `_BLOCK` bytes, each ending at the
+end of a line. One bytes pattern, built at import from the codec's layouts
+and the (dir, kind) table, takes every line of a block at once, but only a
+line exactly as `format_line` writes it: plain decimal seq and ts of at most
+19 digits, a legal pair, and lowercase hex of a payload of the tagged kind
+(`unhexlify` refuses an odd-length RAW or NOTE hex).
+When a block holds any other line (a blank one, `+7`, uppercase hex, CRLF,
+bytes that are not UTF-8, a bad line) or its seq does not strictly increase
+after the blocks before it, the whole file is read again line by line in
+text, through `parse_record_line`, the one judge of such lines. Either way a
+file gives the same records or the same error.
+
 A ThreadLog has exactly one writer; taps on both directions funnel into it and
 appends are serialized. It keeps a running frame count per direction, so
 reading the counts costs the same however long the record is. A tap hands
@@ -36,11 +48,13 @@ from __future__ import annotations
 
 import re
 import threading
+from binascii import Error as HexError, unhexlify
 from collections import namedtuple
 from enum import Enum
+from operator import itemgetter, lt
 
 from .errors import CodecError, CorruptRecord, RecordingMissing, ThreadLogError
-from .messages import MessageKind, payload_kind
+from .messages import _LAYOUTS, MessageKind, payload_kind
 from .transport import MAX_FRAME_PAYLOAD
 
 U64_MAX = 2 ** 64 - 1
@@ -81,6 +95,47 @@ _FRAME_TAGS = {kind._value_: (tag, direction)
 # five fields, each value running up to the space that ends it
 _LINE = re.compile(r"seq=([^ ]*) ts=([^ ]*) dir=([^ ]*) kind=([^ ]*) "
                    r"hex=([^ ]*)")
+
+
+def _hex_shape(tag, tagged):
+    """A pattern for the lowercase hex of each payload `parse_record_line`
+    accepts under `tag`: a frame kind's opcode and then each value its
+    layout holds, a RAW payload up to what a link carries, a NOTE's bytes.
+    A RAW or NOTE hex of odd length is left to `unhexlify` to refuse: a
+    repeated hex pair in the pattern took 0.25 s on a 1 MiB RAW line (2-CPU
+    x86-64 host), a run of hex digits a few ms."""
+    if tagged is None:
+        return ("[0-9a-f]*" if tag == "NOTE"
+                else f"[0-9a-f]{{0,{2 * MAX_FRAME_PAYLOAD}}}")
+    opcode = tagged._value_
+    layout = _LAYOUTS[opcode]
+    width = layout.codec.size - 1
+    values = range(layout.lo, layout.hi + 1)
+    if len(values) == 256 ** width:  # any bytes of the width
+        value = f"[0-9a-f]{{{2 * width}}}"
+    else:  # a STATUS: only its codes
+        value = "(?:" + "|".join(layout.codec.pack(opcode, v)[1:].hex()
+                                 for v in values) + ")"
+    return f"{opcode:02x}{value}"
+
+
+# a line exactly as `format_line` writes it, in a block of lines: seq, ts,
+# the (dir, kind) pair as b"PT2DT kind=MEA", and the hex, which a lookahead
+# after the pair has checked against the pair's kind; 19 digits always fit
+# a u64, and a seq of 0 fails the reader's order check
+_BLOCK_LINE = re.compile(
+    (r"^seq=([0-9]{1,19}) ts=([0-9]{1,19}) dir=("
+     + "|".join(f"{dir_text} kind={tag}(?= hex={_hex_shape(tag, tagged)}\n)"
+                for (dir_text, tag), (_, tagged) in _SLOTS.items())
+     + r") hex=([0-9a-f]*)\n").encode("ascii"), re.M)
+
+# the pair as _BLOCK_LINE captures it -> (direction, kind)
+_BLOCK_SLOTS = {f"{dir_text} kind={tag}".encode("ascii"): (direction, tag)
+                for (dir_text, tag), (direction, _) in _SLOTS.items()}
+
+# bytes read at a time, then on to the end of that line; a block's matches
+# are its transient peak, and 8 KB raised isolate-burst's peak RSS
+_BLOCK = 4096
 
 
 class ThreadRecord(namedtuple("ThreadRecord",
@@ -215,10 +270,40 @@ class ThreadLog:
                 self._fh = None
 
 
-def _parse_file(path) -> list:
-    """The record of each line of a whole thread file, in a list, seq
-    strictly increasing; each tagged payload's kind is checked and no
-    payload is decoded. Only a line feed ends a line, so the file reads as
+def _read_blocks(path):
+    """The records of a file whose every line is as `format_line` writes
+    it, seq strictly increasing, read a block at a time; None for any other
+    file."""
+    records = []
+    last_seq = 0
+    new = tuple.__new__
+    with open(path, "rb") as fh:
+        while block := fh.read(_BLOCK):
+            if block[-1] != 10:  # b"\n"
+                block += fh.readline()
+            rows = _BLOCK_LINE.findall(block)
+            # each match is one whole line, so equal counts leave no line
+            # unmatched but an unterminated last one
+            if len(rows) != block.count(b"\n") or block[-1] != 10:
+                return None
+            try:
+                got = [new(ThreadRecord, (int(seq), int(ts),
+                                          *_BLOCK_SLOTS[pair],
+                                          unhexlify(hex_text)))
+                       for seq, ts, pair, hex_text in rows]
+            except HexError:  # an odd-length RAW or NOTE hex
+                return None
+            seqs = list(map(itemgetter(0), got))
+            if not all(map(lt, [last_seq, *seqs], seqs)):  # seq 0 too
+                return None
+            last_seq = seqs[-1]
+            records += got
+    return records
+
+
+def _read_lines(path) -> list:
+    """`_parse_file` by `parse_record_line` on each line of the file read
+    as text. Only a line feed ends a line, so the file reads as
     `parse_record_line` reads each of its lines: a lone carriage return
     stays inside its line, and the hex field's whitespace skipping takes a
     CRLF ending."""
@@ -238,6 +323,15 @@ def _parse_file(path) -> list:
             last_seq = seq
             keep(rec)
     return records
+
+
+def _parse_file(path) -> list:
+    """The record of each line of a whole thread file, in a list, seq
+    strictly increasing; each tagged payload's kind is checked and no
+    payload is decoded. A file the writer wrote is read in blocks, and any
+    other file line by line, for the same records or the same error."""
+    records = _read_blocks(path)
+    return _read_lines(path) if records is None else records
 
 
 def read_thread_file(path):

@@ -125,6 +125,46 @@ def test_wall_channel_stress_closed_mid_stream(producers, consumers,
     each producer's items in the order they were put."""
     rt = WallRuntime()
     ch = rt.channel(capacity=capacity)
+    put, got = _stress_until_closed(rt, ch, producers, consumers)
+    assert sorted(item for items in got for item in items) == sorted(
+        (p, i) for p in range(producers) for i in put[p])
+    for items in got:
+        for p in range(producers):
+            seen = [i for q, i in items if q == p]
+            assert seen == sorted(set(seen))
+
+
+@pytest.mark.parametrize("producers,consumers,capacity", [
+    (1, 1, 1), (1, 3, 1), (4, 1, 1), (4, 3, 1), (2, 2, 2), (4, 3, 3),
+])
+def test_every_wakeup_a_put_or_get_sends_finds_a_waiter(producers, consumers,
+                                                        capacity):
+    """A put or get notifies only while a thread waits on that side: the
+    one that notifies takes the woken waiter off the count."""
+    rt = WallRuntime()
+    ch = rt.channel(capacity=capacity)
+    waiting = []  # threads waiting on the condition at each notify
+
+    for cond in (ch._not_empty, ch._not_full):
+        def counted(n=1, cond=cond, notify=cond.notify):
+            waiting.append(len(cond._waiters))
+            notify(n)
+        cond.notify = counted
+    close = ch.close
+
+    def closing():  # `notify_all` calls `notify`: its calls do not count
+        waiting.append(None)
+        close()
+
+    ch.close = closing
+    _stress_until_closed(rt, ch, producers, consumers)
+    assert 0 not in waiting[:waiting.index(None)]
+
+
+def _stress_until_closed(rt, ch, producers, consumers):
+    """Producers put (p, i) and consumers get on `ch` until it is closed
+    mid-stream; returns (i of each put that returned, per producer; the
+    items each consumer got)."""
     put = [[] for _ in range(producers)]  # i of each put that returned
     got = [[] for _ in range(consumers)]
 
@@ -150,12 +190,7 @@ def test_wall_channel_stress_closed_mid_stream(producers, consumers,
     finally:
         sys.setswitchinterval(switch_s)
     assert rt.task_errors() == []
-    assert sorted(item for items in got for item in items) == sorted(
-        (p, i) for p in range(producers) for i in put[p])
-    for items in got:
-        for p in range(producers):
-            seen = [i for q, i in items if q == p]
-            assert seen == sorted(set(seen))
+    return put, got
 
 
 def test_wall_sleep_interrupted_by_shutdown():

@@ -4,16 +4,19 @@ and the reader checked against the reference line parser."""
 from __future__ import annotations
 
 import os
+import random
 import sys
 import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from reference_thread_line import Rejected, ref_parse_line
-from twinproto import messages
-from twinproto.errors import CorruptRecord
+from twinproto import harness, messages, thread_log
+from twinproto.errors import CodecError, CorruptRecord
 from twinproto.harness import _replay_plan
 from twinproto.messages import (
     COMMAND_MAX,
@@ -25,6 +28,7 @@ from twinproto.messages import (
     decode_message,
     encode_message,
     measurement,
+    payload_kind,
     status,
 )
 from twinproto.runtime import WallRuntime
@@ -39,7 +43,7 @@ from twinproto.thread_log import (
     parse_record_line,
     read_thread_file,
 )
-from twinproto.transport import open_virtual_serial_pair
+from twinproto.transport import MAX_FRAME_PAYLOAD, open_virtual_serial_pair
 
 PT2DT = ThreadDirection.PT2DT
 DT2PT = ThreadDirection.DT2PT
@@ -229,6 +233,79 @@ def test_reading_a_thread_file_or_tapping_a_frame_decodes_nothing(
         with pytest.raises(CorruptRecord) as exc:
             parse_record_line(line)
         assert (exc.value.seq, str(exc.value)) == (seq, text)
+
+
+def count_line_parses(monkeypatch):
+    """Count the calls the reader makes to `parse_record_line`; returns
+    the list each call appends to."""
+    original, calls = thread_log.parse_record_line, []
+
+    def counted(line, lineno=None):
+        calls.append(line)
+        return original(line, lineno)
+
+    monkeypatch.setattr(thread_log, "parse_record_line", counted)
+    return calls
+
+
+def replay_shaped_lines(count, seed=1):
+    """Lines shaped like the benchmark's replay input: a status, then
+    measurements with a command, its status or a NOTE now and then, each a
+    few ticks after the one before."""
+    rng, ts = random.Random(seed), 0
+    recs = [(ts, PT2DT, "STA", encode_message(status(0)))]
+    while len(recs) < count:
+        ts += rng.randint(1, 5)
+        roll = rng.random()
+        if roll < 0.08:
+            recs += [(ts, DT2PT, "CMD", encode_message(command(rng.randint(
+                0, 1000)))), (ts, PT2DT, "STA", encode_message(status(1)))]
+        elif roll < 0.1:
+            recs.append((ts, DT2PT, "NOTE",
+                         f"operator note {len(recs)}".encode()))
+        else:
+            recs.append((ts, PT2DT, "MEA", encode_message(measurement(
+                rng.randint(MEASUREMENT_MIN, MEASUREMENT_MAX)))))
+    return "".join(ThreadRecord(seq, *rec).format_line()
+                   for seq, rec in enumerate(recs, start=1))
+
+
+def test_the_writers_own_files_are_read_without_a_line_parse(tmp_path,
+                                                             monkeypatch):
+    twin = tmp_path / "twin.log"
+    log = ThreadLog(str(twin))
+    for ts, payload in enumerate([encode_message(status(1)),
+                                  encode_message(measurement(-7)),
+                                  b"\x99\x01", encode_message(status(2))]):
+        log.append_message(10 ** 18 + ts, PT2DT, payload)
+        log.append_message(10 ** 18 + ts, DT2PT, encode_message(command(ts)))
+        log.append_note(10 ** 18 + ts, f"gate rejected \u00e9 {ts}")
+    log.append_raw(10 ** 18 + 9, DT2PT, b"")
+    log.close()
+    replay = tmp_path / "replay.thread"
+    replay.write_text(replay_shaped_lines(600))  # several blocks
+    mission = (Path(harness.__file__).parent / "suite" / "recordings"
+               / "mission.rec")
+    want = {path: thread_log._read_lines(path)
+            for path in (str(twin), str(replay), str(mission))}
+    assert {r.kind for r in want[str(twin)]} == {
+        "STA", "MEA", "CMD", "RAW", "NOTE"}
+    assert want[str(twin)] == log.records
+    assert os.path.getsize(replay) > 2 * thread_log._BLOCK
+    calls = count_line_parses(monkeypatch)
+
+    for path, records in want.items():
+        assert read_thread_file(path) == records
+    assert load_recordings(str(mission)) == [
+        r.payload for r in want[str(mission)] if r.kind in ("MEA", "STA")]
+    assert calls == []
+
+    # one line the writer would not write sends the whole file line by line
+    lines = replay.read_text().splitlines(keepends=True)
+    lines[6] = lines[6].replace("seq=7 ", "seq=+7 ")
+    replay.write_text("".join(lines))
+    assert read_thread_file(str(replay)) == want[str(replay)]
+    assert len(calls) == len(lines)
 
 
 def test_a_note_is_kept_but_not_counted():
@@ -606,3 +683,126 @@ def test_the_reader_accepts_exactly_what_the_reference_accepts(line, lineno):
 ])
 def test_named_line_shapes_agree_with_the_reference(line, accepted):
     assert _agrees_with_reference(line, 3) is accepted
+
+
+# ---------------------------------------------------------------------------
+# the block reader: its pattern against the codec, and whole files
+# ---------------------------------------------------------------------------
+
+def _payloads_to_tag():
+    """Every opcode at every length from 0 to 8 (zero and 0xff value
+    bytes), every STATUS byte, and sampled CMD and MEA values."""
+    payloads = {b""}
+    for opcode in range(256):
+        for length in range(1, 9):
+            for fill in (0x00, 0xFF):
+                payloads.add(bytes([opcode]) + bytes([fill]) * (length - 1))
+    payloads.update(bytes([messages.OP_STATUS, code]) for code in range(256))
+    rng = random.Random(5)
+    for low, high, build in ((COMMAND_MIN, COMMAND_MAX, command),
+                             (MEASUREMENT_MIN, MEASUREMENT_MAX, measurement)):
+        values = [low, high, 0, -1, 1] + [rng.randint(low, high)
+                                          for _ in range(200)]
+        payloads.update(encode_message(build(v)) for v in values)
+    return sorted(payloads)
+
+
+def test_the_block_pattern_takes_a_tagged_payload_exactly_when_it_has_its_kind():
+    taken = set()
+    for (dir_text, tag), (direction, tagged) in thread_log._SLOTS.items():
+        if tagged is None:
+            continue
+        for payload in _payloads_to_tag():
+            line = ThreadRecord(1, 0, direction, tag, payload).format_line()
+            try:
+                want = payload_kind(payload) is tagged
+            except CodecError:
+                want = False
+            got = thread_log._BLOCK_LINE.fullmatch(line.encode()) is not None
+            assert got == want, line
+            if want:
+                taken.add(tag)
+    assert taken == {"CMD", "MEA", "STA"}
+
+
+@pytest.mark.parametrize("kind, size, taken", [
+    ("RAW", MAX_FRAME_PAYLOAD, True), ("RAW", MAX_FRAME_PAYLOAD + 1, False),
+    ("RAW", 0, True), ("NOTE", 0, True), ("NOTE", 300, True),
+])
+def test_the_block_pattern_takes_raw_up_to_a_link_and_any_note(kind, size,
+                                                               taken):
+    for direction in (PT2DT, DT2PT):
+        line = ThreadRecord(3, 4, direction, kind, b"\xa5" * size).format_line()
+        assert (thread_log._BLOCK_LINE.fullmatch(line.encode()) is not None
+                ) is taken
+
+
+@st.composite
+def thread_files(draw):
+    """The bytes of a file the writer wrote, perhaps with one line edited
+    by a MUTATIONS entry, with blank lines, or with no final newline."""
+    # each record's seq is drawn as the step from the one before
+    steps = st.sampled_from([1, 1, 1, 1, 1, 2, 10 ** 6, 0])
+    seq, drafts = 0, []
+    for rec in draw(st.lists(records(seq=steps), max_size=5)):
+        seq += rec.seq
+        drafts.append(Draft(rec._replace(seq=seq)))
+    if drafts and draw(st.booleans()):
+        at = draw(st.integers(0, len(drafts) - 1))
+        MUTATIONS[draw(st.sampled_from(sorted(MUTATIONS)))](drafts[at], draw)
+    lines = [draft.line() for draft in drafts]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["\n", "\r\n", " \n"])))
+    text = "".join(lines)
+    if text.endswith("\n") and draw(st.booleans()):
+        text = text[:-1]
+    return text.encode("utf-8")
+
+
+@given(thread_files(), st.integers(8, 64))
+def test_a_file_read_in_blocks_reads_as_it_does_line_by_line(data, block):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "thread.log")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            want = thread_log._read_lines(path)
+        except CorruptRecord as exc:
+            with mock.patch.object(thread_log, "_BLOCK", block), \
+                    pytest.raises(CorruptRecord) as got:
+                read_thread_file(path)
+            assert (str(got.value), got.value.seq) == (str(exc), exc.seq)
+            return
+        with mock.patch.object(thread_log, "_BLOCK", block):
+            assert read_thread_file(path) == want
+
+
+@pytest.mark.parametrize("data", [
+    b"seq=1 ts=0 dir=PT2DT kind=STA hex=2000\nseq=2 ts=1 dir=PT2DT kind=STA "
+    b"hex=20\xff\n",
+    b"\xef\xbb\xbfseq=1 ts=0 dir=PT2DT kind=STA hex=2000\n",
+    b"seq=2 ts=0 dir=PT2DT kind=STA hex=2000\nseq=1 ts=1 dir=PT2DT kind=STA "
+    b"hex=2001\n",
+    b"seq=1 ts=0 dir=PT2DT kind=STA hex=2000\n" * 2,
+    b"seq=0 ts=0 dir=PT2DT kind=STA hex=2000\n",
+    b"seq=1 ts=18446744073709551615 dir=PT2DT kind=STA hex=2000\n",
+    b"seq=1 ts=18446744073709551616 dir=PT2DT kind=STA hex=2000\n",
+    b"seq=18446744073709551616 ts=0 dir=PT2DT kind=STA hex=2000\n",
+    b"seq=1 ts=0 dir=PT2DT kind=STA hex=2000",
+    b"seq=1 ts=0 dir=DT2PT kind=NOTE hex=6f6\n",
+    b"seq=1 ts=0 dir=PT2DT kind=RAW hex=0\n",
+])
+def test_a_file_the_writer_did_not_write_reads_as_it_does_line_by_line(
+        tmp_path, data):
+    path = tmp_path / "thread.log"
+    path.write_bytes(data)
+    try:
+        want = thread_log._read_lines(str(path))
+    except (CorruptRecord, UnicodeDecodeError) as exc:
+        with pytest.raises(type(exc)) as got:
+            read_thread_file(str(path))
+        assert (str(got.value), getattr(got.value, "seq", None)) == (
+            str(exc), getattr(exc, "seq", None))
+        return
+    assert read_thread_file(str(path)) == want
