@@ -202,13 +202,13 @@ def _start_plant(rt, recording, outbound, inbound, script, link_capacity):
 EXIT_RECORDING_DRY = 3
 
 
-def plant_process_main(opts: dict, ready) -> int:
+def plant_process_main(opts: dict) -> int:
     """Child half of an isolated run: the whole plant behind two TCP links,
     whose ends it inherits as the file descriptors its options name. The
     options are the dict the parent made before it forked the child:
     `duration_ms`, `up_fd`, `down_fd`, `measurements` ((t_ms, value)
-    pairs), `recording` (a path or None) and `link_capacity`. It calls
-    `ready()` once it has wrapped its links, before it loads its recording.
+    pairs), `recording` (a path, which the parent has checked, or None)
+    and `link_capacity`.
 
     Lives until the parent hangs up, or at most until the scenario duration
     plus a grace period, then tears itself down. Exits 1 if a task crashed
@@ -218,7 +218,6 @@ def plant_process_main(opts: dict, ready) -> int:
     up = SocketEndpoint(socket.socket(fileno=opts["up_fd"]), name="plant:up")
     down = SocketEndpoint(socket.socket(fileno=opts["down_fd"]),
                           name="plant:down")
-    ready()
     script = opts["measurements"] or None
     plant = _start_plant(rt, load_checked_recordings(opts["recording"]),
                          up, down, script, opts["link_capacity"])

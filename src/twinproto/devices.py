@@ -46,6 +46,7 @@ replayed.
 from __future__ import annotations
 
 import threading
+from dataclasses import dataclass
 
 from .errors import (
     CodecError,
@@ -162,23 +163,12 @@ class EmulatorDevice:
         return self.context.next_measurement()
 
 
-def _counts_repr(stats):
-    """`Name(field=value, ...)` over a counter class's slots."""
-    fields = ", ".join(f"{name}={getattr(stats, name)!r}"
-                       for name in stats.__slots__)
-    return f"{type(stats).__name__}({fields})"
-
-
+@dataclass(slots=True)
 class DeviceStats:
-    __slots__ = ("served", "decode_errors", "rejected", "exhausted")
-
-    def __init__(self, served=0, decode_errors=0, rejected=0, exhausted=0):
-        self.served = served
-        self.decode_errors = decode_errors
-        self.rejected = rejected
-        self.exhausted = exhausted
-
-    __repr__ = _counts_repr
+    served: int = 0
+    decode_errors: int = 0
+    rejected: int = 0
+    exhausted: int = 0
 
     def counts(self):
         """(commands read, answered, skipped as undecodable or rejected); one
@@ -262,17 +252,12 @@ def run_measurement_script(runtime, sensor, conn, script):
 # Drivers
 # ---------------------------------------------------------------------------
 
+@dataclass(slots=True)
 class DriverStats:
-    __slots__ = ("relayed_in", "relayed_out", "skipped_in", "skipped_out")
-
-    def __init__(self, relayed_in=0, relayed_out=0, skipped_in=0,
-                 skipped_out=0):
-        self.relayed_in = relayed_in    # device -> the receive loop's callable
-        self.relayed_out = relayed_out  # forward() -> device
-        self.skipped_in = skipped_in    # undecodable frames from the device
-        self.skipped_out = skipped_out  # sent messages outside the command set
-
-    __repr__ = _counts_repr
+    relayed_in: int = 0   # device -> the receive loop's callable
+    relayed_out: int = 0  # forward() -> device
+    skipped_in: int = 0   # undecodable frames from the device
+    skipped_out: int = 0  # sent messages outside the command set
 
     def received(self):
         """(frames read, handed to the receive loop's callable, skipped)."""

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import contextlib
 import gc
-import hashlib
 import os
 import select
 import shutil
@@ -66,6 +65,7 @@ from .thread_log import (
     ThreadLog,
     load_checked_recordings,
     read_thread_file,
+    thread_digest,
     where_in_file,
 )
 from .transport import (Protocol, SocketEndpoint, connect_pair,
@@ -135,25 +135,6 @@ def _check_expectations(expect: Expectations, result: SessionResult):
             result.fail(f"{row.key.replace('_', ' ')} {got}, want {want}")
 
 
-_DIGEST_SLICE = 256  # records; a slice's text is some 25 KB
-
-
-def thread_digest(records) -> str:
-    """Stable content hash of a whole interchange record, given as the list
-    of its records: the sha256 of its lines as `format_line` writes them.
-    Each slice of `_DIGEST_SLICE` records is formatted in one pass and
-    hashed at once, so no copy of a whole long record is ever made."""
-    h = hashlib.sha256()
-    for start in range(0, len(records), _DIGEST_SLICE):
-        h.update("".join([
-            f"seq={seq} ts={ts} dir={direction._value_} kind={kind} "
-            f"hex={payload.hex()}\n"
-            for seq, ts, direction, kind, payload
-            in records[start:start + _DIGEST_SLICE]
-        ]).encode("utf-8"))
-    return h.hexdigest()
-
-
 class _Hop(NamedTuple):
     """One relay on a direction's chain. `counts()` reads what it has taken
     in, handed on and skipped; `loop` is the driver whose receive loop
@@ -185,7 +166,7 @@ class _Wiring:
     down: object
     recording_path: str | None = None  # the emulator's recording, if any
     recording_frames: int = 0
-    child: _PlantChild | None = None
+    child: tuple | None = None  # the plant process's (pid, pipe)
     log: ThreadLog | None = None
     twin: DigitalTwin | None = None
     pt2dt: tuple = ()
@@ -252,19 +233,19 @@ def _wire(rt, scenario: Scenario, cfg: RunConfig,
     """Links, then the observing deployment, then the plant (in-process),
     then the hop chains: the one place that names a shape's hops.
 
-    The recording is checked before any task is spawned; under isolation
-    while the plant process starts up, which hides the parse.
+    The recording is checked first, before any link, task or child
+    exists; an isolated plant's child then loads its own copy.
     """
+    recording_path = _recording_path(scenario)
+    recording = load_checked_recordings(recording_path)
     # who holds the far ends of the plant's two links depends on mode. With
     # isolation on, the plant lives in a child OS process and the links are
     # real loopback TCP; otherwise everything shares this runtime.
-    recording_path = _recording_path(scenario)
     child = None
     if cfg.isolate:
-        child, up_peer, down_peer, recording = _start_plant_process(
+        child, up_peer, down_peer = _start_plant_process(
             scenario, cfg.queue_capacity)
     else:
-        recording = load_checked_recordings(recording_path)
         up_plant, up_peer = connect_pair(rt, "link:pt-up", "link:peer-up",
                                          Protocol.TCP, cfg.queue_capacity)
         down_peer, down_plant = connect_pair(rt, "link:peer-down",
@@ -378,8 +359,7 @@ def _drive(rt, scenario: Scenario, cfg: RunConfig, wiring: _Wiring,
         if taken > handed + skipped:
             result.fail(_ran_dry(wiring, taken - handed - skipped))
     if wiring.child is not None:
-        rc = _wait_for_exit(wiring.child, cfg.run_timeout_s)
-        _reap(wiring.child)
+        rc = _end_plant_child(wiring.child, cfg.run_timeout_s)
         if rc is None:
             result.fail("plant process never exited")
         elif rc == EXIT_RECORDING_DRY:  # the count stayed in the child
@@ -520,39 +500,17 @@ def record_session(scenario: Scenario, config: RunConfig | None = None, *,
 # ---------------------------------------------------------------------------
 
 # The plant's child is a fork of this process (`_spawn_plant_process`), so
-# isolation is POSIX-only. Every wait for it reads its ready pipe: the one
-# byte it writes once it has wrapped its links, within `READY_TIMEOUT_S`,
-# then EOF at its exit within `run_timeout_s`, and only then `waitpid`.
-READY_TIMEOUT_S = 15.0  # how long the child may take to say it is ready
-
-
-class _PlantChild:
-    """The forked plant child, with the part of `subprocess.Popen` the
-    harness uses: `pid`, `stdout` (the read end of its ready pipe),
-    `returncode`, `kill` and `wait`."""
-
-    def __init__(self, pid, stdout):
-        self.pid = pid
-        self.stdout = stdout
-        self.returncode = None
-
-    def kill(self):
-        if self.returncode is None:  # a reaped pid may name another process
-            os.kill(self.pid, signal.SIGKILL)
-
-    def wait(self):
-        if self.returncode is None:
-            self.returncode = os.waitstatus_to_exitcode(
-                os.waitpid(self.pid, 0)[1])
-        return self.returncode
+# isolation is POSIX-only. This process holds the read end of a pipe whose
+# write end only the child keeps, and which carries nothing: EOF on it is
+# the child's exit, and `_end_plant_child` waits for that, with no thread
+# and no polling.
 
 
 def _start_plant_process(scenario: Scenario, link_capacity: int):
-    """The plant's child, started on the far ends of two loopback links
-    that this process makes, once it has said it is ready: (child, up_peer,
-    down_peer, recording). The recording is checked while the child starts.
-    A refusal is a ConfigError, or the recording's RecordingMissing, and
-    leaves no socket open and no child running."""
+    """The plant's child, forked on the far ends of two loopback links that
+    this process makes: (child, up_peer, down_peer), where `child` is the
+    (pid, pipe) that `_end_plant_child` takes. A refusal is a ConfigError
+    and leaves no socket open and no child running."""
     socks = []
     try:
         for _ in range(2):
@@ -574,29 +532,15 @@ def _start_plant_process(scenario: Scenario, link_capacity: int):
     finally:  # socket.close(): a shutdown would end the child's links too
         up_far.close()
         down_far.close()
-    try:
-        recording = load_checked_recordings(_recording_path(scenario))
-        said = _child_says(child, READY_TIMEOUT_S)
-        if said is None:
-            raise ConfigError(f"plant process not ready after "
-                              f"{READY_TIMEOUT_S:g} s")
-        if not said:
-            raise ConfigError(f"plant process exited with code "
-                              f"{child.wait()} before it started")
-    except Exception:
-        up.close()
-        down.close()
-        _reap(child)
-        raise
     return (child, SocketEndpoint(up, name="link:peer-up"),
-            SocketEndpoint(down, name="link:peer-down"), recording)
+            SocketEndpoint(down, name="link:peer-down"))
 
 
 def _spawn_plant_process(scenario: Scenario, up_fd: int, down_fd: int,
-                         link_capacity: int) -> _PlantChild:
-    """Fork the plant's child on the link ends `up_fd` and `down_fd`; it
-    takes its options as a dict in memory. Raises OSError if it cannot,
-    leaving nothing open.
+                         link_capacity: int):
+    """Fork the plant's child on the link ends `up_fd` and `down_fd`: its
+    (pid, pipe), the read end of its pipe. The child takes its options as a
+    dict in memory. Raises OSError if it cannot, leaving nothing open.
 
     The fork's hazards, and how they are settled:
     - Output: this process flushes `sys.stdout` and `sys.stderr` first, so
@@ -606,7 +550,7 @@ def _spawn_plant_process(scenario: Scenario, up_fd: int, down_fd: int,
       file this process has open, such as the thread file, is written by
       this process alone.
     - Descriptors: the child closes every one but stdio, its two links and
-      its ready pipe, from a list taken before the fork, so that it closes
+      its pipe, from a list taken before the fork, so that it closes
       exactly what was open.
     - Objects: the child runs this process's modules as they are, a
       monkeypatched function included. It freezes the garbage collector's
@@ -614,10 +558,9 @@ def _spawn_plant_process(scenario: Scenario, up_fd: int, down_fd: int,
       is finalized in it, and it never unwinds this process's frames.
     - Threads: only the forking thread lives on in the child, and a lock
       another thread held at the fork stays held there. A child that
-      blocks on one either never says it is ready, and is killed after
-      `READY_TIMEOUT_S`, or never exits, and is killed at reap after
-      `run_timeout_s` with a FAIL verdict. No wait of this process for the
-      child is unbounded.
+      blocks on one never exits, and `_end_plant_child` kills it after
+      `run_timeout_s`, with a FAIL verdict. No wait of this process for
+      the child is unbounded.
     """
     opts = {
         "duration_ms": scenario.duration_ms,
@@ -628,7 +571,6 @@ def _spawn_plant_process(scenario: Scenario, up_fd: int, down_fd: int,
         "link_capacity": link_capacity,
     }
     read_end, write_end = os.pipe()
-    stdout = open(read_end, "rb", buffering=0)
     try:
         fds = [int(fd) for fd in os.listdir("/dev/fd")]
         sys.stdout.flush()
@@ -637,27 +579,26 @@ def _spawn_plant_process(scenario: Scenario, up_fd: int, down_fd: int,
         if pid == 0:
             _run_plant_child(opts, write_end, fds)
     except BaseException:
-        stdout.close()
+        os.close(read_end)
         raise
     finally:  # only this process gets here: the child never returns
         os.close(write_end)
-    return _PlantChild(pid, stdout)
+    return pid, read_end
 
 
-def _run_plant_child(opts: dict, ready_fd: int, fds: list):
+def _run_plant_child(opts: dict, pipe_fd: int, fds: list):
     """The forked child's whole life (see `_spawn_plant_process`): it ends
     in `os._exit` with `plant_process_main`'s exit code, or 1 on a raise."""
     rc = 1
     try:
         gc.freeze()
-        keep = {0, 1, 2, opts["up_fd"], opts["down_fd"], ready_fd}
+        keep = {0, 1, 2, opts["up_fd"], opts["down_fd"], pipe_fd}
         for fd in fds:
             if fd not in keep:
                 with contextlib.suppress(OSError):  # the listing's own fd
                     os.close(fd)
         sys.stderr = open(2, "w", closefd=False)
-        rc = control.plant_process_main(
-            opts, lambda: os.write(ready_fd, b"."))
+        rc = control.plant_process_main(opts)
     except BaseException:
         traceback.print_exc()
     finally:
@@ -667,29 +608,20 @@ def _run_plant_child(opts: dict, ready_fd: int, fds: list):
             os._exit(rc)
 
 
-def _child_says(child, timeout_s):
-    """The next bytes on the plant child's stdout: b"" once its exit has
-    closed it, None if neither comes within `timeout_s`."""
-    out = child.stdout.fileno()
-    if select.select([out], [], [], timeout_s)[0]:
-        return os.read(out, 64)
-    return None
-
-
-def _wait_for_exit(child, timeout_s):
-    """The child's exit code once its exit has closed its stdout, which
-    carries nothing after the ready byte, or None if that takes longer than
-    `timeout_s`. (A `Popen.wait` with a timeout polls in sleeps of up to
-    50 ms.)"""
-    return child.wait() if _child_says(child, timeout_s) == b"" else None
-
-
-def _reap(child):
-    """Kill the plant's child unless it has exited, reap it and close its
-    stdout."""
-    child.kill()
-    child.wait()
-    child.stdout.close()
+def _end_plant_child(child, timeout_s):
+    """Wait up to `timeout_s` for the plant child's exit to close its pipe,
+    else kill it; reap it, close the pipe, and return its exit code, or
+    None if it had to be killed. The one `waitpid` of the child comes
+    after every signal to it, so no signal can reach a reused pid."""
+    pid, pipe = child
+    try:
+        exited = select.select([pipe], [], [], timeout_s)[0]
+        if not exited:
+            os.kill(pid, signal.SIGKILL)
+        rc = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    finally:
+        os.close(pipe)
+    return rc if exited else None
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """End-to-end scenario runs, record/replay, the suite runner, and the CLI."""
 
 import dataclasses
-import hashlib
 import json
+import os
+import signal
 import subprocess
 import sys
 import threading
@@ -75,21 +76,6 @@ def write_scenario(path, **over):
 # ---------------------------------------------------------------------------
 # run_scenario
 # ---------------------------------------------------------------------------
-
-def test_the_digest_hashes_the_lines_format_line_writes():
-    # more records than one slice holds, of every kind, with a NOTE's text
-    log = ThreadLog()
-    for i in range(2 * harness._DIGEST_SLICE + 3):
-        log.append_message(i, ThreadDirection.PT2DT,
-                           encode_message(command(i % 100)))
-        log.append_raw(10**15 + i, ThreadDirection.DT2PT, bytes([i % 256]))
-        log.append_note(i, f"note {i} \u00e9")
-    records = log.records
-    want = hashlib.sha256("".join(rec.format_line() for rec in records)
-                          .encode("utf-8")).hexdigest()
-    assert harness.thread_digest(records) == want
-    assert harness.thread_digest([]) == hashlib.sha256().hexdigest()
-
 
 def test_twin_mission_reaches_off():
     result = run_scenario(scenario(expect={"final_status": "OFF",
@@ -239,10 +225,10 @@ def kill_plant_child(monkeypatch, tmp_path):
         return children[-1]
 
     def assemble_and_arm(rt, *args, **kwargs):
-        # the twin is assembled once the child has connected
+        # the twin is assembled once the child is forked
         def killer():
             rt.sleep_ms(400)
-            children[0].kill()
+            os.kill(children[0][0], signal.SIGKILL)
 
         rt.spawn(killer, name="killer")
         return assemble(rt, *args, **kwargs)
@@ -552,23 +538,16 @@ def test_unusable_recording_is_a_fail_verdict_before_any_task(
     if content is not None:
         rec.write_bytes(content)
 
-    children = []
-    spawn_child = harness._spawn_plant_process
+    def made_before_the_check(*args, **kwargs):
+        raise AssertionError("made before the recording check")
 
-    def spawn_and_keep(*args):
-        children.append(spawn_child(*args))
-        return children[-1]
-
-    def no_twin(*args, **kwargs):
-        raise AssertionError("twin assembled before the recording check")
-
-    monkeypatch.setattr(harness, "_spawn_plant_process", spawn_and_keep)
-    monkeypatch.setattr(harness, "assemble_twin", no_twin)
+    # no link, socket, child or twin: the check comes before all of them
+    for name in ("connect_pair", "loopback_pair", "_spawn_plant_process",
+                 "assemble_twin"):
+        monkeypatch.setattr(harness, name, made_before_the_check)
     sc = scenario(recording="plant.rec", path=tmp_path / "case.json",
                   clock="wall" if isolate else "lockstep")
     result = run_scenario(sc, RunConfig(isolate=isolate))
-    # under isolation the plant process starts beside the check, then dies
-    assert [c.returncode is not None for c in children] == [True] * isolate
     assert result.ok is False
     assert len(result.failures) == 1
     assert str(rec) in result.failures[0]

@@ -13,8 +13,6 @@ import gc
 import hashlib
 import json
 import os
-import subprocess
-import sys
 import threading
 import time
 import warnings
@@ -175,7 +173,8 @@ def keep_links(monkeypatch, fail_at=None):
 
 
 def keep_children(monkeypatch):
-    """The list of every plant process the harness starts."""
+    """The list of every plant process the harness forks, as the (pid,
+    pipe) that `harness._end_plant_child` takes."""
     children = []
     spawn = harness._spawn_plant_process
 
@@ -191,8 +190,19 @@ def closed(socks):
     return [sock.fileno() for sock in socks] == [-1] * len(socks)
 
 
-def refused_on_the_command_line(tmp_path, capsys):
-    """What `run-twin` with `isolate` returns and writes on stderr."""
+def reaped(pid):
+    """True once this process has reaped its child `pid`; a child that has
+    exited unreaped is reaped here, and counts as not reaped."""
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def run_twin_on_the_command_line(tmp_path, capture):
+    """What `run-twin` with `isolate` returns and writes on stderr, as the
+    capture fixture `capture` reads it."""
     scenario = tmp_path / "mission.json"
     scenario.write_text(json.dumps({"name": "mission", "mode": "twin",
                                     "clock": "wall", "duration_ms": 300,
@@ -201,7 +211,7 @@ def refused_on_the_command_line(tmp_path, capsys):
     config.write_text(json.dumps({"isolate": True}))
     code = main(["run-twin", "--scenario", str(scenario),
                  "--config", str(config)])
-    return code, capsys.readouterr().err
+    return code, capture.readouterr().err
 
 
 def open_fds():
@@ -210,8 +220,8 @@ def open_fds():
 
 def test_a_plant_process_that_cannot_start_is_refused_closing_every_socket(
         monkeypatch, tmp_path, capsys):
-    # the fork fails as it does when no process can be made; its ready
-    # pipe is closed with the sockets
+    # the fork fails as it does when no process can be made; its pipe is
+    # closed with the sockets
     def cannot_fork():
         raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
@@ -225,54 +235,41 @@ def test_a_plant_process_that_cannot_start_is_refused_closing_every_socket(
     assert open_fds() == before
     assert len(made) == 4 and closed(made)
     # the command line: exit code 2 with the reason, not a traceback
-    code, err = refused_on_the_command_line(tmp_path, capsys)
+    code, err = run_twin_on_the_command_line(tmp_path, capsys)
     assert code == 2
     assert reason in err
 
 
-def test_a_plant_process_that_exits_before_it_is_ready_is_refused_at_once(
-        monkeypatch, capfd):
-    # the child raises where it would say it is ready: it writes its
-    # traceback and exits 1, and the parent sees its ready pipe close and
-    # does not wait out the 15 s a silent child gets
-    def crash(opts, ready):
+def test_a_plant_process_that_raises_at_start_fails_the_run_at_once(
+        monkeypatch, tmp_path, capfd):
+    # the child writes its traceback and exits 1, closing its links: the
+    # run ends on their loss, as at any plant exit, in a FAIL verdict
+    def crash(opts):
         raise RuntimeError("no plant here")
 
     monkeypatch.setattr(control, "plant_process_main", crash)
-    made = keep_links(monkeypatch)
     children = keep_children(monkeypatch)
     started = time.monotonic()
-    raised, unclosed = raised_and_unclosed(mission(), RunConfig(isolate=True))
-    assert time.monotonic() - started < 5.0
-    assert raised == (ConfigError, "plant process exited with code 1 before "
-                                   "it started")
-    assert unclosed == []
-    assert len(made) == 4 and closed(made)
-    assert [child.returncode for child in children] == [1]
+    result = run_scenario(mission(), RunConfig(isolate=True))
+    assert time.monotonic() - started < 2.0
+    assert result.ok is False
+    assert "plant process exit code 1" in result.failures
+    assert [reaped(pid) for pid, _ in children] == [True]
     err = capfd.readouterr().err
     assert err.count("Traceback") == 1
     assert err.endswith("RuntimeError: no plant here\n")
+    # the command line: a failed run, exit code 1, not broken input
+    code, err = run_twin_on_the_command_line(tmp_path, capfd)
+    assert code == 1
+    assert err.count("Traceback") == 1
+    assert "RuntimeError: no plant here\n" in err
 
 
-def test_a_plant_process_that_never_says_it_is_ready_is_killed(monkeypatch):
-    monkeypatch.setattr(control, "plant_process_main",
-                        lambda opts, ready: time.sleep(60))
-    monkeypatch.setattr(harness, "READY_TIMEOUT_S", 0.2)
-    made = keep_links(monkeypatch)
-    children = keep_children(monkeypatch)
-    raised, unclosed = raised_and_unclosed(mission(), RunConfig(isolate=True))
-    assert raised == (ConfigError, "plant process not ready after 0.2 s")
-    assert unclosed == []
-    assert len(made) == 4 and closed(made)
-    assert [child.returncode for child in children] == [-9]
-
-
-def test_the_plant_process_holds_only_stdio_its_links_and_its_ready_pipe(
+def test_the_plant_process_holds_only_stdio_its_links_and_its_pipe(
         monkeypatch):
-    # the child reports its open descriptors on its uplink, then says it
-    # is ready; the one that is neither stdio nor a link is the pipe whose
-    # read end the parent holds
-    def report_fds(opts, ready):
+    # the child reports its open descriptors on its uplink; the one that is
+    # neither stdio nor a link is the pipe whose read end the parent holds
+    def report_fds(opts):
         fds = {}
         for fd in map(int, os.listdir("/dev/fd")):
             try:
@@ -281,13 +278,12 @@ def test_the_plant_process_holds_only_stdio_its_links_and_its_ready_pipe(
                 pass
         os.write(opts["up_fd"], json.dumps(
             [opts["up_fd"], opts["down_fd"], sorted(fds.items())]).encode())
-        ready()
         return 0
 
     monkeypatch.setattr(control, "plant_process_main", report_fds)
     made = keep_links(monkeypatch)
-    child, up, down, _ = harness._start_plant_process(mission(), 16)
-    ready_pipe = os.fstat(child.stdout.fileno()).st_ino
+    child, up, down = harness._start_plant_process(mission(), 16)
+    pipe = os.fstat(child[1]).st_ino
     try:
         report = b""
         while chunk := made[0].recv(65536):  # EOF at the child's exit
@@ -295,13 +291,13 @@ def test_the_plant_process_holds_only_stdio_its_links_and_its_ready_pipe(
     finally:
         up.close()
         down.close()
-        harness._reap(child)
-    assert child.returncode == 0
+        rc = harness._end_plant_child(child, 5.0)
+    assert rc == 0
     up_fd, down_fd, fds = json.loads(report)
     fds = dict(fds)
     assert {up_fd, down_fd} <= fds.keys()
     assert [ino for fd, ino in fds.items()
-            if fd not in (0, 1, 2, up_fd, down_fd)] == [ready_pipe]
+            if fd not in (0, 1, 2, up_fd, down_fd)] == [pipe]
 
 
 def test_an_isolated_twins_thread_file_holds_each_record_once(
@@ -376,11 +372,10 @@ def test_a_child_blocked_on_a_lock_held_at_the_fork_fails_the_run(
         monkeypatch):
     # the thread that holds the lock does not exist in the child, so the
     # child never exits: the parent's wait for it ends at `run_timeout_s`,
-    # and the child is killed at reap
+    # and the child is killed and reaped
     lock = threading.Lock()
 
-    def blocked(opts, ready):
-        ready()
+    def blocked(opts):
         with lock:
             return 0
 
@@ -394,22 +389,7 @@ def test_a_child_blocked_on_a_lock_held_at_the_fork_fails_the_run(
     assert time.monotonic() - started < 10.0
     assert result.ok is False
     assert result.failures == ["plant process never exited"]
-    assert [child.returncode for child in children] == [-9]
-
-
-def test_an_unusable_recording_kills_the_plant_process_and_its_links(
-        monkeypatch, tmp_path):
-    # the parent checks the recording while the child starts; the refusal
-    # is a FAIL verdict, with no child or socket left behind
-    rec = tmp_path / "empty.rec"
-    rec.write_text("")
-    made = keep_links(monkeypatch)
-    children = keep_children(monkeypatch)
-    assert raised_and_unclosed(mission(recording=str(rec)),
-                               RunConfig(isolate=True)) == (None, [])
-    assert [(child.returncode is not None, child.stdout.closed)
-            for child in children] == [(True, True)]
-    assert len(made) == 4 and closed(made)
+    assert [reaped(pid) for pid, _ in children] == [True]
 
 
 def test_a_second_link_that_cannot_be_made_closes_the_first(monkeypatch):
@@ -423,7 +403,7 @@ def test_a_second_link_that_cannot_be_made_closes_the_first(monkeypatch):
 def test_a_link_that_cannot_be_made_is_refused_on_the_command_line(
         monkeypatch, tmp_path, capsys):
     keep_links(monkeypatch, fail_at=1)
-    code, err = refused_on_the_command_line(tmp_path, capsys)
+    code, err = run_twin_on_the_command_line(tmp_path, capsys)
     assert code == 2
     assert "plant process link: [Errno 24] Too many open files" in err
     assert "Traceback" not in err
@@ -441,15 +421,22 @@ def test_an_isolated_plant_stops_at_the_parents_hang_up(monkeypatch):
 
     monkeypatch.setattr(WallRuntime, "sleep_ms", recording_sleep)
     (up, up_far), (down, down_far) = loopback_pair(), loopback_pair()
+    # a plant that fails leaves this test's reads waiting: they time out
+    up.settimeout(10.0)
+    down.settimeout(10.0)
     # the plant owns its ends, as the child owns the descriptors it inherits
     opts = {"duration_ms": 1000, "up_fd": up_far.detach(),
             "down_fd": down_far.detach(), "measurements": [],
             "recording": None, "link_capacity": 16}
-    exit_codes, readies = [], []
-    plant = threading.Thread(
-        target=lambda: exit_codes.append(plant_process_main(
-            opts, lambda: readies.append(len(sleeps)))),
-        name="plant-process-main")
+    exit_codes, raised = [], []
+
+    def run_plant():
+        try:
+            exit_codes.append(plant_process_main(opts))
+        except BaseException as exc:
+            raised.append(exc)
+
+    plant = threading.Thread(target=run_plant, name="plant-process-main")
     plant.start()
     up, down = SocketEndpoint(up), SocketEndpoint(down)
     assert decode_message(up.read_frame()) == status(0)  # the boot status
@@ -459,28 +446,43 @@ def test_an_isolated_plant_stops_at_the_parents_hang_up(monkeypatch):
     plant.join(timeout=30.0)
     down.close()
     assert not plant.is_alive()
+    assert raised == []
     assert exit_codes == [0]
-    assert readies == [0]  # once, before any task ran
     assert sleeps == [opts["duration_ms"] + 2000]
 
 
 def test_a_plant_process_that_never_exits_fails_the_run(monkeypatch):
-    # the wait gives up on the child, which is then killed and reaped (the
-    # process-leak fixture checks that)
-    monkeypatch.setattr(harness, "_wait_for_exit",
-                        lambda child, timeout_s: None)
-    result = run_scenario(mission(), RunConfig(isolate=True))
-    assert result.ok is False
+    # the parent's wait for a child that outlives the run ends at
+    # `run_timeout_s`; the child is then killed and reaped
+    monkeypatch.setattr(control, "plant_process_main",
+                        lambda opts: time.sleep(60))
+    children = keep_children(monkeypatch)
+    sc = mission(duration_ms=200, steps=[], expect={})
+    started = time.monotonic()
+    result = run_scenario(sc, RunConfig(isolate=True, run_timeout_s=1.0))
+    assert time.monotonic() - started < 10.0
     assert result.failures == ["plant process never exited"]
+    assert [reaped(pid) for pid, _ in children] == [True]
 
 
-def test_the_wait_for_a_plant_process_is_bounded():
-    # the wait ends at EOF on the child's stdout, which its exit closes
-    with subprocess.Popen([sys.executable, "-c", "import time; "
-                                                 "time.sleep(60)"],
-                          stdout=subprocess.PIPE) as child:
-        try:
-            assert harness._wait_for_exit(child, 0.05) is None
-        finally:
-            child.kill()
-        assert harness._wait_for_exit(child, 5.0) == -9
+def test_the_wait_for_a_plant_process_is_bounded(monkeypatch):
+    # the wait ends at EOF on the child's pipe, which its exit closes, or
+    # at its timeout, when it kills the child; either way it reaps the
+    # child and closes the pipe
+    before = open_fds()
+
+    def end(plant_main, timeout_s):
+        monkeypatch.setattr(control, "plant_process_main", plant_main)
+        child, up, down = harness._start_plant_process(mission(), 16)
+        up.close()
+        down.close()
+        started = time.monotonic()
+        rc = harness._end_plant_child(child, timeout_s)
+        assert reaped(child[0])
+        return rc, time.monotonic() - started
+
+    rc, waited = end(lambda opts: time.sleep(60), 0.05)
+    assert rc is None and waited < 5.0
+    rc, waited = end(lambda opts: 7, 5.0)
+    assert rc == 7 and waited < 5.0
+    assert open_fds() == before

@@ -3,6 +3,7 @@ and the reader checked against the reference line parser."""
 
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 import sys
@@ -77,6 +78,21 @@ def test_records_are_immutable_hashable_values():
     assert repr(rec) == ("ThreadRecord(seq=1, ts=2, direction=<ThreadDirection"
                          ".PT2DT: 'PT2DT'>, kind='STA', payload=b' \\x01')")
     assert rec.is_frame and decode_message(rec.payload) == status(1)
+
+
+def test_the_digest_hashes_the_lines_format_line_writes():
+    # more records than one slice holds, of every kind, with a NOTE's text
+    log = ThreadLog()
+    for i in range(2 * thread_log._DIGEST_SLICE + 3):
+        log.append_message(i, ThreadDirection.PT2DT,
+                           encode_message(command(i % 100)))
+        log.append_raw(10**15 + i, ThreadDirection.DT2PT, bytes([i % 256]))
+        log.append_note(i, f"note {i} \u00e9")
+    records = log.records
+    want = hashlib.sha256("".join(rec.format_line() for rec in records)
+                          .encode("utf-8")).hexdigest()
+    assert thread_log.thread_digest(records) == want
+    assert thread_log.thread_digest([]) == hashlib.sha256().hexdigest()
 
 
 def test_append_assigns_strictly_increasing_seq():
