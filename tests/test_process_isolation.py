@@ -8,11 +8,14 @@ child is a fork: what it inherits, and what it must leave alone, is pinned
 here too.
 """
 
+import ast
 import errno
 import gc
 import hashlib
 import json
 import os
+import pathlib
+import signal
 import threading
 import time
 import warnings
@@ -486,3 +489,54 @@ def test_the_wait_for_a_plant_process_is_bounded(monkeypatch):
     rc, waited = end(lambda opts: 7, 5.0)
     assert rc == 7 and waited < 5.0
     assert open_fds() == before
+
+
+def test_a_plant_process_that_exits_cleanly_at_start_fails_the_run(
+        monkeypatch):
+    # exit code 0 with no plant served: the lost links fail the run, as at
+    # any plant exit, and the child is reaped
+    monkeypatch.setattr(control, "plant_process_main", lambda opts: 0)
+    children = keep_children(monkeypatch)
+    started = time.monotonic()
+    result = run_scenario(mission(), RunConfig(isolate=True))
+    assert time.monotonic() - started < 2.0
+    assert result.ok is False
+    assert any("lost its link" in failure for failure in result.failures)
+    assert not any(failure.startswith("plant process")
+                   for failure in result.failures)
+    assert [reaped(pid) for pid, _ in children] == [True]
+
+
+def test_a_plant_process_killed_by_a_signal_fails_the_run(monkeypatch):
+    # a signal the parent did not send is the child's exit code, negated,
+    # and not "never exited": only the parent's own kill reads as that
+    def terminated(opts):
+        os.kill(os.getpid(), signal.SIGTERM)
+        time.sleep(60)
+
+    monkeypatch.setattr(control, "plant_process_main", terminated)
+    children = keep_children(monkeypatch)
+    result = run_scenario(mission(), RunConfig(isolate=True))
+    assert result.ok is False
+    assert f"plant process exit code {-signal.SIGTERM}" in result.failures
+    assert "plant process never exited" not in result.failures
+    assert [reaped(pid) for pid, _ in children] == [True]
+
+
+def test_only_one_function_reaps_or_kills_a_plant_process():
+    # `waitpid` and SIGKILL appear once each in the package, both in
+    # `_end_plant_child`, so no pid is reaped twice or signalled after
+    # its reap
+    src = pathlib.Path(harness.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Attribute) and node.attr in (
+                        "waitpid", "SIGKILL"):
+                    found.append((path.name, func.name, node.attr))
+    assert sorted(found) == [("harness.py", "_end_plant_child", "SIGKILL"),
+                             ("harness.py", "_end_plant_child", "waitpid")]
