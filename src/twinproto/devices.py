@@ -27,6 +27,11 @@ for room and then sends. The callable a receive loop hands frames to returns
 None, or a generator that the loop runs before its next read: a handler
 with blocking work (a send) returns it instead of blocking.
 
+The serve loop writes the device's boot status before it reads anything, as
+a device does at power-on. A device's `command_set` is a class constant, and
+the plant assembly builds the device's driver from it, so the two agree by
+construction and nothing checks them at start.
+
 The transmitter is not a device with a serve loop but the transmitter
 driver's connection itself: writes go straight out on the plant's outbound
 link and reads come straight in from its inbound link, with no task between;
@@ -51,7 +56,6 @@ from dataclasses import dataclass
 from .errors import (
     CodecError,
     CommandRejected,
-    CommandSetMismatch,
     ConnectionClosed,
     ContextExhausted,
 )
@@ -68,10 +72,6 @@ from .statemachine import State, TwinState, process_event
 from .transport import Protocol
 
 DEFAULT_COMMAND_SET = frozenset({OP_COMMAND})
-
-
-def command_set_label(cs):
-    return ",".join(f"0x{op:02x}" for op in sorted(cs))
 
 
 # ---------------------------------------------------------------------------
@@ -113,25 +113,28 @@ class SensorDevice:
         return None
 
 
-class EmulatorContext:
-    """Recorded responses (wire payloads) with a replay cursor, played once."""
+class EmulatorDevice:
+    """Replays recorded responses (wire payloads) in order, played once;
+    never computes a response."""
+
+    command_set = DEFAULT_COMMAND_SET
 
     def __init__(self, recordings):
         self.recordings = list(recordings)
         self.cursor = 0
 
-    def next_recording(self) -> bytes:
-        if self.cursor >= len(self.recordings):
-            raise ContextExhausted(
-                f"all {len(self.recordings)} recordings consumed"
-            )
-        payload = self.recordings[self.cursor]
-        self.cursor += 1
-        return payload
+    def execute(self, msg: Message) -> bytes:
+        if msg.kind._value_ not in self.command_set:  # the opcode
+            raise CommandRejected(f"emulator does not accept {msg.kind.name}")
+        return self._next_recording()
 
-    def next_measurement(self) -> bytes | None:
-        """The recording at the cursor if it is a measurement (consumed),
-        else None."""
+    def boot_message(self) -> bytes:
+        # the boot announcement of the recorded run is recording zero
+        return self._next_recording()
+
+    def unprompted(self):
+        """The next recorded measurement after the last frame replayed
+        (consumed), or None: the recorded sensor sent it unprompted."""
         if self.cursor < len(self.recordings):
             payload = self.recordings[self.cursor]
             if payload[0] == OP_MEASUREMENT:
@@ -139,28 +142,14 @@ class EmulatorContext:
                 return payload
         return None
 
-
-class EmulatorDevice:
-    """Replays an EmulatorContext; never computes a response."""
-
-    command_set = DEFAULT_COMMAND_SET
-
-    def __init__(self, context: EmulatorContext):
-        self.context = context
-
-    def execute(self, msg: Message) -> bytes:
-        if msg.kind._value_ not in self.command_set:  # the opcode
-            raise CommandRejected(f"emulator does not accept {msg.kind.name}")
-        return self.context.next_recording()
-
-    def boot_message(self) -> bytes:
-        # the boot announcement of the recorded run is recording zero
-        return self.context.next_recording()
-
-    def unprompted(self):
-        """The next recorded measurement after the last frame replayed, or
-        None: the recorded sensor sent it unprompted."""
-        return self.context.next_measurement()
+    def _next_recording(self) -> bytes:
+        if self.cursor >= len(self.recordings):
+            raise ContextExhausted(
+                f"all {len(self.recordings)} recordings consumed"
+            )
+        payload = self.recordings[self.cursor]
+        self.cursor += 1
+        return payload
 
 
 @dataclass(slots=True)
@@ -177,17 +166,15 @@ class DeviceStats:
         return (self.served + skipped + self.exhausted, self.served, skipped)
 
 
-def serve(device, conn, announce_boot=False, stats=None):
-    """Serve loop, a generator body: read frame, decode, execute, write
-    the response the device encoded.
+def serve(device, conn, stats):
+    """Serve loop, a generator body: announce the boot, then read frame,
+    decode, execute, write the response the device encoded.
 
-    Malformed frames and rejected commands are counted and skipped, never
-    fatal. Returns its stats when the connection closes.
+    Malformed frames and rejected commands are counted in `stats` and
+    skipped, never fatal. Returns when the connection closes.
     """
-    stats = stats if stats is not None else DeviceStats()
     try:
-        if announce_boot:
-            yield from _answer(device, conn, device.boot_message())
+        yield from _answer(device, conn, device.boot_message())
         while True:
             while (wait := conn.wait_read()) is not None:
                 yield wait
@@ -213,7 +200,7 @@ def serve(device, conn, announce_boot=False, stats=None):
             if unprompted is not None:
                 yield from _answer(device, conn, unprompted)
     except ConnectionClosed:
-        return stats
+        pass
 
 
 def _answer(device, conn, payload):
@@ -336,23 +323,6 @@ class DeviceDriver:
             wait = self.conn.wait_write()
         self.conn.write_frame(payload)
         self.stats.relayed_out += 1
-
-
-def run_communication(runtime, device, device_conn, driver, on_message,
-                      announce_boot=False):
-    """Start a device/driver session after checking both agree on commands:
-    the device's serve loop, and the driver's receive loop handing every
-    frame to `on_message`."""
-    if frozenset(device.command_set) != frozenset(driver.command_set):
-        raise CommandSetMismatch(
-            f"device={command_set_label(device.command_set)} "
-            f"driver={command_set_label(driver.command_set)}"
-        )
-    stats = DeviceStats()
-    runtime.spawn(serve(device, device_conn, announce_boot, stats),
-                  name=f"{driver.name}:device")
-    runtime.spawn(driver.receive(on_message), name=f"{driver.name}:recv")
-    return stats
 
 
 # ---------------------------------------------------------------------------

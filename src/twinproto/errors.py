@@ -62,10 +62,6 @@ class ContextExhausted(DeviceError):
     """One-shot emulator context has no recordings left."""
 
 
-class CommandSetMismatch(DeviceError):
-    """Device and driver disagree on the accepted command set."""
-
-
 class RecordingMissing(DeviceError):
     """Prototype assembly configured without a loadable recording."""
 

@@ -234,7 +234,8 @@ def _wire(rt, scenario: Scenario, cfg: RunConfig,
     then the hop chains: the one place that names a shape's hops.
 
     The recording is checked first, before any link, task or child
-    exists; an isolated plant's child then loads its own copy.
+    exists; an isolated plant's child then loads its own copy. A raise
+    after the child is forked hangs up on it and reaps it.
     """
     recording_path = _recording_path(scenario)
     recording = load_checked_recordings(recording_path)
@@ -251,47 +252,56 @@ def _wire(rt, scenario: Scenario, cfg: RunConfig,
         down_peer, down_plant = connect_pair(rt, "link:peer-down",
                                              "link:pt-down", Protocol.TCP,
                                              cfg.queue_capacity)
-    wiring = _Wiring(up_peer, down_peer, recording_path,
-                     len(recording) if recording else 0, child=child, log=log)
+    try:
+        wiring = _Wiring(up_peer, down_peer, recording_path,
+                         len(recording) if recording else 0, child=child,
+                         log=log)
 
-    down = ()  # without a twin, the operator writes the commands, untapped
-    if log is None:  # pt, dtp: the operator watches the plant's uplink
-        # through a shadow's engine, which `_drive` starts; the link is the
-        # operator's, so the watch reports no loss: the plant's drivers, or
-        # the plant process's exit code, report it
-        reader = DeviceDriver(up_peer, command_set=frozenset(),
-                              name="op-watch")
-        up = (_Hop(reader.name, reader.stats.received,
-                   observer=DigitalTwin(rt, ModelKeeper(), reader)),)
-    else:
-        ingest = TappedEndpoint(up_peer, log, rt,
-                                read_dir=ThreadDirection.PT2DT)
-        if scenario.mode == "twin":
-            uplink = TappedEndpoint(down_peer, log, rt,
-                                    write_dir=ThreadDirection.DT2PT)
-            wiring.twin = assemble_twin(
-                rt, None, ingest, uplink, thread_log=log,
-                twinning_period_ms=cfg.twinning_period_ms)
-            sender = wiring.twin.uplink_driver
-            down = (_Hop(sender.name, sender.stats.forwarded, sender),
-                    _tap(log, ThreadDirection.DT2PT))
+        down = ()  # no twin: the operator writes the commands, untapped
+        if log is None:  # pt, dtp: the operator watches the plant's uplink
+            # through a shadow's engine, which `_drive` starts; the link is
+            # the operator's, so the watch reports no loss: the plant's
+            # drivers, or the plant process's exit code, report it
+            reader = DeviceDriver(up_peer, command_set=frozenset(),
+                                  name="op-watch")
+            up = (_Hop(reader.name, reader.stats.received,
+                       observer=DigitalTwin(rt, ModelKeeper(), reader)),)
         else:
-            wiring.twin = assemble_shadow(rt, ingest)
-        reader = wiring.twin.ingest_driver
-        up = (_tap(log, ThreadDirection.PT2DT),
-              _Hop(reader.name, reader.stats.received, reader, wiring.twin))
+            ingest = TappedEndpoint(up_peer, log, rt,
+                                    read_dir=ThreadDirection.PT2DT)
+            if scenario.mode == "twin":
+                uplink = TappedEndpoint(down_peer, log, rt,
+                                        write_dir=ThreadDirection.DT2PT)
+                wiring.twin = assemble_twin(
+                    rt, None, ingest, uplink, thread_log=log,
+                    twinning_period_ms=cfg.twinning_period_ms)
+                sender = wiring.twin.uplink_driver
+                down = (_Hop(sender.name, sender.stats.forwarded, sender),
+                        _tap(log, ThreadDirection.DT2PT))
+            else:
+                wiring.twin = assemble_shadow(rt, ingest)
+            reader = wiring.twin.ingest_driver
+            up = (_tap(log, ThreadDirection.PT2DT),
+                  _Hop(reader.name, reader.stats.received, reader,
+                       wiring.twin))
 
-    if not cfg.isolate:
-        plant = _start_plant(rt, recording, up_plant, down_plant,
-                             scenario.measurements or None,
-                             cfg.queue_capacity)
-        sensor, tx = plant.sensor_driver, plant.tx_driver
-        up = (_Hop(sensor.name, sensor.stats.received, sensor),
-              _Hop(tx.name, tx.stats.forwarded, tx), *up)
-        down += (_Hop(tx.name, tx.stats.received, tx),
-                 _Hop(sensor.name, sensor.stats.forwarded, sensor),
-                 _Hop("device", plant.device_stats.counts))
-    wiring.pt2dt, wiring.dt2pt = up, down
+        if not cfg.isolate:
+            plant = _start_plant(rt, recording, up_plant, down_plant,
+                                 scenario.measurements or None,
+                                 cfg.queue_capacity)
+            sensor, tx = plant.sensor_driver, plant.tx_driver
+            up = (_Hop(sensor.name, sensor.stats.received, sensor),
+                  _Hop(tx.name, tx.stats.forwarded, tx), *up)
+            down += (_Hop(tx.name, tx.stats.received, tx),
+                     _Hop(sensor.name, sensor.stats.forwarded, sensor),
+                     _Hop("device", plant.device_stats.counts))
+        wiring.pt2dt, wiring.dt2pt = up, down
+    except BaseException:  # the forked child would outlive the run
+        if child is not None:
+            up_peer.close()
+            down_peer.close()
+            _end_plant_child(child, cfg.run_timeout_s)
+        raise
     return wiring
 
 
@@ -499,7 +509,7 @@ def record_session(scenario: Scenario, config: RunConfig | None = None, *,
 # Isolated plant process
 # ---------------------------------------------------------------------------
 
-# The plant's child is a fork of this process (`_spawn_plant_process`), so
+# The plant's child is a fork of this process (`_start_plant_process`), so
 # isolation is POSIX-only. This process holds the read end of a pipe whose
 # write end only the child keeps, and which carries nothing: EOF on it is
 # the child's exit, and `_end_plant_child` waits for that, with no thread
@@ -507,40 +517,12 @@ def record_session(scenario: Scenario, config: RunConfig | None = None, *,
 
 
 def _start_plant_process(scenario: Scenario, link_capacity: int):
-    """The plant's child, forked on the far ends of two loopback links that
+    """Fork the plant's child on the far ends of two loopback links that
     this process makes: (child, up_peer, down_peer), where `child` is the
-    (pid, pipe) that `_end_plant_child` takes. A refusal is a ConfigError
-    and leaves no socket open and no child running."""
-    socks = []
-    try:
-        for _ in range(2):
-            socks += loopback_pair()
-    except OSError as exc:
-        for sock in socks:
-            sock.close()
-        raise ConfigError(f"plant process link: {exc}") from None
-    up, up_far, down, down_far = socks
-    try:
-        child = _spawn_plant_process(scenario, up_far.fileno(),
-                                     down_far.fileno(), link_capacity)
-    except BaseException as exc:
-        up.close()
-        down.close()
-        if isinstance(exc, OSError):
-            raise ConfigError(f"plant process could not start: {exc}") from None
-        raise
-    finally:  # socket.close(): a shutdown would end the child's links too
-        up_far.close()
-        down_far.close()
-    return (child, SocketEndpoint(up, name="link:peer-up"),
-            SocketEndpoint(down, name="link:peer-down"))
-
-
-def _spawn_plant_process(scenario: Scenario, up_fd: int, down_fd: int,
-                         link_capacity: int):
-    """Fork the plant's child on the link ends `up_fd` and `down_fd`: its
-    (pid, pipe), the read end of its pipe. The child takes its options as a
-    dict in memory. Raises OSError if it cannot, leaving nothing open.
+    (pid, pipe) that `_end_plant_child` takes, `pipe` the read end of the
+    child's pipe. The child takes its options as a dict in memory. A
+    refusal is a ConfigError and leaves no socket or pipe open and no
+    child running.
 
     The fork's hazards, and how they are settled:
     - Output: this process flushes `sys.stdout` and `sys.stderr` first, so
@@ -562,32 +544,46 @@ def _spawn_plant_process(scenario: Scenario, up_fd: int, down_fd: int,
       `run_timeout_s`, with a FAIL verdict. No wait of this process for
       the child is unbounded.
     """
-    opts = {
-        "duration_ms": scenario.duration_ms,
-        "up_fd": up_fd,
-        "down_fd": down_fd,
-        "measurements": scenario.measurements,
-        "recording": _recording_path(scenario),
-        "link_capacity": link_capacity,
-    }
-    read_end, write_end = os.pipe()
+    socks, pipe = [], ()
     try:
+        for _ in range(2):
+            socks += loopback_pair()
+        up, up_far, down, down_far = socks
+        opts = {
+            "duration_ms": scenario.duration_ms,
+            "up_fd": up_far.fileno(),
+            "down_fd": down_far.fileno(),
+            "measurements": scenario.measurements,
+            "recording": _recording_path(scenario),
+            "link_capacity": link_capacity,
+        }
+        pipe = os.pipe()
         fds = [int(fd) for fd in os.listdir("/dev/fd")]
         sys.stdout.flush()
         sys.stderr.flush()
         pid = os.fork()
         if pid == 0:
-            _run_plant_child(opts, write_end, fds)
-    except BaseException:
-        os.close(read_end)
-        raise
-    finally:  # only this process gets here: the child never returns
-        os.close(write_end)
-    return pid, read_end
+            _run_plant_child(opts, pipe[1], fds)
+    except BaseException as exc:  # only this process gets here
+        for sock in socks:
+            sock.close()
+        for fd in pipe:
+            os.close(fd)
+        if not isinstance(exc, OSError):
+            raise
+        if len(socks) < 4:
+            raise ConfigError(f"plant process link: {exc}") from None
+        raise ConfigError(f"plant process could not start: {exc}") from None
+    # socket.close(): a shutdown would end the child's links too
+    up_far.close()
+    down_far.close()
+    os.close(pipe[1])
+    return ((pid, pipe[0]), SocketEndpoint(up, name="link:peer-up"),
+            SocketEndpoint(down, name="link:peer-down"))
 
 
 def _run_plant_child(opts: dict, pipe_fd: int, fds: list):
-    """The forked child's whole life (see `_spawn_plant_process`): it ends
+    """The forked child's whole life (see `_start_plant_process`): it ends
     in `os._exit` with `plant_process_main`'s exit code, or 1 on a raise."""
     rc = 1
     try:

@@ -9,17 +9,14 @@ import pytest
 from twinproto.devices import (
     DeviceDriver,
     DeviceStats,
-    EmulatorContext,
     EmulatorDevice,
     SensorDevice,
     TransmitterDevice,
-    run_communication,
     run_measurement_script,
     serve,
 )
 from twinproto.errors import (
     CommandRejected,
-    CommandSetMismatch,
     ConnectionClosed,
     ContextExhausted,
 )
@@ -60,7 +57,7 @@ def test_sensor_rejects_non_commands():
 
 def test_emulator_replays_in_order_and_never_computes():
     recorded = wire([status(2), status(0), measurement(9)])
-    emu = EmulatorDevice(EmulatorContext(recorded))
+    emu = EmulatorDevice(recorded)
     # a command that would drive a real sensor ACTIVE still yields the
     # recording: the very bytes recorded, not a copy
     assert emu.execute(command(50)) is recorded[0]
@@ -72,7 +69,7 @@ def test_emulator_replays_in_order_and_never_computes():
 
 def test_emulator_sends_the_measurements_that_follow_a_replayed_status():
     recorded = wire([status(1), measurement(7), measurement(8), status(0)])
-    emu = EmulatorDevice(EmulatorContext(recorded))
+    emu = EmulatorDevice(recorded)
     assert emu.boot_message() is recorded[0]
     assert [emu.unprompted(), emu.unprompted()] == recorded[1:3]
     assert emu.unprompted() is None  # a status is only ever an answer
@@ -81,31 +78,27 @@ def test_emulator_sends_the_measurements_that_follow_a_replayed_status():
 
 
 def test_emulator_single_recording_then_exhausted():
-    ctx = EmulatorContext(wire([status(1)]))
-    emu = EmulatorDevice(ctx)
+    emu = EmulatorDevice(wire([status(1)]))
     assert emu.execute(command(123)) == encode_message(status(1))
-    assert ctx.cursor == 1
+    assert emu.cursor == 1
     with pytest.raises(ContextExhausted):
         emu.execute(command(123))
 
 
 def test_emulator_rejects_outside_command_set():
-    emu = EmulatorDevice(EmulatorContext(wire([status(0)])))
+    emu = EmulatorDevice(wire([status(0)]))
     with pytest.raises(CommandRejected):
         emu.execute(measurement(1))
-    assert emu.context.cursor == 0  # nothing consumed on rejection
+    assert emu.cursor == 0  # nothing consumed on rejection
 
 
-def run_serve_session(device, frames, expect, announce_boot=False):
-    """Push raw frames at a served device; collect `expect` response frames."""
+def run_serve_session(device, frames, expect):
+    """Push raw frames at a served device; collect `expect` frames, the boot
+    status first."""
     rt = WallRuntime()
     dev_end, drv_end = open_virtual_serial_pair(rt)
     stats = DeviceStats()
-    rt.spawn(
-        lambda: drive(serve(device, dev_end, announce_boot=announce_boot,
-                            stats=stats)),
-        name="device",
-    )
+    rt.spawn(lambda: drive(serve(device, dev_end, stats)), name="device")
     responses = []
 
     def pump():
@@ -132,8 +125,8 @@ def test_device_serve_roundtrip_and_malformed_skip():
         b"\x01\x00",                  # truncated: skipped, counted
         encode_message(command(-2)),
     ]
-    responses, stats = run_serve_session(sensor, frames, expect=2)
-    assert responses == [b"\x20\x01", b"\x20\x02"]
+    responses, stats = run_serve_session(sensor, frames, expect=3)
+    assert responses == [b"\x20\x00", b"\x20\x01", b"\x20\x02"]
     assert stats.decode_errors == 2
     assert stats.served == 2
 
@@ -141,26 +134,23 @@ def test_device_serve_roundtrip_and_malformed_skip():
 def test_device_serve_boot_announcement():
     sensor = SensorDevice()
     responses, stats = run_serve_session(sensor, [encode_message(command(5))],
-                                         expect=2, announce_boot=True)
+                                         expect=2)
     assert responses == [b"\x20\x00", b"\x20\x01"]  # boot STANDBY, then ACTIVE
 
 
 def test_device_serve_rejected_command_writes_nothing():
     sensor = SensorDevice()
     frames = [encode_message(measurement(3)), encode_message(command(0))]
-    responses, stats = run_serve_session(sensor, frames, expect=1)
-    assert responses == [b"\x20\x00"]
+    responses, stats = run_serve_session(sensor, frames, expect=2)
+    assert responses == [b"\x20\x00", b"\x20\x00"]  # boot, then command 0
     assert stats.rejected == 1
 
 
-def test_run_communication_checks_command_sets():
-    rt = WallRuntime()
-    dev_end, drv_end = open_virtual_serial_pair(rt)
-    sensor = SensorDevice()
-    driver = DeviceDriver(drv_end, command_set=frozenset({0x10}))
-    with pytest.raises(CommandSetMismatch):
-        run_communication(rt, sensor, dev_end, driver,
-                          lambda msg, payload: None)
+def serve_and_receive(rt, device, dev_end, driver, on_message):
+    """A device/driver session as a plant starts one: the device's serve
+    loop, then the driver's receive loop handing every frame on."""
+    rt.spawn(serve(device, dev_end, DeviceStats()), name="device")
+    rt.spawn(driver.receive(on_message), name="recv")
 
 
 def test_driver_relays_in_order_and_skips_junk():
@@ -169,7 +159,7 @@ def test_driver_relays_in_order_and_skips_junk():
     sensor = SensorDevice()
     driver = DeviceDriver(drv_end, name="sensor-drv")
     responses = rt.channel(16)
-    run_communication(rt, sensor, dev_end, driver,
+    serve_and_receive(rt, sensor, dev_end, driver,
                       lambda msg, payload: responses.put((msg, payload)))
     got = []
 
@@ -181,19 +171,20 @@ def test_driver_relays_in_order_and_skips_junk():
         assert driver.forward(encode_message(measurement(3))) is None
         # inject a junk frame directly at the device side: driver must skip it
         dev_end.write_frame(b"\xee\xee")
-        for _ in range(5):
+        for _ in range(6):
             got.append(responses.get())
         rt.shutdown()
 
     rt.spawn(scenario, name="scenario")
     assert rt.run(timeout=5.0) == []
     assert rt.task_errors() == []
-    want = [status(1), status(0), status(1), status(2), status(2)]
+    # the boot status, then one answer per command
+    want = [status(0), status(1), status(0), status(1), status(2), status(2)]
     assert got == list(zip(want, wire(want)))  # each frame in both forms
     assert driver.stats.relayed_out == 5
     assert driver.stats.skipped_out == 1
     assert driver.stats.skipped_in == 1
-    assert driver.stats.relayed_in == 5
+    assert driver.stats.relayed_in == 6
 
 
 @pytest.mark.parametrize("clock", ["wall", "lockstep"])
@@ -232,9 +223,8 @@ def test_record_then_replay_transcripts_match():
         dev_end, drv_end = make_link(rt)
         driver = DeviceDriver(drv_end)
         responses = rt.channel(16)
-        run_communication(rt, device, dev_end, driver,
-                          lambda msg, payload: responses.put(payload),
-                          announce_boot=True)
+        serve_and_receive(rt, device, dev_end, driver,
+                          lambda msg, payload: responses.put(payload))
         got = []
 
         def scenario():
@@ -262,10 +252,7 @@ def test_record_then_replay_transcripts_match():
     def bridged_link(rt):
         return connect_pair(rt, "bridge:dev", "bridge:drv", Protocol.RS232)
 
-    emulated = transcript(
-        EmulatorDevice(EmulatorContext(recorded)),
-        bridged_link,
-    )
+    emulated = transcript(EmulatorDevice(recorded), bridged_link)
     assert emulated == real
 
 
@@ -304,6 +291,31 @@ def test_measurement_script_skips_when_not_active():
     rt.spawn(run, name="script")
     rt.run(timeout=5.0)
     assert sent["n"] == 0
+
+
+def test_measurement_script_returns_its_count_when_its_link_closes():
+    # lockstep: the reader closes the link at tick 0, before the script's
+    # third entry is due, on every host
+    rt = LockstepRuntime(seed=1)
+    dev_end, drv_end = open_virtual_serial_pair(rt)
+    sensor = SensorDevice()
+    sensor.execute(command(10))  # ACTIVE
+    sent = {}
+
+    def run():
+        sent["n"] = run_measurement_script(rt, sensor, dev_end,
+                                           [(0, 1), (0, 2), (50, 3), (60, 4)])
+
+    def read():
+        drv_end.read_frame()
+        drv_end.read_frame()
+        drv_end.close()
+
+    rt.spawn(run, name="script")
+    rt.spawn(read, name="read")
+    assert rt.run(timeout=5.0) == []
+    assert rt.task_errors() == []
+    assert sent["n"] == 2
 
 
 def test_transmitter_relays_verbatim_both_ways():

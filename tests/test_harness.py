@@ -217,12 +217,13 @@ def test_a_crashed_thread_task_fails_the_run_and_leaks_no_threads(
 def kill_plant_child(monkeypatch, tmp_path):
     """A wall isolated twin whose plant process is killed 0.4 s in."""
     children = []
-    spawn_child = harness._spawn_plant_process
+    start = harness._start_plant_process
     assemble = harness.assemble_twin
 
-    def spawn_and_keep(*args):
-        children.append(spawn_child(*args))
-        return children[-1]
+    def start_and_keep(*args):
+        started = start(*args)
+        children.append(started[0])
+        return started
 
     def assemble_and_arm(rt, *args, **kwargs):
         # the twin is assembled once the child is forked
@@ -233,7 +234,7 @@ def kill_plant_child(monkeypatch, tmp_path):
         rt.spawn(killer, name="killer")
         return assemble(rt, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "_spawn_plant_process", spawn_and_keep)
+    monkeypatch.setattr(harness, "_start_plant_process", start_and_keep)
     monkeypatch.setattr(harness, "assemble_twin", assemble_and_arm)
     periods = [(50, 0)[i % 2] for i in range(279)] + [-1]
     steps = [{"at_ms": 5 * i, "do": "command", "value": v}
@@ -542,7 +543,7 @@ def test_unusable_recording_is_a_fail_verdict_before_any_task(
         raise AssertionError("made before the recording check")
 
     # no link, socket, child or twin: the check comes before all of them
-    for name in ("connect_pair", "loopback_pair", "_spawn_plant_process",
+    for name in ("connect_pair", "loopback_pair", "_start_plant_process",
                  "assemble_twin"):
         monkeypatch.setattr(harness, name, made_before_the_check)
     sc = scenario(recording="plant.rec", path=tmp_path / "case.json",

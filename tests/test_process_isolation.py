@@ -179,13 +179,14 @@ def keep_children(monkeypatch):
     """The list of every plant process the harness forks, as the (pid,
     pipe) that `harness._end_plant_child` takes."""
     children = []
-    spawn = harness._spawn_plant_process
+    start = harness._start_plant_process
 
-    def spawn_and_keep(*args):
-        children.append(spawn(*args))
-        return children[-1]
+    def start_and_keep(*args):
+        started = start(*args)
+        children.append(started[0])
+        return started
 
-    monkeypatch.setattr(harness, "_spawn_plant_process", spawn_and_keep)
+    monkeypatch.setattr(harness, "_start_plant_process", start_and_keep)
     return children
 
 
@@ -266,6 +267,24 @@ def test_a_plant_process_that_raises_at_start_fails_the_run_at_once(
     assert code == 1
     assert err.count("Traceback") == 1
     assert "RuntimeError: no plant here\n" in err
+
+
+def test_a_raise_after_the_fork_reaps_the_child_and_closes_every_socket(
+        monkeypatch):
+    # the twin is assembled once the child is forked: a raise there hangs
+    # up on the child and reaps it before it reaches the caller
+    def broken_twin(*args, **kwargs):
+        raise RuntimeError("no twin here")
+
+    monkeypatch.setattr(harness, "assemble_twin", broken_twin)
+    made = keep_links(monkeypatch)
+    children = keep_children(monkeypatch)
+    before = open_fds()
+    assert raised_and_unclosed(mission(), RunConfig(isolate=True)) == \
+        ((RuntimeError, "no twin here"), [])
+    assert [reaped(pid) for pid, _ in children] == [True]
+    assert len(made) == 4 and closed(made)
+    assert open_fds() == before
 
 
 def test_the_plant_process_holds_only_stdio_its_links_and_its_pipe(
@@ -412,24 +431,17 @@ def test_a_link_that_cannot_be_made_is_refused_on_the_command_line(
     assert "Traceback" not in err
 
 
-def test_an_isolated_plant_stops_at_the_parents_hang_up(monkeypatch):
-    # the plant's half of an isolated run, on a thread here; its only timed
-    # wait must be the deadline's, so nothing polls for the hang-up
-    sleeps = []
-    sleep_ms = WallRuntime.sleep_ms
-
-    def recording_sleep(self, ms):
-        sleeps.append(ms)
-        return sleep_ms(self, ms)
-
-    monkeypatch.setattr(WallRuntime, "sleep_ms", recording_sleep)
+def run_plant_until_hang_up(measurements=()):
+    """`plant_process_main` on a thread here, on links this test holds: it
+    reads the plant's boot status, then closes the uplink. Returns the
+    plant's options, its exit codes and what it raised."""
     (up, up_far), (down, down_far) = loopback_pair(), loopback_pair()
     # a plant that fails leaves this test's reads waiting: they time out
     up.settimeout(10.0)
     down.settimeout(10.0)
     # the plant owns its ends, as the child owns the descriptors it inherits
     opts = {"duration_ms": 1000, "up_fd": up_far.detach(),
-            "down_fd": down_far.detach(), "measurements": [],
+            "down_fd": down_far.detach(), "measurements": list(measurements),
             "recording": None, "link_capacity": 16}
     exit_codes, raised = [], []
 
@@ -449,9 +461,37 @@ def test_an_isolated_plant_stops_at_the_parents_hang_up(monkeypatch):
     plant.join(timeout=30.0)
     down.close()
     assert not plant.is_alive()
+    return opts, exit_codes, raised
+
+
+def test_an_isolated_plant_stops_at_the_parents_hang_up(monkeypatch):
+    # its only timed wait must be the deadline's, so nothing polls for the
+    # hang-up
+    sleeps = []
+    sleep_ms = WallRuntime.sleep_ms
+
+    def recording_sleep(self, ms):
+        sleeps.append(ms)
+        return sleep_ms(self, ms)
+
+    monkeypatch.setattr(WallRuntime, "sleep_ms", recording_sleep)
+    opts, exit_codes, raised = run_plant_until_hang_up()
     assert raised == []
     assert exit_codes == [0]
     assert sleeps == [opts["duration_ms"] + 2000]
+
+
+def test_a_plant_whose_task_crashed_exits_1_naming_the_task(
+        monkeypatch, capsys):
+    def broken_script(*args):
+        raise RuntimeError("script broke")
+
+    monkeypatch.setattr(control, "run_measurement_script", broken_script)
+    _, exit_codes, raised = run_plant_until_hang_up(measurements=[(10, 1)])
+    assert raised == []
+    assert exit_codes == [1]
+    assert capsys.readouterr().err == \
+        "plant task measurement-script: RuntimeError('script broke')\n"
 
 
 def test_a_plant_process_that_never_exits_fails_the_run(monkeypatch):
@@ -524,9 +564,10 @@ def test_a_plant_process_killed_by_a_signal_fails_the_run(monkeypatch):
 
 
 def test_only_one_function_reaps_or_kills_a_plant_process():
-    # `waitpid` and SIGKILL appear once each in the package, both in
-    # `_end_plant_child`, so no pid is reaped twice or signalled after
-    # its reap
+    # `os.fork` appears once in the package, in `_start_plant_process`, and
+    # `waitpid` and SIGKILL once each, both in `_end_plant_child`, so every
+    # child is started one way, and no pid is reaped twice or signalled
+    # after its reap
     src = pathlib.Path(harness.__file__).parent
     found = []
     for path in sorted(src.glob("*.py")):
@@ -536,7 +577,8 @@ def test_only_one_function_reaps_or_kills_a_plant_process():
                 continue
             for node in ast.walk(func):
                 if isinstance(node, ast.Attribute) and node.attr in (
-                        "waitpid", "SIGKILL"):
+                        "fork", "waitpid", "SIGKILL"):
                     found.append((path.name, func.name, node.attr))
     assert sorted(found) == [("harness.py", "_end_plant_child", "SIGKILL"),
-                             ("harness.py", "_end_plant_child", "waitpid")]
+                             ("harness.py", "_end_plant_child", "waitpid"),
+                             ("harness.py", "_start_plant_process", "fork")]
