@@ -36,12 +36,11 @@ the configuration is identical by construction, and the assembly's own
 `sensor_driver`, `tx_driver` and `control` show it.
 
 `plant_process_main` is the isolated plant's entry: the child process that
-an `isolate` run forks calls it with its options.
+an `isolate` run forks calls it on the two link sockets it inherits.
 """
 
 from __future__ import annotations
 
-import socket
 import sys
 import threading
 from enum import Enum
@@ -62,7 +61,6 @@ from .thread_log import load_checked_recordings
 from .transport import (
     BRIDGE_WINDOW,
     Protocol,
-    SocketEndpoint,
     connect_pair,
     open_virtual_serial_pair,
 )
@@ -208,33 +206,28 @@ def _start_plant(rt, recording, outbound, inbound, script, link_capacity):
 EXIT_RECORDING_DRY = 3
 
 
-def plant_process_main(opts: dict) -> int:
+def plant_process_main(up, down, duration_ms, measurements, recording,
+                       link_capacity) -> int:
     """Child half of an isolated run: the whole plant behind two TCP links,
-    whose ends it inherits as the file descriptors its options name. The
-    options are the dict the parent made before it forked the child:
-    `duration_ms`, `up_fd`, `down_fd`, `measurements` ((t_ms, value)
-    pairs), `recording` (a path, which the parent has checked, or None)
-    and `link_capacity`.
+    `up` and `down`, the endpoints over the sockets it inherits from the
+    parent. `measurements` are (t_ms, value) pairs and `recording` a path,
+    which the parent has checked, or None.
 
     Lives until the parent hangs up, or at most until the scenario duration
     plus a grace period, then tears itself down. Exits 1 if a task crashed
     or straggled, EXIT_RECORDING_DRY if the emulator ran out of recordings.
     """
     rt = WallRuntime()
-    up = SocketEndpoint(socket.socket(fileno=opts["up_fd"]), name="plant:up")
-    down = SocketEndpoint(socket.socket(fileno=opts["down_fd"]),
-                          name="plant:down")
-    script = opts["measurements"] or None
     # The child parses the recording again, though the parent has it parsed
     # and the fork would hand it over for free: while this parse runs, the
     # operator's first burst queues on the downlink, and the plant then
     # drains it in large reads. Handing over the parsed list boots the plant
     # first, and `isolate-burst` fell from 76.6k to 64.7k frames/s.
-    plant = _start_plant(rt, load_checked_recordings(opts["recording"]),
-                         up, down, script, opts["link_capacity"])
+    plant = _start_plant(rt, load_checked_recordings(recording),
+                         up, down, measurements or None, link_capacity)
 
     def deadline():
-        rt.sleep_ms(opts["duration_ms"] + 2000)
+        rt.sleep_ms(duration_ms + 2000)
         plant.stop()
         rt.shutdown()
 
@@ -250,7 +243,7 @@ def plant_process_main(opts: dict) -> int:
 
     rt.spawn(deadline, name="plant:deadline")
     rt.spawn(hangup_watch, name="plant:hangup")
-    stragglers = rt.run(timeout=opts["duration_ms"] / 1000.0 + 10.0)
+    stragglers = rt.run(timeout=duration_ms / 1000.0 + 10.0)
     bad = False
     for task_name, err in rt.task_errors():
         print(f"plant task {task_name}: {err!r}", file=sys.stderr)

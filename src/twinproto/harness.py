@@ -512,17 +512,16 @@ def record_session(scenario: Scenario, config: RunConfig | None = None, *,
 # The plant's child is a fork of this process (`_start_plant_process`), so
 # isolation is POSIX-only. This process holds the read end of a pipe whose
 # write end only the child keeps, and which carries nothing: EOF on it is
-# the child's exit, and `_end_plant_child` waits for that, with no thread
-# and no polling.
+# the child's exit, and `_end_plant_child` waits for that in one `poll`,
+# with no thread and no loop.
 
 
 def _start_plant_process(scenario: Scenario, link_capacity: int):
     """Fork the plant's child on the far ends of two loopback links that
     this process makes: (child, up_peer, down_peer), where `child` is the
     (pid, pipe) that `_end_plant_child` takes, `pipe` the read end of the
-    child's pipe. The child takes its options as a dict in memory. A
-    refusal is a ConfigError and leaves no socket or pipe open and no
-    child running.
+    child's pipe. A refusal is a ConfigError and leaves no socket or pipe
+    open and no child running.
 
     The fork's hazards, and how they are settled:
     - Output: this process flushes `sys.stdout` and `sys.stderr` first, so
@@ -549,21 +548,16 @@ def _start_plant_process(scenario: Scenario, link_capacity: int):
         for _ in range(2):
             socks += loopback_pair()
         up, up_far, down, down_far = socks
-        opts = {
-            "duration_ms": scenario.duration_ms,
-            "up_fd": up_far.fileno(),
-            "down_fd": down_far.fileno(),
-            "measurements": scenario.measurements,
-            "recording": _recording_path(scenario),
-            "link_capacity": link_capacity,
-        }
+        recording = _recording_path(scenario)
         pipe = os.pipe()
         fds = [int(fd) for fd in os.listdir("/dev/fd")]
         sys.stdout.flush()
         sys.stderr.flush()
         pid = os.fork()
         if pid == 0:
-            _run_plant_child(opts, pipe[1], fds)
+            _run_plant_child(up_far, down_far, pipe[1], fds,
+                             scenario.duration_ms, scenario.measurements,
+                             recording, link_capacity)
     except BaseException as exc:  # only this process gets here
         for sock in socks:
             sock.close()
@@ -582,19 +576,22 @@ def _start_plant_process(scenario: Scenario, link_capacity: int):
             SocketEndpoint(down, name="link:peer-down"))
 
 
-def _run_plant_child(opts: dict, pipe_fd: int, fds: list):
-    """The forked child's whole life (see `_start_plant_process`): it ends
-    in `os._exit` with `plant_process_main`'s exit code, or 1 on a raise."""
+def _run_plant_child(up_far, down_far, pipe_fd: int, fds: list, *plant):
+    """The forked child's whole life (see `_start_plant_process`): it runs
+    `plant_process_main` on the sockets it inherited, and ends in
+    `os._exit` with its exit code, or 1 on a raise."""
     rc = 1
     try:
         gc.freeze()
-        keep = {0, 1, 2, opts["up_fd"], opts["down_fd"], pipe_fd}
+        keep = {0, 1, 2, up_far.fileno(), down_far.fileno(), pipe_fd}
         for fd in fds:
             if fd not in keep:
                 with contextlib.suppress(OSError):  # the listing's own fd
                     os.close(fd)
         sys.stderr = open(2, "w", closefd=False)
-        rc = control.plant_process_main(opts)
+        rc = control.plant_process_main(
+            SocketEndpoint(up_far, name="plant:up"),
+            SocketEndpoint(down_far, name="plant:down"), *plant)
     except BaseException:
         traceback.print_exc()
     finally:
@@ -611,7 +608,10 @@ def _end_plant_child(child, timeout_s):
     after every signal to it, so no signal can reach a reused pid."""
     pid, pipe = child
     try:
-        exited = select.select([pipe], [], [], timeout_s)[0]
+        poller = select.poll()  # select() refuses a pipe past FD_SETSIZE
+        poller.register(pipe, select.POLLIN)
+        # at most poll's C int of ms, some 24 days, with the same verdict
+        exited = poller.poll(min(timeout_s * 1000, 2**31 - 1))
         if not exited:
             os.kill(pid, signal.SIGKILL)
         rc = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -696,7 +696,7 @@ def replay_thread(path, clock: ClockMode = ClockMode.LOCKSTEP, seed: int = 0,
         raise ConfigError(f"record file rejected{where_in_file(exc)}: {exc}") \
             from None
     frames, want_walk = _replay_plan(records)
-    result = ReplayResult(str(path), frames_fed=len(frames))
+    result = ReplayResult(str(path))
     if paced is None:
         paced = clock is ClockMode.WALL
     ts_per_ms = 1_000_000 if frames and frames[-1].ts >= WALL_TS_MIN else 1
@@ -708,8 +708,10 @@ def replay_thread(path, clock: ClockMode = ClockMode.LOCKSTEP, seed: int = 0,
 
     rt = make_runtime(clock, seed)
     shadow = DigitalTwin(rt, ModelKeeper(), None)  # no driver, no uplink
+    skipped = 0  # frames that do not decode
 
     def feeder():  # a shadow's `ingest` returns None: it has no more to run
+        nonlocal skipped
         t0, dues = rt.now_ns(), iter(due_ms)
         for rec in frames:
             if rt.stopping:  # a halted run; a paced sleep raises instead
@@ -721,6 +723,7 @@ def replay_thread(path, clock: ClockMode = ClockMode.LOCKSTEP, seed: int = 0,
             try:
                 msg = decode_message(rec.payload)
             except CodecError:  # skipped, as an ingest driver skips it
+                skipped += 1
                 continue
             shadow.ingest(msg, rec.payload)
 
@@ -728,8 +731,11 @@ def replay_thread(path, clock: ClockMode = ClockMode.LOCKSTEP, seed: int = 0,
     # the safety limit runs from the last frame's due time
     _run_to_verdict(rt, timeout_s + due / ts_per_ms / 1000, result)
 
-    result.statuses_seen = shadow.monitor_stats.statuses
-    result.measurements_seen = shadow.monitor_stats.measurements
+    stats = shadow.monitor_stats  # a halted run fed only what these count
+    result.frames_fed = (stats.statuses + stats.measurements + stats.strays
+                         + skipped)
+    result.statuses_seen = stats.statuses
+    result.measurements_seen = stats.measurements
     result.final_state = shadow.model_state()._name_
     result.trajectory = [s._name_ for _, s in shadow.keeper.trajectory]
     if result.trajectory != want_walk:

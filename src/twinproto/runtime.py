@@ -568,9 +568,15 @@ class LockstepRuntime:
         self._channels.append(ch)
         return ch
 
+    def _wake_at(self, task, ms):
+        """Put `task` on the timer heap, due `ms` ticks from now. Lock held."""
+        self._serial += 1
+        heapq.heappush(self._sleepers,
+                       (self._tick + int(ms), self._serial, task))
+
     def sleep_ms(self, ms):
-        """Park until `ms` ticks have elapsed (1 tick == 1 ms). It parks as
-        `_park` does, inline: a sleeping thread task runs this every tick."""
+        """Park until `ms` ticks have elapsed (1 tick == 1 ms), inline as in
+        `_park`: calling it cost `lockstep-mission` CPU per frame."""
         if ms <= 0:
             return
         task = self._current()
@@ -579,9 +585,7 @@ class LockstepRuntime:
                 raise TaskStopped()
             if task.gen is not None:  # checked before it joins the timers
                 raise self._parks_generator(task, "sleeping")
-            self._serial += 1
-            heapq.heappush(self._sleepers,
-                           (self._tick + int(ms), self._serial, task))
+            self._wake_at(task, ms)
             task.state = "sleeping"
             if not self._step(task):
                 self._lock.release()
@@ -599,9 +603,7 @@ class LockstepRuntime:
         with self._lock:
             if self._stopping:
                 raise TaskStopped()
-            self._serial += 1
-            heapq.heappush(self._sleepers,
-                           (self._tick + int(ms), self._serial, task))
+            self._wake_at(task, ms)
         yield self._sleep_wait
         if self._stopping:
             raise TaskStopped()

@@ -165,16 +165,13 @@ _DIGEST_SLICE = 256  # records; a slice's text is some 25 KB
 def thread_digest(records) -> str:
     """Stable content hash of a whole interchange record, given as the list
     of its records: the sha256 of its lines as `format_line` writes them.
-    Each slice of `_DIGEST_SLICE` records is formatted in one pass and
-    hashed at once, so no copy of a whole long record is ever made."""
+    Each slice of `_DIGEST_SLICE` records is formatted and hashed at once,
+    so no copy of a whole long record is ever made."""
     h = hashlib.sha256()
+    line = ThreadRecord.format_line
     for start in range(0, len(records), _DIGEST_SLICE):
-        h.update("".join([
-            f"seq={seq} ts={ts} dir={direction._value_} kind={kind} "
-            f"hex={payload.hex()}\n"
-            for seq, ts, direction, kind, payload
-            in records[start:start + _DIGEST_SLICE]
-        ]).encode("utf-8"))
+        h.update("".join(map(line, records[start:start + _DIGEST_SLICE]))
+                 .encode("utf-8"))
     return h.hexdigest()
 
 

@@ -191,6 +191,8 @@ def test_replay_safety_limit_is_a_fail_verdict(tmp_path):
     assert "replay:feeder=" in result.failures[0]
     # the halted feeder stops within a frame, and replay waits for it
     assert result.measurements_seen < 20000
+    assert result.frames_fed == \
+        result.statuses_seen + result.measurements_seen
     assert "replay:feeder" not in [t.name for t in threading.enumerate()]
     assert threads_settle_to(before)
 

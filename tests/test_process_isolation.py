@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 import pathlib
+import resource
 import signal
 import threading
 import time
@@ -24,7 +25,7 @@ import pytest
 
 from twinproto import control, harness
 from twinproto.cli import main
-from twinproto.config import RunConfig, parse_scenario
+from twinproto.config import WAIT_MAX_S, RunConfig, parse_scenario
 from twinproto.control import plant_process_main
 from twinproto.errors import ConfigError
 from twinproto.harness import run_scenario
@@ -248,7 +249,7 @@ def test_a_plant_process_that_raises_at_start_fails_the_run_at_once(
         monkeypatch, tmp_path, capfd):
     # the child writes its traceback and exits 1, closing its links: the
     # run ends on their loss, as at any plant exit, in a FAIL verdict
-    def crash(opts):
+    def crash(*plant):
         raise RuntimeError("no plant here")
 
     monkeypatch.setattr(control, "plant_process_main", crash)
@@ -291,15 +292,16 @@ def test_the_plant_process_holds_only_stdio_its_links_and_its_pipe(
         monkeypatch):
     # the child reports its open descriptors on its uplink; the one that is
     # neither stdio nor a link is the pipe whose read end the parent holds
-    def report_fds(opts):
+    def report_fds(up, down, *plant):
+        up_fd, down_fd = up._sock.fileno(), down._sock.fileno()
         fds = {}
         for fd in map(int, os.listdir("/dev/fd")):
             try:
                 fds[fd] = os.fstat(fd).st_ino
             except OSError:  # the listing's own descriptor, closed by now
                 pass
-        os.write(opts["up_fd"], json.dumps(
-            [opts["up_fd"], opts["down_fd"], sorted(fds.items())]).encode())
+        os.write(up_fd, json.dumps(
+            [up_fd, down_fd, sorted(fds.items())]).encode())
         return 0
 
     monkeypatch.setattr(control, "plant_process_main", report_fds)
@@ -397,7 +399,7 @@ def test_a_child_blocked_on_a_lock_held_at_the_fork_fails_the_run(
     # and the child is killed and reaped
     lock = threading.Lock()
 
-    def blocked(opts):
+    def blocked(*plant):
         with lock:
             return 0
 
@@ -432,22 +434,25 @@ def test_a_link_that_cannot_be_made_is_refused_on_the_command_line(
 
 
 def run_plant_until_hang_up(measurements=()):
-    """`plant_process_main` on a thread here, on links this test holds: it
-    reads the plant's boot status, then closes the uplink. Returns the
-    plant's options, its exit codes and what it raised."""
+    """`plant_process_main` on a thread here, handed the far-end sockets of
+    two links this test holds, as the forked child is: the test reads the
+    plant's boot status, then closes the uplink. Returns the plant's
+    duration, its exit codes and what it raised."""
     (up, up_far), (down, down_far) = loopback_pair(), loopback_pair()
     # a plant that fails leaves this test's reads waiting: they time out
     up.settimeout(10.0)
     down.settimeout(10.0)
-    # the plant owns its ends, as the child owns the descriptors it inherits
-    opts = {"duration_ms": 1000, "up_fd": up_far.detach(),
-            "down_fd": down_far.detach(), "measurements": list(measurements),
-            "recording": None, "link_capacity": 16}
+    # the plant owns its ends, as the child owns the sockets it inherits
+    duration_ms = 1000
+    plant_up = SocketEndpoint(up_far, name="plant:up")
+    plant_down = SocketEndpoint(down_far, name="plant:down")
     exit_codes, raised = [], []
 
     def run_plant():
         try:
-            exit_codes.append(plant_process_main(opts))
+            exit_codes.append(plant_process_main(
+                plant_up, plant_down, duration_ms, list(measurements), None,
+                16))
         except BaseException as exc:
             raised.append(exc)
 
@@ -461,7 +466,7 @@ def run_plant_until_hang_up(measurements=()):
     plant.join(timeout=30.0)
     down.close()
     assert not plant.is_alive()
-    return opts, exit_codes, raised
+    return duration_ms, exit_codes, raised
 
 
 def test_an_isolated_plant_stops_at_the_parents_hang_up(monkeypatch):
@@ -475,10 +480,10 @@ def test_an_isolated_plant_stops_at_the_parents_hang_up(monkeypatch):
         return sleep_ms(self, ms)
 
     monkeypatch.setattr(WallRuntime, "sleep_ms", recording_sleep)
-    opts, exit_codes, raised = run_plant_until_hang_up()
+    duration_ms, exit_codes, raised = run_plant_until_hang_up()
     assert raised == []
     assert exit_codes == [0]
-    assert sleeps == [opts["duration_ms"] + 2000]
+    assert sleeps == [duration_ms + 2000]
 
 
 def test_a_plant_whose_task_crashed_exits_1_naming_the_task(
@@ -498,7 +503,7 @@ def test_a_plant_process_that_never_exits_fails_the_run(monkeypatch):
     # the parent's wait for a child that outlives the run ends at
     # `run_timeout_s`; the child is then killed and reaped
     monkeypatch.setattr(control, "plant_process_main",
-                        lambda opts: time.sleep(60))
+                        lambda *plant: time.sleep(60))
     children = keep_children(monkeypatch)
     sc = mission(duration_ms=200, steps=[], expect={})
     started = time.monotonic()
@@ -524,18 +529,57 @@ def test_the_wait_for_a_plant_process_is_bounded(monkeypatch):
         assert reaped(child[0])
         return rc, time.monotonic() - started
 
-    rc, waited = end(lambda opts: time.sleep(60), 0.05)
+    rc, waited = end(lambda *plant: time.sleep(60), 0.05)
     assert rc is None and waited < 5.0
-    rc, waited = end(lambda opts: 7, 5.0)
+    rc, waited = end(lambda *plant: 7, 5.0)
     assert rc == 7 and waited < 5.0
     assert open_fds() == before
+
+
+def test_the_wait_for_a_plant_process_takes_the_longest_run_timeout(
+        monkeypatch):
+    # the longest `run_timeout_s` a config takes is far past the longest
+    # wait `poll` takes, a C int of milliseconds
+    monkeypatch.setattr(control, "plant_process_main", lambda *plant: 7)
+    child, up, down = harness._start_plant_process(mission(), 16)
+    up.close()
+    down.close()
+    assert harness._end_plant_child(child, WAIT_MAX_S) == 7
+    assert reaped(child[0])
+
+
+def test_an_isolated_run_past_1024_descriptors_ends_in_a_verdict(
+        monkeypatch):
+    # `select` refuses a descriptor at or past FD_SETSIZE (1024); the wait
+    # for the child must take its pipe there, and reap it
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    if hard != resource.RLIM_INFINITY and hard < 1100:
+        pytest.skip(f"the hard RLIMIT_NOFILE, {hard}, leaves no room for "
+                    f"descriptors past 1024")
+    children = keep_children(monkeypatch)
+    held = []
+    try:
+        if soft != resource.RLIM_INFINITY and soft < 1100:
+            resource.setrlimit(resource.RLIMIT_NOFILE, (1100, hard))
+        while not held or held[-1] < 1024:  # the lowest free one each time
+            held.append(os.open(os.devnull, os.O_RDONLY))
+        before = open_fds()
+        result = run_scenario(mission(), RunConfig(isolate=True))
+        assert result.ok, result.failures
+        [(pid, pipe)] = children
+        assert pipe > 1024 and reaped(pid)
+        assert open_fds() == before
+    finally:
+        for fd in held:
+            os.close(fd)
+        resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
 
 
 def test_a_plant_process_that_exits_cleanly_at_start_fails_the_run(
         monkeypatch):
     # exit code 0 with no plant served: the lost links fail the run, as at
     # any plant exit, and the child is reaped
-    monkeypatch.setattr(control, "plant_process_main", lambda opts: 0)
+    monkeypatch.setattr(control, "plant_process_main", lambda *plant: 0)
     children = keep_children(monkeypatch)
     started = time.monotonic()
     result = run_scenario(mission(), RunConfig(isolate=True))
@@ -550,7 +594,7 @@ def test_a_plant_process_that_exits_cleanly_at_start_fails_the_run(
 def test_a_plant_process_killed_by_a_signal_fails_the_run(monkeypatch):
     # a signal the parent did not send is the child's exit code, negated,
     # and not "never exited": only the parent's own kill reads as that
-    def terminated(opts):
+    def terminated(*plant):
         os.kill(os.getpid(), signal.SIGTERM)
         time.sleep(60)
 

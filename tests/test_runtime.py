@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import itertools
 import random
 import sys
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from twinproto import harness
+from twinproto import harness, runtime
 from twinproto.config import parse_scenario
 from twinproto.errors import (ChannelClosed, ConnectionClosed, KernelHalted,
                               TaskStopped)
@@ -877,3 +878,32 @@ def test_a_lockstep_pt_session_watches_the_plant_without_a_thread(
     assert result.measurements_seen > 0
     # the operator's watch is a driver's receive loop, a generator task
     assert sorted(started_threads) == ["measurement-script", "op:script"]
+
+
+def callers(module, callee):
+    """The qualified name of the definition around each call in `module`
+    whose callee's source ends in `callee`, in source order."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        elif isinstance(node, ast.Call) and \
+                ast.unparse(node.func).endswith(callee):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(Path(module.__file__).read_text()), "")
+    return found
+
+
+def test_the_lockstep_kernel_has_one_timer_and_no_new_park():
+    # `sleep_ms` and `pause` join the timers through `_wake_at`; a thread
+    # task waits for a slice in `_park`, for its first one in `spawn`, or
+    # in `sleep_ms`'s inline park, kept for speed, on the grant that
+    # `_LockTask` takes as it is made
+    assert callers(runtime, "heappush") == ["LockstepRuntime._wake_at"]
+    assert callers(runtime, "grant.acquire") == [
+        "_LockTask.__init__", "LockstepRuntime._park",
+        "LockstepRuntime.spawn.run", "LockstepRuntime.sleep_ms"]

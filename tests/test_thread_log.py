@@ -3,6 +3,7 @@ and the reader checked against the reference line parser."""
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import os
 import random
@@ -93,6 +94,17 @@ def test_the_digest_hashes_the_lines_format_line_writes():
                           .encode("utf-8")).hexdigest()
     assert thread_log.thread_digest(records) == want
     assert thread_log.thread_digest([]) == hashlib.sha256().hexdigest()
+
+
+def test_only_format_line_writes_a_thread_line():
+    # the digest hashes the lines `format_line` writes, not a copy of it
+    tree = ast.parse(Path(thread_log.__file__).read_text())
+    writers = [func.name for func in ast.walk(tree)
+               if isinstance(func, ast.FunctionDef)
+               for node in ast.walk(func)
+               if isinstance(node, ast.JoinedStr)
+               and ast.unparse(node)[2:].startswith("seq=")]
+    assert writers == ["format_line"]
 
 
 def test_append_assigns_strictly_increasing_seq():
