@@ -204,22 +204,21 @@ def run_scenario(scenario: Scenario, config: RunConfig | None = None) -> Session
     result = SessionResult(scenario.name, scenario.mode, scenario.clock.value,
                            scenario.seed)
     started = time.monotonic()
-    rt = make_runtime(scenario.clock, scenario.seed)
     try:
-        wiring = _wire(rt, scenario, cfg, log)
-    except Exception as exc:  # no task or child process is left
+        rt = make_runtime(scenario.clock, scenario.seed)
+        try:
+            wiring = _wire(rt, scenario, cfg, log)
+        except RecordingMissing as exc:  # no task or child process is left
+            result.fail(str(exc))
+            result.elapsed_s = time.monotonic() - started
+            return result
+        _drive(rt, scenario, cfg, wiring, result)
+        _collect(wiring, result)
+    finally:
         if log is not None:
-            log.close()
-        if not isinstance(exc, RecordingMissing):
-            raise
-        result.fail(str(exc))
-        result.elapsed_s = time.monotonic() - started
-        return result
-    _drive(rt, scenario, cfg, wiring, result)
-    _collect(wiring, result)
-    if wiring.log is not None:
-        wiring.log.close()
-        records = wiring.log.records
+            log.close()  # the thread file's one flush, on every path
+    if log is not None:
+        records = log.records
         result.thread_lines = len(records)
         result.thread_sha256 = thread_digest(records)
         _check_record(wiring, result)
@@ -529,7 +528,8 @@ def _start_plant_process(scenario: Scenario, link_capacity: int):
       failure lines, through a `sys.stderr` of its own on descriptor 2,
       and flushes them before `os._exit`, which flushes nothing else: a
       file this process has open, such as the thread file, is written by
-      this process alone.
+      this process alone. The thread file's buffer is empty here anyway:
+      no record is appended before `_drive` starts the tasks.
     - Descriptors: the child closes every one but stdio, its two links and
       its pipe, from a list taken before the fork, so that it closes
       exactly what was open.

@@ -222,7 +222,12 @@ def parse_record_line(line, lineno=None) -> ThreadRecord:
 
 
 class ThreadLog:
-    """Single-writer append-only store, optionally persisted line-by-line."""
+    """Single-writer append-only store, optionally persisted to a file.
+
+    Lines go to the file through its own buffer, which spills as it fills;
+    `close` is the one flush, so the file is whole once the log is closed.
+    A process killed before that leaves the lines up to the last spill.
+    """
 
     def __init__(self, path=None):
         self._lock = threading.Lock()
@@ -245,7 +250,6 @@ class ThreadLog:
                     self._dt2pt_frames += 1
             if self._fh is not None:
                 self._fh.write(rec.format_line())
-                self._fh.flush()
         return rec
 
     def append_message(self, ts, direction, payload: bytes) -> ThreadRecord:

@@ -1,6 +1,8 @@
 """End-to-end scenario runs, record/replay, the suite runner, and the CLI."""
 
 import dataclasses
+import gc
+import hashlib
 import json
 import os
 import signal
@@ -8,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -21,7 +24,7 @@ from twinproto.mapek import ExecuteGate, ModelKeeper
 from twinproto.messages import command, encode_message
 from twinproto.statemachine import State
 from twinproto.thread_log import (ThreadDirection, ThreadLog,
-                                  load_checked_recordings)
+                                  load_checked_recordings, read_thread_file)
 from twinproto.harness import (
     SessionResult,
     expectations_settled,
@@ -708,6 +711,82 @@ def test_record_keeps_a_configured_thread_file_and_copies_it(tmp_path):
                            RunConfig(thread_file=str(rec)), record_path=rec)
     assert again.thread_sha256 == recorded.thread_sha256
     assert rec.read_bytes() == thread.read_bytes()
+
+
+# 300 commands at once, ending OFF: the thread passes 8 KiB, so the file's
+# buffer spills during the run as well as at close
+BURST = [{"at_ms": 0, "do": "command", "value": value}
+         for value in [50, 0] * 149 + [50, -1]]
+
+
+def assert_whole_thread_file(path, result):
+    """`path` holds the run's whole thread, each line once."""
+    data = path.read_bytes()
+    assert len(data) > 8192
+    assert hashlib.sha256(data).hexdigest() == result.thread_sha256
+    assert [rec.seq for rec in read_thread_file(path)] == \
+        list(range(1, result.thread_lines + 1))
+
+
+@pytest.mark.parametrize("clock, isolate", [
+    ("lockstep", False), ("wall", False), ("wall", True),
+], ids=["lockstep", "wall", "isolated"])
+def test_a_recorded_burst_leaves_a_whole_thread_file(tmp_path, clock,
+                                                     isolate):
+    # an isolated run forks with the file open: only this process writes it
+    thread, rec = tmp_path / "run.thread", tmp_path / "run.rec"
+    sc = scenario(clock=clock, duration_ms=20000, steps=BURST,
+                  expect={"final_status": "OFF", "uplink_frames": 300})
+    result = record_session(sc, RunConfig(thread_file=str(thread),
+                                          isolate=isolate), record_path=rec)
+    assert result.ok, result.failures
+    assert_whole_thread_file(thread, result)
+    assert rec.read_bytes() == thread.read_bytes()
+
+
+def test_a_failed_run_leaves_a_whole_thread_file(tmp_path):
+    rec = tmp_path / "short.rec"
+    rec.write_text("".join(f"seq={n} ts={n} dir=PT2DT kind=STA hex=2000\n"
+                           for n in range(1, 101)))
+    thread = tmp_path / "run.thread"
+    sc = scenario(duration_ms=20000, recording="short.rec",
+                  path=tmp_path / "case.json", expect={},
+                  steps=[{"at_ms": 0, "do": "command", "value": 0}] * 300)
+    result = run_scenario(sc, RunConfig(thread_file=str(thread)))
+    assert len(result.failures) == 1
+    assert f"recording {rec} ran dry" in result.failures[0]
+    assert_whole_thread_file(thread, result)
+
+
+def test_a_raise_out_of_the_run_still_closes_a_whole_thread_file(
+        tmp_path, monkeypatch):
+    sc = scenario(duration_ms=20000, steps=BURST,
+                  expect={"final_status": "OFF"})
+    whole = tmp_path / "whole.thread"
+    assert run_scenario(sc, RunConfig(thread_file=str(whole))).ok
+    run_to_verdict = harness._run_to_verdict
+
+    def then_raise(*args):
+        run_to_verdict(*args)
+        raise RuntimeError("raised after the run")
+
+    monkeypatch.setattr(harness, "_run_to_verdict", then_raise)
+    thread = tmp_path / "raised.thread"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(RuntimeError, match="raised after the run") \
+                as raised:
+            run_scenario(sc, RunConfig(thread_file=str(thread)))
+        # read while the raise's frames still hold the run's log
+        data = thread.read_bytes()
+        del raised
+        gc.collect()  # a file left open would warn as it is collected
+    assert [w.message for w in caught
+            if issubclass(w.category, ResourceWarning)] == []
+    # the same seed makes the same thread, and every record of it was
+    # appended before the raise
+    assert data == whole.read_bytes()
+    assert len(read_thread_file(thread)) == len(read_thread_file(whole))
 
 
 @pytest.mark.parametrize("mode", ["pt", "dtp"])
