@@ -211,13 +211,15 @@ def plant_process_main(up, down, duration_ms, measurements, recording,
     """Child half of an isolated run: the whole plant behind two TCP links,
     `up` and `down`, the endpoints over the sockets it inherits from the
     parent. `measurements` are (t_ms, value) pairs and `recording` a path,
-    which the parent has checked, or None.
+    which the parent has checked, or None. `up` gets its sender task here,
+    with a queue of `link_capacity` frames; `down` is only read.
 
     Lives until the parent hangs up, or at most until the scenario duration
     plus a grace period, then tears itself down. Exits 1 if a task crashed
     or straggled, EXIT_RECORDING_DRY if the emulator ran out of recordings.
     """
     rt = WallRuntime()
+    up.start_sender(rt, link_capacity)  # the tx driver writes the uplink
     # The child parses the recording again, though the parent has it parsed
     # and the fork would hand it over for free: while this parse runs, the
     # operator's first burst queues on the downlink, and the plant then

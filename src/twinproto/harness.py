@@ -162,8 +162,8 @@ class _Wiring:
     """What `_wire` stood up: the operator's ends of the plant's links, what
     hangs off them, and each direction's chain of hops."""
 
-    up: object
-    down: object
+    up: object = None
+    down: object = None
     recording_path: str | None = None  # the emulator's recording, if any
     recording_frames: int = 0
     child: tuple | None = None  # the plant process's (pid, pipe)
@@ -204,10 +204,12 @@ def run_scenario(scenario: Scenario, config: RunConfig | None = None) -> Session
     result = SessionResult(scenario.name, scenario.mode, scenario.clock.value,
                            scenario.seed)
     started = time.monotonic()
+    wiring = _Wiring(log=log)
+    plant_exit = 0  # an in-process plant has none
     try:
         rt = make_runtime(scenario.clock, scenario.seed)
         try:
-            wiring = _wire(rt, scenario, cfg, log)
+            _wire(rt, scenario, cfg, wiring)
         except RecordingMissing as exc:  # no task or child process is left
             result.fail(str(exc))
             result.elapsed_s = time.monotonic() - started
@@ -215,8 +217,21 @@ def run_scenario(scenario: Scenario, config: RunConfig | None = None) -> Session
         _drive(rt, scenario, cfg, wiring, result)
         _collect(wiring, result)
     finally:
-        if log is not None:
-            log.close()  # the thread file's one flush, on every path
+        try:  # a raise too: the plant's child must not outlive the run
+            if wiring.child is not None:
+                wiring.up.close()
+                wiring.down.close()
+                plant_exit = _end_plant_child(wiring.child,
+                                              cfg.run_timeout_s)
+        finally:
+            if log is not None:
+                log.close()  # the thread file's one flush, on every path
+    if plant_exit is None:
+        result.fail("plant process never exited")
+    elif plant_exit == EXIT_RECORDING_DRY:  # the count stayed in the child
+        result.fail(_ran_dry(wiring))
+    elif plant_exit != 0:
+        result.fail(f"plant process exit code {plant_exit}")
     if log is not None:
         records = log.records
         result.thread_lines = len(records)
@@ -227,81 +242,74 @@ def run_scenario(scenario: Scenario, config: RunConfig | None = None) -> Session
     return result
 
 
-def _wire(rt, scenario: Scenario, cfg: RunConfig,
-          log: ThreadLog | None) -> _Wiring:
-    """Links, then the observing deployment, then the plant (in-process),
-    then the hop chains: the one place that names a shape's hops.
+def _wire(rt, scenario: Scenario, cfg: RunConfig, wiring: _Wiring):
+    """Fill `wiring`: links, then the observing deployment, then the plant
+    (in-process), then the hop chains: the one place that names a shape's
+    hops.
 
     The recording is checked first, before any link, task or child
-    exists; an isolated plant's child then loads its own copy. A raise
-    after the child is forked hangs up on it and reaps it.
+    exists; an isolated plant's child then loads its own copy. `wiring`
+    holds the child from its fork on, so the caller ends it whatever
+    raises after.
     """
-    recording_path = _recording_path(scenario)
-    recording = load_checked_recordings(recording_path)
+    log = wiring.log
+    wiring.recording_path = _recording_path(scenario)
+    recording = load_checked_recordings(wiring.recording_path)
+    wiring.recording_frames = len(recording) if recording else 0
     # who holds the far ends of the plant's two links depends on mode. With
     # isolation on, the plant lives in a child OS process and the links are
     # real loopback TCP; otherwise everything shares this runtime.
-    child = None
     if cfg.isolate:
-        child, up_peer, down_peer = _start_plant_process(
+        wiring.child, wiring.up, wiring.down = _start_plant_process(
             scenario, cfg.queue_capacity)
+        wiring.down.start_sender(rt, cfg.queue_capacity)  # only it is written
     else:
-        up_plant, up_peer = connect_pair(rt, "link:pt-up", "link:peer-up",
-                                         Protocol.TCP, cfg.queue_capacity)
-        down_peer, down_plant = connect_pair(rt, "link:peer-down",
-                                             "link:pt-down", Protocol.TCP,
-                                             cfg.queue_capacity)
-    try:
-        wiring = _Wiring(up_peer, down_peer, recording_path,
-                         len(recording) if recording else 0, child=child,
-                         log=log)
+        up_plant, wiring.up = connect_pair(rt, "link:pt-up", "link:peer-up",
+                                           Protocol.TCP, cfg.queue_capacity)
+        wiring.down, down_plant = connect_pair(rt, "link:peer-down",
+                                               "link:pt-down", Protocol.TCP,
+                                               cfg.queue_capacity)
+    up_peer, down_peer = wiring.up, wiring.down
 
-        down = ()  # no twin: the operator writes the commands, untapped
-        if log is None:  # pt, dtp: the operator watches the plant's uplink
-            # through a shadow's engine, which `_drive` starts; the link is
-            # the operator's, so the watch reports no loss: the plant's
-            # drivers, or the plant process's exit code, report it
-            reader = DeviceDriver(up_peer, command_set=frozenset(),
-                                  name="op-watch")
-            up = (_Hop(reader.name, reader.stats.received,
-                       observer=DigitalTwin(rt, ModelKeeper(), reader)),)
+    down = ()  # no twin: the operator writes the commands, untapped
+    if log is None:  # pt, dtp: the operator watches the plant's uplink
+        # through a shadow's engine, which `_drive` starts; the link is
+        # the operator's, so the watch reports no loss: the plant's
+        # drivers, or the plant process's exit code, report it
+        reader = DeviceDriver(up_peer, command_set=frozenset(),
+                              name="op-watch")
+        up = (_Hop(reader.name, reader.stats.received,
+                   observer=DigitalTwin(rt, ModelKeeper(), reader)),)
+    else:
+        ingest = TappedEndpoint(up_peer, log, rt,
+                                read_dir=ThreadDirection.PT2DT)
+        if scenario.mode == "twin":
+            uplink = TappedEndpoint(down_peer, log, rt,
+                                    write_dir=ThreadDirection.DT2PT)
+            wiring.twin = assemble_twin(
+                rt, None, ingest, uplink, thread_log=log,
+                twinning_period_ms=cfg.twinning_period_ms)
+            sender = wiring.twin.uplink_driver
+            down = (_Hop(sender.name, sender.stats.forwarded, sender),
+                    _tap(log, ThreadDirection.DT2PT))
         else:
-            ingest = TappedEndpoint(up_peer, log, rt,
-                                    read_dir=ThreadDirection.PT2DT)
-            if scenario.mode == "twin":
-                uplink = TappedEndpoint(down_peer, log, rt,
-                                        write_dir=ThreadDirection.DT2PT)
-                wiring.twin = assemble_twin(
-                    rt, None, ingest, uplink, thread_log=log,
-                    twinning_period_ms=cfg.twinning_period_ms)
-                sender = wiring.twin.uplink_driver
-                down = (_Hop(sender.name, sender.stats.forwarded, sender),
-                        _tap(log, ThreadDirection.DT2PT))
-            else:
-                wiring.twin = assemble_shadow(rt, ingest)
-            reader = wiring.twin.ingest_driver
-            up = (_tap(log, ThreadDirection.PT2DT),
-                  _Hop(reader.name, reader.stats.received, reader,
-                       wiring.twin))
+            wiring.twin = assemble_shadow(rt, ingest)
+        reader = wiring.twin.ingest_driver
+        up = (_tap(log, ThreadDirection.PT2DT),
+              _Hop(reader.name, reader.stats.received, reader,
+                   wiring.twin))
 
-        if not cfg.isolate:
-            plant = _start_plant(rt, recording, up_plant, down_plant,
-                                 scenario.measurements or None,
-                                 cfg.queue_capacity)
-            sensor, tx = plant.sensor_driver, plant.tx_driver
-            up = (_Hop(sensor.name, sensor.stats.received, sensor),
-                  _Hop(tx.name, tx.stats.forwarded, tx), *up)
-            down += (_Hop(tx.name, tx.stats.received, tx),
-                     _Hop(sensor.name, sensor.stats.forwarded, sensor),
-                     _Hop("device", plant.device_stats.counts))
-        wiring.pt2dt, wiring.dt2pt = up, down
-    except BaseException:  # the forked child would outlive the run
-        if child is not None:
-            up_peer.close()
-            down_peer.close()
-            _end_plant_child(child, cfg.run_timeout_s)
-        raise
-    return wiring
+    if not cfg.isolate:
+        plant = _start_plant(rt, recording, up_plant, down_plant,
+                             scenario.measurements or None,
+                             cfg.queue_capacity)
+        sensor, tx = plant.sensor_driver, plant.tx_driver
+        up = (_Hop(sensor.name, sensor.stats.received, sensor),
+              _Hop(tx.name, tx.stats.forwarded, tx), *up)
+        down += (_Hop(tx.name, tx.stats.received, tx),
+                 _Hop(sensor.name, sensor.stats.forwarded, sensor),
+                 _Hop("device", plant.device_stats.counts))
+    wiring.pt2dt, wiring.dt2pt = up, down
 
 
 def _recording_path(scenario: Scenario):
@@ -367,14 +375,6 @@ def _drive(rt, scenario: Scenario, cfg: RunConfig, wiring: _Wiring,
         taken, handed, skipped = hop.counts()
         if taken > handed + skipped:
             result.fail(_ran_dry(wiring, taken - handed - skipped))
-    if wiring.child is not None:
-        rc = _end_plant_child(wiring.child, cfg.run_timeout_s)
-        if rc is None:
-            result.fail("plant process never exited")
-        elif rc == EXIT_RECORDING_DRY:  # the count stayed in the child
-            result.fail(_ran_dry(wiring))
-        elif rc != 0:
-            result.fail(f"plant process exit code {rc}")
 
 
 def _link_losses(wiring: _Wiring) -> list:

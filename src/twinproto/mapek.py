@@ -36,7 +36,10 @@ at once (commands or their responses, the boot status, scripted
 measurements); a burst of 3000 commands puts about 3001 in it. A longer
 burst needs a larger `queue_capacity`. Past the bound the run fails naming
 the stuck tasks: at once under lockstep, at `run_timeout_s` on the wall
-clock.
+clock. With the plant isolated, the downlink and the outbound link are
+sockets. Each holds up to `queue_capacity` unsent frames, and its sender
+task moves them on into the kernel's socket buffers whatever the token
+holder waits for, so the cycle also holds what those buffers hold.
 
 Two deployment shapes share this code. A shadow runs monitor and analyze
 only and holds NO uplink connection object: nothing in the process is

@@ -24,12 +24,19 @@ read_frame/write_frame surface:
 
     [length: uint32 big-endian][payload bytes]
 
+  A socket endpoint that is written has a sender task, `<name>:send`, on
+  the run's wall runtime: a write queues the framed payload, and the sender
+  sends everything queued in one call, so a burst of small frames wakes the
+  reader on the other side once per batch, not once per frame. The queue
+  holds the link's capacity of frames, as an in-process link does.
+
 Each endpoint has one logical reader and one logical writer. A socket
 endpoint relies on the single reader: its `read_frame` slices frames out of
 a receive buffer that nothing else touches, so two tasks reading one socket
 endpoint would corrupt the stream. In an isolated run the child's `plant:up`
 is read only by its hang-up watcher and `plant:down` only by the transmitter
 driver, and the parent's `link:peer-up` only by the ingest or watch driver.
+Only `plant:up` and `link:peer-down` are written, so only they have senders.
 
 `read_frame` and `write_frame` are plain calls that block their task. Their
 wait halves, `wait_read` and `wait_write`, let a generator task wait first
@@ -40,6 +47,7 @@ None; its reads and writes block their own thread.
 
 from __future__ import annotations
 
+import functools
 import socket
 import struct
 import threading
@@ -147,7 +155,23 @@ class SocketEndpoint:
     no whole payload, so a burst of small frames costs one `recv` per chunk
     the kernel hands over, not two per frame. The buffer is the reader's
     own: this relies on one reader task per endpoint (see the module
-    docstring). Writes are one `sendall` per frame, under a lock.
+    docstring).
+
+    Writes go through a sender task, which `start_sender` spawns on a wall
+    runtime and names `<name>:send`: `write_frame` queues the framed payload
+    on a channel of the link's capacity, and the sender takes everything
+    queued and sends it in one call, while writers queue the next batch.
+    A writer past the capacity waits, as on an in-process link. A writer
+    that finds the sender idle with the frame before its own still queued
+    waits until the sender has taken them: a writer that keeps computing
+    holds the interpreter lock, and would otherwise leave the sender, and
+    every other thread, waiting for the interpreter's next forced switch
+    (5 ms by default). A writer that writes a frame and then waits, as a
+    trickle does, lets the sender run without that hand-over. An endpoint
+    that is only read needs no sender; one that is written needs it.
+    `close` ends a blocked read at once and never waits on the network: the
+    sender sends what was queued before it, then hangs up and releases the
+    socket. A failed send closes the endpoint, and the next write raises.
     """
 
     protocol = Protocol.TCP
@@ -156,8 +180,48 @@ class SocketEndpoint:
         self.name = name
         self._sock = sock
         self._closed = False
-        self._wlock = threading.Lock()
+        self._send_failed = False
+        self._queue = None  # framed payloads for the sender, once it runs
+        self._sending = False  # the sender holds a batch
+        self._handed = threading.Condition()  # `_sending` became True
+        self._lock = threading.Lock()  # the socket's shutdown and close
         self._rbuf = bytearray()  # received, not yet returned; reader's own
+
+    def start_sender(self, runtime, capacity):
+        """Spawn the sender task on wall runtime `runtime`, with a queue of
+        `capacity` frames; `runtime.shutdown()` ends it too."""
+        queue = runtime.channel(capacity, f"{self.name}:send")
+        runtime.spawn(functools.partial(self._send, queue),
+                      name=f"{self.name}:send")
+        self._queue = queue
+
+    def _send(self, queue):
+        """The sender task's body: each batch queued goes out in one call,
+        until the queue is closed and drained or a send fails; then the
+        socket is released."""
+        try:
+            while True:
+                self._sending = False
+                batch = queue.get_all()
+                with self._handed:
+                    self._sending = True
+                    self._handed.notify_all()
+                self._sock.sendall(b"".join(batch))
+        except OSError:
+            self._send_failed = self._closed = True
+            queue.close()  # a writer waiting for room gives up too
+        finally:
+            self._release()
+
+    def _release(self):
+        """Hang up both directions and close the socket; idempotent."""
+        self._closed = True
+        with self._lock:
+            try:
+                self._sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            self._sock.close()
 
     def _fill(self):
         """Append the next chunk the socket gives to the receive buffer."""
@@ -177,16 +241,25 @@ class SocketEndpoint:
     def wait_read(self):
         return None  # `read_frame` blocks its own thread
 
+    def _write_refused(self):
+        why = "send failed" if self._send_failed else "write after close"
+        return ConnectionClosed(f"{self.name}: {why}")
+
     def write_frame(self, payload: bytes):
         if self._closed:
-            raise ConnectionClosed(f"{self.name}: write after close")
+            raise self._write_refused()
         wire = frame_payload(payload)
-        with self._wlock:
-            try:
-                self._sock.sendall(wire)
-            except OSError:
-                self._closed = True
-                raise ConnectionClosed(f"{self.name}: send failed") from None
+        if self._queue is None:
+            raise RuntimeError(f"{self.name}: written with no sender")
+        try:
+            self._queue.put(wire)
+        except ChannelClosed:
+            raise self._write_refused() from None
+        if not self._sending and len(self._queue) > 1:
+            # the idle sender has not run since the last write: hand over
+            with self._handed:
+                while not self._sending and len(self._queue):
+                    self._handed.wait()
 
     def read_frame(self) -> bytes:
         if self._closed:
@@ -207,14 +280,19 @@ class SocketEndpoint:
         return payload
 
     def close(self):
-        # a hang-up or socket error already marked the stream closed, but the
-        # socket is still open: release it here; socket.close() is idempotent
+        # idempotent. A hang-up or socket error already marked the stream
+        # closed, but the socket is still open: it is released here, or by
+        # the sender once it has sent what is queued
+        if self._queue is None:
+            self._release()
+            return
         self._closed = True
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self._sock.close()
+        with self._lock:  # ends a blocked read; the peer sees EOF later
+            try:
+                self._sock.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass
+        self._queue.close()
 
 
 def loopback_pair():

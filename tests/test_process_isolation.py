@@ -288,6 +288,40 @@ def test_a_raise_after_the_fork_reaps_the_child_and_closes_every_socket(
     assert open_fds() == before
 
 
+def test_a_raise_out_of_an_isolated_run_reaps_the_child_and_closes_its_pipe(
+        monkeypatch):
+    # the run has ended, and the raise comes before its verdict: the child
+    # is still reaped, and its pipe closed, before the caller sees the raise
+    run_to_verdict = harness._run_to_verdict
+
+    def then_raise(*args):
+        run_to_verdict(*args)
+        raise RuntimeError("raised after the run")
+
+    monkeypatch.setattr(harness, "_run_to_verdict", then_raise)
+    children = keep_children(monkeypatch)
+    before = open_fds()
+    assert raised_and_unclosed(mission(), RunConfig(isolate=True)) == \
+        ((RuntimeError, "raised after the run"), [])
+    [(pid, _)] = children
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
+    assert open_fds() == before
+
+
+def test_an_isolated_burst_through_links_of_two_frames_passes():
+    # each socket link holds at most 2 unsent frames, and its sender drains
+    # them into the kernel whatever the twin's token holder waits for, so
+    # the cross-direction cycle through the child does not deadlock, where
+    # in one process four links of 2 frames stop this burst
+    sc = mission(name="iso-burst", duration_ms=5000,
+                 steps=[{"at_ms": 0, "do": "command", "value": 0}] * 200,
+                 expect={"min_statuses": 201, "uplink_frames": 200})
+    result = run_scenario(sc, RunConfig(isolate=True, queue_capacity=2,
+                                        run_timeout_s=10.0))
+    assert result.ok, result.failures
+
+
 def test_the_plant_process_holds_only_stdio_its_links_and_its_pipe(
         monkeypatch):
     # the child reports its open descriptors on its uplink; the one that is

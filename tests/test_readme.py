@@ -57,11 +57,10 @@ def wired_chains(monkeypatch, mode, clock="lockstep", **config):
     (PT2DT, DT2PT)."""
     wire, chains = harness._wire, []
 
-    def wire_and_keep(*args):
-        wiring = wire(*args)
+    def wire_and_keep(rt, scenario, cfg, wiring):
+        wire(rt, scenario, cfg, wiring)  # fills the run's wiring
         chains.append(tuple([hop.name for hop in chain]
                             for chain in (wiring.pt2dt, wiring.dt2pt)))
-        return wiring
 
     monkeypatch.setattr(harness, "_wire", wire_and_keep)
     recording = BUNDLED_SUITE / "recordings" / "mission.rec"

@@ -3,17 +3,22 @@ socket endpoints."""
 
 from __future__ import annotations
 
+import ast
 import errno
 import gc
 import random
 import socket
+import sys
 import threading
+import time
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from twinproto import transport
 from twinproto.errors import ConnectionClosed, FrameTooLarge
 from twinproto.runtime import LockstepRuntime, WallRuntime
 from twinproto.transport import (
@@ -61,11 +66,15 @@ def test_pair_fifo_and_counters():
     assert a.protocol is Protocol.RS232
 
 
-def socket_pair():
-    """Two connected loopback `SocketEndpoint`s: (client, server)."""
+def socket_pair(rt, capacity=16):
+    """Two connected loopback `SocketEndpoint`s, (client, server), each
+    with its sender on wall runtime `rt`."""
     near, far = loopback_pair()
-    return SocketEndpoint(near, name="client"), SocketEndpoint(far,
+    pair = SocketEndpoint(near, name="client"), SocketEndpoint(far,
                                                                name="server")
+    for end in pair:
+        end.start_sender(rt, capacity)
+    return pair
 
 
 # an in-process pair carries payloads as they are, a socket behind a length
@@ -77,10 +86,11 @@ EDGE_PAYLOADS = [b"", b"\x00", b"", bytes(range(256)),
 
 @pytest.mark.parametrize("kind", ["in-process", "socket"])
 def test_both_endpoint_kinds_carry_and_refuse_the_same_frames(kind):
+    rt = WallRuntime()
     if kind == "socket":
-        writer, reader = socket_pair()
+        writer, reader = socket_pair(rt)
     else:
-        writer, reader = connect_pair(WallRuntime(), "a", "b", Protocol.TCP)
+        writer, reader = connect_pair(rt, "a", "b", Protocol.TCP)
     # a socket can hold less than a full frame: write from a second thread
     sent = threading.Thread(
         target=lambda: [writer.write_frame(p) for p in EDGE_PAYLOADS])
@@ -95,6 +105,7 @@ def test_both_endpoint_kinds_carry_and_refuse_the_same_frames(kind):
     assert reader.read_frame() == b"after"
     writer.close()
     reader.close()
+    assert rt.run(timeout=10.0) == []  # a socket's senders end at close
 
 
 def test_pair_duplex_and_empty_frames():
@@ -305,7 +316,8 @@ def test_any_split_of_a_framed_stream_reads_as_unframe_reads_it(
 
 
 def test_tcp_roundtrip_over_loopback():
-    client, server = socket_pair()
+    rt = WallRuntime()
+    client, server = socket_pair(rt)
 
     def serve():
         while True:
@@ -324,6 +336,7 @@ def test_tcp_roundtrip_over_loopback():
     client.close()
     t.join(timeout=5.0)
     assert not t.is_alive()
+    assert rt.run(timeout=5.0) == []
     assert client.protocol is Protocol.TCP
     # a pair is one loopback connection, with Nagle off at both ends
     near, far = loopback_pair()
@@ -335,7 +348,7 @@ def test_tcp_roundtrip_over_loopback():
 
 
 def test_socket_close_after_hang_up_releases_the_socket():
-    client, server = socket_pair()
+    client, server = (SocketEndpoint(sock) for sock in loopback_pair())
     server.close()
     with pytest.raises(ConnectionClosed):
         client.read_frame()  # the hang-up marks the stream closed...
@@ -368,3 +381,169 @@ def test_a_loopback_pair_that_cannot_be_made_keeps_no_socket(monkeypatch):
             if issubclass(w.category, ResourceWarning)] == []
     assert len(made) == 2
     assert [sock.fileno() for sock in made] == [-1, -1]
+
+
+class HeldSocket:
+    """A socket stand-in that keeps each call made on it, in order. Its
+    first `sendall` waits for `release`, once `first_send` is set; with
+    `fails`, every `sendall` raises as on a reset connection."""
+
+    def __init__(self, fails=False):
+        self.calls = []
+        self.first_send = threading.Event()
+        self.release = threading.Event()
+        self.fails = fails
+
+    def sendall(self, data):
+        if self.fails:
+            raise ConnectionResetError(errno.ECONNRESET, "reset by peer")
+        self.calls.append(("sendall", bytes(data)))
+        if not self.first_send.is_set():
+            self.first_send.set()
+            assert self.release.wait(timeout=10.0)
+
+    def shutdown(self, how):
+        self.calls.append(("shutdown", how))
+
+    def close(self):
+        self.calls.append(("close",))
+
+    def sent(self):
+        return [call[1] for call in self.calls if call[0] == "sendall"]
+
+
+def held_endpoint(rt, capacity, fails=False):
+    """A SocketEndpoint over a HeldSocket, its sender on `rt`."""
+    sock = HeldSocket(fails)
+    end = SocketEndpoint(sock, name="held")
+    end.start_sender(rt, capacity)
+    return end, sock
+
+
+def test_frames_written_during_a_send_go_out_in_one_send():
+    rt = WallRuntime()
+    end, sock = held_endpoint(rt, capacity=128)
+    payloads = [bytes([i]) * (i % 7) for i in range(100)]
+    end.write_frame(payloads[0])
+    end.write_frame(payloads[1])
+    # a write that finds the idle sender has not taken the frame before it
+    # waits until the sender has taken both
+    assert len(end._queue) < 2
+    assert sock.first_send.wait(timeout=10.0)
+    for payload in payloads[2:]:  # queued while the first send is held
+        end.write_frame(payload)
+    # close returns while the send is held: it ends reads, not the stream
+    end.close()
+    with pytest.raises(ConnectionClosed, match="held: write after close"):
+        end.write_frame(b"late")
+    assert [call[0] for call in sock.calls] == ["sendall", "shutdown"]
+    assert sock.calls[1] == ("shutdown", socket.SHUT_RD)
+    sock.release.set()
+    assert rt.run(timeout=10.0) == []
+    assert len(sock.sent()) == 2
+    assert b"".join(sock.sent()) == b"".join(map(frame_payload, payloads))
+    # the hang-up comes after the last frame queued before close
+    assert sock.calls[-2:] == [("shutdown", socket.SHUT_RDWR), ("close",)]
+
+
+def test_a_closed_socket_endpoint_delivers_what_it_queued_then_hangs_up():
+    rt = WallRuntime()
+    writer, reader = socket_pair(rt)
+    ended = []
+
+    def blocked_read():  # on the closing endpoint: it ends at once
+        try:
+            writer.read_frame()
+        except ConnectionClosed:
+            ended.append(True)
+
+    read = threading.Thread(target=blocked_read)
+    read.start()
+    payloads = [i.to_bytes(4, "big") for i in range(2000)]
+    for payload in payloads:
+        writer.write_frame(payload)
+    writer.close()
+    read.join(timeout=10.0)
+    assert not read.is_alive() and ended == [True]
+    assert [reader.read_frame() for _ in payloads] == payloads
+    with pytest.raises(ConnectionClosed, match="server: peer hung up"):
+        reader.read_frame()
+    reader.close()
+    assert rt.run(timeout=10.0) == []
+
+
+def test_a_failed_send_closes_the_endpoint_and_refuses_the_next_write():
+    rt = WallRuntime()
+    end, sock = held_endpoint(rt, capacity=16, fails=True)
+    end.write_frame(b"lost")  # queued; the send fails on the sender's task
+    assert rt.run(timeout=10.0) == []  # the sender ends on its own
+    assert rt.task_errors() == []
+    with pytest.raises(ConnectionClosed, match="held: send failed"):
+        end.write_frame(b"next")
+    assert sock.calls == [("shutdown", socket.SHUT_RDWR), ("close",)]
+    end.close()
+
+
+def test_a_writer_waits_at_the_links_capacity_until_the_sender_drains():
+    rt = WallRuntime()
+    end, sock = held_endpoint(rt, capacity=2)
+    end.write_frame(b"0")
+    assert sock.first_send.wait(timeout=10.0)
+    end.write_frame(b"1")
+    end.write_frame(b"2")  # the queue holds 2 frames
+    third = threading.Thread(target=end.write_frame, args=(b"3",))
+    third.start()
+    third.join(timeout=0.2)
+    assert third.is_alive()  # waits for room, as on an in-process link
+    sock.release.set()
+    third.join(timeout=10.0)
+    assert not third.is_alive()
+    end.close()
+    assert rt.run(timeout=10.0) == []
+    assert b"".join(sock.sent()) == b"".join(
+        frame_payload(p) for p in (b"0", b"1", b"2", b"3"))
+
+
+def test_writers_and_the_sender_lose_no_frame_and_no_wake_up():
+    # three writers on one endpoint, with pauses that let the sender idle,
+    # and a short switch interval: a lost wake-up leaves a writer waiting
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        rt = WallRuntime()
+        writer, reader = socket_pair(rt, capacity=4)
+        reader._sock.settimeout(10.0)  # a stuck writer fails the read
+
+        def write(w):
+            for i in range(300):
+                writer.write_frame(bytes([w]) + i.to_bytes(2, "big"))
+                if i % 20 == 0:
+                    time.sleep(0.0005)
+
+        writers = [threading.Thread(target=write, args=(w,), daemon=True)
+                   for w in range(3)]
+        for thread in writers:
+            thread.start()
+        got = [reader.read_frame() for _ in range(900)]
+        for thread in writers:
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+        writer.close()
+        reader.close()
+        assert rt.run(timeout=10.0) == []
+    finally:
+        sys.setswitchinterval(switch)
+    for w in range(3):  # each writer's frames, whole and in its order
+        assert [frame for frame in got if frame[0] == w] == \
+            [bytes([w]) + i.to_bytes(2, "big") for i in range(300)]
+
+
+def test_only_the_sender_sends_on_a_socket():
+    # a write queues its frame: one send per batch, not one per frame
+    tree = ast.parse(Path(transport.__file__).read_text())
+    senders = [(func.name, node.attr) for func in ast.walk(tree)
+               if isinstance(func, ast.FunctionDef)
+               for node in ast.walk(func)
+               if isinstance(node, ast.Attribute)
+               and node.attr in ("send", "sendall", "sendmsg")]
+    assert senders == [("_send", "sendall")]
