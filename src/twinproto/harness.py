@@ -167,6 +167,7 @@ class _Wiring:
     recording_path: str | None = None  # the emulator's recording, if any
     recording_frames: int = 0
     child: tuple | None = None  # the plant process's (pid, pipe)
+    sender: object = None  # the task that sends on `down`, if it is a socket
     log: ThreadLog | None = None
     twin: DigitalTwin | None = None
     pt2dt: tuple = ()
@@ -223,6 +224,11 @@ def run_scenario(scenario: Scenario, config: RunConfig | None = None) -> Session
                 wiring.down.close()
                 plant_exit = _end_plant_child(wiring.child,
                                               cfg.run_timeout_s)
+                if wiring.sender is not None:
+                    # a send the child left blocked failed at its exit, so
+                    # the sender has ended or is ending: the socket is
+                    # released before the run returns or raises
+                    wiring.sender.thread.join()
         finally:
             if log is not None:
                 log.close()  # the thread file's one flush, on every path
@@ -262,7 +268,7 @@ def _wire(rt, scenario: Scenario, cfg: RunConfig, wiring: _Wiring):
     if cfg.isolate:
         wiring.child, wiring.up, wiring.down = _start_plant_process(
             scenario, cfg.queue_capacity)
-        wiring.down.start_sender(rt, cfg.queue_capacity)  # only it is written
+        wiring.sender = wiring.down.start_sender(rt, cfg.queue_capacity)
     else:
         up_plant, wiring.up = connect_pair(rt, "link:pt-up", "link:peer-up",
                                            Protocol.TCP, cfg.queue_capacity)
@@ -381,11 +387,15 @@ def _link_losses(wiring: _Wiring) -> list:
     """One failure reason per driver whose receive loop a closed link ended;
     every driver that runs one is on the PT2DT chain.
 
-    Read before teardown, every entry is a link lost mid-run.
+    Read before teardown, every entry is a link lost mid-run. A socket
+    downlink whose sender lost frames the writers had handed it is one too.
     """
-    return [f"{hop.name} lost its link: {hop.loop.closed_by}"
-            for hop in wiring.pt2dt
-            if hop.loop is not None and hop.loop.closed_by is not None]
+    losses = [f"{hop.name} lost its link: {hop.loop.closed_by}"
+              for hop in wiring.pt2dt
+              if hop.loop is not None and hop.loop.closed_by is not None]
+    if isinstance(wiring.down, SocketEndpoint) and wiring.down.send_failed:
+        losses.append(f"{wiring.down.name}: send failed")
+    return losses
 
 
 def _ran_dry(wiring: _Wiring, unanswered=None) -> str:

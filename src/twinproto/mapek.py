@@ -37,9 +37,9 @@ measurements); a burst of 3000 commands puts about 3001 in it. A longer
 burst needs a larger `queue_capacity`. Past the bound the run fails naming
 the stuck tasks: at once under lockstep, at `run_timeout_s` on the wall
 clock. With the plant isolated, the downlink and the outbound link are
-sockets. Each holds up to `queue_capacity` unsent frames, and its sender
-task moves them on into the kernel's socket buffers whatever the token
-holder waits for, so the cycle also holds what those buffers hold.
+sockets. Each holds up to `queue_capacity` unsent frames on top of what
+the kernel's socket buffers hold, and its sender task moves queued frames
+on into those buffers whatever the token holder waits for.
 
 Two deployment shapes share this code. A shadow runs monitor and analyze
 only and holds NO uplink connection object: nothing in the process is

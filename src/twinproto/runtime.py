@@ -59,9 +59,7 @@ Two implementations exist:
   condition over it, where a handoff wakes one waiter; sleep is real time,
   now_ns is the monotonic clock. Free-running. A wall channel's wait
   halves always return None: the act blocks its own thread and a generator
-  never yields. A wall channel also has `get_all`, which waits as `get`
-  does and then takes every item queued: a socket endpoint's sender task
-  sends them together.
+  never yields.
 
 * LockstepRuntime: cooperative scheduling with a baton. At most one task
   executes at any instant; everything else is parked. Time is a logical
@@ -204,21 +202,6 @@ class _WallChannel:
                 self._putters -= 1
                 self._not_full.notify()
             return item
-
-    def get_all(self):
-        """Wait as `get` does, then take every item queued, oldest first,
-        and wake every waiting putter."""
-        with self._lock:
-            while not self._items:
-                if self._closed:
-                    raise ChannelClosed("get on closed channel")
-                self._getters += 1
-                self._not_empty.wait()
-            items, self._items = self._items, deque()
-            if self._putters:
-                self._not_full.notify(self._putters)
-                self._putters = 0
-            return items
 
     def close(self):
         with self._lock:

@@ -25,10 +25,13 @@ read_frame/write_frame surface:
     [length: uint32 big-endian][payload bytes]
 
   A socket endpoint that is written has a sender task, `<name>:send`, on
-  the run's wall runtime: a write queues the framed payload, and the sender
-  sends everything queued in one call, so a burst of small frames wakes the
-  reader on the other side once per batch, not once per frame. The queue
-  holds the link's capacity of frames, as an in-process link does.
+  the run's wall runtime. A write that comes while a send is in flight, or
+  sooner after the last write than the last batch took to go out, queues
+  its frame, and the sender sends everything queued in one call, so a
+  burst of small frames wakes the reader on the other side once per batch,
+  not once per frame. A write after a longer pause sends its frame at
+  once, so a trickle wakes no sender. The queue holds the link's capacity
+  of frames, as an in-process link does.
 
 Each endpoint has one logical reader and one logical writer. A socket
 endpoint relies on the single reader: its `read_frame` slices frames out of
@@ -47,10 +50,10 @@ None; its reads and writes block their own thread.
 
 from __future__ import annotations
 
-import functools
 import socket
 import struct
 import threading
+import time
 from enum import Enum
 
 from .errors import ChannelClosed, ConnectionClosed, FrameTooLarge
@@ -157,71 +160,122 @@ class SocketEndpoint:
     own: this relies on one reader task per endpoint (see the module
     docstring).
 
-    Writes go through a sender task, which `start_sender` spawns on a wall
-    runtime and names `<name>:send`: `write_frame` queues the framed payload
-    on a channel of the link's capacity, and the sender takes everything
-    queued and sends it in one call, while writers queue the next batch.
-    A writer past the capacity waits, as on an in-process link. A writer
-    that finds the sender idle with the frame before its own still queued
-    waits until the sender has taken them: a writer that keeps computing
-    holds the interpreter lock, and would otherwise leave the sender, and
-    every other thread, waiting for the interpreter's next forced switch
-    (5 ms by default). A writer that writes a frame and then waits, as a
-    trickle does, lets the sender run without that hand-over. An endpoint
-    that is only read needs no sender; one that is written needs it.
-    `close` ends a blocked read at once and never waits on the network: the
-    sender sends what was queued before it, then hangs up and releases the
-    socket. A failed send closes the endpoint, and the next write raises.
+    An endpoint that is written needs a sender task, which `start_sender`
+    spawns on a wall runtime and names `<name>:send`. A write either sends
+    its frame at once, on the writer's thread, or queues it for the
+    sender, which sends everything queued in one call while writers queue
+    the next batch. Which one is decided from what the endpoint has seen:
+    a write sends at once when no send is in flight, nothing is queued,
+    and the time since the previous write returned is at least what the
+    last batch took to go out, from the queueing of its first frame to the
+    end of its send. A frame queued after such a pause would have gone out
+    alone, so waking the sender for it buys nothing, and a trickle costs
+    one send per frame, as with no sender. A writer that comes back sooner
+    queues its frame, to go out with those that follow it; so does the
+    first write, before any batch has been timed. The queue holds the
+    link's capacity of frames; a writer past it waits, as on an in-process
+    link. A writer that finds the sender idle with the frame before its
+    own still queued waits until the sender has taken them: a writer that
+    keeps computing holds the interpreter lock, and would otherwise leave
+    the sender, and every other thread, waiting for the interpreter's next
+    forced switch (5 ms by default).
+
+    `close` ends a blocked read at once and never waits on the network:
+    with nothing queued or in flight it hangs up and releases the socket
+    itself; otherwise the sender sends what was queued before it, then
+    hangs up, releases the socket and ends. A send that fails closes the
+    endpoint and drops what is queued. A writer whose own frame it was
+    gets the raise. If the failure lost frames whose writes had returned,
+    and the endpoint was not closing, `send_failed` is set and later
+    writes raise "send failed".
     """
 
     protocol = Protocol.TCP
 
     def __init__(self, sock, name="tcp"):
         self.name = name
+        self.send_failed = False  # queued frames were lost before `close`
         self._sock = sock
         self._closed = False
-        self._send_failed = False
-        self._queue = None  # framed payloads for the sender, once it runs
-        self._sending = False  # the sender holds a batch
-        self._handed = threading.Condition()  # `_sending` became True
-        self._lock = threading.Lock()  # the socket's shutdown and close
         self._rbuf = bytearray()  # received, not yet returned; reader's own
+        # the rest is the writers' and the sender's, under `_lock`, which
+        # also orders the socket's shutdown and close
+        self._lock = threading.Lock()
+        self._to_sender = threading.Condition(self._lock)  # work, or close
+        self._to_writers = threading.Condition(self._lock)  # room, or taken
+        self._queue = []  # framed payloads for the sender
+        self._capacity = 0  # frames the queue holds; 0 until a sender runs
+        self._busy = False  # a send is in flight
+        self._queued_ns = 0  # when the oldest frame queued was queued
+        self._flight_ns = None  # how long the last batch took to go out
+        self._wrote_ns = 0  # when the last write returned
 
     def start_sender(self, runtime, capacity):
         """Spawn the sender task on wall runtime `runtime`, with a queue of
-        `capacity` frames; `runtime.shutdown()` ends it too."""
-        queue = runtime.channel(capacity, f"{self.name}:send")
-        runtime.spawn(functools.partial(self._send, queue),
-                      name=f"{self.name}:send")
-        self._queue = queue
+        `capacity` frames; returns its task handle. The sender ends once
+        the endpoint is closed and what was queued is sent, or a send
+        fails."""
+        self._capacity = capacity
+        return runtime.spawn(self._send, name=f"{self.name}:send")
 
-    def _send(self, queue):
-        """The sender task's body: each batch queued goes out in one call,
-        until the queue is closed and drained or a send fails; then the
-        socket is released."""
-        try:
-            while True:
-                self._sending = False
-                batch = queue.get_all()
-                with self._handed:
-                    self._sending = True
-                    self._handed.notify_all()
-                self._sock.sendall(b"".join(batch))
-        except OSError:
-            self._send_failed = self._closed = True
-            queue.close()  # a writer waiting for room gives up too
-        finally:
+    def _send(self):
+        """The sender task's body: each batch queued goes out in one call;
+        then the socket is released."""
+        while (taken := self._take()) is not None:
+            batch, since = taken
+            self._transmit(b"".join(batch), since)
+        with self._lock:
             self._release()
 
-    def _release(self):
-        """Hang up both directions and close the socket; idempotent."""
-        self._closed = True
+    def _take(self):
+        """Every frame queued, once no send is in flight, as the send now
+        in flight, and when the oldest was queued; None once the endpoint
+        is closed with nothing queued."""
         with self._lock:
-            try:
-                self._sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            self._sock.close()
+            while self._busy or not (self._queue or self._closed):
+                self._to_sender.wait()
+            if not self._queue:
+                return None
+            batch, self._queue = self._queue, []
+            self._busy = True
+            self._to_writers.notify_all()
+            return batch, self._queued_ns
+
+    def _transmit(self, data, since) -> bool:
+        """Send `data`, the send in flight, and end it; False if it failed.
+        `since` is when the oldest frame of a batch was queued, None for a
+        write's own frame. A failure closes the endpoint and drops what is
+        queued; if that loses frames whose writes have returned while the
+        endpoint was open, `send_failed` is set."""
+        try:
+            self._sock.sendall(data)
+            failed = False
+        except OSError:
+            failed = True
+        with self._lock:
+            self._busy = False
+            if since is not None:
+                self._flight_ns = time.monotonic_ns() - since
+            if failed:
+                lost = since is not None or self._queue
+                if lost and not self._closed:
+                    self.send_failed = True
+                self._closed = True
+                self._queue = []
+                self._to_writers.notify_all()
+            if self._queue or self._closed:
+                self._to_sender.notify()
+        return not failed
+
+    def _release(self):
+        """Hang up both directions and close the socket; idempotent. The
+        caller holds `_lock`."""
+        self._closed = True
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        self._sock.close()
 
     def _fill(self):
         """Append the next chunk the socket gives to the receive buffer."""
@@ -242,24 +296,46 @@ class SocketEndpoint:
         return None  # `read_frame` blocks its own thread
 
     def _write_refused(self):
-        why = "send failed" if self._send_failed else "write after close"
+        why = "send failed" if self.send_failed else "write after close"
         return ConnectionClosed(f"{self.name}: {why}")
 
     def write_frame(self, payload: bytes):
         if self._closed:
             raise self._write_refused()
         wire = frame_payload(payload)
-        if self._queue is None:
+        if not self._capacity:
             raise RuntimeError(f"{self.name}: written with no sender")
-        try:
-            self._queue.put(wire)
-        except ChannelClosed:
-            raise self._write_refused() from None
-        if not self._sending and len(self._queue) > 1:
-            # the idle sender has not run since the last write: hand over
-            with self._handed:
-                while not self._sending and len(self._queue):
-                    self._handed.wait()
+        now = time.monotonic_ns()
+        with self._lock:
+            if self._closed:
+                raise self._write_refused()
+            flight = self._flight_ns
+            alone = (not (self._busy or self._queue) and flight is not None
+                     and now - self._wrote_ns >= flight)
+            if alone:
+                self._busy = True
+            else:
+                self._enqueue(wire, now)
+        if alone and not self._transmit(wire, None):
+            raise ConnectionClosed(f"{self.name}: send failed")
+        self._wrote_ns = time.monotonic_ns()
+
+    def _enqueue(self, wire, now):
+        """Queue `wire` for the sender, once there is room; the caller
+        holds `_lock`."""
+        while len(self._queue) >= self._capacity and not self._closed:
+            self._to_writers.wait()
+        if self._closed:
+            raise self._write_refused()
+        queue = self._queue
+        if not queue:
+            self._queued_ns = now
+        queue.append(wire)
+        if not self._busy:
+            self._to_sender.notify()
+            if len(queue) > 1:  # the idle sender has not run: hand over
+                while self._queue is queue and not self._closed:
+                    self._to_writers.wait()
 
     def read_frame(self) -> bytes:
         if self._closed:
@@ -283,16 +359,17 @@ class SocketEndpoint:
         # idempotent. A hang-up or socket error already marked the stream
         # closed, but the socket is still open: it is released here, or by
         # the sender once it has sent what is queued
-        if self._queue is None:
-            self._release()
-            return
-        self._closed = True
-        with self._lock:  # ends a blocked read; the peer sees EOF later
-            try:
-                self._sock.shutdown(socket.SHUT_RD)
-            except OSError:
-                pass
-        self._queue.close()
+        with self._lock:
+            if self._busy or self._queue:
+                self._closed = True
+                try:  # ends a blocked read; the peer sees EOF later
+                    self._sock.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass
+            else:
+                self._release()
+            self._to_sender.notify()  # an idle sender ends
+            self._to_writers.notify_all()  # a writer waiting for room too
 
 
 def loopback_pair():

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from twinproto import transport
+from twinproto import harness, transport
 from twinproto.errors import ConnectionClosed, FrameTooLarge
 from twinproto.runtime import LockstepRuntime, WallRuntime
 from twinproto.transport import (
@@ -347,14 +347,21 @@ def test_tcp_roundtrip_over_loopback():
                 for s in (near, far)] == [1, 1]
 
 
-def test_socket_close_after_hang_up_releases_the_socket():
-    client, server = (SocketEndpoint(sock) for sock in loopback_pair())
+@pytest.mark.parametrize("senders", [False, True])
+def test_socket_close_after_hang_up_releases_the_socket(senders):
+    rt = WallRuntime()
+    if senders:
+        client, server = socket_pair(rt)
+        client.write_frame(b"unread")  # the sender has sent on the socket
+    else:
+        client, server = (SocketEndpoint(sock) for sock in loopback_pair())
     server.close()
     with pytest.raises(ConnectionClosed):
         client.read_frame()  # the hang-up marks the stream closed...
     with pytest.raises(ConnectionClosed, match="read after close"):
         client.read_frame()
     client.close()  # ...and close still releases the socket
+    assert rt.run(timeout=10.0) == []  # every sender has ended
     assert client._sock.fileno() == -1
 
 
@@ -384,12 +391,14 @@ def test_a_loopback_pair_that_cannot_be_made_keeps_no_socket(monkeypatch):
 
 
 class HeldSocket:
-    """A socket stand-in that keeps each call made on it, in order. Its
-    first `sendall` waits for `release`, once `first_send` is set; with
-    `fails`, every `sendall` raises as on a reset connection."""
+    """A socket stand-in that keeps each call made on it, in order, and the
+    thread of each `sendall`. Its first `sendall` waits for `release`, once
+    `first_send` is set; while `fails`, a `sendall` raises as on a reset
+    connection."""
 
     def __init__(self, fails=False):
         self.calls = []
+        self.senders = []
         self.first_send = threading.Event()
         self.release = threading.Event()
         self.fails = fails
@@ -398,6 +407,7 @@ class HeldSocket:
         if self.fails:
             raise ConnectionResetError(errno.ECONNRESET, "reset by peer")
         self.calls.append(("sendall", bytes(data)))
+        self.senders.append(threading.current_thread().name)
         if not self.first_send.is_set():
             self.first_send.set()
             assert self.release.wait(timeout=10.0)
@@ -424,7 +434,7 @@ def test_frames_written_during_a_send_go_out_in_one_send():
     rt = WallRuntime()
     end, sock = held_endpoint(rt, capacity=128)
     payloads = [bytes([i]) * (i % 7) for i in range(100)]
-    end.write_frame(payloads[0])
+    end.write_frame(payloads[0])  # queued: no batch has been timed yet
     end.write_frame(payloads[1])
     # a write that finds the idle sender has not taken the frame before it
     # waits until the sender has taken both
@@ -441,9 +451,31 @@ def test_frames_written_during_a_send_go_out_in_one_send():
     sock.release.set()
     assert rt.run(timeout=10.0) == []
     assert len(sock.sent()) == 2
+    assert sock.senders == ["held:send"] * 2
     assert b"".join(sock.sent()) == b"".join(map(frame_payload, payloads))
     # the hang-up comes after the last frame queued before close
     assert sock.calls[-2:] == [("shutdown", socket.SHUT_RDWR), ("close",)]
+
+
+def test_a_write_after_a_pause_sends_at_once_and_one_sooner_queues():
+    rt = WallRuntime()
+    end, sock = held_endpoint(rt, capacity=16)
+    end.write_frame(b"a")  # queued, and its batch timed
+    assert sock.first_send.wait(timeout=10.0)
+    time.sleep(0.1)  # the batch takes at least this long to go out
+    sock.release.set()
+    while end._busy or end._flight_ns is None:
+        time.sleep(0.001)
+    time.sleep(end._flight_ns / 1e9)  # a pause as long as that batch took
+    end.write_frame(b"b")  # would go out alone: sent on this thread
+    end.write_frame(b"c")  # sooner than a batch takes: queued
+    end.write_frame(b"d")
+    end.close()
+    assert rt.run(timeout=10.0) == []
+    assert sock.senders[:2] == ["held:send", threading.current_thread().name]
+    assert set(sock.senders[2:]) == {"held:send"}
+    assert b"".join(sock.sent()) == b"".join(
+        frame_payload(p) for p in (b"a", b"b", b"c", b"d"))
 
 
 def test_a_closed_socket_endpoint_delivers_what_it_queued_then_hangs_up():
@@ -472,16 +504,38 @@ def test_a_closed_socket_endpoint_delivers_what_it_queued_then_hangs_up():
     assert rt.run(timeout=10.0) == []
 
 
-def test_a_failed_send_closes_the_endpoint_and_refuses_the_next_write():
+def test_a_failed_send_of_queued_frames_is_reported_and_refuses_the_next_write():
     rt = WallRuntime()
     end, sock = held_endpoint(rt, capacity=16, fails=True)
     end.write_frame(b"lost")  # queued; the send fails on the sender's task
     assert rt.run(timeout=10.0) == []  # the sender ends on its own
     assert rt.task_errors() == []
+    assert end.send_failed
     with pytest.raises(ConnectionClosed, match="held: send failed"):
         end.write_frame(b"next")
     assert sock.calls == [("shutdown", socket.SHUT_RDWR), ("close",)]
+    # a run's downlink that lost them fails the run as a lost link
+    assert harness._link_losses(harness._Wiring(down=end)) == [
+        "held: send failed"]
     end.close()
+
+
+def test_a_failed_send_of_a_writers_own_frame_raises_in_that_write():
+    rt = WallRuntime()
+    end, sock = held_endpoint(rt, capacity=16)
+    sock.release.set()
+    end.write_frame(b"queued")  # times a batch
+    while end._busy or end._flight_ns is None:
+        time.sleep(0.001)
+    time.sleep(end._flight_ns / 1e9)
+    sock.fails = True
+    with pytest.raises(ConnectionClosed, match="held: send failed"):
+        end.write_frame(b"own")  # sent on this thread, and refused there
+    assert not end.send_failed  # no write that returned lost its frame
+    with pytest.raises(ConnectionClosed, match="held: write after close"):
+        end.write_frame(b"next")
+    assert rt.run(timeout=10.0) == []
+    assert harness._link_losses(harness._Wiring(down=end)) == []
 
 
 def test_a_writer_waits_at_the_links_capacity_until_the_sender_drains():
@@ -505,8 +559,9 @@ def test_a_writer_waits_at_the_links_capacity_until_the_sender_drains():
 
 
 def test_writers_and_the_sender_lose_no_frame_and_no_wake_up():
-    # three writers on one endpoint, with pauses that let the sender idle,
-    # and a short switch interval: a lost wake-up leaves a writer waiting
+    # three writers on one endpoint, with pauses that let the sender idle
+    # and let writes go out on their writers' threads, and a short switch
+    # interval: a lost wake-up leaves a writer waiting
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -538,12 +593,12 @@ def test_writers_and_the_sender_lose_no_frame_and_no_wake_up():
             [bytes([w]) + i.to_bytes(2, "big") for i in range(300)]
 
 
-def test_only_the_sender_sends_on_a_socket():
-    # a write queues its frame: one send per batch, not one per frame
+def test_every_send_on_a_socket_is_the_one_sendall():
+    # a writer's own frame and the sender's batch go out through one call
     tree = ast.parse(Path(transport.__file__).read_text())
     senders = [(func.name, node.attr) for func in ast.walk(tree)
                if isinstance(func, ast.FunctionDef)
                for node in ast.walk(func)
                if isinstance(node, ast.Attribute)
                and node.attr in ("send", "sendall", "sendmsg")]
-    assert senders == [("_send", "sendall")]
+    assert senders == [("_transmit", "sendall")]
