@@ -38,6 +38,8 @@ MODEL_ACTIONS = ("inject", "set_model")
 # the longest wait, in seconds, that `threading` accepts: a longer run
 # timeout or twinning period would overflow the platform's time_t
 WAIT_MAX_S = threading.TIMEOUT_MAX
+# a wall scenario's latest time in ms: an isolated plant waits 10 s longer
+WALL_MS_MAX = int((WAIT_MAX_S - 10) * 1000)
 
 
 @dataclass
@@ -130,6 +132,11 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_path(x):
+    """A non-empty string the OS can take as a path: it has no NUL byte."""
+    return isinstance(x, str) and x != "" and "\0" not in x
+
+
 def parse_scenario(data, path=None) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError("scenario root must be an object")
@@ -147,6 +154,12 @@ def parse_scenario(data, path=None) -> Scenario:
     duration = data.get("duration_ms", 0)
     _require(_is_int(duration) and duration > 0,
              f"{name}: duration_ms must be a positive integer")
+    wall_max = WALL_MS_MAX if clock is ClockMode.WALL else float("inf")
+    _require(duration <= wall_max,
+             f"{name}: a wall duration_ms must be at most {wall_max}")
+    for key in ("steps", "measurements"):
+        _require(isinstance(data.get(key, []), list),
+                 f"{name}: {key} must be a list")
 
     steps = []
     last_t = 0
@@ -183,7 +196,7 @@ def parse_scenario(data, path=None) -> Scenario:
         _require(isinstance(raw, (list, tuple)) and len(raw) == 2,
                  f"{where} must be [t_ms, value]")
         t, v = raw
-        _require(_is_int(t) and t >= 0, f"{where}: bad time {t!r}")
+        _require(_is_int(t) and 0 <= t <= wall_max, f"{where}: bad time {t!r}")
         _require(_is_int(v), f"{where}: bad value {v!r}")
         measurements.append((t, v))
 
@@ -204,13 +217,13 @@ def parse_scenario(data, path=None) -> Scenario:
 
     recording = data.get("recording")
     if mode == "dtp":
-        _require(isinstance(recording, str) and recording,
+        _require(_is_path(recording),
                  f"{name}: dtp mode needs a recording path")
     elif recording is not None:
         _require(mode != "pt", f"{name}: a pt run drives the real plant and "
                                f"plays no recording; a recorded plant is dtp")
-        _require(isinstance(recording, str) and recording,
-                 f"{name}: recording must be a non-empty path string")
+        _require(_is_path(recording), f"{name}: recording must be a "
+                 f"non-empty path string with no NUL byte")
 
     extra = set(data) - set(SCENARIO_KEYS)
     _require(not extra, f"{name}: unknown scenario keys {sorted(extra)}")
@@ -266,9 +279,9 @@ def load_config(path=None) -> RunConfig:
         cfg.run_timeout_s = float(timeout)
     thread_file = data.get("thread_file")
     if thread_file is not None:
-        if not isinstance(thread_file, str) or not thread_file:
+        if not _is_path(thread_file):
             raise ConfigError("config.thread_file must be a non-empty path "
-                              "string")
+                              "string with no NUL byte")
         cfg.thread_file = thread_file
     if "isolate" in data:
         if not isinstance(data["isolate"], bool):

@@ -17,10 +17,11 @@ calls the codec) and returns what it returns: None once the frame is sent,
 or, on a full lockstep link, the generator that waits and then sends, which
 the receive loop runs on that same task. So each device link keeps one
 writer: `tx-driver:recv` writes the sensor link and `sensor-driver:recv`
-writes the outbound link. The period, the data log and the stray count are
-touched by both tasks, under a short lock that is never held across a send
-(a send can park on a full link, and under lockstep a task blocked on a raw
-lock hangs the kernel).
+writes the outbound link, through the tx driver, which reads the inbound
+link and writes the outbound one. The period, the data log and the stray
+count are touched by both tasks, under a short lock that is never held
+across a send (a send can park on a full link, and under lockstep a task
+blocked on a raw lock hangs the kernel).
 
 `assemble_plant` builds the whole physical-twin stack. The only difference
 between a REAL and an EMULATED (prototype) assembly is what hangs off the far
@@ -50,7 +51,6 @@ from .devices import (
     DeviceStats,
     EmulatorDevice,
     SensorDevice,
-    TransmitterDevice,
     run_measurement_script,
     serve,
 )
@@ -133,8 +133,8 @@ def assemble_plant(runtime, bus, backing, outbound, inbound, recording=None,
     backing REAL: software sensor on a virtual serial pair.
     backing EMULATED: recording-fed emulator on the `bridge:` serial pair;
     `recording` (the recorded payloads, played once) is mandatory.
-    `outbound`/`inbound` are the transmitter's external link endpoints; the
-    tx driver writes the one and reads the other directly. The sensor
+    `outbound`/`inbound` are the plant's external link endpoints: the tx
+    driver reads `inbound` and writes `outbound` itself. The sensor
     link holds `link_capacity` frames per direction. The driver and control
     wiring is byte-identical in both cases.
 
@@ -158,11 +158,11 @@ def assemble_plant(runtime, bus, backing, outbound, inbound, recording=None,
         command_set=sensor.command_set,
         name="sensor-driver",
     )
-    tx_device = TransmitterDevice(outbound, inbound)
     tx_driver = DeviceDriver(
-        tx_device,
+        inbound,
         command_set=frozenset({OP_MEASUREMENT, OP_STATUS}),
         name="tx-driver",
+        out=outbound,
     )
     control = ControlLogic(sensor_driver.forward, tx_driver.forward)
 
@@ -185,7 +185,7 @@ def assemble_plant(runtime, bus, backing, outbound, inbound, recording=None,
 
     plant = PlantAssembly(backing, sensor, sensor_driver, tx_driver, control,
                           device_stats)
-    plant._closables = [dev_end, drv_end, tx_device]
+    plant._closables = [dev_end, drv_end, outbound, inbound]
     return plant
 
 

@@ -32,9 +32,9 @@ a device does at power-on. A device's `command_set` is a class constant, and
 the plant assembly builds the device's driver from it, so the two agree by
 construction and nothing checks them at start.
 
-The transmitter is not a device with a serve loop but the transmitter
-driver's connection itself: writes go straight out on the plant's outbound
-link and reads come straight in from its inbound link, with no task between;
+The transmitter is not a device with a serve loop but the tx driver
+itself, a driver that reads one link and writes another: it reads the
+plant's inbound link and writes its outbound link, with no task between;
 every plant is built with both links.
 
 The emulator is deliberately dumb: it replays previously recorded responses in
@@ -69,7 +69,6 @@ from .messages import (
     status,
 )
 from .statemachine import State, TwinState, process_event
-from .transport import Protocol
 
 DEFAULT_COMMAND_SET = frozenset({OP_COMMAND})
 
@@ -258,19 +257,22 @@ class DriverStats:
 
 
 class DeviceDriver:
-    """Pure relay between one connection and its callers.
+    """Pure relay between its links and its callers.
 
-    `receive(on_message)`: frame -> decode -> `on_message(msg, payload)`
-    on the loop's task (undecodable frames are counted and skipped).
-    `forward(payload)`: filter on the opcode byte -> write, on the caller's
-    task. No transformation, no reordering, no interpretation, and no
-    encode. `closed_by` holds the ConnectionClosed text that ended the
-    receive loop.
+    `receive(on_message)`: frame read from `conn` -> decode ->
+    `on_message(msg, payload)` on the loop's task (undecodable frames are
+    counted and skipped). `forward(payload)`: filter on the opcode byte ->
+    write to `out` (`conn` unless given; the tx driver writes the outbound
+    link and reads the inbound one), on the caller's task. No
+    transformation, no reordering, no interpretation, and no encode.
+    `closed_by` holds the ConnectionClosed text that ended the receive loop.
     """
 
-    def __init__(self, conn, command_set=DEFAULT_COMMAND_SET, name="driver"):
+    def __init__(self, conn, command_set=DEFAULT_COMMAND_SET, name="driver",
+                 out=None):
         self.name = name
         self.conn = conn
+        self.out = conn if out is None else out
         self.command_set = frozenset(command_set)
         self.stats = DriverStats()
         self.closed_by = None
@@ -298,6 +300,7 @@ class DeviceDriver:
                     yield from work
         except ConnectionClosed as exc:  # this link, or one a consumer writes
             self.closed_by = str(exc)
+            self.out.close()
             conn.close()
 
     def forward(self, payload: bytes):
@@ -309,10 +312,10 @@ class DeviceDriver:
         if payload[0] not in self.command_set:
             self.stats.skipped_out += 1
             return None
-        wait = self.conn.wait_write()
+        wait = self.out.wait_write()
         if wait is not None:
             return self._send_after(wait, payload)
-        self.conn.write_frame(payload)
+        self.out.write_frame(payload)
         self.stats.relayed_out += 1
         return None
 
@@ -320,35 +323,7 @@ class DeviceDriver:
         """`forward`'s generator: the wait it met first, then the send."""
         while wait is not None:
             yield wait
-            wait = self.conn.wait_write()
-        self.conn.write_frame(payload)
+            wait = self.out.wait_write()
+        self.out.write_frame(payload)
         self.stats.relayed_out += 1
 
-
-# ---------------------------------------------------------------------------
-# Transmitter (external links)
-# ---------------------------------------------------------------------------
-
-class TransmitterDevice:
-    """The tx driver's connection: the plant's two external links as one.
-
-    `write_frame` and `wait_write` are those of `outbound` (the PT-to-twin
-    stream), `read_frame` and `wait_read` those of `inbound` (the
-    twin-to-PT stream), so payloads pass verbatim. The tx driver's stats
-    count what crosses: `relayed_out` frames up, `relayed_in + skipped_in`
-    down.
-    """
-
-    protocol = Protocol.TCP
-
-    def __init__(self, outbound, inbound):
-        self.outbound = outbound
-        self.inbound = inbound
-        self.write_frame = outbound.write_frame
-        self.wait_write = outbound.wait_write
-        self.read_frame = inbound.read_frame
-        self.wait_read = inbound.wait_read
-
-    def close(self):
-        self.outbound.close()
-        self.inbound.close()

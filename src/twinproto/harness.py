@@ -167,7 +167,6 @@ class _Wiring:
     recording_path: str | None = None  # the emulator's recording, if any
     recording_frames: int = 0
     child: tuple | None = None  # the plant process's (pid, pipe)
-    sender: object = None  # the task that sends on `down`, if it is a socket
     log: ThreadLog | None = None
     twin: DigitalTwin | None = None
     pt2dt: tuple = ()
@@ -207,8 +206,8 @@ def run_scenario(scenario: Scenario, config: RunConfig | None = None) -> Session
     started = time.monotonic()
     wiring = _Wiring(log=log)
     plant_exit = 0  # an in-process plant has none
+    rt = make_runtime(scenario.clock, scenario.seed)
     try:
-        rt = make_runtime(scenario.clock, scenario.seed)
         try:
             _wire(rt, scenario, cfg, wiring)
         except RecordingMissing as exc:  # no task or child process is left
@@ -224,11 +223,7 @@ def run_scenario(scenario: Scenario, config: RunConfig | None = None) -> Session
                 wiring.down.close()
                 plant_exit = _end_plant_child(wiring.child,
                                               cfg.run_timeout_s)
-                if wiring.sender is not None:
-                    # a send the child left blocked failed at its exit, so
-                    # the sender has ended or is ending: the socket is
-                    # released before the run returns or raises
-                    wiring.sender.thread.join()
+            rt.stop()  # on a raise too; a blocked send ends at the child's exit
         finally:
             if log is not None:
                 log.close()  # the thread file's one flush, on every path
@@ -268,7 +263,7 @@ def _wire(rt, scenario: Scenario, cfg: RunConfig, wiring: _Wiring):
     if cfg.isolate:
         wiring.child, wiring.up, wiring.down = _start_plant_process(
             scenario, cfg.queue_capacity)
-        wiring.sender = wiring.down.start_sender(rt, cfg.queue_capacity)
+        wiring.down.start_sender(rt, cfg.queue_capacity)
     else:
         up_plant, wiring.up = connect_pair(rt, "link:pt-up", "link:peer-up",
                                            Protocol.TCP, cfg.queue_capacity)
@@ -738,8 +733,10 @@ def replay_thread(path, clock: ClockMode = ClockMode.LOCKSTEP, seed: int = 0,
             shadow.ingest(msg, rec.payload)
 
     rt.spawn(feeder, name="replay:feeder")
-    # the safety limit runs from the last frame's due time
-    _run_to_verdict(rt, timeout_s + due / ts_per_ms / 1000, result)
+    try:  # the safety limit runs from the last frame's due time
+        _run_to_verdict(rt, timeout_s + due / ts_per_ms / 1000, result)
+    finally:
+        rt.stop()
 
     stats = shadow.monitor_stats  # a halted run fed only what these count
     result.frames_fed = (stats.statuses + stats.measurements + stats.strays

@@ -12,6 +12,7 @@ module's Runtime interface:
     now_ns()              timestamp for records
     shutdown()            close every channel and wake every sleeper
     run(timeout=...)      wait for every task, those spawned meanwhile too
+    stop()                shut down, then give every task UNWIND_S to end
 
 A task that ends by returning or by meeting a closed channel or link (or a
 stopping runtime) is `done`; any other exception makes it `failed`, and the
@@ -215,7 +216,7 @@ class _WallChannel:
             return len(self._items)
 
 
-# most real seconds a run stopped at its timeout waits for tasks to unwind
+# most real seconds `stop` waits for tasks to unwind
 UNWIND_S = 2.0
 
 
@@ -282,8 +283,8 @@ class WallRuntime:
         run included; returns straggler names.
 
         Stragglers are named as the timeout found them, then the runtime is
-        shut down and they get a grace period to unwind, so a task parked on
-        a full or empty channel does not outlive the run.
+        stopped, so a task parked on a full or empty channel does not
+        outlive the run.
         """
         deadline = time.monotonic() + timeout
         joined = 0
@@ -296,13 +297,20 @@ class WallRuntime:
             for handle in tasks:
                 handle.thread.join(max(deadline - time.monotonic(), 0.01))
         with self._lock:
-            stragglers = [h for h in self._tasks if h.thread.is_alive()]
+            stragglers = [h.name for h in self._tasks if h.thread.is_alive()]
         if stragglers:
-            self.shutdown()
-            deadline = time.monotonic() + UNWIND_S
-            for handle in stragglers:
-                handle.thread.join(max(deadline - time.monotonic(), 0.01))
-        return [h.name for h in stragglers]
+            self.stop()
+        return stragglers
+
+    def stop(self):
+        """Shut down, then give every task UNWIND_S to end. Only the thread
+        that owns the runtime calls it, never a task."""
+        self.shutdown()
+        deadline = time.monotonic() + UNWIND_S
+        with self._lock:
+            tasks = list(self._tasks)
+        for handle in tasks:
+            handle.thread.join(max(deadline - time.monotonic(), 0.01))
 
     def task_errors(self):
         with self._lock:
@@ -649,9 +657,8 @@ class LockstepRuntime:
         a slice; each later slice is picked by the task that parks or exits
         before it. `timeout` is a real-time safety net against bugs, not a
         feature of the logical clock. At that limit or on a deadlock, the
-        runtime is shut down, its tasks get a grace period (`UNWIND_S`) to
-        unwind and their threads to exit, and KernelHalted carries the task
-        dump taken when the run stopped.
+        runtime is stopped, and KernelHalted carries the task dump taken
+        when the run stopped.
         """
         with self._lock:
             self._gave_up = False
@@ -666,10 +673,17 @@ class LockstepRuntime:
             else:
                 why = "lockstep deadlock: "
             why += self._dump()
+        self.stop()
+        raise KernelHalted(why)
+
+    def stop(self):
+        """Shut down, then give every task UNWIND_S to end: this thread
+        carries slices if the baton is free, waits for the baton and joins
+        the thread tasks. Only the runtime's owner calls it, never a task."""
         self.shutdown()
         with self._lock:
-            # the full grace, however short `timeout` was: a thread task may
-            # still be in its slice, changing what the caller reads next
+            # the full grace, however short `run`'s timeout was: a thread
+            # task may still be in its slice, changing what the caller reads
             unwind_until = time.monotonic() + UNWIND_S
             if self._baton_free:  # nobody is left to pick a slice
                 self._carry(UNWIND_S)
@@ -679,7 +693,6 @@ class LockstepRuntime:
             threads = [t.thread for t in self._tasks if t.gen is None]
         for thread in threads:  # a task frees the baton before its exit
             thread.join(max(unwind_until - time.monotonic(), 0.0))
-        raise KernelHalted(why)
 
     def task_errors(self):
         return [(t.name, t.error) for t in self._tasks if t.error is not None]

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import os
 from pathlib import Path
 
 from .errors import ConfigError, RecordingMissing
@@ -128,7 +129,7 @@ def validate_manifest(path) -> list:
         problems.append("no-documents: [documents] lists nothing")
     for key in tpl.documents:
         doc = tpl.document_path(key)
-        if not doc.is_file():
+        if not os.path.isfile(doc):  # False for a path the OS refuses too
             problems.append(f"missing-document: {key} -> {doc}")
         elif key == RECORDING_KEY:
             try:  # judged as the emulator would judge it

@@ -212,11 +212,10 @@ class SocketEndpoint:
 
     def start_sender(self, runtime, capacity):
         """Spawn the sender task on wall runtime `runtime`, with a queue of
-        `capacity` frames; returns its task handle. The sender ends once
-        the endpoint is closed and what was queued is sent, or a send
-        fails."""
+        `capacity` frames. The sender ends once the endpoint is closed and
+        what was queued is sent, or a send fails."""
         self._capacity = capacity
-        return runtime.spawn(self._send, name=f"{self.name}:send")
+        runtime.spawn(self._send, name=f"{self.name}:send")
 
     def _send(self):
         """The sender task's body: each batch queued goes out in one call;

@@ -12,6 +12,7 @@ from twinproto.config import (
     EXPECTATIONS,
     MODES,
     WAIT_MAX_S,
+    WALL_MS_MAX,
     RunConfig,
     load_config,
     load_scenario,
@@ -139,6 +140,42 @@ def test_thread_hash_only_with_lockstep():
             parse_scenario(data)
 
 
+STEP_AT_1E16 = [{"at_ms": 10 ** 16, "do": "command", "value": 50}]
+
+
+# each used to end in a traceback or a task's crash: a parse that iterates
+# what is not a list, a path the OS refuses, a wait `threading` refuses
+@pytest.mark.parametrize("data,needle", [
+    ([], "scenario root must be an object"),
+    (base(steps=5), "steps must be a list"),
+    (base(steps=None), "steps must be a list"),
+    (base(steps="abc"), "steps must be a list"),
+    (base(measurements={"0": 1}), "measurements must be a list"),
+    (base(mode="dtp", steps=[], recording="a\0b"), "needs a recording path"),
+    (base(mode="shadow", steps=[], recording="a\0b"), "no NUL byte"),
+    (base(clock="wall", duration_ms=10 ** 16, steps=STEP_AT_1E16),
+     f"a wall duration_ms must be at most {WALL_MS_MAX}"),
+    (base(clock="wall", measurements=[[10 ** 16, 1]]), "bad time"),
+])
+def test_parse_refuses_what_would_crash_the_run(data, needle):
+    with pytest.raises(ScenarioError, match=needle):
+        parse_scenario(data)
+
+
+def test_a_wall_scenario_lasts_at_most_what_its_longest_wait_takes():
+    # an isolated plant runs for `duration_ms / 1000 + 10` s; the logical
+    # clock waits for no thread
+    assert WALL_MS_MAX / 1000 + 10 <= WAIT_MAX_S
+    latest = base(clock="wall", duration_ms=WALL_MS_MAX,
+                  measurements=[[WALL_MS_MAX, 1]])
+    assert parse_scenario(latest).duration_ms == WALL_MS_MAX
+    latest["duration_ms"] += 1
+    with pytest.raises(ScenarioError, match="at most"):
+        parse_scenario(latest)
+    latest["clock"] = "lockstep"
+    assert parse_scenario(latest).duration_ms == WALL_MS_MAX + 1
+
+
 def test_pt_plays_no_recording_and_a_recording_is_a_path():
     # a recorded plant is dtp: pt names the real one
     data = base(mode="pt", steps=[], recording="sessions/a.rec")
@@ -191,6 +228,7 @@ def test_load_config_defaults_and_overrides(tmp_path):
     ({"run_timeout_s": float("nan")}, "finite"),
     ({"run_timeout_s": float("inf")}, "finite"),
     ({"thread_file": ""}, "config.thread_file"),
+    ({"thread_file": "a\0b"}, "no NUL byte"),  # ValueError in the run
 ])
 def test_load_config_rejects_bad_values(tmp_path, payload, needle):
     p = tmp_path / "cfg.json"
@@ -219,6 +257,8 @@ def test_a_wait_longer_than_threading_accepts_is_refused(tmp_path):
 
 INTS = st.integers(-(2 ** 40), 2 ** 40)
 NATURALS = st.integers(0, 2 ** 40)
+PATHS = st.text(st.characters(exclude_characters="\0"), min_size=1,
+                max_size=8)
 STATE_NAMES = st.sampled_from([s.name for s in State])
 STEP_VALUES = {
     "command": st.integers(COMMAND_MIN, COMMAND_MAX),
@@ -267,7 +307,7 @@ def scenarios(draw):
                                       max_size=6)),
     }
     if mode == "dtp" or (mode != "pt" and draw(st.booleans())):
-        data["recording"] = draw(st.text(min_size=1, max_size=8))
+        data["recording"] = draw(PATHS)
     expect = {}
     for key, (shapes, values) in EXPECT.items():
         if (mode in shapes and (key != "thread_sha256" or clock == "lockstep")
@@ -357,7 +397,7 @@ def configs(draw):
         # a longer wait than `threading` accepts is refused
         "run_timeout_s": st.integers(1, int(WAIT_MAX_S))
                          | st.floats(min_value=1e-3, max_value=WAIT_MAX_S),
-        "thread_file": st.none() | st.text(min_size=1, max_size=8),
+        "thread_file": st.none() | PATHS,
         "isolate": st.booleans(),
     }
     keys = draw(st.lists(st.sampled_from(sorted(values)), unique=True))

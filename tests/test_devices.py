@@ -11,7 +11,6 @@ from twinproto.devices import (
     DeviceStats,
     EmulatorDevice,
     SensorDevice,
-    TransmitterDevice,
     run_measurement_script,
     serve,
 )
@@ -318,19 +317,25 @@ def test_measurement_script_returns_its_count_when_its_link_closes():
     assert sent["n"] == 2
 
 
-def test_transmitter_relays_verbatim_both_ways():
+def test_a_driver_reads_one_link_and_writes_another():
+    # the tx driver's shape: it reads `conn`, the plant's inbound link, and
+    # writes `out`, its outbound link; a link loss closes both
     rt = WallRuntime()
     out_a, out_b = open_virtual_serial_pair(rt, "out-pt", "out-dt")
     in_a, in_b = open_virtual_serial_pair(rt, "in-dt", "in-pt")
-    tx = TransmitterDevice(outbound=out_a, inbound=in_b)
-    tx.write_frame(b"\x20\x01")           # PT stack -> outbound link
-    assert out_b.read_frame() == b"\x20\x01"
-    in_a.write_frame(b"\x01\x00\x32")     # inbound link -> PT stack
-    assert tx.read_frame() == b"\x01\x00\x32"
-    assert tx.protocol is Protocol.TCP
-    tx.close()  # closes both links
+    up, down = encode_message(status(1)), encode_message(command(50))
+    tx = DeviceDriver(in_b, frozenset({up[0]}), name="tx-driver", out=out_a)
+    assert tx.forward(up) is None  # PT stack -> outbound link
+    assert out_b.read_frame() == up
+    seen = []
+    rt.spawn(tx.receive(lambda msg, payload: seen.append(payload)),
+             name="tx-driver:recv")
+    in_a.write_frame(down)  # inbound link -> PT stack
+    in_a.close()
+    assert rt.run(timeout=5.0) == []
+    assert seen == [down]
+    assert tx.closed_by == "in-pt: stream closed"
     with pytest.raises(ConnectionClosed):
         out_b.read_frame()
     with pytest.raises(ConnectionClosed):
-        in_a.write_frame(b"\x01\x00\x00")
-
+        tx.forward(up)

@@ -789,6 +789,45 @@ def test_a_raise_out_of_the_run_still_closes_a_whole_thread_file(
     assert len(read_thread_file(thread)) == len(read_thread_file(whole))
 
 
+def paced_wall_replay(tmp_path):
+    """A paced wall replay of ten frames a second apart: its feeder would
+    feed for 9 s."""
+    lines = ["seq=1 ts=5000000000 dir=PT2DT kind=STA hex=2001"]
+    lines += [f"seq={n} ts={(n + 4) * 1_000_000_000} dir=PT2DT "
+              f"kind=MEA hex=10{n:08x}" for n in range(2, 11)]
+    thread = tmp_path / "paced.thread"
+    thread.write_text("\n".join(lines) + "\n")
+    return replay_thread(thread, clock=ClockMode.WALL)
+
+
+# a minute of scenario: the run's tasks would outlive the test by far
+LONG = {"duration_ms": 60_000, "expect": {},
+        "measurements": [[t, t] for t in range(0, 60_000, 50)]}
+
+RUNS_CUT_SHORT = {
+    "wall twin": lambda tmp_path: run_scenario(scenario(clock="wall", **LONG)),
+    "lockstep twin": lambda tmp_path: run_scenario(scenario(**LONG)),
+    "isolated twin": lambda tmp_path: run_scenario(
+        scenario(clock="wall", **LONG), RunConfig(isolate=True)),
+    "paced wall replay": paced_wall_replay,
+}
+
+
+@pytest.mark.parametrize("run", sorted(RUNS_CUT_SHORT))
+def test_a_raise_before_the_run_ends_every_task_of_it(tmp_path, monkeypatch,
+                                                      run):
+    # the tasks are running (wall) or waiting for their first slice
+    # (lockstep) when the raise comes: none of them may outlive it
+    def raise_first(*args):
+        raise RuntimeError("raised before the run")
+
+    monkeypatch.setattr(harness, "_run_to_verdict", raise_first)
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="raised before the run"):
+        RUNS_CUT_SHORT[run](tmp_path)
+    assert [t.name for t in threading.enumerate() if t not in before] == []
+
+
 @pytest.mark.parametrize("mode", ["pt", "dtp"])
 def test_thread_file_needs_a_shadow_or_twin_run(tmp_path, mode):
     # the operator holds both links of a pt or dtp run, so nothing is

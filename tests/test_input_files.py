@@ -84,6 +84,31 @@ def test_cli_replay_of_a_thread_that_is_not_utf8_is_exit_2(tmp_path, capsys):
     assert "error: cannot read record file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit", [
+    {"steps": 5},  # a TypeError out of the parse
+    {"clock": "wall", "duration_ms": 10 ** 16,  # an OverflowError in a task
+     "steps": [{"at_ms": 10 ** 16, "do": "command", "value": 50}]},
+])
+def test_cli_a_scenario_the_run_would_crash_on_is_exit_2(tmp_path, capsys,
+                                                         edit):
+    sc = tmp_path / "bad.json"
+    sc.write_text(json.dumps({"name": "crash", "mode": "twin",
+                              "duration_ms": 400, **edit}))
+    assert main(["run-twin", "--scenario", str(sc)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_a_manifest_document_path_the_os_refuses_is_a_problem(
+        tmp_path, capsys):
+    manifest = tmp_path / "plant.ini"
+    long_path = "d" * 5000  # ENAMETOOLONG
+    manifest.write_bytes(MANIFEST.replace(str(MISSION_REC).encode(),
+                                          long_path.encode()))
+    assert main(["template-validate", str(manifest)]) == 1
+    assert capsys.readouterr().out.startswith(
+        f"missing-document: recording -> {tmp_path / long_path}")
+
+
 def test_cli_a_manifest_with_a_bad_interpolation_is_a_parse_error(
         tmp_path, capsys):
     manifest = tmp_path / "plant.ini"

@@ -27,7 +27,7 @@ from twinproto import control, harness
 from twinproto.cli import main
 from twinproto.config import WAIT_MAX_S, RunConfig, parse_scenario
 from twinproto.control import plant_process_main
-from twinproto.errors import ConfigError
+from twinproto.errors import ConfigError, ConnectionClosed
 from twinproto.harness import run_scenario
 from twinproto.messages import decode_message, status
 from twinproto.runtime import WallRuntime
@@ -467,11 +467,11 @@ def test_a_link_that_cannot_be_made_is_refused_on_the_command_line(
     assert "Traceback" not in err
 
 
-def run_plant_until_hang_up(measurements=()):
+def run_plant_until_hang_up(measurements=(), hang_up=True):
     """`plant_process_main` on a thread here, handed the far-end sockets of
     two links this test holds, as the forked child is: the test reads the
-    plant's boot status, then closes the uplink. Returns the plant's
-    duration, its exit codes and what it raised."""
+    plant's boot status, then closes the uplink, unless not `hang_up`.
+    Returns the plant's duration, its exit codes and what it raised."""
     (up, up_far), (down, down_far) = loopback_pair(), loopback_pair()
     # a plant that fails leaves this test's reads waiting: they time out
     up.settimeout(10.0)
@@ -496,8 +496,13 @@ def run_plant_until_hang_up(measurements=()):
     assert decode_message(up.read_frame()) == status(0)  # the boot status
     # the uplink alone: no plant task but the watcher reads it, so only the
     # watcher can notice that it is gone
-    up.close()
+    if hang_up:
+        up.close()
     plant.join(timeout=30.0)
+    if not hang_up:  # the plant hung up on this end at its deadline
+        with pytest.raises(ConnectionClosed, match="peer hung up"):
+            up.read_frame()
+        up.close()
     down.close()
     assert not plant.is_alive()
     return duration_ms, exit_codes, raised
@@ -517,6 +522,22 @@ def test_an_isolated_plant_stops_at_the_parents_hang_up(monkeypatch):
     duration_ms, exit_codes, raised = run_plant_until_hang_up()
     assert raised == []
     assert exit_codes == [0]
+    assert sleeps == [duration_ms + 2000]
+
+
+def test_an_isolated_plant_stops_at_its_deadline_if_never_hung_up(
+        monkeypatch):
+    # the deadline is the plant's only timed wait; shortened here
+    sleeps = []
+    sleep_ms = WallRuntime.sleep_ms
+
+    def short_sleep(self, ms):
+        sleeps.append(ms)
+        return sleep_ms(self, 50)
+
+    monkeypatch.setattr(WallRuntime, "sleep_ms", short_sleep)
+    duration_ms, exit_codes, raised = run_plant_until_hang_up(hang_up=False)
+    assert (raised, exit_codes) == ([], [0])
     assert sleeps == [duration_ms + 2000]
 
 

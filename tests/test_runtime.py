@@ -907,3 +907,17 @@ def test_the_lockstep_kernel_has_one_timer_and_no_new_park():
     assert callers(runtime, "grant.acquire") == [
         "_LockTask.__init__", "LockstepRuntime._park",
         "LockstepRuntime.spawn.run", "LockstepRuntime.sleep_ms"]
+
+
+def test_only_the_runtime_reads_a_task_handles_thread():
+    # a run's tasks end one way, through `run` or `stop`: no other module
+    # reads a task handle's thread, to join it or to ask if it is alive
+    readers = []
+    for path in sorted(Path(runtime.__file__).parent.glob("*.py")):
+        if path.name != "runtime.py":
+            readers += [f"{path.name}:{node.lineno}"
+                        for node in ast.walk(ast.parse(path.read_text()))
+                        if isinstance(node, ast.Attribute)
+                        and isinstance(node.value, ast.Attribute)
+                        and node.value.attr == "thread"]
+    assert readers == []

@@ -63,6 +63,14 @@ def test_dangling_document_reported(valid_manifest):
     assert any(p.startswith("missing-document: design") for p in problems)
 
 
+def test_empty_documents_reported(tmp_path, valid_manifest):
+    text = valid_manifest.read_text()
+    start = text.index("[documents]\n") + len("[documents]\n")
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text[:start] + text[text.index("\n\n", start) + 1:])
+    assert "no-documents: [documents] lists nothing" in validate_manifest(bad)
+
+
 def test_empty_software_ref_reported(tmp_path, valid_manifest):
     text = valid_manifest.read_text().replace(
         "entry = twinproto.control:assemble_plant", "entry = ")

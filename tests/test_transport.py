@@ -49,6 +49,15 @@ def test_frozen_framing(payload, wire):
     assert unframe(wire) == payload
 
 
+@pytest.mark.parametrize("wire,why", [
+    (b"\x00\x00\x01", "short frame header"),
+    (b"\x00\x00\x00\x02\x01", "frame body 1 != prefix 2"),
+])
+def test_unframe_refuses_a_broken_frame(wire, why):
+    with pytest.raises(ConnectionClosed, match=why):
+        unframe(wire)
+
+
 def test_frame_size_ceiling():
     frame_payload(b"x" * MAX_FRAME_PAYLOAD)  # exactly at the limit is fine
     with pytest.raises(FrameTooLarge):
@@ -236,17 +245,21 @@ def test_bridge_works_under_lockstep():
 
 class ChunkedSocket:
     """A socket stand-in whose `recv(n)` hands out a byte stream in drawn
-    chunk sizes (at most `n` each), then EOF. `buffered_at_last_recv` is how
-    much of the stream had been handed out when `recv` was last called."""
+    chunk sizes (at most `n` each), then EOF, or a reset if `reset`.
+    `buffered_at_last_recv` is how much of the stream had been handed out
+    when `recv` was last called."""
 
-    def __init__(self, stream, sizes):
+    def __init__(self, stream, sizes, reset=False):
         self.stream = stream
         self.sizes = iter(sizes)
         self.handed = 0
         self.buffered_at_last_recv = None
+        self.reset = reset
 
     def recv(self, n):
         self.buffered_at_last_recv = self.handed
+        if self.reset and self.handed == len(self.stream):
+            raise ConnectionResetError(errno.ECONNRESET, "reset by peer")
         size = min(n, next(self.sizes, n))
         chunk = self.stream[self.handed:self.handed + size]
         self.handed += len(chunk)
@@ -261,10 +274,10 @@ payloads = st.lists(st.one_of(
 chunk_sizes = st.lists(st.integers(1, 9), max_size=40)
 
 
-def read_until_error(stream, sizes):
+def read_until_error(stream, sizes, reset=False):
     """Every frame a SocketEndpoint reads from `stream`, the error that ends
     the reads, and the fake socket."""
-    sock = ChunkedSocket(stream, sizes)
+    sock = ChunkedSocket(stream, sizes, reset)
     endpoint = SocketEndpoint(sock, name="fake")
     got = []
     while True:
@@ -281,7 +294,8 @@ def test_any_split_of_a_framed_stream_reads_as_unframe_reads_it(
         frames, sizes, data):
     wires = [frame_payload(p) for p in frames]
     stream = b"".join(wires)
-    ending = data.draw(st.sampled_from(["whole", "truncated", "oversize"]))
+    ending = data.draw(st.sampled_from(["whole", "truncated", "oversize",
+                                        "reset"]))
     if ending == "oversize":  # a prefix over the limit, then anything
         length = data.draw(st.integers(MAX_FRAME_PAYLOAD + 1, 2 ** 32 - 1))
         bad = FRAME_HEADER.pack(length) + data.draw(st.binary(max_size=16))
@@ -304,7 +318,7 @@ def test_any_split_of_a_framed_stream_reads_as_unframe_reads_it(
             break
         start += len(wire)
 
-    got, error, sock = read_until_error(stream, sizes)
+    got, error, sock = read_until_error(stream, sizes, ending == "reset")
     assert got == want
     if ending == "oversize":
         assert isinstance(error, FrameTooLarge)
@@ -313,6 +327,7 @@ def test_any_split_of_a_framed_stream_reads_as_unframe_reads_it(
     else:
         assert isinstance(error, ConnectionClosed)
         assert sock.handed == len(stream)
+        assert (str(error) == "fake: socket error") == (ending == "reset")
 
 
 def test_tcp_roundtrip_over_loopback():
@@ -538,24 +553,38 @@ def test_a_failed_send_of_a_writers_own_frame_raises_in_that_write():
     assert harness._link_losses(harness._Wiring(down=end)) == []
 
 
-def test_a_writer_waits_at_the_links_capacity_until_the_sender_drains():
+@pytest.mark.parametrize("then", ["drain", "close"])
+def test_a_writer_waits_at_the_links_capacity_until_the_sender_drains(then):
     rt = WallRuntime()
     end, sock = held_endpoint(rt, capacity=2)
     end.write_frame(b"0")
     assert sock.first_send.wait(timeout=10.0)
     end.write_frame(b"1")
     end.write_frame(b"2")  # the queue holds 2 frames
-    third = threading.Thread(target=end.write_frame, args=(b"3",))
+    refused = []
+
+    def write_third():
+        try:
+            end.write_frame(b"3")
+        except ConnectionClosed as exc:
+            refused.append(str(exc))
+
+    third = threading.Thread(target=write_third)
     third.start()
     third.join(timeout=0.2)
     assert third.is_alive()  # waits for room, as on an in-process link
+    if then == "close":  # ends the wait, and the frame is refused
+        end.close()
     sock.release.set()
     third.join(timeout=10.0)
     assert not third.is_alive()
     end.close()
     assert rt.run(timeout=10.0) == []
-    assert b"".join(sock.sent()) == b"".join(
-        frame_payload(p) for p in (b"0", b"1", b"2", b"3"))
+    sent = [b"0", b"1", b"2"]
+    if then == "drain":
+        sent.append(b"3")
+    assert refused == ([] if then == "drain" else ["held: write after close"])
+    assert b"".join(sock.sent()) == b"".join(map(frame_payload, sent))
 
 
 def test_writers_and_the_sender_lose_no_frame_and_no_wake_up():
