@@ -117,7 +117,7 @@ class RunConfig:
     queue_capacity: int = 4096
     run_timeout_s: float = 30.0
     thread_file: str | None = None  # a shadow or twin run's thread
-    # run the plant in a separate OS process over loopback TCP (wall clock only)
+    # run the plant in a forked OS process over socket pairs (wall clock only)
     isolate: bool = False
 
 

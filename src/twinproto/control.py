@@ -57,7 +57,6 @@ from .devices import (
 from .errors import ConnectionClosed, RecordingMissing
 from .messages import OP_MEASUREMENT, OP_STATUS, MessageKind
 from .runtime import WallRuntime
-from .thread_log import load_checked_recordings
 from .transport import (
     BRIDGE_WINDOW,
     Protocol,
@@ -208,11 +207,12 @@ EXIT_RECORDING_DRY = 3
 
 def plant_process_main(up, down, duration_ms, measurements, recording,
                        link_capacity) -> int:
-    """Child half of an isolated run: the whole plant behind two TCP links,
-    `up` and `down`, the endpoints over the sockets it inherits from the
-    parent. `measurements` are (t_ms, value) pairs and `recording` a path,
-    which the parent has checked, or None. `up` gets its sender task here,
-    with a queue of `link_capacity` frames; `down` is only read.
+    """Child half of an isolated run: the whole plant behind two socket
+    links, `up` and `down`, the endpoints over the sockets it inherits from
+    the parent. `measurements` are (t_ms, value) pairs and `recording` the
+    emulator's payloads, which the parent has loaded and checked, or None
+    for a real plant. `up` gets its sender task here, with a queue of
+    `link_capacity` frames; `down` is only read.
 
     Lives until the parent hangs up, or at most until the scenario duration
     plus a grace period, then tears itself down. Exits 1 if a task crashed
@@ -220,13 +220,8 @@ def plant_process_main(up, down, duration_ms, measurements, recording,
     """
     rt = WallRuntime()
     up.start_sender(rt, link_capacity)  # the tx driver writes the uplink
-    # The child parses the recording again, though the parent has it parsed
-    # and the fork would hand it over for free: while this parse runs, the
-    # operator's first burst queues on the downlink, and the plant then
-    # drains it in large reads. Handing over the parsed list boots the plant
-    # first, and `isolate-burst` fell from 76.6k to 64.7k frames/s.
-    plant = _start_plant(rt, load_checked_recordings(recording),
-                         up, down, measurements or None, link_capacity)
+    plant = _start_plant(rt, recording, up, down, measurements or None,
+                         link_capacity)
 
     def deadline():
         rt.sleep_ms(duration_ms + 2000)

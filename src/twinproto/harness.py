@@ -41,6 +41,7 @@ import os
 import select
 import shutil
 import signal
+import socket
 import sys
 import time
 import traceback
@@ -68,8 +69,7 @@ from .thread_log import (
     thread_digest,
     where_in_file,
 )
-from .transport import (Protocol, SocketEndpoint, connect_pair,
-                        loopback_pair)
+from .transport import Protocol, SocketEndpoint, connect_pair
 
 
 class _Verdict:
@@ -175,6 +175,8 @@ class _Wiring:
 
 def check_run_config(scenario: Scenario, cfg: RunConfig):
     """Raise ConfigError if `cfg` cannot run `scenario`; touches nothing."""
+    if cfg.thread_file and "\0" in str(cfg.thread_file):
+        raise ConfigError("thread_file must be a path with no NUL byte")
     if cfg.thread_file and scenario.mode not in OBSERVED:
         # the operator holds both links of a pt or dtp run: nothing taps
         # them, so there is no thread to write
@@ -249,7 +251,7 @@ def _wire(rt, scenario: Scenario, cfg: RunConfig, wiring: _Wiring):
     hops.
 
     The recording is checked first, before any link, task or child
-    exists; an isolated plant's child then loads its own copy. `wiring`
+    exists; an isolated plant's child plays the list checked here. `wiring`
     holds the child from its fork on, so the caller ends it whatever
     raises after.
     """
@@ -259,10 +261,10 @@ def _wire(rt, scenario: Scenario, cfg: RunConfig, wiring: _Wiring):
     wiring.recording_frames = len(recording) if recording else 0
     # who holds the far ends of the plant's two links depends on mode. With
     # isolation on, the plant lives in a child OS process and the links are
-    # real loopback TCP; otherwise everything shares this runtime.
+    # socket pairs; otherwise everything shares this runtime.
     if cfg.isolate:
         wiring.child, wiring.up, wiring.down = _start_plant_process(
-            scenario, cfg.queue_capacity)
+            scenario, recording, cfg.queue_capacity)
         wiring.down.start_sender(rt, cfg.queue_capacity)
     else:
         up_plant, wiring.up = connect_pair(rt, "link:pt-up", "link:peer-up",
@@ -488,6 +490,8 @@ def record_session(scenario: Scenario, config: RunConfig | None = None, *,
     """
     cfg = config if config is not None else RunConfig()
     lifted = check_recordable(scenario, cfg)
+    if "\0" in str(record_path):
+        raise ConfigError("record_path must be a path with no NUL byte")
     if not cfg.thread_file or \
             Path(cfg.thread_file).resolve() == Path(record_path).resolve():
         return run_scenario(lifted, replace(cfg, thread_file=str(record_path)))
@@ -520,8 +524,9 @@ def record_session(scenario: Scenario, config: RunConfig | None = None, *,
 # with no thread and no loop.
 
 
-def _start_plant_process(scenario: Scenario, link_capacity: int):
-    """Fork the plant's child on the far ends of two loopback links that
+def _start_plant_process(scenario: Scenario, recording, link_capacity: int):
+    """Fork the plant's child, which plays `recording` (the checked
+    emulator payloads, or None), on the far ends of two socket pairs that
     this process makes: (child, up_peer, down_peer), where `child` is the
     (pid, pipe) that `_end_plant_child` takes, `pipe` the read end of the
     child's pipe. A refusal is a ConfigError and leaves no socket or pipe
@@ -551,9 +556,8 @@ def _start_plant_process(scenario: Scenario, link_capacity: int):
     socks, pipe = [], ()
     try:
         for _ in range(2):
-            socks += loopback_pair()
+            socks += socket.socketpair()
         up, up_far, down, down_far = socks
-        recording = _recording_path(scenario)
         pipe = os.pipe()
         fds = [int(fd) for fd in os.listdir("/dev/fd")]
         sys.stdout.flush()

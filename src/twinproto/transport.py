@@ -3,7 +3,7 @@
 Every link carries whole frames: a payload of 0 to MAX_FRAME_PAYLOAD
 (2**20) bytes, delivered FIFO, exactly once and uncorrupted; there is no
 reordering layer because none of the underlying media (in-process pipes,
-loopback TCP) reorder. Two endpoint flavors share the same
+stream sockets) reorder. Two endpoint flavors share the same
 read_frame/write_frame surface:
 
 * in-process pairs (`connect_pair`, `open_virtual_serial_pair`) built on
@@ -15,11 +15,10 @@ read_frame/write_frame surface:
   up to BRIDGE_WINDOW frames per direction unless its builder sizes it.
   Frames pass through unchanged in both directions; killing the tunnel is
   closing either end, which fails pending reads on both;
-* `SocketEndpoint` over a TCP socket, used when assemblies run as separate
-  processes. `loopback_pair` makes such a link whole in one process, which
-  then hands one end to the other process (an isolated run passes the
-  plant's child its two ends as inherited file descriptors, so nothing
-  listens once the child runs). A socket is a byte stream, so each frame
+* `SocketEndpoint` over a connected stream socket, used when assemblies run
+  as separate processes: a TCP connection in the field, and in an isolated
+  run a `socket.socketpair` that the parent makes and whose far end the
+  plant's forked child inherits. A socket is a byte stream, so each frame
   goes on the wire behind a length prefix:
 
     [length: uint32 big-endian][payload bytes]
@@ -146,12 +145,12 @@ def open_virtual_serial_pair(runtime, name_a="ptyA", name_b="ptyB",
 
 
 # ---------------------------------------------------------------------------
-# Real TCP endpoints (separate-process deployments)
+# Socket endpoints (separate-process deployments)
 # ---------------------------------------------------------------------------
 
 class SocketEndpoint:
-    """Length-prefixed frames over a connected TCP socket. Same surface as
-    Endpoint.
+    """Length-prefixed frames over a connected stream socket. Same surface
+    as Endpoint.
 
     Reads go through one receive buffer: `read_frame` returns the next frame
     from it and calls `recv` only while the buffer holds no whole header or
@@ -370,21 +369,3 @@ class SocketEndpoint:
             self._to_sender.notify()  # an idle sender ends
             self._to_writers.notify_all()  # a writer waiting for room too
 
-
-def loopback_pair():
-    """Two connected loopback TCP sockets, Nagle off on both: listened
-    for, connected and accepted here, so no other process takes part. An
-    isolated run hands one end of each to the plant's child. Raises
-    OSError, keeping no socket, if the pair cannot be made."""
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as listener:
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(1)
-        near = socket.create_connection(listener.getsockname())
-        try:
-            far, _ = listener.accept()
-        except OSError:
-            near.close()
-            raise
-    for sock in (near, far):
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    return near, far

@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -548,9 +549,9 @@ def test_unusable_recording_is_a_fail_verdict_before_any_task(
         raise AssertionError("made before the recording check")
 
     # no link, socket, child or twin: the check comes before all of them
-    for name in ("connect_pair", "loopback_pair", "_start_plant_process",
-                 "assemble_twin"):
+    for name in ("connect_pair", "_start_plant_process", "assemble_twin"):
         monkeypatch.setattr(harness, name, made_before_the_check)
+    monkeypatch.setattr(socket, "socketpair", made_before_the_check)
     sc = scenario(recording="plant.rec", path=tmp_path / "case.json",
                   clock="wall" if isolate else "lockstep")
     result = run_scenario(sc, RunConfig(isolate=isolate))
@@ -711,6 +712,28 @@ def test_record_keeps_a_configured_thread_file_and_copies_it(tmp_path):
                            RunConfig(thread_file=str(rec)), record_path=rec)
     assert again.thread_sha256 == recorded.thread_sha256
     assert rec.read_bytes() == thread.read_bytes()
+
+
+@pytest.mark.parametrize("run, reason", [
+    pytest.param(lambda sc: run_scenario(sc, RunConfig(thread_file="a\0b")),
+                 "thread_file", id="run-thread-file"),
+    pytest.param(lambda sc: record_session(sc, record_path="a\0b"),
+                 "record_path", id="record-path"),
+    pytest.param(lambda sc: record_session(
+        sc, RunConfig(thread_file="own.thread"), record_path="a\0b"),
+        "record_path", id="record-path-beside-a-thread-file"),
+])
+def test_a_nul_byte_in_a_library_path_is_refused_before_the_run(
+        tmp_path, monkeypatch, run, reason):
+    # the OS takes no path with a NUL byte: refused as broken input, with
+    # no task started and no file made
+    monkeypatch.chdir(tmp_path)
+    threads = threading.active_count()
+    with pytest.raises(ConfigError, match=f"{reason} must be a path with "
+                                          f"no NUL byte"):
+        run(scenario(mode="pt"))
+    assert threading.active_count() == threads
+    assert os.listdir(tmp_path) == []
 
 
 # 300 commands at once, ending OFF: the thread passes 8 KiB, so the file's

@@ -1,11 +1,11 @@
 """The plant gives identical results in-process and as a separate OS process.
 
 Isolated runs put the whole plant in a forked child process and carry both
-links over real loopback TCP; nothing about the protocol or the engine may
-care about the difference. The parent makes both links and hands the child
-its ends, so every way a start can fail is the parent's to clean up. The
-child is a fork: what it inherits, and what it must leave alone, is pinned
-here too.
+links over socket pairs; nothing about the protocol or the engine may care
+about the difference. The parent makes both links and hands the child its
+ends, with the recording it has already checked, so every way a start can
+fail is the parent's to clean up. The child is a fork: what it inherits,
+and what it must leave alone, is pinned here too.
 """
 
 import ast
@@ -17,22 +17,23 @@ import os
 import pathlib
 import resource
 import signal
+import socket
 import threading
 import time
 import warnings
 
 import pytest
 
-from twinproto import control, harness
+from twinproto import control, harness, thread_log
 from twinproto.cli import main
 from twinproto.config import WAIT_MAX_S, RunConfig, parse_scenario
 from twinproto.control import plant_process_main
 from twinproto.errors import ConfigError, ConnectionClosed
-from twinproto.harness import run_scenario
+from twinproto.harness import record_session, run_scenario
 from twinproto.messages import decode_message, status
 from twinproto.runtime import WallRuntime
 from twinproto.thread_log import ThreadDirection, read_thread_file
-from twinproto.transport import SocketEndpoint, loopback_pair
+from twinproto.transport import SocketEndpoint
 
 
 def mission(**over):
@@ -84,8 +85,6 @@ def test_isolated_twin_matches_in_process(tmp_path):
 
 
 def test_isolated_dtp_replays_a_recording(tmp_path):
-    from twinproto.harness import record_session
-
     rec = tmp_path / "cap.rec"
     captured = record_session(mission(mode="pt"), record_path=rec)
     assert captured.ok, captured.failures
@@ -96,6 +95,37 @@ def test_isolated_dtp_replays_a_recording(tmp_path):
     assert result.ok, result.failures
     assert result.final_status == "OFF"
     assert result.statuses_seen == 4
+
+
+@pytest.mark.parametrize("mode", ["dtp", "twin"])
+def test_an_isolated_plant_plays_the_recording_its_parent_checked(
+        monkeypatch, tmp_path, mode):
+    # the child plays the list the parent parsed: a child that read the
+    # file again would crash here, and fail the run. A twin's thread shows
+    # the plant's frames, which must be those of the in-process run.
+    rec = tmp_path / "cap.rec"
+    assert record_session(mission(mode="pt"), record_path=rec).ok
+    sc = mission(name="iso-rec", mode=mode, recording=str(rec),
+                 expect={"final_status": "OFF", "min_statuses": 4})
+    parent, parse_file = os.getpid(), thread_log._parse_file
+
+    def parse_in_the_parent_only(path):
+        if os.getpid() != parent:
+            raise RuntimeError(f"the plant process read {path}")
+        return parse_file(path)
+
+    monkeypatch.setattr(thread_log, "_parse_file", parse_in_the_parent_only)
+    seen = []
+    for isolate in (False, True):
+        thread = str(tmp_path / f"{isolate}.thread") if mode == "twin" \
+            else None
+        result = run_scenario(sc, RunConfig(isolate=isolate,
+                                            thread_file=thread))
+        assert result.ok, result.failures
+        seen.append((result.final_status, result.statuses_seen,
+                     thread and payload_walk(thread)[ThreadDirection.PT2DT]))
+    assert seen[0] == seen[1]
+    assert seen[0][:2] == ("OFF", 4)
 
 
 def test_an_isolated_run_needs_no_pythonpath(monkeypatch):
@@ -161,18 +191,19 @@ def raised_and_unclosed(sc, cfg):
 
 
 def keep_links(monkeypatch, fail_at=None):
-    """The list of every socket the harness's `loopback_pair` calls make;
-    the call numbered `fail_at` (from 1) fails as if no descriptor were
-    left, and makes none."""
+    """The list of every socket the harness's `socketpair` calls make; the
+    call numbered `fail_at` (from 1) fails as if no descriptor were left,
+    and makes none."""
     made = []
+    socketpair = socket.socketpair
 
     def pair_and_keep():
         if len(made) // 2 + 1 == fail_at:
             raise OSError(errno.EMFILE, "Too many open files")
-        made.extend(loopback_pair())
+        made.extend(socketpair())
         return made[-2:]
 
-    monkeypatch.setattr(harness, "loopback_pair", pair_and_keep)
+    monkeypatch.setattr(socket, "socketpair", pair_and_keep)
     return made
 
 
@@ -340,7 +371,7 @@ def test_the_plant_process_holds_only_stdio_its_links_and_its_pipe(
 
     monkeypatch.setattr(control, "plant_process_main", report_fds)
     made = keep_links(monkeypatch)
-    child, up, down = harness._start_plant_process(mission(), 16)
+    child, up, down = harness._start_plant_process(mission(), None, 16)
     pipe = os.fstat(child[1]).st_ino
     try:
         report = b""
@@ -469,10 +500,10 @@ def test_a_link_that_cannot_be_made_is_refused_on_the_command_line(
 
 def run_plant_until_hang_up(measurements=(), hang_up=True):
     """`plant_process_main` on a thread here, handed the far-end sockets of
-    two links this test holds, as the forked child is: the test reads the
-    plant's boot status, then closes the uplink, unless not `hang_up`.
+    two socket pairs this test holds, as the forked child is: the test reads
+    the plant's boot status, then closes the uplink, unless not `hang_up`.
     Returns the plant's duration, its exit codes and what it raised."""
-    (up, up_far), (down, down_far) = loopback_pair(), loopback_pair()
+    (up, up_far), (down, down_far) = socket.socketpair(), socket.socketpair()
     # a plant that fails leaves this test's reads waiting: they time out
     up.settimeout(10.0)
     down.settimeout(10.0)
@@ -576,7 +607,7 @@ def test_the_wait_for_a_plant_process_is_bounded(monkeypatch):
 
     def end(plant_main, timeout_s):
         monkeypatch.setattr(control, "plant_process_main", plant_main)
-        child, up, down = harness._start_plant_process(mission(), 16)
+        child, up, down = harness._start_plant_process(mission(), None, 16)
         up.close()
         down.close()
         started = time.monotonic()
@@ -596,7 +627,7 @@ def test_the_wait_for_a_plant_process_takes_the_longest_run_timeout(
     # the longest `run_timeout_s` a config takes is far past the longest
     # wait `poll` takes, a C int of milliseconds
     monkeypatch.setattr(control, "plant_process_main", lambda *plant: 7)
-    child, up, down = harness._start_plant_process(mission(), 16)
+    child, up, down = harness._start_plant_process(mission(), None, 16)
     up.close()
     down.close()
     assert harness._end_plant_child(child, WAIT_MAX_S) == 7
@@ -681,3 +712,30 @@ def test_only_one_function_reaps_or_kills_a_plant_process():
     assert sorted(found) == [("harness.py", "_end_plant_child", "SIGKILL"),
                              ("harness.py", "_end_plant_child", "waitpid"),
                              ("harness.py", "_start_plant_process", "fork")]
+
+
+def calls_by_function(node, func=None):
+    """(enclosing function, called name) of each call under `node`, where
+    the name is what a plain or attribute call names last."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from calls_by_function(child, child.name)
+            continue
+        if isinstance(child, ast.Call):
+            called = child.func
+            yield func, getattr(called, "attr", getattr(called, "id", None))
+        yield from calls_by_function(child, func)
+
+
+def test_only_one_function_makes_a_socket_link():
+    # nothing in the package listens, accepts, binds or connects: an
+    # isolated run's links are the socket pairs `_start_plant_process`
+    # makes before it forks, and no port is ever opened
+    src = pathlib.Path(harness.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for func, name in calls_by_function(ast.parse(path.read_text())):
+            if name in ("listen", "accept", "bind", "connect",
+                        "create_connection", "socketpair"):
+                found.append((path.name, func, name))
+    assert found == [("harness.py", "_start_plant_process", "socketpair")]
