@@ -21,7 +21,8 @@ from operator import eq, ge
 from pathlib import Path
 
 from .errors import ConfigError, ScenarioError
-from .messages import COMMAND_MAX, COMMAND_MIN
+from .messages import (COMMAND_MAX, COMMAND_MIN, MEASUREMENT_MAX,
+                       MEASUREMENT_MIN)
 from .runtime import ClockMode
 from .statemachine import State
 
@@ -38,8 +39,8 @@ MODEL_ACTIONS = ("inject", "set_model")
 # the longest wait, in seconds, that `threading` accepts: a longer run
 # timeout or twinning period would overflow the platform's time_t
 WAIT_MAX_S = threading.TIMEOUT_MAX
-# a wall scenario's latest time in ms: an isolated plant waits 10 s longer
-WALL_MS_MAX = int((WAIT_MAX_S - 10) * 1000)
+# a wall scenario's latest time in ms: a step's or a measurement's wait
+WALL_MS_MAX = int(WAIT_MAX_S * 1000)
 
 
 @dataclass
@@ -198,6 +199,8 @@ def parse_scenario(data, path=None) -> Scenario:
         t, v = raw
         _require(_is_int(t) and 0 <= t <= wall_max, f"{where}: bad time {t!r}")
         _require(_is_int(v), f"{where}: bad value {v!r}")
+        _require(MEASUREMENT_MIN <= v <= MEASUREMENT_MAX,
+                 f"{where}: measurement value {v} out of range")
         measurements.append((t, v))
 
     raw_exp = data.get("expect", {})

@@ -37,7 +37,8 @@ the configuration is identical by construction, and the assembly's own
 `sensor_driver`, `tx_driver` and `control` show it.
 
 `plant_process_main` is the isolated plant's entry: the child process that
-an `isolate` run forks calls it on the two link sockets it inherits.
+an `isolate` run forks calls it on the two link sockets it inherits. It
+spawns no task of its own, and returns when the parent hangs up.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from .devices import (
 )
 from .errors import ConnectionClosed, RecordingMissing
 from .messages import OP_MEASUREMENT, OP_STATUS, MessageKind
-from .runtime import WallRuntime
+from .runtime import UNWIND_S, WallRuntime
 from .transport import (
     BRIDGE_WINDOW,
     Protocol,
@@ -205,7 +206,7 @@ def _start_plant(rt, recording, outbound, inbound, script, link_capacity):
 EXIT_RECORDING_DRY = 3
 
 
-def plant_process_main(up, down, duration_ms, measurements, recording,
+def plant_process_main(up, down, measurements, recording,
                        link_capacity) -> int:
     """Child half of an isolated run: the whole plant behind two socket
     links, `up` and `down`, the endpoints over the sockets it inherits from
@@ -214,33 +215,24 @@ def plant_process_main(up, down, duration_ms, measurements, recording,
     for a real plant. `up` gets its sender task here, with a queue of
     `link_capacity` frames; `down` is only read.
 
-    Lives until the parent hangs up, or at most until the scenario duration
-    plus a grace period, then tears itself down. Exits 1 if a task crashed
-    or straggled, EXIT_RECORDING_DRY if the emulator ran out of recordings.
+    The calling thread starts the plant, then reads `up`, which the parent
+    never writes: the read returns at the parent's hang-up (EOF or a reset)
+    or when the plant closes the link itself, and the plant is torn down
+    then. The parent alone bounds the child's life. Exits 1 if a task
+    crashed or straggled, EXIT_RECORDING_DRY if the emulator ran out of
+    recordings.
     """
     rt = WallRuntime()
     up.start_sender(rt, link_capacity)  # the tx driver writes the uplink
     plant = _start_plant(rt, recording, up, down, measurements or None,
                          link_capacity)
-
-    def deadline():
-        rt.sleep_ms(duration_ms + 2000)
-        plant.stop()
-        rt.shutdown()
-
-    def hangup_watch():
-        # the parent never writes the uplink, so this read returns only at
-        # hang-up (EOF or a reset) or when the plant closes the link itself
-        try:
-            up.read_frame()
-        except ConnectionClosed:
-            pass
-        plant.stop()
-        rt.shutdown()
-
-    rt.spawn(deadline, name="plant:deadline")
-    rt.spawn(hangup_watch, name="plant:hangup")
-    stragglers = rt.run(timeout=duration_ms / 1000.0 + 10.0)
+    try:
+        up.read_frame()
+    except ConnectionClosed:
+        pass
+    plant.stop()
+    rt.shutdown()
+    stragglers = rt.run(timeout=UNWIND_S)
     bad = False
     for task_name, err in rt.task_errors():
         print(f"plant task {task_name}: {err!r}", file=sys.stderr)

@@ -565,8 +565,7 @@ def _start_plant_process(scenario: Scenario, recording, link_capacity: int):
         pid = os.fork()
         if pid == 0:
             _run_plant_child(up_far, down_far, pipe[1], fds,
-                             scenario.duration_ms, scenario.measurements,
-                             recording, link_capacity)
+                             scenario.measurements, recording, link_capacity)
     except BaseException as exc:  # only this process gets here
         for sock in socks:
             sock.close()

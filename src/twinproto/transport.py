@@ -36,8 +36,9 @@ Each endpoint has one logical reader and one logical writer. A socket
 endpoint relies on the single reader: its `read_frame` slices frames out of
 a receive buffer that nothing else touches, so two tasks reading one socket
 endpoint would corrupt the stream. In an isolated run the child's `plant:up`
-is read only by its hang-up watcher and `plant:down` only by the transmitter
-driver, and the parent's `link:peer-up` only by the ingest or watch driver.
+is read only by the child's own thread, which waits there for the parent's
+hang-up, and `plant:down` only by the transmitter driver, and the parent's
+`link:peer-up` only by the ingest or watch driver.
 Only `plant:up` and `link:peer-down` are written, so only they have senders.
 
 `read_frame` and `write_frame` are plain calls that block their task. Their

@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,8 @@ from twinproto.config import (
     parse_scenario,
 )
 from twinproto.errors import ConfigError, ScenarioError
-from twinproto.messages import COMMAND_MAX, COMMAND_MIN
+from twinproto.messages import (COMMAND_MAX, COMMAND_MIN, MEASUREMENT_MAX,
+                                MEASUREMENT_MIN)
 from twinproto.runtime import ClockMode
 from twinproto.statemachine import State
 
@@ -156,6 +158,9 @@ STEP_AT_1E16 = [{"at_ms": 10 ** 16, "do": "command", "value": 50}]
     (base(clock="wall", duration_ms=10 ** 16, steps=STEP_AT_1E16),
      f"a wall duration_ms must be at most {WALL_MS_MAX}"),
     (base(clock="wall", measurements=[[10 ** 16, 1]]), "bad time"),
+    (base(measurements=[[10, 2 ** 32]]),  # a ValueOutOfRange in a task
+     "measurements\\[0\\]: measurement value 4294967296 out of range"),
+    (base(measurements=[[10, MEASUREMENT_MIN - 1]]), "out of range"),
 ])
 def test_parse_refuses_what_would_crash_the_run(data, needle):
     with pytest.raises(ScenarioError, match=needle):
@@ -163,9 +168,11 @@ def test_parse_refuses_what_would_crash_the_run(data, needle):
 
 
 def test_a_wall_scenario_lasts_at_most_what_its_longest_wait_takes():
-    # an isolated plant runs for `duration_ms / 1000 + 10` s; the logical
-    # clock waits for no thread
-    assert WALL_MS_MAX / 1000 + 10 <= WAIT_MAX_S
+    # a step's or a measurement's wait is at most the scenario's latest
+    # time, and `threading` takes that wait; the logical clock waits for
+    # no thread
+    assert WALL_MS_MAX / 1000 <= WAIT_MAX_S
+    assert threading.Lock().acquire(timeout=WALL_MS_MAX / 1000)
     latest = base(clock="wall", duration_ms=WALL_MS_MAX,
                   measurements=[[WALL_MS_MAX, 1]])
     assert parse_scenario(latest).duration_ms == WALL_MS_MAX
@@ -265,6 +272,7 @@ STEP_VALUES = {
     "inject": st.integers(COMMAND_MIN, COMMAND_MAX),
     "set_model": st.sampled_from([int(s) for s in State]),
 }
+MEASUREMENT_VALUES = st.integers(MEASUREMENT_MIN, MEASUREMENT_MAX)
 
 
 # each expectation key: the shapes whose runs produce it, and the values
@@ -303,8 +311,8 @@ def scenarios(draw):
         "seed": draw(INTS),
         "duration_ms": max(times, default=0) + draw(st.integers(1, 1000)),
         "steps": steps,
-        "measurements": draw(st.lists(st.tuples(NATURALS, INTS).map(list),
-                                      max_size=6)),
+        "measurements": draw(st.lists(
+            st.tuples(NATURALS, MEASUREMENT_VALUES).map(list), max_size=6)),
     }
     if mode == "dtp" or (mode != "pt" and draw(st.booleans())):
         data["recording"] = draw(PATHS)

@@ -88,6 +88,9 @@ def test_cli_replay_of_a_thread_that_is_not_utf8_is_exit_2(tmp_path, capsys):
     {"steps": 5},  # a TypeError out of the parse
     {"clock": "wall", "duration_ms": 10 ** 16,  # an OverflowError in a task
      "steps": [{"at_ms": 10 ** 16, "do": "command", "value": 50}]},
+    {"clock": "lockstep",  # a ValueOutOfRange in the measurement script
+     "steps": [{"at_ms": 0, "do": "command", "value": 50}],
+     "measurements": [[10, 2 ** 32]]},
 ])
 def test_cli_a_scenario_the_run_would_crash_on_is_exit_2(tmp_path, capsys,
                                                          edit):

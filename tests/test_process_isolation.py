@@ -24,11 +24,11 @@ import warnings
 
 import pytest
 
-from twinproto import control, harness, thread_log
+from twinproto import control, harness, runtime, thread_log
 from twinproto.cli import main
 from twinproto.config import WAIT_MAX_S, RunConfig, parse_scenario
 from twinproto.control import plant_process_main
-from twinproto.errors import ConfigError, ConnectionClosed
+from twinproto.errors import ConfigError
 from twinproto.harness import record_session, run_scenario
 from twinproto.messages import decode_message, status
 from twinproto.runtime import WallRuntime
@@ -353,6 +353,25 @@ def test_an_isolated_burst_through_links_of_two_frames_passes():
     assert result.ok, result.failures
 
 
+def test_an_isolated_burst_past_the_cycle_bound_fails_at_the_run_timeout(
+        monkeypatch):
+    # past the cycle's bound (see mapek) the burst stalls, and the run
+    # fails as it does in one process: at `run_timeout_s`, naming the stuck
+    # tasks. The child keeps no bound of its own that could end it first,
+    # hang up on the parent and leave only a failed send to report.
+    # `stop` then waits UNWIND_S for the writer blocked on the downlink;
+    # shortened here.
+    monkeypatch.setattr(runtime, "UNWIND_S", 0.1)
+    sc = mission(name="iso-stall", duration_ms=50,
+                 steps=[{"at_ms": 0, "do": "command", "value": 0}] * 3000,
+                 expect={})
+    result = run_scenario(sc, RunConfig(isolate=True, queue_capacity=2,
+                                        run_timeout_s=2.5))
+    assert result.failures[0].startswith("tasks never finished: ")
+    assert "op:script" in result.failures[0]
+    assert not any("send failed" in failure for failure in result.failures)
+
+
 def test_the_plant_process_holds_only_stdio_its_links_and_its_pipe(
         monkeypatch):
     # the child reports its open descriptors on its uplink; the one that is
@@ -498,17 +517,16 @@ def test_a_link_that_cannot_be_made_is_refused_on_the_command_line(
     assert "Traceback" not in err
 
 
-def run_plant_until_hang_up(measurements=(), hang_up=True):
+def run_plant_until_hang_up(measurements=()):
     """`plant_process_main` on a thread here, handed the far-end sockets of
     two socket pairs this test holds, as the forked child is: the test reads
-    the plant's boot status, then closes the uplink, unless not `hang_up`.
-    Returns the plant's duration, its exit codes and what it raised."""
+    the plant's boot status, then closes the uplink. Returns the plant's
+    exit codes and what it raised."""
     (up, up_far), (down, down_far) = socket.socketpair(), socket.socketpair()
     # a plant that fails leaves this test's reads waiting: they time out
     up.settimeout(10.0)
     down.settimeout(10.0)
     # the plant owns its ends, as the child owns the sockets it inherits
-    duration_ms = 1000
     plant_up = SocketEndpoint(up_far, name="plant:up")
     plant_down = SocketEndpoint(down_far, name="plant:down")
     exit_codes, raised = [], []
@@ -516,8 +534,7 @@ def run_plant_until_hang_up(measurements=(), hang_up=True):
     def run_plant():
         try:
             exit_codes.append(plant_process_main(
-                plant_up, plant_down, duration_ms, list(measurements), None,
-                16))
+                plant_up, plant_down, list(measurements), None, 16))
         except BaseException as exc:
             raised.append(exc)
 
@@ -525,23 +542,18 @@ def run_plant_until_hang_up(measurements=(), hang_up=True):
     plant.start()
     up, down = SocketEndpoint(up), SocketEndpoint(down)
     assert decode_message(up.read_frame()) == status(0)  # the boot status
-    # the uplink alone: no plant task but the watcher reads it, so only the
-    # watcher can notice that it is gone
-    if hang_up:
-        up.close()
+    # the uplink alone: no plant task reads it, so only the thread that
+    # called `plant_process_main` can notice that it is gone
+    up.close()
     plant.join(timeout=30.0)
-    if not hang_up:  # the plant hung up on this end at its deadline
-        with pytest.raises(ConnectionClosed, match="peer hung up"):
-            up.read_frame()
-        up.close()
     down.close()
     assert not plant.is_alive()
-    return duration_ms, exit_codes, raised
+    return exit_codes, raised
 
 
 def test_an_isolated_plant_stops_at_the_parents_hang_up(monkeypatch):
-    # its only timed wait must be the deadline's, so nothing polls for the
-    # hang-up
+    # the hang-up alone ends it: no timed wait bounds its life, and
+    # nothing polls for the hang-up
     sleeps = []
     sleep_ms = WallRuntime.sleep_ms
 
@@ -550,26 +562,10 @@ def test_an_isolated_plant_stops_at_the_parents_hang_up(monkeypatch):
         return sleep_ms(self, ms)
 
     monkeypatch.setattr(WallRuntime, "sleep_ms", recording_sleep)
-    duration_ms, exit_codes, raised = run_plant_until_hang_up()
+    exit_codes, raised = run_plant_until_hang_up()
     assert raised == []
     assert exit_codes == [0]
-    assert sleeps == [duration_ms + 2000]
-
-
-def test_an_isolated_plant_stops_at_its_deadline_if_never_hung_up(
-        monkeypatch):
-    # the deadline is the plant's only timed wait; shortened here
-    sleeps = []
-    sleep_ms = WallRuntime.sleep_ms
-
-    def short_sleep(self, ms):
-        sleeps.append(ms)
-        return sleep_ms(self, 50)
-
-    monkeypatch.setattr(WallRuntime, "sleep_ms", short_sleep)
-    duration_ms, exit_codes, raised = run_plant_until_hang_up(hang_up=False)
-    assert (raised, exit_codes) == ([], [0])
-    assert sleeps == [duration_ms + 2000]
+    assert sleeps == []
 
 
 def test_a_plant_whose_task_crashed_exits_1_naming_the_task(
@@ -578,7 +574,7 @@ def test_a_plant_whose_task_crashed_exits_1_naming_the_task(
         raise RuntimeError("script broke")
 
     monkeypatch.setattr(control, "run_measurement_script", broken_script)
-    _, exit_codes, raised = run_plant_until_hang_up(measurements=[(10, 1)])
+    exit_codes, raised = run_plant_until_hang_up(measurements=[(10, 1)])
     assert raised == []
     assert exit_codes == [1]
     assert capsys.readouterr().err == \
@@ -712,6 +708,20 @@ def test_only_one_function_reaps_or_kills_a_plant_process():
     assert sorted(found) == [("harness.py", "_end_plant_child", "SIGKILL"),
                              ("harness.py", "_end_plant_child", "waitpid"),
                              ("harness.py", "_start_plant_process", "fork")]
+
+
+def test_the_plant_process_starts_no_task_and_keeps_no_timer():
+    # the parent alone ends an isolated plant, by hanging up: the child's
+    # entry spawns nothing and waits on no clock, so the parent's
+    # `run_timeout_s` is the run's one bound
+    tree = ast.parse(pathlib.Path(control.__file__).read_text())
+    [entry] = [node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)
+               and node.name == "plant_process_main"]
+    called = {getattr(node.func, "attr", getattr(node.func, "id", None))
+              for node in ast.walk(entry) if isinstance(node, ast.Call)}
+    assert "read_frame" in called  # the one read that waits for hang-up
+    assert called.isdisjoint({"spawn", "sleep_ms", "pause"})
 
 
 def calls_by_function(node, func=None):
