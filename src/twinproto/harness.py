@@ -65,7 +65,7 @@ from .thread_log import (
     ThreadDirection,
     ThreadLog,
     load_checked_recordings,
-    read_thread_file,
+    read_frames,
     thread_digest,
     where_in_file,
 )
@@ -653,32 +653,20 @@ class ReplayResult(_Verdict):
 WALL_TS_MIN = 1_000_000_000
 
 
-# read once a record by `_replay_plan` (see messages._STATUS)
-_PT2DT, _STANDBY = ThreadDirection.PT2DT, State.STANDBY
-
-
-def _replay_plan(records):
-    """One pass over a record file: the PT2DT frames to feed, in order, and
-    the state walk they imply, by name: each distinct change from STANDBY.
-
-    The records come from `read_thread_file`, which has checked every
-    (dir, kind) pair and that every STA payload is a valid STATUS, so every
-    PT2DT record but a NOTE is a frame, and a status's state is its code
+def _record_walk(frames):
+    """The state walk a record's statuses imply, by name: each distinct
+    change from STANDBY. Only STA frames count: a RAW one is fed, but was
+    not recorded as a status, whatever its bytes. `read_frames` has checked
+    that every STA payload is a valid STATUS, so its state is its code
     byte."""
-    frames, walk = [], []
-    feed = frames.append
-    current = _STANDBY
-    for rec in records:  # fields by index: 2 direction, 3 kind, 4 payload
-        if rec[2] is _PT2DT:
-            kind = rec[3]
-            if kind != "NOTE":
-                feed(rec)
-                if kind == "STA":
-                    state = STATE_OF_CODE[rec[4][1]]
-                    if state is not current:
-                        walk.append(state._name_)
-                        current = state
-    return frames, walk
+    walk, current = [], State.STANDBY
+    for tag, _, payload in frames:
+        if tag == "STA":
+            state = STATE_OF_CODE[payload[1]]
+            if state is not current:
+                walk.append(state._name_)
+                current = state
+    return walk
 
 
 def replay_thread(path, clock: ClockMode = ClockMode.LOCKSTEP, seed: int = 0,
@@ -686,7 +674,9 @@ def replay_thread(path, clock: ClockMode = ClockMode.LOCKSTEP, seed: int = 0,
     """Feed a record file's PT2DT frames into a fresh shadow's engine.
 
     The shadow sees exactly what the original one saw, so its model must
-    walk the same states. Its one task, `replay:feeder`, decodes each frame
+    walk the same states. The file is read into those frames alone, each
+    as its tag, ts and payload (`read_frames`), and every other line is
+    checked and dropped. Its one task, `replay:feeder`, decodes each frame
     for `DigitalTwin.ingest` and skips one that does not decode, as an
     ingest driver would. `paced` feeds each frame at its recorded time since
     the first frame, in whole milliseconds, with every gap capped at one
@@ -697,21 +687,23 @@ def replay_thread(path, clock: ClockMode = ClockMode.LOCKSTEP, seed: int = 0,
     ticks counted from 0, one per millisecond.
     """
     try:
-        records = read_thread_file(path)  # grammar and ordering enforced here
+        frames = read_frames(path)  # grammar and ordering enforced here
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read record file: {exc}") from None
     except ThreadLogError as exc:
         raise ConfigError(f"record file rejected{where_in_file(exc)}: {exc}") \
             from None
-    frames, want_walk = _replay_plan(records)
+    want_walk = _record_walk(frames)
+    payloads = [payload for _, _, payload in frames]
     result = ReplayResult(str(path))
     if paced is None:
         paced = clock is ClockMode.WALL
-    ts_per_ms = 1_000_000 if frames and frames[-1].ts >= WALL_TS_MIN else 1
+    ts_per_ms = 1_000_000 if frames and frames[-1][1] >= WALL_TS_MIN else 1
     due_ms, due = [], 0  # paced: when to feed each frame, gaps capped at 1 s
     if paced:
-        for prev, rec in zip(frames[:1] + frames, frames):
-            due += min(rec.ts - prev.ts, 1000 * ts_per_ms)
+        stamps = [ts for _, ts, _ in frames]
+        for prev, ts in zip(stamps[:1] + stamps, stamps):
+            due += min(ts - prev, 1000 * ts_per_ms)
             due_ms.append(due // ts_per_ms)
 
     rt = make_runtime(clock, seed)
@@ -721,7 +713,7 @@ def replay_thread(path, clock: ClockMode = ClockMode.LOCKSTEP, seed: int = 0,
     def feeder():  # a shadow's `ingest` returns None: it has no more to run
         nonlocal skipped
         t0, dues = rt.now_ns(), iter(due_ms)
-        for rec in frames:
+        for payload in payloads:
             if rt.stopping:  # a halted run; a paced sleep raises instead
                 return
             if paced:
@@ -729,11 +721,11 @@ def replay_thread(path, clock: ClockMode = ClockMode.LOCKSTEP, seed: int = 0,
                 if delay > 0:
                     rt.sleep_ms(delay)
             try:
-                msg = decode_message(rec.payload)
+                msg = decode_message(payload)
             except CodecError:  # skipped, as an ingest driver skips it
                 skipped += 1
                 continue
-            shadow.ingest(msg, rec.payload)
+            shadow.ingest(msg, payload)
 
     rt.spawn(feeder, name="replay:feeder")
     try:  # the safety limit runs from the last frame's due time

@@ -26,13 +26,17 @@ A file is read in binary blocks of about `_BLOCK` bytes, each ending at the
 end of a line. One bytes pattern, built at import from the codec's layouts
 and the (dir, kind) table, takes every line of a block at once, but only a
 line exactly as `format_line` writes it: plain decimal seq and ts of at most
-19 digits, a legal pair, and lowercase hex of a payload of the tagged kind
-(`unhexlify` refuses an odd-length RAW or NOTE hex).
-When a block holds any other line (a blank one, `+7`, uppercase hex, CRLF,
-bytes that are not UTF-8, a bad line) or its seq does not strictly increase
-after the blocks before it, the whole file is read again line by line in
-text, through `parse_record_line`, the one judge of such lines. Either way a
-file gives the same records or the same error.
+19 digits, a legal pair, and lowercase hex of a payload of the tagged kind,
+or of whole bytes for a RAW or NOTE. When a block holds any other line (a
+blank one, `+7`, uppercase hex, CRLF, bytes that are not UTF-8, a bad line)
+or its seq does not strictly increase after the blocks before it, the whole
+file is read again line by line in text, through `parse_record_line`, the
+one judge of such lines. Each reader keeps only what its caller uses of the
+lines it checks: `read_thread_file` a record per line, `load_recordings`
+the payloads an emulator plays, and `read_frames` the tag, ts and payload
+of each frame a replay feeds. It takes that from a block's matched lines
+or from the records of a file read line by line, so either way a file
+gives the same result or the same error.
 
 A ThreadLog has exactly one writer; taps on both directions funnel into it and
 appends are serialized. It keeps a running frame count per direction, so
@@ -49,7 +53,7 @@ from __future__ import annotations
 import hashlib
 import re
 import threading
-from binascii import Error as HexError, unhexlify
+from binascii import unhexlify
 from collections import namedtuple
 from enum import Enum
 from operator import itemgetter, lt
@@ -102,12 +106,12 @@ def _hex_shape(tag, tagged):
     """A pattern for the lowercase hex of each payload `parse_record_line`
     accepts under `tag`: a frame kind's opcode and then each value its
     layout holds, a RAW payload up to what a link carries, a NOTE's bytes.
-    A RAW or NOTE hex of odd length is left to `unhexlify` to refuse: a
-    repeated hex pair in the pattern took 0.25 s on a 1 MiB RAW line (2-CPU
-    x86-64 host), a run of hex digits a few ms."""
+    A RAW or NOTE hex is whole hex pairs, repeated possessively: a 1 MiB
+    RAW line took 25 ms (2-CPU x86-64 host), where a backtracking repeat
+    of pairs took 0.25 s."""
     if tagged is None:
-        return ("[0-9a-f]*" if tag == "NOTE"
-                else f"[0-9a-f]{{0,{2 * MAX_FRAME_PAYLOAD}}}")
+        return ("(?:[0-9a-f]{2})*+" if tag == "NOTE"
+                else f"(?:[0-9a-f]{{2}}){{0,{MAX_FRAME_PAYLOAD}}}+")
     opcode = tagged._value_
     layout = _LAYOUTS[opcode]
     width = layout.codec.size - 1
@@ -291,13 +295,14 @@ class ThreadLog:
                 self._fh = None
 
 
-def _read_blocks(path):
-    """The records of a file whose every line is as `format_line` writes
-    it, seq strictly increasing, read a block at a time; None for any other
-    file."""
-    records = []
+def _read_blocks(path, build):
+    """What `build(rows, seqs)` keeps of each block of a file whose every
+    line is as `format_line` writes it, seq strictly increasing, joined in
+    one list; None for any other file. `rows` are the block's lines as
+    `_BLOCK_LINE` splits them, each (seq, ts, pair, hex) in bytes, and
+    `seqs` their seqs as ints."""
+    kept = []
     last_seq = 0
-    new = tuple.__new__
     with open(path, "rb") as fh:
         while block := fh.read(_BLOCK):
             if block[-1] != 10:  # b"\n"
@@ -307,27 +312,20 @@ def _read_blocks(path):
             # unmatched but an unterminated last one
             if len(rows) != block.count(b"\n") or block[-1] != 10:
                 return None
-            try:
-                got = [new(ThreadRecord, (int(seq), int(ts),
-                                          *_BLOCK_SLOTS[pair],
-                                          unhexlify(hex_text)))
-                       for seq, ts, pair, hex_text in rows]
-            except HexError:  # an odd-length RAW or NOTE hex
-                return None
-            seqs = list(map(itemgetter(0), got))
+            seqs = list(map(int, map(itemgetter(0), rows)))
             if not all(map(lt, [last_seq, *seqs], seqs)):  # seq 0 too
                 return None
             last_seq = seqs[-1]
-            records += got
-    return records
+            kept += build(rows, seqs)
+    return kept
 
 
 def _read_lines(path) -> list:
-    """`_parse_file` by `parse_record_line` on each line of the file read
-    as text. Only a line feed ends a line, so the file reads as
-    `parse_record_line` reads each of its lines: a lone carriage return
-    stays inside its line, and the hex field's whitespace skipping takes a
-    CRLF ending."""
+    """The record of each line of the file read as text, by
+    `parse_record_line`, seq strictly increasing. Only a line feed ends a
+    line, so the file reads as `parse_record_line` reads each of its
+    lines: a lone carriage return stays inside its line, and the hex
+    field's whitespace skipping takes a CRLF ending."""
     records = []
     keep = records.append
     last_seq = 0
@@ -346,26 +344,59 @@ def _read_lines(path) -> list:
     return records
 
 
-def _parse_file(path) -> list:
-    """The record of each line of a whole thread file, in a list, seq
-    strictly increasing; each tagged payload's kind is checked and no
-    payload is decoded. A file the writer wrote is read in blocks, and any
-    other file line by line, for the same records or the same error."""
-    records = _read_blocks(path)
-    return _read_lines(path) if records is None else records
+def _parse_file(path, from_rows, from_records) -> list:
+    """What a caller keeps of a whole thread file, every line checked and
+    no payload decoded: `from_rows` of each block of a file the writer
+    wrote (see `_read_blocks`), and `from_records` of the records of any
+    other file, read line by line, for the same list or the same error."""
+    kept = _read_blocks(path, from_rows)
+    return from_records(_read_lines(path)) if kept is None else kept
+
+
+def _records(rows, seqs):
+    """The record of each row, as `parse_record_line` makes it."""
+    new = tuple.__new__
+    return [new(ThreadRecord, (seq, int(ts), *_BLOCK_SLOTS[pair],
+                               unhexlify(hex_text)))
+            for seq, (_, ts, pair, hex_text) in zip(seqs, rows)]
 
 
 def read_thread_file(path):
     """Load and validate a whole thread file (strictly increasing seq)."""
-    return _parse_file(path)
+    return _parse_file(path, _records, list)
+
+
+# the pair of each frame a replay feeds -> its tag, and the pairs of those
+# an emulator plays
+_FED = {pair: tag for pair, (direction, tag) in _BLOCK_SLOTS.items()
+        if direction is _PT2DT and tag != "NOTE"}
+_PLAYED = {pair for pair, tag in _FED.items() if tag != "RAW"}
 
 
 def load_recordings(path):
     """Emulator recordings: the payloads of the MEA and STA records of a
     thread file, in order, as they were on the wire. A recording is a
     thread file; every other line is skipped."""
-    return [rec.payload for rec in _parse_file(path)
-            if rec.kind in ("MEA", "STA")]
+    return _parse_file(
+        path,
+        lambda rows, _seqs: [unhexlify(hex_text)
+                             for _, _, pair, hex_text in rows
+                             if pair in _PLAYED],
+        lambda records: [rec.payload for rec in records
+                         if rec.kind in ("MEA", "STA")])
+
+
+def read_frames(path):
+    """The PT2DT frames of a thread file, in order, as a replay feeds them:
+    (tag, ts, payload) of each MEA, STA and RAW record. DT2PT records and
+    NOTEs are skipped."""
+    return _parse_file(
+        path,
+        lambda rows, _seqs: [(_FED[pair], int(ts), unhexlify(hex_text))
+                             for _, ts, pair, hex_text in rows
+                             if pair in _FED],
+        lambda records: [(rec.kind, rec.ts, rec.payload) for rec in records
+                         if rec.direction is _PT2DT and rec.kind != "NOTE"])
 
 
 def where_in_file(exc):

@@ -109,10 +109,10 @@ def test_an_isolated_plant_plays_the_recording_its_parent_checked(
                  expect={"final_status": "OFF", "min_statuses": 4})
     parent, parse_file = os.getpid(), thread_log._parse_file
 
-    def parse_in_the_parent_only(path):
+    def parse_in_the_parent_only(path, *builders):
         if os.getpid() != parent:
             raise RuntimeError(f"the plant process read {path}")
-        return parse_file(path)
+        return parse_file(path, *builders)
 
     monkeypatch.setattr(thread_log, "_parse_file", parse_in_the_parent_only)
     seen = []
@@ -366,7 +366,7 @@ def test_an_isolated_burst_past_the_cycle_bound_fails_at_the_run_timeout(
                  steps=[{"at_ms": 0, "do": "command", "value": 0}] * 3000,
                  expect={})
     result = run_scenario(sc, RunConfig(isolate=True, queue_capacity=2,
-                                        run_timeout_s=2.5))
+                                        run_timeout_s=1.0))
     assert result.failures[0].startswith("tasks never finished: ")
     assert "op:script" in result.failures[0]
     assert not any("send failed" in failure for failure in result.failures)

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from reference_thread_line import Rejected, ref_parse_line
 from twinproto import harness, messages, thread_log
 from twinproto.errors import CodecError, CorruptRecord
-from twinproto.harness import _replay_plan
 from twinproto.messages import (
     COMMAND_MAX,
     COMMAND_MIN,
@@ -43,6 +42,7 @@ from twinproto.thread_log import (
     ThreadRecord,
     load_recordings,
     parse_record_line,
+    read_frames,
     read_thread_file,
 )
 from twinproto.transport import MAX_FRAME_PAYLOAD, open_virtual_serial_pair
@@ -342,6 +342,9 @@ def test_the_writers_own_files_are_read_without_a_line_parse(tmp_path,
         assert read_thread_file(path) == records
     assert load_recordings(str(mission)) == [
         r.payload for r in want[str(mission)] if r.kind in ("MEA", "STA")]
+    assert read_frames(str(replay)) == [
+        (r.kind, r.ts, r.payload) for r in want[str(replay)]
+        if r.direction is PT2DT and r.is_frame]
     assert calls == []
 
     # one line the writer would not write sends the whole file line by line
@@ -574,7 +577,28 @@ def two_pass_replay_plan(records):
 
 @given(st.lists(records(), max_size=40))
 def test_replays_one_pass_feeds_and_walks_as_the_two_passes_did(recs):
-    assert _replay_plan(recs) == two_pass_replay_plan(recs)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "thread.log")
+        log = ThreadLog(path)
+        for rec in recs:
+            append(log, rec)
+        log.close()
+        frames = read_frames(path)
+    fed, walk = two_pass_replay_plan(log.records)
+    assert frames == [(rec.kind, rec.ts, rec.payload) for rec in fed]
+    assert harness._record_walk(frames) == walk
+
+
+def test_a_raw_frame_that_decodes_as_a_status_is_fed_but_not_walked(
+        tmp_path):
+    path = tmp_path / "thread.log"
+    path.write_text("seq=1 ts=0 dir=PT2DT kind=STA hex=2001\n"
+                    "seq=2 ts=1 dir=PT2DT kind=RAW hex=2002\n")
+    result = harness.replay_thread(path)
+    assert (result.frames_fed, result.statuses_seen) == (2, 2)
+    assert result.trajectory == ["ACTIVE", "OFF"]
+    assert result.failures == [
+        "trajectory ['ACTIVE', 'OFF'] != record walk ['ACTIVE']"]
 
 
 class Draft:
@@ -804,6 +828,18 @@ def thread_files(draw):
     return text.encode("utf-8")
 
 
+# each reader, and what it keeps of the records a file reads as line by line
+READERS = [
+    (read_thread_file, list),
+    (load_recordings, lambda records: [rec.payload for rec in records
+                                       if rec.kind in ("MEA", "STA")]),
+    (read_frames, lambda records: [(rec.kind, rec.ts, rec.payload)
+                                   for rec in records
+                                   if rec.direction is PT2DT
+                                   and rec.is_frame]),
+]
+
+
 @given(thread_files(), st.integers(8, 64))
 def test_a_file_read_in_blocks_reads_as_it_does_line_by_line(data, block):
     with tempfile.TemporaryDirectory() as tmp:
@@ -811,15 +847,17 @@ def test_a_file_read_in_blocks_reads_as_it_does_line_by_line(data, block):
         with open(path, "wb") as fh:
             fh.write(data)
         try:
-            want = thread_log._read_lines(path)
+            records = thread_log._read_lines(path)
         except CorruptRecord as exc:
-            with mock.patch.object(thread_log, "_BLOCK", block), \
-                    pytest.raises(CorruptRecord) as got:
-                read_thread_file(path)
-            assert (str(got.value), got.value.seq) == (str(exc), exc.seq)
+            for read, _ in READERS:
+                with mock.patch.object(thread_log, "_BLOCK", block), \
+                        pytest.raises(CorruptRecord) as got:
+                    read(path)
+                assert (str(got.value), got.value.seq) == (str(exc), exc.seq)
             return
         with mock.patch.object(thread_log, "_BLOCK", block):
-            assert read_thread_file(path) == want
+            for read, keep in READERS:
+                assert read(path) == keep(records), read.__name__
 
 
 @pytest.mark.parametrize("data", [
@@ -842,11 +880,13 @@ def test_a_file_the_writer_did_not_write_reads_as_it_does_line_by_line(
     path = tmp_path / "thread.log"
     path.write_bytes(data)
     try:
-        want = thread_log._read_lines(str(path))
+        records = thread_log._read_lines(str(path))
     except (CorruptRecord, UnicodeDecodeError) as exc:
-        with pytest.raises(type(exc)) as got:
-            read_thread_file(str(path))
-        assert (str(got.value), getattr(got.value, "seq", None)) == (
-            str(exc), getattr(exc, "seq", None))
+        for read, _ in READERS:
+            with pytest.raises(type(exc)) as got:
+                read(str(path))
+            assert (str(got.value), getattr(got.value, "seq", None)) == (
+                str(exc), getattr(exc, "seq", None))
         return
-    assert read_thread_file(str(path)) == want
+    for read, keep in READERS:
+        assert read(str(path)) == keep(records), read.__name__

@@ -28,6 +28,8 @@ ALLOWED = {
     "write_manifest": "tests",
     "is_frame": "C1, C3 and C6 (the acceptance gate's `frame_walk`), and "
                 "tests",
+    "read_thread_file": "C1, C3 and C6 (`frame_walk`), tests, and the "
+                        "benchmark's traced `thread_log.parse`",
 }
 
 
