@@ -27,16 +27,18 @@ end of a line. One bytes pattern, built at import from the codec's layouts
 and the (dir, kind) table, takes every line of a block at once, but only a
 line exactly as `format_line` writes it: plain decimal seq and ts of at most
 19 digits, a legal pair, and lowercase hex of a payload of the tagged kind,
-or of whole bytes for a RAW or NOTE. When a block holds any other line (a
-blank one, `+7`, uppercase hex, CRLF, bytes that are not UTF-8, a bad line)
-or its seq does not strictly increase after the blocks before it, the whole
-file is read again line by line in text, through `parse_record_line`, the
-one judge of such lines. Each reader keeps only what its caller uses of the
-lines it checks: `read_thread_file` a record per line, `load_recordings`
-the payloads an emulator plays, and `read_frames` the tag, ts and payload
-of each frame a replay feeds. It takes that from a block's matched lines
-or from the records of a file read line by line, so either way a file
-gives the same result or the same error.
+or, for a RAW or NOTE, of whole bytes (the reader checks that its length is
+even). When a block holds any other line (a blank one, `+7`, uppercase hex,
+CRLF, bytes that are not UTF-8, a bad line) or its seq does not strictly
+increase after the blocks before it, the whole file is read again line by
+line in text, through `parse_record_line`, the one judge of such lines.
+Each reader states once what its caller keeps of the lines it checks, as
+one builder over rows of (seq, ts, pair, hex): `read_thread_file` a record
+per line, `load_recordings` the payloads an emulator plays, and
+`read_frames` the tag, ts and payload of each frame a replay feeds. A
+file read line by line hands the builder each record as the row the
+writer's line would make, so either way a file gives the same result or
+the same error.
 
 A ThreadLog has exactly one writer; taps on both directions funnel into it and
 appends are serialized. It keeps a running frame count per direction, so
@@ -53,7 +55,7 @@ from __future__ import annotations
 import hashlib
 import re
 import threading
-from binascii import unhexlify
+from binascii import hexlify, unhexlify
 from collections import namedtuple
 from enum import Enum
 from operator import itemgetter, lt
@@ -106,12 +108,14 @@ def _hex_shape(tag, tagged):
     """A pattern for the lowercase hex of each payload `parse_record_line`
     accepts under `tag`: a frame kind's opcode and then each value its
     layout holds, a RAW payload up to what a link carries, a NOTE's bytes.
-    A RAW or NOTE hex is whole hex pairs, repeated possessively: a 1 MiB
-    RAW line took 25 ms (2-CPU x86-64 host), where a backtracking repeat
-    of pairs took 0.25 s."""
+    A RAW or NOTE hex is a run of hex digits, whose length `_read_blocks`
+    checks is even: a repeated hex pair in the pattern took 0.25 s on a
+    1 MiB RAW line (2-CPU x86-64 host), a run of hex digits 19 ms. (A
+    possessive repeat of pairs took 39 ms, but `re` takes it only from
+    Python 3.11.)"""
     if tagged is None:
-        return ("(?:[0-9a-f]{2})*+" if tag == "NOTE"
-                else f"(?:[0-9a-f]{{2}}){{0,{MAX_FRAME_PAYLOAD}}}+")
+        return ("[0-9a-f]*" if tag == "NOTE"
+                else f"[0-9a-f]{{0,{2 * MAX_FRAME_PAYLOAD}}}")
     opcode = tagged._value_
     layout = _LAYOUTS[opcode]
     width = layout.codec.size - 1
@@ -296,11 +300,10 @@ class ThreadLog:
 
 
 def _read_blocks(path, build):
-    """What `build(rows, seqs)` keeps of each block of a file whose every
-    line is as `format_line` writes it, seq strictly increasing, joined in
-    one list; None for any other file. `rows` are the block's lines as
-    `_BLOCK_LINE` splits them, each (seq, ts, pair, hex) in bytes, and
-    `seqs` their seqs as ints."""
+    """What `build(rows)` keeps of each block of a file whose every line is
+    as `format_line` writes it, seq strictly increasing, joined in one
+    list; None for any other file. `rows` are the block's lines as
+    `_BLOCK_LINE` splits them, each (seq, ts, pair, hex) in bytes."""
     kept = []
     last_seq = 0
     with open(path, "rb") as fh:
@@ -315,8 +318,11 @@ def _read_blocks(path, build):
             seqs = list(map(int, map(itemgetter(0), rows)))
             if not all(map(lt, [last_seq, *seqs], seqs)):  # seq 0 too
                 return None
+            # whole bytes: only a RAW or NOTE hex can be odd (see _hex_shape)
+            if any(len(row[3]) & 1 for row in rows):
+                return None
             last_seq = seqs[-1]
-            kept += build(rows, seqs)
+            kept += build(rows)
     return kept
 
 
@@ -344,26 +350,31 @@ def _read_lines(path) -> list:
     return records
 
 
-def _parse_file(path, from_rows, from_records) -> list:
-    """What a caller keeps of a whole thread file, every line checked and
-    no payload decoded: `from_rows` of each block of a file the writer
-    wrote (see `_read_blocks`), and `from_records` of the records of any
-    other file, read line by line, for the same list or the same error."""
-    kept = _read_blocks(path, from_rows)
-    return from_records(_read_lines(path)) if kept is None else kept
+# (direction, kind) -> the pair as _BLOCK_LINE captures it
+_PAIR_TEXT = {slot: pair for pair, slot in _BLOCK_SLOTS.items()}
 
 
-def _records(rows, seqs):
-    """The record of each row, as `parse_record_line` makes it."""
-    new = tuple.__new__
-    return [new(ThreadRecord, (seq, int(ts), *_BLOCK_SLOTS[pair],
-                               unhexlify(hex_text)))
-            for seq, (_, ts, pair, hex_text) in zip(seqs, rows)]
+def _parse_file(path, build) -> list:
+    """What `build` keeps of a whole thread file, every line checked and no
+    payload decoded. A file the writer wrote is read in blocks (see
+    `_read_blocks`); any other file is read line by line, and each record
+    handed to `build` as the row the writer's line would make, for the
+    same list or the same error."""
+    kept = _read_blocks(path, build)
+    if kept is not None:
+        return kept
+    return build([(b"%d" % seq, b"%d" % ts, _PAIR_TEXT[direction, kind],
+                   hexlify(payload))
+                  for seq, ts, direction, kind, payload in _read_lines(path)])
 
 
 def read_thread_file(path):
     """Load and validate a whole thread file (strictly increasing seq)."""
-    return _parse_file(path, _records, list)
+    new = tuple.__new__
+    return _parse_file(path, lambda rows: [
+        new(ThreadRecord, (int(seq), int(ts), *_BLOCK_SLOTS[pair],
+                           unhexlify(hex_text)))
+        for seq, ts, pair, hex_text in rows])
 
 
 # the pair of each frame a replay feeds -> its tag, and the pairs of those
@@ -377,26 +388,18 @@ def load_recordings(path):
     """Emulator recordings: the payloads of the MEA and STA records of a
     thread file, in order, as they were on the wire. A recording is a
     thread file; every other line is skipped."""
-    return _parse_file(
-        path,
-        lambda rows, _seqs: [unhexlify(hex_text)
-                             for _, _, pair, hex_text in rows
-                             if pair in _PLAYED],
-        lambda records: [rec.payload for rec in records
-                         if rec.kind in ("MEA", "STA")])
+    return _parse_file(path, lambda rows: [
+        unhexlify(hex_text) for _, _, pair, hex_text in rows
+        if pair in _PLAYED])
 
 
 def read_frames(path):
     """The PT2DT frames of a thread file, in order, as a replay feeds them:
     (tag, ts, payload) of each MEA, STA and RAW record. DT2PT records and
     NOTEs are skipped."""
-    return _parse_file(
-        path,
-        lambda rows, _seqs: [(_FED[pair], int(ts), unhexlify(hex_text))
-                             for _, ts, pair, hex_text in rows
-                             if pair in _FED],
-        lambda records: [(rec.kind, rec.ts, rec.payload) for rec in records
-                         if rec.direction is _PT2DT and rec.kind != "NOTE"])
+    return _parse_file(path, lambda rows: [
+        (_FED[pair], int(ts), unhexlify(hex_text))
+        for _, ts, pair, hex_text in rows if pair in _FED])
 
 
 def where_in_file(exc):

@@ -109,10 +109,10 @@ def test_an_isolated_plant_plays_the_recording_its_parent_checked(
                  expect={"final_status": "OFF", "min_statuses": 4})
     parent, parse_file = os.getpid(), thread_log._parse_file
 
-    def parse_in_the_parent_only(path, *builders):
+    def parse_in_the_parent_only(path, build):
         if os.getpid() != parent:
             raise RuntimeError(f"the plant process read {path}")
-        return parse_file(path, *builders)
+        return parse_file(path, build)
 
     monkeypatch.setattr(thread_log, "_parse_file", parse_in_the_parent_only)
     seen = []

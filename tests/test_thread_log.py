@@ -7,6 +7,7 @@ import ast
 import hashlib
 import os
 import random
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -803,6 +804,13 @@ def test_the_block_pattern_takes_raw_up_to_a_link_and_any_note(kind, size,
         line = ThreadRecord(3, 4, direction, kind, b"\xa5" * size).format_line()
         assert (thread_log._BLOCK_LINE.fullmatch(line.encode()) is not None
                 ) is taken
+
+
+def test_the_line_patterns_compile_on_python_3_10():
+    # possessive repeats and atomic groups: `re` takes them only from 3.11
+    for pattern in (thread_log._LINE.pattern,
+                    thread_log._BLOCK_LINE.pattern.decode("ascii")):
+        assert re.search(r"[*+?}]\+|\(\?>", pattern) is None
 
 
 @st.composite
