@@ -49,7 +49,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import control
+from . import control, runtime
 from .config import (EXPECTATIONS, OBSERVED, Expectations, RunConfig,
                      Scenario, load_scenario)
 from .control import EXIT_RECORDING_DRY, _start_plant
@@ -223,8 +223,8 @@ def run_scenario(scenario: Scenario, config: RunConfig | None = None) -> Session
             if wiring.child is not None:
                 wiring.up.close()
                 wiring.down.close()
-                plant_exit = _end_plant_child(wiring.child,
-                                              cfg.run_timeout_s)
+                deadline = started + cfg.run_timeout_s + runtime.UNWIND_S
+                plant_exit = _end_plant_child(wiring.child, deadline)
             rt.stop()  # on a raise too; a blocked send ends at the child's exit
         finally:
             if log is not None:
@@ -549,9 +549,10 @@ def _start_plant_process(scenario: Scenario, recording, link_capacity: int):
       is finalized in it, and it never unwinds this process's frames.
     - Threads: only the forking thread lives on in the child, and a lock
       another thread held at the fork stays held there. A child that
-      blocks on one never exits, and `_end_plant_child` kills it after
-      `run_timeout_s`, with a FAIL verdict. No wait of this process for
-      the child is unbounded.
+      blocks on one never exits, and `_end_plant_child` kills it at the
+      run's deadline, `run_timeout_s` + `UNWIND_S` after the run started,
+      with a FAIL verdict. No wait of this process for the child is
+      unbounded.
     """
     socks, pipe = [], ()
     try:
@@ -609,17 +610,20 @@ def _run_plant_child(up_far, down_far, pipe_fd: int, fds: list, *plant):
             os._exit(rc)
 
 
-def _end_plant_child(child, timeout_s):
-    """Wait up to `timeout_s` for the plant child's exit to close its pipe,
-    else kill it; reap it, close the pipe, and return its exit code, or
-    None if it had to be killed. The one `waitpid` of the child comes
-    after every signal to it, so no signal can reach a reused pid."""
+def _end_plant_child(child, deadline):
+    """Wait until `deadline` (on `time.monotonic`) for the plant child's
+    exit to close its pipe, else kill it; reap it, close the pipe, and
+    return its exit code, or None if it had to be killed. The one
+    `waitpid` of the child comes after every signal to it, so no signal
+    can reach a reused pid."""
     pid, pipe = child
     try:
         poller = select.poll()  # select() refuses a pipe past FD_SETSIZE
         poller.register(pipe, select.POLLIN)
-        # at most poll's C int of ms, some 24 days, with the same verdict
-        exited = poller.poll(min(timeout_s * 1000, 2**31 - 1))
+        # past the deadline, one look; at most poll's C int of ms, some 24
+        # days, with the same verdict
+        wait_ms = (deadline - time.monotonic()) * 1000
+        exited = poller.poll(min(max(wait_ms, 0), 2**31 - 1))
         if not exited:
             os.kill(pid, signal.SIGKILL)
         rc = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])

@@ -22,23 +22,24 @@ CorruptRecord carrying its seq, or its line number when the seq does not
 parse; that includes a direction/kind clash such as `dir=DT2PT kind=STA`.
 Records are named tuples: immutable, hashable and compared by value.
 
-A file is read in binary blocks of about `_BLOCK` bytes, each ending at the
-end of a line. One bytes pattern, built at import from the codec's layouts
-and the (dir, kind) table, takes every line of a block at once, but only a
-line exactly as `format_line` writes it: plain decimal seq and ts of at most
-19 digits, a legal pair, and lowercase hex of a payload of the tagged kind,
-or, for a RAW or NOTE, of whole bytes (the reader checks that its length is
-even). When a block holds any other line (a blank one, `+7`, uppercase hex,
-CRLF, bytes that are not UTF-8, a bad line) or its seq does not strictly
-increase after the blocks before it, the whole file is read again line by
-line in text, through `parse_record_line`, the one judge of such lines.
-Each reader states once what its caller keeps of the lines it checks, as
-one builder over rows of (seq, ts, pair, hex): `read_thread_file` a record
-per line, `load_recordings` the payloads an emulator plays, and
-`read_frames` the tag, ts and payload of each frame a replay feeds. A
-file read line by line hands the builder each record as the row the
-writer's line would make, so either way a file gives the same result or
-the same error.
+A file is read once, in binary blocks of about `_BLOCK` bytes, each ending
+at the end of a line. One bytes pattern, built at import from the codec's
+layouts and the (dir, kind) table, takes every line of a block at once, but
+only a line exactly as `format_line` writes it: plain decimal seq and ts of
+at most 19 digits, a legal pair, and lowercase hex of a payload of the
+tagged kind, or, for a RAW or NOTE, of whole bytes (the reader checks that
+its length is even). A block that holds any other line (a blank one, `+7`,
+uppercase hex, CRLF, bytes that are not UTF-8, a bad line), or whose seq
+does not strictly increase after the blocks before it, is judged where it
+stands: its lines, decoded as UTF-8 and split only at a line feed, go
+through `parse_record_line`, the one judge of such lines, and the next
+block takes the pattern again. Each reader states once what its caller
+keeps of the lines it checks, as one builder over rows of (seq, ts, pair,
+hex): `read_thread_file` a record per line, `load_recordings` the payloads
+an emulator plays, and `read_frames` the tag, ts and payload of each frame
+a replay feeds. A judged line reaches the builder as the row the writer's
+line would make, so a file gives the same result or the same error however
+its blocks fall.
 
 A ThreadLog has exactly one writer; taps on both directions funnel into it and
 appends are serialized. It keeps a running frame count per direction, so
@@ -53,6 +54,7 @@ payload the same way, so loading a thread file decodes nothing.
 from __future__ import annotations
 
 import hashlib
+import io
 import re
 import threading
 from binascii import hexlify, unhexlify
@@ -108,7 +110,7 @@ def _hex_shape(tag, tagged):
     """A pattern for the lowercase hex of each payload `parse_record_line`
     accepts under `tag`: a frame kind's opcode and then each value its
     layout holds, a RAW payload up to what a link carries, a NOTE's bytes.
-    A RAW or NOTE hex is a run of hex digits, whose length `_read_blocks`
+    A RAW or NOTE hex is a run of hex digits, whose length `_parse_file`
     checks is even: a repeated hex pair in the pattern took 0.25 s on a
     1 MiB RAW line (2-CPU x86-64 host), a run of hex digits 19 ms. (A
     possessive repeat of pairs took 39 ms, but `re` takes it only from
@@ -299,73 +301,59 @@ class ThreadLog:
                 self._fh = None
 
 
-def _read_blocks(path, build):
-    """What `build(rows)` keeps of each block of a file whose every line is
-    as `format_line` writes it, seq strictly increasing, joined in one
-    list; None for any other file. `rows` are the block's lines as
-    `_BLOCK_LINE` splits them, each (seq, ts, pair, hex) in bytes."""
+# (direction, kind) -> the pair as _BLOCK_LINE captures it
+_PAIR_TEXT = {slot: pair for pair, slot in _BLOCK_SLOTS.items()}
+
+
+def _judge_block(block, first, last_seq):
+    """The rows of a block that `_BLOCK_LINE` does not take whole, and its
+    last seq. Each line, split only at a line feed and numbered in the
+    file from `first`, is judged by `parse_record_line` and must raise seq
+    past `last_seq`; blank lines are skipped. Each record is the row the
+    writer's line would make."""
+    rows = []
+    text = io.StringIO(block.decode("utf-8"), newline="\n")
+    for lineno, line in enumerate(text, start=first):
+        if line.isspace():  # blank
+            continue
+        seq, ts, direction, kind, payload = parse_record_line(line, lineno)
+        if seq <= last_seq:
+            raise CorruptRecord(
+                f"seq {seq} not increasing after {last_seq}", seq=seq
+            )
+        last_seq = seq
+        rows.append((b"%d" % seq, b"%d" % ts, _PAIR_TEXT[direction, kind],
+                     hexlify(payload)))
+    return rows, last_seq
+
+
+def _parse_file(path, build) -> list:
+    """What `build(rows)` keeps of each block of a whole thread file, joined
+    in one list, every line checked and no payload decoded. `rows` are the
+    block's lines as `_BLOCK_LINE` splits them, each (seq, ts, pair, hex)
+    in bytes; a block the pattern does not take whole is judged line by
+    line where it stands (`_judge_block`), for the same rows or an error."""
     kept = []
-    last_seq = 0
+    last_seq = lineno = 0  # as the blocks before this one left them
     with open(path, "rb") as fh:
         while block := fh.read(_BLOCK):
             if block[-1] != 10:  # b"\n"
                 block += fh.readline()
             rows = _BLOCK_LINE.findall(block)
-            # each match is one whole line, so equal counts leave no line
-            # unmatched but an unterminated last one
-            if len(rows) != block.count(b"\n") or block[-1] != 10:
-                return None
+            lines = block.count(b"\n")
             seqs = list(map(int, map(itemgetter(0), rows)))
-            if not all(map(lt, [last_seq, *seqs], seqs)):  # seq 0 too
-                return None
-            # whole bytes: only a RAW or NOTE hex can be odd (see _hex_shape)
-            if any(len(row[3]) & 1 for row in rows):
-                return None
-            last_seq = seqs[-1]
+            # each match is one whole line, so equal counts leave no line
+            # unmatched but an unterminated last one; whole bytes: only a
+            # RAW or NOTE hex can be odd (see _hex_shape); seq 0 fails too
+            if (len(rows) == lines and block[-1] == 10
+                    and all(map(lt, [last_seq, *seqs], seqs))
+                    and not any(len(row[3]) & 1 for row in rows)):
+                last_seq = seqs[-1]
+            else:
+                rows, last_seq = _judge_block(block, lineno + 1, last_seq)
+            lineno += lines
             kept += build(rows)
     return kept
-
-
-def _read_lines(path) -> list:
-    """The record of each line of the file read as text, by
-    `parse_record_line`, seq strictly increasing. Only a line feed ends a
-    line, so the file reads as `parse_record_line` reads each of its
-    lines: a lone carriage return stays inside its line, and the hex
-    field's whitespace skipping takes a CRLF ending."""
-    records = []
-    keep = records.append
-    last_seq = 0
-    with open(path, "r", encoding="utf-8", newline="\n") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.isspace():  # blank
-                continue
-            rec = parse_record_line(line, lineno)
-            seq = rec[0]
-            if seq <= last_seq:
-                raise CorruptRecord(
-                    f"seq {seq} not increasing after {last_seq}", seq=seq
-                )
-            last_seq = seq
-            keep(rec)
-    return records
-
-
-# (direction, kind) -> the pair as _BLOCK_LINE captures it
-_PAIR_TEXT = {slot: pair for pair, slot in _BLOCK_SLOTS.items()}
-
-
-def _parse_file(path, build) -> list:
-    """What `build` keeps of a whole thread file, every line checked and no
-    payload decoded. A file the writer wrote is read in blocks (see
-    `_read_blocks`); any other file is read line by line, and each record
-    handed to `build` as the row the writer's line would make, for the
-    same list or the same error."""
-    kept = _read_blocks(path, build)
-    if kept is not None:
-        return kept
-    return build([(b"%d" % seq, b"%d" % ts, _PAIR_TEXT[direction, kind],
-                   hexlify(payload))
-                  for seq, ts, direction, kind, payload in _read_lines(path)])
 
 
 def read_thread_file(path):

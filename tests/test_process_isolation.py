@@ -399,7 +399,7 @@ def test_the_plant_process_holds_only_stdio_its_links_and_its_pipe(
     finally:
         up.close()
         down.close()
-        rc = harness._end_plant_child(child, 5.0)
+        rc = harness._end_plant_child(child, time.monotonic() + 5.0)
     assert rc == 0
     up_fd, down_fd, fds = json.loads(report)
     fds = dict(fds)
@@ -479,8 +479,10 @@ def test_an_isolated_run_beside_another_thread_ends_in_a_verdict():
 def test_a_child_blocked_on_a_lock_held_at_the_fork_fails_the_run(
         monkeypatch):
     # the thread that holds the lock does not exist in the child, so the
-    # child never exits: the parent's wait for it ends at `run_timeout_s`,
-    # and the child is killed and reaped
+    # child never exits: the parent's wait for it ends at the run's
+    # deadline, `run_timeout_s` + `UNWIND_S` (shortened here) after its
+    # start, and the child is killed and reaped
+    monkeypatch.setattr(runtime, "UNWIND_S", 0.1)
     lock = threading.Lock()
 
     def blocked(*plant):
@@ -582,8 +584,10 @@ def test_a_plant_whose_task_crashed_exits_1_naming_the_task(
 
 
 def test_a_plant_process_that_never_exits_fails_the_run(monkeypatch):
-    # the parent's wait for a child that outlives the run ends at
-    # `run_timeout_s`; the child is then killed and reaped
+    # the parent's wait for a child that outlives the run ends at the
+    # run's deadline, `run_timeout_s` + `UNWIND_S` (shortened here) after
+    # its start; the child is then killed and reaped
+    monkeypatch.setattr(runtime, "UNWIND_S", 0.1)
     monkeypatch.setattr(control, "plant_process_main",
                         lambda *plant: time.sleep(60))
     children = keep_children(monkeypatch)
@@ -597,25 +601,64 @@ def test_a_plant_process_that_never_exits_fails_the_run(monkeypatch):
 
 def test_the_wait_for_a_plant_process_is_bounded(monkeypatch):
     # the wait ends at EOF on the child's pipe, which its exit closes, or
-    # at its timeout, when it kills the child; either way it reaps the
-    # child and closes the pipe
+    # at its deadline, when it kills the child, at once if the deadline
+    # has passed; either way it reaps the child and closes the pipe
     before = open_fds()
 
-    def end(plant_main, timeout_s):
+    def end(plant_main, wait_s):
         monkeypatch.setattr(control, "plant_process_main", plant_main)
         child, up, down = harness._start_plant_process(mission(), None, 16)
         up.close()
         down.close()
         started = time.monotonic()
-        rc = harness._end_plant_child(child, timeout_s)
+        rc = harness._end_plant_child(child, started + wait_s)
         assert reaped(child[0])
         return rc, time.monotonic() - started
 
     rc, waited = end(lambda *plant: time.sleep(60), 0.05)
     assert rc is None and waited < 5.0
+    rc, waited = end(lambda *plant: time.sleep(60), -60.0)
+    assert rc is None and waited < 5.0
     rc, waited = end(lambda *plant: 7, 5.0)
     assert rc == 7 and waited < 5.0
     assert open_fds() == before
+
+
+def test_a_hung_plant_process_adds_no_second_run_timeout(monkeypatch):
+    # the child is stopped mid-run: the run's tasks stall and fail at
+    # `run_timeout_s`, `stop` gives them UNWIND_S (shortened here), and
+    # the wait for the child ends at that same deadline, not a fresh
+    # `run_timeout_s` later
+    monkeypatch.setattr(runtime, "UNWIND_S", 0.3)
+    timers = []
+    start = harness._start_plant_process
+
+    def start_and_stop_later(*args):
+        started = start(*args)
+        timers.append(threading.Timer(0.3, os.kill,
+                                      (started[0][0], signal.SIGSTOP)))
+        timers[-1].start()
+        return started
+
+    monkeypatch.setattr(harness, "_start_plant_process",
+                        start_and_stop_later)
+    sc = mission(duration_ms=1500,
+                 steps=[{"at_ms": ms, "do": "command", "value": 50}
+                        for ms in range(1000)],
+                 measurements=[[ms, 1_000_000 + ms] for ms in range(1000)],
+                 expect={})
+    started = time.monotonic()
+    try:
+        result = run_scenario(sc, RunConfig(isolate=True, run_timeout_s=1.0))
+    finally:
+        for timer in timers:
+            timer.cancel()
+            timer.join()
+    took = time.monotonic() - started
+    assert len(timers) == 1
+    assert result.failures[0].startswith("tasks never finished: ")
+    assert result.failures[-1] == "plant process never exited"
+    assert took < 1.0 + runtime.UNWIND_S + 0.5, took
 
 
 def test_the_wait_for_a_plant_process_takes_the_longest_run_timeout(
@@ -626,7 +669,7 @@ def test_the_wait_for_a_plant_process_takes_the_longest_run_timeout(
     child, up, down = harness._start_plant_process(mission(), None, 16)
     up.close()
     down.close()
-    assert harness._end_plant_child(child, WAIT_MAX_S) == 7
+    assert harness._end_plant_child(child, time.monotonic() + WAIT_MAX_S) == 7
     assert reaped(child[0])
 
 

@@ -410,7 +410,11 @@ def test_lockstep_deadlock_unwinds_parked_tasks():
     assert saw == ["closed"]
 
 
-def test_lockstep_safety_limit_fires_while_a_task_blocks_outside_the_kernel():
+def test_lockstep_safety_limit_fires_while_a_task_blocks_outside_the_kernel(
+        monkeypatch):
+    # `stop` waits UNWIND_S for the blocked task, which only the release
+    # below ends; shortened here
+    monkeypatch.setattr(runtime, "UNWIND_S", 0.1)
     rt = LockstepRuntime(seed=0)
     release = threading.Event()
     handle = rt.spawn(release.wait, name="blocked")

@@ -280,6 +280,24 @@ def test_reading_a_thread_file_or_tapping_a_frame_decodes_nothing(
         assert (exc.value.seq, str(exc.value)) == (seq, text)
 
 
+def read_line_by_line(path):
+    """The readers' oracle: the record of each line of the file read as
+    text, split only at a line feed, through `parse_record_line`; blank
+    lines are skipped and seq must strictly increase."""
+    records, last_seq = [], 0
+    with open(path, encoding="utf-8", newline="\n") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.isspace():
+                continue
+            rec = parse_record_line(line, lineno)
+            if rec.seq <= last_seq:
+                raise CorruptRecord(f"seq {rec.seq} not increasing after "
+                                    f"{last_seq}", seq=rec.seq)
+            last_seq = rec.seq
+            records.append(rec)
+    return records
+
+
 def count_line_parses(monkeypatch):
     """Count the calls the reader makes to `parse_record_line`; returns
     the list each call appends to."""
@@ -331,7 +349,7 @@ def test_the_writers_own_files_are_read_without_a_line_parse(tmp_path,
     replay.write_text(replay_shaped_lines(600))  # several blocks
     mission = (Path(harness.__file__).parent / "suite" / "recordings"
                / "mission.rec")
-    want = {path: thread_log._read_lines(path)
+    want = {path: read_line_by_line(path)
             for path in (str(twin), str(replay), str(mission))}
     assert {r.kind for r in want[str(twin)]} == {
         "STA", "MEA", "CMD", "RAW", "NOTE"}
@@ -348,12 +366,16 @@ def test_the_writers_own_files_are_read_without_a_line_parse(tmp_path,
         if r.direction is PT2DT and r.is_frame]
     assert calls == []
 
-    # one line the writer would not write sends the whole file line by line
+    # one line the writer would not write costs only the block that holds
+    # it: the first `_BLOCK` bytes, carried on to the end of their line
     lines = replay.read_text().splitlines(keepends=True)
     lines[6] = lines[6].replace("seq=7 ", "seq=+7 ")
     replay.write_text("".join(lines))
+    data = replay.read_bytes()
+    first_block = data[:data.index(b"\n", thread_log._BLOCK - 1) + 1]
     assert read_thread_file(str(replay)) == want[str(replay)]
-    assert len(calls) == len(lines)
+    assert calls == lines[:first_block.count(b"\n")]
+    assert 7 <= len(calls) < len(lines) == 600
 
 
 def test_a_note_is_kept_but_not_counted():
@@ -855,7 +877,7 @@ def test_a_file_read_in_blocks_reads_as_it_does_line_by_line(data, block):
         with open(path, "wb") as fh:
             fh.write(data)
         try:
-            records = thread_log._read_lines(path)
+            records = read_line_by_line(path)
         except CorruptRecord as exc:
             for read, _ in READERS:
                 with mock.patch.object(thread_log, "_BLOCK", block), \
@@ -888,7 +910,7 @@ def test_a_file_the_writer_did_not_write_reads_as_it_does_line_by_line(
     path = tmp_path / "thread.log"
     path.write_bytes(data)
     try:
-        records = thread_log._read_lines(str(path))
+        records = read_line_by_line(str(path))
     except (CorruptRecord, UnicodeDecodeError) as exc:
         for read, _ in READERS:
             with pytest.raises(type(exc)) as got:
@@ -898,3 +920,25 @@ def test_a_file_the_writer_did_not_write_reads_as_it_does_line_by_line(
         return
     for read, keep in READERS:
         assert read(str(path)) == keep(records), read.__name__
+
+
+def test_a_bad_line_past_the_first_blocks_names_its_line_in_the_file(
+        tmp_path):
+    # the line count runs on from block to block
+    path = tmp_path / "thread.log"
+    log = ThreadLog(str(path))
+    for i in range(400):
+        log.append_message(i, PT2DT, encode_message(measurement(i)))
+    log.close()
+    data = path.read_bytes()
+    ends = [0]  # where each block ends, as the reader cuts them
+    while len(ends) < 4:
+        ends.append(data.index(b"\n", ends[-1] + thread_log._BLOCK - 1) + 1)
+    lineno = data[:ends[2]].count(b"\n") + 2  # the third block's second line
+    lines = data.splitlines(keepends=True)
+    lines[lineno - 1] = re.sub(rb"^seq=[0-9]+", b"seq=x", lines[lineno - 1])
+    path.write_bytes(b"".join(lines))
+    for read, _ in READERS:
+        with pytest.raises(CorruptRecord) as exc:
+            read(str(path))
+        assert exc.value.seq == lineno, read.__name__
